@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # CI gate: release build, full test suite, fault-injection suite, static
-# analyzer gate, sanitizer smoke test, clippy with warnings denied.
+# analyzer gate, sanitizer smoke test, benchmark-package build and tests,
+# clippy with warnings denied.
 set -eu
 
 cargo build --release
@@ -38,6 +39,19 @@ done
 [ "$SITES" -ge 170 ] \
     || { echo "ci: suite-wide proven sites dropped to $SITES (baseline >= 170)" >&2; exit 1; }
 echo "ci: analyzer gate passed on all 10 benchmarks ($SITES proven prunable/foldable sites)"
+
+# Removed-flag gate: generated C is the only compiled engine, and the CLI
+# rejects any flag its usage line does not list, so the flags of the
+# removed generated-Rust backend must fail loudly rather than quietly
+# fall back to C.
+for removed in "simulate assets/figure1.mdlx --steps 10 --engine rust" \
+               "generate assets/figure1.mdlx --rust"; do
+    # shellcheck disable=SC2086 # word-split the argument list on purpose
+    if ./target/release/accmos $removed > /dev/null 2>&1; then
+        echo "ci: 'accmos $removed' exited 0; expected a usage error" >&2; exit 1
+    fi
+done
+echo "ci: removed Rust-backend flags are rejected"
 
 # Sanitizer smoke test: compile one generated Table 1 simulator with
 # UBSan+ASan (no recovery, so any report aborts) and run a short
@@ -255,5 +269,10 @@ while kill -0 "$SERVE_PID" 2>/dev/null; do
 done
 [ ! -e "$SOCK" ] || { echo "ci: daemon left its socket behind" >&2; exit 1; }
 echo "ci: serve gate passed (6 dylib jobs, 1 subprocess-isolated, 1 fault-injected failure; ledger $COUNT, journal $JOBS, clean shutdown)"
+
+# Benchmark package gate: perfbench/ is its own workspace, so a public-API
+# change in crates/ could break it without the legs above noticing.
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 cargo clippy --workspace -- -D warnings

@@ -401,121 +401,3 @@ impl Compiler {
 pub fn clean_build_dir(dir: &Path) {
     let _ = std::fs::remove_dir_all(dir);
 }
-
-/// Fixed flags passed to `rustc`, part of the rust cache key: a change
-/// here must not serve executables built with the old flag set.
-const RUST_FIXED_FLAGS: [&str; 3] = ["-O", "--edition", "2021"];
-
-/// The first line of `rustc --version`, probed once per process (part of
-/// the rust build-cache key, so a toolchain upgrade never serves stale
-/// executables). `None` when rustc is missing — the compile itself will
-/// then report the real spawn error.
-fn rustc_version() -> Option<&'static str> {
-    static VERSION: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-    VERSION
-        .get_or_init(|| {
-            let out = Command::new("rustc").arg("--version").output().ok()?;
-            if !out.status.success() {
-                return None;
-            }
-            let banner = String::from_utf8_lossy(&out.stdout);
-            Some(banner.lines().next().unwrap_or("").trim().to_owned())
-        })
-        .as_deref()
-}
-
-/// The content key a rust program compiles under: a digest of the
-/// generated source, the `rustc --version` banner and the fixed flag set.
-/// `None` when rustc cannot be probed.
-pub fn rust_cache_key(program: &accmos_codegen::GeneratedRustProgram) -> Option<String> {
-    let version = rustc_version()?;
-    let mut parts: Vec<Vec<u8>> = vec![b"rustc".to_vec(), version.as_bytes().to_vec()];
-    for flag in RUST_FIXED_FLAGS {
-        parts.push(flag.as_bytes().to_vec());
-    }
-    parts.push(program.main_rs.as_bytes().to_vec());
-    Some(source_digest_hex(parts))
-}
-
-/// Compile a [`accmos_codegen::GeneratedRustProgram`] with `rustc -O`
-/// (the ablation backend of the paper's §5 extensibility discussion).
-///
-/// Returns the executable path, the build directory and the compile time.
-/// Every call is a cold rustc compile; harnesses that rerun the same
-/// program should use [`compile_rust_cached`].
-///
-/// # Errors
-///
-/// Propagates I/O errors and rustc failures.
-pub fn compile_rust(
-    program: &accmos_codegen::GeneratedRustProgram,
-) -> Result<(PathBuf, PathBuf, std::time::Duration), BackendError> {
-    compile_rust_cached(program, None).map(|(exe, dir, time, _)| (exe, dir, time))
-}
-
-/// [`compile_rust`] routed through a [`BuildCache`]: when the cache holds
-/// an executable built from a byte-identical `sim.rs` by this exact rustc
-/// version and flag set, copy it into a fresh build directory without
-/// invoking rustc at all.
-///
-/// Returns the executable path, the build directory, the wall-clock
-/// compile (or artifact-fetch) time and whether the executable came from
-/// the cache.
-///
-/// # Errors
-///
-/// Propagates I/O errors and rustc failures. Cache *store* failures are
-/// swallowed — they only cost a future recompile.
-pub fn compile_rust_cached(
-    program: &accmos_codegen::GeneratedRustProgram,
-    cache: Option<&BuildCache>,
-) -> Result<(PathBuf, PathBuf, std::time::Duration, bool), BackendError> {
-    let start = std::time::Instant::now();
-    let dir = std::env::temp_dir().join(format!(
-        "accmos-rust-{}-{}",
-        std::process::id(),
-        BUILD_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir)
-        .map_err(|source| BackendError::Io { path: dir.clone(), source })?;
-    let rs = dir.join("sim.rs");
-    std::fs::write(&rs, &program.main_rs)
-        .map_err(|source| BackendError::Io { path: rs.clone(), source })?;
-    let exe = dir.join("sim");
-
-    let key = cache.and_then(|_| rust_cache_key(program));
-    if let (Some(cache), Some(key)) = (cache, &key) {
-        if let Some(cached_exe) = cache.lookup(key) {
-            // `fs::copy` carries the mode bits; a racing eviction falls
-            // through to a real compile.
-            if std::fs::copy(&cached_exe, &exe).is_ok() {
-                return Ok((exe, dir, start.elapsed(), true));
-            }
-        }
-    }
-
-    let rustc_start = std::time::Instant::now();
-    let output = Command::new("rustc")
-        .args(RUST_FIXED_FLAGS)
-        .arg("-o")
-        .arg(&exe)
-        .arg(&rs)
-        .output()
-        .map_err(|source| BackendError::Io { path: PathBuf::from("rustc"), source })?;
-    let elapsed = rustc_start.elapsed();
-    if !output.status.success() {
-        return Err(BackendError::CompileFailed {
-            command: format!(
-                "rustc {} -o {} {}",
-                RUST_FIXED_FLAGS.join(" "),
-                exe.display(),
-                rs.display()
-            ),
-            stderr: String::from_utf8_lossy(&output.stderr).into_owned(),
-        });
-    }
-    if let (Some(cache), Some(key)) = (cache, &key) {
-        let _ = cache.store(key, &exe);
-    }
-    Ok((exe, dir, elapsed, false))
-}

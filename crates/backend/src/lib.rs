@@ -44,12 +44,12 @@ mod supervise;
 pub mod telemetry;
 
 pub use cache::{BuildCache, CacheStats};
-pub use compile::{clean_build_dir, compile_rust, compile_rust_cached, rust_cache_key, CompiledDylib, Compiler, OptLevel};
+pub use compile::{clean_build_dir, CompiledDylib, Compiler, OptLevel};
 #[cfg(unix)]
 pub use dylib::{DylibRun, DylibRunner};
 pub use error::BackendError;
 pub use protocol::parse_report;
-pub use run::{run_executable, run_executable_supervised, CompiledSimulator, RunOptions};
+pub use run::{CompiledSimulator, RunOptions};
 pub use supervise::{ExecPolicy, FailureKind, RetryStats, SupervisedRun, Supervisor};
 pub use telemetry::{PhaseMicros, RunLedger, RunRecord, TraceNode, TraceSpan, Tracer};
 

@@ -1,4 +1,6 @@
-//! Executing compiled simulators.
+//! Executing compiled C simulators as subprocesses: the plain invocation
+//! path, and the command line and per-run test-vector files it shares
+//! with the [`Supervisor`].
 
 use crate::error::BackendError;
 use crate::protocol::parse_report;
@@ -151,44 +153,6 @@ impl CompiledSimulator {
     }
 }
 
-/// Run any compiled simulator executable speaking the `ACCMOS:` protocol
-/// (used for the Rust ablation backend).
-///
-/// # Errors
-///
-/// Propagates I/O failures, non-zero exits and protocol errors.
-pub fn run_executable(
-    exe: &Path,
-    work_dir: &Path,
-    steps: u64,
-    tests: &TestVectors,
-    opts: &RunOptions,
-) -> Result<SimulationReport, BackendError> {
-    invoke_simulator(exe, work_dir, steps, tests, opts)
-}
-
-/// Supervised variant of [`run_executable`]: run any `ACCMOS:`-protocol
-/// executable under `supervisor`'s [`crate::ExecPolicy`] — hard kill
-/// timeout, bounded retries with deterministic backoff, classified
-/// failures, and quarantine (used for the Rust ablation backend).
-///
-/// # Errors
-///
-/// Returns [`BackendError::Supervised`] with the classified
-/// [`crate::FailureKind`], [`BackendError::Quarantined`] for an
-/// executable the supervisor refuses to run, or I/O errors writing the
-/// test-vector file.
-pub fn run_executable_supervised(
-    exe: &Path,
-    work_dir: &Path,
-    steps: u64,
-    tests: &TestVectors,
-    opts: &RunOptions,
-    supervisor: &Supervisor,
-) -> Result<SupervisedRun, BackendError> {
-    supervisor.run(exe, work_dir, steps, tests, opts)
-}
-
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Removes the wrapped file on drop (the test-vector file is per-run
@@ -296,9 +260,24 @@ fn invoke_simulator(
     opts: &RunOptions,
 ) -> Result<SimulationReport, BackendError> {
     let (mut cmd, tc_guard) = prepare_command(exe, work_dir, steps, tests, opts)?;
-    let output = cmd
-        .output()
-        .map_err(|source| BackendError::Io { path: exe.to_path_buf(), source })?;
+    // A sibling thread forking while this one copied the executable out
+    // of the build cache leaves the child holding a write descriptor
+    // until it execs; exec fails with ETXTBSY in that window, so back off
+    // briefly and retry (the supervised path retries it as transient I/O).
+    let mut backoff = Duration::from_millis(1);
+    let output = loop {
+        match cmd.output() {
+            Err(e)
+                if e.kind() == std::io::ErrorKind::ExecutableFileBusy
+                    && backoff.as_millis() < 512 =>
+            {
+                std::thread::sleep(backoff);
+                backoff *= 2;
+            }
+            result => break result,
+        }
+    }
+    .map_err(|source| BackendError::Io { path: exe.to_path_buf(), source })?;
     drop(tc_guard);
     if !output.status.success() {
         // A signal-terminated process has `code() == None`; report the

@@ -52,7 +52,7 @@ pub struct PhaseMicros {
     /// Static analysis for proven-safe instrumentation pruning (0 when
     /// pruning is disabled or the engine does not instrument).
     pub analyze_us: u64,
-    /// C (or Rust) source synthesis.
+    /// C source synthesis.
     pub codegen_us: u64,
     /// Compiler invocation, or the cache-hit copy when
     /// [`RunRecord::compile_cached`] is set.
@@ -133,8 +133,8 @@ pub struct RunRecord {
     pub source: String,
     /// Model name (the job label when the run failed before reporting).
     pub model: String,
-    /// Engine that produced the result: `accmos`, `rac`, `sse`, `rust`,
-    /// ... Empty when the job failed before any engine reported.
+    /// Engine that produced the result: `accmos`, `rac`, `sse`,
+    /// `sse-ac`, ... Empty when the job failed before any engine reported.
     pub engine: String,
     /// Simulated steps.
     pub steps: u64,

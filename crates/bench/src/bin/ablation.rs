@@ -3,12 +3,10 @@
 //! compiler's optimizer contribute?
 //!
 //! Matrix: {bare, +coverage, +diagnosis, full} x {-O0, -O3} on one
-//! compute-heavy (SPV) and one control-heavy (TWC) benchmark, plus the
-//! generated-Rust backend for a backend-language comparison.
+//! compute-heavy (SPV) and one control-heavy (TWC) benchmark.
 
 use accmos::{AccMoS, CodegenOptions, OptLevel, RunOptions};
 use accmos_bench::{arg_u64, record_run};
-use accmos_codegen::generate_rust;
 use accmos_ir::DiagnosticPolicy;
 use accmos_testgen::random_tests;
 use std::time::Duration;
@@ -66,36 +64,6 @@ fn main() {
                 times[0].as_secs_f64() / times[1].as_secs_f64().max(1e-9)
             );
         }
-        // Backend-language comparison: generated Rust at rustc -O. The
-        // rustc-built simulator is as untrusted as the C one, so it runs
-        // under the same supervision policy (kill timeout, retries,
-        // quarantine) as the batch path.
-        let program = generate_rust(&pre, &CodegenOptions::accmos());
-        let (exe, dir, _) = accmos_backend::compile_rust(&program).unwrap();
-        let supervisor = accmos::Supervisor::new(accmos::ExecPolicy::default());
-        let run = accmos_backend::run_executable_supervised(
-            &exe,
-            &dir,
-            steps,
-            &tests,
-            &RunOptions::default(),
-            &supervisor,
-        )
-        .unwrap();
-        accmos_backend::clean_build_dir(&dir);
-        record_run("ablation", name, "rust", steps, run.report.wall);
-        let note = if run.retries > 0 {
-            format!("(rustc -O, {} retry(ies))", run.retries)
-        } else {
-            "(rustc -O)".to_string()
-        };
-        println!(
-            "{:<7} {:<12} {:>10} {:>9.3}s   {note}",
-            name,
-            "rust-backend",
-            "-",
-            run.report.wall.as_secs_f64()
-        );
     }
     println!("\nReading: the full-instrumentation overhead vs bare code is the cost of");
     println!("the paper's coverage bitmaps + diagnostic calls; O0/O3 shows how much of");

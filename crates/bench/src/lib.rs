@@ -10,6 +10,7 @@
 //! | `table3`     | Table 3 — coverage reached in equal wall-clock budgets |
 //! | `case_study` | §4 error-diagnosis case study on the fault-injected CSEV |
 //! | `figure1`    | §1 motivating example — time to detect the long-run overflow |
+//! | `ablation`   | instrumentation and optimizer cost — {bare, +coverage, +diagnosis, full} × {`-O0`, `-O3`} |
 //!
 //! Absolute numbers differ from the paper (different machine, scaled step
 //! counts, SSE stand-ins instead of MATLAB); the *shape* — who wins and by
@@ -572,13 +573,20 @@ pub fn record_engine_times(source: &str, times: &EngineTimes) {
     }
 }
 
-/// Parse a `--flag value` style u64 argument.
+/// Parse a `--flag value` style u64 argument, exiting the harness with a
+/// message naming the flag and the value when the value is not a number.
 pub fn arg_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_u64_arg(args, flag, default).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_u64_arg(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
+    match arg_str(args, flag) {
+        Some(v) => v.parse().map_err(|_| format!("bad value `{v}` for {flag}")),
+        None => Ok(default),
+    }
 }
 
 /// Parse a `--flag value` style string argument.
@@ -628,6 +636,10 @@ mod tests {
             ["prog", "--steps", "500"].iter().map(|s| s.to_string()).collect();
         assert_eq!(arg_u64(&args, "--steps", 7), 500);
         assert_eq!(arg_u64(&args, "--rows", 7), 7);
+        let bad: Vec<String> =
+            ["prog", "--steps", "banana"].iter().map(|s| s.to_string()).collect();
+        let err = parse_u64_arg(&bad, "--steps", 7).unwrap_err();
+        assert!(err.contains("--steps") && err.contains("`banana`"), "{err}");
     }
 
     #[test]

@@ -378,7 +378,7 @@ pub(crate) fn pruned_diagnosis_plan(
 }
 
 /// Whether the actor's output is collected (the `collectList`).
-pub(crate) fn on_collect_list(opts: &CodegenOptions, actor: &FlatActor) -> bool {
+fn on_collect_list(opts: &CodegenOptions, actor: &FlatActor) -> bool {
     if !opts.instrument {
         return false;
     }

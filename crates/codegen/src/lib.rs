@@ -49,13 +49,11 @@ mod cwriter;
 mod gen;
 mod options;
 mod runtime;
-mod rust_backend;
 mod synthesis;
 
 pub use gen::DiagSite;
 pub use options::{ActorList, CodegenOptions, CustomProbe};
 pub use runtime::RUNTIME_HEADER;
-pub use rust_backend::{generate_rust, GeneratedRustProgram};
 pub use synthesis::{generate, GeneratedProgram, PROF_SAMPLE_PERIOD};
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! ```text
 //! accmos info     <model.mdlx>
 //! accmos analyze  <model.mdlx> [--format text|json] [--deny SEV] [--tests t.csv]
-//! accmos generate <model.mdlx> [--out DIR] [--rust] [--rapid] [--lanes N]
+//! accmos generate <model.mdlx> [--out DIR] [--rapid] [--lanes N]
 //! accmos simulate <model.mdlx> --steps N [--tests t.csv] [--engine E]
 //!                 [--stop-on-diag] [--budget-ms N] [--seed N] [--rows N]
 //!                 [--exec-timeout MS] [--retries N] [--lanes N]
@@ -18,7 +18,7 @@
 //!                 [--format text|json]
 //! accmos fuzz     [--trials N] [--seed N] [--steps N] [--rows N] [--resume]
 //!                 [--cache-dir DIR] [--corpus DIR] [--no-minimize]
-//!                 [--budget-ms N] [--max-trials N] [--rust-every N]
+//!                 [--budget-ms N] [--max-trials N]
 //!                 [--inject PATH] [--sabotage] [--exec-timeout MS] [--retries N]
 //!                 [--trace-out trace.json]
 //! ```
@@ -35,23 +35,23 @@
 //! seeds the input-port intervals from a test-vector file, sharpening
 //! lints (never prune proofs, which must hold for any stimulus).
 //!
-//! Engines: `accmos` (generated C, `-O3`, default), `rust` (generated Rust
-//! ablation backend), `rac` (uninstrumented `-O0` + host sync), `sse` and
-//! `sse-ac` (interpretive stand-ins). Without `--tests`, seeded random
-//! stimulus is generated for every input port.
+//! Engines: `accmos` (generated C, `-O3`, default), `rac` (uninstrumented
+//! `-O0` + host sync), `sse` and `sse-ac` (interpretive stand-ins).
+//! Without `--tests`, seeded random stimulus is generated for every input
+//! port.
 //!
 //! `batch` runs every listed model (`--repeat` times each, with a distinct
 //! stimulus seed per repetition) on a bounded worker pool, compiling each
 //! unique generated program once; `--no-cache` forces cold compiles.
 //!
-//! `--lanes N` (simulate/batch, C backend only) generates a lane-parallel
+//! `--lanes N` (simulate/batch, `accmos` engine only) generates a lane-parallel
 //! simulator stepping N test vectors per schedule iteration. Each lane
 //! gets its own seeded random stimulus (with an explicit `--tests` file,
 //! every lane replays the same stimulus); results come back with an
 //! OR-reduced coverage union, an FNV fold of the per-lane digests, and
-//! per-lane diagnostics. The `rust` and `rac` engines reject lanes > 1:
-//! the Rust ablation backend is scalar-only, and the Rapid-Accelerator
-//! stand-in's per-step host sync forces scalar execution.
+//! per-lane diagnostics. The other engines reject lanes > 1: the
+//! Rapid-Accelerator stand-in's per-step host sync forces scalar
+//! execution, and the interpretive stand-ins are scalar.
 //!
 //! `trends` reads the persistent run ledger (`ledger.jsonl` under the
 //! cache directory; `simulate` and `batch` append to it automatically
@@ -62,9 +62,9 @@
 //!
 //! `fuzz` runs a seeded differential campaign: each trial generates a
 //! random model (conditional groups, nested subsystems, vectors, floats,
-//! lane widths in {1,4}) and compares the interpretive reference, the
-//! generated-C simulator (analyzer-pruned and unpruned builds) and
-//! periodically the rustc ablation backend, exactly — digests, final
+//! lane widths in {1,4}) and compares the interpretive reference and the
+//! generated-C simulator (analyzer-pruned and unpruned builds, and
+//! periodically a specialization-off build), exactly — digests, final
 //! outputs, steps, all four coverage metrics, every diagnostic. Compiled
 //! trials run under the supervisor, so crashes and hangs become
 //! classified verdicts, not dead campaigns. State is an append-only
@@ -98,6 +98,10 @@
 //! with hierarchical spans: pipeline phases, supervisor child lifecycle
 //! (attempts, polling, kills, retry backoff) and per-actor profile
 //! leaves when profiling is on.
+//!
+//! Every subcommand accepts exactly the flags its usage line lists: an
+//! unknown flag, a flag missing its value or a non-numeric value for a
+//! numeric flag exits non-zero with usage instead of being ignored.
 
 use accmos::{AccMoS, BatchJob, BatchRunner, ExecPolicy, RunOptions, SimOptions};
 use accmos_ir::{Model, SimulationReport, TestVectors};
@@ -122,8 +126,8 @@ usage: (models are .mdlx paths or bench:NAME for a built-in benchmark)
   accmos info     <model.mdlx>
   accmos analyze  <model.mdlx> [--format text|json] [--deny info|warning|error] [--tests t.csv]
                   [--explain]
-  accmos generate <model.mdlx> [--out DIR] [--rust] [--rapid] [--lanes N] [--no-optimize]
-  accmos simulate <model.mdlx> --steps N [--tests t.csv] [--engine accmos|rust|rac|sse|sse-ac]
+  accmos generate <model.mdlx> [--out DIR] [--rapid] [--lanes N] [--no-optimize] [--profile]
+  accmos simulate <model.mdlx> --steps N [--tests t.csv] [--engine accmos|rac|sse|sse-ac]
                   [--stop-on-diag] [--budget-ms N] [--seed N] [--rows N]
                   [--exec-timeout MS] [--retries N] [--lanes N] [--no-optimize]
                   [--profile] [--trace-out trace.json]
@@ -135,46 +139,123 @@ usage: (models are .mdlx paths or bench:NAME for a built-in benchmark)
   accmos trends   [--cache-dir DIR] [--check] [--max-regress PCT] [--format text|json]
   accmos serve    [--socket PATH] [--workers N] [--cache-dir DIR]
                   [--exec-timeout MS] [--retries N]
-  accmos submit   [<model> [STEPS]] [--socket PATH] [--lanes N] [--rows N] [--seed N]
-                  [--ping] [--shutdown]
+  accmos submit   [<model> [STEPS]] [--socket PATH] [--cache-dir DIR] [--steps N]
+                  [--lanes N] [--rows N] [--seed N] [--ping] [--shutdown]
   accmos fuzz     [--trials N] [--seed N] [--steps N] [--rows N] [--resume]
                   [--cache-dir DIR] [--corpus DIR] [--no-minimize] [--budget-ms N]
-                  [--max-trials N] [--rust-every N] [--inject PATH] [--sabotage]
+                  [--max-trials N] [--inject PATH] [--sabotage]
                   [--exec-timeout MS] [--retries N] [--pin INDEX] [--trace-out trace.json]
 (rand:SEED is the fuzzer's deterministic random model for that seed)";
 
 fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().ok_or("missing command")?;
-    if cmd == "batch" {
-        return batch(&args[1..]);
-    }
-    if cmd == "trends" {
-        return trends(&args[1..]);
-    }
-    if cmd == "fuzz" {
-        return fuzz(&args[1..]);
-    }
-    if cmd == "serve" {
-        #[cfg(unix)]
-        return serve(&args[1..]);
-        #[cfg(not(unix))]
-        return Err("`serve` requires a Unix platform".into());
-    }
-    if cmd == "submit" {
-        #[cfg(unix)]
-        return submit(&args[1..]);
-        #[cfg(not(unix))]
-        return Err("`submit` requires a Unix platform".into());
-    }
-    let path = args.get(1).ok_or("missing model file")?;
-    let model = load_model(path)?;
+    let spec = Spec::of(cmd).ok_or_else(|| format!("unknown command `{cmd}`"))?;
+    let args = &args[1..];
+    let positional = spec.check(args)?;
     match cmd.as_str() {
-        "info" => info(&model),
-        "analyze" => analyze(&model, args),
-        "generate" => generate(&model, args),
-        "simulate" => simulate(&model, args),
-        "profile" => profile(&model, args),
-        other => Err(format!("unknown command `{other}`")),
+        "info" => info(&load_model(positional[0])?),
+        "analyze" => analyze(&load_model(positional[0])?, args),
+        "generate" => generate(&load_model(positional[0])?, args),
+        "simulate" => simulate(&load_model(positional[0])?, args),
+        "profile" => profile(&load_model(positional[0])?, args),
+        "batch" => batch(&positional, args),
+        "trends" => trends(args),
+        "fuzz" => fuzz(args),
+        #[cfg(unix)]
+        "serve" => serve(args),
+        #[cfg(unix)]
+        "submit" => submit(&positional, args),
+        _ => Err(format!("`{cmd}` requires a Unix platform")),
+    }
+}
+
+/// The arguments one subcommand accepts, mirroring its line in [`USAGE`].
+struct Spec {
+    /// Accepted count of positional arguments (model specs, step count).
+    positional: std::ops::RangeInclusive<usize>,
+    /// Flags followed by a value (`--steps N`).
+    values: &'static [&'static str],
+    /// Flags that stand alone (`--resume`).
+    switches: &'static [&'static str],
+}
+
+impl Spec {
+    /// The spec of subcommand `cmd`, `None` for an unknown command.
+    fn of(cmd: &str) -> Option<Spec> {
+        let (positional, values, switches): (_, &[&str], &[&str]) = match cmd {
+            "info" => (1..=1, &[], &[]),
+            "analyze" => (1..=1, &["--format", "--deny", "--tests"], &["--explain"]),
+            "generate" => (1..=1, &["--out", "--lanes"], &["--rapid", "--no-optimize", "--profile"]),
+            "simulate" => (
+                1..=1,
+                &[
+                    "--steps", "--tests", "--engine", "--budget-ms", "--seed", "--rows",
+                    "--exec-timeout", "--retries", "--lanes", "--trace-out",
+                ],
+                &["--stop-on-diag", "--no-optimize", "--profile"],
+            ),
+            "profile" => (
+                1..=1,
+                &[
+                    "--steps", "--tests", "--seed", "--rows", "--lanes", "--format", "--trace-out",
+                    "--exec-timeout", "--retries",
+                ],
+                &[],
+            ),
+            "batch" => (
+                1..=usize::MAX,
+                &[
+                    "--steps", "--repeat", "--jobs", "--seed", "--rows", "--exec-timeout",
+                    "--retries", "--lanes", "--trace-out",
+                ],
+                &["--no-cache"],
+            ),
+            "trends" => (0..=0, &["--cache-dir", "--max-regress", "--format"], &["--check"]),
+            "serve" => (
+                0..=0,
+                &["--socket", "--workers", "--cache-dir", "--exec-timeout", "--retries"],
+                &[],
+            ),
+            "submit" => (
+                0..=2,
+                &["--socket", "--cache-dir", "--steps", "--lanes", "--rows", "--seed"],
+                &["--ping", "--shutdown"],
+            ),
+            "fuzz" => (
+                0..=0,
+                &[
+                    "--trials", "--seed", "--steps", "--rows", "--cache-dir", "--corpus",
+                    "--budget-ms", "--max-trials", "--inject", "--exec-timeout", "--retries",
+                    "--pin", "--trace-out",
+                ],
+                &["--resume", "--no-minimize", "--sabotage"],
+            ),
+            _ => return None,
+        };
+        Some(Spec { positional, values, switches })
+    }
+
+    /// Reject unknown flags, value flags without a value and a wrong
+    /// count of positional arguments; return the positional arguments.
+    fn check<'a>(&self, args: &'a [String]) -> Result<Vec<&'a str>, String> {
+        let mut positional = Vec::new();
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if self.values.contains(&arg) {
+                it.next().ok_or_else(|| format!("`{arg}` needs a value"))?;
+            } else if !arg.starts_with("--") {
+                positional.push(arg);
+            } else if !self.switches.contains(&arg) {
+                return Err(format!("unknown flag `{arg}`"));
+            }
+        }
+        if positional.len() < *self.positional.start() {
+            return Err("missing model file".into());
+        }
+        match positional.get(*self.positional.end()) {
+            Some(extra) => Err(format!("unexpected argument `{extra}`")),
+            None => Ok(positional),
+        }
     }
 }
 
@@ -210,21 +291,29 @@ fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
-fn opt_u64(args: &[String], name: &str, default: u64) -> u64 {
-    opt(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The value of flag `name` parsed as `T`: `None` when the flag is
+/// absent, an error naming the flag and the value when it does not parse.
+fn opt_parse<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    opt(args, name)
+        .map(|v| v.parse().map_err(|_| format!("bad value `{v}` for {name}")))
+        .transpose()
+}
+
+fn opt_u64(args: &[String], name: &str, default: u64) -> Result<u64, String> {
+    Ok(opt_parse(args, name)?.unwrap_or(default))
 }
 
 /// The supervised-execution policy from `--exec-timeout` / `--retries`
 /// (defaults untouched when the flags are absent).
-fn exec_policy(args: &[String]) -> ExecPolicy {
+fn exec_policy(args: &[String]) -> Result<ExecPolicy, String> {
     let mut policy = ExecPolicy::default();
-    if let Some(ms) = opt(args, "--exec-timeout").and_then(|v| v.parse().ok()) {
+    if let Some(ms) = opt_parse(args, "--exec-timeout")? {
         policy = policy.with_kill_timeout(Duration::from_millis(ms));
     }
-    if let Some(n) = opt(args, "--retries").and_then(|v| v.parse().ok()) {
+    if let Some(n) = opt_parse(args, "--retries")? {
         policy = policy.with_retries(n);
     }
-    policy
+    Ok(policy)
 }
 
 fn info(model: &Model) -> Result<(), String> {
@@ -294,7 +383,7 @@ fn generate(model: &Model, args: &[String]) -> Result<(), String> {
     } else {
         accmos::CodegenOptions::accmos()
     };
-    let lanes = opt_u64(args, "--lanes", 1).max(1) as usize;
+    let lanes = opt_u64(args, "--lanes", 1)?.max(1) as usize;
     let mut opts = opts.lanes(lanes);
     if flag(args, "--no-optimize") {
         opts = opts.without_specialization();
@@ -302,38 +391,24 @@ fn generate(model: &Model, args: &[String]) -> Result<(), String> {
     if flag(args, "--profile") {
         opts = opts.with_profile();
     }
-    if flag(args, "--rust") {
-        if lanes > 1 {
-            // The Rust ablation backend has no lane mode; fail loudly
-            // rather than writing a silently scalar simulator.
-            return Err("--rust does not support --lanes > 1 (lane mode is C-backend only)".into());
-        }
-        let program = accmos_codegen::generate_rust(&pre, &opts);
-        let path = format!("{out}/{}_sim.rs", program.model);
-        std::fs::write(&path, &program.main_rs).map_err(|e| e.to_string())?;
+    let program = accmos_codegen::generate(&pre, &opts);
+    for (name, contents) in program.files() {
+        let path = format!("{out}/{name}");
+        std::fs::write(&path, contents).map_err(|e| e.to_string())?;
         println!("wrote {path}");
-    } else {
-        let program = accmos_codegen::generate(&pre, &opts);
-        for (name, contents) in program.files() {
-            let path = format!("{out}/{name}");
-            std::fs::write(&path, contents).map_err(|e| e.to_string())?;
-            println!("wrote {path}");
-        }
     }
     Ok(())
 }
 
 fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
-    let steps = opt_u64(args, "--steps", 1000);
+    let steps = opt_u64(args, "--steps", 1000)?;
     let engine = opt(args, "--engine").unwrap_or("accmos");
-    let seed = opt_u64(args, "--seed", 2024);
-    let rows = opt_u64(args, "--rows", 64) as usize;
+    let seed = opt_u64(args, "--seed", 2024)?;
+    let rows = opt_u64(args, "--rows", 64)? as usize;
     let stop = flag(args, "--stop-on-diag");
-    let budget = opt(args, "--budget-ms")
-        .and_then(|v| v.parse().ok())
-        .map(Duration::from_millis);
+    let budget = opt_parse(args, "--budget-ms")?.map(Duration::from_millis);
 
-    let lanes = opt_u64(args, "--lanes", 1).max(1) as usize;
+    let lanes = opt_u64(args, "--lanes", 1)?.max(1) as usize;
     if lanes > 1 && engine != "accmos" {
         return Err(format!(
             "engine `{engine}` does not support --lanes > 1 (lane mode is C-backend only)"
@@ -378,46 +453,6 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
             accmos::run_reference_engine(engine, model, &tests, &opts)
                 .map_err(|e| e.to_string())?
         }
-        "rust" => {
-            let mut copts = accmos::CodegenOptions::accmos();
-            if flag(args, "--no-optimize") {
-                copts = copts.without_specialization();
-            }
-            if profiling {
-                copts = copts.with_profile();
-            }
-            let program = accmos_codegen::generate_rust(&pre, &copts);
-            let cache =
-                if flag(args, "--no-cache") { None } else { Some(accmos_backend::BuildCache::new()) };
-            let (exe, dir, compile_time, cache_hit) =
-                accmos_backend::compile_rust_cached(&program, cache.as_ref())
-                    .map_err(|e| e.to_string())?;
-            eprintln!("rustc: {compile_time:.2?}{}", if cache_hit { " (cached)" } else { "" });
-            // A freshly rustc-compiled simulator is as untrusted as a C
-            // one: run it under the same supervision policy.
-            let mut supervisor = accmos::Supervisor::new(exec_policy(args));
-            if let Some(t) = &tracer {
-                supervisor = supervisor.with_tracer(t.clone());
-            }
-            let run = accmos_backend::run_executable_supervised(
-                &exe,
-                &dir,
-                steps,
-                &tests,
-                &RunOptions {
-                    stop_on_diagnostic: stop,
-                    time_budget: budget,
-                    lane_tests: Vec::new(),
-                },
-                &supervisor,
-            )
-            .map_err(|e| e.to_string())?;
-            if run.retries > 0 {
-                eprintln!("retries: {}", run.retries);
-            }
-            accmos_backend::clean_build_dir(&dir);
-            run.report
-        }
         "accmos" | "rac" => {
             let mut pipeline = if engine == "rac" {
                 AccMoS::rapid_accelerator()
@@ -432,7 +467,7 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
                 let copts = pipeline.codegen_options().clone().with_profile();
                 pipeline = pipeline.with_codegen(copts);
             }
-            let mut pipeline = pipeline.with_exec_policy(exec_policy(args));
+            let mut pipeline = pipeline.with_exec_policy(exec_policy(args)?);
             if let Some(t) = &tracer {
                 pipeline = pipeline.with_tracer(t.clone());
             }
@@ -485,10 +520,10 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
 }
 
 fn profile(model: &Model, args: &[String]) -> Result<(), String> {
-    let steps = opt_u64(args, "--steps", 100_000);
-    let seed = opt_u64(args, "--seed", 2024);
-    let rows = opt_u64(args, "--rows", 64) as usize;
-    let lanes = opt_u64(args, "--lanes", 1).max(1) as usize;
+    let steps = opt_u64(args, "--steps", 100_000)?;
+    let seed = opt_u64(args, "--seed", 2024)?;
+    let rows = opt_u64(args, "--rows", 64)? as usize;
+    let lanes = opt_u64(args, "--lanes", 1)?.max(1) as usize;
     let format = opt(args, "--format").unwrap_or("text");
     if !matches!(format, "text" | "json") {
         return Err(format!("unknown format `{format}` (text|json)"));
@@ -507,7 +542,7 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
         .collect();
 
     let mut pipeline =
-        AccMoS::new().with_lanes(lanes).with_exec_policy(exec_policy(args));
+        AccMoS::new().with_lanes(lanes).with_exec_policy(exec_policy(args)?);
     let copts = pipeline.codegen_options().clone().with_profile();
     pipeline = pipeline.with_codegen(copts);
     let trace_out = opt(args, "--trace-out");
@@ -639,7 +674,7 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
 }
 
 fn trends(args: &[String]) -> Result<(), String> {
-    use accmos::telemetry::{check_regressions, compute_trends, fmt_us, PhaseMicros};
+    use accmos::telemetry::{compute_trends, fmt_us, PhaseMicros};
 
     let dir = match opt(args, "--cache-dir") {
         Some(d) => std::path::PathBuf::from(d),
@@ -649,6 +684,7 @@ fn trends(args: &[String]) -> Result<(), String> {
     if !matches!(format, "text" | "json") {
         return Err(format!("unknown format `{format}` (text|json)"));
     }
+    let max_pct = opt_parse(args, "--max-regress")?.unwrap_or(25.0);
     let ledger = accmos::RunLedger::in_dir(&dir);
     let view = ledger.read();
     let trends = compute_trends(&view.records);
@@ -690,21 +726,7 @@ fn trends(args: &[String]) -> Result<(), String> {
         out.push_str("]}");
         println!("{out}");
         if flag(args, "--check") {
-            let max_pct = opt(args, "--max-regress")
-                .map(|v| v.parse::<f64>().map_err(|_| format!("bad --max-regress `{v}`")))
-                .transpose()?
-                .unwrap_or(25.0);
-            let violations = check_regressions(&trends, max_pct);
-            if !violations.is_empty() {
-                for v in &violations {
-                    eprintln!("regression: {v}");
-                }
-                return Err(format!(
-                    "{} model(s) regressed beyond {max_pct}% (ledger: {})",
-                    violations.len(),
-                    ledger.path().display()
-                ));
-            }
+            check_trends(&trends, max_pct, ledger.path())?;
         }
         return Ok(());
     }
@@ -756,35 +778,38 @@ fn trends(args: &[String]) -> Result<(), String> {
     }
 
     if flag(args, "--check") {
-        let max_pct = opt(args, "--max-regress")
-            .map(|v| v.parse::<f64>().map_err(|_| format!("bad --max-regress `{v}`")))
-            .transpose()?
-            .unwrap_or(25.0);
-        let violations = check_regressions(&trends, max_pct);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("regression: {v}");
-            }
-            return Err(format!(
-                "{} model(s) regressed beyond {max_pct}% (ledger: {})",
-                violations.len(),
-                ledger.path().display()
-            ));
-        }
+        check_trends(&trends, max_pct, ledger.path())?;
         println!("check: no model regressed beyond {max_pct}%");
     }
     Ok(())
 }
 
+/// The `trends --check` gate: fail when any model's latest run is more
+/// than `max_pct` percent slower than the median of its earlier runs.
+fn check_trends(
+    trends: &[accmos::telemetry::ModelTrend],
+    max_pct: f64,
+    ledger: &std::path::Path,
+) -> Result<(), String> {
+    let violations = accmos::telemetry::check_regressions(trends, max_pct);
+    for v in &violations {
+        eprintln!("regression: {v}");
+    }
+    match violations.len() {
+        0 => Ok(()),
+        n => Err(format!("{n} model(s) regressed beyond {max_pct}% (ledger: {})", ledger.display())),
+    }
+}
+
 fn fuzz(args: &[String]) -> Result<(), String> {
+    let seed = opt_u64(args, "--seed", 1)?;
     let mut config = accmos::FuzzConfig {
-        seed: opt_u64(args, "--seed", 1),
-        trials: opt_u64(args, "--trials", 50),
-        steps: opt_u64(args, "--steps", 64),
-        rows: opt_u64(args, "--rows", 12) as usize,
+        seed,
+        trials: opt_u64(args, "--trials", 50)?,
+        steps: opt_u64(args, "--steps", 64)?,
+        rows: opt_u64(args, "--rows", 12)? as usize,
         resume: flag(args, "--resume"),
         minimize: !flag(args, "--no-minimize"),
-        rust_every: opt_u64(args, "--rust-every", 16),
         ..accmos::FuzzConfig::default()
     };
     if let Some(dir) = opt(args, "--cache-dir") {
@@ -793,17 +818,14 @@ fn fuzz(args: &[String]) -> Result<(), String> {
     if let Some(dir) = opt(args, "--corpus") {
         config.corpus_dir = Some(std::path::PathBuf::from(dir));
     }
-    if let Some(ms) = opt(args, "--budget-ms").and_then(|v| v.parse().ok()) {
-        config.trial_budget = Duration::from_millis(ms);
-    } else if let Some(ms) = opt(args, "--exec-timeout").and_then(|v| v.parse().ok()) {
+    let exec_timeout = opt_parse(args, "--exec-timeout")?;
+    if let Some(ms) = opt_parse(args, "--budget-ms")?.or(exec_timeout) {
         config.trial_budget = Duration::from_millis(ms);
     }
-    if let Some(n) = opt(args, "--retries").and_then(|v| v.parse().ok()) {
+    if let Some(n) = opt_parse(args, "--retries")? {
         config.exec_policy = config.exec_policy.with_retries(n);
     }
-    if let Some(n) = opt(args, "--max-trials").and_then(|v| v.parse().ok()) {
-        config.max_trials_per_run = Some(n);
-    }
+    config.max_trials_per_run = opt_parse(args, "--max-trials")?;
     if let Some(path) = opt(args, "--inject") {
         config.inject_fault_exe = Some(std::path::PathBuf::from(path));
     }
@@ -818,7 +840,7 @@ fn fuzz(args: &[String]) -> Result<(), String> {
 
     // `--pin INDEX`: check a known-good trial into the corpus as a
     // regression anchor instead of running a campaign.
-    if let Some(index) = opt(args, "--pin").and_then(|v| v.parse().ok()) {
+    if let Some(index) = opt_parse(args, "--pin")? {
         let dir = config
             .corpus_dir
             .clone()
@@ -850,8 +872,7 @@ fn fuzz(args: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "fuzz: campaign seed {}, {} planned, {} executed, {} resumed-skip",
-        opt_u64(args, "--seed", 1),
+        "fuzz: campaign seed {seed}, {} planned, {} executed, {} resumed-skip",
         summary.planned,
         summary.executed,
         summary.resumed
@@ -887,19 +908,15 @@ fn fuzz(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn batch(args: &[String]) -> Result<(), String> {
-    let paths: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
-    if paths.is_empty() {
-        return Err("batch needs at least one model file".into());
-    }
-    let steps = opt_u64(args, "--steps", 1000);
-    let repeat = opt_u64(args, "--repeat", 1).max(1);
-    let seed = opt_u64(args, "--seed", 2024);
-    let rows = opt_u64(args, "--rows", 64) as usize;
-    let lanes = opt_u64(args, "--lanes", 1).max(1);
+fn batch(paths: &[&str], args: &[String]) -> Result<(), String> {
+    let steps = opt_u64(args, "--steps", 1000)?;
+    let repeat = opt_u64(args, "--repeat", 1)?.max(1);
+    let seed = opt_u64(args, "--seed", 2024)?;
+    let rows = opt_u64(args, "--rows", 64)? as usize;
+    let lanes = opt_u64(args, "--lanes", 1)?.max(1);
 
     let mut pipeline =
-        AccMoS::new().with_lanes(lanes as usize).with_exec_policy(exec_policy(args));
+        AccMoS::new().with_lanes(lanes as usize).with_exec_policy(exec_policy(args)?);
     if flag(args, "--no-cache") {
         pipeline = pipeline.without_cache();
     }
@@ -910,7 +927,7 @@ fn batch(args: &[String]) -> Result<(), String> {
     }
 
     let mut jobs = Vec::new();
-    for path in &paths {
+    for path in paths {
         let model = load_model(path)?;
         let pre = accmos::preprocess(&model).map_err(|e| e.to_string())?;
         for rep in 0..repeat {
@@ -926,8 +943,7 @@ fn batch(args: &[String]) -> Result<(), String> {
                     accmos_testgen::random_tests(&pre, rows, base.wrapping_add(lane))
                 })
                 .collect();
-            let label =
-                if repeat > 1 { format!("{path}#{rep}") } else { (*path).clone() };
+            let label = if repeat > 1 { format!("{path}#{rep}") } else { path.to_string() };
             jobs.push(BatchJob::model(label, model.clone(), tests, steps).with_opts(
                 RunOptions { stop_on_diagnostic: false, time_budget: None, lane_tests },
             ));
@@ -935,7 +951,7 @@ fn batch(args: &[String]) -> Result<(), String> {
     }
 
     let mut runner = BatchRunner::new(pipeline);
-    if let Some(n) = opt(args, "--jobs").and_then(|v| v.parse().ok()) {
+    if let Some(n) = opt_parse(args, "--jobs")? {
         runner = runner.with_workers(n);
     }
     let report = runner.run(jobs).map_err(|e| e.to_string())?;
@@ -1019,7 +1035,7 @@ fn batch(args: &[String]) -> Result<(), String> {
 /// sends `shutdown`.
 #[cfg(unix)]
 fn serve(args: &[String]) -> Result<(), String> {
-    let mut pipeline = AccMoS::new().with_exec_policy(exec_policy(args));
+    let mut pipeline = AccMoS::new().with_exec_policy(exec_policy(args)?);
     if let Some(dir) = opt(args, "--cache-dir") {
         pipeline = pipeline.with_cache(accmos::BuildCache::at(dir));
     }
@@ -1028,7 +1044,7 @@ fn serve(args: &[String]) -> Result<(), String> {
         std::fs::create_dir_all(parent)
             .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
     }
-    let workers = usize::try_from(opt_u64(args, "--workers", 2)).unwrap_or(2).max(1);
+    let workers = usize::try_from(opt_u64(args, "--workers", 2)?).unwrap_or(2).max(1);
     let config = accmos::ServeConfig::new(&socket)
         .with_workers(workers)
         .with_pipeline(pipeline);
@@ -1056,14 +1072,13 @@ fn serve_socket(args: &[String], pipeline: &AccMoS) -> Result<std::path::PathBuf
 /// `accmos submit`: send a job (and/or `--ping` / `--shutdown`) to a
 /// running daemon and stream its result.
 #[cfg(unix)]
-fn submit(args: &[String]) -> Result<(), String> {
+fn submit(positional: &[&str], args: &[String]) -> Result<(), String> {
     use std::io::{BufRead, BufReader, Write};
     let pipeline = match opt(args, "--cache-dir") {
         Some(dir) => AccMoS::new().with_cache(accmos::BuildCache::at(dir)),
         None => AccMoS::new(),
     };
     let socket = serve_socket(args, &pipeline)?;
-    let positional = submit_positionals(args);
     if positional.is_empty() && !flag(args, "--ping") && !flag(args, "--shutdown") {
         return Err("nothing to do: pass a model spec, --ping, or --shutdown".into());
     }
@@ -1085,16 +1100,16 @@ fn submit(args: &[String]) -> Result<(), String> {
 
     let mut job_failed = None;
     if let Some(spec) = positional.first() {
-        let steps = positional
-            .get(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| opt_u64(args, "--steps", 1000));
+        let steps = match positional.get(1) {
+            Some(s) => s.parse().map_err(|_| format!("bad step count `{s}`"))?,
+            None => opt_u64(args, "--steps", 1000)?,
+        };
         let line = format!(
             "{{\"op\":\"submit\",\"model\":{},\"steps\":{steps},\"lanes\":{},\"rows\":{},\"seed\":{}}}\n",
             accmos::telemetry::json_str(spec),
-            opt_u64(args, "--lanes", 1),
-            opt_u64(args, "--rows", 8),
-            opt_u64(args, "--seed", 0xACC5),
+            opt_u64(args, "--lanes", 1)?,
+            opt_u64(args, "--rows", 8)?,
+            opt_u64(args, "--seed", 0xACC5)?,
         );
         writer.write_all(line.as_bytes()).map_err(|e| format!("send: {e}"))?;
         loop {
@@ -1149,23 +1164,85 @@ fn submit(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// The non-flag arguments of `submit` (model spec, optional step count),
-/// skipping every `--opt VALUE` pair.
-#[cfg(unix)]
-fn submit_positionals(args: &[String]) -> Vec<String> {
-    const VALUE_OPTS: [&str; 7] =
-        ["--socket", "--cache-dir", "--steps", "--lanes", "--rows", "--seed", "--workers"];
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if VALUE_OPTS.contains(&args[i].as_str()) {
-            i += 2;
-            continue;
-        }
-        if !args[i].starts_with("--") {
-            out.push(args[i].clone());
-        }
-        i += 1;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    const COMMANDS: [&str; 10] = [
+        "info", "analyze", "generate", "simulate", "profile", "batch", "trends", "serve", "submit",
+        "fuzz",
+    ];
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
     }
-    out
+
+    /// Every `--flag` on `cmd`'s usage line (and its continuation lines).
+    fn usage_flags(cmd: &str) -> BTreeSet<&'static str> {
+        let mut flags = BTreeSet::new();
+        let mut inside = false;
+        for line in USAGE.lines().skip(1).map(str::trim_start) {
+            match line.strip_prefix("accmos ") {
+                Some(rest) => inside = rest.split_whitespace().next() == Some(cmd),
+                None => inside &= line.starts_with('[') || line.starts_with("--"),
+            }
+            if inside {
+                flags.extend(
+                    line.split(|c: char| c.is_whitespace() || "[]|".contains(c))
+                        .filter(|t| t.starts_with("--")),
+                );
+            }
+        }
+        flags
+    }
+
+    #[test]
+    fn specs_list_exactly_the_usage_flags() {
+        for cmd in COMMANDS {
+            let spec = Spec::of(cmd).unwrap();
+            let accepted: BTreeSet<&str> =
+                spec.values.iter().chain(spec.switches).copied().collect();
+            assert_eq!(accepted, usage_flags(cmd), "`{cmd}` spec vs usage line");
+        }
+        assert!(Spec::of("launch").is_none());
+    }
+
+    #[test]
+    fn unknown_and_valueless_flags_are_rejected() {
+        let simulate = Spec::of("simulate").unwrap();
+        let ok = strings(&["m.mdlx", "--steps", "10", "--profile", "--engine", "rac"]);
+        assert_eq!(simulate.check(&ok).unwrap(), ["m.mdlx"]);
+        let err = simulate.check(&strings(&["m.mdlx", "--no-cache"])).unwrap_err();
+        assert!(err.contains("`--no-cache`"), "{err}");
+        let err = simulate.check(&strings(&["m.mdlx", "--steps"])).unwrap_err();
+        assert!(err.contains("`--steps` needs a value"), "{err}");
+        assert!(simulate.check(&strings(&[])).is_err(), "model is required");
+        assert!(simulate.check(&strings(&["a.mdlx", "b.mdlx"])).is_err(), "one model only");
+
+        let generate = Spec::of("generate").unwrap();
+        assert!(generate.check(&strings(&["m.mdlx", "--rust"])).is_err());
+        let fuzz = Spec::of("fuzz").unwrap();
+        assert!(fuzz.check(&strings(&["--rust-every", "4"])).is_err());
+        let batch = Spec::of("batch").unwrap();
+        let paths = strings(&["a.mdlx", "--steps", "5", "b.mdlx"]);
+        assert_eq!(batch.check(&paths).unwrap(), ["a.mdlx", "b.mdlx"]);
+        let submit = Spec::of("submit").unwrap();
+        assert_eq!(submit.check(&strings(&["--ping"])).unwrap(), Vec::<&str>::new());
+        assert!(submit.check(&strings(&["bench:SPV", "10", "extra"])).is_err());
+    }
+
+    #[test]
+    fn unparsable_values_name_the_flag_and_value() {
+        let args = strings(&["--steps", "banana", "--retries", "x", "--seed", "7"]);
+        let err = opt_u64(&args, "--steps", 1000).unwrap_err();
+        assert!(err.contains("--steps") && err.contains("`banana`"), "{err}");
+        assert_eq!(opt_u64(&args, "--seed", 1), Ok(7));
+        assert_eq!(opt_u64(&args, "--rows", 64), Ok(64), "absent flag keeps its default");
+        let err = exec_policy(&args).unwrap_err();
+        assert!(err.contains("--retries") && err.contains("`x`"), "{err}");
+        let err = run(&strings(&["simulate", "bench:SPV", "--steps", "banana"])).unwrap_err();
+        assert!(err.contains("`banana`"), "{err}");
+        assert!(run(&strings(&["simulate", "bench:SPV", "--engine", "rust"])).is_err());
+    }
 }

@@ -2,8 +2,8 @@
 //! compared bit-for-bit, every failure classified, every divergence
 //! minimized into a replayable corpus entry.
 //!
-//! The pipeline's strongest claims — interpreter, generated C and rustc
-//! backends bit-identical; analyzer-pruned builds digest-identical to
+//! The pipeline's strongest claims — interpreter and generated C
+//! bit-identical; analyzer-pruned builds digest-identical to
 //! unpruned ones — are only as strong as the models they were tested on.
 //! A [`FuzzCampaign`] multiplies that from ten hand-built benchmarks to
 //! unbounded seeded random structure:
@@ -14,7 +14,7 @@
 //!   subsystems), a lane width in `{1, 4}`, steps and stimulus rows;
 //! - the model runs on the interpretive reference and on the generated-C
 //!   simulator (analyzer-pruned *and* unpruned builds; periodically the
-//!   rustc ablation backend too), all compared exactly on output digest,
+//!   specialization-off build too), all compared exactly on output digest,
 //!   final outputs, step counts, all four coverage metrics and every
 //!   diagnostic event;
 //! - compiled binaries execute under the existing [`Supervisor`] /
@@ -94,10 +94,6 @@ pub struct FuzzConfig {
     /// of a real model, proving mid-campaign crashes and hangs are
     /// classified, not fatal.
     pub inject_fault_exe: Option<PathBuf>,
-    /// Compare the rustc ablation backend every Nth scalar trial
-    /// (0 = never; rustc cold-compiles every model, so this is the
-    /// expensive comparison).
-    pub rust_every: u64,
     /// **Test-only.** Build the generated-C side with
     /// [`CodegenOptions::sabotage_digest`], planting a digest divergence
     /// on every model so the detection → minimization → corpus path is
@@ -132,7 +128,6 @@ impl Default for FuzzConfig {
             minimize: true,
             max_trials_per_run: None,
             inject_fault_exe: None,
-            rust_every: 16,
             sabotage: false,
             abort_after_trials: None,
             tracer: None,
@@ -761,13 +756,12 @@ impl FuzzCampaign {
                 };
             }
         }
-        let run = accmos_backend::run_executable_supervised(
+        let run = supervisor.run(
             &exe,
             fault_dir,
             plan.steps.min(8),
             &TestVectors::new(),
             &RunOptions::default(),
-            supervisor,
         );
         match run {
             Ok(_) => Verdict::InjectedUnclassified {
@@ -786,8 +780,7 @@ impl FuzzCampaign {
     }
 
     /// Run one differential trial: interp vs specialized C vs unpruned C
-    /// (vs specialization-off C and rustc on sampled trials), compared
-    /// exactly.
+    /// (vs specialization-off C on sampled trials), compared exactly.
     fn run_differential(
         &self,
         plan: &TrialPlan,
@@ -849,22 +842,6 @@ impl FuzzCampaign {
                 return Verdict::Divergence { detail };
             }
         }
-
-        // The rustc ablation backend, every Nth scalar trial (it has no
-        // build cache, so every comparison is a cold rustc compile).
-        let rust_due = self.config.rust_every > 0
-            && plan.lanes == 1
-            && plan.index % self.config.rust_every == 1;
-        if rust_due {
-            match self.run_rust(&pre, plan, &tests, &run_opts, supervisor, cache) {
-                Ok(rust) => {
-                    if let Some(detail) = compare_reports("interp", &interp, "rust", &rust) {
-                        return Verdict::Divergence { detail };
-                    }
-                }
-                Err(v) => return v,
-            }
-        }
         Verdict::Ok
     }
 
@@ -919,56 +896,14 @@ impl FuzzCampaign {
         }
     }
 
-    /// Compile and supervise the rustc ablation backend (scalar only).
-    #[allow(clippy::too_many_arguments)]
-    fn run_rust(
-        &self,
-        pre: &accmos_graph::PreprocessedModel,
-        plan: &TrialPlan,
-        tests: &TestVectors,
-        run_opts: &RunOptions,
-        supervisor: &Supervisor,
-        cache: &BuildCache,
-    ) -> Result<SimulationReport, Verdict> {
-        let program = accmos_codegen::generate_rust(pre, &CodegenOptions::accmos());
-        let (exe, dir, _compile_time, _cache_hit) =
-            match accmos_backend::compile_rust_cached(&program, Some(cache)) {
-                Ok(parts) => parts,
-                Err(e) => return Err(Verdict::CompileFailed { detail: format!("rustc: {e}") }),
-            };
-        let run =
-            accmos_backend::run_executable_supervised(&exe, &dir, plan.steps, tests, run_opts, supervisor);
-        let _ = std::fs::remove_dir_all(&dir);
-        match run {
-            Ok(run) => Ok(run.report),
-            Err(e) => match e.failure_kind() {
-                Some(kind) => Err(Verdict::Failed {
-                    kind: crate::FailureKind::label(kind.index()).to_string(),
-                    detail: truncate(&format!("rust backend: {e}"), 600),
-                }),
-                None => Err(Verdict::Failed {
-                    kind: "backend".into(),
-                    detail: truncate(&format!("rust backend: {e}"), 600),
-                }),
-            },
-        }
-    }
-
     /// Whether `plan` still produces a divergence verdict (the
-    /// minimizer's oracle). Only interp-vs-C comparisons run here — the
-    /// rustc backend is excluded to keep shrink steps cheap.
+    /// minimizer's oracle).
     fn diverges(&self, plan: &TrialPlan, supervisor: &Supervisor, cache: &BuildCache) -> bool {
         let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut probe = self.clone_for_minimize();
-            probe.config.rust_every = 0;
-            probe.run_differential(plan, supervisor, cache, self.config.sabotage)
+            self.run_differential(plan, supervisor, cache, self.config.sabotage)
         }))
         .unwrap_or(Verdict::Panic { detail: String::new() });
         matches!(verdict, Verdict::Divergence { .. })
-    }
-
-    fn clone_for_minimize(&self) -> FuzzCampaign {
-        FuzzCampaign { config: self.config.clone() }
     }
 
     /// Delta-debug a diverging plan down to a minimal repro, writing the

@@ -2,7 +2,7 @@
 //!
 //! AccMoS-RS supports the discrete-time Simulink numeric types: `boolean`,
 //! the fixed-width integers, and the two IEEE-754 floating types (`single`,
-//! `double`). Each [`DataType`] knows its C and Rust spellings so that the
+//! `double`). Each [`DataType`] knows its C spelling and width so that the
 //! interpreter, the code generator and the diagnosis template library agree
 //! on widths and conversion semantics.
 
@@ -135,23 +135,6 @@ impl DataType {
             DataType::U64 => "uint64_t",
             DataType::F32 => "float",
             DataType::F64 => "double",
-        }
-    }
-
-    /// The Rust spelling used by the Rust backend.
-    pub fn rust_name(self) -> &'static str {
-        match self {
-            DataType::Bool => "u8",
-            DataType::I8 => "i8",
-            DataType::I16 => "i16",
-            DataType::I32 => "i32",
-            DataType::I64 => "i64",
-            DataType::U8 => "u8",
-            DataType::U16 => "u16",
-            DataType::U32 => "u32",
-            DataType::U64 => "u64",
-            DataType::F32 => "f32",
-            DataType::F64 => "f64",
         }
     }
 

@@ -58,8 +58,9 @@ fn check_seed(seed: u64, actors: usize, steps: u64) {
 
 #[test]
 fn random_integer_models_match_bit_for_bit() {
-    for seed in 0..12 {
-        check_seed(seed, 28, 64);
+    // 12 seeds at 28 actors, plus a 26-actor set (seeds 700..704).
+    for (seed, actors) in (0..12).map(|s| (s, 28)).chain((700..704).map(|s| (s, 26))) {
+        check_seed(seed, actors, 64);
     }
 }
 
@@ -127,17 +128,20 @@ fn vector_models_match_bit_for_bit() {
     }
 }
 
-/// Everything at once.
+/// Float math and vectors together: three-inport 48-actor models, plus
+/// a single-inport 36-actor set (seeds 800..803).
 #[test]
 fn mixed_models_match_bit_for_bit() {
-    for seed in 500..506 {
+    let wide = (500..506).map(|seed| (seed, 48, 3));
+    let narrow = (800..803).map(|seed| (seed, 36, ModelGenConfig::default().inports));
+    for (seed, actors, inports) in wide.chain(narrow) {
         check_config(
             ModelGenConfig {
                 seed,
-                actors: 48,
+                actors,
                 float_math: true,
                 vectors: true,
-                inports: 3,
+                inports,
                 ..ModelGenConfig::default()
             },
             128,

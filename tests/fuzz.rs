@@ -17,7 +17,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Small fast campaign defaults shared by the tests: short models, no
-/// rustc comparisons, no minimizer unless the test wants it.
+/// minimizer unless the test wants it.
 fn base_config(seed: u64, trials: u64, state_dir: PathBuf) -> FuzzConfig {
     FuzzConfig {
         seed,
@@ -25,7 +25,6 @@ fn base_config(seed: u64, trials: u64, state_dir: PathBuf) -> FuzzConfig {
         steps: 24,
         rows: 4,
         state_dir: Some(state_dir),
-        rust_every: 0,
         minimize: false,
         ..FuzzConfig::default()
     }

@@ -154,36 +154,3 @@ fn fused_segments_get_shared_profile_sites() {
         assert!(count.parse::<usize>().unwrap() >= 4, "segment below minimum run");
     }
 }
-
-/// The Rust ablation backend honors the same profiling contract: PROF
-/// records out, digests untouched.
-#[test]
-fn rust_backend_profiling_is_neutral() {
-    use accmos_backend::{compile_rust, run_executable};
-    use accmos_codegen::{generate_rust, CodegenOptions};
-
-    let model = chain_model(12);
-    let pre = accmos::preprocess(&model).unwrap();
-    let tests = random_tests(&pre, 8, 5);
-    let opts = RunOptions::default();
-
-    let mut reports = Vec::new();
-    for profiled in [false, true] {
-        let mut copts = CodegenOptions::accmos();
-        if profiled {
-            copts = copts.with_profile();
-        }
-        let program = generate_rust(&pre, &copts);
-        let (exe, dir, _) = compile_rust(&program)
-            .unwrap_or_else(|e| panic!("rustc failed: {e}\n{}", program.main_rs));
-        let report = run_executable(&exe, &dir, 64, &tests, &opts).unwrap();
-        accmos_backend::clean_build_dir(&dir);
-        reports.push(report);
-    }
-    let (plain, prof) = (&reports[0], &reports[1]);
-    assert_eq!(plain.output_digest, prof.output_digest, "rust digest");
-    assert_eq!(plain.diagnostics, prof.diagnostics, "rust diagnostics");
-    assert!(plain.profile.is_empty(), "unprofiled rust build emitted PROF");
-    assert!(!prof.profile.is_empty(), "profiled rust build emitted no PROF");
-    assert!(prof.profile.iter().all(|s| s.calls == 64), "rust per-step call counts");
-}
