@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # CI gate: release build, full test suite, fault-injection suite, static
 # analyzer gate, sanitizer smoke test, benchmark-package build and tests,
-# clippy with warnings denied.
+# clippy over every target with warnings denied.
 set -eu
 
 cargo build --release
@@ -275,4 +275,4 @@ echo "ci: serve gate passed (6 dylib jobs, 1 subprocess-isolated, 1 fault-inject
 cargo build --release --manifest-path perfbench/Cargo.toml
 cargo test -q --manifest-path perfbench/Cargo.toml
 
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings

@@ -14,6 +14,7 @@ use accmos_ir::source_digest_hex;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// Optimization level passed to the C compiler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -178,16 +179,23 @@ impl Compiler {
         &self.cc_version
     }
 
-    /// The content key a program compiles under: a digest of every
-    /// generated file (name and contents), the compiler identity and
-    /// version, the optimization level and the fixed flag set.
+    /// The content key a program's executable caches under: a digest of
+    /// every generated file (name and contents), the compiler identity
+    /// and version, the optimization level and the fixed flag set.
     pub fn cache_key(&self, program: &GeneratedProgram) -> String {
+        self.artifact_key(program, &[])
+    }
+
+    /// The content key of an artifact built with `extra` flags on top of
+    /// the fixed set. The flags are part of the key, so a `.so` and an
+    /// executable built from the same sources never collide.
+    fn artifact_key(&self, program: &GeneratedProgram, extra: &[&str]) -> String {
         let mut parts: Vec<Vec<u8>> = vec![
             self.cc.clone().into_bytes(),
             self.cc_version.clone().into_bytes(),
             self.opt.flag().as_bytes().to_vec(),
         ];
-        for flag in FIXED_CFLAGS {
+        for flag in FIXED_CFLAGS.iter().chain(extra) {
             parts.push(flag.as_bytes().to_vec());
         }
         for (name, contents) in program.files() {
@@ -215,106 +223,14 @@ impl Compiler {
     /// Cache *store* failures are swallowed — they only cost a future
     /// recompile.
     pub fn compile(&self, program: &GeneratedProgram) -> Result<CompiledSimulator, BackendError> {
-        let start = std::time::Instant::now();
-        let dir = match &self.work_dir {
-            Some(d) => d.clone(),
-            None => std::env::temp_dir().join(format!(
-                "accmos-build-{}-{}",
-                std::process::id(),
-                BUILD_SEQ.fetch_add(1, Ordering::Relaxed)
-            )),
-        };
-        std::fs::create_dir_all(&dir).map_err(|source| BackendError::Io {
-            path: dir.clone(),
-            source,
-        })?;
-
-        let mut c_file = None;
-        for (name, contents) in program.files() {
-            let path = dir.join(&name);
-            std::fs::write(&path, contents)
-                .map_err(|source| BackendError::Io { path: path.clone(), source })?;
-            if name.ends_with(".c") {
-                c_file = Some(path);
-            }
-        }
-        let c_file = c_file.expect("generated program has a .c file");
-        let exe = dir.join("sim");
-
-        let key = self.cache.as_ref().map(|_| self.cache_key(program));
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(cached_exe) = cache.lookup(key) {
-                // `fs::copy` carries the mode bits, so the copy stays
-                // executable. A racing eviction surfaces here as an I/O
-                // error; fall through to a real compile in that case.
-                if std::fs::copy(&cached_exe, &exe).is_ok() {
-                    return Ok(CompiledSimulator::new(
-                        program.clone(),
-                        dir,
-                        exe,
-                        start.elapsed(),
-                        true,
-                    ));
-                }
-            }
-        }
-
-        let cc_start = std::time::Instant::now();
-        let output = Command::new(&self.cc)
-            .arg(self.opt.flag())
-            .args(FIXED_CFLAGS)
-            .arg("-o")
-            .arg(&exe)
-            .arg(&c_file)
-            .arg("-lm")
-            .current_dir(&dir)
-            .output()
-            .map_err(|source| BackendError::Io { path: PathBuf::from(&self.cc), source })?;
-        let compile_time = cc_start.elapsed();
-
-        if !output.status.success() {
-            return Err(BackendError::CompileFailed {
-                command: format!(
-                    "{} {} {} -o {} {} -lm",
-                    self.cc,
-                    self.opt.flag(),
-                    FIXED_CFLAGS.join(" "),
-                    exe.display(),
-                    c_file.display()
-                ),
-                stderr: String::from_utf8_lossy(&output.stderr).into_owned(),
-            });
-        }
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            let _ = cache.store(key, &exe);
-        }
-        Ok(CompiledSimulator::new(program.clone(), dir, exe, compile_time, false))
-    }
-
-    /// The content key a program's shared-object build caches under: the
-    /// executable key's inputs plus the shared-object flag set, so `.so`
-    /// and executable artifacts never collide.
-    pub fn shared_cache_key(&self, program: &GeneratedProgram) -> String {
-        let mut parts: Vec<Vec<u8>> = vec![
-            self.cc.clone().into_bytes(),
-            self.cc_version.clone().into_bytes(),
-            self.opt.flag().as_bytes().to_vec(),
-        ];
-        for flag in FIXED_CFLAGS.iter().chain(SHARED_CFLAGS.iter()) {
-            parts.push(flag.as_bytes().to_vec());
-        }
-        for (name, contents) in program.files() {
-            parts.push(name.into_bytes());
-            parts.push(contents.as_bytes().to_vec());
-        }
-        source_digest_hex(parts)
+        let (dir, exe, compile_time, cache_hit) = self.build(program, &[], "sim")?;
+        Ok(CompiledSimulator::new(program.clone(), dir, exe, compile_time, cache_hit))
     }
 
     /// Compile the program as a position-independent shared object (same
     /// sources, same optimization level, plus `-shared -fPIC`) for
-    /// in-process loading through [`crate::DylibRunner`]. Cached under
-    /// [`Compiler::shared_cache_key`] exactly like [`Compiler::compile`]
-    /// caches executables.
+    /// in-process loading through [`crate::DylibRunner`], cached exactly
+    /// like [`Compiler::compile`] caches executables.
     ///
     /// # Errors
     ///
@@ -324,7 +240,21 @@ impl Compiler {
         &self,
         program: &GeneratedProgram,
     ) -> Result<CompiledDylib, BackendError> {
-        let start = std::time::Instant::now();
+        let (dir, so, compile_time, cache_hit) = self.build(program, &SHARED_CFLAGS, "sim.so")?;
+        Ok(CompiledDylib { dir, so, compile_time, cache_hit })
+    }
+
+    /// The build path behind [`Compiler::compile`] and
+    /// [`Compiler::compile_shared`]: write the sources, then fetch the
+    /// artifact (`extra` flags, file `out_name`) from the cache or run the
+    /// C compiler. Returns `(build dir, artifact, time, cache hit)`.
+    fn build(
+        &self,
+        program: &GeneratedProgram,
+        extra: &[&str],
+        out_name: &str,
+    ) -> Result<(PathBuf, PathBuf, Duration, bool), BackendError> {
+        let start = Instant::now();
         let dir = match &self.work_dir {
             Some(d) => d.clone(),
             None => std::env::temp_dir().join(format!(
@@ -346,29 +276,27 @@ impl Compiler {
             }
         }
         let c_file = c_file.expect("generated program has a .c file");
-        let so = dir.join("sim.so");
+        let out = dir.join(out_name);
 
-        let key = self.cache.as_ref().map(|_| self.shared_cache_key(program));
+        let key = self.cache.as_ref().map(|_| self.artifact_key(program, extra));
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(cached_so) = cache.lookup(key) {
-                if std::fs::copy(&cached_so, &so).is_ok() {
-                    return Ok(CompiledDylib {
-                        dir,
-                        so,
-                        compile_time: start.elapsed(),
-                        cache_hit: true,
-                    });
+            if let Some(cached) = cache.lookup(key) {
+                // `fs::copy` carries the mode bits, so a copied executable
+                // stays executable. A racing eviction surfaces here as an
+                // I/O error; fall through to a real compile in that case.
+                if std::fs::copy(&cached, &out).is_ok() {
+                    return Ok((dir, out, start.elapsed(), true));
                 }
             }
         }
 
-        let cc_start = std::time::Instant::now();
+        let flags = [&FIXED_CFLAGS[..], extra].concat();
+        let cc_start = Instant::now();
         let output = Command::new(&self.cc)
             .arg(self.opt.flag())
-            .args(FIXED_CFLAGS)
-            .args(SHARED_CFLAGS)
+            .args(&flags)
             .arg("-o")
-            .arg(&so)
+            .arg(&out)
             .arg(&c_file)
             .arg("-lm")
             .current_dir(&dir)
@@ -379,21 +307,20 @@ impl Compiler {
         if !output.status.success() {
             return Err(BackendError::CompileFailed {
                 command: format!(
-                    "{} {} {} {} -o {} {} -lm",
+                    "{} {} {} -o {} {} -lm",
                     self.cc,
                     self.opt.flag(),
-                    FIXED_CFLAGS.join(" "),
-                    SHARED_CFLAGS.join(" "),
-                    so.display(),
+                    flags.join(" "),
+                    out.display(),
                     c_file.display()
                 ),
                 stderr: String::from_utf8_lossy(&output.stderr).into_owned(),
             });
         }
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            let _ = cache.store(key, &so);
+            let _ = cache.store(key, &out);
         }
-        Ok(CompiledDylib { dir, so, compile_time, cache_hit: false })
+        Ok((dir, out, compile_time, false))
     }
 }
 

@@ -8,7 +8,8 @@
 //! `accmos_entry` symbol directly: the `ACCMOS:` records arrive through
 //! an emit callback instead of a pipe, and the supervisor's deadline is
 //! enforced through the entry point's cooperative cancel flag (checked at
-//! block granularity by the generated loop) rather than `SIGKILL`.
+//! block granularity by the generated loop) rather than `SIGKILL`. The
+//! same [`Watchdog`] that kills supervised children raises that flag.
 //!
 //! The trade is isolation: a simulator that crashes in-process takes the
 //! host down. Callers therefore route only trusted, deterministic models
@@ -31,11 +32,12 @@ use crate::error::BackendError;
 use crate::protocol::parse_report;
 use crate::run::{budget_ms_value, write_test_files, RunOptions, TempPath};
 use crate::supervise::FailureKind;
+use crate::watchdog::{Alarm, Watchdog};
 use accmos_ir::{SimulationReport, TestVectors};
 use std::ffi::{c_char, c_int, c_void, CStr, CString};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // `dlopen` and friends live in libc proper on every glibc >= 2.34 and on
@@ -110,73 +112,6 @@ enum EntryOutcome {
     LoadFailed(String),
     /// The entry ran to completion (any return code) with this capture.
     Finished { rc: c_int, captured: Vec<u8>, wall: Duration },
-}
-
-/// One process-wide timer thread that raises cooperative cancel flags at
-/// their deadlines. Runs armed entries are registered with; the entry
-/// itself executes on the *caller's* thread — spawning a worker thread
-/// plus a result channel per run would put a fixed cost back into the
-/// dispatch path this engine exists to strip.
-struct Watchdog {
-    state: Mutex<Vec<(u64, Instant, Arc<AtomicI32>)>>,
-    wake: Condvar,
-    next_token: AtomicU64,
-}
-
-impl Watchdog {
-    fn global() -> &'static Watchdog {
-        static WATCHDOG: OnceLock<&'static Watchdog> = OnceLock::new();
-        WATCHDOG.get_or_init(|| {
-            let dog: &'static Watchdog = Box::leak(Box::new(Watchdog {
-                state: Mutex::new(Vec::new()),
-                wake: Condvar::new(),
-                next_token: AtomicU64::new(0),
-            }));
-            std::thread::Builder::new()
-                .name("accmos-dylib-watchdog".into())
-                .spawn(move || dog.run())
-                .expect("spawn watchdog thread");
-            dog
-        })
-    }
-
-    /// Register `flag` to be raised at `deadline`; returns a token for
-    /// [`Watchdog::disarm`].
-    fn arm(&self, deadline: Instant, flag: Arc<AtomicI32>) -> u64 {
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.state.lock().expect("watchdog lock").push((token, deadline, flag));
-        self.wake.notify_one();
-        token
-    }
-
-    /// Drop a registration (the run finished before its deadline). A
-    /// token that already fired is gone; disarming it is a no-op.
-    fn disarm(&self, token: u64) {
-        self.state.lock().expect("watchdog lock").retain(|(t, _, _)| *t != token);
-    }
-
-    fn run(&self) {
-        let mut entries = self.state.lock().expect("watchdog lock");
-        loop {
-            let now = Instant::now();
-            entries.retain(|(_, deadline, flag)| {
-                if *deadline <= now {
-                    flag.store(1, Ordering::SeqCst);
-                    false
-                } else {
-                    true
-                }
-            });
-            let next = entries.iter().map(|(_, deadline, _)| *deadline).min();
-            entries = match next {
-                Some(deadline) => {
-                    let sleep = deadline.saturating_duration_since(now);
-                    self.wake.wait_timeout(entries, sleep).expect("watchdog lock").0
-                }
-                None => self.wake.wait(entries).expect("watchdog lock"),
-            };
-        }
-    }
 }
 
 /// Runs a simulator `.so` (from [`crate::Compiler::compile_shared`])
@@ -262,8 +197,9 @@ impl DylibRunner {
         // the generated loop checks it at block granularity, so return
         // after the deadline is bounded by one block of work.
         let cancel = Arc::new(AtomicI32::new(0));
-        let token = deadline
-            .map(|limit| Watchdog::global().arm(Instant::now() + limit, Arc::clone(&cancel)));
+        let token = deadline.map(|limit| {
+            Watchdog::global().arm(Instant::now() + limit, Alarm::Cancel(Arc::clone(&cancel)))
+        });
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             load_and_run(scratch.path(), steps, &tc_paths, stop_on_diag, budget_ms, &cancel)
         }));

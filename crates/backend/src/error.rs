@@ -26,7 +26,9 @@ pub enum BackendError {
         /// Captured standard error.
         stderr: String,
     },
-    /// The simulator process failed to run or crashed.
+    /// The simulator could not be run: its stimulus does not match its
+    /// lane width, or the in-process engine could not load or call it.
+    /// A subprocess that runs and fails is [`BackendError::Supervised`].
     RunFailed {
         /// The executable path.
         exe: PathBuf,

@@ -28,8 +28,10 @@
 //! ```
 
 #![warn(missing_docs)]
-// Unsafe is confined to `dylib.rs` (the dlopen FFI for in-process
-// simulator execution); every other module stays deny-checked.
+// Unsafe is confined to three FFI sites: `dylib.rs` (dlopen for
+// in-process simulator execution), `supervise.rs` (`waitid`/`wait4` to
+// wait for and reap a child) and `watchdog.rs` (`kill` at a deadline).
+// Every other module stays deny-checked.
 #![deny(unsafe_code)]
 
 mod cache;
@@ -42,6 +44,7 @@ mod protocol;
 mod run;
 mod supervise;
 pub mod telemetry;
+mod watchdog;
 
 pub use cache::{BuildCache, CacheStats};
 pub use compile::{clean_build_dir, CompiledDylib, Compiler, OptLevel};
@@ -242,6 +245,50 @@ mod tests {
         a.clean();
         b.clean();
         cache.clear().unwrap();
+    }
+
+    #[test]
+    fn shared_object_and_executable_never_share_a_cache_entry() {
+        let root = std::env::temp_dir()
+            .join(format!("accmos-cache-kinds-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = BuildCache::at(&root);
+        let cc = Compiler::detect().unwrap().with_cache(cache.clone());
+        let program = gain_program(6.0);
+
+        let exe = cc.compile(&program).unwrap();
+        let cold = cc.compile_shared(&program).unwrap();
+        assert!(!cold.cache_hit(), "the executable's entry must not serve the .so");
+        assert_eq!(cache.stats().misses, 2);
+        let warm = cc.compile_shared(&program).unwrap();
+        assert!(warm.cache_hit(), "the .so caches under its own key");
+        assert_eq!(cache.stats().hits, 1);
+
+        exe.clean();
+        cold.clean();
+        warm.clean();
+        cache.clear().unwrap();
+    }
+
+    #[test]
+    fn unbounded_run_classifies_a_crash_like_a_supervised_one() {
+        let cc = Compiler::detect().unwrap().without_cache();
+        let sim = cc.compile(&gain_program(5.0)).unwrap();
+        std::fs::write(sim.exe(), "#!/bin/sh\nkill -SEGV $$\n").unwrap();
+        let tests = TestVectors::constant("In", Scalar::F64(1.0), 2);
+        let err = sim.run(8, &tests, &RunOptions::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BackendError::Supervised {
+                    kind: FailureKind::Crashed { signal: 11 },
+                    attempts: 1,
+                    ..
+                }
+            ),
+            "expected one classified crash, got {err}"
+        );
+        sim.clean();
     }
 
     #[cfg(unix)]

@@ -1,10 +1,10 @@
-//! Executing compiled C simulators as subprocesses: the plain invocation
-//! path, and the command line and per-run test-vector files it shares
-//! with the [`Supervisor`].
+//! Executing compiled C simulators as subprocesses: the compiled
+//! artifact, and the command line and per-run test-vector files the
+//! [`Supervisor`] runs it with. Every launch goes through the supervisor;
+//! [`CompiledSimulator::run`] is one attempt with no deadline.
 
 use crate::error::BackendError;
-use crate::protocol::parse_report;
-use crate::supervise::{status_signal, tail_str, Supervisor, SupervisedRun};
+use crate::supervise::{ExecPolicy, Supervisor, SupervisedRun};
 use accmos_codegen::GeneratedProgram;
 use accmos_ir::{SimulationReport, TestVectors};
 use std::path::{Path, PathBuf};
@@ -82,18 +82,25 @@ impl CompiledSimulator {
     /// The reported `wall` time is the simulator's own measurement of its
     /// simulation loop (excluding process start-up and test loading).
     ///
+    /// This is one supervised attempt with no kill deadline and no retry;
+    /// use [`CompiledSimulator::run_supervised`] to bound the run.
+    ///
     /// # Errors
     ///
-    /// Propagates I/O failures, non-zero simulator exits and protocol
-    /// parse errors.
+    /// Propagates I/O failures, and reports a crash, non-zero exit or
+    /// corrupt protocol stream as [`BackendError::Supervised`].
     pub fn run(
         &self,
         steps: u64,
         tests: &TestVectors,
         opts: &RunOptions,
     ) -> Result<SimulationReport, BackendError> {
-        self.check_lane_stimulus(tests, opts)?;
-        invoke_simulator(&self.exe, &self.dir, steps, tests, opts)
+        let once = Supervisor::new(ExecPolicy {
+            kill_timeout: None,
+            retries: 0,
+            ..ExecPolicy::default()
+        });
+        Ok(self.run_supervised(steps, tests, opts, &once)?.report)
     }
 
     /// Run the simulator under `supervisor`'s [`crate::ExecPolicy`]:
@@ -217,7 +224,7 @@ pub(crate) fn write_test_files(
 }
 
 /// Build the simulator command line and write the per-run test-vector
-/// file(s) (shared by the plain invocation path and the [`Supervisor`]).
+/// file(s) for the [`Supervisor`].
 ///
 /// The test vectors go to files unique to this run (PID + sequence
 /// number, plus a lane ordinal for lane-parallel runs), never to a shared
@@ -247,56 +254,6 @@ pub(crate) fn prepare_command(
         cmd.arg("--budget-ms").arg(budget_ms_arg(budget));
     }
     Ok((cmd, tc_guard))
-}
-
-/// The unsupervised invocation path: build the command line, execute to
-/// completion, and parse the `ACCMOS:` protocol. No timeout, no retries —
-/// use [`CompiledSimulator::run_supervised`] for untrusted binaries.
-fn invoke_simulator(
-    exe: &Path,
-    work_dir: &Path,
-    steps: u64,
-    tests: &TestVectors,
-    opts: &RunOptions,
-) -> Result<SimulationReport, BackendError> {
-    let (mut cmd, tc_guard) = prepare_command(exe, work_dir, steps, tests, opts)?;
-    // A sibling thread forking while this one copied the executable out
-    // of the build cache leaves the child holding a write descriptor
-    // until it execs; exec fails with ETXTBSY in that window, so back off
-    // briefly and retry (the supervised path retries it as transient I/O).
-    let mut backoff = Duration::from_millis(1);
-    let output = loop {
-        match cmd.output() {
-            Err(e)
-                if e.kind() == std::io::ErrorKind::ExecutableFileBusy
-                    && backoff.as_millis() < 512 =>
-            {
-                std::thread::sleep(backoff);
-                backoff *= 2;
-            }
-            result => break result,
-        }
-    }
-    .map_err(|source| BackendError::Io { path: exe.to_path_buf(), source })?;
-    drop(tc_guard);
-    if !output.status.success() {
-        // A signal-terminated process has `code() == None`; report the
-        // signal explicitly, and keep the output tails so crash triage
-        // does not require a rerun.
-        let status = match status_signal(&output.status) {
-            Some(signal) => format!("killed by signal {signal}"),
-            None => format!("exit code {:?}", output.status.code()),
-        };
-        return Err(BackendError::RunFailed {
-            exe: exe.to_path_buf(),
-            detail: format!(
-                "{status}; stderr tail: {}; stdout tail: {}",
-                tail_str(&output.stderr, 2048),
-                tail_str(&output.stdout, 2048)
-            ),
-        });
-    }
-    parse_report(&String::from_utf8_lossy(&output.stdout))
 }
 
 #[cfg(test)]

@@ -154,10 +154,9 @@ pub struct RunRecord {
     /// Free-form context (fallback reason, error class); empty = omitted
     /// from the encoded record.
     pub note: String,
-    /// Peak resident set size of the simulator child process in KiB
-    /// (`VmHWM` sampled from `/proc/<pid>/status` by the supervisor's
-    /// poll loop). 0 = not measured (interpreter fallback, non-Linux
-    /// hosts, or the child exited before the first poll); omitted from
+    /// Peak resident set size of the simulator child process in KiB (the
+    /// kernel's `ru_maxrss`, from the `wait4` that reaps the child). 0 =
+    /// not measured (interpreter fallback, in-process runs); omitted from
     /// the encoded record when 0.
     pub peak_rss_kb: u64,
     /// Per-actor profile aggregates of a profiled build, encoded as one
@@ -439,20 +438,6 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<
     }
 }
 
-/// Result of reading a ledger file: the records that parsed, plus what
-/// did not (mirroring the `ACCMOS:` protocol's truncation taxonomy).
-#[derive(Debug, Default)]
-pub struct LedgerView {
-    /// Records matching [`RunLedger::SCHEMA`], in file order.
-    pub records: Vec<RunRecord>,
-    /// Complete lines that were garbled or from another schema version.
-    pub skipped: usize,
-    /// Whether the file ends mid-record (no trailing newline and the tail
-    /// does not parse) — a writer died mid-append; everything before the
-    /// tail is still usable.
-    pub truncated_tail: bool,
-}
-
 /// The append-only JSONL run ledger under a cache/state directory.
 ///
 /// Appends take the same cross-process lease the [`crate::BuildCache`]
@@ -490,29 +475,56 @@ impl RunLedger {
         append_jsonl(&self.path, &record.to_json())
     }
 
-    /// Read every record, tolerating a truncated tail and foreign lines.
-    /// A missing file is an empty ledger, not an error.
-    pub fn read(&self) -> LedgerView {
-        let Ok(contents) = std::fs::read_to_string(&self.path) else {
-            return LedgerView::default();
-        };
-        let mut view = LedgerView::default();
-        let complete_tail = contents.ends_with('\n');
-        let lines: Vec<&str> = contents.lines().filter(|l| !l.trim().is_empty()).collect();
-        for (i, line) in lines.iter().enumerate() {
-            match RunRecord::from_json(line) {
-                Some(r) if r.schema == Self::SCHEMA => view.records.push(r),
-                Some(_) => view.skipped += 1, // foreign schema: skip, don't error
-                None if i + 1 == lines.len() && !complete_tail => {
-                    // Mid-record tail: the writer died between the lease
-                    // and the newline. Recoverable by construction.
-                    view.truncated_tail = true;
-                }
-                None => view.skipped += 1,
-            }
-        }
-        view
+    /// Read every [`RunLedger::SCHEMA`] record, tolerating a truncated
+    /// tail and foreign lines. A missing file is an empty ledger, not an
+    /// error.
+    pub fn read(&self) -> JsonlView<RunRecord> {
+        read_jsonl(&self.path, RunRecord::from_json, |r| r.schema == Self::SCHEMA)
     }
+}
+
+/// Result of reading a JSONL store: the records that parsed, plus what
+/// did not (mirroring the `ACCMOS:` protocol's truncation taxonomy).
+#[derive(Debug)]
+pub struct JsonlView<R> {
+    /// Records of the schema version this build reads, in file order.
+    pub records: Vec<R>,
+    /// Complete lines that were garbled or from another schema version.
+    pub skipped: usize,
+    /// Whether the file ends mid-record (no trailing newline and the tail
+    /// does not parse) — a writer died mid-append; everything before the
+    /// tail is still usable.
+    pub truncated_tail: bool,
+}
+
+/// Read the JSONL store at `path`: `parse` decodes one line (`None` for
+/// a garbled one) and `current` accepts the records of the schema
+/// version this build reads. A missing file is an empty store. Shared by
+/// the run ledger and the fuzz campaign state.
+pub fn read_jsonl<R>(
+    path: &Path,
+    parse: impl Fn(&str) -> Option<R>,
+    current: impl Fn(&R) -> bool,
+) -> JsonlView<R> {
+    let mut view = JsonlView { records: Vec::new(), skipped: 0, truncated_tail: false };
+    let Ok(contents) = std::fs::read_to_string(path) else {
+        return view;
+    };
+    let complete_tail = contents.ends_with('\n');
+    let lines: Vec<&str> = contents.lines().filter(|l| !l.trim().is_empty()).collect();
+    for (i, line) in lines.iter().enumerate() {
+        match parse(line) {
+            Some(r) if current(&r) => view.records.push(r),
+            Some(_) => view.skipped += 1, // foreign schema: skip, don't error
+            None if i + 1 == lines.len() && !complete_tail => {
+                // Mid-record tail: the writer died between the lease
+                // and the newline. Recoverable by construction.
+                view.truncated_tail = true;
+            }
+            None => view.skipped += 1,
+        }
+    }
+    view
 }
 
 /// Append one JSON line to the JSONL store at `path` under the
@@ -1047,7 +1059,7 @@ mod tests {
         // trailing newline (mirrors the ACCMOS: protocol truncation case).
         let mut contents = std::fs::read(ledger.path()).unwrap();
         let half = sample("C", 300, 3).to_json();
-        contents.extend_from_slice(half[..half.len() / 2].as_bytes());
+        contents.extend_from_slice(&half.as_bytes()[..half.len() / 2]);
         std::fs::write(ledger.path(), &contents).unwrap();
         let view = ledger.read();
         assert_eq!(view.records.len(), 2, "records before the tear survive");
@@ -1269,15 +1281,15 @@ mod tests {
         let tracer = Tracer::new();
         tracer.span("pipeline", "run", 0, 1_000, 0);
         tracer.span("supervisor", "attempt 0", 100, 500, 0);
-        tracer.span("supervisor", "poll", 150, 100, 0);
+        tracer.span("supervisor", "wait", 150, 100, 0);
         tracer.span("pipeline", "other-track", 0, 2_000, 1);
         let tree = tracer.tree();
-        // Track 0: run ⊃ attempt 0 ⊃ poll; track 1: a separate root.
+        // Track 0: run ⊃ attempt 0 ⊃ wait; track 1: a separate root.
         assert_eq!(tree.len(), 2);
         let run = tree.iter().find(|n| n.span.name == "run").unwrap();
         assert_eq!(run.children.len(), 1);
         assert_eq!(run.children[0].span.name, "attempt 0");
-        assert_eq!(run.children[0].children[0].span.name, "poll");
+        assert_eq!(run.children[0].children[0].span.name, "wait");
         let other = tree.iter().find(|n| n.span.name == "other-track").unwrap();
         assert!(other.children.is_empty(), "containment never crosses tracks");
     }

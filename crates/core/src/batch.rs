@@ -141,8 +141,8 @@ pub struct JobResult {
     /// Why this job degraded to the interpretive engine (`None` = it ran
     /// the compiled simulator). Degradation is never silent.
     pub fallback_reason: Option<String>,
-    /// Peak resident set size of the simulator child in KiB (`VmHWM`,
-    /// sampled by the supervisor's poll loop; 0 = not measured, including
+    /// Peak resident set size of the simulator child in KiB (`ru_maxrss`,
+    /// reported by the supervisor's reap; 0 = not measured, including
     /// interpretive fallbacks).
     pub peak_rss_kb: u64,
 }
@@ -192,8 +192,8 @@ pub struct BatchSummary {
     pub degraded: usize,
     /// Executables quarantined during this batch (crash threshold hit).
     pub quarantined: usize,
-    /// Largest per-job child peak RSS observed, in KiB (`VmHWM`; 0 when
-    /// no job reported a measurement).
+    /// Largest per-job child peak RSS observed, in KiB (`ru_maxrss`; 0
+    /// when no job reported a measurement).
     pub max_peak_rss_kb: u64,
 }
 
@@ -432,7 +432,7 @@ impl BatchRunner {
                 }
             };
             // One job-level span per track, with the profile leaves of a
-            // profiled build laid under it — the supervisor's attempt/poll
+            // profiled build laid under it — the supervisor's attempt/wait
             // spans land inside by containment.
             if let (Some(tracer), Some(start)) = (&tracer, job_start) {
                 let tid = *idx as u64 + 2;

@@ -24,7 +24,8 @@
 //! ```
 //!
 //! Model arguments are `.mdlx` file paths, `bench:NAME` for a built-in
-//! Table 1 benchmark (e.g. `bench:CSEV`), `bench:figure1`, or `rand:SEED`
+//! Table 1 benchmark (e.g. `bench:CSEV`; names match case-insensitively),
+//! `bench:figure1`, or `rand:SEED`
 //! for the differential fuzzer's deterministic random model with that
 //! seed (handy for reproducing a fuzz trial standalone: `accmos generate
 //! rand:42`, `accmos simulate rand:42 --steps 64`).
@@ -96,14 +97,14 @@
 //! `--trace-out PATH` (simulate/profile/batch/fuzz) writes a Chrome
 //! trace-event JSON file (loadable in Perfetto or `chrome://tracing`)
 //! with hierarchical spans: pipeline phases, supervisor child lifecycle
-//! (attempts, polling, kills, retry backoff) and per-actor profile
+//! (attempts, waits, watchdog kills, retry backoff) and per-actor profile
 //! leaves when profiling is on.
 //!
 //! Every subcommand accepts exactly the flags its usage line lists: an
 //! unknown flag, a flag missing its value or a non-numeric value for a
 //! numeric flag exits non-zero with usage instead of being ignored.
 
-use accmos::{AccMoS, BatchJob, BatchRunner, ExecPolicy, RunOptions, SimOptions};
+use accmos::{load_spec, AccMoS, BatchJob, BatchRunner, ExecPolicy, RunOptions, SimOptions};
 use accmos_ir::{Model, SimulationReport, TestVectors};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -153,11 +154,11 @@ fn run(args: &[String]) -> Result<(), String> {
     let args = &args[1..];
     let positional = spec.check(args)?;
     match cmd.as_str() {
-        "info" => info(&load_model(positional[0])?),
-        "analyze" => analyze(&load_model(positional[0])?, args),
-        "generate" => generate(&load_model(positional[0])?, args),
-        "simulate" => simulate(&load_model(positional[0])?, args),
-        "profile" => profile(&load_model(positional[0])?, args),
+        "info" => info(&load_spec(positional[0])?),
+        "analyze" => analyze(&load_spec(positional[0])?, args),
+        "generate" => generate(&load_spec(positional[0])?, args),
+        "simulate" => simulate(&load_spec(positional[0])?, args),
+        "profile" => profile(&load_spec(positional[0])?, args),
         "batch" => batch(&positional, args),
         "trends" => trends(args),
         "fuzz" => fuzz(args),
@@ -257,30 +258,6 @@ impl Spec {
             None => Ok(positional),
         }
     }
-}
-
-fn load_model(path: &str) -> Result<Model, String> {
-    if let Some(name) = path.strip_prefix("bench:") {
-        if name == "figure1" {
-            return Ok(accmos_models::figure1());
-        }
-        let upper = name.to_ascii_uppercase();
-        if !accmos_models::TABLE1.iter().any(|(n, _, _)| *n == upper) {
-            return Err(format!(
-                "unknown benchmark `{name}` (Table 1 names: {})",
-                accmos_models::TABLE1.map(|(n, _, _)| n).join(", ")
-            ));
-        }
-        return Ok(accmos_models::by_name(&upper));
-    }
-    if let Some(seed) = path.strip_prefix("rand:") {
-        let seed: u64 =
-            seed.parse().map_err(|_| format!("bad random-model seed `{seed}`"))?;
-        return accmos::fuzz::planned_model(seed);
-    }
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    accmos::parse_mdlx(&text).map_err(|e| e.to_string())
 }
 
 fn flag(args: &[String], name: &str) -> bool {
@@ -928,7 +905,7 @@ fn batch(paths: &[&str], args: &[String]) -> Result<(), String> {
 
     let mut jobs = Vec::new();
     for path in paths {
-        let model = load_model(path)?;
+        let model = load_spec(path)?;
         let pre = accmos::preprocess(&model).map_err(|e| e.to_string())?;
         for rep in 0..repeat {
             // Each repetition gets a distinct stimulus seed — one seed per
@@ -1016,7 +993,7 @@ fn batch(paths: &[&str], args: &[String]) -> Result<(), String> {
     }
     if s.max_peak_rss_kb > 0 {
         println!(
-            "  peak rss: {} KiB (largest child simulator, VmHWM)",
+            "  peak rss: {} KiB (largest child simulator, ru_maxrss)",
             s.max_peak_rss_kb
         );
     }

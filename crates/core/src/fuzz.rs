@@ -41,7 +41,7 @@ use crate::{
     interp_lane_run, preprocess, AccMoS, AccMoSError, BuildCache, CodegenOptions, ExecPolicy,
     RunOptions, Supervisor, Tracer,
 };
-use accmos_backend::telemetry::{append_jsonl, json_str, parse_flat_object};
+use accmos_backend::telemetry::{append_jsonl, json_str, parse_flat_object, read_jsonl, JsonlView};
 use accmos_ir::{CoverageKind, Model, SimulationReport, TestVectors};
 use accmos_parse::{parse_mdlx, write_mdlx};
 use accmos_testgen::{random_tests, ModelGenConfig, RandomModelGen, TestRng};
@@ -443,18 +443,6 @@ impl FuzzRecord {
     }
 }
 
-/// Result of reading the campaign store (mirrors the run ledger's
-/// truncation taxonomy).
-#[derive(Debug, Default)]
-pub struct FuzzView {
-    /// Records matching [`FuzzStore::SCHEMA`], in file order.
-    pub records: Vec<FuzzRecord>,
-    /// Complete lines that were garbled or from another schema.
-    pub skipped: usize,
-    /// Whether the file ends mid-record (a writer died mid-append).
-    pub truncated_tail: bool,
-}
-
 /// The append-only `fuzz.jsonl` campaign state under a state directory,
 /// lease-locked and torn-tail-tolerant like the run ledger.
 #[derive(Debug, Clone)]
@@ -488,24 +476,10 @@ impl FuzzStore {
         append_jsonl(&self.path, &record.to_json())
     }
 
-    /// Read every record, tolerating a truncated tail and foreign lines.
-    /// A missing file is an empty store.
-    pub fn read(&self) -> FuzzView {
-        let Ok(contents) = std::fs::read_to_string(&self.path) else {
-            return FuzzView::default();
-        };
-        let mut view = FuzzView::default();
-        let complete_tail = contents.ends_with('\n');
-        let lines: Vec<&str> = contents.lines().filter(|l| !l.trim().is_empty()).collect();
-        for (i, line) in lines.iter().enumerate() {
-            match FuzzRecord::from_json(line) {
-                Some(r) if r.schema == Self::SCHEMA => view.records.push(r),
-                Some(_) => view.skipped += 1,
-                None if i + 1 == lines.len() && !complete_tail => view.truncated_tail = true,
-                None => view.skipped += 1,
-            }
-        }
-        view
+    /// Read every [`FuzzStore::SCHEMA`] record, tolerating a truncated
+    /// tail and foreign lines. A missing file is an empty store.
+    pub fn read(&self) -> JsonlView<FuzzRecord> {
+        read_jsonl(&self.path, FuzzRecord::from_json, |r| r.schema == Self::SCHEMA)
     }
 
     /// Completed trial indices of campaign `seed` (for `--resume`).
@@ -1310,7 +1284,7 @@ mod tests {
         // Torn tail: a writer died mid-append.
         let mut contents = std::fs::read(store.path()).unwrap();
         let half = sample_record(2).to_json();
-        contents.extend_from_slice(half[..half.len() / 2].as_bytes());
+        contents.extend_from_slice(&half.as_bytes()[..half.len() / 2]);
         std::fs::write(store.path(), &contents).unwrap();
         let view = store.read();
         assert_eq!(view.records.len(), 2);

@@ -575,7 +575,7 @@ pub struct RunOutcome {
     pub retries: u32,
     /// Why the run degraded to the interpreter (`None` = compiled path).
     pub fallback_reason: Option<String>,
-    /// Peak resident set size of the simulator child in KiB (`VmHWM`;
+    /// Peak resident set size of the simulator child in KiB (`ru_maxrss`;
     /// 0 = not measured, including on the interpretive fallback path).
     pub peak_rss_kb: u64,
 }
@@ -711,6 +711,37 @@ impl PreparedSimulation {
     }
 }
 
+/// Resolve a model spec, as the CLI and the serve daemon take it:
+/// `bench:NAME` for `figure1` or a Table 1 benchmark (names match
+/// case-insensitively), `rand:SEED` for the differential fuzzer's random
+/// model with that seed, and anything else as an `.mdlx` file path.
+///
+/// # Errors
+///
+/// An unknown benchmark (the message lists every valid name), a seed that
+/// is not a number, or a file that cannot be read or parsed.
+pub fn load_spec(spec: &str) -> Result<Model, String> {
+    if let Some(name) = spec.strip_prefix("bench:") {
+        let upper = name.to_ascii_uppercase();
+        if upper == "FIGURE1" {
+            return Ok(accmos_models::figure1());
+        }
+        if accmos_models::TABLE1.iter().any(|(n, _, _)| *n == upper) {
+            return Ok(accmos_models::by_name(&upper));
+        }
+        return Err(format!(
+            "unknown benchmark `{name}` (valid: figure1, {})",
+            accmos_models::TABLE1.map(|(n, _, _)| n).join(", ")
+        ));
+    }
+    if let Some(seed) = spec.strip_prefix("rand:") {
+        let seed: u64 = seed.parse().map_err(|_| format!("bad random-model seed `{seed}`"))?;
+        return fuzz::planned_model(seed);
+    }
+    let text = std::fs::read_to_string(spec).map_err(|e| format!("cannot read {spec}: {e}"))?;
+    parse_mdlx(&text).map_err(|e| e.to_string())
+}
+
 /// Run one of the interpretive SSE stand-ins on a model.
 ///
 /// Convenience for the comparison harness: `engine` is `"sse"` or
@@ -746,6 +777,23 @@ mod tests {
         b.wire("In", "Twice");
         b.wire("Twice", "Out");
         b.build().unwrap()
+    }
+
+    #[test]
+    fn load_spec_resolves_every_spec_kind_and_lists_valid_names() {
+        let figure1 = accmos_models::figure1().name;
+        assert_eq!(load_spec("bench:figure1").unwrap().name, figure1);
+        assert_eq!(load_spec("bench:FIGURE1").unwrap().name, figure1);
+        assert_eq!(load_spec("bench:spv").unwrap().name, accmos_models::by_name("SPV").name);
+        let err = load_spec("bench:NOPE").unwrap_err();
+        assert!(err.contains("`NOPE`") && err.contains("figure1"), "{err}");
+        for (name, _, _) in accmos_models::TABLE1 {
+            assert!(err.contains(name), "{name} missing from: {err}");
+        }
+        assert!(load_spec("rand:x").unwrap_err().contains("`x`"));
+        let missing = std::env::temp_dir().join("accmos-no-such-model.mdlx");
+        let err = load_spec(missing.to_str().unwrap()).unwrap_err();
+        assert!(err.starts_with("cannot read"), "{err}");
     }
 
     #[test]

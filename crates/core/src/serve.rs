@@ -55,7 +55,7 @@
 
 use crate::batch::WorkQueue;
 use crate::{preprocess, telemetry, AccMoS, AccMoSError, DylibRunner, RunOptions, RunRecord};
-use accmos_ir::{Model, SimulationReport};
+use accmos_ir::SimulationReport;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -370,27 +370,6 @@ impl DoneEvent {
     }
 }
 
-/// Resolve a job's model spec. Mirrors the CLI's `load_model`, minus
-/// the filesystem-free specs being validated instead of panicking.
-fn resolve_spec(spec: &str) -> Result<Model, String> {
-    if let Some(name) = spec.strip_prefix("bench:") {
-        let upper = name.to_ascii_uppercase();
-        if upper == "FIGURE1" {
-            return Ok(accmos_models::figure1());
-        }
-        if accmos_models::TABLE1.iter().any(|(n, _, _)| *n == upper) {
-            return Ok(accmos_models::by_name(&upper));
-        }
-        return Err(format!("unknown benchmark `{name}`"));
-    }
-    if let Some(seed) = spec.strip_prefix("rand:") {
-        let seed: u64 = seed.parse().map_err(|_| format!("bad rand seed `{seed}`"))?;
-        return crate::fuzz::planned_model(seed);
-    }
-    let text = std::fs::read_to_string(spec).map_err(|e| format!("read {spec}: {e}"))?;
-    crate::parse_mdlx(&text).map_err(|e| e.to_string())
-}
-
 /// Whether a spec's generated code may run in the daemon's own address
 /// space. Fuzz-generated models (`rand:`) are exactly the programs the
 /// differential campaigns exist to distrust; they keep child-process
@@ -400,7 +379,7 @@ fn trusted_spec(spec: &str) -> bool {
 }
 
 fn execute_job(pipeline: &AccMoS, job: &ServeJob) -> DoneEvent {
-    let model = match resolve_spec(&job.spec) {
+    let model = match crate::load_spec(&job.spec) {
         Ok(model) => model,
         Err(detail) => {
             let mut record = RunRecord::new("serve", &job.spec);

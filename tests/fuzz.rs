@@ -72,7 +72,7 @@ fn campaign_with_injected_faults_stays_classified() {
         "injected verdicts carry their failure kind: {injected_kinds:?}"
     );
     assert!(
-        injected_kinds.iter().any(|v| *v == "injected:timeout"),
+        injected_kinds.contains(&"injected:timeout"),
         "hang trials classify as timeouts: {injected_kinds:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
