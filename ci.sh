@@ -6,10 +6,11 @@ set -eu
 
 cargo build --release
 cargo build --release --bin faultsim
-cargo test -q
+cargo test -q --workspace
 # Fault-injection suites, run explicitly so a regression in supervision is
-# named in the CI log (both also run as part of `cargo test`). Every
-# injected hang dies at a ~200 ms kill deadline, so this stays fast.
+# named in the CI log (both also run as part of `cargo test --workspace`
+# above). Every injected hang dies at a ~200 ms kill deadline, so this
+# stays fast.
 cargo test -q -p accmos-backend --test supervise
 cargo test -q --test chaos
 # Dylib equality sweep, named so a divergence between the in-process and
@@ -255,6 +256,14 @@ if ./target/release/accmos submit rand:5 300 --socket "$SOCK" >> "$SERVE_DIR/sub
 fi
 ./target/release/accmos submit --ping --socket "$SOCK" > /dev/null \
     || { echo "ci: daemon did not survive the fault-injected job" >&2; exit 1; }
+# An oversized submit must be refused with an error, never journaled, and
+# must leave the daemon up (its stimulus would not fit in memory).
+if ./target/release/accmos submit bench:SPV 10 --rows 1000000000000 --socket "$SOCK" \
+    >> "$SERVE_DIR/submit_out.txt" 2>&1; then
+    cat "$SERVE_DIR/submit_out.txt" >&2; echo "ci: oversized serve job was accepted" >&2; exit 1
+fi
+./target/release/accmos submit --ping --socket "$SOCK" > /dev/null \
+    || { cat "$SERVE_DIR/serve_log.txt" >&2; echo "ci: daemon did not survive the oversized submit" >&2; exit 1; }
 COUNT=$(wc -l < "$SERVE_DIR/ledger.jsonl")
 [ "$COUNT" -ge 8 ] || { echo "ci: serve ledger has $COUNT record(s), expected >= 8" >&2; exit 1; }
 JOBS=$(wc -l < "$SERVE_DIR/jobs.jsonl")
@@ -268,7 +277,7 @@ while kill -0 "$SERVE_PID" 2>/dev/null; do
     sleep 0.2
 done
 [ ! -e "$SOCK" ] || { echo "ci: daemon left its socket behind" >&2; exit 1; }
-echo "ci: serve gate passed (6 dylib jobs, 1 subprocess-isolated, 1 fault-injected failure; ledger $COUNT, journal $JOBS, clean shutdown)"
+echo "ci: serve gate passed (6 dylib jobs, 1 subprocess-isolated, 1 fault-injected failure, 1 oversized submit refused; ledger $COUNT, journal $JOBS, clean shutdown)"
 
 # Benchmark package gate: perfbench/ is its own workspace, so a public-API
 # change in crates/ could break it without the legs above noticing.

@@ -10,21 +10,20 @@
 //! 2. **Compile** (parallel): each unique program compiles once on a
 //!    bounded `std::thread` pool (and the [`crate::BuildCache`] can
 //!    satisfy it without invoking GCC at all).
-//! 3. **Run** (parallel): every job executes on the pool against its own
-//!    test vectors; runs of a shared binary are safe because each run
-//!    writes a private test-vector file.
+//! 3. **Run** (parallel): every job walks the job executor's engine
+//!    ladder from the supervised subprocess rung against its own test
+//!    vectors; runs of a shared binary are safe because each run writes
+//!    a private test-vector file.
 //!
 //! The aggregate [`BatchSummary`] separates cold compiles from cache hits
 //! so harnesses can keep reporting paper-faithful cold numbers.
 
-use crate::{
-    telemetry, AccMoS, AccMoSError, PreparedSimulation, RunOptions, RunRecord, Supervisor,
-};
-use accmos_graph::PreprocessedModel;
+use crate::exec::{Entry, Exec, Executor, Job, Plan, Subject};
+use crate::{AccMoS, AccMoSError, CompiledSimulator, PreparedSimulation, RunOptions};
 use accmos_ir::{Model, SimulationReport, TestVectors};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Where a batch job's simulator comes from.
@@ -65,20 +64,13 @@ pub struct BatchJob {
 }
 
 impl BatchJob {
+    fn new(label: impl Into<String>, source: JobSource, tests: TestVectors, steps: u64) -> Self {
+        BatchJob { label: label.into(), source, tests, steps, opts: RunOptions::default() }
+    }
+
     /// A job that builds its simulator from `model`.
-    pub fn model(
-        label: impl Into<String>,
-        model: Model,
-        tests: TestVectors,
-        steps: u64,
-    ) -> BatchJob {
-        BatchJob {
-            label: label.into(),
-            source: JobSource::Model(Box::new(model)),
-            tests,
-            steps,
-            opts: RunOptions::default(),
-        }
+    pub fn model(label: impl Into<String>, model: Model, tests: TestVectors, steps: u64) -> Self {
+        BatchJob::new(label, JobSource::Model(Box::new(model)), tests, steps)
     }
 
     /// A job that reuses an already-compiled simulation.
@@ -88,13 +80,7 @@ impl BatchJob {
         tests: TestVectors,
         steps: u64,
     ) -> BatchJob {
-        BatchJob {
-            label: label.into(),
-            source: JobSource::Prepared(sim),
-            tests,
-            steps,
-            opts: RunOptions::default(),
-        }
+        BatchJob::new(label, JobSource::Prepared(sim), tests, steps)
     }
 
     /// A job that runs a pre-built `ACCMOS:`-protocol executable (fault
@@ -106,13 +92,8 @@ impl BatchJob {
         tests: TestVectors,
         steps: u64,
     ) -> BatchJob {
-        BatchJob {
-            label: label.into(),
-            source: JobSource::Executable { exe: exe.into(), work_dir: work_dir.into() },
-            tests,
-            steps,
-            opts: RunOptions::default(),
-        }
+        let source = JobSource::Executable { exe: exe.into(), work_dir: work_dir.into() };
+        BatchJob::new(label, source, tests, steps)
     }
 
     /// Builder-style: set the per-run options.
@@ -127,16 +108,16 @@ impl BatchJob {
 pub struct JobResult {
     /// The job's label, as submitted.
     pub label: String,
-    /// The simulation report, or the error that stopped this job (shared
-    /// codegen/compile failures are replicated to every affected job as
-    /// [`AccMoSError::Batch`]).
+    /// The simulation report, or the error that stopped this job.
     pub report: Result<SimulationReport, AccMoSError>,
-    /// Wall-clock time of this job's run phase (zero when it never ran).
+    /// Wall-clock time the job spent executing on the engine ladder's
+    /// rungs: no planning, no compile (zero when it never ran).
     pub run_time: Duration,
-    /// Supervised-run retries this job consumed (successful or not).
+    /// Supervised-run retries of the rung the job ended on (successful or
+    /// not; 0 after falling back to the interpreter).
     pub retries: u32,
-    /// Backoff sleep this job's retries consumed (exact per-job
-    /// attribution; the summary's `backoff_sleep` is the aggregate).
+    /// Backoff sleep those retries consumed (exact per-job attribution;
+    /// the summary's `backoff_sleep` is the aggregate).
     pub backoff: Duration,
     /// Why this job degraded to the interpretive engine (`None` = it ran
     /// the compiled simulator). Degradation is never silent.
@@ -258,7 +239,8 @@ impl BatchRunner {
     }
 
     /// Execute `jobs`: plan serially, compile unique programs in
-    /// parallel, run every job in parallel.
+    /// parallel, run every job in parallel on the job executor's engine
+    /// ladder from the subprocess rung.
     ///
     /// Per-job failures land in the job's own [`JobResult`]; only global
     /// failures (no C compiler on the system) abort the batch.
@@ -270,219 +252,137 @@ impl BatchRunner {
         let wall_start = Instant::now();
         let mut summary = BatchSummary { jobs: jobs.len(), ..BatchSummary::default() };
 
-        // Plan (serial): codegen each model job, group by content key.
-        // `plan[i]` is Ok(group key) | Err(per-job failure).
+        // Plan (serial): plan each model job, group by content key.
+        // `keys[i]` is Ok(group key) | Err(per-job planning failure).
         let compiler = self.pipeline.compiler()?;
-        let mut groups: HashMap<String, PendingGroup> = HashMap::new();
-        let mut plan: Vec<Result<String, AccMoSError>> = Vec::with_capacity(jobs.len());
+        let mut groups: HashMap<String, Group> = HashMap::new();
+        let mut keys: Vec<Result<String, AccMoSError>> = Vec::with_capacity(jobs.len());
         for job in &jobs {
-            match &job.source {
+            let (key, group) = match &job.source {
+                // Prepared sims are keyed by pointer identity and raw
+                // executables by path: never compiled, never cleaned.
+                // Distinct executable paths quarantine independently.
                 JobSource::Prepared(sim) => {
-                    // Prepared sims are keyed by pointer identity: never
-                    // compiled, never cleaned, shared as submitted.
-                    let key = format!("prepared:{:p}", Arc::as_ptr(sim));
-                    groups
-                        .entry(key.clone())
-                        .or_insert_with(|| PendingGroup::ready(Arc::clone(sim)));
-                    plan.push(Ok(key));
+                    (format!("prepared:{:p}", Arc::as_ptr(sim)), Group::Prepared(Arc::clone(sim)))
                 }
-                JobSource::Executable { exe, work_dir } => {
-                    // Pre-built executables are keyed by path: never
-                    // compiled, never cleaned. Distinct paths quarantine
-                    // independently.
-                    let key = format!("exe:{}:{}", exe.display(), work_dir.display());
-                    groups
-                        .entry(key.clone())
-                        .or_insert_with(|| PendingGroup::raw(exe.clone(), work_dir.clone()));
-                    plan.push(Ok(key));
-                }
-                JobSource::Model(model) => match self.pipeline.plan_model(model) {
-                    Ok((pre, program, preprocess_time, codegen_time)) => {
-                        summary.codegen_time += preprocess_time + codegen_time;
-                        let key = compiler.cache_key(&program);
-                        groups.entry(key.clone()).or_insert_with(|| PendingGroup {
-                            work: Some((pre, program, preprocess_time, codegen_time)),
-                            sim: Mutex::new(None),
-                            owned: true,
-                        });
-                        plan.push(Ok(key));
+                JobSource::Executable { exe, work_dir } => (
+                    format!("exe:{}:{}", exe.display(), work_dir.display()),
+                    Group::Executable(exe.clone(), work_dir.clone()),
+                ),
+                JobSource::Model(model) => match self.pipeline.plan(model) {
+                    Ok(plan) => {
+                        summary.codegen_time += plan.preprocess_time + plan.codegen_time;
+                        let key = compiler.cache_key(&plan.program);
+                        (key, Group::Model(Box::new(Build { plan, sim: OnceLock::new() })))
                     }
-                    Err(e) => plan.push(Err(e)),
+                    Err(e) => {
+                        keys.push(Err(e));
+                        continue;
+                    }
                 },
-            }
+            };
+            groups.entry(key.clone()).or_insert(group);
+            keys.push(Ok(key));
         }
-        summary.unique_programs = groups.values().filter(|g| g.owned).count();
 
         // Compile (parallel): one compile per unique program.
-        let to_compile: Vec<&PendingGroup> =
-            groups.values().filter(|g| g.work.is_some()).collect();
-        run_on_pool(self.workers, &to_compile, |group| {
-            let (pre, program, preprocess_time, codegen_time) =
-                group.work.as_ref().expect("filtered on work").clone();
-            let outcome = match compiler.compile(&program) {
-                Ok(sim) => Ok(GroupSim::Prepared(Arc::new(PreparedSimulation::from_parts(
-                    pre,
-                    sim,
-                    preprocess_time,
-                    codegen_time,
-                )))),
-                Err(e) => Err(format!("batch compile failed: {e}")),
-            };
-            *group.sim.lock().expect("compile slot") = Some(outcome);
+        let to_compile: Vec<&Build> = groups
+            .values()
+            .filter_map(|g| match g {
+                Group::Model(build) => Some(&**build),
+                _ => None,
+            })
+            .collect();
+        summary.unique_programs = to_compile.len();
+        run_on_pool(self.workers, &to_compile, |build| {
+            let _ = build.sim.set(compiler.compile(&build.plan.program).map_err(|e| e.to_string()));
         });
-        for group in groups.values() {
-            if let Some(Ok(GroupSim::Prepared(sim))) =
-                group.sim.lock().expect("compile slot").as_ref()
-            {
-                if group.owned {
-                    match sim.cache_hit() {
-                        true => {
-                            summary.cached_compiles += 1;
-                            summary.cached_compile_time += sim.compile_time();
-                        }
-                        false => {
-                            summary.cold_compiles += 1;
-                            summary.cold_compile_time += sim.compile_time();
-                        }
-                    }
-                }
-            }
+        for sim in groups.values().filter_map(Group::built) {
+            let (count, time) = match sim.cache_hit() {
+                true => (&mut summary.cached_compiles, &mut summary.cached_compile_time),
+                false => (&mut summary.cold_compiles, &mut summary.cold_compile_time),
+            };
+            *count += 1;
+            *time += sim.compile_time();
         }
 
-        // Run (parallel): every job against its resolved simulator, under
-        // one shared supervisor so crash counts (and thus quarantine)
-        // aggregate across jobs hitting the same executable. The pipeline
-        // hands out a state-backed supervisor, so quarantine decisions
-        // also persist across batches sharing one cache directory.
+        // Run (parallel): every job walks the ladder against its group's
+        // build, under one shared supervisor so crash counts (and thus
+        // quarantine) aggregate across jobs hitting the same executable.
+        // The pipeline hands out a state-backed supervisor, so quarantine
+        // decisions also persist across batches sharing one cache dir.
         let supervisor = self.pipeline.supervisor();
         let run_work: Vec<(usize, &BatchJob)> = jobs.iter().enumerate().collect();
-        let slots: Vec<Mutex<Option<JobResult>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<Exec>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         run_on_pool(self.workers, &run_work, |(idx, job)| {
             // Each job gets its own trace track (Chrome tid) so concurrent
             // workers' lifecycle spans never interleave into fake
             // hierarchy. Track 1 stays reserved for single-run pipelines.
-            let tracer = self.pipeline.tracer().cloned();
-            let supervisor = match &tracer {
-                Some(_) => supervisor.clone().with_trace_tid(*idx as u64 + 2),
+            let tracer = self.pipeline.tracer();
+            let tid = *idx as u64 + 2;
+            let supervisor = match tracer {
+                Some(_) => supervisor.clone().with_trace_tid(tid),
                 None => supervisor.clone(),
             };
-            let job_start = tracer.as_ref().map(|t| t.now_us());
-            let result = match &plan[*idx] {
-                Err(e) => job_error(job, AccMoSError::Batch(e.to_string())),
-                Ok(key) => {
-                    let group = &groups[key];
-                    let outcome = group
-                        .sim
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .clone();
-                    match outcome {
-                        Some(Ok(GroupSim::Prepared(sim))) => {
-                            run_prepared(job, &sim, &supervisor)
-                        }
-                        Some(Ok(GroupSim::Raw { exe, work_dir })) => {
-                            let run_start = Instant::now();
-                            match supervisor.run(
-                                &exe,
-                                &work_dir,
-                                job.steps,
-                                &job.tests,
-                                &job.opts,
-                            ) {
-                                Ok(run) => JobResult {
-                                    label: job.label.clone(),
-                                    report: Ok(run.report),
-                                    run_time: run_start.elapsed(),
-                                    retries: run.retries,
-                                    backoff: run.backoff,
-                                    fallback_reason: None,
-                                    peak_rss_kb: run.peak_rss_kb,
-                                },
-                                // No model behind a raw executable, so no
-                                // interpreter to degrade to: report the
-                                // classified failure.
-                                Err(e) => {
-                                    let err = AccMoSError::Backend(e);
-                                    JobResult {
-                                        retries: retries_of(&err),
-                                        label: job.label.clone(),
-                                        report: Err(err),
-                                        run_time: run_start.elapsed(),
-                                        backoff: Duration::ZERO,
-                                        fallback_reason: None,
-                                        peak_rss_kb: 0,
-                                    }
-                                }
-                            }
-                        }
-                        Some(Err(msg)) => match &group.work {
-                            // The preprocessed model is still in hand: a
-                            // failed compile degrades to the interpreter.
-                            Some((pre, _, _, _)) => interp_fallback(job, pre, msg),
-                            None => job_error(job, AccMoSError::Batch(msg)),
-                        },
-                        None => job_error(
-                            job,
-                            AccMoSError::Batch(
-                                "batch compile phase never produced this program".into(),
-                            ),
-                        ),
-                    }
-                }
-            };
+            let job_start = tracer.map(|t| t.now_us());
+            // A job whose planning failed has nothing to run.
+            let exec = keys[*idx].as_ref().ok().map(|key| {
+                let executor = Executor {
+                    pipeline: &self.pipeline,
+                    supervisor: Some(&supervisor),
+                    traced_from: None,
+                };
+                let run = Job { steps: job.steps, tests: &job.tests, opts: &job.opts };
+                executor.run(groups[key].subject(), Entry::Subprocess, &run)
+            });
             // One job-level span per track, with the profile leaves of a
             // profiled build laid under it — the supervisor's attempt/wait
             // spans land inside by containment.
-            if let (Some(tracer), Some(start)) = (&tracer, job_start) {
-                let tid = *idx as u64 + 2;
+            if let (Some(tracer), Some(start)) = (tracer, job_start) {
                 tracer.span("pipeline", &job.label, start, tracer.now_us() - start, tid);
-                if let Ok(report) = &result.report {
+                if let Some(Ok(report)) = exec.as_ref().map(|e| &e.report) {
                     if !report.profile.is_empty() {
                         tracer.record_profile(start, tid, &report.profile);
                     }
                 }
             }
-            *slots[*idx].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                Some(result);
+            *slots[*idx].lock().unwrap_or_else(PoisonError::into_inner) = exec;
         });
 
         // Build dirs the runner created are scratch; prepared sims are
         // the caller's to clean.
-        for group in groups.values() {
-            if group.owned {
-                if let Some(Ok(GroupSim::Prepared(sim))) =
-                    group.sim.lock().expect("compile slot").as_ref()
-                {
-                    sim.clean();
-                }
-            }
+        for sim in groups.values().filter_map(Group::built) {
+            sim.clean();
         }
 
         let mut results = Vec::with_capacity(jobs.len());
-        for (idx, slot) in slots.into_iter().enumerate() {
-            // A worker that panicked mid-job never filled its slot; that is
-            // a per-job failure, not a batch abort.
-            let result = slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    job_error(
-                        &jobs[idx],
-                        AccMoSError::Batch(
-                            "batch worker thread panicked while running this job".into(),
-                        ),
-                    )
-                });
+        let mut records = Vec::with_capacity(jobs.len());
+        for ((job, key), slot) in jobs.iter().zip(keys).zip(slots) {
+            let exec = match (slot.into_inner().unwrap_or_else(PoisonError::into_inner), key) {
+                (Some(exec), _) => exec,
+                (None, Err(e)) => Exec::failed(e),
+                // A worker that panicked mid-job never filled its slot;
+                // that is a per-job failure, not a batch abort.
+                (None, Ok(_)) => Exec::failed(AccMoSError::Batch(
+                    "batch worker thread panicked while running this job".into(),
+                )),
+            };
+            let lanes = 1 + job.opts.lane_tests.len() as u64;
+            records.push(exec.record("batch", &job.label, job.steps, lanes));
+            let result = JobResult {
+                label: job.label.clone(),
+                fallback_reason: exec.fallback_reason(),
+                report: exec.report,
+                run_time: exec.trail.run_time,
+                retries: exec.trail.retries,
+                backoff: exec.trail.backoff,
+                peak_rss_kb: exec.trail.peak_rss_kb,
+            };
             summary.run_time += result.run_time;
             summary.retries += u64::from(result.retries);
             summary.max_peak_rss_kb = summary.max_peak_rss_kb.max(result.peak_rss_kb);
-            if result.degraded() {
-                summary.degraded += 1;
-            }
-            if result.report.is_err() {
-                summary.failures += 1;
-            }
+            summary.degraded += usize::from(result.degraded());
+            summary.failures += usize::from(result.report.is_err());
             results.push(result);
         }
         summary.quarantined = supervisor.quarantined().len();
@@ -491,221 +391,55 @@ impl BatchRunner {
         summary.backoff_sleep = retry_stats.backoff_sleep;
         summary.total_wall = wall_start.elapsed();
 
-        // Ledger: one schema-versioned record per job, written after the
+        // Ledger: one schema-versioned record per job, appended after the
         // batch settles so the trend gate sees exactly what the caller
         // saw. Best-effort — a read-only state dir never fails a batch.
-        for (idx, result) in results.iter().enumerate() {
-            self.pipeline.record(&self.job_record(&jobs[idx], result, &plan[idx], &groups));
+        for record in &records {
+            self.pipeline.record(record);
         }
         Ok(BatchReport { jobs: results, summary })
-    }
-
-    /// Build the ledger record for one settled job. Shared phase costs
-    /// (preprocess, codegen, compile) are those of the dedup group that
-    /// produced the job's binary; run/backoff/retries are the job's own.
-    fn job_record(
-        &self,
-        job: &BatchJob,
-        result: &JobResult,
-        plan: &Result<String, AccMoSError>,
-        groups: &HashMap<String, PendingGroup>,
-    ) -> RunRecord {
-        let mut rec = RunRecord::new("batch", &job.label);
-        rec.steps = job.steps;
-        rec.retries = u64::from(result.retries);
-        // Lane width: the report knows it exactly; for a job that never
-        // produced one, the stimulus implies it (primary + lane_tests).
-        rec.lanes = match &result.report {
-            Ok(report) => report.lane_width(),
-            Err(_) => (1 + job.opts.lane_tests.len()) as u64,
-        };
-        if let Ok(key) = plan {
-            if let Some(Ok(GroupSim::Prepared(sim))) = groups[key]
-                .sim
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .as_ref()
-            {
-                rec.phases = sim.phase_micros();
-                rec.compile_cached = sim.cache_hit();
-            }
-        }
-        rec.phases.run_us = telemetry::micros(result.run_time);
-        rec.phases.backoff_us = telemetry::micros(result.backoff);
-        rec.peak_rss_kb = result.peak_rss_kb;
-        match &result.report {
-            Ok(report) => {
-                rec.model = report.model.clone();
-                rec.engine = report.engine.clone();
-                rec.prof = telemetry::encode_profile(&report.profile);
-                rec.outcome = match result.degraded() {
-                    true => telemetry::outcome::DEGRADED,
-                    false => telemetry::outcome::OK,
-                }
-                .to_string();
-                rec.note = result.fallback_reason.clone().unwrap_or_default();
-            }
-            Err(err) => {
-                rec.outcome = match err {
-                    AccMoSError::Backend(crate::BackendError::Quarantined { .. }) => {
-                        telemetry::outcome::QUARANTINED
-                    }
-                    _ => telemetry::outcome::FAILED,
-                }
-                .to_string();
-                rec.note = err.to_string();
-            }
-        }
-        rec
-    }
-}
-
-/// A [`JobResult`] that never ran: zero run time, carries `err`.
-fn job_error(job: &BatchJob, err: AccMoSError) -> JobResult {
-    JobResult {
-        label: job.label.clone(),
-        report: Err(err),
-        run_time: Duration::ZERO,
-        retries: 0,
-        backoff: Duration::ZERO,
-        fallback_reason: None,
-        peak_rss_kb: 0,
-    }
-}
-
-/// Retries consumed by a failed supervised run (`attempts - 1`).
-fn retries_of(err: &AccMoSError) -> u32 {
-    match err {
-        AccMoSError::Backend(crate::BackendError::Supervised { attempts, .. }) => {
-            attempts.saturating_sub(1)
-        }
-        _ => 0,
-    }
-}
-
-/// Run `job` on the interpretive [`crate::NormalEngine`] because its compiled
-/// path is unavailable; the result is flagged degraded with `reason`.
-/// Lane jobs replay every lane's stimulus and come back aggregated the
-/// same way the compiled lane simulator reports
-/// ([`crate::interp_lane_run`]).
-fn interp_fallback(job: &BatchJob, pre: &PreprocessedModel, reason: String) -> JobResult {
-    let start = Instant::now();
-    let report = crate::interp_lane_run(pre, &job.tests, &job.opts, job.steps);
-    JobResult {
-        label: job.label.clone(),
-        report: Ok(report),
-        run_time: start.elapsed(),
-        retries: 0,
-        backoff: Duration::ZERO,
-        fallback_reason: Some(reason),
-        peak_rss_kb: 0,
-    }
-}
-
-/// Run one job against a compiled simulator under `supervisor`, degrading
-/// to the interpreter when the binary is (or just became) quarantined.
-fn run_prepared(job: &BatchJob, sim: &PreparedSimulation, supervisor: &Supervisor) -> JobResult {
-    let exe = sim.simulator().exe();
-    if supervisor.is_quarantined(exe) {
-        let crashes = supervisor.crash_count(exe);
-        return interp_fallback(
-            job,
-            sim.preprocessed(),
-            format!("simulator quarantined after {crashes} crash(es)"),
-        );
-    }
-    let run_start = Instant::now();
-    match sim.run_supervised(job.steps, &job.tests, &job.opts, supervisor) {
-        Ok(run) => JobResult {
-            label: job.label.clone(),
-            report: Ok(run.report),
-            run_time: run_start.elapsed(),
-            retries: run.retries,
-            backoff: run.backoff,
-            fallback_reason: None,
-            peak_rss_kb: run.peak_rss_kb,
-        },
-        Err(e) => {
-            // This failure may have just tipped the binary into
-            // quarantine; this job still degrades rather than erroring.
-            if supervisor.is_quarantined(exe) {
-                return interp_fallback(job, sim.preprocessed(), e.to_string());
-            }
-            JobResult {
-                retries: retries_of(&e),
-                label: job.label.clone(),
-                report: Err(e),
-                run_time: run_start.elapsed(),
-                backoff: Duration::ZERO,
-                fallback_reason: None,
-                peak_rss_kb: 0,
-            }
-        }
     }
 }
 
 /// A dedup group: at most one compile feeding any number of jobs.
-#[derive(Debug)]
-struct PendingGroup {
-    /// Codegen output awaiting compilation with its preprocess and
-    /// codegen wall times (`None` for prepared sims and raw executables).
-    /// Kept after a failed compile so the run phase can degrade the
-    /// group's jobs to the interpreter.
-    #[allow(clippy::type_complexity)]
-    work: Option<(crate::PreprocessedModel, crate::GeneratedProgram, Duration, Duration)>,
-    /// The resolved simulator, or the formatted compile error.
-    sim: Mutex<Option<Result<GroupSim, String>>>,
-    /// Whether the runner owns (and therefore cleans) the build dir.
-    owned: bool,
-}
-
-/// The runnable thing a dedup group resolved to.
-#[derive(Debug, Clone)]
-enum GroupSim {
-    /// A compiled (or caller-prepared) simulation.
+enum Group {
+    /// A planned model the runner compiles once, and cleans after the
+    /// run phase.
+    Model(Box<Build>),
+    /// A caller-prepared simulation: never compiled, never cleaned.
     Prepared(Arc<PreparedSimulation>),
-    /// A caller-supplied executable with no model behind it.
-    Raw {
-        exe: PathBuf,
-        work_dir: PathBuf,
-    },
+    /// A caller-supplied executable and its scratch dir, with no model
+    /// behind it.
+    Executable(PathBuf, PathBuf),
 }
 
-impl PendingGroup {
-    fn ready(sim: Arc<PreparedSimulation>) -> PendingGroup {
-        PendingGroup {
-            work: None,
-            sim: Mutex::new(Some(Ok(GroupSim::Prepared(sim)))),
-            owned: false,
+/// A model group's plan and, once the compile pool ran, its build or
+/// the build's error.
+struct Build {
+    plan: Plan,
+    sim: OnceLock<Result<CompiledSimulator, String>>,
+}
+
+impl Group {
+    /// The executable the runner built for this group, if it built one.
+    fn built(&self) -> Option<&CompiledSimulator> {
+        match self {
+            Group::Model(build) => build.sim.get()?.as_ref().ok(),
+            _ => None,
         }
     }
 
-    fn raw(exe: PathBuf, work_dir: PathBuf) -> PendingGroup {
-        PendingGroup {
-            work: None,
-            sim: Mutex::new(Some(Ok(GroupSim::Raw { exe, work_dir }))),
-            owned: false,
+    fn subject(&self) -> Subject<'_> {
+        match self {
+            Group::Model(build) => Subject::Built(
+                &build.plan,
+                build.sim.get().map_or(Err("the compile pool never built this program"), |sim| {
+                    sim.as_ref().map_err(String::as_str)
+                }),
+            ),
+            Group::Prepared(sim) => Subject::Built(&sim.plan, Ok(&sim.sim)),
+            Group::Executable(exe, work_dir) => Subject::Executable(exe, work_dir),
         }
-    }
-}
-
-impl AccMoS {
-    /// Preprocess + generate, returning the parts the batch planner needs
-    /// with preprocess and codegen wall time measured separately.
-    #[allow(clippy::type_complexity)]
-    fn plan_model(
-        &self,
-        model: &Model,
-    ) -> Result<
-        (crate::PreprocessedModel, crate::GeneratedProgram, Duration, Duration),
-        AccMoSError,
-    > {
-        let start = Instant::now();
-        let pre = crate::preprocess(model)?;
-        let preprocess_time = start.elapsed();
-        let gen_start = Instant::now();
-        let program = accmos_codegen::generate(&pre, self.codegen_options());
-        Ok((pre, program, preprocess_time, gen_start.elapsed()))
     }
 }
 
@@ -1039,6 +773,42 @@ mod tests {
             assert_eq!(r.final_outputs[0].1.to_string(), (3 * i as i32).to_string());
         }
         sim.clean();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn failed_job_reports_the_backoff_its_retries_slept() {
+        use std::os::unix::fs::PermissionsExt;
+        let root =
+            std::env::temp_dir().join(format!("accmos-batch-backoff-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let policy = crate::ExecPolicy::default()
+            .with_retries(1)
+            .with_quarantine_after(3)
+            .with_kill_timeout(Duration::from_millis(500));
+        let pipeline =
+            AccMoS::new().with_cache(crate::BuildCache::at(&root)).with_exec_policy(policy.clone());
+        let sim = Arc::new(pipeline.prepare(&gain_model("Backoff", 3)).unwrap());
+        // Every invocation dies on SIGSEGV: two crashes, one retry, and
+        // still under the quarantine threshold, so the job fails.
+        let exe = sim.simulator().exe().to_path_buf();
+        std::fs::write(&exe, "#!/bin/sh\nkill -SEGV $$\n").unwrap();
+        std::fs::set_permissions(&exe, std::fs::Permissions::from_mode(0o755)).unwrap();
+
+        let report = BatchRunner::new(pipeline.clone())
+            .run(vec![BatchJob::prepared("crashy", Arc::clone(&sim), tests_for(1), 5)])
+            .unwrap();
+        let job = &report.jobs[0];
+        assert!(job.report.is_err(), "a crash below the threshold fails the job");
+        assert!(!job.degraded());
+        assert_eq!(job.retries, 1);
+        let slept = policy.backoff_before(&exe, 1);
+        assert_eq!(job.backoff, slept, "the backoff the supervisor slept");
+        let view = pipeline.ledger().unwrap().read();
+        assert_eq!(view.records.len(), 1);
+        assert_eq!(view.records[0].phases.backoff_us, slept.as_micros() as u64);
+        sim.clean();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

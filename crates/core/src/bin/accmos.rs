@@ -914,12 +914,8 @@ fn batch(paths: &[&str], args: &[String]) -> Result<(), String> {
             // The binary is still shared across repetitions because the
             // generated program is identical.
             let base = seed.wrapping_add(rep.wrapping_mul(lanes));
-            let tests = accmos_testgen::random_tests(&pre, rows, base);
-            let lane_tests: Vec<TestVectors> = (1..lanes)
-                .map(|lane| {
-                    accmos_testgen::random_tests(&pre, rows, base.wrapping_add(lane))
-                })
-                .collect();
+            let (tests, lane_tests) =
+                accmos::fuzz::lane_stimulus(&pre, rows, base, lanes as usize);
             let label = if repeat > 1 { format!("{path}#{rep}") } else { path.to_string() };
             jobs.push(BatchJob::model(label, model.clone(), tests, steps).with_opts(
                 RunOptions { stop_on_diagnostic: false, time_budget: None, lane_tests },

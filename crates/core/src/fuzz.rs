@@ -37,9 +37,10 @@
 //! with sabotage enabled must detect, minimize and corpus-ize the
 //! planted divergence.
 
+use crate::exec::{interp_lane_run, Entry, Executor, Fallback, Job, Stop, Subject, Trail};
 use crate::{
-    interp_lane_run, preprocess, AccMoS, AccMoSError, BuildCache, CodegenOptions, ExecPolicy,
-    RunOptions, Supervisor, Tracer,
+    preprocess, AccMoS, AccMoSError, BuildCache, CodegenOptions, ExecPolicy, RunOptions,
+    Supervisor, Tracer,
 };
 use accmos_backend::telemetry::{append_jsonl, json_str, parse_flat_object, read_jsonl, JsonlView};
 use accmos_ir::{CoverageKind, Model, SimulationReport, TestVectors};
@@ -772,6 +773,7 @@ impl FuzzCampaign {
         };
         let (tests, lane_tests) = lane_stimulus(&pre, plan.rows, plan.stim_seed(), plan.lanes);
         let run_opts = RunOptions { lane_tests, ..RunOptions::default() };
+        let job = Job { steps: plan.steps, tests: &tests, opts: &run_opts };
 
         let interp = interp_lane_run(&pre, &tests, &run_opts, plan.steps);
 
@@ -780,8 +782,7 @@ impl FuzzCampaign {
             sabotage_digest: sabotage,
             ..CodegenOptions::accmos().lanes(plan.lanes)
         };
-        let pruned = match self.run_compiled(&model, &pruned_opts, plan, &tests, &run_opts, supervisor, cache)
-        {
+        let pruned = match self.run_compiled(&model, &pruned_opts, &job, supervisor, cache) {
             Ok(report) => report,
             Err(v) => return v,
         };
@@ -792,8 +793,7 @@ impl FuzzCampaign {
         // Generated C, pruning OFF: the analyzer's soundness claim.
         let unpruned_opts =
             CodegenOptions { prune_proven_safe: false, ..pruned_opts.clone() };
-        let unpruned = match self.run_compiled(&model, &unpruned_opts, plan, &tests, &run_opts, supervisor, cache)
-        {
+        let unpruned = match self.run_compiled(&model, &unpruned_opts, &job, supervisor, cache) {
             Ok(report) => report,
             Err(v) => return v,
         };
@@ -807,8 +807,7 @@ impl FuzzCampaign {
         // report field.
         if plan.spec_off {
             let nospec_opts = pruned_opts.clone().without_specialization();
-            let nospec = match self.run_compiled(&model, &nospec_opts, plan, &tests, &run_opts, supervisor, cache)
-            {
+            let nospec = match self.run_compiled(&model, &nospec_opts, &job, supervisor, cache) {
                 Ok(report) => report,
                 Err(v) => return v,
             };
@@ -819,55 +818,37 @@ impl FuzzCampaign {
         Verdict::Ok
     }
 
-    /// Compile and supervise one generated-C variant, mapping every
-    /// failure into a verdict.
-    #[allow(clippy::too_many_arguments)]
+    /// Compile and supervise one generated-C variant on the job
+    /// executor's compiled rungs (no interpreter fallback), mapping where
+    /// they stopped into a verdict.
     fn run_compiled(
         &self,
         model: &Model,
         opts: &CodegenOptions,
-        plan: &TrialPlan,
-        tests: &TestVectors,
-        run_opts: &RunOptions,
+        job: &Job<'_>,
         supervisor: &Supervisor,
         cache: &BuildCache,
     ) -> Result<SimulationReport, Verdict> {
-        let mut pipeline =
-            AccMoS::new().with_codegen(opts.clone()).with_cache(cache.clone());
-        if let Some(tracer) = &self.config.tracer {
-            pipeline = pipeline.with_tracer(tracer.clone());
-        }
-        let sim = match pipeline.prepare(model) {
-            Ok(sim) => sim,
-            Err(AccMoSError::Backend(e)) => {
-                return Err(Verdict::CompileFailed { detail: e.to_string() })
-            }
-            Err(e) => return Err(Verdict::GenFailed { detail: e.to_string() }),
-        };
-        let run = sim.run_supervised(plan.steps, tests, run_opts, supervisor);
-        let exe_quarantined = supervisor.is_quarantined(sim.simulator().exe());
-        sim.clean();
-        match run {
-            Ok(run) => Ok(run.report),
-            Err(AccMoSError::Backend(e)) => {
-                if exe_quarantined
-                    || matches!(e, accmos_backend::BackendError::Quarantined { .. })
-                {
-                    return Err(Verdict::Quarantined);
-                }
-                match e.failure_kind() {
-                    Some(kind) => Err(Verdict::Failed {
-                        kind: crate::FailureKind::label(kind.index()).to_string(),
-                        detail: truncate(&e.to_string(), 600),
-                    }),
-                    None => Err(Verdict::Failed {
-                        kind: "backend".into(),
-                        detail: truncate(&e.to_string(), 600),
-                    }),
-                }
-            }
-            Err(e) => Err(Verdict::Failed { kind: "backend".into(), detail: e.to_string() }),
-        }
+        // The campaign supervisor carries the tracer: the pipeline only
+        // plans and builds.
+        let pipeline = AccMoS::new().with_codegen(opts.clone()).with_cache(cache.clone());
+        let planned =
+            pipeline.plan(model).map_err(|e| Verdict::GenFailed { detail: e.to_string() })?;
+        let executor =
+            Executor { pipeline: &pipeline, supervisor: Some(supervisor), traced_from: None };
+        executor
+            .compiled(Subject::Plan(&planned), Entry::Subprocess, job, &mut Trail::default())
+            .map_err(|stop| match stop {
+                Stop::Fallback(Fallback::Compile(detail)) => Verdict::CompileFailed { detail },
+                Stop::Fallback(_) => Verdict::Quarantined,
+                Stop::Failed(e) => Verdict::Failed {
+                    kind: e
+                        .failure_kind()
+                        .map_or("backend", |kind| crate::FailureKind::label(kind.index()))
+                        .to_string(),
+                    detail: truncate(&e.to_string(), 600),
+                },
+            })
     }
 
     /// Whether `plan` still produces a divergence verdict (the
@@ -1204,7 +1185,8 @@ fn fn_strip_float(cfg: &mut ModelGenConfig) {
     cfg.float_math = false;
 }
 
-fn now_ms() -> u64 {
+/// Milliseconds since the Unix epoch (0 before it).
+pub(crate) fn now_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
@@ -1222,7 +1204,8 @@ fn truncate(s: &str, max: usize) -> String {
     format!("{}...", &s[..end])
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+/// A caught panic's payload as text.
+pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -53,6 +53,7 @@
 #![forbid(unsafe_code)]
 
 mod batch;
+mod exec;
 pub mod fuzz;
 #[cfg(unix)]
 mod serve;
@@ -93,9 +94,9 @@ pub enum AccMoSError {
     Mdlx(MdlxError),
     /// Compilation or execution of generated code failed.
     Backend(BackendError),
-    /// A shared step of a batch (code generation or compilation performed
-    /// once for several jobs) failed; carries the formatted underlying
-    /// error, replicated to every job that depended on the step.
+    /// A failure outside the model and the engines, carried as its
+    /// formatted text: a batch worker that panicked, a serve spec that
+    /// does not resolve to a model, fuzz campaign state I/O.
     Batch(String),
 }
 
@@ -312,7 +313,7 @@ impl AccMoS {
     /// The compiler this pipeline configuration resolves to (used by both
     /// [`AccMoS::prepare`] and [`BatchRunner`], so batch jobs dedup under
     /// exactly the key they would compile under).
-    pub(crate) fn compiler(&self) -> Result<Compiler, AccMoSError> {
+    pub(crate) fn compiler(&self) -> Result<Compiler, BackendError> {
         let mut compiler = Compiler::detect()?.with_opt(self.opt);
         if let Some(dir) = &self.work_dir {
             compiler = compiler.with_work_dir(dir.clone());
@@ -332,8 +333,7 @@ impl AccMoS {
     ///
     /// Returns validation/scheduling errors from preprocessing.
     pub fn generate(&self, model: &Model) -> Result<GeneratedProgram, AccMoSError> {
-        let pre = preprocess(model)?;
-        Ok(accmos_codegen::generate(&pre, &self.codegen))
+        Ok(self.plan(model)?.program)
     }
 
     /// Preprocess, generate, and compile a model into a runnable
@@ -343,21 +343,9 @@ impl AccMoS {
     ///
     /// Propagates model validation errors and compiler failures.
     pub fn prepare(&self, model: &Model) -> Result<PreparedSimulation, AccMoSError> {
-        let pre_start = std::time::Instant::now();
-        let pre = preprocess(model)?;
-        let preprocess_time = pre_start.elapsed();
-        let gen_start = std::time::Instant::now();
-        let program = accmos_codegen::generate(&pre, &self.codegen);
-        let codegen_time = gen_start.elapsed();
-
-        let sim = self.compiler()?.compile(&program)?;
-        Ok(PreparedSimulation {
-            pre,
-            sim,
-            parse_time: Duration::ZERO,
-            preprocess_time,
-            codegen_time,
-        })
+        let plan = self.plan(model)?;
+        let sim = self.compiler()?.compile(&plan.program)?;
+        Ok(PreparedSimulation { plan, sim })
     }
 
     /// Parse an MDLX document and prepare it.
@@ -370,23 +358,26 @@ impl AccMoS {
         let model = parse_mdlx(text)?;
         let parse_time = parse_start.elapsed();
         let mut sim = self.prepare(&model)?;
-        sim.parse_time = parse_time;
+        sim.plan.parse_time = parse_time;
         Ok(sim)
     }
 
-    /// End-to-end supervised run with graceful degradation: prepare the
-    /// model, run the compiled simulator under this pipeline's
-    /// [`ExecPolicy`], and — when compilation fails (no C compiler, broken
-    /// toolchain) or the binary crashes into quarantine — fall back to the
-    /// interpretive [`NormalEngine`] instead of failing the job. The
-    /// fallback is never silent: [`RunOutcome::degraded`] is set and
-    /// [`RunOutcome::fallback_reason`] carries the cause.
+    /// End-to-end supervised run with graceful degradation: plan the
+    /// model, then walk the job executor's engine ladder from the
+    /// supervised subprocess rung under this pipeline's [`ExecPolicy`].
+    /// When the executable does not build (no C compiler, broken
+    /// toolchain) or is quarantined, the job falls back to the
+    /// interpretive [`NormalEngine`] instead of failing. The fallback is
+    /// never silent: [`RunOutcome::degraded`] is set and
+    /// [`RunOutcome::fallback_reason`] carries the cause. The kill
+    /// timeout bounds the interpreter too. Every run appends one record to
+    /// the run ledger.
     ///
     /// # Errors
     ///
     /// Model validation and scheduling errors (which no engine could run),
-    /// and supervised execution failures that do not trigger fallback
-    /// (e.g. a timeout or a crash that has not yet reached quarantine).
+    /// and failures that do not fall back: a timeout on any rung, a crash
+    /// that has not yet reached quarantine, corrupt protocol output.
     pub fn run(
         &self,
         model: &Model,
@@ -394,186 +385,33 @@ impl AccMoS {
         tests: &TestVectors,
         opts: &RunOptions,
     ) -> Result<RunOutcome, AccMoSError> {
-        let mut record = RunRecord::new("run", &model.name);
-        record.steps = steps;
-        record.lanes = self.codegen.effective_lanes() as u64;
-        let prepare_start = self.tracer.as_ref().map(|t| t.now_us());
-        let sim = match self.prepare(model) {
-            Ok(sim) => sim,
-            // Backend trouble (compiler missing, compile failed, build dir
-            // unwritable) degrades to the interpreter; model errors do not
-            // — the interpreter needs a valid, schedulable model too.
-            Err(AccMoSError::Backend(e)) => {
-                return self.run_fallback(model, steps, tests, opts, e.to_string(), record);
-            }
-            Err(e) => return Err(e),
-        };
-        record.phases = sim.phase_micros();
-        record.compile_cached = sim.cache_hit();
-        if let (Some(t), Some(start)) = (&self.tracer, prepare_start) {
-            t.span("pipeline", "prepare", start, t.now_us().saturating_sub(start), 1);
-            // The phase breakdown was measured as durations; lay it end to
-            // end inside the prepare span (attribution view, same
-            // convention as the per-actor profile leaves).
-            let p = &record.phases;
-            let mut at = start;
-            for (name, us) in [
-                ("parse", p.parse_us),
-                ("preprocess", p.preprocess_us),
-                ("analyze", p.analyze_us),
-                ("codegen", p.codegen_us),
-                ("compile", p.compile_us),
-            ] {
-                if us > 0 {
-                    t.span("pipeline", name, at, us, 1);
-                    at += us;
-                }
-            }
-        }
-        let supervisor = self.supervisor();
-        let backoff_before = supervisor.retry_stats().backoff_sleep;
-        let run_span_start = self.tracer.as_ref().map(|t| t.now_us());
-        let run_start = std::time::Instant::now();
-        let outcome = match sim.run_supervised(steps, tests, opts, &supervisor) {
-            Ok(run) => {
-                record.phases.run_us = telemetry::micros(run_start.elapsed());
-                record.phases.backoff_us = telemetry::micros(
-                    supervisor.retry_stats().backoff_sleep.saturating_sub(backoff_before),
-                );
-                record.engine = run.report.engine.clone();
-                record.retries = u64::from(run.retries);
-                record.peak_rss_kb = run.peak_rss_kb;
-                record.prof = telemetry::encode_profile(&run.report.profile);
-                record.outcome = telemetry::outcome::OK.into();
-                if let (Some(t), Some(start)) = (&self.tracer, run_span_start) {
-                    t.span("pipeline", "run", start, t.now_us().saturating_sub(start), 1);
-                    t.record_profile(start, 1, &run.report.profile);
-                }
-                self.record(&record);
-                Ok(RunOutcome {
-                    report: run.report,
-                    retries: run.retries,
-                    fallback_reason: None,
-                    peak_rss_kb: run.peak_rss_kb,
-                })
-            }
-            Err(e) => {
-                record.phases.run_us = telemetry::micros(run_start.elapsed());
-                record.phases.backoff_us = telemetry::micros(
-                    supervisor.retry_stats().backoff_sleep.saturating_sub(backoff_before),
-                );
-                if let (Some(t), Some(start)) = (&self.tracer, run_span_start) {
-                    t.span("pipeline", "run", start, t.now_us().saturating_sub(start), 1);
-                }
-                if supervisor.is_quarantined(sim.simulator().exe()) {
-                    let reason = e.to_string();
-                    sim.clean();
-                    return self.run_fallback(model, steps, tests, opts, reason, record);
-                }
-                record.outcome = telemetry::outcome::FAILED.into();
-                record.note = e.to_string();
-                self.record(&record);
-                Err(e)
-            }
-        };
-        sim.clean();
-        outcome
+        let traced_from = self.tracer.as_ref().map(|t| t.now_us());
+        let plan = self.plan(model)?;
+        let executor = exec::Executor { pipeline: self, supervisor: None, traced_from };
+        let job = exec::Job { steps, tests, opts };
+        let exec = executor.run(exec::Subject::Plan(&plan), exec::Entry::Subprocess, &job);
+        let lanes = self.codegen.effective_lanes() as u64;
+        self.record(&exec.record("run", &model.name, steps, lanes));
+        Ok(RunOutcome {
+            fallback_reason: exec.fallback_reason(),
+            retries: exec.trail.retries,
+            peak_rss_kb: exec.trail.peak_rss_kb,
+            report: exec.report?,
+        })
     }
-
-    /// Interpretive fallback for [`AccMoS::run`]. `record` carries the
-    /// phase spans accumulated before the degradation (compile time of the
-    /// failed artifact, run time burnt on the quarantined binary, ...).
-    fn run_fallback(
-        &self,
-        model: &Model,
-        steps: u64,
-        tests: &TestVectors,
-        opts: &RunOptions,
-        reason: String,
-        mut record: RunRecord,
-    ) -> Result<RunOutcome, AccMoSError> {
-        let pre = preprocess(model)?;
-        let run_start = std::time::Instant::now();
-        let report = interp_lane_run(&pre, tests, opts, steps);
-        record.phases.run_us =
-            record.phases.run_us.saturating_add(telemetry::micros(run_start.elapsed()));
-        record.engine = report.engine.clone();
-        record.outcome = telemetry::outcome::DEGRADED.into();
-        record.note = reason.clone();
-        self.record(&record);
-        Ok(RunOutcome { report, retries: 0, fallback_reason: Some(reason), peak_rss_kb: 0 })
-    }
-}
-
-/// Run the interpretive [`NormalEngine`] over the full lane stimulus set
-/// (the primary `tests` plus [`RunOptions::lane_tests`]) and aggregate the
-/// per-lane reports the way a lane-parallel compiled simulator does:
-/// coverage bitmaps OR-reduced and re-summarized, the top-level digest an
-/// FNV fold of the lane digests, diagnostics merged across lanes, final
-/// outputs mirroring lane 0. Scalar runs (no `lane_tests`) go straight to
-/// [`Engine::run`], byte-identical to the pre-lane behaviour.
-///
-/// One semantic difference from the compiled path is inherent to running
-/// lanes sequentially: with [`RunOptions::stop_on_diagnostic`] each
-/// interpreted lane stops on *its own* first diagnostic, while the fused
-/// simulator stops every lane on *any* lane's diagnostic.
-pub(crate) fn interp_lane_run(
-    pre: &PreprocessedModel,
-    tests: &TestVectors,
-    opts: &RunOptions,
-    steps: u64,
-) -> SimulationReport {
-    let engine = NormalEngine::new();
-    let sim_opts = interp_options(steps, opts);
-    if opts.lane_tests.is_empty() {
-        return engine.run(pre, tests, &sim_opts);
-    }
-    let wall_start = std::time::Instant::now();
-    let mut lanes = Vec::with_capacity(1 + opts.lane_tests.len());
-    let mut union: Option<accmos_ir::CoverageBitmaps> = None;
-    let mut digest = accmos_ir::OutputDigest::new();
-    for lane_tests in std::iter::once(tests).chain(opts.lane_tests.iter()) {
-        let (lane, bitmaps) = engine.run_with_bitmaps(pre, lane_tests, &sim_opts);
-        match &mut union {
-            Some(u) => u.merge(&bitmaps),
-            None => union = Some(bitmaps),
-        }
-        digest.write_u64(lane.output_digest);
-        lanes.push(lane);
-    }
-    let mut report = SimulationReport::new(lanes[0].model.clone(), lanes[0].engine.clone());
-    report.steps = lanes.iter().map(|l| l.steps).max().unwrap_or(0);
-    report.wall = wall_start.elapsed();
-    report.output_digest = digest.finish();
-    if lanes[0].coverage.is_some() {
-        report.coverage = union.map(|u| pre.coverage.map.summarize(&u));
-    }
-    report.attach_lanes(lanes);
-    report
-}
-
-/// Map compiled-path [`RunOptions`] onto the interpretive engine's
-/// [`SimOptions`] (used by every interpreter-fallback path).
-pub(crate) fn interp_options(steps: u64, opts: &RunOptions) -> SimOptions {
-    let mut o = SimOptions::steps(steps);
-    if opts.stop_on_diagnostic {
-        o = o.stopping_on_diagnostic();
-    }
-    if let Some(budget) = opts.time_budget {
-        o = o.with_budget(budget);
-    }
-    o
 }
 
 /// The result of a degradable end-to-end run ([`AccMoS::run`]).
 #[derive(Debug)]
 pub struct RunOutcome {
-    /// The simulation report — from the compiled simulator, or from the
+    /// The simulation report: from the compiled simulator, or from the
     /// interpretive fallback when degraded.
     pub report: SimulationReport,
-    /// Retries the supervised run consumed (0 on the fallback path).
+    /// Retries of the rung the run ended on: the supervised run's, or 0
+    /// after falling back to the interpreter.
     pub retries: u32,
-    /// Why the run degraded to the interpreter (`None` = compiled path).
+    /// Why the run degraded to the interpreter (`None` = compiled path);
+    /// several causes are joined with `; ` in ladder order.
     pub fallback_reason: Option<String>,
     /// Peak resident set size of the simulator child in KiB (`ru_maxrss`;
     /// 0 = not measured, including on the interpretive fallback path).
@@ -597,25 +435,11 @@ impl Default for AccMoS {
 /// A compiled, ready-to-run AccMoS simulation.
 #[derive(Debug)]
 pub struct PreparedSimulation {
-    pre: PreprocessedModel,
+    plan: exec::Plan,
     sim: CompiledSimulator,
-    parse_time: Duration,
-    preprocess_time: Duration,
-    codegen_time: Duration,
 }
 
 impl PreparedSimulation {
-    /// Assemble from already-computed parts (the batch runner compiles
-    /// each unique program once and shares the result across jobs).
-    pub(crate) fn from_parts(
-        pre: PreprocessedModel,
-        sim: CompiledSimulator,
-        preprocess_time: Duration,
-        codegen_time: Duration,
-    ) -> PreparedSimulation {
-        PreparedSimulation { pre, sim, parse_time: Duration::ZERO, preprocess_time, codegen_time }
-    }
-
     /// Whether the executable came out of the [`BuildCache`] without a
     /// compiler invocation.
     pub fn cache_hit(&self) -> bool {
@@ -636,28 +460,6 @@ impl PreparedSimulation {
         Ok(self.sim.run(steps, tests, opts)?)
     }
 
-    /// Run the compiled simulator under `supervisor`: hard kill timeout,
-    /// bounded retries, classified failures, quarantine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BackendError::Supervised`] /
-    /// [`BackendError::Quarantined`] wrapped in [`AccMoSError::Backend`].
-    pub fn run_supervised(
-        &self,
-        steps: u64,
-        tests: &TestVectors,
-        opts: &RunOptions,
-        supervisor: &Supervisor,
-    ) -> Result<SupervisedRun, AccMoSError> {
-        Ok(self.sim.run_supervised(steps, tests, opts, supervisor)?)
-    }
-
-    /// The preprocessed model (execution order, coverage points, ...).
-    pub fn preprocessed(&self) -> &PreprocessedModel {
-        &self.pre
-    }
-
     /// The generated program (for inspection of the emitted C).
     pub fn program(&self) -> &GeneratedProgram {
         self.sim.program()
@@ -670,34 +472,19 @@ impl PreparedSimulation {
 
     /// Time spent parsing the MDLX source (zero for in-memory models).
     pub fn parse_time(&self) -> Duration {
-        self.parse_time
+        self.plan.parse_time
     }
 
     /// Time spent flattening, type-checking and scheduling the model.
     pub fn preprocess_time(&self) -> Duration {
-        self.preprocess_time
+        self.plan.preprocess_time
     }
 
     /// Time spent in code generation (including the proven-safe interval
     /// analysis, reported separately by
     /// [`GeneratedProgram::analyze_time`]).
     pub fn codegen_time(&self) -> Duration {
-        self.codegen_time
-    }
-
-    /// This simulation's phase spans in ledger form (run/backoff spans
-    /// unset — the caller fills them in after the run).
-    pub fn phase_micros(&self) -> PhaseMicros {
-        let analyze = self.program().analyze_time;
-        PhaseMicros {
-            parse_us: telemetry::micros(self.parse_time),
-            preprocess_us: telemetry::micros(self.preprocess_time),
-            analyze_us: telemetry::micros(analyze),
-            codegen_us: telemetry::micros(self.codegen_time.saturating_sub(analyze)),
-            compile_us: telemetry::micros(self.sim.compile_time()),
-            run_us: 0,
-            backoff_us: 0,
-        }
+        self.plan.codegen_time
     }
 
     /// Time spent in the C compiler.
@@ -855,6 +642,31 @@ mod tests {
         assert!(out.degraded(), "compile failure must degrade, not error");
         assert!(out.fallback_reason.is_some());
         assert_eq!(out.report.final_outputs[0].1.to_string(), "42");
+        std::fs::remove_file(&blocker).unwrap();
+    }
+
+    #[test]
+    fn kill_deadline_bounds_the_interpreter_fallback() {
+        // The same blocked build as above, but a run far too long for the
+        // kill timeout: the interpreter stops at the deadline and the job
+        // fails as a killed child would, instead of holding its caller.
+        let blocker =
+            std::env::temp_dir().join(format!("accmos-run-deadline-{}", std::process::id()));
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let policy = ExecPolicy::default().with_kill_timeout(Duration::from_millis(300));
+        let pipeline = AccMoS::new()
+            .without_cache()
+            .with_work_dir(&blocker)
+            .with_exec_policy(policy);
+        let tests = TestVectors::constant("In", Scalar::I32(21), 1);
+        let start = std::time::Instant::now();
+        let err = pipeline
+            .run(&small_model(), 10_000_000_000, &tests, &RunOptions::default())
+            .unwrap_err();
+        assert!(start.elapsed() < Duration::from_secs(5), "held for {:?}", start.elapsed());
+        let AccMoSError::Backend(e) = &err else { panic!("expected a backend error: {err}") };
+        assert_eq!(e.failure_kind(), Some(FailureKind::Timeout), "{err}");
+        assert!(err.to_string().contains("kill deadline"), "{err}");
         std::fs::remove_file(&blocker).unwrap();
     }
 

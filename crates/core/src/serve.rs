@@ -3,8 +3,8 @@
 //! The daemon listens on a Unix-domain socket for line-delimited flat
 //! JSON requests, keeps a persistent job queue, and executes generated
 //! simulators **in process**: each job's C program is compiled as a
-//! shared object ([`Compiler::compile_shared`]) and invoked through
-//! [`DylibRunner`], eliminating the per-run `fork`/`exec`/pipe cost of
+//! shared object ([`crate::Compiler::compile_shared`]) and invoked through
+//! [`crate::DylibRunner`], eliminating the per-run `fork`/`exec`/pipe cost of
 //! the subprocess engine. For a cached simulator the remaining dispatch
 //! cost is a `dlopen` of a scratch copy plus one function call.
 //!
@@ -38,31 +38,41 @@
 //!
 //! ## Isolation policy
 //!
-//! In-process execution trades isolation for dispatch cost, so the
-//! subprocess engine remains as the isolation fallback, and taking it is
-//! never silent — the run record is flagged `degraded` with a note:
+//! Jobs walk the job executor's engine ladder. In-process execution
+//! trades isolation for dispatch cost, so every step down the ladder is
+//! flagged: the run record is `degraded`, with a note naming each cause.
 //!
-//! - models from untrusted specs (`rand:SEED`, fuzz-generated) always
-//!   run as a supervised child process;
-//! - any dylib load or run failure (`dlopen` error, stale entry,
-//!   stimulus mismatch) falls back to the child-process path;
-//! - a cooperative-cancel timeout (the in-process deadline) is a real
-//!   failure, not a fallback trigger: the budget is already spent.
+//! - models from untrusted specs (`rand:SEED`, fuzz-generated) enter at
+//!   the supervised child-process rung; trusted specs enter in process;
+//! - any dylib build, load or run failure (`dlopen` error, stale entry,
+//!   stimulus mismatch) drops to the child-process rung;
+//! - an executable that does not build, or is quarantined, drops to the
+//!   interpreter;
+//! - a timeout is a real failure, not a fallback trigger: the budget is
+//!   already spent. The kill timeout bounds every rung, the in-process
+//!   run as a cooperative cancel and the interpreter as its time budget.
 //!
 //! Successful in-process runs are recorded with engine `accmos-dylib`
 //! (source `serve`), so ledger trends keep the two dispatch engines in
 //! separate baselines.
 
 use crate::batch::WorkQueue;
-use crate::{preprocess, telemetry, AccMoS, AccMoSError, DylibRunner, RunOptions, RunRecord};
-use accmos_ir::SimulationReport;
+use crate::exec::{Entry, Exec, Executor, Job, Subject};
+use crate::fuzz::{now_ms, panic_text};
+use crate::telemetry::{self, json_str as json};
+use crate::{AccMoS, AccMoSError, RunOptions};
+use accmos_ir::Model;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+
+/// The most lanes and stimulus rows one job may ask for. The stimulus is
+/// allocated up front, and a failed allocation aborts the whole daemon.
+const MAX_LANES: u64 = 64;
+const MAX_ROWS: u64 = 65_536;
 
 /// Configuration for [`ServeHandle::start`].
 #[derive(Debug)]
@@ -263,23 +273,14 @@ fn handle_connection(
         };
         match req.str("op").as_deref() {
             Some("submit") => {
-                let spec = req.str("model").unwrap_or_default();
-                if spec.is_empty() {
-                    send_line(&sink, &event_error("submit requires a `model` spec"));
-                    continue;
-                }
-                let job = ServeJob {
-                    id: format!(
-                        "j{}-{}",
-                        std::process::id(),
-                        shared.seq.fetch_add(1, Ordering::Relaxed)
-                    ),
-                    spec,
-                    steps: req.num("steps").unwrap_or(1000),
-                    lanes: usize::try_from(req.num("lanes").unwrap_or(1)).unwrap_or(1).max(1),
-                    rows: usize::try_from(req.num("rows").unwrap_or(8)).unwrap_or(8).max(1),
-                    seed: req.num("seed").unwrap_or(0xACC5),
-                    reply: Some(Arc::clone(&sink)),
+                let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
+                let id = format!("j{}-{seq}", std::process::id());
+                let job = match parse_job(&req, id, Some(Arc::clone(&sink))) {
+                    Ok(job) => job,
+                    Err(detail) => {
+                        send_line(&sink, &event_error(&detail));
+                        continue;
+                    }
                 };
                 append_job_event(shared, &queued_record(&job));
                 send_line(&sink, &format!("{{\"event\":\"queued\",\"job\":{}}}", json(&job.id)));
@@ -312,7 +313,10 @@ fn worker_loop(shared: &ServeShared, queue: &WorkQueue<ServeJob>) {
             execute_job(&shared.pipeline, &job)
         }))
         .unwrap_or_else(|payload| {
-            DoneEvent::failed(&job, format!("job panicked: {}", panic_message(payload.as_ref())))
+            DoneEvent::of(&Exec::failed(AccMoSError::Batch(format!(
+                "job panicked: {}",
+                panic_text(payload)
+            ))))
         });
         if let Some((tracer, start_us)) = start {
             let dur = tracer.now_us().saturating_sub(start_us);
@@ -336,14 +340,12 @@ struct DoneEvent {
 }
 
 impl DoneEvent {
-    fn failed(_job: &ServeJob, note: String) -> DoneEvent {
-        DoneEvent {
-            outcome: telemetry::outcome::FAILED,
-            engine: String::new(),
-            digest: 0,
-            steps: 0,
-            note,
-        }
+    fn of(exec: &Exec) -> DoneEvent {
+        let (engine, digest, steps) = match &exec.report {
+            Ok(report) => (report.engine.clone(), report.output_digest, report.steps),
+            Err(_) => (String::new(), 0, 0),
+        };
+        DoneEvent { outcome: exec.outcome(), engine, digest, steps, note: exec.note() }
     }
 
     fn event_line(&self, job: &ServeJob) -> String {
@@ -370,142 +372,62 @@ impl DoneEvent {
     }
 }
 
-/// Whether a spec's generated code may run in the daemon's own address
-/// space. Fuzz-generated models (`rand:`) are exactly the programs the
-/// differential campaigns exist to distrust; they keep child-process
-/// isolation unconditionally.
-fn trusted_spec(spec: &str) -> bool {
-    !spec.starts_with("rand:")
-}
-
 fn execute_job(pipeline: &AccMoS, job: &ServeJob) -> DoneEvent {
-    let model = match crate::load_spec(&job.spec) {
-        Ok(model) => model,
-        Err(detail) => {
-            let mut record = RunRecord::new("serve", &job.spec);
-            record.steps = job.steps;
-            record.lanes = job.lanes as u64;
-            record.outcome = telemetry::outcome::FAILED.into();
-            record.note = detail.clone();
-            pipeline.record(&record);
-            return DoneEvent::failed(job, detail);
-        }
-    };
     let pipeline = pipeline.clone().with_lanes(job.lanes);
-    let mut record = RunRecord::new("serve", &model.name);
-    record.steps = job.steps;
-    record.lanes = job.lanes as u64;
-
-    let fail = |mut record: RunRecord, note: String| {
-        record.outcome = telemetry::outcome::FAILED.into();
-        record.note = note.clone();
-        pipeline.record(&record);
-        DoneEvent::failed(job, note)
+    let (name, exec) = match crate::load_spec(&job.spec) {
+        Ok(model) => (model.name.clone(), run_model(&pipeline, &model, job)),
+        Err(detail) => (job.spec.clone(), Exec::failed(AccMoSError::Batch(detail))),
     };
-
-    let pre_start = Instant::now();
-    let pre = match preprocess(&model) {
-        Ok(pre) => pre,
-        Err(e) => return fail(record, e.to_string()),
-    };
-    record.phases.preprocess_us = telemetry::micros(pre_start.elapsed());
-    let (tests, lane_tests) = crate::fuzz::lane_stimulus(&pre, job.rows, job.seed, job.lanes);
-    let opts = RunOptions { lane_tests, ..RunOptions::default() };
-
-    if trusted_spec(&job.spec) {
-        let gen_start = Instant::now();
-        let program = accmos_codegen::generate(&pre, pipeline.codegen_options());
-        record.phases.analyze_us = telemetry::micros(program.analyze_time);
-        record.phases.codegen_us = telemetry::micros(
-            gen_start.elapsed().saturating_sub(program.analyze_time),
-        );
-        match run_in_process(&pipeline, &program, job.steps, &tests, &opts, &mut record) {
-            Ok(report) => {
-                record.engine = "accmos-dylib".into();
-                record.outcome = telemetry::outcome::OK.into();
-                pipeline.record(&record);
-                return DoneEvent {
-                    outcome: telemetry::outcome::OK,
-                    engine: record.engine.clone(),
-                    digest: report.output_digest,
-                    steps: report.steps,
-                    note: String::new(),
-                };
-            }
-            // A cooperative-cancel timeout spent the whole budget; a
-            // second subprocess attempt would just spend it again.
-            Err(e @ crate::BackendError::Supervised { .. }) => {
-                return fail(record, e.to_string());
-            }
-            Err(e) => {
-                record.note = format!("dylib fallback: {e}");
-            }
-        }
-    } else {
-        record.note = "isolation: subprocess (untrusted rand: model)".into();
-    }
-
-    // The child-process path: the isolation fallback, always flagged.
-    let note = record.note.clone();
-    let sim = match pipeline.prepare(&model) {
-        Ok(sim) => sim,
-        Err(e) => return fail(record, format!("{note}; prepare: {e}")),
-    };
-    record.phases = sim.phase_micros();
-    record.compile_cached = sim.cache_hit();
-    let supervisor = pipeline.supervisor();
-    let run_start = Instant::now();
-    let out = sim.run_supervised(job.steps, &tests, &opts, &supervisor);
-    record.phases.run_us = telemetry::micros(run_start.elapsed());
-    sim.clean();
-    match out {
-        Ok(run) => {
-            record.engine = run.report.engine.clone();
-            record.retries = u64::from(run.retries);
-            record.peak_rss_kb = run.peak_rss_kb;
-            record.outcome = telemetry::outcome::DEGRADED.into();
-            pipeline.record(&record);
-            DoneEvent {
-                outcome: telemetry::outcome::DEGRADED,
-                engine: run.report.engine.clone(),
-                digest: run.report.output_digest,
-                steps: run.report.steps,
-                note,
-            }
-        }
-        Err(e) => fail(record, format!("{note}; {e}")),
-    }
+    pipeline.record(&exec.record("serve", &name, job.steps, job.lanes as u64));
+    DoneEvent::of(&exec)
 }
 
-/// Compile as a shared object and run through [`DylibRunner`] with the
-/// pipeline's kill timeout as the cooperative deadline.
-fn run_in_process(
-    pipeline: &AccMoS,
-    program: &crate::GeneratedProgram,
-    steps: u64,
-    tests: &accmos_ir::TestVectors,
-    opts: &RunOptions,
-    record: &mut RunRecord,
-) -> Result<SimulationReport, crate::BackendError> {
-    let compiler = match pipeline.compiler() {
-        Ok(c) => c,
-        Err(AccMoSError::Backend(e)) => return Err(e),
-        Err(e) => {
-            return Err(crate::BackendError::RunFailed {
-                exe: PathBuf::new(),
-                detail: e.to_string(),
-            })
-        }
+/// Plan `model`, seed the job's stimulus, and walk the ladder. Trusted
+/// specs enter in process; fuzz-generated models (`rand:`) are exactly
+/// the programs the differential campaigns exist to distrust, so they
+/// enter at the child-process rung.
+fn run_model(pipeline: &AccMoS, model: &Model, job: &ServeJob) -> Exec {
+    let plan = match pipeline.plan(model) {
+        Ok(plan) => plan,
+        Err(e) => return Exec::failed(e),
     };
-    let dylib = compiler.compile_shared(program)?;
-    record.phases.compile_us = telemetry::micros(dylib.compile_time());
-    record.compile_cached = dylib.cache_hit();
-    let runner = DylibRunner::for_dylib(&dylib);
-    let run_start = Instant::now();
-    let out = runner.run(steps, tests, opts, pipeline.exec_policy().kill_timeout);
-    record.phases.run_us = telemetry::micros(run_start.elapsed());
-    dylib.clean();
-    out.map(|run| run.report)
+    let (tests, lane_tests) = crate::fuzz::lane_stimulus(&plan.pre, job.rows, job.seed, job.lanes);
+    let opts = RunOptions { lane_tests, ..RunOptions::default() };
+    let entry = if job.spec.starts_with("rand:") { Entry::Untrusted } else { Entry::Dylib };
+    let executor = Executor { pipeline, supervisor: None, traced_from: None };
+    executor.run(Subject::Plan(&plan), entry, &Job { steps: job.steps, tests: &tests, opts: &opts })
+}
+
+/// A job from a `submit` request or a recovered `queued` record.
+///
+/// # Errors
+///
+/// A missing `model` spec, or `lanes` / `rows` beyond `MAX_LANES` /
+/// `MAX_ROWS`.
+fn parse_job(
+    fields: &telemetry::Fields,
+    id: String,
+    reply: Option<Sink>,
+) -> Result<ServeJob, String> {
+    let spec = fields.str("model").unwrap_or_default();
+    if spec.is_empty() {
+        return Err("submit requires a `model` spec".into());
+    }
+    let lanes = fields.num("lanes").unwrap_or(1).max(1);
+    let rows = fields.num("rows").unwrap_or(8).max(1);
+    if lanes > MAX_LANES || rows > MAX_ROWS {
+        let most = format!("at most {MAX_LANES} lanes and {MAX_ROWS} rows");
+        return Err(format!("lanes {lanes} / rows {rows} out of range ({most})"));
+    }
+    Ok(ServeJob {
+        id,
+        spec,
+        steps: fields.num("steps").unwrap_or(1000),
+        lanes: lanes as usize,
+        rows: rows as usize,
+        seed: fields.num("seed").unwrap_or(0xACC5),
+        reply,
+    })
 }
 
 /// Re-read `jobs.jsonl` and rebuild the queue a crashed daemon left
@@ -520,20 +442,13 @@ fn recover_jobs(jobs_file: Option<&Path>) -> Vec<ServeJob> {
         let Some(fields) = telemetry::parse_flat_object(line) else { continue };
         let Some(id) = fields.str("job") else { continue };
         match fields.str("event").as_deref() {
-            Some("queued") => queued.push(ServeJob {
-                id,
-                spec: fields.str("model").unwrap_or_default(),
-                steps: fields.num("steps").unwrap_or(1000),
-                lanes: usize::try_from(fields.num("lanes").unwrap_or(1)).unwrap_or(1).max(1),
-                rows: usize::try_from(fields.num("rows").unwrap_or(8)).unwrap_or(8).max(1),
-                seed: fields.num("seed").unwrap_or(0xACC5),
-                reply: None,
-            }),
+            // A record with no spec or out-of-range sizes is skipped, so a
+            // bad submit from an older daemon cannot abort this one.
+            Some("queued") => queued.extend(parse_job(&fields, id, None).ok()),
             Some("done") => queued.retain(|j| j.id != id),
             _ => {}
         }
     }
-    queued.retain(|j| !j.spec.is_empty());
     queued
 }
 
@@ -571,32 +486,11 @@ fn event_error(detail: &str) -> String {
     format!("{{\"event\":\"error\",\"detail\":{}}}", json(detail))
 }
 
-fn json(s: &str) -> String {
-    telemetry::json_str(s)
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-fn now_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::BuildCache;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     struct TempDir(PathBuf);
 
@@ -773,6 +667,36 @@ mod tests {
     }
 
     #[test]
+    fn blocked_builds_degrade_trusted_jobs_to_the_interpreter() {
+        // A *file* where the build dir should be fails both builds: the
+        // dylib rung drops to the subprocess rung, whose failed compile
+        // drops the job to the interpreter, flagged with both causes.
+        let dir = TempDir::new("blocked");
+        let blocker = dir.0.join("blocker");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let pipeline = AccMoS::new().without_cache().with_work_dir(&blocker);
+        let job = ServeJob {
+            id: "b0".into(),
+            spec: "bench:SPV".into(),
+            steps: 50,
+            lanes: 1,
+            rows: 4,
+            seed: 9,
+            reply: None,
+        };
+        let done = execute_job(&pipeline, &job);
+        assert_eq!(done.outcome, telemetry::outcome::DEGRADED, "{}", done.note);
+        assert_eq!(done.engine, "sse");
+        assert!(done.note.contains("dylib fallback"), "{}", done.note);
+        assert!(done.note.contains("compile failed"), "{}", done.note);
+        let pre = crate::preprocess(&crate::load_spec("bench:SPV").unwrap()).unwrap();
+        let (tests, _) = crate::fuzz::lane_stimulus(&pre, 4, 9, 1);
+        let want = crate::exec::interp_lane_run(&pre, &tests, &RunOptions::default(), 50);
+        assert_eq!(done.digest, want.output_digest);
+        assert_eq!(done.steps, 50);
+    }
+
+    #[test]
     fn recovery_parses_only_well_formed_queued_records() {
         let dir = TempDir::new("parse");
         let path = dir.0.join("jobs.jsonl");
@@ -780,6 +704,7 @@ mod tests {
             &path,
             "{\"schema\":1,\"event\":\"queued\",\"job\":\"x\",\"model\":\"bench:SPV\"}\n\
              {\"schema\":1,\"event\":\"queued\",\"job\":\"nospec\"}\n\
+             {\"schema\":1,\"event\":\"queued\",\"job\":\"huge\",\"model\":\"bench:SPV\",\"rows\":1000000000000}\n\
              not json at all\n\
              {\"schema\":1,\"event\":\"done\",\"job\":\"gone\"}\n",
         )
