@@ -213,13 +213,14 @@ assert all(e["ph"] == "X" for e in events), "non-complete event in trace"
 EOF
 echo "ci: observability gate passed (profiled digest identical, trace has pipeline/supervisor/actor spans)"
 
-# Serve smoke gate: start the daemon, stream 8 jobs through it — six
-# trusted bench jobs on the in-process dylib engine, one untrusted
-# rand: job on the flagged subprocess path, and one fault-injected job
-# (the rand: job's cached executable swapped for a crashing faultsim
-# copy) that must classify as failed without taking the daemon down —
-# then assert ledger growth, the persistent job journal, and a clean
-# shutdown that removes the socket.
+# Serve smoke gate: start the daemon, stream 9 jobs through it — six
+# trusted bench jobs on the in-process dylib engine, a repeat of one of
+# them that must run from the daemon's memo (no planning, no build), one
+# untrusted rand: job on the flagged subprocess path, and one
+# fault-injected job (the rand: job's cached executable swapped for a
+# crashing faultsim copy) that must classify as failed without taking the
+# daemon down — then assert ledger growth, the persistent job journal,
+# and a clean shutdown that removes the socket.
 SERVE_DIR=$(mktemp -d)
 trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
 SOCK="$SERVE_DIR/accmos.sock"
@@ -240,6 +241,19 @@ for job in "bench:SPV 500" "bench:TWC 500 --lanes 4" "bench:RAC 500" \
 done
 [ "$(grep -c "outcome=ok engine=accmos-dylib" "$SERVE_DIR/submit_out.txt")" -eq 6 ] \
     || { cat "$SERVE_DIR/submit_out.txt" >&2; echo "ci: expected 6 in-process dylib results" >&2; exit 1; }
+# Warm path: SPV again, so its plan and shared object come from the memo
+# and its ledger record shows a cached build and no code generation.
+./target/release/accmos submit bench:SPV 500 --seed 9 --socket "$SOCK" > "$SERVE_DIR/warm_out.txt" \
+    || { cat "$SERVE_DIR/warm_out.txt" "$SERVE_DIR/serve_log.txt" >&2; echo "ci: warm serve job failed" >&2; exit 1; }
+grep -q "outcome=ok engine=accmos-dylib" "$SERVE_DIR/warm_out.txt" \
+    || { cat "$SERVE_DIR/warm_out.txt" >&2; echo "ci: warm serve job did not run in process" >&2; exit 1; }
+python3 - "$SERVE_DIR/ledger.jsonl" <<'EOF' \
+    || { echo "ci: warm SPV job did not run from the memo" >&2; exit 1; }
+import json, sys
+records = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
+spv = [r for r in records if r["source"] == "serve" and r["model"] == "SPV"][-1]
+assert spv["compile_cached"] is True and spv["codegen_us"] == 0, spv
+EOF
 ./target/release/accmos submit rand:5 300 --socket "$SOCK" >> "$SERVE_DIR/submit_out.txt" \
     || { cat "$SERVE_DIR/submit_out.txt" >&2; echo "ci: untrusted rand: job failed" >&2; exit 1; }
 grep -q "outcome=degraded" "$SERVE_DIR/submit_out.txt" \
@@ -265,9 +279,9 @@ fi
 ./target/release/accmos submit --ping --socket "$SOCK" > /dev/null \
     || { cat "$SERVE_DIR/serve_log.txt" >&2; echo "ci: daemon did not survive the oversized submit" >&2; exit 1; }
 COUNT=$(wc -l < "$SERVE_DIR/ledger.jsonl")
-[ "$COUNT" -ge 8 ] || { echo "ci: serve ledger has $COUNT record(s), expected >= 8" >&2; exit 1; }
+[ "$COUNT" -ge 9 ] || { echo "ci: serve ledger has $COUNT record(s), expected >= 9" >&2; exit 1; }
 JOBS=$(wc -l < "$SERVE_DIR/jobs.jsonl")
-[ "$JOBS" -ge 16 ] || { echo "ci: jobs journal has $JOBS record(s), expected >= 16 (8 queued + 8 done)" >&2; exit 1; }
+[ "$JOBS" -ge 18 ] || { echo "ci: jobs journal has $JOBS record(s), expected >= 18 (9 queued + 9 done)" >&2; exit 1; }
 ./target/release/accmos submit --shutdown --socket "$SOCK" | grep -q "shutting down" \
     || { echo "ci: shutdown handshake failed" >&2; exit 1; }
 i=0
@@ -277,7 +291,7 @@ while kill -0 "$SERVE_PID" 2>/dev/null; do
     sleep 0.2
 done
 [ ! -e "$SOCK" ] || { echo "ci: daemon left its socket behind" >&2; exit 1; }
-echo "ci: serve gate passed (6 dylib jobs, 1 subprocess-isolated, 1 fault-injected failure, 1 oversized submit refused; ledger $COUNT, journal $JOBS, clean shutdown)"
+echo "ci: serve gate passed (6 dylib jobs, 1 warm memo hit, 1 subprocess-isolated, 1 fault-injected failure, 1 oversized submit refused; ledger $COUNT, journal $JOBS, clean shutdown)"
 
 # Benchmark package gate: perfbench/ is its own workspace, so a public-API
 # change in crates/ could break it without the legs above noticing.

@@ -143,7 +143,9 @@ impl Compiler {
         self
     }
 
-    /// Builder-style: build under `dir` instead of a fresh temp directory.
+    /// Builder-style: make each build's directory under `dir` instead of
+    /// the system temp directory. Every build still gets a directory of
+    /// its own, and cleaning a build removes only that one.
     pub fn with_work_dir(mut self, dir: impl Into<PathBuf>) -> Compiler {
         self.work_dir = Some(dir.into());
         self
@@ -255,14 +257,11 @@ impl Compiler {
         out_name: &str,
     ) -> Result<(PathBuf, PathBuf, Duration, bool), BackendError> {
         let start = Instant::now();
-        let dir = match &self.work_dir {
-            Some(d) => d.clone(),
-            None => std::env::temp_dir().join(format!(
-                "accmos-build-{}-{}",
-                std::process::id(),
-                BUILD_SEQ.fetch_add(1, Ordering::Relaxed)
-            )),
-        };
+        let dir = self.work_dir.clone().unwrap_or_else(std::env::temp_dir).join(format!(
+            "accmos-build-{}-{}",
+            std::process::id(),
+            BUILD_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         std::fs::create_dir_all(&dir)
             .map_err(|source| BackendError::Io { path: dir.clone(), source })?;
 

@@ -16,15 +16,15 @@ fn bad(line: &str, detail: impl Into<String>) -> BackendError {
 }
 
 fn parse_value(dt: DataType, hexes: &[&str], line: &str) -> Result<Value, BackendError> {
-    let mut elems = Vec::with_capacity(hexes.len());
-    for h in hexes {
+    let elem = |h: &&str| {
         let bits = u64::from_str_radix(h, 16).map_err(|_| bad(line, format!("bad hex `{h}`")))?;
-        elems.push(Scalar::from_bits_u64(dt, bits));
+        Ok(Scalar::from_bits_u64(dt, bits))
+    };
+    match hexes {
+        [] => Err(bad(line, "empty value")),
+        [h] => elem(h).map(Value::scalar),
+        _ => hexes.iter().map(elem).collect::<Result<_, _>>().map(Value::vector),
     }
-    if elems.is_empty() {
-        return Err(bad(line, "empty value"));
-    }
-    Ok(if elems.len() == 1 { Value::scalar(elems[0]) } else { Value::vector(elems) })
 }
 
 /// Parse a simulator's standard output into a report.
@@ -42,17 +42,20 @@ pub fn parse_report(stdout: &str) -> Result<SimulationReport, BackendError> {
     // A stream that does not end in a newline was cut off mid-record:
     // the last line is a partial write, not a (possibly malformed) record.
     let ends_clean = stdout.is_empty() || stdout.ends_with('\n');
-    let lines: Vec<&str> = stdout.lines().collect();
+    let mut lines = stdout.lines().peekable();
     let mut last_protocol_line: Option<&str> = None;
+    // Reused across records: one allocation per stream, not per line.
+    let mut fields = Vec::new();
 
-    for (i, line) in lines.iter().enumerate() {
-        if !line.starts_with("ACCMOS:") {
+    while let Some(line) = lines.next() {
+        let Some(rest) = line.strip_prefix("ACCMOS:") else {
             continue; // tolerate interleaved non-protocol output
-        }
+        };
         last_protocol_line = Some(line);
-        let partial = !ends_clean && i + 1 == lines.len();
-        if let Err(e) = state.apply(line) {
-            if partial {
+        fields.clear();
+        fields.extend(rest.split_ascii_whitespace());
+        if let Err(e) = state.apply(line, &fields) {
+            if !ends_clean && lines.peek().is_none() {
                 return Err(bad(
                     line,
                     format!(
@@ -116,10 +119,10 @@ impl ParseState {
         }
     }
 
-    fn apply(&mut self, line: &str) -> Result<(), BackendError> {
+    /// Apply one record: `line` whole (for error messages) and its fields
+    /// after the `ACCMOS:` prefix.
+    fn apply(&mut self, line: &str, fields: &[&str]) -> Result<(), BackendError> {
         self.report.get_or_insert_with(|| SimulationReport::new("", "accmos"));
-        let rest = line.strip_prefix("ACCMOS:").expect("caller checked the prefix");
-        let fields: Vec<&str> = rest.split_whitespace().collect();
         match fields.first().copied() {
             Some("MODEL") => {
                 self.report.as_mut().expect("inserted above").model =

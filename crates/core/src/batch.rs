@@ -738,6 +738,24 @@ mod tests {
         std::fs::remove_file(&blocker).unwrap();
     }
 
+    #[test]
+    fn builds_under_one_work_dir_stay_apart() {
+        let dir = std::env::temp_dir().join(format!("accmos-batch-work-{}", std::process::id()));
+        let pipeline = AccMoS::new().without_cache().with_work_dir(&dir);
+        let names = ["WorkA", "WorkB", "WorkC", "WorkD"];
+        let jobs = names
+            .iter()
+            .zip(2..)
+            .map(|(name, gain)| BatchJob::model(*name, gain_model(name, gain), tests_for(1), 4))
+            .collect();
+        let report = BatchRunner::new(pipeline).with_workers(2).run(jobs).unwrap();
+        for (job, name) in report.jobs.iter().zip(names) {
+            assert!(!job.degraded(), "{name}: {:?}", job.fallback_reason);
+            assert_eq!(job.report.as_ref().unwrap().model, name, "each job runs its own model");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[cfg(unix)]
     #[test]
     fn quarantined_binary_degrades_remaining_jobs() {

@@ -9,9 +9,9 @@
 
 use crate::telemetry::{self, outcome};
 use crate::{
-    AccMoS, AccMoSError, BackendError, CompiledSimulator, DylibRunner, Engine, FailureKind,
-    GeneratedProgram, NormalEngine, PhaseMicros, PreprocessedModel, RunOptions, RunRecord,
-    SimOptions, SupervisedRun, Supervisor,
+    AccMoS, AccMoSError, BackendError, CompiledDylib, CompiledSimulator, DylibRunner, Engine,
+    FailureKind, GeneratedProgram, NormalEngine, PhaseMicros, PreprocessedModel, RunOptions,
+    RunRecord, SimOptions, SupervisedRun, Supervisor,
 };
 use accmos_ir::{Model, SimulationReport, TestVectors};
 use std::borrow::Cow;
@@ -67,8 +67,8 @@ impl AccMoS {
 /// What a job runs.
 #[derive(Clone, Copy)]
 pub(crate) enum Subject<'a> {
-    /// A planned model: each compiled rung builds (and cleans) its
-    /// artifact when the ladder reaches it.
+    /// A planned model: the subprocess rung builds (and cleans) its
+    /// executable when the ladder reaches it.
     Plan(&'a Plan),
     /// A planned model built ahead of the run (batch compile pool,
     /// [`AccMoS::prepare`]), or its build error; the builder cleans it.
@@ -78,10 +78,13 @@ pub(crate) enum Subject<'a> {
 }
 
 /// The rung a job enters the ladder at.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Entry {
-    /// The in-process dylib rung: serve's trusted specs.
-    Dylib,
+#[derive(Clone, Copy)]
+pub(crate) enum Entry<'a> {
+    /// The in-process dylib rung, serve's trusted specs: the shared object
+    /// built for the job, or why it did not build. The rung runs it but
+    /// neither builds nor cleans it. A `reused` one was planned and built
+    /// by an earlier job, so this job's record charges neither.
+    Dylib { so: Result<&'a CompiledDylib, &'a BackendError>, reused: bool },
     /// The supervised subprocess rung: every other job.
     Subprocess,
     /// The subprocess rung for an untrusted spec ([`Fallback::Untrusted`]).
@@ -216,13 +219,14 @@ pub(crate) struct Executor<'a> {
 
 impl Executor<'_> {
     /// Walk the whole ladder from `entry`.
-    pub(crate) fn run(&self, subject: Subject<'_>, entry: Entry, job: &Job<'_>) -> Exec {
+    pub(crate) fn run(&self, subject: Subject<'_>, entry: Entry<'_>, job: &Job<'_>) -> Exec {
         let plan = match subject {
             Subject::Plan(plan) | Subject::Built(plan, _) => Some(plan),
             Subject::Executable(..) => None,
         };
-        let mut trail =
-            Trail { phases: plan.map(Plan::phases).unwrap_or_default(), ..Trail::default() };
+        let planned = !matches!(entry, Entry::Dylib { reused: true, .. });
+        let phases = plan.filter(|_| planned).map(Plan::phases).unwrap_or_default();
+        let mut trail = Trail { phases, ..Trail::default() };
         let report = match self.compiled(subject, entry, job, &mut trail) {
             Ok(report) => Ok(report),
             Err(Stop::Failed(e)) => Err(e),
@@ -241,17 +245,17 @@ impl Executor<'_> {
     pub(crate) fn compiled(
         &self,
         subject: Subject<'_>,
-        entry: Entry,
+        entry: Entry<'_>,
         job: &Job<'_>,
         trail: &mut Trail,
     ) -> Result<SimulationReport, Stop> {
-        match (entry, subject) {
-            (Entry::Dylib, Subject::Plan(plan)) => match self.dylib(plan, job, trail) {
+        match entry {
+            Entry::Dylib { so, reused } => match self.dylib(so, reused, job, trail) {
                 Err(Stop::Fallback(cause)) => trail.causes.push(cause),
                 done => return done,
             },
-            (Entry::Untrusted, _) => trail.causes.push(Fallback::Untrusted),
-            _ => {}
+            Entry::Untrusted => trail.causes.push(Fallback::Untrusted),
+            Entry::Subprocess => {}
         }
         let mut built = None; // an executable this walk builds, and cleans
         let sim = match subject {
@@ -280,23 +284,24 @@ impl Executor<'_> {
         run
     }
 
-    /// The in-process rung: build the shared object and call it once,
-    /// with the kill timeout as its cooperative deadline.
+    /// The in-process rung: call the shared object once, with the kill
+    /// timeout as its cooperative deadline.
     fn dylib(
         &self,
-        plan: &Plan,
+        so: Result<&CompiledDylib, &BackendError>,
+        reused: bool,
         job: &Job<'_>,
         trail: &mut Trail,
     ) -> Result<SimulationReport, Stop> {
-        let dylib = self.pipeline.compiler().and_then(|c| c.compile_shared(&plan.program));
-        let dylib = dylib.map_err(|e| Stop::Fallback(Fallback::Dylib(e.to_string())))?;
-        trail.phases.compile_us += telemetry::micros(dylib.compile_time());
-        trail.compile_cached = dylib.cache_hit();
+        let so = so.map_err(|e| Stop::Fallback(Fallback::Dylib(e.to_string())))?;
+        if !reused {
+            trail.phases.compile_us += telemetry::micros(so.compile_time());
+        }
+        trail.compile_cached = reused || so.cache_hit();
         let start = Instant::now();
         let deadline = self.pipeline.exec_policy.kill_timeout;
-        let run = DylibRunner::for_dylib(&dylib).run(job.steps, job.tests, job.opts, deadline);
+        let run = DylibRunner::for_dylib(so).run(job.steps, job.tests, job.opts, deadline);
         trail.run_time += start.elapsed();
-        dylib.clean();
         match run {
             Ok(run) => Ok(SimulationReport { engine: "accmos-dylib".into(), ..run.report }),
             // A cooperative timeout spent the deadline; the subprocess

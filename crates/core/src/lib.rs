@@ -215,8 +215,10 @@ impl AccMoS {
         self
     }
 
-    /// Builder-style: build in a fixed directory (useful for inspecting
-    /// the generated code).
+    /// Builder-style: make each build's directory under `dir` (useful for
+    /// inspecting the generated code) instead of the system temp
+    /// directory. Builds never share a directory, and cleaning one
+    /// removes only its own.
     pub fn with_work_dir(mut self, dir: impl Into<PathBuf>) -> AccMoS {
         self.work_dir = Some(dir.into());
         self
@@ -508,25 +510,52 @@ impl PreparedSimulation {
 /// An unknown benchmark (the message lists every valid name), a seed that
 /// is not a number, or a file that cannot be read or parsed.
 pub fn load_spec(spec: &str) -> Result<Model, String> {
-    if let Some(name) = spec.strip_prefix("bench:") {
-        let upper = name.to_ascii_uppercase();
-        if upper == "FIGURE1" {
-            return Ok(accmos_models::figure1());
+    Source::read(spec)?.model()
+}
+
+/// A model spec read as far as it takes to tell its model apart from any
+/// other, without building it: what the serve daemon's memo keys on.
+#[derive(PartialEq, Eq)]
+pub(crate) enum Source {
+    /// A built-in model by canonical (upper-case) name.
+    Bench(String),
+    /// The differential fuzzer's random model with this seed.
+    Rand(u64),
+    /// The text of an `.mdlx` file.
+    Mdlx(String),
+}
+
+impl Source {
+    /// Resolve `spec` ([`load_spec`]'s forms): check a benchmark name or
+    /// seed, or read the file.
+    pub(crate) fn read(spec: &str) -> Result<Source, String> {
+        if let Some(name) = spec.strip_prefix("bench:") {
+            let upper = name.to_ascii_uppercase();
+            if upper == "FIGURE1" || accmos_models::TABLE1.iter().any(|(n, _, _)| *n == upper) {
+                return Ok(Source::Bench(upper));
+            }
+            return Err(format!(
+                "unknown benchmark `{name}` (valid: figure1, {})",
+                accmos_models::TABLE1.map(|(n, _, _)| n).join(", ")
+            ));
         }
-        if accmos_models::TABLE1.iter().any(|(n, _, _)| *n == upper) {
-            return Ok(accmos_models::by_name(&upper));
+        if let Some(seed) = spec.strip_prefix("rand:") {
+            let seed = seed.parse().map_err(|_| format!("bad random-model seed `{seed}`"))?;
+            return Ok(Source::Rand(seed));
         }
-        return Err(format!(
-            "unknown benchmark `{name}` (valid: figure1, {})",
-            accmos_models::TABLE1.map(|(n, _, _)| n).join(", ")
-        ));
+        let text = std::fs::read_to_string(spec).map_err(|e| format!("cannot read {spec}: {e}"))?;
+        Ok(Source::Mdlx(text))
     }
-    if let Some(seed) = spec.strip_prefix("rand:") {
-        let seed: u64 = seed.parse().map_err(|_| format!("bad random-model seed `{seed}`"))?;
-        return fuzz::planned_model(seed);
+
+    /// Build the model: look up or generate it, or parse the file's text.
+    pub(crate) fn model(&self) -> Result<Model, String> {
+        match self {
+            Source::Bench(name) if name == "FIGURE1" => Ok(accmos_models::figure1()),
+            Source::Bench(name) => Ok(accmos_models::by_name(name)),
+            Source::Rand(seed) => fuzz::planned_model(*seed),
+            Source::Mdlx(text) => parse_mdlx(text).map_err(|e| e.to_string()),
+        }
     }
-    let text = std::fs::read_to_string(spec).map_err(|e| format!("cannot read {spec}: {e}"))?;
-    parse_mdlx(&text).map_err(|e| e.to_string())
 }
 
 /// Run one of the interpretive SSE stand-ins on a model.
@@ -643,6 +672,21 @@ mod tests {
         assert!(out.fallback_reason.is_some());
         assert_eq!(out.report.final_outputs[0].1.to_string(), "42");
         std::fs::remove_file(&blocker).unwrap();
+    }
+
+    #[test]
+    fn cleaning_a_build_keeps_the_rest_of_the_work_dir() {
+        let dir = std::env::temp_dir().join(format!("accmos-run-work-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("keep.txt"), b"mine").unwrap();
+        let tests = TestVectors::constant("In", Scalar::I32(21), 1);
+        let pipeline = AccMoS::new().without_cache().with_work_dir(&dir);
+        let out = pipeline.run(&small_model(), 5, &tests, &RunOptions::default()).unwrap();
+        assert!(!out.degraded(), "{:?}", out.fallback_reason);
+        let left: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, ["keep.txt"], "the run removed only its own build directory");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -2,11 +2,29 @@
 //!
 //! The daemon listens on a Unix-domain socket for line-delimited flat
 //! JSON requests, keeps a persistent job queue, and executes generated
-//! simulators **in process**: each job's C program is compiled as a
+//! simulators **in process**: a trusted job's C program is compiled as a
 //! shared object ([`crate::Compiler::compile_shared`]) and invoked through
 //! [`crate::DylibRunner`], eliminating the per-run `fork`/`exec`/pipe cost of
-//! the subprocess engine. For a cached simulator the remaining dispatch
-//! cost is a `dlopen` of a scratch copy plus one function call.
+//! the subprocess engine. A job repeating a model the daemon has run
+//! before (see *Warm path*) still pays its stimulus, a scratch copy,
+//! `dlopen` and `dlclose` of the shared object, the entry call, the parse
+//! of the records it emits, and the ledger append.
+//!
+//! ## Warm path
+//!
+//! The daemon memoizes each trusted model's plan and shared object under
+//! its source and lane width. The source is a `bench:` spec's canonical
+//! name, or a model file's text, read on every job (a rewritten file is
+//! a new model); the pipeline's other codegen options are fixed for the
+//! daemon's lifetime. A hit skips resolving and planning the model,
+//! `cc --version`, writing the sources, hashing the cache key and the
+//! build-cache fetch; its ledger record shows a cached build with zero
+//! plan and compile time. A miss takes the full path and memoizes its
+//! result after the job. The memo keeps at most 64 entries, evicting the
+//! least recently used; an entry's build directory is removed once it
+//! is evicted and no running job holds it, and when the daemon stops. A
+//! memoized shared object that fails (a timeout aside) is dropped, and
+//! the job goes on down the ladder. `rand:` specs are never memoized.
 //!
 //! ## Protocol
 //!
@@ -57,22 +75,25 @@
 //! separate baselines.
 
 use crate::batch::WorkQueue;
-use crate::exec::{Entry, Exec, Executor, Job, Subject};
+use crate::exec::{Entry, Exec, Executor, Fallback, Job, Plan, Subject};
 use crate::fuzz::{now_ms, panic_text};
 use crate::telemetry::{self, json_str as json};
-use crate::{AccMoS, AccMoSError, RunOptions};
-use accmos_ir::Model;
+use crate::{AccMoS, AccMoSError, CompiledDylib, RunOptions, Source};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// The most lanes and stimulus rows one job may ask for. The stimulus is
 /// allocated up front, and a failed allocation aborts the whole daemon.
 const MAX_LANES: u64 = 64;
 const MAX_ROWS: u64 = 65_536;
+
+/// The most models the memo keeps built: the 10 Table 1 models at 4 lane
+/// widths, with room.
+const MEMO_ENTRIES: usize = 64;
 
 /// Configuration for [`ServeHandle::start`].
 #[derive(Debug)]
@@ -123,6 +144,7 @@ type Sink = Arc<Mutex<UnixStream>>;
 
 struct ServeShared {
     pipeline: AccMoS,
+    memo: Memo,
     jobs_file: Option<PathBuf>,
     pending: AtomicUsize,
     shutting_down: AtomicBool,
@@ -157,6 +179,7 @@ impl ServeHandle {
         };
         let shared = Arc::new(ServeShared {
             pipeline: config.pipeline,
+            memo: Memo::default(),
             jobs_file,
             pending: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
@@ -205,12 +228,14 @@ impl ServeHandle {
     }
 
     /// Block until the daemon stops (a client sent `shutdown`), then
-    /// reap its threads and remove the socket file.
+    /// reap its threads and remove the socket file and every memoized
+    /// build directory.
     pub fn join(self) {
         let _ = self.accept.join();
         for worker in self.workers {
             let _ = worker.join();
         }
+        self.shared.memo.clear();
         let _ = std::fs::remove_file(&self.socket);
     }
 
@@ -310,7 +335,7 @@ fn worker_loop(shared: &ServeShared, queue: &WorkQueue<ServeJob>) {
         // A panicking job (a bug, not a policy outcome) must not take
         // the worker down with it — the daemon keeps serving.
         let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_job(&shared.pipeline, &job)
+            execute_job(&shared.pipeline, &shared.memo, &job)
         }))
         .unwrap_or_else(|payload| {
             DoneEvent::of(&Exec::failed(AccMoSError::Batch(format!(
@@ -372,30 +397,136 @@ impl DoneEvent {
     }
 }
 
-fn execute_job(pipeline: &AccMoS, job: &ServeJob) -> DoneEvent {
+/// A trusted model's plan and shared object, built by the first job that
+/// names it and reused by every later one. The last holder to drop it (the
+/// memo on eviction or shutdown, or a job still running it) removes its
+/// build directory.
+struct Warm {
+    plan: Plan,
+    dylib: CompiledDylib,
+}
+
+impl Drop for Warm {
+    fn drop(&mut self) {
+        self.dylib.clean();
+    }
+}
+
+/// What a job's model is memoized under: its source and lane width (the
+/// daemon's other codegen options are fixed for its lifetime).
+type MemoKey = (Source, usize);
+
+/// The daemon's memo of [`Warm`] models, least recently used first, at
+/// most [`MEMO_ENTRIES`] of them.
+#[derive(Default)]
+struct Memo(Mutex<Vec<(MemoKey, Arc<Warm>)>>);
+
+impl Memo {
+    /// Every update leaves the list valid, so a job that panicked while
+    /// holding the lock left nothing half done.
+    fn entries(&self) -> MutexGuard<'_, Vec<(MemoKey, Arc<Warm>)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: &MemoKey) -> Option<Arc<Warm>> {
+        let mut entries = self.entries();
+        let i = entries.iter().position(|(k, _)| k == key)?;
+        let entry = entries.remove(i);
+        let warm = Arc::clone(&entry.1);
+        entries.push(entry);
+        Some(warm)
+    }
+
+    /// Keep `warm` unless another job's build of `key` got in first. What
+    /// this drops, an evicted entry or the losing build, is cleaned after
+    /// the lock is released.
+    fn insert(&self, key: MemoKey, warm: Arc<Warm>) {
+        let _dropped = {
+            let mut entries = self.entries();
+            if entries.iter().any(|(k, _)| *k == key) {
+                Some(warm)
+            } else {
+                let evicted = (entries.len() == MEMO_ENTRIES).then(|| entries.remove(0).1);
+                entries.push((key, warm));
+                evicted
+            }
+        };
+    }
+
+    /// Drop `warm` if it is still memoized.
+    fn remove(&self, warm: &Arc<Warm>) {
+        let _dropped = {
+            let mut entries = self.entries();
+            entries.iter().position(|(_, w)| Arc::ptr_eq(w, warm)).map(|i| entries.remove(i))
+        };
+    }
+
+    fn clear(&self) {
+        let _dropped = std::mem::take(&mut *self.entries());
+    }
+}
+
+fn execute_job(pipeline: &AccMoS, memo: &Memo, job: &ServeJob) -> DoneEvent {
     let pipeline = pipeline.clone().with_lanes(job.lanes);
-    let (name, exec) = match crate::load_spec(&job.spec) {
-        Ok(model) => (model.name.clone(), run_model(&pipeline, &model, job)),
+    let (name, exec) = match Source::read(&job.spec) {
+        Ok(source) => run_source(&pipeline, memo, (source, job.lanes), job),
         Err(detail) => (job.spec.clone(), Exec::failed(AccMoSError::Batch(detail))),
     };
     pipeline.record(&exec.record("serve", &name, job.steps, job.lanes as u64));
     DoneEvent::of(&exec)
 }
 
-/// Plan `model`, seed the job's stimulus, and walk the ladder. Trusted
-/// specs enter in process; fuzz-generated models (`rand:`) are exactly
-/// the programs the differential campaigns exist to distrust, so they
-/// enter at the child-process rung.
-fn run_model(pipeline: &AccMoS, model: &Model, job: &ServeJob) -> Exec {
-    let plan = match pipeline.plan(model) {
-        Ok(plan) => plan,
-        Err(e) => return Exec::failed(e),
+/// Run a job's model, and name it for the ledger. A trusted spec seen
+/// before runs straight from the memo; otherwise the model is built,
+/// planned and (trusted) compiled as a shared object, which is memoized
+/// once it has run. Fuzz-generated models (`rand:`) are exactly the
+/// programs the differential campaigns exist to distrust, so they enter
+/// at the child-process rung and are never memoized (nor found in the
+/// memo). A memoized shared object that fails (anything but a timeout) is
+/// dropped from the memo.
+fn run_source(pipeline: &AccMoS, memo: &Memo, key: MemoKey, job: &ServeJob) -> (String, Exec) {
+    let trusted = !matches!(key.0, Source::Rand(_));
+    if let Some(warm) = memo.get(&key) {
+        let entry = Entry::Dylib { so: Ok(&warm.dylib), reused: true };
+        let exec = run_plan(pipeline, &warm.plan, entry, job);
+        if dylib_failed(&exec) {
+            memo.remove(&warm);
+        }
+        return (warm.plan.pre.flat.name.clone(), exec);
+    }
+    let model = match key.0.model() {
+        Ok(model) => model,
+        Err(detail) => return (job.spec.clone(), Exec::failed(AccMoSError::Batch(detail))),
     };
+    let plan = match pipeline.plan(&model) {
+        Ok(plan) => plan,
+        Err(e) => return (model.name, Exec::failed(e)),
+    };
+    if !trusted {
+        return (model.name, run_plan(pipeline, &plan, Entry::Untrusted, job));
+    }
+    let dylib = pipeline.compiler().and_then(|c| c.compile_shared(&plan.program));
+    let exec = run_plan(pipeline, &plan, Entry::Dylib { so: dylib.as_ref(), reused: false }, job);
+    if let Ok(dylib) = dylib {
+        let warm = Warm { plan, dylib };
+        if !dylib_failed(&exec) {
+            memo.insert(key, Arc::new(warm));
+        }
+    }
+    (model.name, exec)
+}
+
+/// Seed the job's stimulus and walk the ladder from `entry`.
+fn run_plan(pipeline: &AccMoS, plan: &Plan, entry: Entry<'_>, job: &ServeJob) -> Exec {
     let (tests, lane_tests) = crate::fuzz::lane_stimulus(&plan.pre, job.rows, job.seed, job.lanes);
     let opts = RunOptions { lane_tests, ..RunOptions::default() };
-    let entry = if job.spec.starts_with("rand:") { Entry::Untrusted } else { Entry::Dylib };
     let executor = Executor { pipeline, supervisor: None, traced_from: None };
-    executor.run(Subject::Plan(&plan), entry, &Job { steps: job.steps, tests: &tests, opts: &opts })
+    executor.run(Subject::Plan(plan), entry, &Job { steps: job.steps, tests: &tests, opts: &opts })
+}
+
+/// Whether the job left the dylib rung because its shared object failed.
+fn dylib_failed(exec: &Exec) -> bool {
+    exec.trail.causes.iter().any(|cause| matches!(cause, Fallback::Dylib(_)))
 }
 
 /// A job from a `submit` request or a recovered `queued` record.
@@ -656,7 +787,7 @@ mod tests {
             seed: 9,
             reply: None,
         };
-        let done = execute_job(&pipeline, &job);
+        let done = execute_job(&pipeline, &Memo::default(), &job);
         assert_eq!(done.outcome, telemetry::outcome::DEGRADED);
         assert!(done.note.contains("isolation: subprocess"));
         assert_ne!(done.engine, "accmos-dylib");
@@ -684,7 +815,7 @@ mod tests {
             seed: 9,
             reply: None,
         };
-        let done = execute_job(&pipeline, &job);
+        let done = execute_job(&pipeline, &Memo::default(), &job);
         assert_eq!(done.outcome, telemetry::outcome::DEGRADED, "{}", done.note);
         assert_eq!(done.engine, "sse");
         assert!(done.note.contains("dylib fallback"), "{}", done.note);
@@ -694,6 +825,148 @@ mod tests {
         let want = crate::exec::interp_lane_run(&pre, &tests, &RunOptions::default(), 50);
         assert_eq!(done.digest, want.output_digest);
         assert_eq!(done.steps, 50);
+    }
+
+    fn job(spec: &str, lanes: usize, seed: u64) -> ServeJob {
+        let id = format!("m{seed}");
+        ServeJob { id, spec: spec.into(), steps: 200, lanes, rows: 8, seed, reply: None }
+    }
+
+    /// The interpreter's digest for `job`: what every engine must report.
+    fn interp_digest(job: &ServeJob) -> u64 {
+        let pre = crate::preprocess(&crate::load_spec(&job.spec).unwrap()).unwrap();
+        let (tests, lane_tests) = crate::fuzz::lane_stimulus(&pre, job.rows, job.seed, job.lanes);
+        let opts = RunOptions { lane_tests, ..RunOptions::default() };
+        crate::exec::interp_lane_run(&pre, &tests, &opts, job.steps).output_digest
+    }
+
+    fn assert_warm(done: &DoneEvent, job: &ServeJob) {
+        assert_eq!(done.outcome, telemetry::outcome::OK, "{}: {}", job.spec, done.note);
+        assert_eq!(done.engine, "accmos-dylib", "{}", job.spec);
+        assert_eq!(done.digest, interp_digest(job), "{} seed {}", job.spec, job.seed);
+    }
+
+    #[test]
+    fn repeated_jobs_run_from_the_memo_without_planning_or_cache_lookups() {
+        let dir = TempDir::new("memo-hit");
+        let cache = BuildCache::at(dir.0.join("state"));
+        let pipeline = AccMoS::new().with_cache(cache.clone());
+        let memo = Memo::default();
+        let first = job("bench:SPV", 1, 3);
+        assert_warm(&execute_job(&pipeline, &memo, &first), &first);
+        let before = cache.stats();
+        // The benchmark name matches case-insensitively, so this is a hit.
+        let again = job("bench:spv", 1, 4);
+        assert_warm(&execute_job(&pipeline, &memo, &again), &again);
+        assert_eq!(cache.stats(), before, "a memo hit makes no build-cache lookup");
+        let view = pipeline.ledger().unwrap().read();
+        let rec = view.records.last().unwrap();
+        assert!(rec.compile_cached);
+        let p = rec.phases;
+        let planned = [p.parse_us, p.preprocess_us, p.analyze_us, p.codegen_us, p.compile_us];
+        assert_eq!(planned, [0; 5], "a hit neither plans nor builds");
+        assert!(view.records[0].phases.codegen_us > 0, "the miss planned");
+    }
+
+    #[test]
+    fn rewritten_file_specs_run_the_new_model() {
+        let dir = TempDir::new("memo-file");
+        let pipeline = AccMoS::new().with_cache(BuildCache::at(dir.0.join("state")));
+        let memo = Memo::default();
+        let path = dir.0.join("model.mdlx");
+        let spec = path.to_str().unwrap();
+        std::fs::write(&path, include_str!("../../../assets/figure1.mdlx")).unwrap();
+        let figure1 = job(spec, 1, 6);
+        assert_warm(&execute_job(&pipeline, &memo, &figure1), &figure1);
+        std::fs::write(&path, include_str!("../../../assets/twc.mdlx")).unwrap();
+        let twc = job(spec, 1, 6);
+        assert_warm(&execute_job(&pipeline, &memo, &twc), &twc);
+        assert_eq!(pipeline.ledger().unwrap().read().records[1].model, "TWC");
+    }
+
+    #[test]
+    fn lane_widths_of_one_spec_are_separate_entries() {
+        let dir = TempDir::new("memo-lanes");
+        let pipeline = AccMoS::new().with_cache(BuildCache::at(dir.0.join("state")));
+        let memo = Memo::default();
+        for seed in [5, 6] {
+            for lanes in [1, 4] {
+                let job = job("bench:TWC", lanes, seed);
+                assert_warm(&execute_job(&pipeline, &memo, &job), &job);
+            }
+        }
+        let entries = memo.entries();
+        let widths: Vec<_> = entries.iter().map(|((_, l), w)| (*l, w.plan.program.lanes)).collect();
+        assert_eq!(widths, [(1, 1), (4, 4)]);
+        let view = pipeline.ledger().unwrap().read();
+        let lanes: Vec<_> = view.records.iter().map(|r| (r.lanes, r.compile_cached)).collect();
+        assert_eq!(lanes[2..], [(1, true), (4, true)], "the second round hits, per width");
+    }
+
+    #[test]
+    fn a_vanished_shared_object_is_dropped_after_one_degraded_job() {
+        let dir = TempDir::new("memo-vanish");
+        let pipeline = AccMoS::new().with_cache(BuildCache::at(dir.0.join("state")));
+        let memo = Memo::default();
+        let first = job("bench:CSEV", 1, 1);
+        assert_warm(&execute_job(&pipeline, &memo, &first), &first);
+        let so = memo.entries()[0].1.dylib.so().to_path_buf();
+        std::fs::remove_file(&so).unwrap();
+        let broken = job("bench:CSEV", 1, 2);
+        let done = execute_job(&pipeline, &memo, &broken);
+        assert_eq!(done.outcome, telemetry::outcome::DEGRADED, "{}", done.note);
+        assert!(done.note.contains("dylib fallback"), "{}", done.note);
+        assert_eq!(done.digest, interp_digest(&broken));
+        assert!(memo.entries().is_empty(), "the failed entry is dropped");
+        let next = job("bench:CSEV", 1, 3);
+        assert_warm(&execute_job(&pipeline, &memo, &next), &next);
+    }
+
+    #[test]
+    fn two_workers_share_the_memo_and_stop_removes_its_build_dirs() {
+        let dir = TempDir::new("memo-daemon");
+        let builds = dir.0.join("builds");
+        let pipeline = AccMoS::new()
+            .with_cache(BuildCache::at(dir.0.join("state")))
+            .with_work_dir(&builds);
+        let socket = dir.0.join("accmos.sock");
+        let handle =
+            ServeHandle::start(ServeConfig::new(&socket).with_workers(2).with_pipeline(pipeline))
+                .expect("daemon starts");
+        let client = UnixStream::connect(&socket).expect("daemon is listening");
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut client = client;
+        let jobs: Vec<ServeJob> = (0..8).map(|seed| job("bench:LEDLC", 1, seed)).collect();
+        for job in &jobs {
+            let line = format!(
+                "{{\"op\":\"submit\",\"model\":{},\"steps\":{},\"rows\":{},\"seed\":{}}}\n",
+                json(&job.spec),
+                job.steps,
+                job.rows,
+                job.seed
+            );
+            client.write_all(line.as_bytes()).unwrap();
+        }
+        // Acknowledgements arrive in submit order; results in completion order.
+        let (mut ids, mut done) = (Vec::new(), Vec::new());
+        while done.len() < jobs.len() {
+            let ev = read_event(&mut reader);
+            match ev.str("event").as_deref() {
+                Some("queued") => ids.push(ev.str("job").unwrap()),
+                Some("done") => done.push(ev),
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        for ev in &done {
+            let i = ids.iter().position(|id| *id == ev.str("job").unwrap()).unwrap();
+            let want = format!("{:016x}", interp_digest(&jobs[i]));
+            assert_eq!(ev.str("outcome").as_deref(), Some("ok"), "{:?}", ev.str("note"));
+            assert_eq!(ev.str("engine").as_deref(), Some("accmos-dylib"));
+            assert_eq!(ev.str("digest"), Some(want), "seed {}", jobs[i].seed);
+        }
+        assert!(std::fs::read_dir(&builds).unwrap().next().is_some(), "the memo holds a build");
+        handle.stop();
+        assert_eq!(std::fs::read_dir(&builds).unwrap().count(), 0, "stop removes memo builds");
     }
 
     #[test]

@@ -29,6 +29,7 @@ fn benchmarks_match_reference_engine() {
             assert_eq!(ic.counts(kind), cc.counts(kind), "{name}: {kind}");
         }
         assert_eq!(interp.diagnostics, compiled.diagnostics, "{name}: diagnostics");
+        assert_eq!(interp.signal_log, compiled.signal_log, "{name}: signal log");
     }
 }
 

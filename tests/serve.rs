@@ -5,8 +5,9 @@
 //! program — once as the supervised executable, once as the shared
 //! object the daemon loads — and run over identical stimulus at lane
 //! widths 1 and 4. Digest, final outputs, step count, diagnostics,
-//! coverage and the per-lane sub-reports must all match exactly: the
-//! dispatch mechanism is allowed to change, the simulation is not.
+//! coverage, signal log and the per-lane sub-reports must all match
+//! exactly: the dispatch mechanism is allowed to change, the simulation
+//! is not.
 
 #![cfg(unix)]
 
@@ -71,6 +72,7 @@ fn dylib_runs_match_subprocess_runs_on_every_benchmark() {
             assert_eq!(report.final_outputs, sub.final_outputs, "{tag}: final outputs");
             assert_eq!(report.diagnostics, sub.diagnostics, "{tag}: diagnostics");
             assert_eq!(report.coverage, sub.coverage, "{tag}: coverage");
+            assert_eq!(report.signal_log, sub.signal_log, "{tag}: signal log");
             assert_eq!(
                 report.lane_reports.len(),
                 sub.lane_reports.len(),
@@ -82,6 +84,7 @@ fn dylib_runs_match_subprocess_runs_on_every_benchmark() {
                 assert_eq!(dl.output_digest, sl.output_digest, "{tag}: lane {i} digest");
                 assert_eq!(dl.diagnostics, sl.diagnostics, "{tag}: lane {i} diagnostics");
                 assert_eq!(dl.final_outputs, sl.final_outputs, "{tag}: lane {i} outputs");
+                assert_eq!(dl.signal_log, sl.signal_log, "{tag}: lane {i} signal log");
             }
 
             dylib.clean();
