@@ -53,6 +53,13 @@ for removed in "simulate assets/figure1.mdlx --steps 10 --engine rust" \
     fi
 done
 echo "ci: removed Rust-backend flags are rejected"
+# The bench harnesses reject unknown flags too, so `table3`'s removed
+# fused-segment coverage section cannot be asked for silently.
+cargo build --release -p accmos-bench --bin table3
+if ./target/release/table3 --fused-lanes 8 > /dev/null 2>&1; then
+    echo "ci: 'table3 --fused-lanes 8' exited 0; expected a usage error" >&2; exit 1
+fi
+echo "ci: removed table3 flag is rejected"
 
 # Sanitizer smoke test: compile one generated Table 1 simulator with
 # UBSan+ASan (no recovery, so any report aborts) and run a short

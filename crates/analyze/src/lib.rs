@@ -68,21 +68,6 @@ pub enum BranchSpec {
     SaturationBranch(usize),
 }
 
-/// Specialization verdict of one actor, most aggressive first.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpecVerdict {
-    /// Provably never executes: the whole body can be elided.
-    DeadPath,
-    /// Every output is pinned to one value (one entry per output port):
-    /// the calculation can be replaced by literal stores.
-    ConstantFoldable(Vec<f64>),
-    /// Semantically branch-free (natively, or after proven-arm elision):
-    /// eligible for the fused auto-vectorizable lane-segment shape.
-    LaneSafe,
-    /// No specialization applies.
-    Opaque,
-}
-
 /// Lint severity, ordered `Info < Warning < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
@@ -200,8 +185,6 @@ pub struct ModelAnalysis {
     fold: HashMap<ActorId, Vec<f64>>,
     branch_spec: HashMap<ActorId, BranchSpec>,
     group_act: Vec<GroupActivity>,
-    lane_safe: HashSet<ActorId>,
-    syntactic_lane_safe: usize,
     explain: Vec<String>,
 }
 
@@ -247,8 +230,6 @@ fn build(pre: &PreprocessedModel, tests: Option<&TestVectors>) -> ModelAnalysis 
         fold: spec.fold,
         branch_spec: spec.branch_spec,
         group_act: spec.group_act,
-        lane_safe: spec.lane_safe,
-        syntactic_lane_safe: spec.syntactic_lane_safe,
         explain: spec.explain,
     }
 }
@@ -303,42 +284,9 @@ impl ModelAnalysis {
         self.group_act.get(g.0).copied().unwrap_or(GroupActivity::Maybe)
     }
 
-    /// Whether the actor's computation is semantically branch-free —
-    /// natively, or after the proven-arm elision of [`Self::branch_spec`]
-    /// — making it a candidate for fused lane segments. Group activity is
-    /// judged separately via [`Self::group_activity`].
-    pub fn lane_safe(&self, id: ActorId) -> bool {
-        self.lane_safe.contains(&id)
-    }
-
-    /// The specialization verdict of one actor, most aggressive first.
-    pub fn actor_verdict(&self, id: ActorId) -> SpecVerdict {
-        if !self.is_live(id) {
-            return SpecVerdict::DeadPath;
-        }
-        if let Some(values) = self.fold.get(&id) {
-            return SpecVerdict::ConstantFoldable(values.clone());
-        }
-        if self.lane_safe.contains(&id) {
-            return SpecVerdict::LaneSafe;
-        }
-        SpecVerdict::Opaque
-    }
-
     /// Number of constant-foldable actors.
     pub fn foldable_actors(&self) -> usize {
         self.fold.len()
-    }
-
-    /// Number of semantically lane-safe actors.
-    pub fn lane_safe_count(&self) -> usize {
-        self.lane_safe.len()
-    }
-
-    /// Number of actors the purely syntactic template allowlist (the
-    /// pre-specialization baseline) would accept.
-    pub fn syntactic_lane_safe_count(&self) -> usize {
-        self.syntactic_lane_safe
     }
 
     /// Number of branchy actors with a proven-constant arm.
@@ -398,11 +346,9 @@ impl ModelAnalysis {
             self.prunable_checks(),
         ));
         out.push_str(&format!(
-            "  narrowing passes: {}\n  foldable actors: {}\n  lane-safe actors: {} (syntactic baseline {})\n",
+            "  narrowing passes: {}\n  foldable actors: {}\n",
             self.narrow_passes,
             self.foldable_actors(),
-            self.lane_safe_count(),
-            self.syntactic_lane_safe,
         ));
         for kind in CoverageKind::ALL {
             let n = self.unsatisfiable_count(kind);
@@ -441,11 +387,6 @@ impl ModelAnalysis {
         ));
         out.push_str(&format!("\"prunable_checks\":{},", self.prunable_checks()));
         out.push_str(&format!("\"foldable_actors\":{},", self.foldable_actors()));
-        out.push_str(&format!("\"lane_safe_actors\":{},", self.lane_safe_count()));
-        out.push_str(&format!(
-            "\"syntactic_lane_safe\":{},",
-            self.syntactic_lane_safe
-        ));
         out.push_str(&format!(
             "\"specializable_branches\":{},",
             self.specializable_branches()
@@ -504,12 +445,6 @@ impl ModelAnalysis {
                 .iter()
                 .filter(|a| !matches!(a, GroupActivity::Maybe))
                 .count(),
-        ));
-        out.push_str(&format!(
-            "  lane-safe: {} of {} actor(s) (syntactic baseline {})\n",
-            self.lane_safe_count(),
-            self.live.len(),
-            self.syntactic_lane_safe,
         ));
         if self.explain.is_empty() {
             out.push_str("no specialization opportunities\n");
@@ -995,7 +930,7 @@ mod tests {
         let (pre, a) = analyzed(&b.build().unwrap());
         let add = actor_id(&pre, "M_Add");
         assert_eq!(a.constant_fold(add), Some(&[7.0][..]));
-        assert!(matches!(a.actor_verdict(add), SpecVerdict::ConstantFoldable(_)));
+        assert!(a.is_live(add));
         assert!(a.foldable_actors() >= 1);
         assert!(a.render_explain().contains("fold M_Add"));
     }
@@ -1016,11 +951,6 @@ mod tests {
         let sw = actor_id(&pre, "M_Sw");
         assert_eq!(a.branch_spec(sw), Some(BranchSpec::SwitchTaken(true)));
         assert_eq!(a.specializable_branches(), 1);
-        assert!(a.lane_safe(sw), "a switch with a proven arm is semantically lane-safe");
-        assert!(
-            a.lane_safe_count() > a.syntactic_lane_safe_count(),
-            "the semantic proof must admit more than the syntactic allowlist"
-        );
         assert!(has_finding(&a, LintRule::AlwaysTakenSwitchArm, "M_Sw"));
         assert!(a.render_explain().contains("specialize M_Sw"));
     }
@@ -1047,7 +977,8 @@ mod tests {
         let group_key = pre.flat.groups[0].path.key();
         assert!(has_finding(&a, LintRule::NeverActiveGroup, &group_key));
         let sq = actor_id(&pre, "M_Sub_Sq");
-        assert!(matches!(a.actor_verdict(sq), SpecVerdict::DeadPath));
+        assert!(!a.is_live(sq));
+        assert_eq!(a.constant_fold(sq), None, "a dead actor is elided, not folded");
         assert!(a.render_explain().contains("elide M_Sub_Sq"));
     }
 
@@ -1072,7 +1003,6 @@ mod tests {
         assert_eq!(a.group_activity(g), GroupActivity::Always);
         let neg = actor_id(&pre, "M_Sub_Neg");
         assert!(a.is_live(neg));
-        assert!(a.lane_safe(neg), "members of an always-active group stay lane-safe");
         assert!(!has_finding(&a, LintRule::NeverActiveGroup, "M_Sub"));
     }
 }

@@ -307,8 +307,6 @@ pub(crate) struct SpecParts {
     pub fold: std::collections::HashMap<ActorId, Vec<f64>>,
     pub branch_spec: std::collections::HashMap<ActorId, BranchSpec>,
     pub group_act: Vec<GroupActivity>,
-    pub lane_safe: HashSet<ActorId>,
-    pub syntactic_lane_safe: usize,
     pub explain: Vec<String>,
 }
 
@@ -349,58 +347,6 @@ fn fold_eligible(kind: &ActorKind) -> bool {
     )
 }
 
-/// Kinds whose templates contain data-dependent control flow or
-/// per-value coverage writes. Everything else is semantically
-/// branch-free: lane-uniform step tests (`Step`, `ZeroOrderHold`) and
-/// per-lane state advances are fine inside a fused lane loop.
-fn branchy_template(kind: &ActorKind) -> bool {
-    use ActorKind::*;
-    matches!(
-        kind,
-        Switch { .. }
-            | MultiportSwitch { .. }
-            | Merge { .. }
-            | Saturation { .. }
-            | DeadZone { .. }
-            | RateLimiter { .. }
-            | Relay { .. }
-            | Relational { .. }
-            | CompareToConstant { .. }
-            | Logical { .. }
-            | EdgeDetector { .. }
-    )
-}
-
-/// The original purely syntactic fused-segment allowlist (mirrors the C
-/// backend's `branch_free_template`), kept only as the reported baseline
-/// the semantic proof is measured against.
-fn syntactic_lane_safe(kind: &ActorKind) -> bool {
-    use ActorKind::*;
-    matches!(
-        kind,
-        Inport { .. }
-            | Constant { .. }
-            | Ground
-            | Clock
-            | Sum { .. }
-            | Product { .. }
-            | Gain { .. }
-            | Bias { .. }
-            | Abs
-            | Sign
-            | Sqrt
-            | DataTypeConversion { .. }
-            | Mux { .. }
-            | Demux { .. }
-            | DotProduct
-            | SumOfElements
-            | ProductOfElements
-            | Bitwise { .. }
-            | Shift { .. }
-            | Outport { .. }
-    )
-}
-
 /// Whether a pinned output value is safe to re-emit as a literal of the
 /// signal's type, bit-for-bit. Floats must be finite and nonzero: an
 /// interval `[0, 0]` cannot distinguish `+0.0` from a computed `-0.0`,
@@ -421,8 +367,6 @@ pub(crate) fn specialize(engine: &Engine<'_>) -> SpecParts {
         fold: Default::default(),
         branch_spec: Default::default(),
         group_act: Vec::with_capacity(flat.groups.len()),
-        lane_safe: HashSet::new(),
-        syntactic_lane_safe: 0,
         explain: Vec::new(),
     };
 
@@ -445,9 +389,6 @@ pub(crate) fn specialize(engine: &Engine<'_>) -> SpecParts {
     for actor in &flat.actors {
         let id = actor.id;
         let key = actor.path.key();
-        if syntactic_lane_safe(&actor.kind) {
-            parts.syntactic_lane_safe += 1;
-        }
         if !engine.live[id.0] {
             parts.explain.push(format!(
                 "elide {key}: conditional chain provably never active"
@@ -511,10 +452,6 @@ pub(crate) fn specialize(engine: &Engine<'_>) -> SpecParts {
                 ),
             });
             parts.branch_spec.insert(id, spec);
-        }
-
-        if !branchy_template(&actor.kind) || parts.branch_spec.contains_key(&id) {
-            parts.lane_safe.insert(id);
         }
     }
 

@@ -430,7 +430,7 @@ ACCMOS:END
 ACCMOS:MODEL CSEV
 ACCMOS:STEPS 100
 ACCMOS:PROF actor=CSEV_Add ns=12345 calls=100 timed=2
-ACCMOS:PROF actor=fused:CSEV_Gain+5 ns=999 calls=100 timed=2
+ACCMOS:PROF actor=CSEV_Gain ns=999 calls=100 timed=2
 ACCMOS:PROF actor=CSEV_Idle ns=0 calls=0 timed=0
 ACCMOS:END
 ";
@@ -440,7 +440,7 @@ ACCMOS:END
             r.profile[0],
             ActorProfile { actor: "CSEV_Add".into(), ns: 12345, calls: 100, timed: 2 }
         );
-        assert_eq!(r.profile[1].actor, "fused:CSEV_Gain+5");
+        assert_eq!(r.profile[1].actor, "CSEV_Gain");
         assert_eq!(r.profile[2].calls, 0);
     }
 

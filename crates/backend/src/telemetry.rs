@@ -147,8 +147,8 @@ pub struct RunRecord {
     /// Retries the supervised run needed (0 = first attempt succeeded).
     pub retries: u64,
     /// Lane width of the run (1 = classic scalar simulator; N > 1 = the
-    /// structure-of-arrays multi-vector simulator stepping N test vectors
-    /// per schedule iteration). Trends group by lane width so lane and
+    /// structure-of-arrays multi-vector simulator running N test vectors
+    /// in one process). Trends group by lane width so lane and
     /// scalar configurations never share a baseline.
     pub lanes: u64,
     /// Free-form context (fallback reason, error class); empty = omitted
@@ -907,8 +907,8 @@ fn insert_node(siblings: &mut Vec<TraceNode>, node: TraceNode) {
 
 /// Encode per-site profile aggregates as the ledger's flat `prof` string
 /// field: `name=ns:calls` entries joined by commas. Site names are
-/// sanitized actor path keys or `fused:<key>+<n>` labels — neither
-/// contains `=` or `,`, so the encoding is unambiguous.
+/// sanitized actor path keys, which contain neither `=` nor `,`, so the
+/// encoding is unambiguous.
 pub fn encode_profile(profile: &[accmos_ir::ActorProfile]) -> String {
     profile
         .iter()
@@ -1245,7 +1245,7 @@ mod tests {
         assert!(!line.contains("peak_rss_kb"), "zero RSS omitted: {line}");
         assert!(!line.contains("\"prof\""), "empty prof omitted: {line}");
         r.peak_rss_kb = 10_240;
-        r.prof = "M_Add=500:100,fused:M_Gain+4=90:100".into();
+        r.prof = "M_Add=500:100,M_Gain=90:100".into();
         let back = RunRecord::from_json(&r.to_json()).unwrap();
         assert_eq!(back.peak_rss_kb, 10_240);
         assert_eq!(back.prof, r.prof);
@@ -1260,12 +1260,7 @@ mod tests {
     fn profile_string_round_trips_and_skips_garbage() {
         let profile = vec![
             accmos_ir::ActorProfile { actor: "M_Add".into(), ns: 500, calls: 100, timed: 2 },
-            accmos_ir::ActorProfile {
-                actor: "fused:M_Gain+4".into(),
-                ns: 90,
-                calls: 100,
-                timed: 2,
-            },
+            accmos_ir::ActorProfile { actor: "M_Gain".into(), ns: 90, calls: 100, timed: 2 },
             accmos_ir::ActorProfile { actor: "M_Out".into(), ns: 0, calls: 0, timed: 0 },
         ];
         let s = encode_profile(&profile);

@@ -6,7 +6,7 @@
 //! compute-heavy (SPV) and one control-heavy (TWC) benchmark.
 
 use accmos::{AccMoS, CodegenOptions, OptLevel, RunOptions};
-use accmos_bench::{arg_u64, record_run};
+use accmos_bench::{arg_u64, check_flags, record_run};
 use accmos_ir::DiagnosticPolicy;
 use accmos_testgen::random_tests;
 use std::time::Duration;
@@ -26,6 +26,7 @@ fn configs() -> Vec<(&'static str, CodegenOptions)> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, &["--steps", "--seed"]);
     let steps = arg_u64(&args, "--steps", 200_000);
     let seed = arg_u64(&args, "--seed", 2024);
 

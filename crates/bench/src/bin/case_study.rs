@@ -6,12 +6,13 @@
 //! SSE. Fault 2 (downcast in the charging-power product) fires at the
 //! start of the simulation, so both engines detect it almost immediately.
 
-use accmos_bench::{arg_u64, detection_times};
+use accmos_bench::{arg_u64, check_flags, detection_times};
 use accmos_models::{csev_variant, CsevFault};
 use accmos_testgen::random_tests;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, &["--max-steps", "--seed"]);
     let max_steps = arg_u64(&args, "--max-steps", 5_000_000);
     let seed = arg_u64(&args, "--seed", 2024);
 

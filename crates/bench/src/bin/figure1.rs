@@ -8,6 +8,7 @@ use accmos_ir::{DataType, Scalar, TestVectors};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    accmos_bench::check_flags(&args, &["--rate"]);
     let rate = accmos_bench::arg_u64(&args, "--rate", 500);
 
     let model = accmos_models::figure1();

@@ -1,6 +1,8 @@
 //! Reproduces **Table 1**: the benchmark model inventory.
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    accmos_bench::check_flags(&args, &[]);
     println!("Table 1: The description of benchmark models");
     println!("{:<7} {:<42} {:>7} {:>11}", "Model", "Functionality", "#Actor", "#SubSystem");
     let domains = [

@@ -7,12 +7,14 @@
 //! separately, as the harness measures the simulation loop alone.
 
 use accmos_bench::{
-    arg_tracer, arg_u64, batch_table, geo_mean, measure_model, record_engine_times,
+    arg_tracer, arg_u64, batch_table, check_flags, geo_mean, measure_model, record_engine_times,
     write_trace,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    let flags = ["--steps", "--seed", "--jobs", "--dispatch-runs", "--trace-out"];
+    check_flags(&args, &flags);
     let steps = arg_u64(&args, "--steps", 50_000);
     let seed = arg_u64(&args, "--seed", 2024);
     let workers = arg_u64(&args, "--jobs", 4) as usize;

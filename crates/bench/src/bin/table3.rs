@@ -13,13 +13,14 @@
 //! (`accmos` vs `accmos@N`), so `accmos trends` baselines them apart.
 
 use accmos_bench::{
-    arg_tracer, arg_u64, coverage_row, coverage_within_budget, fused_coverage, geo_mean,
-    measure_lane_speedup, record_fused_coverage, record_lane_run, record_run, write_trace,
+    arg_tracer, arg_u64, check_flags, coverage_row, coverage_within_budget, geo_mean,
+    measure_lane_speedup, record_lane_run, record_run, write_trace,
 };
 use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, &["--scale-ms", "--seed", "--lanes", "--trace-out"]);
     let base_ms = arg_u64(&args, "--scale-ms", 200);
     let seed = arg_u64(&args, "--seed", 2024);
     let lanes = arg_u64(&args, "--lanes", 0) as usize;
@@ -53,41 +54,6 @@ fn main() {
         }
     }
     println!("(A = AccMoS, S = SSE; paper Table 3 uses 5/15/60 s budgets)");
-
-    // Fused-segment coverage: how much of the lane-8 schedule joins
-    // auto-vectorizable fused segments under the analyzer's semantic
-    // lane-safety proof vs the syntactic branch-free baseline. Codegen
-    // only — no compiles — so this column is cheap and deterministic.
-    let fused_lanes = arg_u64(&args, "--fused-lanes", 8) as usize;
-    println!();
-    println!(
-        "Fused-segment coverage at lanes={fused_lanes}: semantic (analyzer) vs syntactic baseline"
-    );
-    println!(
-        "{:<7} {:>8} {:>10} {:>10} | {:>7} {:>7} {:>9}",
-        "Model", "actors", "semantic", "syntactic", "folded", "elided", "spec-arms"
-    );
-    let mut semantic_wins = 0usize;
-    for (name, _, _) in accmos_models::TABLE1 {
-        let model = accmos_models::by_name(name);
-        let fc = fused_coverage(&model, fused_lanes);
-        record_fused_coverage("table3-fused", &fc);
-        semantic_wins += usize::from(fc.semantic_fused > fc.syntactic_fused);
-        println!(
-            "{:<7} {:>8} {:>10} {:>10} | {:>7} {:>7} {:>9}",
-            fc.model,
-            fc.total_actors,
-            fc.semantic_fused,
-            fc.syntactic_fused,
-            fc.folded,
-            fc.elided,
-            fc.specialized_arms
-        );
-    }
-    println!(
-        "semantic fusion strictly exceeds the syntactic baseline on {semantic_wins} of {} models",
-        accmos_models::TABLE1.len()
-    );
 
     if lanes >= 2 {
         // The lane experiment answers: given the base coverage budget,

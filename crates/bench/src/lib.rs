@@ -341,56 +341,6 @@ pub fn measure_lane_speedup(
     }
 }
 
-/// Fused-segment coverage of one model's lane-`lanes` build: how many
-/// schedule actors join the fused auto-vectorizable lane segments under
-/// the analyzer's *semantic* lane-safety proof (specialization on, the
-/// default) versus the *syntactic* branch-free baseline (specialization
-/// off). Codegen only — nothing is compiled or run.
-#[derive(Debug, Clone)]
-pub struct FusedCoverage {
-    /// Model name.
-    pub model: String,
-    /// Lane width of the measured build.
-    pub lanes: usize,
-    /// Actors fused under the analyzer's semantic lane-safety proof.
-    pub semantic_fused: usize,
-    /// Actors fused under the syntactic branch-free baseline.
-    pub syntactic_fused: usize,
-    /// Actors in the schedule (same in both builds — elided actors still
-    /// occupy a schedule slot).
-    pub total_actors: usize,
-    /// Actors the semantic build folded to literals.
-    pub folded: usize,
-    /// Actors the semantic build elided as dead paths.
-    pub elided: usize,
-    /// Branch arms the semantic build specialized to their proven case.
-    pub specialized_arms: usize,
-}
-
-/// Measure [`FusedCoverage`] for `model` at lane width `lanes`.
-///
-/// # Panics
-///
-/// Panics if preprocessing fails — benchmark models are expected to be
-/// valid.
-pub fn fused_coverage(model: &Model, lanes: usize) -> FusedCoverage {
-    let pre = accmos::preprocess(model).expect("benchmark model preprocesses");
-    let semantic_opts = accmos::CodegenOptions::accmos().lanes(lanes);
-    let syntactic_opts = semantic_opts.clone().without_specialization();
-    let semantic = accmos_codegen::generate(&pre, &semantic_opts);
-    let syntactic = accmos_codegen::generate(&pre, &syntactic_opts);
-    FusedCoverage {
-        model: model.name.clone(),
-        lanes,
-        semantic_fused: semantic.fused_actors,
-        syntactic_fused: syntactic.fused_actors,
-        total_actors: semantic.total_actors,
-        folded: semantic.folded_actors,
-        elided: semantic.elided_actors,
-        specialized_arms: semantic.specialized_arms,
-    }
-}
-
 /// Per-run dispatch overhead of the two execution engines on an
 /// already-compiled simulator ([`measure_dispatch_overhead`]): what it
 /// costs to *start* a run when compilation is cached, which is exactly
@@ -524,29 +474,6 @@ pub fn record_lane_run(
     let _ = ledger.append(&rec);
 }
 
-/// Append one run-ledger record for a [`FusedCoverage`] measurement: the
-/// fused/total counts of both builds land in the record's note, keyed
-/// under `engine = "accmos@L"` so lane configurations stay separate.
-/// Best-effort, like every ledger write here.
-pub fn record_fused_coverage(source: &str, fc: &FusedCoverage) {
-    let mut rec = accmos::RunRecord::new(source, &fc.model);
-    rec.engine = "accmos".to_string();
-    rec.lanes = fc.lanes.max(1) as u64;
-    rec.outcome = accmos::telemetry::outcome::OK.to_string();
-    rec.note = format!(
-        "fused {}/{} semantic vs {}/{} syntactic; folded {}, elided {}, specialized arms {}",
-        fc.semantic_fused,
-        fc.total_actors,
-        fc.syntactic_fused,
-        fc.total_actors,
-        fc.folded,
-        fc.elided,
-        fc.specialized_arms
-    );
-    let ledger = accmos::RunLedger::in_dir(accmos::default_state_dir());
-    let _ = ledger.append(&rec);
-}
-
 /// Append one ledger record per engine measured by [`measure_model`],
 /// under `source` (e.g. `"table2"`). The AccMoS entry also carries the
 /// cold codegen/compile costs; interpretive stand-ins have none.
@@ -571,6 +498,30 @@ pub fn record_engine_times(source: &str, times: &EngineTimes) {
         }
         let _ = ledger.append(&rec);
     }
+}
+
+/// Exit the harness with status 2 unless every argument after the
+/// program name is one of `flags` followed by its value. Every harness
+/// flag takes a value, so a typo or a removed flag fails loudly instead
+/// of silently running the default experiment.
+pub fn check_flags(args: &[String], flags: &[&str]) {
+    if let Err(msg) = validate_flags(args, flags) {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    }
+}
+
+fn validate_flags(args: &[String], flags: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if !flags.contains(&arg.as_str()) {
+            return Err(format!("unknown argument `{arg}` (accepted flags: {flags:?})"));
+        }
+        if rest.next().is_none() {
+            return Err(format!("{arg} needs a value"));
+        }
+    }
+    Ok(())
 }
 
 /// Parse a `--flag value` style u64 argument, exiting the harness with a
@@ -640,6 +591,22 @@ mod tests {
             ["prog", "--steps", "banana"].iter().map(|s| s.to_string()).collect();
         let err = parse_u64_arg(&bad, "--steps", 7).unwrap_err();
         assert!(err.contains("--steps") && err.contains("`banana`"), "{err}");
+    }
+
+    #[test]
+    fn flag_check_rejects_unknown_and_valueless_flags() {
+        let args = |list: &[&str]| -> Vec<String> {
+            let all = std::iter::once(&"prog").chain(list);
+            all.map(|s| s.to_string()).collect()
+        };
+        let flags = ["--steps", "--seed"];
+        assert_eq!(validate_flags(&args(&[]), &flags), Ok(()));
+        let known = args(&["--seed", "3", "--steps", "9"]);
+        assert_eq!(validate_flags(&known, &flags), Ok(()));
+        let err = validate_flags(&args(&["--step", "100"]), &flags).unwrap_err();
+        assert!(err.contains("`--step`"), "{err}");
+        let err = validate_flags(&args(&["--steps", "5", "--seed"]), &flags).unwrap_err();
+        assert!(err.contains("--seed needs a value"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::cwriter::CodeBuf;
 use crate::options::{ActorList, CodegenOptions};
-use accmos_analyze::{BranchSpec, GroupActivity, ModelAnalysis};
+use accmos_analyze::{BranchSpec, ModelAnalysis};
 use accmos_graph::{FlatActor, PreprocessedModel, SignalId};
 use accmos_ir::{
     applicable_diagnoses, ActorKind, BitOp, DataType, DiagnosticKind, LogicOp, LookupMethod,
@@ -389,12 +389,6 @@ fn on_collect_list(opts: &CodegenOptions, actor: &FlatActor) -> bool {
 
 /// Result of emitting one actor: the in-line code plus the definition of
 /// its diagnostic function (Algorithm 1 line 15, `genDiagnoseImpl`).
-///
-/// In lane mode the body is emitted *without* a lane loop; the synthesis
-/// layer groups consecutive actors into shared lane-loop segments (see
-/// `Model_Exe` emission), using `fused` to carve out runs it can present
-/// to the compiler as pure vectorizable loops and `cov_hoist` for the
-/// per-step coverage writes those runs hoist in front of the loop.
 pub(crate) struct EmittedActor {
     pub code: String,
     pub diag_code: String,
@@ -404,105 +398,15 @@ pub(crate) struct EmittedActor {
     /// Analyzer-elided actor (comment-only body): carries no profiling
     /// site — there is nothing to time.
     pub elided: bool,
-    /// Lane mode only: the body is branch-free with no instrumentation
-    /// left inside, so it may join a fused (auto-vectorizable) segment.
-    pub fused: bool,
-    /// Lane mode only: coverage writes to emit once per step in front of
-    /// whichever segment loop the body lands in — the actor bit plus any
-    /// specialized constant branch bits. Setting an already-set bit is
-    /// idempotent, so once per step is OR-identical to once per lane.
-    /// Only populated for `fused` actors (they are never conditionally
-    /// executed, so the hoisted writes are unconditional too).
-    pub cov_hoist: Vec<String>,
-}
-
-/// Whether the actor's code template is straight-line arithmetic: no
-/// data-dependent control flow and no coverage writes inside the template
-/// body. Such actors are candidates for the *fused* lane loop (shared
-/// instrumentation hoisted out, pure indexed inner loop the C compiler
-/// can auto-vectorize). This is a conservative static property of the
-/// template library; correctness never depends on it — non-members simply
-/// take the scalar per-lane fallback loop.
-pub(crate) fn branch_free_template(kind: &ActorKind) -> bool {
-    use ActorKind::*;
-    matches!(
-        kind,
-        Inport { .. }
-            | Constant { .. }
-            | Ground
-            | Clock
-            | Sum { .. }
-            | Product { .. }
-            | Gain { .. }
-            | Bias { .. }
-            | Abs
-            | Sign
-            | Sqrt
-            | DataTypeConversion { .. }
-            | Mux { .. }
-            | Demux { .. }
-            | DotProduct
-            | SumOfElements
-            | ProductOfElements
-            | Bitwise { .. }
-            | Shift { .. }
-            | Outport { .. }
-    )
-}
-
-/// Whether `actor` is lane-safe for the fused loop shape: a semantically
-/// branch-free body with *no* remaining instrumentation inside the lane
-/// loop. The diagnosis plan must be empty — which is where the interval
-/// analysis comes in: checks it proves dead are pruned, turning e.g. a
-/// `Sum` with a proven-unreachable overflow check into a fusable actor.
-///
-/// With specialization on, the analyzer's *semantic* lane-safety proof
-/// replaces the syntactic [`branch_free_template`] allowlist: stateful
-/// but lane-uniform templates (delays, integrators, sine sources, …)
-/// fuse, and branchy templates fuse once their proven arm is the only
-/// one emitted. Conditional-group members fuse when the group is proven
-/// always active (the guard is specialized away). `DiscreteDerivative`
-/// is excluded structurally: its previous-input state update is emitted
-/// after the diagnosis call, outside the fused body shape.
-fn lane_fusable(
-    ctx: &EmitCtx<'_>,
-    actor: &FlatActor,
-    plan: &[DiagnosticKind],
-    has_custom: bool,
-) -> bool {
-    if !plan.is_empty()
-        || has_custom
-        || on_collect_list(ctx.opts, actor)
-        || matches!(actor.kind, ActorKind::DiscreteDerivative)
-    {
-        return false;
-    }
-    match ctx.spec() {
-        Some(analysis) => {
-            let group_ok = match actor.group {
-                None => true,
-                Some(g) => analysis.group_activity(g) == GroupActivity::Always,
-            };
-            group_ok && analysis.lane_safe(actor.id)
-        }
-        None => actor.group.is_none() && branch_free_template(&actor.kind),
-    }
 }
 
 /// Algorithm 1, per actor: template code + coverage + collection +
 /// diagnosis instrumentation. In lane mode the body is emitted bare (no
-/// lane loop — the synthesis layer wraps whole segments of the schedule
-/// in one loop so signals stay register-allocated across actors); fused
-/// actors additionally hand their coverage write back for hoisting.
+/// lane loop): the lane-blocked driver fixes `accmos_lane` around the
+/// whole step.
 pub(crate) fn emit_actor(ctx: &mut EmitCtx<'_>, actor: &FlatActor) -> EmittedActor {
-    let lanes = ctx.opts.effective_lanes();
     // Checks the interval analysis proves dead are dropped up front.
     let plan = pruned_diagnosis_plan(ctx, actor);
-    let has_custom = ctx
-        .opts
-        .custom
-        .iter()
-        .any(|p| p.actor == actor.path.key() && !actor.outputs.is_empty());
 
     // Analyzer-directed dead-path elision: a proven-dead actor sits in a
     // never-active group, so its guarded body never runs — outputs stay
@@ -523,8 +427,6 @@ pub(crate) fn emit_actor(ctx: &mut EmitCtx<'_>, actor: &FlatActor) -> EmittedAct
             diag_code: String::new(),
             key: actor.path.key(),
             elided: true,
-            fused: lanes > 1,
-            cov_hoist: Vec::new(),
         };
     }
 
@@ -538,7 +440,6 @@ pub(crate) fn emit_actor(ctx: &mut EmitCtx<'_>, actor: &FlatActor) -> EmittedAct
     if ctx.spec().is_some_and(|a| a.branch_spec(actor.id).is_some()) {
         ctx.specialized_arms += 1;
     }
-    let fused = lanes > 1 && lane_fusable(ctx, actor, &plan, has_custom);
 
     let mut w = CodeBuf::new();
     w.comment(format!(
@@ -547,33 +448,15 @@ pub(crate) fn emit_actor(ctx: &mut EmitCtx<'_>, actor: &FlatActor) -> EmittedAct
         actor.path
     ));
 
-    let mut cov_hoist = Vec::new();
-    if fused {
-        w.open("{");
-        emit_body(ctx, actor, fold.as_deref(), &mut w, Some(&mut cov_hoist));
-        w.close("}");
-        if ctx.cov_on() {
-            cov_hoist.push(format!(
-                "ACCMOS_COV(accmos_cov_actor, {}); /* actorBitmap */",
-                ctx.pre.coverage.actor_point[actor.id.0]
-            ));
-        }
-        return EmittedActor {
-            code: w.finish(),
-            diag_code: String::new(),
-            key: actor.path.key(),
-            elided: false,
-            fused,
-            cov_hoist,
-        };
-    }
-
     match actor.group {
         Some(g) => w.open(format!("if (g{}_active()) {{", g.0)),
         None => w.open("{"),
     };
 
-    emit_body(ctx, actor, fold.as_deref(), &mut w, None);
+    match fold.as_deref() {
+        Some(values) => emit_fold(ctx, actor, values, &mut w),
+        None => emit_calculation(ctx, actor, &mut w),
+    }
 
     // Actor coverage: "we add coverage statistics code at the end of each
     // actor, for example, actorBitmap[actorID]=1".
@@ -628,8 +511,6 @@ pub(crate) fn emit_actor(ctx: &mut EmitCtx<'_>, actor: &FlatActor) -> EmittedAct
         diag_code,
         key: actor.path.key(),
         elided: false,
-        fused,
-        cov_hoist,
     }
 }
 
@@ -663,21 +544,6 @@ fn emit_collect(ctx: &EmitCtx<'_>, actor: &FlatActor, w: &mut CodeBuf) {
 // calculation templates (genCodeFromTemp)
 // ---------------------------------------------------------------------------
 
-/// The actor's calculation body: literal stores when the analysis folded
-/// it, the code template otherwise.
-fn emit_body(
-    ctx: &EmitCtx<'_>,
-    actor: &FlatActor,
-    fold: Option<&[f64]>,
-    w: &mut CodeBuf,
-    hoist: Option<&mut Vec<String>>,
-) {
-    match fold {
-        Some(values) => emit_fold(ctx, actor, values, w),
-        None => emit_calculation(ctx, actor, w, hoist),
-    }
-}
-
 /// Literal stores for a proven-constant actor: the analysis pinned every
 /// output signal to one value, and the template is pure (no coverage
 /// writes, state advance, or side effects — `fold_eligible` in the
@@ -697,25 +563,8 @@ fn emit_fold(ctx: &EmitCtx<'_>, actor: &FlatActor, values: &[f64], w: &mut CodeB
     }
 }
 
-/// Emit `line` into the hoist buffer when one is given (fused lane mode:
-/// the write runs once per step in front of the segment loop, which is
-/// OR-identical to once per lane), inline otherwise.
-fn emit_or_hoist(w: &mut CodeBuf, hoist: &mut Option<&mut Vec<String>>, line: String) {
-    match hoist.as_deref_mut() {
-        Some(h) => h.push(line),
-        None => {
-            w.line(line);
-        }
-    }
-}
-
 #[allow(clippy::too_many_lines)]
-fn emit_calculation(
-    ctx: &EmitCtx<'_>,
-    actor: &FlatActor,
-    w: &mut CodeBuf,
-    mut hoist: Option<&mut Vec<String>>,
-) {
+fn emit_calculation(ctx: &EmitCtx<'_>, actor: &FlatActor, w: &mut CodeBuf) {
     use ActorKind::*;
     let key = actor.path.key();
     let dt = actor.dtype;
@@ -1145,11 +994,7 @@ fn emit_calculation(
                 let (branch, port) = if taken { (0, 0) } else { (1, 2) };
                 if cov {
                     if let Some(base) = cond_base {
-                        emit_or_hoist(
-                            w,
-                            &mut hoist,
-                            format!("ACCMOS_COV(accmos_cov_cond, {base} + ({branch}));"),
-                        );
+                        w.line(format!("ACCMOS_COV(accmos_cov_cond, {base} + ({branch}));"));
                     }
                 }
                 for_elems(w, width, |w, idx| {
@@ -1185,11 +1030,10 @@ fn emit_calculation(
             {
                 if cov {
                     if let Some(base) = cond_base {
-                        emit_or_hoist(
-                            w,
-                            &mut hoist,
-                            format!("ACCMOS_COV(accmos_cov_cond, {base} + ({}));", case - 1),
-                        );
+                        w.line(format!(
+                            "ACCMOS_COV(accmos_cov_cond, {base} + ({}));",
+                            case - 1
+                        ));
                     }
                 }
                 for_elems(w, width, |w, idx| {
@@ -1242,11 +1086,7 @@ fn emit_calculation(
             {
                 if cov {
                     if let Some(base) = cond_base {
-                        emit_or_hoist(
-                            w,
-                            &mut hoist,
-                            format!("ACCMOS_COV(accmos_cov_cond, {base} + ({branch}));"),
-                        );
+                        w.line(format!("ACCMOS_COV(accmos_cov_cond, {base} + ({branch}));"));
                     }
                 }
                 for_elems(w, width, |w, idx| {

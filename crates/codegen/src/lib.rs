@@ -61,7 +61,7 @@ mod tests {
     use super::*;
     use accmos_graph::preprocess;
     use accmos_ir::{
-        ActorKind, DataType, DiagnosticKind, LogicOp, ModelBuilder, Scalar, SwitchCriteria,
+        ActorKind, BitOp, DataType, DiagnosticKind, LogicOp, ModelBuilder, Scalar, SwitchCriteria,
         SystemKind,
     };
 
@@ -110,6 +110,32 @@ mod tests {
         ] {
             assert!(c.contains(needle), "missing `{needle}` in:\n{c}");
         }
+    }
+
+    /// Every lane build runs the lane-blocked driver, even on a schedule
+    /// of branch-free, diagnosis-free actors; a scalar build carries no
+    /// lane machinery at all.
+    #[test]
+    fn lane_builds_run_the_blocked_driver() {
+        let mut b = ModelBuilder::new("Chain");
+        b.inport("In", DataType::U32);
+        let mut prev = "In".to_string();
+        for i in 0..30 {
+            let name = format!("A{i}");
+            b.actor(&name, ActorKind::Bitwise { op: BitOp::Not });
+            b.connect((prev.as_str(), 0), (name.as_str(), 0));
+            prev = name;
+        }
+        b.outport("Out", DataType::U32);
+        b.connect((prev.as_str(), 0), ("Out", 0));
+        let pre = preprocess(&b.build().unwrap()).unwrap();
+
+        let lane = generate(&pre, &CodegenOptions::accmos().lanes(4)).main_c;
+        assert!(lane.contains("#define ACCMOS_LANES 4"), "{lane}");
+        assert!(lane.contains("#define ACCMOS_BLOCK 4096"), "{lane}");
+        let scalar = generate(&pre, &CodegenOptions::accmos()).main_c;
+        assert!(!scalar.contains("ACCMOS_LANES"), "{scalar}");
+        assert!(!scalar.contains("ACCMOS_BLOCK"), "{scalar}");
     }
 
     #[test]

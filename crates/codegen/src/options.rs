@@ -79,29 +79,31 @@ pub struct CodegenOptions {
     /// `prune_proven_safe`, which owns the analysis run): fold
     /// proven-constant actors into literals, elide dead actors and
     /// never-taken `Switch`/`MultiportSwitch`/`Saturation` arms,
-    /// specialize conditional-group guards proven always/never active,
-    /// and admit semantically lane-safe actors into fused lane
-    /// segments. Digest-preserving by construction: every elided
+    /// and specialize conditional-group guards proven always/never
+    /// active. Digest-preserving by construction: every elided
     /// coverage point carries an `ACCMOS:UNSAT` proof, so raw counts,
     /// diagnostics and digests are identical with the flag on or off.
     pub specialize: bool,
-    /// Number of test-vector lanes the generated simulator steps per
-    /// schedule iteration (structure-of-arrays multi-vector mode). `1` is
-    /// the classic single-vector simulator; `N > 1` keeps one copy of
-    /// every signal and state variable per lane and drives each lane from
-    /// its own test file, so one process simulates N stimuli in lockstep.
+    /// Number of test-vector lanes one generated simulator runs
+    /// (structure-of-arrays multi-vector mode). `1` is the classic
+    /// single-vector simulator; `N > 1` keeps one copy of every signal
+    /// and state variable per lane, drives each lane from its own test
+    /// file, and runs the lane-blocked driver: each lane in turn advances
+    /// a block of 4,096 steps with the lane index fixed, so one process
+    /// simulates N stimuli back to back, block by block.
     /// Coverage bitmaps are shared across lanes (the OR-reduction of the
     /// per-lane bitmaps); diagnostics, outputs and digests are per-lane.
     /// Ignored (treated as 1) by the Rapid Accelerator host-sync
     /// configuration.
     pub lanes: usize,
-    /// Self-profiling instrumentation: wrap every emitted actor (and, in
-    /// lane mode, every fused segment) in cumulative nanosecond +
-    /// invocation counters, reported at end of run as `ACCMOS:PROF`
-    /// lines. Observation-only by construction: the counters read the
-    /// monotonic clock and bump two integers — they never touch signal,
-    /// state, coverage or digest computation — so a profiled build is
-    /// digest-identical to an unprofiled one (enforced by test and CI).
+    /// Self-profiling instrumentation: wrap every emitted (non-elided)
+    /// actor in cumulative nanosecond + invocation counters, reported at
+    /// end of run as `ACCMOS:PROF` lines; a lane build counts each site
+    /// once per lane per step. Observation-only by construction: the
+    /// counters read the monotonic clock and bump two integers — they
+    /// never touch signal, state, coverage or digest computation — so a
+    /// profiled build is digest-identical to an unprofiled one (enforced
+    /// by test and CI).
     pub profile: bool,
     /// **Test-only.** Fold one extra word into the output digest so the
     /// generated simulator diverges from the interpretive reference on
@@ -119,7 +121,7 @@ impl CodegenOptions {
         CodegenOptions::default()
     }
 
-    /// Builder: step `n` test vectors per schedule iteration (see the
+    /// Builder: run `n` test vectors in one simulator (see the
     /// [`CodegenOptions::lanes`] field). `n` is clamped to at least 1.
     pub fn lanes(mut self, n: usize) -> CodegenOptions {
         self.lanes = n.max(1);
@@ -127,10 +129,10 @@ impl CodegenOptions {
     }
 
     /// Builder: disable analyzer-directed specialization (folding,
-    /// dead-path elision, arm/guard specialization, semantic lane
-    /// fusion) while keeping diagnosis pruning. Used by the fuzz
-    /// harness's optimized-vs-unoptimized comparison plan and the
-    /// syntactic-baseline bench column.
+    /// dead-path elision, arm/guard specialization) while keeping
+    /// diagnosis pruning. Used by the fuzz harness's
+    /// optimized-vs-unoptimized comparison plan and by
+    /// `accmos generate/simulate --no-optimize`.
     pub fn without_specialization(mut self) -> CodegenOptions {
         self.specialize = false;
         self

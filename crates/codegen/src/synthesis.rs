@@ -46,8 +46,8 @@ pub struct GeneratedProgram {
     /// can report the analyze phase separately from synthesis proper.
     pub analyze_time: std::time::Duration,
     /// Effective lane width the simulator was generated with: the number
-    /// of test vectors it steps per schedule iteration (1 = classic
-    /// scalar simulator). A lane-N simulator expects 0 or N `--tests`
+    /// of test vectors one process simulates (1 = classic scalar
+    /// simulator). A lane-N simulator expects 0 or N `--tests`
     /// arguments, one per lane.
     pub lanes: usize,
     /// Actors whose calculation body was replaced by literal stores
@@ -57,11 +57,6 @@ pub struct GeneratedProgram {
     pub elided_actors: usize,
     /// Branchy templates emitted with only their proven-taken arm.
     pub specialized_arms: usize,
-    /// Actors whose body may join a fused (auto-vectorizable) lane
-    /// segment. Only meaningful in lane mode; together with
-    /// `total_actors` this is the fused-coverage fraction the table3
-    /// harness reports.
-    pub fused_actors: usize,
     /// Total actors in the emitted schedule.
     pub total_actors: usize,
 }
@@ -98,24 +93,7 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         actor_code.push(emitted);
     }
 
-    // Lane execution shape. The per-step segmented form (every schedule
-    // iteration advances all lanes, fused runs in vectorizable loops)
-    // only pays off when the schedule is dominated by provably fused
-    // actors; on branchy or diag-heavy schedules each lane-loop boundary
-    // forces live signals through their `_L` arrays and benchmarks
-    // 10-40% slower than N scalar runs. Those models get the lane-blocked
-    // driver instead: each lane advances `ACCMOS_BLOCK` steps at a time,
-    // so the per-lane inner loop compiles exactly like the scalar
-    // simulator (state register-allocated across steps) and the run costs
-    // one process launch instead of N. Both shapes are semantically
-    // identical — the proof only ever selects between equivalent forms.
-    let fused = actor_code.iter().filter(|a| a.fused).count();
-    let lane_blocked = lanes > 1 && fused * 4 < actor_code.len() * 3;
-    let step_fn_lanes = lanes > 1 && !lane_blocked;
-    let segments = if step_fn_lanes { lane_segments(&actor_code) } else { Vec::new() };
-    let prof = opts
-        .profile
-        .then(|| profile_plan(&actor_code, &segments, step_fn_lanes));
+    let prof = opts.profile.then(|| profile_plan(&actor_code));
 
     let mut w = CodeBuf::new();
     w.comment(format!(
@@ -137,9 +115,7 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     w.line(format!("#define ACCMOS_TC_COLS {}", flat.root_inports.len()));
     if lanes > 1 {
         w.line(format!("#define ACCMOS_LANES {lanes}"));
-        if lane_blocked {
-            w.line("#define ACCMOS_BLOCK 4096");
-        }
+        w.line("#define ACCMOS_BLOCK 4096");
     }
     w.line("#include \"accmos_rt.h\"");
     w.blank();
@@ -349,33 +325,22 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     // ---- model system function (Figure 5 part 2) -----------------------------------------
     w.open("static void Model_Exe(void) {");
     if prof.as_ref().is_some_and(|p| !p.names.is_empty()) {
-        // Recomputed per call: in the lane-blocked shape Model_Exe runs
-        // once per lane per step, and the sample decision only depends on
-        // the step, so every lane of a step agrees.
+        // Recomputed per call: a lane build runs Model_Exe once per lane
+        // per step, and the sample decision only depends on the step, so
+        // every lane of a step agrees.
         w.line("accmos_prof_on = (accmos_step % ACCMOS_PROF_PERIOD) == 0;");
     }
-    if step_fn_lanes {
-        emit_lane_segments(&mut w, &actor_code, &segments, prof.as_ref());
-    } else {
-        // Scalar simulator, or lane-blocked shape: the driver fixes
-        // `accmos_lane` and the body runs for that lane alone. Hoisted
-        // coverage writes (only produced for fused actors in lane mode)
-        // return to their in-line position.
-        for (idx, emitted) in actor_code.iter().enumerate() {
-            match prof.as_ref().and_then(|p| p.actor_site[idx]) {
-                Some(site) => {
-                    w.open("{");
-                    w.line("uint64_t accmos_prof_t0 = accmos_prof_on ? accmos_now_ns() : 0;");
-                    w.raw(indent_block(&emitted.code, 2));
-                    emit_prof_close(&mut w, site);
-                    w.close("}");
-                }
-                None => {
-                    w.raw(indent_block(&emitted.code, 1));
-                }
+    for (idx, emitted) in actor_code.iter().enumerate() {
+        match prof.as_ref().and_then(|p| p.actor_site[idx]) {
+            Some(site) => {
+                w.open("{");
+                w.line("uint64_t accmos_prof_t0 = accmos_prof_on ? accmos_now_ns() : 0;");
+                w.raw(indent_block(&emitted.code, 2));
+                emit_prof_close(&mut w, site);
+                w.close("}");
             }
-            for cov in &emitted.cov_hoist {
-                w.line(cov);
+            None => {
+                w.raw(indent_block(&emitted.code, 1));
             }
         }
     }
@@ -384,9 +349,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
 
     // ---- end-of-step state update ------------------------------------------------------------
     w.open("static void Model_Update(void) {");
-    if step_fn_lanes {
-        w.open("for (accmos_lane = 0; accmos_lane < ACCMOS_LANES; accmos_lane++) {");
-    }
     for actor in flat.ordered_actors() {
         if !actor.kind.breaks_algebraic_loops() {
             continue;
@@ -469,18 +431,12 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         let ctrl = &flat.signal(g.control).name;
         w.line(format!("g{}_prev = (uint8_t)({ctrl} != 0);", g.id.0));
     }
-    if step_fn_lanes {
-        w.close("}");
-    }
     w.close("}");
     w.blank();
 
     // ---- per-step group condition coverage --------------------------------------------------------
     if cov && !flat.groups.is_empty() {
         w.open("static void Coverage_Groups(void) {");
-        if step_fn_lanes {
-            w.open("for (accmos_lane = 0; accmos_lane < ACCMOS_LANES; accmos_lane++) {");
-        }
         for g in &flat.groups {
             let ctrl = &flat.signal(g.control).name;
             let own = match g.kind {
@@ -503,9 +459,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
                     ));
                 }
             }
-        }
-        if step_fn_lanes {
-            w.close("}");
         }
         w.close("}");
         w.blank();
@@ -531,9 +484,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         }
     }
     w.open("static void recordResult(void) {");
-    if step_fn_lanes {
-        w.open("for (accmos_lane = 0; accmos_lane < ACCMOS_LANES; accmos_lane++) {");
-    }
     for (i, id) in flat.root_outports.iter().enumerate() {
         let actor = flat.actor(*id);
         let sig = flat.signal(actor.inputs[0]);
@@ -555,9 +505,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         w.comment("TEST-ONLY sabotage: one extra digest fold, so this build");
         w.comment("diverges from the interpretive reference on every model");
         w.line("accmos_digest_u64(1u);");
-    }
-    if step_fn_lanes {
-        w.close("}");
     }
     w.close("}");
     w.blank();
@@ -776,13 +723,14 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     }
     w.line("uint64_t executed = 0;");
     w.line("uint64_t t0 = accmos_now_ns();");
-    if lane_blocked {
+    if lanes > 1 {
         // Lane-blocked driver: each lane advances a block of steps with
         // `accmos_lane` fixed, so the inner loop compiles exactly like
-        // the scalar simulator. Budget, cancellation and
-        // stop-on-diagnostic checks run at block granularity (all lanes
-        // always complete the same number of steps, keeping per-lane
-        // digests comparable to scalar runs).
+        // the scalar simulator and the run costs one process launch
+        // instead of N. Budget, cancellation and stop-on-diagnostic
+        // checks run at block granularity (all lanes always complete the
+        // same number of steps, keeping per-lane digests comparable to
+        // scalar runs).
         w.comment("Simulation Loop of model (lane-blocked)");
         w.open("for (uint64_t base = 0; base < total_step; base += ACCMOS_BLOCK) {");
         w.line("uint64_t n = total_step - base;");
@@ -885,7 +833,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         folded_actors: ctx.folded_actors,
         elided_actors: ctx.elided_actors,
         specialized_arms: ctx.specialized_arms,
-        fused_actors: fused,
         total_actors: actor_code.len(),
     }
 }
@@ -909,159 +856,26 @@ fn dtype_code(dt: DataType) -> usize {
     DataType::ALL.iter().position(|t| *t == dt).expect("known dtype")
 }
 
-/// Minimum run of consecutive fused actors worth a lane loop of its own.
-/// Every extra loop boundary forces the live signals through their `_L`
-/// arrays instead of staying register-allocated into the next actor, a
-/// cost that measurably outweighs any vector win on short runs (per-actor
-/// lane loops benchmark ~0.6x of N scalar runs; whole-segment loops
-/// ~1.1x). Shorter runs are absorbed into the surrounding mixed segment.
-const FUSED_SEGMENT_MIN: usize = 4;
-
-/// Partition the actor schedule into contiguous lane segments
-/// `(start, end, fused)`: maximal runs of fused actors (at least
-/// [`FUSED_SEGMENT_MIN`] long) form their own segment; everything else
-/// grows a mixed segment until the next standalone fused run (or the end
-/// of the schedule). Shared by the segmented `Model_Exe` emission and the
-/// profiling-site plan, so the sites always name exactly the segments
-/// that were emitted.
-fn lane_segments(actors: &[EmittedActor]) -> Vec<(usize, usize, bool)> {
-    let fused_run =
-        |from: usize| -> usize { actors[from..].iter().take_while(|a| a.fused).count() };
-    let mut segments = Vec::new();
-    let mut i = 0;
-    while i < actors.len() {
-        let lead = fused_run(i);
-        let fused_seg = lead >= FUSED_SEGMENT_MIN;
-        let end = if fused_seg {
-            i + lead
-        } else {
-            // Grow the mixed segment until a fused run long enough to
-            // stand alone (or the end of the schedule).
-            let mut j = i + lead;
-            while j < actors.len() {
-                if actors[j].fused {
-                    let run = fused_run(j);
-                    if run >= FUSED_SEGMENT_MIN {
-                        break;
-                    }
-                    j += run;
-                } else {
-                    j += 1;
-                }
-            }
-            j
-        };
-        segments.push((i, end, fused_seg));
-        i = end;
-    }
-    segments
-}
-
-/// Self-profiling site plan: one site per non-elided actor — except that
-/// in the segmented lane shape a fused segment gets a single shared site
-/// (named `fused:<first-actor-key>+<actor-count>`), timed outside its
-/// lane loop so the inner loop stays pure auto-vectorizable arithmetic.
-/// Elided actors carry no site: their body is a comment, there is
-/// nothing to time.
+/// Self-profiling site plan: one site per non-elided actor, named by the
+/// actor's path key. Elided actors carry no site: their body is a
+/// comment, there is nothing to time.
 struct ProfilePlan {
     /// Site names in site-id order. These become `ACCMOS:PROF actor=`
     /// field values, so they contain no spaces.
     names: Vec<String>,
     /// Per schedule index: the actor's own site, if it has one.
     actor_site: Vec<Option<usize>>,
-    /// Per lane-segment index: the segment's shared site (fused segments
-    /// only).
-    segment_site: Vec<Option<usize>>,
 }
 
-fn profile_plan(
-    actors: &[EmittedActor],
-    segments: &[(usize, usize, bool)],
-    segmented: bool,
-) -> ProfilePlan {
-    let mut plan = ProfilePlan {
-        names: Vec::new(),
-        actor_site: vec![None; actors.len()],
-        segment_site: Vec::new(),
-    };
-    let actor_sites = |plan: &mut ProfilePlan, start: usize, end: usize| {
-        for (idx, a) in actors[start..end].iter().enumerate() {
-            if !a.elided {
-                plan.actor_site[start + idx] = Some(plan.names.len());
-                plan.names.push(a.key.clone());
-            }
+fn profile_plan(actors: &[EmittedActor]) -> ProfilePlan {
+    let mut plan = ProfilePlan { names: Vec::new(), actor_site: vec![None; actors.len()] };
+    for (idx, a) in actors.iter().enumerate() {
+        if !a.elided {
+            plan.actor_site[idx] = Some(plan.names.len());
+            plan.names.push(a.key.clone());
         }
-    };
-    if segmented {
-        for &(start, end, fused_seg) in segments {
-            if fused_seg {
-                plan.segment_site.push(Some(plan.names.len()));
-                plan.names.push(format!("fused:{}+{}", actors[start].key, end - start));
-            } else {
-                plan.segment_site.push(None);
-                actor_sites(&mut plan, start, end);
-            }
-        }
-    } else {
-        actor_sites(&mut plan, 0, actors.len());
     }
     plan
-}
-
-/// Emit the lane-mode `Model_Exe` body: each segment from
-/// [`lane_segments`] wrapped in a single `for (accmos_lane ...)` loop. A
-/// fused segment's loop body is pure indexed arithmetic the C compiler
-/// can auto-vectorize; mixed segments keep signal values in registers
-/// across actor boundaries within a lane. Hoisted coverage writes run
-/// once per step in front of their segment's loop (idempotent bit-OR,
-/// and only group-unconditional actors hoist, so ordering within the
-/// step does not matter). Under profiling, fused segments are timed as a
-/// whole outside the lane loop (one call per step); mixed-segment actors
-/// are timed individually inside it (one call per step per lane).
-fn emit_lane_segments(
-    w: &mut CodeBuf,
-    actors: &[EmittedActor],
-    segments: &[(usize, usize, bool)],
-    prof: Option<&ProfilePlan>,
-) {
-    for (seg_idx, &(start, end, fused_seg)) in segments.iter().enumerate() {
-        for a in &actors[start..end] {
-            for cov in &a.cov_hoist {
-                w.line(cov);
-            }
-        }
-        if fused_seg {
-            w.comment(format!("fused lane segment ({} branch-free actors)", end - start));
-        }
-        let seg_site = prof.and_then(|p| p.segment_site[seg_idx]);
-        let depth = if seg_site.is_some() {
-            w.open("{");
-            w.line("uint64_t accmos_prof_t0 = accmos_prof_on ? accmos_now_ns() : 0;");
-            3
-        } else {
-            2
-        };
-        w.open("for (accmos_lane = 0; accmos_lane < ACCMOS_LANES; accmos_lane++) {");
-        for (idx, a) in actors[start..end].iter().enumerate() {
-            match prof.and_then(|p| p.actor_site[start + idx]) {
-                Some(site) => {
-                    w.open("{");
-                    w.line("uint64_t accmos_prof_t0 = accmos_prof_on ? accmos_now_ns() : 0;");
-                    w.raw(indent_block(&a.code, depth + 1));
-                    emit_prof_close(w, site);
-                    w.close("}");
-                }
-                None => {
-                    w.raw(indent_block(&a.code, depth));
-                }
-            }
-        }
-        w.close("}");
-        if let Some(site) = seg_site {
-            emit_prof_close(w, site);
-            w.close("}");
-        }
-    }
 }
 
 /// Sampling period of the self-profiling clock, in steps. Invocation

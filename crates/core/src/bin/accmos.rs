@@ -45,8 +45,10 @@
 //! stimulus seed per repetition) on a bounded worker pool, compiling each
 //! unique generated program once; `--no-cache` forces cold compiles.
 //!
-//! `--lanes N` (simulate/batch, `accmos` engine only) generates a lane-parallel
-//! simulator stepping N test vectors per schedule iteration. Each lane
+//! `--lanes N` (simulate/batch, `accmos` engine only) generates a lane
+//! simulator that runs N test vectors in one process: each lane in turn
+//! advances a block of 4,096 steps, so a lane-N run is N scalar runs back
+//! to back without N process launches. Each lane
 //! gets its own seeded random stimulus (with an explicit `--tests` file,
 //! every lane replays the same stimulus); results come back with an
 //! OR-reduced coverage union, an FNV fold of the per-lane digests, and
@@ -88,9 +90,9 @@
 //! `profile` compiles the model with self-profiling instrumentation
 //! (per-actor cumulative nanosecond counters, digest-identical to the
 //! unprofiled build), runs it, and prints a hot-actor report ranked by
-//! cumulative time — with each site's share, call count, lane-fusion
-//! attribution (`fused:` segments are timed as one vectorizable unit)
-//! and the analyzer's specialization verdicts for cross-reference.
+//! cumulative time — with each site's share and call count (once per
+//! step, or once per lane per step with `--lanes N`) and the analyzer's
+//! specialization counts for cross-reference.
 //! `--profile` on `simulate` enables the same instrumentation without
 //! changing the normal report output.
 //!
@@ -554,13 +556,10 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
         eprintln!("wrote trace {path}");
     }
 
-    // Rank sites by cumulative time; `fused:<first-actor>+<n>` sites are
-    // whole fused lane segments timed as one vectorizable unit.
+    // Rank sites by cumulative time.
     let mut sites = report.profile.clone();
     sites.sort_by(|a, b| b.ns.cmp(&a.ns).then(a.actor.cmp(&b.actor)));
     let total_ns: u64 = sites.iter().map(|s| s.ns).sum();
-    let fused_ns: u64 =
-        sites.iter().filter(|s| s.actor.starts_with("fused:")).map(|s| s.ns).sum();
     let share = |ns: u64| match total_ns {
         0 => 0.0,
         t => 100.0 * ns as f64 / t as f64,
@@ -570,18 +569,17 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
         use accmos::telemetry::json_str;
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"model\":{},\"engine\":{},\"steps\":{},\"lanes\":{},\"total_ns\":{total_ns},\"fused_ns\":{fused_ns}",
+            "{{\"model\":{},\"engine\":{},\"steps\":{},\"lanes\":{},\"total_ns\":{total_ns}",
             json_str(&report.model),
             json_str(&report.engine),
             report.steps,
             program.lanes,
         ));
         out.push_str(&format!(
-            ",\"specialization\":{{\"folded\":{},\"elided\":{},\"specialized_arms\":{},\"fused_actors\":{},\"total_actors\":{}}}",
+            ",\"specialization\":{{\"folded\":{},\"elided\":{},\"specialized_arms\":{},\"total_actors\":{}}}",
             program.folded_actors,
             program.elided_actors,
             program.specialized_arms,
-            program.fused_actors,
             program.total_actors,
         ));
         out.push_str(",\"sites\":[");
@@ -590,13 +588,12 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"site\":{},\"ns\":{},\"calls\":{},\"timed\":{},\"share_pct\":{:.2},\"fused\":{}}}",
+                "{{\"site\":{},\"ns\":{},\"calls\":{},\"timed\":{},\"share_pct\":{:.2}}}",
                 json_str(&s.actor),
                 s.ns,
                 s.calls,
                 s.timed,
                 share(s.ns),
-                s.actor.starts_with("fused:"),
             ));
         }
         out.push_str("]}");
@@ -615,19 +612,12 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
         accmos::PROF_SAMPLE_PERIOD,
     );
     println!(
-        "  specialization: {} folded, {} elided (no profile site), {} specialized arm(s), {}/{} actors fusable",
+        "  specialization: {} folded, {} elided (no profile site), {} specialized arm(s) across {} actors",
         program.folded_actors,
         program.elided_actors,
         program.specialized_arms,
-        program.fused_actors,
         program.total_actors
     );
-    if program.lanes > 1 {
-        println!(
-            "  lane fusion: fused segments account for {:.1}% of measured time",
-            share(fused_ns)
-        );
-    }
     println!();
     println!("{:>4}  {:<40} {:>7} {:>12} {:>10} {:>9}", "rank", "site", "share", "time", "calls", "ns/call");
     for (i, s) in sites.iter().enumerate() {

@@ -417,9 +417,11 @@ impl Executor<'_> {
 /// coverage bitmaps OR-reduced and re-summarized, the top-level digest an
 /// FNV fold of the lane digests, diagnostics merged across lanes, final
 /// outputs mirroring lane 0, one time budget for all lanes together.
-/// Scalar runs (no `lane_tests`) go straight to [`Engine::run`]. Unlike
-/// the fused simulator, with [`RunOptions::stop_on_diagnostic`] each
-/// interpreted lane stops on *its own* first diagnostic.
+/// Scalar runs (no `lane_tests`) go straight to [`Engine::run`]. With
+/// [`RunOptions::stop_on_diagnostic`] each interpreted lane stops on *its
+/// own* first diagnostic, whereas the compiled lane-blocked driver stops
+/// every lane at the first 4,096-step block boundary after any lane's
+/// diagnostic.
 pub(crate) fn interp_lane_run(
     pre: &PreprocessedModel,
     tests: &TestVectors,

@@ -203,8 +203,8 @@ impl AccMoS {
         self
     }
 
-    /// Builder-style: generate a lane-parallel simulator stepping `n`
-    /// test vectors per schedule iteration
+    /// Builder-style: generate a lane simulator that runs `n` test
+    /// vectors in one process
     /// ([`CodegenOptions::lanes`]). Lane runs take the lane-0 stimulus
     /// as the primary `tests` argument and lanes `1..n` via
     /// [`RunOptions::lane_tests`]; results come back with per-lane

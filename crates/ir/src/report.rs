@@ -39,19 +39,18 @@ pub struct CustomEvent {
 }
 
 /// Cumulative self-profiling counters for one instrumented site of a
-/// profiled simulator build: a single actor, or a whole fused lane
-/// segment (site names `fused:<first-actor-key>+<actor-count>`). Parsed
-/// from `ACCMOS:PROF` protocol lines.
+/// profiled simulator build: one site per non-elided actor. Parsed from
+/// `ACCMOS:PROF` protocol lines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActorProfile {
-    /// Site name: the actor's path key, or a `fused:` segment label.
+    /// Site name: the actor's path key.
     pub actor: String,
     /// Cumulative nanoseconds spent in the site on *sampled* steps (the
     /// generated code only reads the clock every sampling period — full
     /// rate timing costs more than a small actor's whole body).
     pub ns: u64,
-    /// Number of invocations (per step, or per step per lane for
-    /// mixed-segment actors of a lane simulator). Counted at full rate.
+    /// Number of invocations: once per step, or once per step per lane
+    /// in a lane simulator. Counted at full rate.
     pub calls: u64,
     /// Number of *timed* invocations — the ones that contributed to
     /// `ns`. `ns / timed` is the mean time per call; `timed / calls` is

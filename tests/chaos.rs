@@ -294,7 +294,7 @@ fn chaos_batch_ledger_records_outcomes_faithfully() {
 /// Lane-parallel jobs ride the same supervision rails as scalar ones: a
 /// healthy lane job aggregates exactly like serial scalar runs, a
 /// sabotaged lane binary crashes into quarantine, and the interpreter
-/// fallback reproduces the fused simulator's aggregation bit for bit —
+/// fallback reproduces the lane simulator's aggregation bit for bit —
 /// with the lane width recorded in the ledger either way.
 #[test]
 fn lane_jobs_quarantine_and_degrade_bit_identically() {
@@ -359,7 +359,7 @@ fn lane_jobs_quarantine_and_degrade_bit_identically() {
     let r = healthy.report.as_ref().unwrap_or_else(|e| panic!("lane-healthy: {e}"));
     assert!(!healthy.degraded(), "healthy lane job must run compiled");
     assert_eq!(r.lane_width(), lanes as u64);
-    assert_eq!(r.output_digest, expected_healthy, "fused aggregate != scalar fold");
+    assert_eq!(r.output_digest, expected_healthy, "lane aggregate != scalar fold");
 
     for job in &report.jobs[1..] {
         assert!(job.degraded(), "{}: quarantined lane job must degrade", job.label);
@@ -367,7 +367,7 @@ fn lane_jobs_quarantine_and_degrade_bit_identically() {
         assert_eq!(r.lane_width(), lanes as u64, "{}", job.label);
         assert_eq!(
             r.output_digest, expected_crashy,
-            "{}: interpreter lane aggregation diverged from the fused layout",
+            "{}: interpreter lane aggregation diverged from the lane simulator",
             job.label
         );
     }

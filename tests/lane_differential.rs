@@ -10,9 +10,12 @@
 //! codegen path: the structure-of-arrays state layout, the per-lane
 //! stimulus plumbing, or the lane-blocked driver loop.
 
+mod common;
+
 use accmos::{AccMoS, NormalEngine, RunOptions, SimOptions};
-use accmos_ir::{CoverageKind, OutputDigest, TestVectors};
+use accmos_ir::{CoverageKind, Model, OutputDigest, TestVectors};
 use accmos_testgen::random_tests;
+use common::chain_model;
 
 /// Distinct full-range random stimuli, one table per lane.
 fn lane_stimuli(
@@ -27,27 +30,27 @@ fn lane_stimuli(
 
 /// Run the lane-`lanes` build once per seed and the scalar build `lanes`
 /// times on the same stimuli; assert lane-for-lane equality.
-fn check_model(name: &str, seeds: &[u64], widths: &[usize], steps: u64) {
-    let model = accmos_models::by_name(name);
-    let pre = accmos::preprocess(&model).unwrap();
-    let scalar = AccMoS::new().prepare(&model).unwrap();
+fn check_model(model: &Model, seeds: &[u64], widths: &[usize], steps: u64) {
+    let name = &model.name;
+    let pre = accmos::preprocess(model).unwrap();
+    let scalar = AccMoS::new().prepare(model).unwrap();
 
     for &lanes in widths {
-        let lane_sim = AccMoS::new().with_lanes(lanes).prepare(&model).unwrap();
+        let lane_sim = AccMoS::new().with_lanes(lanes).prepare(model).unwrap();
         for &seed in seeds {
             let stimuli = lane_stimuli(&pre, lanes, seed);
             let opts = RunOptions {
                 lane_tests: stimuli[1..].to_vec(),
                 ..RunOptions::default()
             };
-            let fused = lane_sim.run(steps, &stimuli[0], &opts).unwrap();
-            assert_eq!(fused.lane_width(), lanes as u64, "{name}: lane width");
+            let lane_run = lane_sim.run(steps, &stimuli[0], &opts).unwrap();
+            assert_eq!(lane_run.lane_width(), lanes as u64, "{name}: lane width");
 
             let mut fold = OutputDigest::new();
             for (lane, tests) in stimuli.iter().enumerate() {
                 let solo = scalar.run(steps, tests, &RunOptions::default()).unwrap();
                 let ctx = format!("{name} seed {seed} lanes {lanes} lane {lane}");
-                let in_lane = &fused.lane_reports[lane];
+                let in_lane = &lane_run.lane_reports[lane];
                 assert_eq!(in_lane.output_digest, solo.output_digest, "{ctx}: digest");
                 assert_eq!(in_lane.diagnostics, solo.diagnostics, "{ctx}: diagnostics");
                 assert_eq!(in_lane.final_outputs, solo.final_outputs, "{ctx}: outputs");
@@ -56,21 +59,21 @@ fn check_model(name: &str, seeds: &[u64], widths: &[usize], steps: u64) {
                 // The shared coverage bitmap is an OR across lanes, so it
                 // dominates every individual run without exceeding the
                 // instrumented total.
-                let fcov = fused.coverage.as_ref().unwrap();
+                let lcov = lane_run.coverage.as_ref().unwrap();
                 let scov = solo.coverage.as_ref().unwrap();
                 for kind in CoverageKind::ALL {
-                    let (f, s) = (fcov.counts(kind), scov.counts(kind));
-                    assert_eq!(f.total, s.total, "{ctx}: {kind} instrumented points");
+                    let (l, s) = (lcov.counts(kind), scov.counts(kind));
+                    assert_eq!(l.total, s.total, "{ctx}: {kind} instrumented points");
                     assert!(
-                        f.covered >= s.covered,
+                        l.covered >= s.covered,
                         "{ctx}: {kind} union {} lost points vs scalar {}",
-                        f.covered,
+                        l.covered,
                         s.covered
                     );
                 }
             }
             assert_eq!(
-                fused.output_digest,
+                lane_run.output_digest,
                 fold.finish(),
                 "{name} seed {seed} lanes {lanes}: aggregate digest is not the \
                  FNV fold of the per-lane digests"
@@ -84,19 +87,23 @@ fn check_model(name: &str, seeds: &[u64], widths: &[usize], steps: u64) {
 // The full Table 1 suite, two seeds, every lane width {2, 4, 8} — split
 // into three tests so the per-model compiles spread across test threads.
 
-/// The reference-engine-verified models.
+/// The reference-engine-verified models, plus a straight-line bitwise
+/// chain: a schedule with no branches and no diagnosis checks at all.
 #[test]
 fn reference_models_lane_runs_match_scalar_runs() {
     for name in ["CSEV", "SPV", "TWC", "LEDLC"] {
-        check_model(name, &[0xACC, 0x5EED], &[2, 4, 8], 64);
+        let model = accmos_models::by_name(name);
+        check_model(&model, &[0xACC, 0x5EED], &[2, 4, 8], 64);
     }
+    check_model(&chain_model(30), &[0xACC, 0x5EED], &[2, 4, 8], 64);
 }
 
 /// The mid-size controllers and protocol models.
 #[test]
 fn mid_models_lane_runs_match_scalar_runs() {
     for name in ["CPUT", "FMTM", "TCP", "UTPC"] {
-        check_model(name, &[0xACC, 0x5EED], &[2, 4, 8], 64);
+        let model = accmos_models::by_name(name);
+        check_model(&model, &[0xACC, 0x5EED], &[2, 4, 8], 64);
     }
 }
 
@@ -106,7 +113,8 @@ fn mid_models_lane_runs_match_scalar_runs() {
 #[test]
 fn large_models_lane_runs_match_scalar_runs() {
     for name in ["LANS", "RAC"] {
-        check_model(name, &[7, 0xACC], &[2, 4, 8], 48);
+        let model = accmos_models::by_name(name);
+        check_model(&model, &[7, 0xACC], &[2, 4, 8], 48);
     }
 }
 
@@ -139,13 +147,13 @@ fn lane_coverage_is_exact_bitmap_union() {
             lane_tests: stimuli[1..].to_vec(),
             ..RunOptions::default()
         };
-        let fused = lane_sim.run(steps, &stimuli[0], &opts).unwrap();
+        let lane_run = lane_sim.run(steps, &stimuli[0], &opts).unwrap();
         lane_sim.clean();
 
-        let fcov = fused.coverage.as_ref().unwrap();
+        let lcov = lane_run.coverage.as_ref().unwrap();
         for kind in CoverageKind::ALL {
             assert_eq!(
-                fcov.counts(kind).covered,
+                lcov.counts(kind).covered,
                 union.bitmap(kind).count_ones(),
                 "{name}: {kind} union"
             );

@@ -3,18 +3,18 @@
 //! (per lane and aggregate), same diagnostics, same coverage counts. The
 //! instrumentation only reads the monotonic clock and bumps counters; it
 //! never touches model state, so any divergence here means a profiling
-//! site leaked into the semantics (e.g. a site placed inside a fused
-//! lane loop perturbing auto-vectorized evaluation order).
+//! site leaked into the semantics.
 //!
 //! The sweep covers the full Table 1 suite at lane widths 1 and 4, plus
-//! a synthetic straight-line chain that forces the segmented execution
-//! shape so the shared `fused:` segment sites get exercised (the real
-//! benchmarks are branchy enough that they all pick the lane-blocked
-//! shape with per-actor sites).
+//! a synthetic straight-line chain at lane width 4 that pins the lane
+//! profile contract: one site per actor, counted once per lane per step.
+
+mod common;
 
 use accmos::{AccMoS, RunOptions};
-use accmos_ir::{ActorKind, BitOp, CoverageKind, DataType, Model, ModelBuilder, TestVectors};
+use accmos_ir::{CoverageKind, Model, TestVectors};
 use accmos_testgen::random_tests;
+use common::chain_model;
 
 /// Run the model twice — plain and profiled — and assert the reports are
 /// observationally identical apart from the profile itself.
@@ -90,67 +90,34 @@ fn profiling_is_neutral_for_large_models() {
     }
 }
 
-/// A straight-line bitwise chain: every actor is branch-free *and*
-/// diagnosis-free (bit operations cannot overflow, unlike Gain/Sum whose
-/// wrap checks keep them out of fused segments on full-range inputs), so
-/// the lane shape heuristic (fused share >= 75%) picks the per-step
-/// segmented form and the whole schedule lands in one fused lane loop.
-fn chain_model(n: usize) -> Model {
-    let mut b = ModelBuilder::new("Chain");
-    b.inport("In", DataType::U32);
-    let mut prev = "In".to_string();
-    for i in 0..n {
-        let name = format!("A{i}");
-        b.actor(&name, ActorKind::Bitwise { op: BitOp::Not });
-        b.connect((prev.as_str(), 0), (name.as_str(), 0));
-        prev = name;
-    }
-    b.outport("Out", DataType::U32);
-    b.connect((prev.as_str(), 0), ("Out", 0));
-    b.build().expect("chain model")
-}
-
-/// The segmented lane shape times whole fused segments (one shared site
-/// outside the lane loop) instead of individual actors — and stays
-/// digest-neutral doing it.
+/// The lane-blocked driver runs `Model_Exe` once per lane per step, so a
+/// lane build profiles exactly like a scalar one: one site per non-elided
+/// actor, named by its path key, invoked `steps × lanes` times — and it
+/// stays digest-neutral doing it.
 #[test]
-fn fused_segments_get_shared_profile_sites() {
+fn lane_builds_profile_every_actor_once_per_lane_step() {
+    let (lanes, steps) = (4usize, 256u64);
     let model = chain_model(30);
-    assert_profile_neutral(&model, 4, 256, 11);
-
-    let base = AccMoS::new().with_lanes(4);
-    let copts = base.codegen_options().clone().with_profile();
-    let pipeline = base.with_codegen(copts);
-    let program = pipeline.generate(&model).unwrap();
-    assert!(
-        program.fused_actors * 4 >= program.total_actors * 3,
-        "chain model no longer selects the segmented shape ({}/{} fused)",
-        program.fused_actors,
-        program.total_actors
-    );
+    assert_profile_neutral(&model, lanes, steps, 11);
 
     let pre = accmos::preprocess(&model).unwrap();
     let tests = random_tests(&pre, 8, 11);
     let lane_tests: Vec<TestVectors> =
-        (1..4u64).map(|lane| random_tests(&pre, 8, 11 + lane)).collect();
-    let sim = pipeline.prepare(&model).unwrap();
+        (1..lanes as u64).map(|lane| random_tests(&pre, 8, 11 + lane)).collect();
+    let base = AccMoS::new().with_lanes(lanes);
+    let copts = base.codegen_options().clone().with_profile();
+    let sim = base.with_codegen(copts).prepare(&model).unwrap();
     let report = sim
-        .run(256, &tests, &RunOptions { lane_tests, ..RunOptions::default() })
+        .run(steps, &tests, &RunOptions { lane_tests, ..RunOptions::default() })
         .unwrap();
+    assert_eq!(sim.program().elided_actors, 0, "the chain has no dead actor");
     sim.clean();
 
-    let fused: Vec<_> =
-        report.profile.iter().filter(|s| s.actor.starts_with("fused:")).collect();
-    assert!(
-        !fused.is_empty(),
-        "segmented shape produced no fused: sites; got {:?}",
-        report.profile.iter().map(|s| &s.actor).collect::<Vec<_>>()
-    );
-    for site in &fused {
-        // One call per step — the segment is timed outside the lane loop.
-        assert_eq!(site.calls, 256, "fused site {} call count", site.actor);
-        // `fused:<first-actor>+<n>` names the segment it covers.
-        let (_, count) = site.actor.rsplit_once('+').expect("segment name arity");
-        assert!(count.parse::<usize>().unwrap() >= 4, "segment below minimum run");
+    let keys: Vec<String> = pre.flat.ordered_actors().map(|a| a.path.key()).collect();
+    let sites: Vec<&str> = report.profile.iter().map(|s| s.actor.as_str()).collect();
+    assert_eq!(sites, keys, "one site per actor, in schedule order");
+    for site in &report.profile {
+        assert!(!site.actor.starts_with("fused:"), "segment site {}", site.actor);
+        assert_eq!(site.calls, steps * lanes as u64, "site {} call count", site.actor);
     }
 }
