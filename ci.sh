@@ -26,33 +26,37 @@ cargo test -q --test serve
 # JSON and zero error-severity findings (the lint catalogue's `error`
 # rules flag guaranteed-wrong models; a benchmark tripping one is a bug
 # in either the model or the analyzer). The suite-wide count of proven
-# sites — prunable diagnosis checks plus constant-foldable actors — must
+# sites — diagnosis checks the analyzer proves can never fire — must
 # stay at or above the established baseline (~170): a drop means the
 # analyzer silently lost precision.
 cargo build --release -p accmos --bin accmos
 SITES=0
 for m in CPUT CSEV FMTM LANS LEDLC RAC SPV TCP TWC UTPC; do
     n=$(./target/release/accmos analyze "bench:$m" --format json --deny error \
-        | python3 -c "import json,sys; d=json.load(sys.stdin); print(d['prunable_checks']+d['foldable_actors'])") \
+        | python3 -c "import json,sys; d=json.load(sys.stdin); print(d['prunable_checks'])") \
         || { echo "ci: accmos analyze failed on bench:$m" >&2; exit 1; }
     SITES=$((SITES + n))
 done
 [ "$SITES" -ge 170 ] \
     || { echo "ci: suite-wide proven sites dropped to $SITES (baseline >= 170)" >&2; exit 1; }
-echo "ci: analyzer gate passed on all 10 benchmarks ($SITES proven prunable/foldable sites)"
+echo "ci: analyzer gate passed on all 10 benchmarks ($SITES proven prunable sites)"
 
-# Removed-flag gate: generated C is the only compiled engine, and the CLI
-# rejects any flag its usage line does not list, so the flags of the
-# removed generated-Rust backend must fail loudly rather than quietly
-# fall back to C.
+# Removed-flag gate: generated C is the only compiled engine, every actor
+# compiles from its template (the analyzer only prunes diagnosis checks),
+# and the CLI rejects any flag its usage line does not list, so the flags
+# of the removed generated-Rust backend and of the removed analyzer-driven
+# rewrite of calculation code must fail loudly rather than be ignored.
 for removed in "simulate assets/figure1.mdlx --steps 10 --engine rust" \
-               "generate assets/figure1.mdlx --rust"; do
+               "generate assets/figure1.mdlx --rust" \
+               "generate bench:SPV --no-optimize" \
+               "simulate bench:SPV --steps 10 --no-optimize" \
+               "analyze bench:SPV --explain"; do
     # shellcheck disable=SC2086 # word-split the argument list on purpose
     if ./target/release/accmos $removed > /dev/null 2>&1; then
         echo "ci: 'accmos $removed' exited 0; expected a usage error" >&2; exit 1
     fi
 done
-echo "ci: removed Rust-backend flags are rejected"
+echo "ci: removed Rust-backend and calculation-rewrite flags are rejected"
 # The bench harnesses reject unknown flags too, so `table3`'s removed
 # fused-segment coverage section cannot be asked for silently.
 cargo build --release -p accmos-bench --bin table3
@@ -130,9 +134,8 @@ ACCMOS_CACHE_DIR="$LANE_DIR" ./target/release/accmos trends | grep -q "accmos@4"
 echo "ci: mixed scalar+lane ledger passed the trend gate"
 
 # Differential-fuzz gate: a short deterministic campaign (fixed seed, 50
-# trials — the planner mixes in lane-4, conditional-group and
-# specialization-off comparison trials, and the `plan mix` line proves
-# it) must complete with zero divergences and
+# trials — the planner mixes in lane-4 and conditional-group trials, and
+# the `plan mix` line proves it) must complete with zero divergences and
 # zero unclassified failures; a second `--resume` run over the same state
 # must skip every completed trial. The corpus replay suite pins every
 # previously-minimized divergence (it also runs under `cargo test`; named
@@ -148,7 +151,7 @@ grep -q "ok 50, divergences 0, classified failures 0, injected 0, unclassified 0
     || { cat "$FUZZ_DIR/fuzz_out.txt" >&2; echo "ci: fuzz campaign not fully clean" >&2; exit 1; }
 MIX=$(sed -n 's/^  plan mix: //p' "$FUZZ_DIR/fuzz_out.txt")
 case "$MIX" in
-    0\ lane-4*|*" 0 conditional"*|*" 0 spec-off"*)
+    0\ lane-4*|*" 0 conditional"*)
         echo "ci: fuzz plan mix missing a feature: $MIX" >&2; exit 1 ;;
 esac
 ./target/release/accmos fuzz --trials 50 --seed 1 --cache-dir "$FUZZ_DIR" --resume \

@@ -30,43 +30,16 @@
 mod fixpoint;
 mod verdict;
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::str::FromStr;
 
-use accmos_graph::{ActorId, GroupId, PreprocessedModel, SignalId};
+use accmos_graph::{ActorId, PreprocessedModel, SignalId};
 use accmos_ir::{CoverageKind, DiagnosticKind, Interval, TestVectors};
 
 use fixpoint::Engine;
 
 pub use fixpoint::{cast_interval, float_outward, wrap_fold};
-
-/// Conditional-group activity proven at the fixpoint (three-valued).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupActivity {
-    /// The group's members provably never execute: dead path.
-    Never,
-    /// Undetermined — the runtime guard must stay.
-    Maybe,
-    /// Provably active every step: the guard can specialize to `1`.
-    Always,
-}
-
-/// Proven-constant resolution of a branchy actor template, licensing
-/// codegen to emit only the taken arm. The elided arms' coverage bits are
-/// exactly the ones [`ModelAnalysis::unsatisfiable_points`] already
-/// marks, so digests and coverage counters stay identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchSpec {
-    /// `Switch`: the criteria is constantly true (pass-through) or false.
-    SwitchTaken(bool),
-    /// `MultiportSwitch`: only this 1-based case is ever selected
-    /// (after the template's clamp).
-    MultiportCase(usize),
-    /// `Saturation`: only this branch is reachable
-    /// (0 = below, 1 = pass-through, 2 = above).
-    SaturationBranch(usize),
-}
 
 /// Lint severity, ordered `Info < Warning < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -182,10 +155,6 @@ pub struct ModelAnalysis {
     findings: Vec<AnalysisFinding>,
     never_fires: HashSet<(ActorId, DiagnosticKind)>,
     unsat: [BTreeSet<usize>; 4],
-    fold: HashMap<ActorId, Vec<f64>>,
-    branch_spec: HashMap<ActorId, BranchSpec>,
-    group_act: Vec<GroupActivity>,
-    explain: Vec<String>,
 }
 
 /// Analyze a preprocessed model with no stimulus assumption: root inports
@@ -207,7 +176,6 @@ fn build(pre: &PreprocessedModel, tests: Option<&TestVectors>) -> ModelAnalysis 
     let mut engine = Engine::new(&pre.flat, None);
     engine.run();
     let (never_fires, unsat) = verdict::facts(&engine, &pre.coverage);
-    let spec = verdict::specialize(&engine);
 
     let findings = if tests.is_some() {
         let mut seeded = Engine::new(&pre.flat, tests);
@@ -227,10 +195,6 @@ fn build(pre: &PreprocessedModel, tests: Option<&TestVectors>) -> ModelAnalysis 
         findings,
         never_fires,
         unsat,
-        fold: spec.fold,
-        branch_spec: spec.branch_spec,
-        group_act: spec.group_act,
-        explain: spec.explain,
     }
 }
 
@@ -264,34 +228,6 @@ impl ModelAnalysis {
     /// after the widened fixpoint.
     pub fn narrow_passes(&self) -> usize {
         self.narrow_passes
-    }
-
-    /// Per-port constant values when every output of the actor is pinned
-    /// to one value, licensing codegen to replace the calculation body
-    /// with literal stores. Only pure, coverage-free templates qualify.
-    pub fn constant_fold(&self, id: ActorId) -> Option<&[f64]> {
-        self.fold.get(&id).map(Vec::as_slice)
-    }
-
-    /// The proven-constant branch resolution of a branchy template, if
-    /// any (Switch criteria, MultiportSwitch case, Saturation branch).
-    pub fn branch_spec(&self, id: ActorId) -> Option<BranchSpec> {
-        self.branch_spec.get(&id).copied()
-    }
-
-    /// Proven activity of a conditional group at the fixpoint.
-    pub fn group_activity(&self, g: GroupId) -> GroupActivity {
-        self.group_act.get(g.0).copied().unwrap_or(GroupActivity::Maybe)
-    }
-
-    /// Number of constant-foldable actors.
-    pub fn foldable_actors(&self) -> usize {
-        self.fold.len()
-    }
-
-    /// Number of branchy actors with a proven-constant arm.
-    pub fn specializable_branches(&self) -> usize {
-        self.branch_spec.len()
     }
 
     /// Whether the iteration stabilized before the hard pass cap (it
@@ -345,11 +281,7 @@ impl ModelAnalysis {
             self.live.iter().filter(|l| !**l).count(),
             self.prunable_checks(),
         ));
-        out.push_str(&format!(
-            "  narrowing passes: {}\n  foldable actors: {}\n",
-            self.narrow_passes,
-            self.foldable_actors(),
-        ));
+        out.push_str(&format!("  narrowing passes: {}\n", self.narrow_passes));
         for kind in CoverageKind::ALL {
             let n = self.unsatisfiable_count(kind);
             if n > 0 {
@@ -386,11 +318,6 @@ impl ModelAnalysis {
             self.live.iter().filter(|l| !**l).count()
         ));
         out.push_str(&format!("\"prunable_checks\":{},", self.prunable_checks()));
-        out.push_str(&format!("\"foldable_actors\":{},", self.foldable_actors()));
-        out.push_str(&format!(
-            "\"specializable_branches\":{},",
-            self.specializable_branches()
-        ));
         out.push_str("\"unsatisfiable\":{");
         for (i, kind) in CoverageKind::ALL.iter().enumerate() {
             if i > 0 {
@@ -424,35 +351,6 @@ impl ModelAnalysis {
             ));
         }
         out.push_str("]}");
-        out
-    }
-
-    /// Human-readable specialization report (CLI `--explain`): what would
-    /// be folded, elided or guard-specialized in generated code, and why.
-    pub fn render_explain(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "specialization plan for {}: {} ascending + {} narrowing pass(es)\n",
-            self.model, self.iterations, self.narrow_passes
-        ));
-        out.push_str(&format!(
-            "  fold {} actor(s), elide {} dead actor(s), specialize {} branch(es), \
-             {} group guard(s) constant\n",
-            self.foldable_actors(),
-            self.live.iter().filter(|l| !**l).count(),
-            self.specializable_branches(),
-            self.group_act
-                .iter()
-                .filter(|a| !matches!(a, GroupActivity::Maybe))
-                .count(),
-        ));
-        if self.explain.is_empty() {
-            out.push_str("no specialization opportunities\n");
-        } else {
-            for line in &self.explain {
-                out.push_str(&format!("  {line}\n"));
-            }
-        }
         out
     }
 }
@@ -518,6 +416,7 @@ mod tests {
         assert!(a.converged());
         let add = pre.flat.actor(actor_id(&pre, "M_Add"));
         assert_eq!(a.signal(add.outputs[0]).as_const(), Some(7.0));
+        assert!(a.is_live(add.id));
         // 3 + 4 provably fits i32: the overflow check is prunable.
         assert!(a.proves_never_fires(add.id, DiagnosticKind::WrapOnOverflow));
     }
@@ -582,6 +481,8 @@ mod tests {
         let sq = actor_id(&pre, "M_Sub_Sq");
         assert!(!a.is_live(sq));
         assert!(has_finding(&a, LintRule::DeadActor, "M_Sub_Sq"));
+        let group_key = pre.flat.groups[0].path.key();
+        assert!(has_finding(&a, LintRule::NeverActiveGroup, &group_key));
         // Dead actors' checks can never fire (sqrt domain included).
         assert!(a.proves_never_fires(sq, DiagnosticKind::DomainError));
         // Its actor-coverage bit is unsatisfiable.
@@ -631,6 +532,7 @@ mod tests {
         // Control 2.0 > 1.0 always: the else branch (bit base+1) is dead.
         assert!(a.unsatisfiable_points(CoverageKind::Condition).contains(&(base + 1)));
         assert!(has_finding(&a, LintRule::ConstantBranch, "M_Sw"));
+        assert!(has_finding(&a, LintRule::AlwaysTakenSwitchArm, "M_Sw"));
     }
 
     #[test]
@@ -918,72 +820,7 @@ mod tests {
     }
 
     #[test]
-    fn proven_constants_fold_with_explanation() {
-        let mut b = ModelBuilder::new("M");
-        b.constant("A", Scalar::I32(3));
-        b.constant("B", Scalar::I32(4));
-        b.actor("Add", ActorKind::Sum { signs: "++".into() });
-        b.outport("Y", DataType::I32);
-        b.connect(("A", 0), ("Add", 0));
-        b.connect(("B", 0), ("Add", 1));
-        b.wire("Add", "Y");
-        let (pre, a) = analyzed(&b.build().unwrap());
-        let add = actor_id(&pre, "M_Add");
-        assert_eq!(a.constant_fold(add), Some(&[7.0][..]));
-        assert!(a.is_live(add));
-        assert!(a.foldable_actors() >= 1);
-        assert!(a.render_explain().contains("fold M_Add"));
-    }
-
-    #[test]
-    fn constant_switch_specializes_arm_and_lints() {
-        let mut b = ModelBuilder::new("M");
-        b.constant("Ctl", Scalar::F64(2.0));
-        b.inport("A", DataType::F64);
-        b.inport("B", DataType::F64);
-        b.actor("Sw", ActorKind::Switch { criteria: SwitchCriteria::Greater(1.0) });
-        b.outport("Y", DataType::F64);
-        b.connect(("A", 0), ("Sw", 0));
-        b.connect(("Ctl", 0), ("Sw", 1));
-        b.connect(("B", 0), ("Sw", 2));
-        b.wire("Sw", "Y");
-        let (pre, a) = analyzed(&b.build().unwrap());
-        let sw = actor_id(&pre, "M_Sw");
-        assert_eq!(a.branch_spec(sw), Some(BranchSpec::SwitchTaken(true)));
-        assert_eq!(a.specializable_branches(), 1);
-        assert!(has_finding(&a, LintRule::AlwaysTakenSwitchArm, "M_Sw"));
-        assert!(a.render_explain().contains("specialize M_Sw"));
-    }
-
-    #[test]
-    fn never_active_group_lints_and_dead_path_verdict() {
-        let mut b = ModelBuilder::new("M");
-        b.constant("Off", Scalar::Bool(false));
-        b.subsystem("Sub", SystemKind::Enabled, |s| {
-            s.inport("u", DataType::F64);
-            s.actor("Sq", ActorKind::Sqrt);
-            s.outport("y", DataType::F64);
-            s.wire("u", "Sq");
-            s.wire("Sq", "y");
-        });
-        b.inport("U", DataType::F64);
-        b.outport("Y", DataType::F64);
-        b.connect(("U", 0), ("Sub", 0));
-        b.wire_to("Off", "Sub", 1);
-        b.wire("Sub", "Y");
-        let (pre, a) = analyzed(&b.build().unwrap());
-        let g = pre.flat.groups[0].id;
-        assert_eq!(a.group_activity(g), GroupActivity::Never);
-        let group_key = pre.flat.groups[0].path.key();
-        assert!(has_finding(&a, LintRule::NeverActiveGroup, &group_key));
-        let sq = actor_id(&pre, "M_Sub_Sq");
-        assert!(!a.is_live(sq));
-        assert_eq!(a.constant_fold(sq), None, "a dead actor is elided, not folded");
-        assert!(a.render_explain().contains("elide M_Sub_Sq"));
-    }
-
-    #[test]
-    fn always_active_group_specializes_guard() {
+    fn always_active_group_keeps_members_live() {
         let mut b = ModelBuilder::new("M");
         b.constant("On", Scalar::Bool(true));
         b.subsystem("Sub", SystemKind::Enabled, |s| {
@@ -999,10 +836,10 @@ mod tests {
         b.wire_to("On", "Sub", 1);
         b.wire("Sub", "Y");
         let (pre, a) = analyzed(&b.build().unwrap());
-        let g = pre.flat.groups[0].id;
-        assert_eq!(a.group_activity(g), GroupActivity::Always);
         let neg = actor_id(&pre, "M_Sub_Neg");
         assert!(a.is_live(neg));
-        assert!(!has_finding(&a, LintRule::NeverActiveGroup, "M_Sub"));
+        let group_key = pre.flat.groups[0].path.key();
+        assert!(!has_finding(&a, LintRule::NeverActiveGroup, &group_key));
+        assert!(has_finding(&a, LintRule::ConstantBranch, &group_key));
     }
 }

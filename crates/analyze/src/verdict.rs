@@ -17,7 +17,7 @@ use accmos_ir::{
 };
 
 use crate::fixpoint::{wrap_fold, Act, Engine};
-use crate::{AnalysisFinding, BranchSpec, GroupActivity, LintRule};
+use crate::{AnalysisFinding, LintRule};
 
 fn kind_slot(kind: CoverageKind) -> usize {
     CoverageKind::ALL.iter().position(|k| *k == kind).unwrap_or(0)
@@ -285,7 +285,6 @@ fn proves_check_safe(engine: &Engine<'_>, actor: &FlatActor, kind: DiagnosticKin
     }
 }
 
-/// Branch outcomes (0-based, `..outcomes`) this actor can never take.
 /// Whether the constant `c` (a value of type `from`) survives the
 /// generated round-trip cast `from -> dt -> from` bit-for-bit. Mirrors
 /// the C helpers: float->int truncates and saturates, NaN maps to zero
@@ -301,163 +300,7 @@ fn round_trip_exact(c: f64, from: DataType, dt: DataType) -> bool {
     back == c
 }
 
-/// Everything the specialization verdict layer derives from the narrowed
-/// fixpoint, packaged for `ModelAnalysis`.
-pub(crate) struct SpecParts {
-    pub fold: std::collections::HashMap<ActorId, Vec<f64>>,
-    pub branch_spec: std::collections::HashMap<ActorId, BranchSpec>,
-    pub group_act: Vec<GroupActivity>,
-    pub explain: Vec<String>,
-}
-
-/// Kinds whose templates are pure straight-line computations with no
-/// coverage writes, no state advance and no side effects (stimulus
-/// consumption, store writes): replacing the body with literal output
-/// stores is observationally identical when every output is pinned.
-fn fold_eligible(kind: &ActorKind) -> bool {
-    use ActorKind::*;
-    matches!(
-        kind,
-        Constant { .. }
-            | Ground
-            | Sum { .. }
-            | Product { .. }
-            | Gain { .. }
-            | Bias { .. }
-            | Abs
-            | Sign
-            | Sqrt
-            | Math { .. }
-            | Trig { .. }
-            | MinMax { .. }
-            | Rounding { .. }
-            | Polynomial { .. }
-            | DotProduct
-            | SumOfElements
-            | ProductOfElements
-            | Bitwise { .. }
-            | Shift { .. }
-            | Mux { .. }
-            | Demux { .. }
-            | DataTypeConversion { .. }
-            | Lookup1D { .. }
-            | Lookup2D { .. }
-            | Quantizer { .. }
-            | Selector { dynamic: false, .. }
-    )
-}
-
-/// Whether a pinned output value is safe to re-emit as a literal of the
-/// signal's type, bit-for-bit. Floats must be finite and nonzero: an
-/// interval `[0, 0]` cannot distinguish `+0.0` from a computed `-0.0`,
-/// whose bit patterns differ under the digest.
-fn literal_exact(v: f64, dt: DataType) -> bool {
-    if dt.is_float() {
-        v.is_finite() && v != 0.0
-    } else {
-        true
-    }
-}
-
-/// Derive the specialization verdicts from the narrowed fixpoint.
-pub(crate) fn specialize(engine: &Engine<'_>) -> SpecParts {
-    use ActorKind::*;
-    let flat = engine.flat;
-    let mut parts = SpecParts {
-        fold: Default::default(),
-        branch_spec: Default::default(),
-        group_act: Vec::with_capacity(flat.groups.len()),
-        explain: Vec::new(),
-    };
-
-    for group in &flat.groups {
-        let act = match engine.final_act(group.id) {
-            Act::Never => GroupActivity::Never,
-            Act::Maybe => GroupActivity::Maybe,
-            Act::Always => GroupActivity::Always,
-        };
-        if act != GroupActivity::Maybe {
-            parts.explain.push(format!(
-                "group {}: provably {} active — guard specialized to a constant",
-                group.path.key(),
-                if act == GroupActivity::Always { "always" } else { "never" }
-            ));
-        }
-        parts.group_act.push(act);
-    }
-
-    for actor in &flat.actors {
-        let id = actor.id;
-        let key = actor.path.key();
-        if !engine.live[id.0] {
-            parts.explain.push(format!(
-                "elide {key}: conditional chain provably never active"
-            ));
-            continue;
-        }
-
-        // Constant folding: every output pinned, template pure.
-        if fold_eligible(&actor.kind) && !actor.outputs.is_empty() {
-            let pinned: Option<Vec<f64>> = actor
-                .outputs
-                .iter()
-                .map(|out| {
-                    let sig = flat.signal(*out);
-                    engine.sig[out.0]
-                        .as_const()
-                        .filter(|v| literal_exact(*v, sig.dtype))
-                })
-                .collect();
-            if let Some(values) = pinned {
-                parts.explain.push(format!(
-                    "fold {key}: output(s) pinned to {values:?}"
-                ));
-                parts.fold.insert(id, values);
-            }
-        }
-
-        // Proven-constant arms of branchy templates.
-        let spec = match &actor.kind {
-            Switch { criteria } => {
-                engine.tri_switch(actor, criteria).map(BranchSpec::SwitchTaken)
-            }
-            MultiportSwitch { cases } => {
-                let (lo, hi) = engine.multiport_range(actor, *cases);
-                (lo == hi).then_some(BranchSpec::MultiportCase(lo))
-            }
-            Saturation { lo, hi } => {
-                let dead = unsat_branches(engine, actor, 3);
-                let reachable: Vec<usize> =
-                    (0..3).filter(|b| !dead.contains(b)).collect();
-                let _ = (lo, hi);
-                match reachable.as_slice() {
-                    [only] => Some(BranchSpec::SaturationBranch(*only)),
-                    _ => None,
-                }
-            }
-            _ => None,
-        };
-        if let Some(spec) = spec {
-            parts.explain.push(match spec {
-                BranchSpec::SwitchTaken(v) => format!(
-                    "specialize {key}: switch criteria constantly {v}, only the {} arm is emitted",
-                    if v { "pass-through" } else { "else" }
-                ),
-                BranchSpec::MultiportCase(c) => {
-                    format!("specialize {key}: selector always picks case {c}")
-                }
-                BranchSpec::SaturationBranch(b) => format!(
-                    "specialize {key}: only the {} branch is reachable",
-                    ["below", "pass-through", "above"][b.min(2)]
-                ),
-            });
-            parts.branch_spec.insert(id, spec);
-        }
-    }
-
-    parts
-}
-
+/// Branch outcomes (0-based, `..outcomes`) this actor can never take.
 fn unsat_branches(engine: &Engine<'_>, actor: &FlatActor, outcomes: usize) -> Vec<usize> {
     use ActorKind::*;
     let mut dead = Vec::new();

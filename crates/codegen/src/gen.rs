@@ -8,8 +8,8 @@
 //! (`diagnose_<path>`, Figure 4).
 
 use crate::cwriter::CodeBuf;
-use crate::options::{ActorList, CodegenOptions};
-use accmos_analyze::{BranchSpec, ModelAnalysis};
+use crate::options::CodegenOptions;
+use accmos_analyze::ModelAnalysis;
 use accmos_graph::{FlatActor, PreprocessedModel, SignalId};
 use accmos_ir::{
     applicable_diagnoses, ActorKind, BitOp, DataType, DiagnosticKind, LogicOp, LookupMethod,
@@ -38,15 +38,6 @@ pub(crate) struct EmitCtx<'a> {
     pub analysis: Option<ModelAnalysis>,
     /// Diagnosis checks dropped because the analysis proved them dead.
     pub pruned_sites: usize,
-    /// Actors whose calculation body was replaced by literal stores
-    /// because the analysis pinned every output to one constant.
-    pub folded_actors: usize,
-    /// Actors elided entirely (guard included) because the analysis
-    /// proved them dead (never-active group).
-    pub elided_actors: usize,
-    /// Branchy templates (`Switch`/`MultiportSwitch`/`Saturation`)
-    /// emitted with only their proven-taken arm.
-    pub specialized_arms: usize,
     /// Wall-clock time the interval analysis took (zero when pruning is
     /// off); reported as its own telemetry phase.
     pub analyze_time: std::time::Duration,
@@ -66,18 +57,8 @@ impl<'a> EmitCtx<'a> {
             update_sites: Vec::new(),
             analysis,
             pruned_sites: 0,
-            folded_actors: 0,
-            elided_actors: 0,
-            specialized_arms: 0,
             analyze_time,
         }
-    }
-
-    /// The analysis, but only when specialization verdicts may be
-    /// consumed: `prune_proven_safe` owns the analysis run; `specialize`
-    /// additionally licenses folding, elision and arm specialization.
-    pub(crate) fn spec(&self) -> Option<&ModelAnalysis> {
-        if self.opts.specialize { self.analysis.as_ref() } else { None }
     }
 
     fn sig_name(&self, id: SignalId) -> &str {
@@ -339,16 +320,13 @@ fn const_f64_array(name: &str, values: &[f64]) -> String {
     format!("static const double {name}[{}] = {{ {items} }};", values.len())
 }
 
-/// Whether the actor is on the diagnose list with a non-empty diagnosis set.
+/// The enabled diagnoses of an actor on the diagnose list, which holds
+/// every calculation actor (the interpreter diagnoses the same set).
 pub(crate) fn diagnosis_plan(
     ctx: &EmitCtx<'_>,
     actor: &FlatActor,
 ) -> Vec<DiagnosticKind> {
-    if !ctx.opts.instrument {
-        return Vec::new();
-    }
-    let default_member = actor.kind.is_calculation();
-    if !ctx.opts.diagnose.contains(&actor.path.key(), default_member) {
+    if !ctx.opts.instrument || !actor.kind.is_calculation() {
         return Vec::new();
     }
     let ins = ctx.pre.flat.input_dtypes(actor);
@@ -377,14 +355,10 @@ pub(crate) fn pruned_diagnosis_plan(
     keep
 }
 
-/// Whether the actor's output is collected (the `collectList`).
+/// Whether the actor's output is collected (the `collectList`: every
+/// `monitor`-flagged actor and every monitor sink).
 fn on_collect_list(opts: &CodegenOptions, actor: &FlatActor) -> bool {
-    if !opts.instrument {
-        return false;
-    }
-    let default_member = actor.monitor || actor.kind.is_monitor_sink();
-    matches!(opts.collect, ActorList::Default | ActorList::AlsoKeys(_) | ActorList::OnlyKeys(_))
-        && opts.collect.contains(&actor.path.key(), default_member)
+    opts.instrument && (actor.monitor || actor.kind.is_monitor_sink())
 }
 
 /// Result of emitting one actor: the in-line code plus the definition of
@@ -395,9 +369,6 @@ pub(crate) struct EmittedActor {
     /// The actor's path key — names its profiling site and the per-actor
     /// `ACCMOS:PROF` records.
     pub key: String,
-    /// Analyzer-elided actor (comment-only body): carries no profiling
-    /// site — there is nothing to time.
-    pub elided: bool,
 }
 
 /// Algorithm 1, per actor: template code + coverage + collection +
@@ -407,39 +378,6 @@ pub(crate) struct EmittedActor {
 pub(crate) fn emit_actor(ctx: &mut EmitCtx<'_>, actor: &FlatActor) -> EmittedActor {
     // Checks the interval analysis proves dead are dropped up front.
     let plan = pruned_diagnosis_plan(ctx, actor);
-
-    // Analyzer-directed dead-path elision: a proven-dead actor sits in a
-    // never-active group, so its guarded body never runs — outputs stay
-    // zero-initialized, coverage bits stay clear (each carries an
-    // `ACCMOS:UNSAT` proof), and its diagnosis plan is already empty via
-    // `proves_never_fires`. Dropping guard and body is observationally
-    // identical to the unoptimized build.
-    if ctx.spec().is_some_and(|a| !a.is_live(actor.id)) {
-        ctx.elided_actors += 1;
-        let mut w = CodeBuf::new();
-        w.comment(format!(
-            "{} type actor \"{}\" — elided: never-active group",
-            actor.kind.type_name(),
-            actor.path
-        ));
-        return EmittedActor {
-            code: w.finish(),
-            diag_code: String::new(),
-            key: actor.path.key(),
-            elided: true,
-        };
-    }
-
-    let fold = ctx
-        .spec()
-        .and_then(|a| a.constant_fold(actor.id))
-        .map(<[f64]>::to_vec);
-    if fold.is_some() {
-        ctx.folded_actors += 1;
-    }
-    if ctx.spec().is_some_and(|a| a.branch_spec(actor.id).is_some()) {
-        ctx.specialized_arms += 1;
-    }
 
     let mut w = CodeBuf::new();
     w.comment(format!(
@@ -453,10 +391,7 @@ pub(crate) fn emit_actor(ctx: &mut EmitCtx<'_>, actor: &FlatActor) -> EmittedAct
         None => w.open("{"),
     };
 
-    match fold.as_deref() {
-        Some(values) => emit_fold(ctx, actor, values, &mut w),
-        None => emit_calculation(ctx, actor, &mut w),
-    }
+    emit_calculation(ctx, actor, &mut w);
 
     // Actor coverage: "we add coverage statistics code at the end of each
     // actor, for example, actorBitmap[actorID]=1".
@@ -510,7 +445,6 @@ pub(crate) fn emit_actor(ctx: &mut EmitCtx<'_>, actor: &FlatActor) -> EmittedAct
         code: w.finish(),
         diag_code,
         key: actor.path.key(),
-        elided: false,
     }
 }
 
@@ -543,25 +477,6 @@ fn emit_collect(ctx: &EmitCtx<'_>, actor: &FlatActor, w: &mut CodeBuf) {
 // ---------------------------------------------------------------------------
 // calculation templates (genCodeFromTemp)
 // ---------------------------------------------------------------------------
-
-/// Literal stores for a proven-constant actor: the analysis pinned every
-/// output signal to one value, and the template is pure (no coverage
-/// writes, state advance, or side effects — `fold_eligible` in the
-/// analyzer), so the stores are observationally identical to running the
-/// template. The value is re-cast through the signal's own type, which
-/// round-trips exactly: it *is* the post-cast value the abstract
-/// transfer function computed.
-fn emit_fold(ctx: &EmitCtx<'_>, actor: &FlatActor, values: &[f64], w: &mut CodeBuf) {
-    w.comment("folded: analysis pins every output to a constant");
-    for (p, v) in values.iter().enumerate() {
-        let sig = ctx.pre.flat.signal(actor.outputs[p]);
-        let lit = Scalar::F64(*v).cast(sig.dtype).c_literal();
-        for e in 0..sig.width {
-            let target = elem_of(&sig.name, sig.width, &e.to_string());
-            w.line(format!("{target} = {lit};"));
-        }
-    }
-}
 
 #[allow(clippy::too_many_lines)]
 fn emit_calculation(ctx: &EmitCtx<'_>, actor: &FlatActor, w: &mut CodeBuf) {
@@ -984,24 +899,6 @@ fn emit_calculation(ctx: &EmitCtx<'_>, actor: &FlatActor, w: &mut CodeBuf) {
 
         // ---- control & nonlinear --------------------------------------------
         Switch { criteria } => {
-            // Analyzer-specialized: the control interval proves one arm
-            // is always taken, so only it is emitted; its branch-coverage
-            // bit is set unconditionally (the same bit every execution of
-            // the full template would set).
-            if let Some(BranchSpec::SwitchTaken(taken)) =
-                ctx.spec().and_then(|a| a.branch_spec(actor.id))
-            {
-                let (branch, port) = if taken { (0, 0) } else { (1, 2) };
-                if cov {
-                    if let Some(base) = cond_base {
-                        w.line(format!("ACCMOS_COV(accmos_cov_cond, {base} + ({branch}));"));
-                    }
-                }
-                for_elems(w, width, |w, idx| {
-                    w.line(format!("{} = {};", refs.out(idx), refs.in_cast(port, idx)));
-                });
-                return;
-            }
             let ctrl = format!("(double)({})", refs.in_raw(1, "0"));
             let cond = match criteria {
                 SwitchCriteria::GreaterEqual(th) => format!("{ctrl} >= {}", f64_lit(*th)),
@@ -1022,25 +919,6 @@ fn emit_calculation(ctx: &EmitCtx<'_>, actor: &FlatActor, w: &mut CodeBuf) {
             w.close("}");
         }
         MultiportSwitch { cases } => {
-            // Analyzer-specialized: the (clamped) selector interval is a
-            // single case, so the switch dispatch is emitted as a direct
-            // assignment from that case's input.
-            if let Some(BranchSpec::MultiportCase(case)) =
-                ctx.spec().and_then(|a| a.branch_spec(actor.id))
-            {
-                if cov {
-                    if let Some(base) = cond_base {
-                        w.line(format!(
-                            "ACCMOS_COV(accmos_cov_cond, {base} + ({}));",
-                            case - 1
-                        ));
-                    }
-                }
-                for_elems(w, width, |w, idx| {
-                    w.line(format!("{} = {};", refs.out(idx), refs.in_cast(case, idx)));
-                });
-                return;
-            }
             w.open("{");
             w.line(format!("accmos_wide sel = (accmos_wide)({});", refs.in_raw(0, "0")));
             w.line(format!(
@@ -1076,30 +954,6 @@ fn emit_calculation(ctx: &EmitCtx<'_>, actor: &FlatActor, w: &mut CodeBuf) {
         }
         Saturation { lo, hi } => {
             let (lo_l, hi_l) = (f64_lit(*lo), f64_lit(*hi));
-            // Analyzer-specialized: the input interval proves every
-            // element always lands in one branch (below/pass/above), so
-            // only that branch's assignment is emitted. The per-element
-            // coverage write collapses to one unconditional set of the
-            // same bit.
-            if let Some(BranchSpec::SaturationBranch(branch)) =
-                ctx.spec().and_then(|a| a.branch_spec(actor.id))
-            {
-                if cov {
-                    if let Some(base) = cond_base {
-                        w.line(format!("ACCMOS_COV(accmos_cov_cond, {base} + ({branch}));"));
-                    }
-                }
-                for_elems(w, width, |w, idx| {
-                    let x = refs.in_cast(0, idx);
-                    let val = match branch {
-                        0 => cast_f64_expr(&lo_l, dt),
-                        2 => cast_f64_expr(&hi_l, dt),
-                        _ => x,
-                    };
-                    w.line(format!("{} = {val};", refs.out(idx)));
-                });
-                return;
-            }
             for_elems(w, width, |w, idx| {
                 let x = refs.in_cast(0, idx);
                 w.open(format!("if ((double)({x}) < {lo_l}) {{"));

@@ -52,7 +52,7 @@ mod runtime;
 mod synthesis;
 
 pub use gen::DiagSite;
-pub use options::{ActorList, CodegenOptions, CustomProbe};
+pub use options::{CodegenOptions, CustomProbe};
 pub use runtime::RUNTIME_HEADER;
 pub use synthesis::{generate, GeneratedProgram, PROF_SAMPLE_PERIOD};
 
@@ -168,22 +168,34 @@ mod tests {
         );
     }
 
+    /// A switch compiles to its full template even when the analyzer
+    /// proves its control constant: both arms and the runtime test stay.
     #[test]
     fn switch_template_carries_condition_coverage() {
         let mut b = ModelBuilder::new("M");
         b.inport("C", DataType::F64);
         b.constant("Hi", Scalar::F64(1.0));
         b.constant("Lo", Scalar::F64(-1.0));
+        b.constant("K", Scalar::F64(2.0));
         b.actor("Sw", ActorKind::Switch { criteria: SwitchCriteria::Greater(0.0) });
+        b.actor("SwK", ActorKind::Switch { criteria: SwitchCriteria::Greater(0.0) });
         b.outport("Y", DataType::F64);
+        b.outport("Z", DataType::F64);
         b.connect(("Hi", 0), ("Sw", 0));
         b.connect(("C", 0), ("Sw", 1));
         b.connect(("Lo", 0), ("Sw", 2));
+        b.connect(("Hi", 0), ("SwK", 0));
+        b.connect(("K", 0), ("SwK", 1));
+        b.connect(("Lo", 0), ("SwK", 2));
         b.wire("Sw", "Y");
+        b.wire("SwK", "Z");
         let pre = preprocess(&b.build().unwrap()).unwrap();
         let p = generate(&pre, &CodegenOptions::accmos());
-        assert!(p.main_c.contains("ACCMOS_COV(accmos_cov_cond"));
-        assert!(p.main_c.contains("> 0.0"));
+        let c = &p.main_c;
+        assert!(c.contains("ACCMOS_COV(accmos_cov_cond"));
+        assert!(c.contains("> 0.0"));
+        assert!(c.contains("if ((double)(M_K_out) > 0.0) {"), "{c}");
+        assert!(c.contains("M_SwK_out = M_Hi_out;") && c.contains("M_SwK_out = M_Lo_out;"), "{c}");
     }
 
     #[test]
@@ -220,6 +232,22 @@ mod tests {
         assert!(c.contains("static inline int g0_active(void)"), "{c}");
         assert!(c.contains("if (g0_active()) {"));
         assert!(c.contains("g0_prev ="));
+
+        // Enabled by a constant `true`: the guard still tests the control
+        // signal at run time.
+        let mut b = ModelBuilder::new("M");
+        b.constant("On", Scalar::Bool(true));
+        b.subsystem("Sub", SystemKind::Enabled, |s| {
+            s.actor("Cnt", ActorKind::Counter { limit: 9 });
+            s.outport("y", DataType::I32);
+            s.wire("Cnt", "y");
+        });
+        b.outport("Y", DataType::I32);
+        b.wire_to("On", "Sub", 0);
+        b.wire("Sub", "Y");
+        let pre = preprocess(&b.build().unwrap()).unwrap();
+        let c = generate(&pre, &CodegenOptions::accmos()).main_c;
+        assert!(c.contains("static inline int g0_active(void) { return (M_On_out != 0); }"), "{c}");
     }
 
     #[test]

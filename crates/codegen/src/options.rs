@@ -1,37 +1,6 @@
 //! Code-generation options.
 
 use accmos_ir::DiagnosticPolicy;
-use std::collections::BTreeSet;
-
-/// Which actors to include in an instrumentation list (the paper's
-/// `collectList` and `diagnoseList` inputs to Algorithm 1).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum ActorList {
-    /// The default membership: all calculation actors for diagnosis; all
-    /// `monitor`-flagged actors and monitor sinks for collection.
-    #[default]
-    Default,
-    /// Nobody.
-    None,
-    /// Exactly the actors with these path keys, in addition to the default
-    /// membership.
-    AlsoKeys(BTreeSet<String>),
-    /// Exactly the actors with these path keys, nothing else.
-    OnlyKeys(BTreeSet<String>),
-}
-
-impl ActorList {
-    /// Whether an actor with path `key` and default membership
-    /// `default_member` is on the list.
-    pub fn contains(&self, key: &str, default_member: bool) -> bool {
-        match self {
-            ActorList::Default => default_member,
-            ActorList::None => false,
-            ActorList::AlsoKeys(keys) => default_member || keys.contains(key),
-            ActorList::OnlyKeys(keys) => keys.contains(key),
-        }
-    }
-}
 
 /// A user-defined signal diagnosis (paper §3.2B *Custom Signal Diagnose*):
 /// a C predicate over an actor's output value, checked every execution.
@@ -57,10 +26,6 @@ pub struct CodegenOptions {
     pub coverage: bool,
     /// Which diagnostics to instrument (requires `instrument`).
     pub policy: DiagnosticPolicy,
-    /// The signal-collection list.
-    pub collect: ActorList,
-    /// The diagnosis list.
-    pub diagnose: ActorList,
     /// Custom signal probes.
     pub custom: Vec<CustomProbe>,
     /// Per-step synchronization of every signal with a host-side mirror
@@ -75,15 +40,6 @@ pub struct CodegenOptions {
     /// output (digest, diagnostics, coverage counts) is identical with the
     /// flag on or off — pruning only removes dead instrumentation work.
     pub prune_proven_safe: bool,
-    /// Consume the analyzer's specialization verdicts (requires
-    /// `prune_proven_safe`, which owns the analysis run): fold
-    /// proven-constant actors into literals, elide dead actors and
-    /// never-taken `Switch`/`MultiportSwitch`/`Saturation` arms,
-    /// and specialize conditional-group guards proven always/never
-    /// active. Digest-preserving by construction: every elided
-    /// coverage point carries an `ACCMOS:UNSAT` proof, so raw counts,
-    /// diagnostics and digests are identical with the flag on or off.
-    pub specialize: bool,
     /// Number of test-vector lanes one generated simulator runs
     /// (structure-of-arrays multi-vector mode). `1` is the classic
     /// single-vector simulator; `N > 1` keeps one copy of every signal
@@ -96,9 +52,9 @@ pub struct CodegenOptions {
     /// Ignored (treated as 1) by the Rapid Accelerator host-sync
     /// configuration.
     pub lanes: usize,
-    /// Self-profiling instrumentation: wrap every emitted (non-elided)
-    /// actor in cumulative nanosecond + invocation counters, reported at
-    /// end of run as `ACCMOS:PROF` lines; a lane build counts each site
+    /// Self-profiling instrumentation: wrap every emitted actor in
+    /// cumulative nanosecond + invocation counters, reported at end of
+    /// run as `ACCMOS:PROF` lines; a lane build counts each site
     /// once per lane per step. Observation-only by construction: the
     /// counters read the monotonic clock and bump two integers — they
     /// never touch signal, state, coverage or digest computation — so a
@@ -125,16 +81,6 @@ impl CodegenOptions {
     /// [`CodegenOptions::lanes`] field). `n` is clamped to at least 1.
     pub fn lanes(mut self, n: usize) -> CodegenOptions {
         self.lanes = n.max(1);
-        self
-    }
-
-    /// Builder: disable analyzer-directed specialization (folding,
-    /// dead-path elision, arm/guard specialization) while keeping
-    /// diagnosis pruning. Used by the fuzz harness's
-    /// optimized-vs-unoptimized comparison plan and by
-    /// `accmos generate/simulate --no-optimize`.
-    pub fn without_specialization(mut self) -> CodegenOptions {
-        self.specialize = false;
         self
     }
 
@@ -174,13 +120,10 @@ impl Default for CodegenOptions {
             instrument: true,
             coverage: true,
             policy: DiagnosticPolicy::all(),
-            collect: ActorList::Default,
-            diagnose: ActorList::Default,
             custom: Vec::new(),
             host_sync: false,
             signal_log_limit: 4096,
             prune_proven_safe: true,
-            specialize: true,
             lanes: 1,
             profile: false,
             sabotage_digest: false,
@@ -193,31 +136,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn actor_list_membership() {
-        let keys: BTreeSet<String> = ["M_A".to_string()].into();
-        assert!(ActorList::Default.contains("M_X", true));
-        assert!(!ActorList::Default.contains("M_X", false));
-        assert!(!ActorList::None.contains("M_X", true));
-        assert!(ActorList::AlsoKeys(keys.clone()).contains("M_A", false));
-        assert!(ActorList::AlsoKeys(keys.clone()).contains("M_X", true));
-        assert!(ActorList::OnlyKeys(keys.clone()).contains("M_A", true));
-        assert!(!ActorList::OnlyKeys(keys).contains("M_X", true));
-    }
-
-    #[test]
     fn rapid_accelerator_is_uninstrumented() {
         let o = CodegenOptions::rapid_accelerator();
         assert!(!o.instrument && o.host_sync && !o.policy.any());
         let d = CodegenOptions::accmos();
         assert!(d.instrument && d.coverage && !d.host_sync);
-    }
-
-    #[test]
-    fn specialization_defaults_on_and_builder_disables() {
-        let d = CodegenOptions::accmos();
-        assert!(d.specialize && d.prune_proven_safe);
-        let off = CodegenOptions::accmos().without_specialization();
-        assert!(!off.specialize && off.prune_proven_safe);
     }
 
     #[test]

@@ -88,8 +88,8 @@ static uint64_t accmos_step = 0;
 /* ---- multi-vector lane mode ------------------------------------------ */
 /* In lane mode (ACCMOS_LANES > 1) every signal and state variable is a
  * structure-of-arrays with one element per lane, accessed through the
- * current-lane index below. Its address is never taken, so the compiler
- * keeps it in a register inside the per-actor lane loops. */
+ * current-lane index below. The lane-blocked driver fixes it around each
+ * block of steps, so every access inside a block reads one lane. */
 #if ACCMOS_LANES > 1
 static int accmos_lane = 0;
 #endif

@@ -10,11 +10,10 @@
 use crate::cwriter::CodeBuf;
 use crate::gen::{
     cast_expr, cast_f64_expr, emit_actor, f64_lit, state_decls, state_decls_lanes, store_var,
-    DiagSite, EmitCtx, EmittedActor,
+    DiagSite, EmitCtx,
 };
 use crate::options::CodegenOptions;
 use crate::runtime::RUNTIME_HEADER;
-use accmos_analyze::GroupActivity;
 use accmos_graph::PreprocessedModel;
 use accmos_ir::{ActorKind, CoverageKind, DataType, SystemKind};
 
@@ -50,15 +49,18 @@ pub struct GeneratedProgram {
     /// simulator). A lane-N simulator expects 0 or N `--tests`
     /// arguments, one per lane.
     pub lanes: usize,
-    /// Actors whose calculation body was replaced by literal stores
-    /// (analyzer-proven constant outputs).
+    /// Always 0. Codegen emits every actor from its template: it folds
+    /// no actor into literal stores. Kept only because the layered
+    /// benchmark (`perfbench`) sums this field into its `proven_sites`
+    /// metric; drop it together with that use.
     pub folded_actors: usize,
-    /// Actors elided entirely (analyzer-proven dead: never-active group).
+    /// Always 0: codegen elides no actor. Kept for `perfbench`'s
+    /// `proven_sites`, like [`GeneratedProgram::folded_actors`].
     pub elided_actors: usize,
-    /// Branchy templates emitted with only their proven-taken arm.
+    /// Always 0: every branchy template keeps all its arms. Kept for
+    /// `perfbench`'s `proven_sites`, like
+    /// [`GeneratedProgram::folded_actors`].
     pub specialized_arms: usize,
-    /// Total actors in the emitted schedule.
-    pub total_actors: usize,
 }
 
 impl GeneratedProgram {
@@ -93,7 +95,13 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         actor_code.push(emitted);
     }
 
-    let prof = opts.profile.then(|| profile_plan(&actor_code));
+    // Self-profiling: one site per actor, in schedule order, named by
+    // the actor's path key (the `ACCMOS:PROF actor=` field value).
+    let prof_names: Vec<&str> = if opts.profile {
+        actor_code.iter().map(|a| a.key.as_str()).collect()
+    } else {
+        Vec::new()
+    };
 
     let mut w = CodeBuf::new();
     w.comment(format!(
@@ -193,31 +201,15 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
             }
         }
         for g in &flat.groups {
-            // Analyzer-specialized guards: a group proven always active
-            // (enabled, control interval excludes zero, parent always
-            // active too) or never active (control pinned to zero)
-            // collapses to a constant — the activity lattice matches the
-            // guard's runtime truth value exactly, so every consumer
-            // (actor guards, Merge source selection, parent chains,
-            // Model_Update) specializes consistently from this one
-            // definition site.
-            let expr = match ctx.spec().map(|a| a.group_activity(g.id)) {
-                Some(GroupActivity::Always) => "1".to_owned(),
-                Some(GroupActivity::Never) => "0".to_owned(),
-                _ => {
-                    let ctrl = &flat.signal(g.control).name;
-                    let own = match g.kind {
-                        SystemKind::Enabled => format!("({ctrl} != 0)"),
-                        SystemKind::Triggered => {
-                            format!("(({ctrl} != 0) && !g{}_prev)", g.id.0)
-                        }
-                        SystemKind::Plain => "1".to_owned(),
-                    };
-                    match g.parent {
-                        Some(p) => format!("g{}_active() && {own}", p.0),
-                        None => own,
-                    }
-                }
+            let ctrl = &flat.signal(g.control).name;
+            let own = match g.kind {
+                SystemKind::Enabled => format!("({ctrl} != 0)"),
+                SystemKind::Triggered => format!("(({ctrl} != 0) && !g{}_prev)", g.id.0),
+                SystemKind::Plain => "1".to_owned(),
+            };
+            let expr = match g.parent {
+                Some(p) => format!("g{}_active() && {own}", p.0),
+                None => own,
             };
             w.line(format!(
                 "static inline int g{}_active(void) {{ return {expr}; }}",
@@ -262,25 +254,23 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     }
 
     // ---- self-profiling site tables ----------------------------------------------------
-    if let Some(p) = prof.as_ref() {
-        if !p.names.is_empty() {
-            w.comment("self-profiling sites: every invocation counts, but the clock is");
-            w.comment("only read on sampled steps — two monotonic reads per site per step");
-            w.comment("cost more than a small actor's whole body, so full-rate timing");
-            w.comment("would slow tiny-actor models by 50x+. The period is prime so the");
-            w.comment("sample never aliases a power-of-two model cycle.");
-            w.line(format!("#define ACCMOS_PROF_PERIOD {PROF_SAMPLE_PERIOD}"));
-            w.line(format!("static uint64_t accmos_prof_ns[{}];", p.names.len()));
-            w.line(format!("static uint64_t accmos_prof_calls[{}];", p.names.len()));
-            w.line(format!("static uint64_t accmos_prof_timed[{}];", p.names.len()));
-            w.line("static int accmos_prof_on;");
-            let names: Vec<String> = p.names.iter().map(|n| format!("\"{n}\"")).collect();
-            w.line(format!(
-                "static const char* const accmos_prof_name[] = {{ {} }};",
-                names.join(", ")
-            ));
-            w.blank();
-        }
+    if !prof_names.is_empty() {
+        w.comment("self-profiling sites: every invocation counts, but the clock is");
+        w.comment("only read on sampled steps — two monotonic reads per site per step");
+        w.comment("cost more than a small actor's whole body, so full-rate timing");
+        w.comment("would slow tiny-actor models by 50x+. The period is prime so the");
+        w.comment("sample never aliases a power-of-two model cycle.");
+        w.line(format!("#define ACCMOS_PROF_PERIOD {PROF_SAMPLE_PERIOD}"));
+        w.line(format!("static uint64_t accmos_prof_ns[{}];", prof_names.len()));
+        w.line(format!("static uint64_t accmos_prof_calls[{}];", prof_names.len()));
+        w.line(format!("static uint64_t accmos_prof_timed[{}];", prof_names.len()));
+        w.line("static int accmos_prof_on;");
+        let names: Vec<String> = prof_names.iter().map(|n| format!("\"{n}\"")).collect();
+        w.line(format!(
+            "static const char* const accmos_prof_name[] = {{ {} }};",
+            names.join(", ")
+        ));
+        w.blank();
     }
 
     // ---- dynamically generated diagnostic functions -----------------------------------
@@ -324,24 +314,21 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
 
     // ---- model system function (Figure 5 part 2) -----------------------------------------
     w.open("static void Model_Exe(void) {");
-    if prof.as_ref().is_some_and(|p| !p.names.is_empty()) {
+    if !prof_names.is_empty() {
         // Recomputed per call: a lane build runs Model_Exe once per lane
         // per step, and the sample decision only depends on the step, so
         // every lane of a step agrees.
         w.line("accmos_prof_on = (accmos_step % ACCMOS_PROF_PERIOD) == 0;");
     }
-    for (idx, emitted) in actor_code.iter().enumerate() {
-        match prof.as_ref().and_then(|p| p.actor_site[idx]) {
-            Some(site) => {
-                w.open("{");
-                w.line("uint64_t accmos_prof_t0 = accmos_prof_on ? accmos_now_ns() : 0;");
-                w.raw(indent_block(&emitted.code, 2));
-                emit_prof_close(&mut w, site);
-                w.close("}");
-            }
-            None => {
-                w.raw(indent_block(&emitted.code, 1));
-            }
+    for (site, emitted) in actor_code.iter().enumerate() {
+        if prof_names.is_empty() {
+            w.raw(indent_block(&emitted.code, 1));
+        } else {
+            w.open("{");
+            w.line("uint64_t accmos_prof_t0 = accmos_prof_on ? accmos_now_ns() : 0;");
+            w.raw(indent_block(&emitted.code, 2));
+            emit_prof_close(&mut w, site);
+            w.close("}");
         }
     }
     w.close("}");
@@ -351,11 +338,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     w.open("static void Model_Update(void) {");
     for actor in flat.ordered_actors() {
         if !actor.kind.breaks_algebraic_loops() {
-            continue;
-        }
-        // A proven-dead actor's update is guarded by an always-false
-        // `g_active()`; its body was elided, so elide the update too.
-        if ctx.spec().is_some_and(|a| !a.is_live(actor.id)) {
             continue;
         }
         let key = actor.path.key();
@@ -552,12 +534,10 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     // Profiling records are global (counters are shared across lanes —
     // lanes run sequentially in one thread), so they print before any
     // LANE marker.
-    if let Some(p) = prof.as_ref() {
-        if !p.names.is_empty() {
-            w.open(format!("for (int s = 0; s < {}; s++) {{", p.names.len()));
-            w.line("accmos_out(\"ACCMOS:PROF actor=%s ns=%llu calls=%llu timed=%llu\\n\", accmos_prof_name[s], (unsigned long long)accmos_prof_ns[s], (unsigned long long)accmos_prof_calls[s], (unsigned long long)accmos_prof_timed[s]);");
-            w.close("}");
-        }
+    if !prof_names.is_empty() {
+        w.open(format!("for (int s = 0; s < {}; s++) {{", prof_names.len()));
+        w.line("accmos_out(\"ACCMOS:PROF actor=%s ns=%llu calls=%llu timed=%llu\\n\", accmos_prof_name[s], (unsigned long long)accmos_prof_ns[s], (unsigned long long)accmos_prof_calls[s], (unsigned long long)accmos_prof_timed[s]);");
+        w.close("}");
     }
     if cov {
         for kind in CoverageKind::ALL {
@@ -830,10 +810,9 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         unsat_points,
         analyze_time: ctx.analyze_time,
         lanes,
-        folded_actors: ctx.folded_actors,
-        elided_actors: ctx.elided_actors,
-        specialized_arms: ctx.specialized_arms,
-        total_actors: actor_code.len(),
+        folded_actors: 0,
+        elided_actors: 0,
+        specialized_arms: 0,
     }
 }
 
@@ -854,28 +833,6 @@ fn bits_expr(expr: &str, dt: DataType) -> String {
 
 fn dtype_code(dt: DataType) -> usize {
     DataType::ALL.iter().position(|t| *t == dt).expect("known dtype")
-}
-
-/// Self-profiling site plan: one site per non-elided actor, named by the
-/// actor's path key. Elided actors carry no site: their body is a
-/// comment, there is nothing to time.
-struct ProfilePlan {
-    /// Site names in site-id order. These become `ACCMOS:PROF actor=`
-    /// field values, so they contain no spaces.
-    names: Vec<String>,
-    /// Per schedule index: the actor's own site, if it has one.
-    actor_site: Vec<Option<usize>>,
-}
-
-fn profile_plan(actors: &[EmittedActor]) -> ProfilePlan {
-    let mut plan = ProfilePlan { names: Vec::new(), actor_site: vec![None; actors.len()] };
-    for (idx, a) in actors.iter().enumerate() {
-        if !a.elided {
-            plan.actor_site[idx] = Some(plan.names.len());
-            plan.names.push(a.key.clone());
-        }
-    }
-    plan
 }
 
 /// Sampling period of the self-profiling clock, in steps. Invocation

@@ -66,9 +66,9 @@
 //! `fuzz` runs a seeded differential campaign: each trial generates a
 //! random model (conditional groups, nested subsystems, vectors, floats,
 //! lane widths in {1,4}) and compares the interpretive reference and the
-//! generated-C simulator (analyzer-pruned and unpruned builds, and
-//! periodically a specialization-off build), exactly — digests, final
-//! outputs, steps, all four coverage metrics, every diagnostic. Compiled
+//! generated-C simulator (analyzer-pruned and unpruned builds),
+//! exactly — digests, final outputs, steps, all four coverage metrics,
+//! every diagnostic. Compiled
 //! trials run under the supervisor, so crashes and hangs become
 //! classified verdicts, not dead campaigns. State is an append-only
 //! `fuzz.jsonl` under the cache directory; `--resume` skips trial
@@ -91,8 +91,7 @@
 //! (per-actor cumulative nanosecond counters, digest-identical to the
 //! unprofiled build), runs it, and prints a hot-actor report ranked by
 //! cumulative time — with each site's share and call count (once per
-//! step, or once per lane per step with `--lanes N`) and the analyzer's
-//! specialization counts for cross-reference.
+//! step, or once per lane per step with `--lanes N`).
 //! `--profile` on `simulate` enables the same instrumentation without
 //! changing the normal report output.
 //!
@@ -128,11 +127,10 @@ const USAGE: &str = "\
 usage: (models are .mdlx paths or bench:NAME for a built-in benchmark)
   accmos info     <model.mdlx>
   accmos analyze  <model.mdlx> [--format text|json] [--deny info|warning|error] [--tests t.csv]
-                  [--explain]
-  accmos generate <model.mdlx> [--out DIR] [--rapid] [--lanes N] [--no-optimize] [--profile]
+  accmos generate <model.mdlx> [--out DIR] [--rapid] [--lanes N] [--profile]
   accmos simulate <model.mdlx> --steps N [--tests t.csv] [--engine accmos|rac|sse|sse-ac]
                   [--stop-on-diag] [--budget-ms N] [--seed N] [--rows N]
-                  [--exec-timeout MS] [--retries N] [--lanes N] [--no-optimize]
+                  [--exec-timeout MS] [--retries N] [--lanes N]
                   [--profile] [--trace-out trace.json]
   accmos profile  <model.mdlx> [--steps N] [--tests t.csv] [--seed N] [--rows N] [--lanes N]
                   [--format text|json] [--trace-out trace.json] [--exec-timeout MS] [--retries N]
@@ -187,15 +185,15 @@ impl Spec {
     fn of(cmd: &str) -> Option<Spec> {
         let (positional, values, switches): (_, &[&str], &[&str]) = match cmd {
             "info" => (1..=1, &[], &[]),
-            "analyze" => (1..=1, &["--format", "--deny", "--tests"], &["--explain"]),
-            "generate" => (1..=1, &["--out", "--lanes"], &["--rapid", "--no-optimize", "--profile"]),
+            "analyze" => (1..=1, &["--format", "--deny", "--tests"], &[]),
+            "generate" => (1..=1, &["--out", "--lanes"], &["--rapid", "--profile"]),
             "simulate" => (
                 1..=1,
                 &[
                     "--steps", "--tests", "--engine", "--budget-ms", "--seed", "--rows",
                     "--exec-timeout", "--retries", "--lanes", "--trace-out",
                 ],
-                &["--stop-on-diag", "--no-optimize", "--profile"],
+                &["--stop-on-diag", "--profile"],
             ),
             "profile" => (
                 1..=1,
@@ -340,11 +338,6 @@ fn analyze(model: &Model, args: &[String]) -> Result<(), String> {
         "json" => println!("{}", analysis.render_json()),
         other => return Err(format!("unknown format `{other}` (text|json)")),
     }
-    // Per-model specialization report: what codegen will fold, elide and
-    // specialize under the default `--optimize` build, and why.
-    if flag(args, "--explain") {
-        print!("{}", analysis.render_explain());
-    }
     if let Some(deny) = deny {
         if analysis.max_severity().is_some_and(|worst| worst >= deny) {
             return Err(format!("analysis found findings at or above `{deny}` severity"));
@@ -364,9 +357,6 @@ fn generate(model: &Model, args: &[String]) -> Result<(), String> {
     };
     let lanes = opt_u64(args, "--lanes", 1)?.max(1) as usize;
     let mut opts = opts.lanes(lanes);
-    if flag(args, "--no-optimize") {
-        opts = opts.without_specialization();
-    }
     if flag(args, "--profile") {
         opts = opts.with_profile();
     }
@@ -438,10 +428,6 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
             } else {
                 AccMoS::new().with_lanes(lanes)
             };
-            if flag(args, "--no-optimize") {
-                let copts = pipeline.codegen_options().clone().without_specialization();
-                pipeline = pipeline.with_codegen(copts);
-            }
             if profiling {
                 let copts = pipeline.codegen_options().clone().with_profile();
                 pipeline = pipeline.with_codegen(copts);
@@ -529,10 +515,6 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
     if let Some(t) = &tracer {
         pipeline = pipeline.with_tracer(t.clone());
     }
-    // The analyzer's specialization verdicts for the exact program we are
-    // about to run (regenerated here; codegen is cheap next to the run).
-    let program = pipeline.generate(model).map_err(|e| e.to_string())?;
-
     let out = pipeline
         .run(
             model,
@@ -573,14 +555,7 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
             json_str(&report.model),
             json_str(&report.engine),
             report.steps,
-            program.lanes,
-        ));
-        out.push_str(&format!(
-            ",\"specialization\":{{\"folded\":{},\"elided\":{},\"specialized_arms\":{},\"total_actors\":{}}}",
-            program.folded_actors,
-            program.elided_actors,
-            program.specialized_arms,
-            program.total_actors,
+            lanes,
         ));
         out.push_str(",\"sites\":[");
         for (i, s) in sites.iter().enumerate() {
@@ -603,20 +578,13 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
 
     println!(
         "profile: `{}` engine {}, {} step(s), {} lane(s)",
-        report.model, report.engine, report.steps, program.lanes
+        report.model, report.engine, report.steps, lanes
     );
     println!(
         "  measured: {} ms across {} site(s), sampled timing (clock read every {} steps)",
         total_ns / 1_000_000,
         sites.len(),
         accmos::PROF_SAMPLE_PERIOD,
-    );
-    println!(
-        "  specialization: {} folded, {} elided (no profile site), {} specialized arm(s) across {} actors",
-        program.folded_actors,
-        program.elided_actors,
-        program.specialized_arms,
-        program.total_actors
     );
     println!();
     println!("{:>4}  {:<40} {:>7} {:>12} {:>10} {:>9}", "rank", "site", "share", "time", "calls", "ns/call");
@@ -823,13 +791,12 @@ fn fuzz(args: &[String]) -> Result<(), String> {
 
     // Planned feature mix, printed so a CI gate can assert the campaign
     // actually covered lane-parallel and conditional-group models.
-    let (mut lane4, mut conditional, mut nested, mut spec_off) = (0u64, 0u64, 0u64, 0u64);
+    let (mut lane4, mut conditional, mut nested) = (0u64, 0u64, 0u64);
     for i in 0..config.trials {
         let plan = accmos::fuzz::plan_trial(&config, i);
         lane4 += u64::from(plan.lanes == 4);
         conditional += u64::from(plan.cfg.conditional);
         nested += u64::from(plan.cfg.nested);
-        spec_off += u64::from(plan.spec_off);
     }
     let summary = accmos::FuzzCampaign::new(config).run().map_err(|e| e.to_string())?;
     if let (Some(t), Some(path)) = (&tracer, trace_out) {
@@ -845,7 +812,7 @@ fn fuzz(args: &[String]) -> Result<(), String> {
         summary.resumed
     );
     println!(
-        "  plan mix: {lane4} lane-4, {conditional} conditional, {nested} nested, {spec_off} spec-off"
+        "  plan mix: {lane4} lane-4, {conditional} conditional, {nested} nested"
     );
     println!(
         "  ok {}, divergences {}, classified failures {}, injected {}, unclassified {}",

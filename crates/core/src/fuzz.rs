@@ -13,10 +13,9 @@
 //!   catalogue (float math, vectors, conditional groups, nested
 //!   subsystems), a lane width in `{1, 4}`, steps and stimulus rows;
 //! - the model runs on the interpretive reference and on the generated-C
-//!   simulator (analyzer-pruned *and* unpruned builds; periodically the
-//!   specialization-off build too), all compared exactly on output digest,
-//!   final outputs, step counts, all four coverage metrics and every
-//!   diagnostic event;
+//!   simulator (analyzer-pruned *and* unpruned builds), all compared
+//!   exactly on output digest, final outputs, step counts, all four
+//!   coverage metrics and every diagnostic event;
 //! - compiled binaries execute under the existing [`Supervisor`] /
 //!   [`ExecPolicy`], so a hung or crashing simulator is killed,
 //!   classified and quarantined — a [`Verdict`], never a dead campaign;
@@ -175,11 +174,6 @@ pub struct TrialPlan {
     pub rows: usize,
     /// Fault-injection trial (no model runs; a `faultsim` copy does).
     pub inject: Option<FaultMode>,
-    /// Also build the specialization-off variant (pruning on, analyzer
-    /// folding/elision/arm-specialization off) and require it to agree
-    /// exactly with the specialized build — the optimized-vs-unoptimized
-    /// comparison plan.
-    pub spec_off: bool,
 }
 
 impl TrialPlan {
@@ -223,10 +217,6 @@ pub fn plan_trial(config: &FuzzConfig, index: u64) -> TrialPlan {
     let lanes = if rng.gen_bool(0.25) { 4 } else { 1 };
     let steps = rng.gen_range(8..=config.steps.max(8) as i128) as u64;
     let rows = rng.gen_range(2..=config.rows.max(2) as i128) as usize;
-    // Drawn last so appending this arm left every older plan field — and
-    // therefore every pinned corpus entry and resumable campaign state —
-    // byte-identical.
-    let spec_off = rng.gen_bool(0.5);
     let inject = if config.inject_fault_exe.is_some() {
         match index % 10 {
             7 => Some(FaultMode::Crash),
@@ -236,7 +226,7 @@ pub fn plan_trial(config: &FuzzConfig, index: u64) -> TrialPlan {
     } else {
         None
     };
-    TrialPlan { index, seed, cfg, lanes, steps, rows, inject, spec_off }
+    TrialPlan { index, seed, cfg, lanes, steps, rows, inject }
 }
 
 /// The random model a standalone seed maps to (the CLI's `rand:SEED`
@@ -754,8 +744,8 @@ impl FuzzCampaign {
         }
     }
 
-    /// Run one differential trial: interp vs specialized C vs unpruned C
-    /// (vs specialization-off C on sampled trials), compared exactly.
+    /// Run one differential trial: interp vs pruned C vs unpruned C,
+    /// compared exactly.
     fn run_differential(
         &self,
         plan: &TrialPlan,
@@ -791,29 +781,13 @@ impl FuzzCampaign {
         }
 
         // Generated C, pruning OFF: the analyzer's soundness claim.
-        let unpruned_opts =
-            CodegenOptions { prune_proven_safe: false, ..pruned_opts.clone() };
+        let unpruned_opts = CodegenOptions { prune_proven_safe: false, ..pruned_opts };
         let unpruned = match self.run_compiled(&model, &unpruned_opts, &job, supervisor, cache) {
             Ok(report) => report,
             Err(v) => return v,
         };
         if let Some(detail) = compare_reports("accmos", &pruned, "accmos-noprune", &unpruned) {
             return Verdict::Divergence { detail };
-        }
-
-        // Generated C, pruning ON but specialization OFF (sampled trials):
-        // the specializer's digest-preservation claim — folding, dead-path
-        // elision and arm/guard specialization must not change a single
-        // report field.
-        if plan.spec_off {
-            let nospec_opts = pruned_opts.clone().without_specialization();
-            let nospec = match self.run_compiled(&model, &nospec_opts, &job, supervisor, cache) {
-                Ok(report) => report,
-                Err(v) => return v,
-            };
-            if let Some(detail) = compare_reports("accmos", &pruned, "accmos-nospec", &nospec) {
-                return Verdict::Divergence { detail };
-            }
         }
         Verdict::Ok
     }

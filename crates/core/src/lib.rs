@@ -73,9 +73,7 @@ pub use accmos_backend::{
 };
 #[cfg(unix)]
 pub use accmos_backend::{CompiledDylib, DylibRun, DylibRunner};
-pub use accmos_codegen::{
-    ActorList, CodegenOptions, CustomProbe, GeneratedProgram, PROF_SAMPLE_PERIOD,
-};
+pub use accmos_codegen::{CodegenOptions, CustomProbe, GeneratedProgram, PROF_SAMPLE_PERIOD};
 pub use accmos_graph::{preprocess, PreprocessedModel};
 pub use accmos_interp::{AcceleratorEngine, Engine, NormalEngine, SimOptions};
 pub use accmos_parse::{parse_mdlx, write_mdlx, MdlxError};

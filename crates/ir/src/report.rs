@@ -39,7 +39,7 @@ pub struct CustomEvent {
 }
 
 /// Cumulative self-profiling counters for one instrumented site of a
-/// profiled simulator build: one site per non-elided actor. Parsed from
+/// profiled simulator build: one site per actor. Parsed from
 /// `ACCMOS:PROF` protocol lines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActorProfile {

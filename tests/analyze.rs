@@ -23,94 +23,36 @@ fn fixpoint_converges_on_every_benchmark() {
     }
 }
 
-/// The acceptance sweep: across all ten benchmarks and several stimulus
-/// seeds, the `prune_proven_safe` build must be indistinguishable from
-/// the full-instrumentation build — and at least one benchmark must
-/// actually drop a diagnosis site, or the whole feature is vacuous.
+/// The acceptance sweep: across all ten benchmarks, lane widths {1, 4}
+/// and several stimulus seeds, the `prune_proven_safe` build must be
+/// indistinguishable from the full-instrumentation build — per-lane
+/// digests included — and at least one benchmark must actually drop a
+/// diagnosis site, or the whole feature is vacuous.
 #[test]
 fn pruned_and_unpruned_builds_agree_bit_for_bit() {
-    let unpruned_opts =
-        CodegenOptions { prune_proven_safe: false, ..CodegenOptions::accmos() };
     let mut pruned_total = 0usize;
     for (name, _, _) in accmos_models::TABLE1 {
         let model = accmos_models::by_name(name);
         let pre = accmos::preprocess(&model).unwrap();
-
-        let pruned_sim = AccMoS::new().prepare(&model).unwrap();
-        let unpruned_sim =
-            AccMoS::new().with_codegen(unpruned_opts.clone()).prepare(&model).unwrap();
-        assert_eq!(
-            unpruned_sim.program().pruned_sites,
-            0,
-            "{name}: pruning disabled must emit every applicable check"
-        );
-        assert!(
-            pruned_sim.program().diag_sites.len() + pruned_sim.program().pruned_sites
-                == unpruned_sim.program().diag_sites.len(),
-            "{name}: pruned + kept sites must account for the full plan"
-        );
-        pruned_total += pruned_sim.program().pruned_sites;
-
-        for seed in [1u64, 0xACC, 998_877] {
-            let tests = random_tests(&pre, 32, seed);
-            let a = pruned_sim.run(150, &tests, &RunOptions::default()).unwrap();
-            let b = unpruned_sim.run(150, &tests, &RunOptions::default()).unwrap();
-            assert_eq!(a.output_digest, b.output_digest, "{name} seed {seed}: digest");
-            assert_eq!(a.final_outputs, b.final_outputs, "{name} seed {seed}: outputs");
-            assert_eq!(a.diagnostics, b.diagnostics, "{name} seed {seed}: diagnostics");
-            let (ca, cb) = (a.coverage.unwrap(), b.coverage.unwrap());
-            for kind in CoverageKind::ALL {
-                assert_eq!(ca.counts(kind), cb.counts(kind), "{name} seed {seed}: {kind}");
-                // Unsatisfiable points are a pruned-build side channel;
-                // they must never exceed the uncovered remainder.
-                assert!(
-                    ca.unsatisfiable(kind) <= ca.counts(kind).total - ca.counts(kind).covered,
-                    "{name} seed {seed}: {kind} unsat over-claims"
-                );
-                assert!(
-                    ca.reachable_percent(kind) >= ca.percent(kind) - 1e-9,
-                    "{name} seed {seed}: {kind} reachable percent regressed"
-                );
-            }
-        }
-        pruned_sim.clean();
-        unpruned_sim.clean();
-    }
-    assert!(
-        pruned_total >= 1,
-        "no benchmark dropped a single diagnosis site; pruning is vacuous"
-    );
-}
-
-/// The specialization acceptance sweep: analyzer-directed specialization
-/// (constant folding, dead-path elision, arm/guard specialization,
-/// semantic lane fusion) must be observationally free. Across all ten
-/// benchmarks, three stimulus seeds and lane widths {1, 4}, the
-/// specialized (default) build must agree bit-for-bit with the
-/// specialization-off build — digests, outputs, diagnostics, coverage
-/// counts and per-lane digests. And at least one benchmark must actually
-/// fold or specialize something, or the layer is vacuous. (Corpus replay
-/// in `tests/corpus.rs` exercises the same default-on configuration over
-/// every checked-in fuzz repro.)
-#[test]
-fn specialized_and_unspecialized_builds_agree_bit_for_bit() {
-    let mut specialized_total = 0usize;
-    for (name, _, _) in accmos_models::TABLE1 {
-        let model = accmos_models::by_name(name);
-        let pre = accmos::preprocess(&model).unwrap();
         for lanes in [1usize, 4] {
-            let spec_sim = AccMoS::new().with_lanes(lanes).prepare(&model).unwrap();
-            let nospec_opts = CodegenOptions::accmos().lanes(lanes).without_specialization();
-            let nospec_sim =
-                AccMoS::new().with_codegen(nospec_opts).prepare(&model).unwrap();
-            let off = nospec_sim.program();
+            let ctx = format!("{name} lanes {lanes}");
+            let pruned_sim = AccMoS::new().with_lanes(lanes).prepare(&model).unwrap();
+            let unpruned_opts = CodegenOptions {
+                prune_proven_safe: false,
+                ..CodegenOptions::accmos().lanes(lanes)
+            };
+            let unpruned_sim = AccMoS::new().with_codegen(unpruned_opts).prepare(&model).unwrap();
             assert_eq!(
-                (off.folded_actors, off.elided_actors, off.specialized_arms),
-                (0, 0, 0),
-                "{name} lanes {lanes}: specialization off must emit everything"
+                unpruned_sim.program().pruned_sites,
+                0,
+                "{ctx}: pruning disabled must emit every applicable check"
             );
-            let on = spec_sim.program();
-            specialized_total += on.folded_actors + on.elided_actors + on.specialized_arms;
+            assert!(
+                pruned_sim.program().diag_sites.len() + pruned_sim.program().pruned_sites
+                    == unpruned_sim.program().diag_sites.len(),
+                "{ctx}: pruned + kept sites must account for the full plan"
+            );
+            pruned_total += pruned_sim.program().pruned_sites;
 
             for seed in [1u64, 0xACC, 998_877] {
                 let tests = random_tests(&pre, 32, seed);
@@ -120,45 +62,44 @@ fn specialized_and_unspecialized_builds_agree_bit_for_bit() {
                         .collect(),
                     ..RunOptions::default()
                 };
-                let a = spec_sim.run(150, &tests, &opts).unwrap();
-                let b = nospec_sim.run(150, &tests, &opts).unwrap();
+                let a = pruned_sim.run(150, &tests, &opts).unwrap();
+                let b = unpruned_sim.run(150, &tests, &opts).unwrap();
+                assert_eq!(a.output_digest, b.output_digest, "{ctx} seed {seed}: digest");
+                assert_eq!(a.final_outputs, b.final_outputs, "{ctx} seed {seed}: outputs");
+                assert_eq!(a.diagnostics, b.diagnostics, "{ctx} seed {seed}: diagnostics");
                 assert_eq!(
-                    a.output_digest, b.output_digest,
-                    "{name} lanes {lanes} seed {seed}: digest"
+                    a.lane_reports.len(),
+                    b.lane_reports.len(),
+                    "{ctx} seed {seed}: lane report count"
                 );
-                assert_eq!(
-                    a.final_outputs, b.final_outputs,
-                    "{name} lanes {lanes} seed {seed}: outputs"
-                );
-                assert_eq!(
-                    a.diagnostics, b.diagnostics,
-                    "{name} lanes {lanes} seed {seed}: diagnostics"
-                );
-                for (lane, (la, lb)) in
-                    a.lane_reports.iter().zip(&b.lane_reports).enumerate()
-                {
+                for (lane, (la, lb)) in a.lane_reports.iter().zip(&b.lane_reports).enumerate() {
                     assert_eq!(
                         la.output_digest, lb.output_digest,
-                        "{name} lanes {lanes} seed {seed}: lane {lane} digest"
+                        "{ctx} seed {seed}: lane {lane} digest"
                     );
                 }
                 let (ca, cb) = (a.coverage.unwrap(), b.coverage.unwrap());
                 for kind in CoverageKind::ALL {
-                    assert_eq!(
-                        ca.counts(kind),
-                        cb.counts(kind),
-                        "{name} lanes {lanes} seed {seed}: {kind}"
+                    assert_eq!(ca.counts(kind), cb.counts(kind), "{ctx} seed {seed}: {kind}");
+                    // Unsatisfiable points are a pruned-build side channel;
+                    // they must never exceed the uncovered remainder.
+                    assert!(
+                        ca.unsatisfiable(kind) <= ca.counts(kind).total - ca.counts(kind).covered,
+                        "{ctx} seed {seed}: {kind} unsat over-claims"
+                    );
+                    assert!(
+                        ca.reachable_percent(kind) >= ca.percent(kind) - 1e-9,
+                        "{ctx} seed {seed}: {kind} reachable percent regressed"
                     );
                 }
             }
-            spec_sim.clean();
-            nospec_sim.clean();
+            pruned_sim.clean();
+            unpruned_sim.clean();
         }
     }
     assert!(
-        specialized_total >= 1,
-        "no benchmark folded, elided or specialized a single site; \
-         the specialization layer is vacuous"
+        pruned_total >= 1,
+        "no benchmark dropped a single diagnosis site; pruning is vacuous"
     );
 }
 

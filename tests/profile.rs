@@ -91,8 +91,8 @@ fn profiling_is_neutral_for_large_models() {
 }
 
 /// The lane-blocked driver runs `Model_Exe` once per lane per step, so a
-/// lane build profiles exactly like a scalar one: one site per non-elided
-/// actor, named by its path key, invoked `steps × lanes` times — and it
+/// lane build profiles exactly like a scalar one: one site per actor,
+/// named by its path key, invoked `steps × lanes` times — and it
 /// stays digest-neutral doing it.
 #[test]
 fn lane_builds_profile_every_actor_once_per_lane_step() {
@@ -110,7 +110,6 @@ fn lane_builds_profile_every_actor_once_per_lane_step() {
     let report = sim
         .run(steps, &tests, &RunOptions { lane_tests, ..RunOptions::default() })
         .unwrap();
-    assert_eq!(sim.program().elided_actors, 0, "the chain has no dead actor");
     sim.clean();
 
     let keys: Vec<String> = pre.flat.ordered_actors().map(|a| a.path.key()).collect();
