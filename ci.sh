@@ -21,6 +21,11 @@ cargo test -q --test chaos
 # entry-point code, since the generated main() routes through
 # accmos_entry and the same emit path the dylib engine calls.
 cargo test -q --test serve
+# Chunking structure check, named so a build whose `Model_Exe` chunks
+# lose, repeat or reorder an actor block, or exceed 64 blocks, is called
+# out in the CI log (also part of `cargo test`). With the equality sweeps
+# it shows that the cut moved only function boundaries.
+cargo test -q --test chunking
 
 # Static-analyzer gate: every Table 1 benchmark must produce well-formed
 # JSON and zero error-severity findings (the lint catalogue's `error`
@@ -65,20 +70,24 @@ if ./target/release/table3 --fused-lanes 8 > /dev/null 2>&1; then
 fi
 echo "ci: removed table3 flag is rejected"
 
-# Sanitizer smoke test: compile one generated Table 1 simulator with
+# Sanitizer smoke test: compile generated Table 1 simulators with
 # UBSan+ASan (no recovery, so any report aborts) and run a short
-# simulation. Catches UB in the generated C that -O3 happens to tolerate.
+# simulation of each. Catches UB in the generated C that -O3 happens to
+# tolerate. SPV has no conditional groups; CSEV has 11, and two of its
+# three `Model_Exe` chunk boundaries fall inside a group.
 SAN_DIR=$(mktemp -d)
 trap 'rm -rf "$SAN_DIR"' EXIT
-./target/release/accmos generate bench:SPV --out "$SAN_DIR"
-${CC:-cc} -O1 -g -fwrapv -std=gnu11 \
-    -fsanitize=undefined,address -fno-sanitize-recover=all \
-    "$SAN_DIR"/SPV.c -o "$SAN_DIR"/spv_san -lm
-"$SAN_DIR"/spv_san 5000 > "$SAN_DIR"/san_out.txt \
-    || { echo "ci: sanitizer run failed" >&2; exit 1; }
-grep -q "ACCMOS:END" "$SAN_DIR"/san_out.txt \
-    || { echo "ci: sanitized simulator produced no protocol output" >&2; exit 1; }
-echo "ci: sanitizer smoke test passed (SPV, 5000 steps, UBSan+ASan clean)"
+for m in SPV CSEV; do
+    ./target/release/accmos generate "bench:$m" --out "$SAN_DIR/$m"
+    ${CC:-cc} -O1 -g -fwrapv -std=gnu11 \
+        -fsanitize=undefined,address -fno-sanitize-recover=all \
+        "$SAN_DIR/$m/$m.c" -o "$SAN_DIR/$m/san" -lm
+    "$SAN_DIR/$m/san" 5000 > "$SAN_DIR/$m/san_out.txt" \
+        || { echo "ci: sanitizer run failed on $m" >&2; exit 1; }
+    grep -q "ACCMOS:END" "$SAN_DIR/$m/san_out.txt" \
+        || { echo "ci: sanitized $m simulator produced no protocol output" >&2; exit 1; }
+done
+echo "ci: sanitizer smoke test passed (SPV and CSEV, 5000 steps, UBSan+ASan clean)"
 
 # Run-ledger + trend gate: two batches into one fresh cache dir must both
 # append schema-versioned ledger records, and the trend check must pass

@@ -178,7 +178,7 @@ fn for_elems(w: &mut CodeBuf, width: usize, body: impl FnOnce(&mut CodeBuf, &str
 }
 
 /// The C state-variable declarations of one actor, if it is stateful.
-pub(crate) fn state_decls(ctx: &EmitCtx<'_>, actor: &FlatActor) -> Vec<String> {
+pub(crate) fn state_decls(actor: &FlatActor) -> Vec<String> {
     use ActorKind::*;
     let key = actor.path.key();
     let t = actor.dtype.c_name();
@@ -193,7 +193,6 @@ pub(crate) fn state_decls(ctx: &EmitCtx<'_>, actor: &FlatActor) -> Vec<String> {
             format!("{{ {items} }}")
         }
     };
-    let _ = ctx;
     match &actor.kind {
         UnitDelay { init } | Memory { init } => {
             vec![format!("static {t} {key}_state{} = {};", arr(w), init_list(*init, w))]
@@ -311,7 +310,7 @@ pub(crate) fn state_decls_lanes(ctx: &EmitCtx<'_>, actor: &FlatActor) -> Vec<Str
             Some(per_lane(&format!("{seed}ULL"))),
         ),
         // Read-only tables: shared across lanes.
-        _ => state_decls(ctx, actor),
+        _ => state_decls(actor),
     }
 }
 

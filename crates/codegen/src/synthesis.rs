@@ -1,11 +1,11 @@
 //! Simulation code synthesis (paper §3.3).
 //!
 //! Composes the instrumented actor code in execution order into the model
-//! system function (`Model_Exe`, Figure 5 part 2), adds the end-of-step
-//! state update, and wraps everything in a main function implementing the
-//! simulation loop with test-case import (`TestCase_Init` /
-//! `takeTestCase`), `recordResult()` and `outputResult()` (Figure 5
-//! part 1).
+//! system function (`Model_Exe`, Figure 5 part 2), which runs it as calls
+//! to bounded `noinline` chunks, adds the end-of-step state update, and
+//! wraps everything in a main function implementing the simulation loop
+//! with test-case import (`TestCase_Init` / `takeTestCase`),
+//! `recordResult()` and `outputResult()` (Figure 5 part 1).
 
 use crate::cwriter::CodeBuf;
 use crate::gen::{
@@ -181,7 +181,7 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         let decls = if lanes > 1 {
             state_decls_lanes(&ctx, actor)
         } else {
-            state_decls(&ctx, actor)
+            state_decls(actor)
         };
         for decl in decls {
             w.line(decl);
@@ -313,6 +313,31 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     }
 
     // ---- model system function (Figure 5 part 2) -----------------------------------------
+    // Actor blocks go, in schedule order, into balanced `noinline`
+    // chunks of at most EXE_CHUNK_ACTORS blocks, so that no one function
+    // hands the whole schedule to GCC's per-function passes, which grow
+    // faster than linearly with function size. Every block is
+    // self-contained (a group member carries its own guard), so any
+    // contiguous cut keeps the semantics.
+    let n = actor_code.len();
+    let chunks = n.div_ceil(EXE_CHUNK_ACTORS);
+    for k in 0..chunks {
+        w.open(format!("static __attribute__((noinline)) void accmos_exe_{k}(void) {{"));
+        let sites = k * n / chunks..(k + 1) * n / chunks;
+        for (site, emitted) in sites.clone().zip(&actor_code[sites]) {
+            if prof_names.is_empty() {
+                w.raw(indent_block(&emitted.code, 1));
+            } else {
+                w.open("{");
+                w.line("uint64_t accmos_prof_t0 = accmos_prof_on ? accmos_now_ns() : 0;");
+                w.raw(indent_block(&emitted.code, 2));
+                emit_prof_close(&mut w, site);
+                w.close("}");
+            }
+        }
+        w.close("}");
+        w.blank();
+    }
     w.open("static void Model_Exe(void) {");
     if !prof_names.is_empty() {
         // Recomputed per call: a lane build runs Model_Exe once per lane
@@ -320,16 +345,8 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         // every lane of a step agrees.
         w.line("accmos_prof_on = (accmos_step % ACCMOS_PROF_PERIOD) == 0;");
     }
-    for (site, emitted) in actor_code.iter().enumerate() {
-        if prof_names.is_empty() {
-            w.raw(indent_block(&emitted.code, 1));
-        } else {
-            w.open("{");
-            w.line("uint64_t accmos_prof_t0 = accmos_prof_on ? accmos_now_ns() : 0;");
-            w.raw(indent_block(&emitted.code, 2));
-            emit_prof_close(&mut w, site);
-            w.close("}");
-        }
+    for k in 0..chunks {
+        w.line(format!("accmos_exe_{k}();"));
     }
     w.close("}");
     w.blank();
@@ -834,6 +851,13 @@ fn bits_expr(expr: &str, dt: DataType) -> String {
 fn dtype_code(dt: DataType) -> usize {
     DataType::ALL.iter().position(|t| *t == dt).expect("known dtype")
 }
+
+/// Most actor blocks in one `accmos_exe_<k>` chunk of `Model_Exe`. A
+/// model of `n` actors gets `ceil(n / 64)` chunks whose sizes differ by
+/// at most one. On the ten Table 1 models, chunks of 32, 64 and 128 cut
+/// plain `cc -O3` time by 29, 27 and 24 % (geomean), for a few percent
+/// of loop time (DESIGN §4.5).
+const EXE_CHUNK_ACTORS: usize = 64;
 
 /// Sampling period of the self-profiling clock, in steps. Invocation
 /// counters run at full rate; the monotonic clock is only read on steps

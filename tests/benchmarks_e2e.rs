@@ -3,8 +3,33 @@
 //! reference engine.
 
 use accmos::{AccMoS, Engine as _, NormalEngine, RunOptions, SimOptions};
-use accmos_ir::{CoverageKind, DiagnosticKind};
+use accmos_ir::{CoverageKind, DiagnosticKind, SimulationReport};
 use accmos_testgen::random_tests;
+
+/// Run benchmark `name` for `steps` steps through the interpreter and the
+/// compiled scalar build on the same seeded stimulus, assert that they
+/// agree on digest, final outputs, coverage counts, diagnostics and the
+/// signal log, and return the compiled report.
+fn assert_matches_reference(name: &str, steps: u64, seed: u64) -> SimulationReport {
+    let model = accmos_models::by_name(name);
+    let pre = accmos::preprocess(&model).unwrap();
+    let tests = random_tests(&pre, 32, seed);
+
+    let interp = NormalEngine::new().run(&pre, &tests, &SimOptions::steps(steps));
+    let sim = AccMoS::new().prepare(&model).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let compiled = sim.run(steps, &tests, &RunOptions::default()).unwrap();
+    sim.clean();
+
+    assert_eq!(interp.output_digest, compiled.output_digest, "{name}: digest");
+    assert_eq!(interp.final_outputs, compiled.final_outputs, "{name}: outputs");
+    let (ic, cc) = (interp.coverage.as_ref().unwrap(), compiled.coverage.as_ref().unwrap());
+    for kind in CoverageKind::ALL {
+        assert_eq!(ic.counts(kind), cc.counts(kind), "{name}: {kind}");
+    }
+    assert_eq!(interp.diagnostics, compiled.diagnostics, "{name}: diagnostics");
+    assert_eq!(interp.signal_log, compiled.signal_log, "{name}: signal log");
+    compiled
+}
 
 /// Interpreter and generated C agree on digests, coverage and diagnostics
 /// for real benchmark models (which include f64-parameterised actors:
@@ -12,43 +37,19 @@ use accmos_testgen::random_tests;
 #[test]
 fn benchmarks_match_reference_engine() {
     for name in ["CSEV", "SPV", "TWC", "LEDLC"] {
-        let model = accmos_models::by_name(name);
-        let pre = accmos::preprocess(&model).unwrap();
-        let tests = random_tests(&pre, 32, 0xACC);
-
-        let steps = 200;
-        let interp = NormalEngine::new().run(&pre, &tests, &SimOptions::steps(steps));
-        let sim = AccMoS::new().prepare(&model).unwrap();
-        let compiled = sim.run(steps, &tests, &RunOptions::default()).unwrap();
-        sim.clean();
-
-        assert_eq!(interp.output_digest, compiled.output_digest, "{name}: digest");
-        assert_eq!(interp.final_outputs, compiled.final_outputs, "{name}: outputs");
-        let (ic, cc) = (interp.coverage.unwrap(), compiled.coverage.unwrap());
-        for kind in CoverageKind::ALL {
-            assert_eq!(ic.counts(kind), cc.counts(kind), "{name}: {kind}");
-        }
-        assert_eq!(interp.diagnostics, compiled.diagnostics, "{name}: diagnostics");
-        assert_eq!(interp.signal_log, compiled.signal_log, "{name}: signal log");
+        assert_matches_reference(name, 200, 0xACC);
     }
 }
 
-/// The big models (LANS 570 actors, RAC 667 actors) at least compile and
-/// run end to end with plausible coverage.
+/// The big models (LANS 570 actors, RAC 667 actors) have the most
+/// `Model_Exe` chunks (RAC 11): they compile, run end to end with
+/// plausible coverage, and agree with the interpreter.
 #[test]
 fn large_benchmarks_compile_and_run() {
     for name in ["LANS", "RAC", "CPUT", "FMTM", "TCP", "UTPC"] {
-        let model = accmos_models::by_name(name);
-        let pre = accmos::preprocess(&model).unwrap();
-        let tests = random_tests(&pre, 32, 7);
-        let sim = AccMoS::new()
-            .prepare(&model)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let r = sim.run(100, &tests, &RunOptions::default()).unwrap();
-        sim.clean();
+        let r = assert_matches_reference(name, 100, 7);
         assert_eq!(r.steps, 100, "{name}");
-        let cov = r.coverage.unwrap();
-        let actor_pct = cov.percent(CoverageKind::Actor);
+        let actor_pct = r.coverage.unwrap().percent(CoverageKind::Actor);
         assert!(
             actor_pct > 20.0 && actor_pct <= 100.0,
             "{name}: implausible actor coverage {actor_pct}"

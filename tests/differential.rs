@@ -10,7 +10,7 @@
 
 use accmos::{AccMoS, NormalEngine, RunOptions, SimOptions};
 use accmos::Engine as _;
-use accmos_ir::CoverageKind;
+use accmos_ir::{CoverageBitmaps, CoverageKind, OutputDigest, SimulationReport, TestVectors};
 use accmos_testgen::{random_tests, ModelGenConfig, RandomModelGen};
 
 fn check_seed(seed: u64, actors: usize, steps: u64) {
@@ -79,30 +79,68 @@ fn long_runs_accumulate_identically() {
     }
 }
 
-fn check_config(cfg: ModelGenConfig, steps: u64) {
+/// Final outputs as bit patterns, so that a NaN output equals itself,
+/// as it does in the output digest.
+fn output_bits(report: &SimulationReport) -> Vec<(&str, Vec<u64>)> {
+    report
+        .final_outputs
+        .iter()
+        .map(|(name, v)| (name.as_str(), v.elems().iter().map(|s| s.to_bits_u64()).collect()))
+        .collect()
+}
+
+/// The interpreter against a lane-`lanes` build (1 = scalar) of one
+/// generated model. Lane `i` runs its own stimulus and must match an
+/// interpreter run of it on digest, final outputs and diagnostics; a
+/// lane build's aggregate digest must be the FNV fold of the lane
+/// digests. Coverage counts must be those of the union of the lanes'
+/// bitmaps. Returns the model's actor count.
+fn check_config(cfg: ModelGenConfig, steps: u64, lanes: usize) -> usize {
     let seed = cfg.seed;
     let model = RandomModelGen::new(cfg).generate();
     let pre = accmos::preprocess(&model).unwrap();
-    let tests = random_tests(&pre, 16, seed.wrapping_mul(31));
+    let stimuli: Vec<TestVectors> = (0..lanes as u64)
+        .map(|lane| random_tests(&pre, 16, seed.wrapping_mul(31).wrapping_add(lane)))
+        .collect();
 
-    let interp = NormalEngine::new().run(&pre, &tests, &SimOptions::steps(steps));
-    let sim = AccMoS::new().prepare(&model).unwrap_or_else(|e| {
-        let program = AccMoS::new().generate(&model).unwrap();
+    let pipeline = AccMoS::new().with_lanes(lanes);
+    let sim = pipeline.prepare(&model).unwrap_or_else(|e| {
+        let program = pipeline.generate(&model).unwrap();
         panic!("seed {seed}: compile failed: {e}\n{}", program.main_c);
     });
-    let compiled = sim.run(steps, &tests, &RunOptions::default()).unwrap();
+    let opts = RunOptions { lane_tests: stimuli[1..].to_vec(), ..RunOptions::default() };
+    let compiled = sim.run(steps, &stimuli[0], &opts).unwrap();
     sim.clean();
 
-    assert_eq!(
-        interp.output_digest, compiled.output_digest,
-        "seed {seed}: digest mismatch\ninterp: {interp}\ncompiled: {compiled}\n--- generated C ---\n{}",
-        sim.program().main_c
-    );
-    assert_eq!(interp.diagnostics, compiled.diagnostics, "seed {seed}: diagnostics");
-    let (icov, ccov) = (interp.coverage.unwrap(), compiled.coverage.unwrap());
-    for kind in CoverageKind::ALL {
-        assert_eq!(icov.counts(kind), ccov.counts(kind), "seed {seed}: {kind}");
+    let mut digest = OutputDigest::new();
+    let mut union: Option<CoverageBitmaps> = None;
+    for (lane, tests) in stimuli.iter().enumerate() {
+        let ctx = format!("seed {seed} lanes {lanes} lane {lane}");
+        let (interp, bitmaps) =
+            NormalEngine::new().run_with_bitmaps(&pre, tests, &SimOptions::steps(steps));
+        let got = if lanes == 1 { &compiled } else { &compiled.lane_reports[lane] };
+        assert_eq!(
+            interp.output_digest, got.output_digest,
+            "{ctx}: digest mismatch\ninterp: {interp}\ncompiled: {got}\n--- generated C ---\n{}",
+            sim.program().main_c
+        );
+        assert_eq!(output_bits(&interp), output_bits(got), "{ctx}: final outputs");
+        assert_eq!(interp.diagnostics, got.diagnostics, "{ctx}: diagnostics");
+        digest.write_u64(interp.output_digest);
+        match &mut union {
+            Some(u) => u.merge(&bitmaps),
+            None => union = Some(bitmaps),
+        }
     }
+    if lanes > 1 {
+        assert_eq!(compiled.output_digest, digest.finish(), "seed {seed}: aggregate digest");
+    }
+    let want = pre.coverage.map.summarize(&union.unwrap());
+    let got = compiled.coverage.unwrap();
+    for kind in CoverageKind::ALL {
+        assert_eq!(want.counts(kind), got.counts(kind), "seed {seed} lanes {lanes}: {kind}");
+    }
+    pre.flat.ordered_actors().count()
 }
 
 /// Float math evaluates through the same glibc libm in both paths, so
@@ -113,6 +151,7 @@ fn float_models_match_bit_for_bit() {
         check_config(
             ModelGenConfig { seed, actors: 30, float_math: true, ..ModelGenConfig::default() },
             64,
+            1,
         );
     }
 }
@@ -124,6 +163,7 @@ fn vector_models_match_bit_for_bit() {
         check_config(
             ModelGenConfig { seed, actors: 32, vectors: true, ..ModelGenConfig::default() },
             64,
+            1,
         );
     }
 }
@@ -145,6 +185,7 @@ fn mixed_models_match_bit_for_bit() {
                 ..ModelGenConfig::default()
             },
             128,
+            1,
         );
     }
 }
@@ -158,6 +199,7 @@ fn conditional_group_models_match_bit_for_bit() {
         check_config(
             ModelGenConfig { seed, actors: 32, conditional: true, ..ModelGenConfig::default() },
             96,
+            1,
         );
     }
 }
@@ -177,6 +219,31 @@ fn nested_group_models_match_bit_for_bit() {
                 ..ModelGenConfig::default()
             },
             96,
+            1,
         );
+    }
+}
+
+
+/// Conditional and nested groups, float math and vector state straddle
+/// `Model_Exe` chunk boundaries: each model has more than 128 actors, so
+/// at least three 64-actor chunks. The fuzz models `rand:1`…`rand:8`
+/// flatten to 11–41 actors and never build a second chunk.
+#[test]
+fn models_spanning_several_chunks_match_bit_for_bit() {
+    let nested = |seed| ModelGenConfig {
+        seed,
+        actors: 150,
+        conditional: true,
+        nested: true,
+        inports: 3,
+        ..ModelGenConfig::default()
+    };
+    let mixed = ModelGenConfig { float_math: true, vectors: true, ..nested(903) };
+    for cfg in [nested(900), nested(901), nested(902), mixed] {
+        for lanes in [1, 4] {
+            let actors = check_config(cfg.clone(), 96, lanes);
+            assert!(actors > 128, "seed {}: {actors} actors fill fewer than 3 chunks", cfg.seed);
+        }
     }
 }
