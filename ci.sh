@@ -107,6 +107,25 @@ ACCMOS_CACHE_DIR="$LEDGER_DIR" ./target/release/accmos trends --check --max-regr
     || { echo "ci: trend gate failed" >&2; exit 1; }
 echo "ci: run ledger grew $COUNT1 -> $COUNT2 record(s) across two batches; trend gate passed"
 
+# Optimization-level gate: in a fresh cache a short run builds at -O1 (no
+# cache hit), a run of O3_BUDGET steps builds at -O3, and a second short
+# run takes that -O3 build from the cache instead of its own -O1 one. The
+# ledger records the level that served each run.
+LEVEL_DIR=$(mktemp -d)
+trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR"' EXIT
+for steps in 5000 1000000 5000; do
+    ACCMOS_CACHE_DIR="$LEVEL_DIR" ./target/release/accmos simulate bench:SPV --steps $steps > /dev/null \
+        || { echo "ci: level-gate run of $steps steps failed" >&2; exit 1; }
+done
+python3 - "$LEVEL_DIR/ledger.jsonl" <<'EOF' \
+    || { echo "ci: the ledger does not show O1, O3, then a cached O3" >&2; exit 1; }
+import json, sys
+records = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
+got = [(r["steps"], r.get("opt"), r["compile_cached"]) for r in records]
+assert got == [(5000, "O1", False), (1000000, "O3", False), (5000, "O3", True)], got
+EOF
+echo "ci: level gate passed (5000 steps at O1, 1000000 at O3, then 5000 from the cached O3 build)"
+
 # Lane-parallel gates: (1) the per-lane digests of one lane-4 run must
 # equal four scalar runs over the same seeded stimuli — the
 # structure-of-arrays codegen may never change simulation results; (2) a
@@ -114,7 +133,7 @@ echo "ci: run ledger grew $COUNT1 -> $COUNT2 record(s) across two batches; trend
 # and lane runs must pass the trend gate with the two engine keys
 # (`accmos` / `accmos@4`) baselined apart.
 LANE_DIR=$(mktemp -d)
-trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LANE_DIR"' EXIT
+trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR"' EXIT
 ACCMOS_CACHE_DIR="$LANE_DIR" ./target/release/accmos simulate bench:TWC --steps 2000 --seed 77 --lanes 4 > "$LANE_DIR/lane_out.txt" \
     || { echo "ci: lane-4 simulate failed" >&2; exit 1; }
 for i in 0 1 2 3; do
@@ -143,15 +162,16 @@ ACCMOS_CACHE_DIR="$LANE_DIR" ./target/release/accmos trends | grep -q "accmos@4"
 echo "ci: mixed scalar+lane ledger passed the trend gate"
 
 # Differential-fuzz gate: a short deterministic campaign (fixed seed, 50
-# trials — the planner mixes in lane-4 and conditional-group trials, and
-# the `plan mix` line proves it) must complete with zero divergences and
-# zero unclassified failures; a second `--resume` run over the same state
+# trials — the planner mixes in lane-4, conditional-group and pinned -O3
+# trials, and the `plan mix` line proves it) must complete with zero
+# divergences and zero unclassified failures; a second `--resume` run
+# over the same state
 # must skip every completed trial. The corpus replay suite pins every
 # previously-minimized divergence (it also runs under `cargo test`; named
 # here so a re-fired repro is called out in the CI log).
 cargo test -q --test corpus
 FUZZ_DIR=$(mktemp -d)
-trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LANE_DIR" "$FUZZ_DIR"' EXIT
+trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR"' EXIT
 ./target/release/accmos fuzz --trials 50 --seed 1 --cache-dir "$FUZZ_DIR" \
     > "$FUZZ_DIR/fuzz_out.txt" \
     || { cat "$FUZZ_DIR/fuzz_out.txt" >&2; echo "ci: fuzz campaign failed" >&2; exit 1; }
@@ -160,7 +180,7 @@ grep -q "ok 50, divergences 0, classified failures 0, injected 0, unclassified 0
     || { cat "$FUZZ_DIR/fuzz_out.txt" >&2; echo "ci: fuzz campaign not fully clean" >&2; exit 1; }
 MIX=$(sed -n 's/^  plan mix: //p' "$FUZZ_DIR/fuzz_out.txt")
 case "$MIX" in
-    0\ lane-4*|*" 0 conditional"*)
+    0\ lane-4*|*" 0 conditional"*|*" 0 -O3"|*nested)
         echo "ci: fuzz plan mix missing a feature: $MIX" >&2; exit 1 ;;
 esac
 ./target/release/accmos fuzz --trials 50 --seed 1 --cache-dir "$FUZZ_DIR" --resume \
@@ -208,7 +228,7 @@ echo "ci: analyzer gate passed on rand:3 and rand:9"
 # Chrome trace-event JSON containing pipeline, supervisor and per-actor
 # profile spans.
 PROF_DIR=$(mktemp -d)
-trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR"' EXIT
+trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR"' EXIT
 PLAIN=$(ACCMOS_CACHE_DIR="$PROF_DIR" ./target/release/accmos simulate bench:CSEV --steps 5000 --seed 11 \
     | sed -n 's/^  digest: \([0-9a-f]*\)$/\1/p')
 PROFILED=$(ACCMOS_CACHE_DIR="$PROF_DIR" ./target/release/accmos simulate bench:CSEV --steps 5000 --seed 11 --profile \
@@ -241,7 +261,7 @@ echo "ci: observability gate passed (profiled digest identical, trace has pipeli
 # daemon down — then assert ledger growth, the persistent job journal,
 # and a clean shutdown that removes the socket.
 SERVE_DIR=$(mktemp -d)
-trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
+trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
 SOCK="$SERVE_DIR/accmos.sock"
 FAULTSIM_MODE=crash ./target/release/accmos serve --socket "$SOCK" --cache-dir "$SERVE_DIR" \
     --workers 2 --exec-timeout 2000 --retries 1 > "$SERVE_DIR/serve_log.txt" 2>&1 &

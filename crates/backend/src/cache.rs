@@ -128,16 +128,25 @@ impl BuildCache {
     /// Returns the path of the cached executable, which callers must copy
     /// out (entries can be evicted at any time by other handles).
     pub fn lookup(&self, key: &str) -> Option<PathBuf> {
-        let exe = self.root.join(key).join(EXE_NAME);
-        if exe.is_file() {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            // Refresh the entry's recency for LRU eviction; best-effort.
-            self.touch(&self.root.join(key));
-            Some(exe)
-        } else {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            None
+        self.lookup_first(&[key]).map(|(_, exe)| exe)
+    }
+
+    /// Look up the first of `keys` the cache holds (a build that accepts
+    /// several artifacts, preferred first), counting one hit or one miss
+    /// for the whole lookup. Returns the index of the key found and the
+    /// cached file's path.
+    pub fn lookup_first(&self, keys: &[&str]) -> Option<(usize, PathBuf)> {
+        for (i, key) in keys.iter().enumerate() {
+            let exe = self.root.join(key).join(EXE_NAME);
+            if exe.is_file() {
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                // Refresh the entry's recency for LRU eviction; best-effort.
+                self.touch(&self.root.join(key));
+                return Some((i, exe));
+            }
         }
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// Insert the executable at `exe` under `key`, then evict the
@@ -315,6 +324,21 @@ mod tests {
         assert_eq!(std::fs::read(hit).unwrap(), b"#!/bin/true");
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
         assert_eq!(cache.len(), 1);
+        cache.clear().unwrap();
+    }
+
+    #[test]
+    fn lookup_first_takes_the_earliest_key_held_and_counts_once() {
+        let root = scratch_root("first");
+        let cache = BuildCache::at(&root);
+        assert!(cache.lookup_first(&["o3", "o1"]).is_none());
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1, evictions: 0 });
+        let exe = fake_exe(&root.join("src"), "bin", b"x");
+        cache.store("o1", &exe).unwrap();
+        assert_eq!(cache.lookup_first(&["o3", "o1"]).map(|(i, _)| i), Some(1));
+        cache.store("o3", &exe).unwrap();
+        assert_eq!(cache.lookup_first(&["o3", "o1"]).map(|(i, _)| i), Some(0));
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1, evictions: 0 });
         cache.clear().unwrap();
     }
 

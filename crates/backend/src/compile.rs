@@ -5,6 +5,13 @@
 //! the system C compiler with the required flags (`-fwrapv` pins the
 //! integer wrap semantics the diagnosis templates rely on; `-lm` links the
 //! math library), and returns a runnable [`crate::CompiledSimulator`].
+//!
+//! `-O3` pays off only on long runs: it compiles in about 1.8× the time
+//! of `-O1` and wins that back after 1.5 M simulated steps on the
+//! earliest benchmark model, 2–8 M on most. A compiler told its build's step budget
+//! ([`Compiler::for_budget`]) builds at `-O1` below [`O3_BUDGET`] and at
+//! `-O3` from it on, and takes a cached `-O3` artifact of the same sources
+//! over building at `-O1`. Every level produces bit-identical results.
 
 use crate::cache::BuildCache;
 use crate::error::BackendError;
@@ -39,6 +46,29 @@ impl OptLevel {
             OptLevel::O3 => "-O3",
         }
     }
+
+    /// The level's name without the dash (`O3`), as the run ledger
+    /// records it.
+    pub fn label(self) -> &'static str {
+        &self.flag()[1..]
+    }
+}
+
+/// The step budget (steps × lanes) from which a budget-chosen build
+/// compiles at `-O3`; below it, `-O1`. Set by the `ablation --grid opt`
+/// harness (EXPERIMENTS.md, "Optimization level by step budget"): `-O3`
+/// breaks even with `-O1` at 1.5 M steps on the earliest model, so below
+/// 1 M `-O1` is the cheaper build on every benchmark model.
+pub const O3_BUDGET: u64 = 1_000_000;
+
+/// The level a build of `budget` steps × lanes compiles at when nothing
+/// pins one: `-O1` below [`O3_BUDGET`], `-O3` from it on.
+pub fn budget_level(budget: u64) -> OptLevel {
+    if budget < O3_BUDGET {
+        OptLevel::O1
+    } else {
+        OptLevel::O3
+    }
 }
 
 /// A C compiler driver.
@@ -47,6 +77,9 @@ pub struct Compiler {
     cc: String,
     cc_version: String,
     opt: OptLevel,
+    /// Set by [`Compiler::for_budget`]: a build takes a cached `-O3`
+    /// artifact of the same sources before building at `opt`.
+    prefer_o3: bool,
     work_dir: Option<PathBuf>,
     cache: Option<BuildCache>,
 }
@@ -65,40 +98,52 @@ const SHARED_CFLAGS: [&str; 2] = ["-shared", "-fPIC"];
 /// A generated simulator compiled as a shared object, ready for
 /// [`crate::DylibRunner`] to load in-process.
 #[derive(Debug, Clone)]
-pub struct CompiledDylib {
-    dir: PathBuf,
-    so: PathBuf,
-    compile_time: std::time::Duration,
-    cache_hit: bool,
-}
+pub struct CompiledDylib(Artifact);
 
 impl CompiledDylib {
     /// The build directory holding the generated sources and the `.so`.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.0.dir
     }
 
     /// The shared-object path.
     pub fn so(&self) -> &Path {
-        &self.so
+        &self.0.path
     }
 
     /// Wall-clock time spent compiling — or, on a build-cache hit, time
     /// spent fetching the cached artifact.
     pub fn compile_time(&self) -> std::time::Duration {
-        self.compile_time
+        self.0.time
     }
 
     /// Whether this artifact came out of the [`BuildCache`] without
     /// invoking the C compiler.
     pub fn cache_hit(&self) -> bool {
-        self.cache_hit
+        self.0.cache_hit
+    }
+
+    /// The optimization level the shared object was built at.
+    pub fn opt_level(&self) -> OptLevel {
+        self.0.opt
     }
 
     /// Remove the build directory.
     pub fn clean(&self) {
-        clean_build_dir(&self.dir);
+        clean_build_dir(&self.0.dir);
     }
+}
+
+/// One built artifact: its build directory, the file itself, the time
+/// spent compiling or fetching it, whether the cache supplied it, and
+/// the level it was built at.
+#[derive(Debug, Clone)]
+pub(crate) struct Artifact {
+    pub(crate) dir: PathBuf,
+    pub(crate) path: PathBuf,
+    pub(crate) time: Duration,
+    pub(crate) cache_hit: bool,
+    pub(crate) opt: OptLevel,
 }
 
 impl Compiler {
@@ -127,6 +172,7 @@ impl Compiler {
                     cc: cand.to_owned(),
                     cc_version: version,
                     opt: OptLevel::default(),
+                    prefer_o3: false,
                     work_dir: None,
                     cache: Some(BuildCache::new()),
                 });
@@ -140,6 +186,18 @@ impl Compiler {
     /// Builder-style: set the optimization level.
     pub fn with_opt(mut self, opt: OptLevel) -> Compiler {
         self.opt = opt;
+        self.prefer_o3 = false;
+        self
+    }
+
+    /// Builder-style: choose the level from the build's step budget
+    /// (steps × lanes, summed over every run of the artifact):
+    /// [`budget_level`]. A build below [`O3_BUDGET`] still takes a cached
+    /// `-O3` artifact of the same sources when there is one, and builds
+    /// at `-O1` only on a miss.
+    pub fn for_budget(mut self, budget: u64) -> Compiler {
+        self.opt = budget_level(budget);
+        self.prefer_o3 = true;
         self
     }
 
@@ -181,23 +239,21 @@ impl Compiler {
         &self.cc_version
     }
 
-    /// The content key a program's executable caches under: a digest of
-    /// every generated file (name and contents), the compiler identity
-    /// and version, the optimization level and the fixed flag set.
+    /// The content key a program's executable caches under at this
+    /// compiler's level: see [`Compiler::source_digest`] and
+    /// [`level_key`].
     pub fn cache_key(&self, program: &GeneratedProgram) -> String {
-        self.artifact_key(program, &[])
+        level_key(&self.source_digest(program), self.opt, &[])
     }
 
-    /// The content key of an artifact built with `extra` flags on top of
-    /// the fixed set. The flags are part of the key, so a `.so` and an
-    /// executable built from the same sources never collide.
-    fn artifact_key(&self, program: &GeneratedProgram, extra: &[&str]) -> String {
-        let mut parts: Vec<Vec<u8>> = vec![
-            self.cc.clone().into_bytes(),
-            self.cc_version.clone().into_bytes(),
-            self.opt.flag().as_bytes().to_vec(),
-        ];
-        for flag in FIXED_CFLAGS.iter().chain(extra) {
+    /// A digest of everything an artifact depends on but its level and
+    /// artifact flags: every generated file (name and contents), the
+    /// compiler identity and version, and the fixed flag set. Programs
+    /// with equal digests build equal artifacts at every level.
+    pub fn source_digest(&self, program: &GeneratedProgram) -> String {
+        let mut parts: Vec<Vec<u8>> =
+            vec![self.cc.clone().into_bytes(), self.cc_version.clone().into_bytes()];
+        for flag in FIXED_CFLAGS {
             parts.push(flag.as_bytes().to_vec());
         }
         for (name, contents) in program.files() {
@@ -225,8 +281,7 @@ impl Compiler {
     /// Cache *store* failures are swallowed — they only cost a future
     /// recompile.
     pub fn compile(&self, program: &GeneratedProgram) -> Result<CompiledSimulator, BackendError> {
-        let (dir, exe, compile_time, cache_hit) = self.build(program, &[], "sim")?;
-        Ok(CompiledSimulator::new(program.clone(), dir, exe, compile_time, cache_hit))
+        Ok(CompiledSimulator::new(program.clone(), self.build(program, &[], "sim")?))
     }
 
     /// Compile the program as a position-independent shared object (same
@@ -242,20 +297,20 @@ impl Compiler {
         &self,
         program: &GeneratedProgram,
     ) -> Result<CompiledDylib, BackendError> {
-        let (dir, so, compile_time, cache_hit) = self.build(program, &SHARED_CFLAGS, "sim.so")?;
-        Ok(CompiledDylib { dir, so, compile_time, cache_hit })
+        Ok(CompiledDylib(self.build(program, &SHARED_CFLAGS, "sim.so")?))
     }
 
     /// The build path behind [`Compiler::compile`] and
     /// [`Compiler::compile_shared`]: write the sources, then fetch the
-    /// artifact (`extra` flags, file `out_name`) from the cache or run the
-    /// C compiler. Returns `(build dir, artifact, time, cache hit)`.
+    /// artifact (`extra` flags, file `out_name`) from the cache (a cached
+    /// `-O3` one first when the level is budget-chosen) or run the C
+    /// compiler at this compiler's level.
     fn build(
         &self,
         program: &GeneratedProgram,
         extra: &[&str],
         out_name: &str,
-    ) -> Result<(PathBuf, PathBuf, Duration, bool), BackendError> {
+    ) -> Result<Artifact, BackendError> {
         let start = Instant::now();
         let dir = self.work_dir.clone().unwrap_or_else(std::env::temp_dir).join(format!(
             "accmos-build-{}-{}",
@@ -277,14 +332,28 @@ impl Compiler {
         let c_file = c_file.expect("generated program has a .c file");
         let out = dir.join(out_name);
 
-        let key = self.cache.as_ref().map(|_| self.artifact_key(program, extra));
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(cached) = cache.lookup(key) {
+        // The levels a lookup accepts, preferred first, and their keys,
+        // all derived from one digest of the sources.
+        let levels = match self.prefer_o3 && self.opt != OptLevel::O3 {
+            true => vec![OptLevel::O3, self.opt],
+            false => vec![self.opt],
+        };
+        let keys: Vec<String> = match &self.cache {
+            Some(_) => {
+                let digest = self.source_digest(program);
+                levels.iter().map(|&opt| level_key(&digest, opt, extra)).collect()
+            }
+            None => Vec::new(),
+        };
+        if let Some(cache) = &self.cache {
+            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+            if let Some((i, cached)) = cache.lookup_first(&keys) {
                 // `fs::copy` carries the mode bits, so a copied executable
                 // stays executable. A racing eviction surfaces here as an
                 // I/O error; fall through to a real compile in that case.
                 if std::fs::copy(&cached, &out).is_ok() {
-                    return Ok((dir, out, start.elapsed(), true));
+                    let time = start.elapsed();
+                    return Ok(Artifact { dir, path: out, time, cache_hit: true, opt: levels[i] });
                 }
             }
         }
@@ -316,11 +385,19 @@ impl Compiler {
                 stderr: String::from_utf8_lossy(&output.stderr).into_owned(),
             });
         }
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
+        if let (Some(cache), Some(key)) = (&self.cache, keys.last()) {
             let _ = cache.store(key, &out);
         }
-        Ok((dir, out, compile_time, false))
+        Ok(Artifact { dir, path: out, time: compile_time, cache_hit: false, opt: self.opt })
     }
+}
+
+/// The cache key of an artifact built from sources with digest `digest`
+/// ([`Compiler::source_digest`]) at `opt`, with `extra` flags on top of
+/// the fixed set. Level and flags are part of the key, so levels never
+/// share an entry, nor do a `.so` and an executable of the same sources.
+fn level_key(digest: &str, opt: OptLevel, extra: &[&str]) -> String {
+    source_digest_hex([digest, opt.flag()].iter().chain(extra))
 }
 
 /// Remove a build directory created by [`Compiler::compile`].

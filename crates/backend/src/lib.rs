@@ -1,10 +1,12 @@
 //! # accmos-backend
 //!
 //! Compile-and-execute driver for AccMoS-RS generated simulators: locate
-//! the system C compiler, build the generated program (`-O3 -fwrapv`, the
-//! paper's GCC configuration), run the executable against a test-vector
-//! file, and parse its `ACCMOS:` result protocol back into an
-//! [`accmos_ir::SimulationReport`].
+//! the system C compiler, build the generated program (`-fwrapv` at `-O3`,
+//! the paper's GCC configuration, or at a level chosen from the build's
+//! step budget: `-O1` below [`O3_BUDGET`] steps × lanes, preferring a
+//! cached `-O3` artifact, see [`Compiler::for_budget`]), run the
+//! executable against a test-vector file, and parse its `ACCMOS:` result
+//! protocol back into an [`accmos_ir::SimulationReport`].
 //!
 //! ## Example
 //!
@@ -47,7 +49,7 @@ pub mod telemetry;
 mod watchdog;
 
 pub use cache::{BuildCache, CacheStats};
-pub use compile::{clean_build_dir, CompiledDylib, Compiler, OptLevel};
+pub use compile::{budget_level, clean_build_dir, CompiledDylib, Compiler, OptLevel, O3_BUDGET};
 #[cfg(unix)]
 pub use dylib::{DylibRun, DylibRunner};
 pub use error::BackendError;
@@ -244,6 +246,29 @@ mod tests {
         assert_eq!(cache.stats().misses, 2);
         a.clean();
         b.clean();
+        cache.clear().unwrap();
+    }
+
+    #[test]
+    fn budget_builds_take_a_cached_o3_artifact_and_pinned_builds_do_not() {
+        let root = std::env::temp_dir()
+            .join(format!("accmos-cache-budget-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = BuildCache::at(&root);
+        let cc = Compiler::detect().unwrap().with_cache(cache.clone());
+        let program = gain_program(5.0);
+        let short = cc.clone().for_budget(O3_BUDGET - 1);
+        let built = |c: &Compiler| {
+            let so = c.compile_shared(&program).unwrap();
+            so.clean();
+            (so.opt_level(), so.cache_hit())
+        };
+        assert_eq!(built(&short), (OptLevel::O1, false));
+        assert_eq!(built(&cc.clone().for_budget(O3_BUDGET)), (OptLevel::O3, false));
+        assert_eq!(built(&short), (OptLevel::O3, true), "the cached -O3 artifact wins");
+        assert_eq!(built(&cc.clone().with_opt(OptLevel::O1)), (OptLevel::O1, true));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 2), "one count per build");
         cache.clear().unwrap();
     }
 

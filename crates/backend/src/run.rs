@@ -3,6 +3,7 @@
 //! [`Supervisor`] runs it with. Every launch goes through the supervisor;
 //! [`CompiledSimulator::run`] is one attempt with no deadline.
 
+use crate::compile::{Artifact, OptLevel};
 use crate::error::BackendError;
 use crate::supervise::{ExecPolicy, Supervisor, SupervisedRun};
 use accmos_codegen::GeneratedProgram;
@@ -31,43 +32,39 @@ pub struct RunOptions {
 #[derive(Debug, Clone)]
 pub struct CompiledSimulator {
     program: GeneratedProgram,
-    dir: PathBuf,
-    exe: PathBuf,
-    compile_time: Duration,
-    cache_hit: bool,
+    build: Artifact,
 }
 
 impl CompiledSimulator {
-    pub(crate) fn new(
-        program: GeneratedProgram,
-        dir: PathBuf,
-        exe: PathBuf,
-        compile_time: Duration,
-        cache_hit: bool,
-    ) -> CompiledSimulator {
-        CompiledSimulator { program, dir, exe, compile_time, cache_hit }
+    pub(crate) fn new(program: GeneratedProgram, build: Artifact) -> CompiledSimulator {
+        CompiledSimulator { program, build }
     }
 
     /// The build directory holding the generated sources and executable.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.build.dir
     }
 
     /// The executable path.
     pub fn exe(&self) -> &Path {
-        &self.exe
+        &self.build.path
     }
 
     /// Wall-clock time spent compiling — or, on a build-cache hit, time
     /// spent fetching the cached executable.
     pub fn compile_time(&self) -> Duration {
-        self.compile_time
+        self.build.time
     }
 
     /// Whether this simulator came out of the [`crate::BuildCache`]
     /// without invoking the C compiler.
     pub fn cache_hit(&self) -> bool {
-        self.cache_hit
+        self.build.cache_hit
+    }
+
+    /// The optimization level the executable was built at.
+    pub fn opt_level(&self) -> OptLevel {
+        self.build.opt
     }
 
     /// The generated program this simulator was built from.
@@ -121,7 +118,7 @@ impl CompiledSimulator {
         supervisor: &Supervisor,
     ) -> Result<SupervisedRun, BackendError> {
         self.check_lane_stimulus(tests, opts)?;
-        supervisor.run(&self.exe, &self.dir, steps, tests, opts)
+        supervisor.run(self.exe(), self.dir(), steps, tests, opts)
     }
 
     /// Fail fast — before spawning the process — when the stimulus count
@@ -143,7 +140,7 @@ impl CompiledSimulator {
         let provided = 1 + opts.lane_tests.len();
         if provided != lanes {
             return Err(BackendError::RunFailed {
-                exe: self.exe.clone(),
+                exe: self.exe().to_path_buf(),
                 detail: format!(
                     "lane-{lanes} simulator needs {lanes} test-vector set(s) \
                      (primary tests + {} in RunOptions::lane_tests), got {provided}",
@@ -156,7 +153,7 @@ impl CompiledSimulator {
 
     /// Remove the build directory.
     pub fn clean(&self) {
-        crate::compile::clean_build_dir(&self.dir);
+        crate::compile::clean_build_dir(self.dir());
     }
 }
 

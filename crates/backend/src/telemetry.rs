@@ -151,6 +151,12 @@ pub struct RunRecord {
     /// in one process). Trends group by lane width so lane and
     /// scalar configurations never share a baseline.
     pub lanes: u64,
+    /// Optimization level of the compiled artifact that served the run
+    /// (`O1`, `O3`, ...; [`crate::OptLevel::label`]). Empty = no compiled
+    /// artifact ran it (the interpreter) or the record predates the field;
+    /// omitted from the encoded record. Trends group by level, so `-O1`
+    /// and `-O3` builds never share a baseline.
+    pub opt: String,
     /// Free-form context (fallback reason, error class); empty = omitted
     /// from the encoded record.
     pub note: String,
@@ -210,6 +216,9 @@ impl RunRecord {
         push_bool(&mut s, "compile_cached", self.compile_cached);
         push_num(&mut s, "retries", self.retries);
         push_num(&mut s, "lanes", self.lanes.max(1));
+        if !self.opt.is_empty() {
+            push_str(&mut s, "opt", &self.opt);
+        }
         if !self.note.is_empty() {
             push_str(&mut s, "note", &self.note);
         }
@@ -244,6 +253,7 @@ impl RunRecord {
             retries: fields.num("retries").unwrap_or(0),
             // Records written before the lane schema addition are scalar.
             lanes: fields.num("lanes").unwrap_or(1).max(1),
+            opt: fields.str("opt").unwrap_or_default(),
             note: fields.str("note").unwrap_or_default(),
             peak_rss_kb: fields.num("peak_rss_kb").unwrap_or(0),
             prof: fields.str("prof").unwrap_or_default(),
@@ -566,8 +576,8 @@ fn tail_is_torn(path: &Path) -> bool {
     f.seek(SeekFrom::End(-1)).is_ok() && f.read_exact(&mut last).is_ok() && last[0] != b'\n'
 }
 
-/// Per-(model, engine, lane-width) phase medians over ledger records,
-/// plus the latest cohort for regression checking.
+/// Per-(model, engine, lane-width, level) phase medians over ledger
+/// records, plus the latest cohort for regression checking.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelTrend {
     /// Model name.
@@ -577,6 +587,10 @@ pub struct ModelTrend {
     /// Lane width of the samples (mixing lane configurations would poison
     /// medians just like mixing engines).
     pub lanes: u64,
+    /// Optimization level of the samples' artifact ([`RunRecord::opt`]):
+    /// an `-O1` loop is slower than an `-O3` one, so levels never share a
+    /// baseline either.
+    pub opt: String,
     /// Number of samples (outcome `ok` or `degraded`).
     pub runs: usize,
     /// Per-phase medians across all samples.
@@ -596,21 +610,25 @@ pub struct ModelTrend {
 }
 
 impl ModelTrend {
-    /// Display key for the engine + lane configuration: `accmos` for
-    /// scalar samples, `accmos@8` for 8-lane samples.
+    /// Display key for the engine, lane and level configuration:
+    /// `accmos` for scalar samples, `accmos@8` for 8-lane samples, with
+    /// `/O1` or `/O3` appended when the records name a level.
     pub fn engine_key(&self) -> String {
+        let mut key = self.engine.clone();
         if self.lanes > 1 {
-            format!("{}@{}", self.engine, self.lanes)
-        } else {
-            self.engine.clone()
+            key = format!("{key}@{}", self.lanes);
         }
+        if !self.opt.is_empty() {
+            key = format!("{key}/{}", self.opt);
+        }
+        key
     }
 }
 
-/// Compute per-(model, engine, lane-width) trends over ledger records,
-/// sorted by model, engine, then lane width. Only records that produced a
-/// report (outcome `ok` or `degraded`) are samples; refused and failed
-/// runs carry no timing signal.
+/// Compute per-(model, engine, lane-width, level) trends over ledger
+/// records, sorted by model, engine, lane width, then level. Only records
+/// that produced a report (outcome `ok` or `degraded`) are samples;
+/// refused and failed runs carry no timing signal.
 ///
 /// The "latest run" used for regression checking is the latest *cohort*:
 /// all samples sharing the newest `ts_ms`. Batch runs append whole groups
@@ -618,18 +636,19 @@ impl ModelTrend {
 /// baseline polluted by its own siblings would dilute `regress_pct` and
 /// weaken the `trends --check` gate.
 pub fn compute_trends(records: &[RunRecord]) -> Vec<ModelTrend> {
-    let mut groups: BTreeMap<(String, String, u64), Vec<&RunRecord>> = BTreeMap::new();
+    type Key = (String, String, u64, String);
+    let mut groups: BTreeMap<Key, Vec<&RunRecord>> = BTreeMap::new();
     for r in records {
         if r.outcome == outcome::OK || r.outcome == outcome::DEGRADED {
             groups
-                .entry((r.model.clone(), r.engine.clone(), r.lanes.max(1)))
+                .entry((r.model.clone(), r.engine.clone(), r.lanes.max(1), r.opt.clone()))
                 .or_default()
                 .push(r);
         }
     }
     groups
         .into_iter()
-        .map(|((model, engine, lanes), samples)| {
+        .map(|((model, engine, lanes, opt), samples)| {
             let newest_ts = samples.iter().map(|r| r.ts_ms).max().unwrap_or(0);
             let mut median = PhaseMicros::default();
             for phase in 0..PhaseMicros::NAMES.len() {
@@ -650,6 +669,7 @@ pub fn compute_trends(records: &[RunRecord]) -> Vec<ModelTrend> {
                 model,
                 engine,
                 lanes,
+                opt,
                 runs: samples.len(),
                 median,
                 latest_run_us,
@@ -979,6 +999,7 @@ mod tests {
             compile_cached: true,
             retries: 0,
             lanes: 1,
+            opt: String::new(),
             note: String::new(),
             peak_rss_kb: 0,
             prof: String::new(),
@@ -1215,6 +1236,37 @@ mod tests {
             check_regressions(&trends, 50.0).is_empty(),
             "no cross-contamination between lane configs"
         );
+    }
+
+    #[test]
+    fn opt_levels_form_separate_trends_and_show_in_the_key() {
+        // A slower -O1 loop must never read as a regression of -O3 runs
+        // of the same model, engine and lane width, nor the reverse.
+        let mut records = Vec::new();
+        for (ts, (opt, run_us)) in [("O3", 1_000), ("O3", 1_020), ("O1", 1_600), ("O1", 1_580)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut r = sample("RAC", run_us, ts as u64 + 1);
+            r.opt = opt.into();
+            records.push(r);
+        }
+        let mut lane = sample("RAC", 4_000, 9);
+        lane.lanes = 4;
+        lane.opt = "O1".into();
+        records.push(lane);
+        let trends = compute_trends(&records);
+        let keys: Vec<String> = trends.iter().map(ModelTrend::engine_key).collect();
+        assert_eq!(keys, ["accmos/O1", "accmos/O3", "accmos@4/O1"]);
+        assert_eq!(trends[0].runs, 2);
+        assert_eq!(trends[1].baseline_run_us, Some(1_000));
+        assert!(check_regressions(&trends, 5.0).is_empty(), "no cross-level baseline");
+        // The level round-trips; a record without one omits the key and
+        // an older line without the key parses with none.
+        let line = records[0].to_json();
+        assert!(line.contains("\"opt\":\"O3\""), "{line}");
+        assert_eq!(RunRecord::from_json(&line).unwrap().opt, "O3");
+        assert!(!sample("RAC", 1, 1).to_json().contains("\"opt\""));
     }
 
     #[test]

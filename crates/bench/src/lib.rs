@@ -10,7 +10,7 @@
 //! | `table3`     | Table 3 — coverage reached in equal wall-clock budgets |
 //! | `case_study` | §4 error-diagnosis case study on the fault-injected CSEV |
 //! | `figure1`    | §1 motivating example — time to detect the long-run overflow |
-//! | `ablation`   | instrumentation and optimizer cost — {bare, +coverage, +diagnosis, full} × {`-O0`, `-O3`} |
+//! | `ablation`   | instrumentation and optimizer cost — {bare, +coverage, +diagnosis, full} × {`-O0`, `-O3`}; with `--grid opt`, {`-O1`, `-O3`} × {5k, 200k, 2M} steps × the 10 models |
 //!
 //! Absolute numbers differ from the paper (different machine, scaled step
 //! counts, SSE stand-ins instead of MATLAB); the *shape* — who wins and by
@@ -162,7 +162,8 @@ pub fn measure_model(model: &Model, steps: u64, seed: u64) -> EngineTimes {
 ///
 /// The summary splits compile accounting into cold invocations and
 /// build-cache hits, so harnesses can print cached timings *next to* the
-/// paper-faithful cold numbers instead of mixing them.
+/// paper-faithful cold numbers instead of mixing them. The builds are
+/// pinned at `-O3`, the paper's configuration, whatever the step count.
 ///
 /// # Panics
 ///
@@ -177,7 +178,7 @@ pub fn batch_table(models: &[Model], steps: u64, seed: u64, workers: usize) -> B
             BatchJob::model(model.name.clone(), model.clone(), tests, steps)
         })
         .collect();
-    BatchRunner::new(AccMoS::new())
+    BatchRunner::new(AccMoS::new().with_opt(accmos::OptLevel::O3))
         .with_workers(workers)
         .run(jobs)
         .expect("batch runner starts")

@@ -5,11 +5,12 @@
 //! every run. [`BatchRunner`] restructures that workload:
 //!
 //! 1. **Plan** (serial): preprocess and generate code for every
-//!    model-sourced job; group jobs by the compiler's content key, so
+//!    model-sourced job; group jobs by the compiler's source digest, so
 //!    byte-identical programs share one group.
 //! 2. **Compile** (parallel): each unique program compiles once on a
-//!    bounded `std::thread` pool (and the [`crate::BuildCache`] can
-//!    satisfy it without invoking GCC at all).
+//!    bounded `std::thread` pool, for the group's step budget (the sum of
+//!    its jobs' steps × lanes), and the [`crate::BuildCache`] can satisfy
+//!    it without invoking GCC at all.
 //! 3. **Run** (parallel): every job walks the job executor's engine
 //!    ladder from the supervised subprocess rung against its own test
 //!    vectors; runs of a shared binary are safe because each run writes
@@ -252,8 +253,9 @@ impl BatchRunner {
         let wall_start = Instant::now();
         let mut summary = BatchSummary { jobs: jobs.len(), ..BatchSummary::default() };
 
-        // Plan (serial): plan each model job, group by content key.
-        // `keys[i]` is Ok(group key) | Err(per-job planning failure).
+        // Plan (serial): plan each model job, group by source digest and
+        // sum each group's step budget. `keys[i]` is Ok(group key) |
+        // Err(per-job planning failure).
         let compiler = self.pipeline.compiler()?;
         let mut groups: HashMap<String, Group> = HashMap::new();
         let mut keys: Vec<Result<String, AccMoSError>> = Vec::with_capacity(jobs.len());
@@ -272,8 +274,16 @@ impl BatchRunner {
                 JobSource::Model(model) => match self.pipeline.plan(model) {
                     Ok(plan) => {
                         summary.codegen_time += plan.preprocess_time + plan.codegen_time;
-                        let key = compiler.cache_key(&plan.program);
-                        (key, Group::Model(Box::new(Build { plan, sim: OnceLock::new() })))
+                        let key = compiler.source_digest(&plan.program);
+                        let budget = plan.budget(job.steps);
+                        let group = groups.entry(key.clone()).or_insert_with(|| {
+                            Group::Model(Box::new(Build { plan, budget: 0, sim: OnceLock::new() }))
+                        });
+                        if let Group::Model(build) = group {
+                            build.budget = build.budget.saturating_add(budget);
+                        }
+                        keys.push(Ok(key));
+                        continue;
                     }
                     Err(e) => {
                         keys.push(Err(e));
@@ -295,6 +305,7 @@ impl BatchRunner {
             .collect();
         summary.unique_programs = to_compile.len();
         run_on_pool(self.workers, &to_compile, |build| {
+            let compiler = self.pipeline.budgeted(compiler.clone(), build.budget);
             let _ = build.sim.set(compiler.compile(&build.plan.program).map_err(|e| e.to_string()));
         });
         for sim in groups.values().filter_map(Group::built) {
@@ -413,10 +424,11 @@ enum Group {
     Executable(PathBuf, PathBuf),
 }
 
-/// A model group's plan and, once the compile pool ran, its build or
-/// the build's error.
+/// A model group's plan, the step budget of all its jobs together and,
+/// once the compile pool ran, its build or the build's error.
 struct Build {
     plan: Plan,
+    budget: u64,
     sim: OnceLock<Result<CompiledSimulator, String>>,
 }
 

@@ -36,8 +36,10 @@
 //! seeds the input-port intervals from a test-vector file, sharpening
 //! lints (never prune proofs, which must hold for any stimulus).
 //!
-//! Engines: `accmos` (generated C, `-O3`, default), `rac` (uninstrumented
-//! `-O0` + host sync), `sse` and `sse-ac` (interpretive stand-ins).
+//! Engines: `accmos` (generated C, default; `-O1` below 1,000,000 steps
+//! × lanes unless a cached `-O3` build exists, `-O3` from there on), `rac`
+//! (uninstrumented `-O0` + host sync), `sse` and `sse-ac` (interpretive
+//! stand-ins).
 //! Without `--tests`, seeded random stimulus is generated for every input
 //! port.
 //!
@@ -790,13 +792,14 @@ fn fuzz(args: &[String]) -> Result<(), String> {
     }
 
     // Planned feature mix, printed so a CI gate can assert the campaign
-    // actually covered lane-parallel and conditional-group models.
-    let (mut lane4, mut conditional, mut nested) = (0u64, 0u64, 0u64);
+    // actually covered lane-parallel, conditional-group and -O3 builds.
+    let (mut lane4, mut conditional, mut nested, mut o3) = (0u64, 0u64, 0u64, 0u64);
     for i in 0..config.trials {
         let plan = accmos::fuzz::plan_trial(&config, i);
         lane4 += u64::from(plan.lanes == 4);
         conditional += u64::from(plan.cfg.conditional);
         nested += u64::from(plan.cfg.nested);
+        o3 += u64::from(plan.o3);
     }
     let summary = accmos::FuzzCampaign::new(config).run().map_err(|e| e.to_string())?;
     if let (Some(t), Some(path)) = (&tracer, trace_out) {
@@ -812,7 +815,7 @@ fn fuzz(args: &[String]) -> Result<(), String> {
         summary.resumed
     );
     println!(
-        "  plan mix: {lane4} lane-4, {conditional} conditional, {nested} nested"
+        "  plan mix: {lane4} lane-4, {conditional} conditional, {nested} nested, {o3} -O3"
     );
     println!(
         "  ok {}, divergences {}, classified failures {}, injected {}, unclassified {}",

@@ -6,12 +6,15 @@
 //! output, an I/O error, any failure of a raw executable) ends it. The
 //! kill deadline bounds every rung, the interpreter's included.
 //! [`Exec::record`] is the one place a run-ledger record is built.
+//!
+//! A job that builds its own executable ([`Subject::Plan`]) builds for a
+//! step budget of its steps × lanes ([`AccMoS::budgeted`]).
 
 use crate::telemetry::{self, outcome};
 use crate::{
     AccMoS, AccMoSError, BackendError, CompiledDylib, CompiledSimulator, DylibRunner, Engine,
-    FailureKind, GeneratedProgram, NormalEngine, PhaseMicros, PreprocessedModel, RunOptions,
-    RunRecord, SimOptions, SupervisedRun, Supervisor,
+    FailureKind, GeneratedProgram, NormalEngine, OptLevel, PhaseMicros, PreprocessedModel,
+    RunOptions, RunRecord, SimOptions, SupervisedRun, Supervisor,
 };
 use accmos_ir::{Model, SimulationReport, TestVectors};
 use std::borrow::Cow;
@@ -42,6 +45,12 @@ impl Plan {
             codegen_us: telemetry::micros(self.codegen_time.saturating_sub(analyze)),
             ..PhaseMicros::default()
         }
+    }
+
+    /// The step budget of one run of `steps` on this plan's build:
+    /// steps × lanes.
+    pub(crate) fn budget(&self, steps: u64) -> u64 {
+        steps.saturating_mul(self.program.lanes.max(1) as u64)
     }
 }
 
@@ -140,6 +149,9 @@ pub(crate) struct Trail {
     pub(crate) peak_rss_kb: u64,
     /// Whether the last artifact built came out of the build cache.
     pub(crate) compile_cached: bool,
+    /// The level of the artifact that ran the job (`None` on the
+    /// interpreter).
+    pub(crate) opt: Option<OptLevel>,
     pub(crate) run_time: Duration,
     pub(crate) phases: PhaseMicros,
 }
@@ -193,6 +205,7 @@ impl Exec {
         rec.outcome = self.outcome().into();
         rec.note = self.note();
         rec.compile_cached = self.trail.compile_cached;
+        rec.opt = self.trail.opt.map_or_else(String::new, |opt| opt.label().to_owned());
         rec.retries = u64::from(self.trail.retries);
         rec.peak_rss_kb = self.trail.peak_rss_kb;
         rec.phases = self.trail.phases;
@@ -268,12 +281,16 @@ impl Executor<'_> {
                 sim.map_err(|e| Stop::Fallback(Fallback::Compile(e.to_owned())))?
             }
             Subject::Plan(plan) => {
-                let sim = self.pipeline.compiler().and_then(|c| c.compile(&plan.program));
+                let budget = plan.budget(job.steps);
+                let sim = self.pipeline.compiler().and_then(|c| {
+                    self.pipeline.budgeted(c, budget).compile(&plan.program)
+                });
                 &*built.insert(sim.map_err(|e| Stop::Fallback(Fallback::Compile(e.to_string())))?)
             }
         };
         trail.phases.compile_us += telemetry::micros(sim.compile_time());
         trail.compile_cached = sim.cache_hit();
+        trail.opt = Some(sim.opt_level());
         self.trace_prepare(&trail.phases);
         let run = self.subprocess(sim.exe(), true, trail, |s| {
             sim.run_supervised(job.steps, job.tests, job.opts, s)
@@ -298,6 +315,7 @@ impl Executor<'_> {
             trail.phases.compile_us += telemetry::micros(so.compile_time());
         }
         trail.compile_cached = reused || so.cache_hit();
+        trail.opt = Some(so.opt_level());
         let start = Instant::now();
         let deadline = self.pipeline.exec_policy.kill_timeout;
         let run = DylibRunner::for_dylib(so).run(job.steps, job.tests, job.opts, deadline);
@@ -369,6 +387,7 @@ impl Executor<'_> {
         trail: &mut Trail,
     ) -> Result<SimulationReport, BackendError> {
         (trail.retries, trail.backoff, trail.peak_rss_kb) = (0, Duration::ZERO, 0);
+        trail.opt = None;
         let kill = self.pipeline.exec_policy.kill_timeout;
         let mut opts = job.opts.clone();
         opts.time_budget = [opts.time_budget, kill].into_iter().flatten().min();

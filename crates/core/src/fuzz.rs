@@ -11,11 +11,14 @@
 //! - each **trial** derives a [`TrialPlan`] deterministically from
 //!   `(campaign seed, index)`: a [`ModelGenConfig`] over the full actor
 //!   catalogue (float math, vectors, conditional groups, nested
-//!   subsystems), a lane width in `{1, 4}`, steps and stimulus rows;
+//!   subsystems), a lane width in `{1, 4}`, steps, stimulus rows and the
+//!   C optimization level;
 //! - the model runs on the interpretive reference and on the generated-C
 //!   simulator (analyzer-pruned *and* unpruned builds), all compared
-//!   exactly on output digest, final outputs, step counts, all four
-//!   coverage metrics and every diagnostic event;
+//!   exactly on output digest, final outputs (as bit patterns), step
+//!   counts, all four coverage metrics and every diagnostic event. A
+//!   trial's few steps build at `-O1` by the step-budget rule; one trial
+//!   in four pins `-O3`, so every level stays under the oracle;
 //! - compiled binaries execute under the existing [`Supervisor`] /
 //!   [`ExecPolicy`], so a hung or crashing simulator is killed,
 //!   classified and quarantined — a [`Verdict`], never a dead campaign;
@@ -38,8 +41,8 @@
 
 use crate::exec::{interp_lane_run, Entry, Executor, Fallback, Job, Stop, Subject, Trail};
 use crate::{
-    preprocess, AccMoS, AccMoSError, BuildCache, CodegenOptions, ExecPolicy, RunOptions,
-    Supervisor, Tracer,
+    preprocess, AccMoS, AccMoSError, BuildCache, CodegenOptions, ExecPolicy, OptLevel,
+    RunOptions, Supervisor, Tracer,
 };
 use accmos_backend::telemetry::{append_jsonl, json_str, parse_flat_object, read_jsonl, JsonlView};
 use accmos_ir::{CoverageKind, Model, SimulationReport, TestVectors};
@@ -172,6 +175,9 @@ pub struct TrialPlan {
     pub steps: u64,
     /// Stimulus rows.
     pub rows: usize,
+    /// Build both generated-C variants at a pinned `-O3` instead of the
+    /// step budget's level (`-O1` at a trial's step counts).
+    pub o3: bool,
     /// Fault-injection trial (no model runs; a `faultsim` copy does).
     pub inject: Option<FaultMode>,
 }
@@ -200,6 +206,10 @@ fn mix_seed(campaign_seed: u64, index: u64) -> u64 {
 /// injection binary: every index `≡ 7 (mod 10)` crashes, every index
 /// `≡ 3 (mod 10)` hangs. The schedule depends only on the index, so a
 /// resumed campaign injects the same trials.
+///
+/// The `-O3` arm is drawn last, so every earlier draw, and with it every
+/// pinned corpus entry and the trial sequence a `--resume` continues, is
+/// what it was before the arm existed.
 pub fn plan_trial(config: &FuzzConfig, index: u64) -> TrialPlan {
     let seed = mix_seed(config.seed, index);
     let mut rng = TestRng::seed_from_u64(seed);
@@ -217,6 +227,7 @@ pub fn plan_trial(config: &FuzzConfig, index: u64) -> TrialPlan {
     let lanes = if rng.gen_bool(0.25) { 4 } else { 1 };
     let steps = rng.gen_range(8..=config.steps.max(8) as i128) as u64;
     let rows = rng.gen_range(2..=config.rows.max(2) as i128) as usize;
+    let o3 = rng.gen_bool(0.25);
     let inject = if config.inject_fault_exe.is_some() {
         match index % 10 {
             7 => Some(FaultMode::Crash),
@@ -226,7 +237,7 @@ pub fn plan_trial(config: &FuzzConfig, index: u64) -> TrialPlan {
     } else {
         None
     };
-    TrialPlan { index, seed, cfg, lanes, steps, rows, inject }
+    TrialPlan { index, seed, cfg, lanes, steps, rows, o3, inject }
 }
 
 /// The random model a standalone seed maps to (the CLI's `rand:SEED`
@@ -772,7 +783,8 @@ impl FuzzCampaign {
             sabotage_digest: sabotage,
             ..CodegenOptions::accmos().lanes(plan.lanes)
         };
-        let pruned = match self.run_compiled(&model, &pruned_opts, &job, supervisor, cache) {
+        let pruned = match self.run_compiled(&model, &pruned_opts, plan.o3, &job, supervisor, cache)
+        {
             Ok(report) => report,
             Err(v) => return v,
         };
@@ -782,7 +794,8 @@ impl FuzzCampaign {
 
         // Generated C, pruning OFF: the analyzer's soundness claim.
         let unpruned_opts = CodegenOptions { prune_proven_safe: false, ..pruned_opts };
-        let unpruned = match self.run_compiled(&model, &unpruned_opts, &job, supervisor, cache) {
+        let unpruned =
+            match self.run_compiled(&model, &unpruned_opts, plan.o3, &job, supervisor, cache) {
             Ok(report) => report,
             Err(v) => return v,
         };
@@ -794,18 +807,23 @@ impl FuzzCampaign {
 
     /// Compile and supervise one generated-C variant on the job
     /// executor's compiled rungs (no interpreter fallback), mapping where
-    /// they stopped into a verdict.
+    /// they stopped into a verdict. The build is pinned at `-O3` when `o3`
+    /// is set and follows the job's step budget otherwise.
     fn run_compiled(
         &self,
         model: &Model,
         opts: &CodegenOptions,
+        o3: bool,
         job: &Job<'_>,
         supervisor: &Supervisor,
         cache: &BuildCache,
     ) -> Result<SimulationReport, Verdict> {
         // The campaign supervisor carries the tracer: the pipeline only
         // plans and builds.
-        let pipeline = AccMoS::new().with_codegen(opts.clone()).with_cache(cache.clone());
+        let mut pipeline = AccMoS::new().with_codegen(opts.clone()).with_cache(cache.clone());
+        if o3 {
+            pipeline = pipeline.with_opt(OptLevel::O3);
+        }
         let planned =
             pipeline.plan(model).map_err(|e| Verdict::GenFailed { detail: e.to_string() })?;
         let executor =
@@ -993,9 +1011,11 @@ impl FuzzCampaign {
     }
 }
 
-/// Compare two simulation reports exactly: output digest, final
-/// outputs, step counts, all four coverage metrics, every diagnostic
-/// event. `None` = identical; `Some(detail)` names the first mismatch.
+/// Compare two simulation reports exactly: output digest, final outputs
+/// as bit patterns ([`SimulationReport::output_bits`], so a NaN output
+/// equals itself, as it does in the digest), step counts, all four
+/// coverage metrics, every diagnostic event. `None` = identical;
+/// `Some(detail)` names the first mismatch.
 pub fn compare_reports(
     label_a: &str,
     a: &SimulationReport,
@@ -1008,7 +1028,7 @@ pub fn compare_reports(
             a.output_digest, b.output_digest
         ));
     }
-    if a.final_outputs != b.final_outputs {
+    if a.output_bits() != b.output_bits() {
         return Some(format!(
             "{label_a} vs {label_b}: final outputs {:?} != {:?}",
             a.final_outputs, b.final_outputs
@@ -1325,5 +1345,27 @@ mod tests {
         let mut c = a.clone();
         c.steps = 9;
         assert!(compare_reports("a", &a, "c", &c).unwrap().contains("steps"));
+    }
+
+    #[test]
+    fn compare_reports_matches_outputs_by_bit_pattern() {
+        use accmos_ir::{Scalar, Value};
+        let with_out = |x: f64| {
+            let mut r = SimulationReport::new("M", "interp");
+            r.final_outputs = vec![("Out1".into(), Value::scalar(Scalar::F64(x)))];
+            r
+        };
+        let nan = with_out(f64::NAN);
+        assert!(compare_reports("a", &nan, "b", &nan.clone()).is_none(), "NaN equals itself");
+        let detail = compare_reports("a", &nan, "b", &with_out(-f64::NAN)).unwrap();
+        assert!(detail.contains("final outputs"), "{detail}");
+        assert!(compare_reports("a", &with_out(0.0), "b", &with_out(-0.0)).is_some());
+    }
+
+    #[test]
+    fn o3_arm_samples_about_one_trial_in_four() {
+        let config = FuzzConfig { seed: 1, trials: 50, ..FuzzConfig::default() };
+        let o3 = (0..config.trials).filter(|&i| plan_trial(&config, i).o3).count();
+        assert!((5..=25).contains(&o3), "{o3} of 50 trials pin -O3");
     }
 }

@@ -12,8 +12,11 @@
 //! 2. **Simulation-oriented instrumentation + code synthesis**
 //!    ([`accmos_codegen::generate`]) — actor templates, coverage
 //!    bitmaps, diagnostic functions, test-case import, `main()`;
-//! 3. **Compile & execute** (`accmos-backend`) — GCC `-O3 -fwrapv`,
-//!    run, parse results.
+//! 3. **Compile & execute** (`accmos-backend`) — GCC `-fwrapv` at `-O3`
+//!    for reusable builds ([`AccMoS::prepare`]) and for runs of at least
+//!    [`O3_BUDGET`] steps × lanes, at `-O1` for shorter ones (a cached
+//!    `-O3` build of the same sources is taken first), then run and parse
+//!    results.
 //!
 //! The same model runs on the interpretive SSE stand-ins
 //! ([`NormalEngine`], [`AcceleratorEngine`]) for comparison — that is the
@@ -69,7 +72,7 @@ pub use accmos_analyze::{
 pub use accmos_backend::{
     default_state_dir, telemetry, BackendError, BuildCache, CacheStats, CompiledSimulator,
     Compiler, ExecPolicy, FailureKind, OptLevel, PhaseMicros, RetryStats, RunLedger,
-    RunOptions, RunRecord, SupervisedRun, Supervisor, TraceNode, TraceSpan, Tracer,
+    RunOptions, RunRecord, SupervisedRun, Supervisor, TraceNode, TraceSpan, Tracer, O3_BUDGET,
 };
 #[cfg(unix)]
 pub use accmos_backend::{CompiledDylib, DylibRun, DylibRunner};
@@ -152,10 +155,21 @@ enum CachePolicy {
 }
 
 /// The AccMoS pipeline: preprocess → instrument → synthesize → compile.
+///
+/// Unless [`AccMoS::with_opt`] pins a level, the optimization level
+/// follows the build's step budget (steps × lanes, summed over the runs of
+/// one build): [`AccMoS::prepare`] has none and builds at `-O3`;
+/// [`AccMoS::run`], [`BatchRunner`] groups, serve jobs and fuzz trials
+/// build at `-O1` below [`O3_BUDGET`] and at `-O3` from it on, taking a
+/// cached `-O3` artifact of the same sources over an `-O1` build. The
+/// serve daemon replaces a model's `-O1` memo entry with an `-O3` build
+/// when a job's budget asks for `-O3`. Every level simulates
+/// bit-identically; only time differs.
 #[derive(Debug, Clone)]
 pub struct AccMoS {
     codegen: CodegenOptions,
-    opt: OptLevel,
+    /// The pinned level; `None` follows the step budget.
+    opt: Option<OptLevel>,
     work_dir: Option<PathBuf>,
     cache: CachePolicy,
     exec_policy: ExecPolicy,
@@ -163,12 +177,13 @@ pub struct AccMoS {
 }
 
 impl AccMoS {
-    /// The default configuration: full instrumentation, GCC `-O3`, build
-    /// cache enabled, default [`ExecPolicy`] supervision.
+    /// The default configuration: full instrumentation, the level chosen
+    /// from the step budget, build cache enabled, default [`ExecPolicy`]
+    /// supervision.
     pub fn new() -> AccMoS {
         AccMoS {
             codegen: CodegenOptions::accmos(),
-            opt: OptLevel::O3,
+            opt: None,
             work_dir: None,
             cache: CachePolicy::Default,
             exec_policy: ExecPolicy::default(),
@@ -181,7 +196,7 @@ impl AccMoS {
     pub fn rapid_accelerator() -> AccMoS {
         AccMoS {
             codegen: CodegenOptions::rapid_accelerator(),
-            opt: OptLevel::O0,
+            opt: Some(OptLevel::O0),
             work_dir: None,
             cache: CachePolicy::Default,
             exec_policy: ExecPolicy::default(),
@@ -195,9 +210,10 @@ impl AccMoS {
         self
     }
 
-    /// Builder-style: set the compiler optimization level.
+    /// Builder-style: pin the compiler optimization level for every
+    /// build, whatever its step budget.
     pub fn with_opt(mut self, opt: OptLevel) -> AccMoS {
-        self.opt = opt;
+        self.opt = Some(opt);
         self
     }
 
@@ -310,11 +326,11 @@ impl AccMoS {
         }
     }
 
-    /// The compiler this pipeline configuration resolves to (used by both
-    /// [`AccMoS::prepare`] and [`BatchRunner`], so batch jobs dedup under
-    /// exactly the key they would compile under).
+    /// The compiler this pipeline configuration resolves to for a build
+    /// with no step budget ([`AccMoS::prepare`]): the pinned level, else
+    /// `-O3`. [`AccMoS::budgeted`] adapts it to a budget.
     pub(crate) fn compiler(&self) -> Result<Compiler, BackendError> {
-        let mut compiler = Compiler::detect()?.with_opt(self.opt);
+        let mut compiler = Compiler::detect()?.with_opt(self.opt.unwrap_or(OptLevel::O3));
         if let Some(dir) = &self.work_dir {
             compiler = compiler.with_work_dir(dir.clone());
         }
@@ -324,6 +340,22 @@ impl AccMoS {
             CachePolicy::Custom(cache) => compiler.with_cache(cache.clone()),
         };
         Ok(compiler)
+    }
+
+    /// `compiler` (from [`AccMoS::compiler`]) for a build whose runs total
+    /// `budget` steps × lanes: unchanged when a level is pinned, else
+    /// [`Compiler::for_budget`].
+    pub(crate) fn budgeted(&self, compiler: Compiler, budget: u64) -> Compiler {
+        match self.opt {
+            Some(_) => compiler,
+            None => compiler.for_budget(budget),
+        }
+    }
+
+    /// The level a build of `budget` steps × lanes compiles at on a cache
+    /// miss.
+    pub(crate) fn level_for(&self, budget: u64) -> OptLevel {
+        self.opt.unwrap_or_else(|| accmos_backend::budget_level(budget))
     }
 
     /// Run preprocessing and code generation without compiling (for code
@@ -337,7 +369,8 @@ impl AccMoS {
     }
 
     /// Preprocess, generate, and compile a model into a runnable
-    /// simulation.
+    /// simulation. The build has no step budget and may be run any number
+    /// of times, so it compiles at `-O3` unless a level is pinned.
     ///
     /// # Errors
     ///
@@ -365,6 +398,7 @@ impl AccMoS {
     /// End-to-end supervised run with graceful degradation: plan the
     /// model, then walk the job executor's engine ladder from the
     /// supervised subprocess rung under this pipeline's [`ExecPolicy`].
+    /// The executable builds for a budget of `steps` × lanes.
     /// When the executable does not build (no C compiler, broken
     /// toolchain) or is quarantined, the job falls back to the
     /// interpretive [`NormalEngine`] instead of failing. The fallback is

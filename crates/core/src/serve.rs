@@ -26,6 +26,12 @@
 //! memoized shared object that fails (a timeout aside) is dropped, and
 //! the job goes on down the ladder. `rand:` specs are never memoized.
 //!
+//! A job builds for its own step budget, steps × lanes: at `-O1` below
+//! [`crate::O3_BUDGET`], at `-O3` from it on, unless the pipeline pins a
+//! level. An `-O3` entry serves every later job of its model. An `-O1`
+//! entry serves jobs below the budget; the first job at or above it
+//! builds at `-O3` and its build replaces the `-O1` entry.
+//!
 //! ## Protocol
 //!
 //! One JSON object per line, both directions. Requests:
@@ -78,7 +84,7 @@ use crate::batch::WorkQueue;
 use crate::exec::{Entry, Exec, Executor, Fallback, Job, Plan, Subject};
 use crate::fuzz::{now_ms, panic_text};
 use crate::telemetry::{self, json_str as json};
-use crate::{AccMoS, AccMoSError, CompiledDylib, RunOptions, Source};
+use crate::{AccMoS, AccMoSError, CompiledDylib, OptLevel, RunOptions, Source};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -136,6 +142,13 @@ struct ServeJob {
     /// Where to stream the `done` event; `None` for jobs recovered from
     /// `jobs.jsonl` (their submitter is gone).
     reply: Option<Sink>,
+}
+
+impl ServeJob {
+    /// The job's step budget: steps × lanes.
+    fn budget(&self) -> u64 {
+        self.steps.saturating_mul(self.lanes as u64)
+    }
 }
 
 /// A shared write end of a client connection. Workers finishing jobs and
@@ -428,27 +441,40 @@ impl Memo {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn get(&self, key: &MemoKey) -> Option<Arc<Warm>> {
+    /// The entry for `key`, if it can serve a job that builds at `want`:
+    /// any entry when `want` is below `-O3`, else only an `-O3` one.
+    fn get(&self, key: &MemoKey, want: OptLevel) -> Option<Arc<Warm>> {
         let mut entries = self.entries();
         let i = entries.iter().position(|(k, _)| k == key)?;
+        if want == OptLevel::O3 && entries[i].1.dylib.opt_level() != OptLevel::O3 {
+            return None;
+        }
         let entry = entries.remove(i);
         let warm = Arc::clone(&entry.1);
         entries.push(entry);
         Some(warm)
     }
 
-    /// Keep `warm` unless another job's build of `key` got in first. What
-    /// this drops, an evicted entry or the losing build, is cleaned after
-    /// the lock is released.
+    /// Keep `warm` unless another job's build of `key` got in first; an
+    /// `-O3` build replaces an entry of a lower level. What this drops, an
+    /// evicted or replaced entry or the losing build, is cleaned after the
+    /// lock is released.
     fn insert(&self, key: MemoKey, warm: Arc<Warm>) {
         let _dropped = {
             let mut entries = self.entries();
-            if entries.iter().any(|(k, _)| *k == key) {
-                Some(warm)
-            } else {
-                let evicted = (entries.len() == MEMO_ENTRIES).then(|| entries.remove(0).1);
-                entries.push((key, warm));
-                evicted
+            match entries.iter().position(|(k, _)| *k == key) {
+                Some(i)
+                    if warm.dylib.opt_level() == OptLevel::O3
+                        && entries[i].1.dylib.opt_level() != OptLevel::O3 =>
+                {
+                    Some(std::mem::replace(&mut entries[i].1, warm))
+                }
+                Some(_) => Some(warm),
+                None => {
+                    let evicted = (entries.len() == MEMO_ENTRIES).then(|| entries.remove(0).1);
+                    entries.push((key, warm));
+                    evicted
+                }
             }
         };
     }
@@ -477,8 +503,9 @@ fn execute_job(pipeline: &AccMoS, memo: &Memo, job: &ServeJob) -> DoneEvent {
 }
 
 /// Run a job's model, and name it for the ledger. A trusted spec seen
-/// before runs straight from the memo; otherwise the model is built,
-/// planned and (trusted) compiled as a shared object, which is memoized
+/// before runs straight from the memo, if its entry's level serves the
+/// job's budget; otherwise the model is built, planned and (trusted)
+/// compiled as a shared object for the job's budget, which is memoized
 /// once it has run. Fuzz-generated models (`rand:`) are exactly the
 /// programs the differential campaigns exist to distrust, so they enter
 /// at the child-process rung and are never memoized (nor found in the
@@ -486,7 +513,7 @@ fn execute_job(pipeline: &AccMoS, memo: &Memo, job: &ServeJob) -> DoneEvent {
 /// dropped from the memo.
 fn run_source(pipeline: &AccMoS, memo: &Memo, key: MemoKey, job: &ServeJob) -> (String, Exec) {
     let trusted = !matches!(key.0, Source::Rand(_));
-    if let Some(warm) = memo.get(&key) {
+    if let Some(warm) = memo.get(&key, pipeline.level_for(job.budget())) {
         let entry = Entry::Dylib { so: Ok(&warm.dylib), reused: true };
         let exec = run_plan(pipeline, &warm.plan, entry, job);
         if dylib_failed(&exec) {
@@ -505,7 +532,9 @@ fn run_source(pipeline: &AccMoS, memo: &Memo, key: MemoKey, job: &ServeJob) -> (
     if !trusted {
         return (model.name, run_plan(pipeline, &plan, Entry::Untrusted, job));
     }
-    let dylib = pipeline.compiler().and_then(|c| c.compile_shared(&plan.program));
+    let dylib = pipeline
+        .compiler()
+        .and_then(|c| pipeline.budgeted(c, job.budget()).compile_shared(&plan.program));
     let exec = run_plan(pipeline, &plan, Entry::Dylib { so: dylib.as_ref(), reused: false }, job);
     if let Ok(dylib) = dylib {
         let warm = Warm { plan, dylib };
@@ -901,6 +930,29 @@ mod tests {
         let view = pipeline.ledger().unwrap().read();
         let lanes: Vec<_> = view.records.iter().map(|r| (r.lanes, r.compile_cached)).collect();
         assert_eq!(lanes[2..], [(1, true), (4, true)], "the second round hits, per width");
+    }
+
+    #[test]
+    fn a_job_at_the_o3_budget_replaces_an_o1_entry_that_then_serves_short_jobs() {
+        let dir = TempDir::new("memo-upgrade");
+        let cache = BuildCache::at(dir.0.join("state"));
+        let pipeline = AccMoS::new().with_cache(cache.clone());
+        let memo = Memo::default();
+        let level = |memo: &Memo| memo.entries()[0].1.dylib.opt_level();
+        let short = job("bench:figure1", 1, 1);
+        assert_warm(&execute_job(&pipeline, &memo, &short), &short);
+        assert_eq!(level(&memo), OptLevel::O1);
+        let long = ServeJob { steps: crate::O3_BUDGET, ..job("bench:figure1", 1, 2) };
+        assert_warm(&execute_job(&pipeline, &memo, &long), &long);
+        assert_eq!(memo.entries().len(), 1);
+        assert_eq!(level(&memo), OptLevel::O3, "the -O3 build replaced the -O1 entry");
+        let before = cache.stats();
+        let again = job("bench:figure1", 1, 3);
+        assert_warm(&execute_job(&pipeline, &memo, &again), &again);
+        assert_eq!(cache.stats(), before, "the -O3 entry serves a short job from the memo");
+        let view = pipeline.ledger().unwrap().read();
+        let opts: Vec<_> = view.records.iter().map(|r| (r.opt.as_str(), r.compile_cached)).collect();
+        assert_eq!(opts, [("O1", false), ("O3", false), ("O3", true)]);
     }
 
     #[test]

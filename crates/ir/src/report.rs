@@ -116,6 +116,17 @@ impl SimulationReport {
         }
     }
 
+    /// Final outputs as bit patterns, element by element, so that a NaN
+    /// output equals itself, as it does in the output digest. Engines are
+    /// compared on these, not on [`SimulationReport::final_outputs`]'s
+    /// float equality.
+    pub fn output_bits(&self) -> Vec<(&str, Vec<u64>)> {
+        self.final_outputs
+            .iter()
+            .map(|(name, v)| (name.as_str(), v.elems().iter().map(|s| s.to_bits_u64()).collect()))
+            .collect()
+    }
+
     /// Lane width of the run: number of lane sub-reports, or 1 for a
     /// scalar run.
     pub fn lane_width(&self) -> u64 {

@@ -62,3 +62,21 @@ fn corpus_entries_cover_conditional_and_lane_parallel_models() {
     assert!(saw_groups, "no corpus entry with conditional groups");
     assert!(saw_lanes4, "no lane-4 corpus entry");
 }
+
+#[test]
+fn pinning_the_anchors_again_reproduces_them_byte_for_byte() {
+    // The planner's draws decide each anchor's model, stimulus seed,
+    // steps, rows and lanes. A draw added anywhere but last would shift
+    // them, and with them the trials a `--resume` run continues.
+    let dir = std::env::temp_dir().join(format!("accmos-corpus-repin-{}", std::process::id()));
+    for seed in [1, 2] {
+        let config = accmos::FuzzConfig { seed, ..accmos::FuzzConfig::default() };
+        let repro = accmos::fuzz::pin_corpus_entry(&config, 0, &dir).unwrap();
+        for ext in ["mdlx", "expected"] {
+            let name = format!("{}.{ext}", repro.name);
+            let pinned = std::fs::read(corpus_dir().join(&name)).unwrap();
+            assert_eq!(std::fs::read(dir.join(&name)).unwrap(), pinned, "{name}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -10,7 +10,7 @@
 
 use accmos::{AccMoS, NormalEngine, RunOptions, SimOptions};
 use accmos::Engine as _;
-use accmos_ir::{CoverageBitmaps, CoverageKind, OutputDigest, SimulationReport, TestVectors};
+use accmos_ir::{CoverageBitmaps, CoverageKind, OutputDigest, TestVectors};
 use accmos_testgen::{random_tests, ModelGenConfig, RandomModelGen};
 
 fn check_seed(seed: u64, actors: usize, steps: u64) {
@@ -37,7 +37,7 @@ fn check_seed(seed: u64, actors: usize, steps: u64) {
         "seed {seed}: digest mismatch\ninterp: {interp}\ncompiled: {compiled}\n--- generated C ---\n{}",
         sim.program().main_c
     );
-    assert_eq!(interp.final_outputs, compiled.final_outputs, "seed {seed}: final outputs");
+    assert_eq!(interp.output_bits(), compiled.output_bits(), "seed {seed}: final outputs");
     assert_eq!(interp.steps, compiled.steps, "seed {seed}: step counts");
 
     let icov = interp.coverage.expect("interp coverage");
@@ -79,16 +79,6 @@ fn long_runs_accumulate_identically() {
     }
 }
 
-/// Final outputs as bit patterns, so that a NaN output equals itself,
-/// as it does in the output digest.
-fn output_bits(report: &SimulationReport) -> Vec<(&str, Vec<u64>)> {
-    report
-        .final_outputs
-        .iter()
-        .map(|(name, v)| (name.as_str(), v.elems().iter().map(|s| s.to_bits_u64()).collect()))
-        .collect()
-}
-
 /// The interpreter against a lane-`lanes` build (1 = scalar) of one
 /// generated model. Lane `i` runs its own stimulus and must match an
 /// interpreter run of it on digest, final outputs and diagnostics; a
@@ -124,7 +114,7 @@ fn check_config(cfg: ModelGenConfig, steps: u64, lanes: usize) -> usize {
             "{ctx}: digest mismatch\ninterp: {interp}\ncompiled: {got}\n--- generated C ---\n{}",
             sim.program().main_c
         );
-        assert_eq!(output_bits(&interp), output_bits(got), "{ctx}: final outputs");
+        assert_eq!(interp.output_bits(), got.output_bits(), "{ctx}: final outputs");
         assert_eq!(interp.diagnostics, got.diagnostics, "{ctx}: diagnostics");
         digest.write_u64(interp.output_digest);
         match &mut union {
