@@ -48,27 +48,34 @@ echo "ci: analyzer gate passed on all 10 benchmarks ($SITES proven prunable site
 
 # Removed-flag gate: generated C is the only compiled engine, every actor
 # compiles from its template (the analyzer only prunes diagnosis checks),
-# and the CLI rejects any flag its usage line does not list, so the flags
-# of the removed generated-Rust backend and of the removed analyzer-driven
-# rewrite of calculation code must fail loudly rather than be ignored.
+# a lane is a run of the one scalar simulator (there is no lane build to
+# generate), and the CLI rejects any flag its usage line does not list, so
+# the flags of the removed generated-Rust backend, of the removed
+# analyzer-driven rewrite of calculation code and of the removed lane
+# build must fail loudly rather than be ignored.
 for removed in "simulate assets/figure1.mdlx --steps 10 --engine rust" \
                "generate assets/figure1.mdlx --rust" \
                "generate bench:SPV --no-optimize" \
                "simulate bench:SPV --steps 10 --no-optimize" \
-               "analyze bench:SPV --explain"; do
+               "analyze bench:SPV --explain" \
+               "generate bench:SPV --lanes 4"; do
     # shellcheck disable=SC2086 # word-split the argument list on purpose
     if ./target/release/accmos $removed > /dev/null 2>&1; then
         echo "ci: 'accmos $removed' exited 0; expected a usage error" >&2; exit 1
     fi
 done
-echo "ci: removed Rust-backend and calculation-rewrite flags are rejected"
+echo "ci: removed Rust-backend, calculation-rewrite and lane-build flags are rejected"
 # The bench harnesses reject unknown flags too, so `table3`'s removed
-# fused-segment coverage section cannot be asked for silently.
+# fused-segment coverage section and lane-speedup experiment cannot be
+# asked for silently.
 cargo build --release -p accmos-bench --bin table3
-if ./target/release/table3 --fused-lanes 8 > /dev/null 2>&1; then
-    echo "ci: 'table3 --fused-lanes 8' exited 0; expected a usage error" >&2; exit 1
-fi
-echo "ci: removed table3 flag is rejected"
+for removed in "--fused-lanes 8" "--lanes 8"; do
+    # shellcheck disable=SC2086 # word-split the argument list on purpose
+    if ./target/release/table3 $removed > /dev/null 2>&1; then
+        echo "ci: 'table3 $removed' exited 0; expected a usage error" >&2; exit 1
+    fi
+done
+echo "ci: removed table3 flags are rejected"
 
 # Sanitizer smoke test: compile generated Table 1 simulators with
 # UBSan+ASan (no recovery, so any report aborts) and run a short
@@ -126,12 +133,11 @@ assert got == [(5000, "O1", False), (1000000, "O3", False), (5000, "O3", True)],
 EOF
 echo "ci: level gate passed (5000 steps at O1, 1000000 at O3, then 5000 from the cached O3 build)"
 
-# Lane-parallel gates: (1) the per-lane digests of one lane-4 run must
-# equal four scalar runs over the same seeded stimuli — the
-# structure-of-arrays codegen may never change simulation results; (2) a
-# lane-8 simulator must be UBSan+ASan clean; (3) a ledger mixing scalar
-# and lane runs must pass the trend gate with the two engine keys
-# (`accmos` / `accmos@4`) baselined apart.
+# Lane gates: (1) the per-lane digests of one lane-4 run must equal four
+# scalar runs over the same seeded stimuli — folding the lanes may never
+# change a lane's result; (2) a ledger mixing scalar and lane runs must
+# pass the trend gate with the two engine keys (`accmos` / `accmos@4`)
+# baselined apart.
 LANE_DIR=$(mktemp -d)
 trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR"' EXIT
 ACCMOS_CACHE_DIR="$LANE_DIR" ./target/release/accmos simulate bench:TWC --steps 2000 --seed 77 --lanes 4 > "$LANE_DIR/lane_out.txt" \
@@ -144,16 +150,6 @@ for i in 0 1 2 3; do
         || { echo "ci: lane $i digest '$lane' != scalar digest '$scalar'" >&2; exit 1; }
 done
 echo "ci: lane-4 digests match scalar runs (TWC, 2000 steps)"
-
-./target/release/accmos generate bench:SPV --lanes 8 --out "$LANE_DIR"
-${CC:-cc} -O1 -g -fwrapv -std=gnu11 \
-    -fsanitize=undefined,address -fno-sanitize-recover=all \
-    "$LANE_DIR"/SPV.c -o "$LANE_DIR"/spv_lane_san -lm
-"$LANE_DIR"/spv_lane_san 2000 > "$LANE_DIR"/lane_san_out.txt \
-    || { echo "ci: lane-8 sanitizer run failed" >&2; exit 1; }
-grep -q "ACCMOS:LANES 8" "$LANE_DIR"/lane_san_out.txt \
-    || { echo "ci: sanitized lane simulator did not report 8 lanes" >&2; exit 1; }
-echo "ci: lane-8 sanitizer smoke test passed (SPV, 2000 steps, UBSan+ASan clean)"
 
 ACCMOS_CACHE_DIR="$LANE_DIR" ./target/release/accmos trends --check --max-regress 10000 \
     || { echo "ci: mixed scalar+lane trend gate failed" >&2; exit 1; }
@@ -191,13 +187,12 @@ grep -q "50 planned, 0 executed, 50 resumed-skip" "$FUZZ_DIR/resume_out.txt" \
 echo "ci: fuzz gate passed (50 trials clean, mix: $MIX, resume skipped all 50)"
 
 # Sanitize a sample of fuzz-generated models: the same random models the
-# campaign exercises, compiled with UBSan+ASan (scalar and lane-4 shapes)
-# and run for a short simulation. Catches UB in generated C that the
-# digest comparison alone cannot see.
-for spec in "3:" "9:--lanes 4"; do
-    seed=${spec%%:*}; lanes=${spec#*:}
+# campaign exercises, compiled with UBSan+ASan and run for a short
+# simulation. Catches UB in generated C that the digest comparison alone
+# cannot see.
+for seed in 3 9; do
     GEN_DIR="$FUZZ_DIR/gen$seed"
-    ./target/release/accmos generate "rand:$seed" $lanes --out "$GEN_DIR" > /dev/null \
+    ./target/release/accmos generate "rand:$seed" --out "$GEN_DIR" > /dev/null \
         || { echo "ci: generate rand:$seed failed" >&2; exit 1; }
     ${CC:-cc} -O1 -g -fwrapv -std=gnu11 \
         -fsanitize=undefined,address -fno-sanitize-recover=all \
@@ -207,7 +202,7 @@ for spec in "3:" "9:--lanes 4"; do
     grep -q "ACCMOS:END" "$GEN_DIR/san_out.txt" \
         || { echo "ci: sanitized rand:$seed produced no protocol output" >&2; exit 1; }
 done
-echo "ci: fuzz-model sanitizer smoke test passed (rand:3 scalar, rand:9 lane-4)"
+echo "ci: fuzz-model sanitizer smoke test passed (rand:3, rand:9)"
 
 # Analyzer gate over fuzz-generated models: the same two random models
 # must analyze clean at error severity — the lint catalogue's `error`

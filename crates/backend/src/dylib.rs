@@ -30,7 +30,7 @@
 
 use crate::error::BackendError;
 use crate::protocol::parse_report;
-use crate::run::{budget_ms_value, write_test_files, RunOptions, TempPath};
+use crate::run::{budget_ms_value, fold_lanes, run_lanes, write_test_file, RunOptions, TempPath};
 use crate::supervise::FailureKind;
 use crate::watchdog::{Alarm, Watchdog};
 use accmos_ir::{SimulationReport, TestVectors};
@@ -77,7 +77,6 @@ type EntryFn = unsafe extern "C" fn(
 
 /// Entry return codes, fixed by the generated driver.
 const ENTRY_OK: c_int = 0;
-const ENTRY_BAD_STIMULUS: c_int = 2;
 const ENTRY_STALE: c_int = 3;
 const ENTRY_CANCELED: c_int = 4;
 
@@ -99,10 +98,12 @@ static DYLIB_SEQ: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 pub struct DylibRun {
     /// The parsed simulation report — same parser, same schema as the
-    /// subprocess path.
+    /// subprocess path — its lanes folded
+    /// ([`SimulationReport::fold_lanes`]).
     pub report: SimulationReport,
-    /// Wall-clock time of the entry call (load/unload excluded), the
-    /// in-process analogue of the subprocess lifetime.
+    /// Wall-clock time of the entry calls (load/unload excluded), summed
+    /// over the lanes: the in-process analogue of the subprocess
+    /// lifetime.
     pub wall: Duration,
 }
 
@@ -117,7 +118,7 @@ enum EntryOutcome {
 /// Runs a simulator `.so` (from [`crate::Compiler::compile_shared`])
 /// in-process via its `accmos_entry` symbol.
 ///
-/// Each [`DylibRunner::run`] call is fully independent: the cached
+/// Each [`DylibRunner::run`] lane is fully independent: the cached
 /// artifact is copied to a scratch path, loaded, invoked once, unloaded,
 /// and the copy removed. The supervisor's kill deadline maps to the
 /// cooperative cancel flag; a run that stops on it reports
@@ -149,21 +150,41 @@ impl DylibRunner {
     }
 
     /// Run the simulator in-process for `steps` steps against `tests`,
-    /// with `deadline` mapped onto the cooperative cancel flag.
+    /// one load per lane, with `deadline` (over all the lanes) mapped
+    /// onto the cooperative cancel flag.
     ///
     /// # Errors
     ///
     /// - [`BackendError::Supervised`] with [`FailureKind::Timeout`] when
-    ///   the deadline fired and the simulator honored the cancel flag;
+    ///   the deadline fired and the simulator honored the cancel flag, or
+    ///   passed before a lane started;
     /// - [`BackendError::Protocol`] when the entry succeeded but its
-    ///   emitted records did not parse;
+    ///   emitted records did not parse, or the lanes report different
+    ///   coverage points;
     /// - [`BackendError::RunFailed`] for every load-side failure (missing
-    ///   file, `dlopen`/`dlsym` error, stale one-shot entry, stimulus
-    ///   mismatch, in-process panic) — the caller should fall back to the
-    ///   subprocess engine on this variant;
+    ///   file, `dlopen`/`dlsym` error, stale one-shot entry, in-process
+    ///   panic) — the caller should fall back to the subprocess engine on
+    ///   this variant;
     /// - [`BackendError::Io`] when the test-vector file cannot be
     ///   written.
     pub fn run(
+        &self,
+        steps: u64,
+        tests: &TestVectors,
+        opts: &RunOptions,
+        deadline: Option<Duration>,
+    ) -> Result<DylibRun, BackendError> {
+        let lanes = run_lanes(&self.so, steps, tests, opts, deadline, |steps, tests, opts, left| {
+            self.run_lane(steps, tests, opts, left)
+        })?;
+        Ok(DylibRun {
+            wall: lanes.iter().map(|l| l.wall).sum(),
+            report: fold_lanes(lanes.into_iter().map(|l| l.report).collect())?,
+        })
+    }
+
+    /// One lane of [`DylibRunner::run`]: one load and entry call.
+    fn run_lane(
         &self,
         steps: u64,
         tests: &TestVectors,
@@ -180,11 +201,11 @@ impl DylibRunner {
             .map_err(|source| BackendError::Io { path: self.so.clone(), source })?;
         let scratch = TempPath(scratch);
 
-        let tc_guard = write_test_files(&self.work_dir, tests, opts)?;
-        let tc_paths: Vec<CString> = tc_guard
-            .iter()
+        let tc_guard = write_test_file(&self.work_dir, tests)?;
+        let tc_path = tc_guard
+            .as_ref()
             .map(|t| CString::new(t.path().to_string_lossy().into_owned()))
-            .collect::<Result<_, _>>()
+            .transpose()
             .map_err(|_| BackendError::RunFailed {
                 exe: self.so.clone(),
                 detail: "test-vector path contains a NUL byte".into(),
@@ -201,7 +222,8 @@ impl DylibRunner {
             Watchdog::global().arm(Instant::now() + limit, Alarm::Cancel(Arc::clone(&cancel)))
         });
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            load_and_run(scratch.path(), steps, &tc_paths, stop_on_diag, budget_ms, &cancel)
+            let tc_path = tc_path.as_deref();
+            load_and_run(scratch.path(), steps, tc_path, stop_on_diag, budget_ms, &cancel)
         }));
         if let Some(token) = token {
             Watchdog::global().disarm(token);
@@ -242,7 +264,6 @@ impl DylibRunner {
             }
             EntryOutcome::Finished { rc, captured, .. } => {
                 let why = match rc {
-                    ENTRY_BAD_STIMULUS => "stimulus count does not match the lane width",
                     ENTRY_STALE => "accmos_entry is one-shot per load and was reused",
                     _ => "unknown entry failure",
                 };
@@ -263,7 +284,7 @@ impl DylibRunner {
 fn load_and_run(
     so: &Path,
     steps: u64,
-    tc_paths: &[CString],
+    tc_path: Option<&CStr>,
     stop_on_diag: c_int,
     budget_ms: u64,
     cancel: &AtomicI32,
@@ -303,7 +324,7 @@ fn load_and_run(
     let entry: EntryFn = unsafe { std::mem::transmute::<*mut c_void, EntryFn>(entry) };
 
     let mut captured: Vec<u8> = Vec::with_capacity(4096);
-    let argv: Vec<*const c_char> = tc_paths.iter().map(|p| p.as_ptr()).collect();
+    let argv: Vec<*const c_char> = tc_path.iter().map(|p| p.as_ptr()).collect();
     let start = Instant::now();
     // SAFETY: `argv` outlives the call and holds `tc_n` valid pointers;
     // `captured` outlives the call and is only touched through the emit

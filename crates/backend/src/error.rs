@@ -26,9 +26,8 @@ pub enum BackendError {
         /// Captured standard error.
         stderr: String,
     },
-    /// The simulator could not be run: its stimulus does not match its
-    /// lane width, or the in-process engine could not load or call it.
-    /// A subprocess that runs and fails is [`BackendError::Supervised`].
+    /// The in-process engine could not load or call the simulator. A
+    /// subprocess that runs and fails is [`BackendError::Supervised`].
     RunFailed {
         /// The executable path.
         exe: PathBuf,

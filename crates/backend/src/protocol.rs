@@ -6,8 +6,8 @@
 
 use crate::error::BackendError;
 use accmos_ir::{
-    ActorProfile, CoverageKind, CoverageSummary, CustomEvent, DataType, DiagnosticEvent,
-    DiagnosticKind, Scalar, SignalSample, SimulationReport, Value,
+    ActorProfile, CoverageBitmap, CoverageBitmaps, CoverageKind, CoverageSummary, CustomEvent,
+    DataType, DiagnosticEvent, DiagnosticKind, Scalar, SignalSample, SimulationReport, Value,
 };
 use std::time::Duration;
 
@@ -15,11 +15,17 @@ fn bad(line: &str, detail: impl Into<String>) -> BackendError {
     BackendError::Protocol { line: line.to_owned(), detail: detail.into() }
 }
 
+/// One hex word of a record: hex digits only, at most 64 bits.
+fn hex_word(h: &str, line: &str) -> Result<u64, BackendError> {
+    h.bytes()
+        .all(|b| b.is_ascii_hexdigit())
+        .then(|| u64::from_str_radix(h, 16).ok())
+        .flatten()
+        .ok_or_else(|| bad(line, format!("bad hex `{h}`")))
+}
+
 fn parse_value(dt: DataType, hexes: &[&str], line: &str) -> Result<Value, BackendError> {
-    let elem = |h: &&str| {
-        let bits = u64::from_str_radix(h, 16).map_err(|_| bad(line, format!("bad hex `{h}`")))?;
-        Ok(Scalar::from_bits_u64(dt, bits))
-    };
+    let elem = |h: &&str| Ok(Scalar::from_bits_u64(dt, hex_word(h, line)?));
     match hexes {
         [] => Err(bad(line, "empty value")),
         [h] => elem(h).map(Value::scalar),
@@ -38,7 +44,14 @@ fn parse_value(dt: DataType, hexes: &[&str], line: &str) -> Result<Value, Backen
 /// records" detail, so a killed or crashed simulator's output is
 /// distinguishable from a protocol bug.
 pub fn parse_report(stdout: &str) -> Result<SimulationReport, BackendError> {
-    let mut state = ParseState::default();
+    let mut state = ParseState {
+        report: SimulationReport::new("", "accmos"),
+        coverage: CoverageSummary::default(),
+        bitmaps: CoverageBitmaps::default(),
+        saw_cov: false,
+        saw_end: false,
+        records: 0,
+    };
     // A stream that does not end in a newline was cut off mid-record:
     // the last line is a partial write, not a (possibly malformed) record.
     let ends_clean = stdout.is_empty() || stdout.ends_with('\n');
@@ -89,47 +102,26 @@ fn protocol_detail(e: &BackendError) -> String {
 }
 
 /// Accumulator for one protocol stream.
-#[derive(Default)]
 struct ParseState {
-    report: Option<SimulationReport>,
+    report: SimulationReport,
     coverage: CoverageSummary,
+    bitmaps: CoverageBitmaps,
     saw_cov: bool,
     saw_end: bool,
-    /// Lane sub-reports of a lane-parallel stream (empty for scalar).
-    lane_reports: Vec<SimulationReport>,
-    /// Which lane section the stream is currently inside, if any.
-    /// Per-lane records (`DIAG`, `CUSTOM`, `SIGNAL`, `OUT`, `DIGEST`)
-    /// route here; everything before the first `LANE` marker — including
-    /// the aggregate `DIGEST` — belongs to the top-level report.
-    current_lane: Option<usize>,
     /// Complete records parsed so far (for truncation diagnostics).
     records: usize,
 }
 
 impl ParseState {
-    /// The report that per-lane-capable records should land in: the
-    /// current lane's sub-report inside a `LANE` section, else the
-    /// top-level report.
-    fn target(&mut self) -> &mut SimulationReport {
-        let report =
-            self.report.get_or_insert_with(|| SimulationReport::new("", "accmos"));
-        match self.current_lane {
-            Some(l) => &mut self.lane_reports[l],
-            None => report,
-        }
-    }
-
     /// Apply one record: `line` whole (for error messages) and its fields
     /// after the `ACCMOS:` prefix.
     fn apply(&mut self, line: &str, fields: &[&str]) -> Result<(), BackendError> {
-        self.report.get_or_insert_with(|| SimulationReport::new("", "accmos"));
         match fields.first().copied() {
             Some("MODEL") => {
-                self.report.as_mut().expect("inserted above").model =
-                    fields.get(1).copied().unwrap_or("").to_owned();
+                self.report.model = fields.get(1).copied().unwrap_or("").to_owned();
             }
             Some("STEPS") => {
-                self.report.as_mut().expect("inserted above").steps = fields
+                self.report.steps = fields
                     .get(1)
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| bad(line, "bad step count"))?;
@@ -139,54 +131,30 @@ impl ParseState {
                     .get(1)
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| bad(line, "bad time"))?;
-                self.report.as_mut().expect("inserted above").wall =
-                    Duration::from_nanos(ns);
-            }
-            Some("LANES") => {
-                let n: usize = fields
-                    .get(1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| bad(line, "bad lane count"))?;
-                self.lane_reports =
-                    (0..n).map(|_| SimulationReport::new("", "accmos")).collect();
-            }
-            Some("LANE") => {
-                let l: usize = fields
-                    .get(1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad(line, "bad lane index"))?;
-                if l >= self.lane_reports.len() {
-                    return Err(bad(
-                        line,
-                        format!(
-                            "lane index {l} out of range (LANES {})",
-                            self.lane_reports.len()
-                        ),
-                    ));
-                }
-                self.current_lane = Some(l);
+                self.report.wall = Duration::from_nanos(ns);
             }
             Some("COV") => {
-                let coverage = &mut self.coverage;
-                let saw_cov = &mut self.saw_cov;
+                // `COV <metric> <total> <word>...`: the metric's bitmap,
+                // ceil(total / 64) hex words.
                 let metric = fields.get(1).copied().unwrap_or("");
                 let kind = CoverageKind::ALL
                     .into_iter()
                     .find(|k| k.ident() == metric)
                     .ok_or_else(|| bad(line, format!("unknown metric `{metric}`")))?;
-                let covered: usize = fields
+                let total: usize = fields
                     .get(2)
                     .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad(line, "bad covered count"))?;
-                let total: usize = fields
-                    .get(3)
-                    .and_then(|v| v.parse().ok())
                     .ok_or_else(|| bad(line, "bad total count"))?;
-                let counts = coverage.counts_mut(kind);
-                counts.covered = covered;
+                let words = fields[3.min(fields.len())..]
+                    .iter()
+                    .map(|h| hex_word(h, line))
+                    .collect::<Result<Vec<u64>, _>>()?;
+                let bitmap = CoverageBitmap::from_words(total, words).map_err(|e| bad(line, e))?;
+                let counts = self.coverage.counts_mut(kind);
+                counts.covered = bitmap.count_ones();
                 counts.total = total;
-                *saw_cov = true;
+                *self.bitmaps.bitmap_mut(kind) = bitmap;
+                self.saw_cov = true;
             }
             Some("UNSAT") => {
                 let metric = fields.get(1).copied().unwrap_or("");
@@ -201,9 +169,6 @@ impl ParseState {
                 self.coverage.set_unsatisfiable(kind, n);
             }
             Some("PROF") => {
-                // Self-profiling counters are global (shared across
-                // lanes), so they land in the top-level report no matter
-                // where they appear in the stream.
                 if fields.len() != 5 {
                     return Err(bad(line, "PROF needs 4 fields"));
                 }
@@ -223,11 +188,8 @@ impl ParseState {
                     .strip_prefix("timed=")
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| bad(line, "bad PROF timed= field"))?;
-                self.report
-                    .as_mut()
-                    .expect("inserted above")
-                    .profile
-                    .push(ActorProfile { actor: actor.to_owned(), ns, calls, timed });
+                let site = ActorProfile { actor: actor.to_owned(), ns, calls, timed };
+                self.report.profile.push(site);
             }
             Some("DIAG") => {
                 if fields.len() != 5 {
@@ -235,7 +197,7 @@ impl ParseState {
                 }
                 let kind = DiagnosticKind::parse_ident(fields[1])
                     .ok_or_else(|| bad(line, format!("unknown diagnostic `{}`", fields[1])))?;
-                self.target().diagnostics.push(DiagnosticEvent {
+                self.report.diagnostics.push(DiagnosticEvent {
                     actor: fields[2].to_owned(),
                     kind,
                     first_step: fields[3].parse().map_err(|_| bad(line, "bad first step"))?,
@@ -246,7 +208,7 @@ impl ParseState {
                 if fields.len() != 5 {
                     return Err(bad(line, "CUSTOM needs 4 fields"));
                 }
-                self.target().custom.push(CustomEvent {
+                self.report.custom.push(CustomEvent {
                     name: fields[1].to_owned(),
                     actor: fields[2].to_owned(),
                     first_step: fields[3].parse().map_err(|_| bad(line, "bad first step"))?,
@@ -268,7 +230,7 @@ impl ParseState {
                     step: fields[2].parse().map_err(|_| bad(line, "bad step"))?,
                     value: parse_value(dt, &fields[5..], line)?,
                 };
-                self.target().signal_log.push(sample);
+                self.report.signal_log.push(sample);
             }
             Some("OUT") => {
                 if fields.len() < 4 {
@@ -281,7 +243,7 @@ impl ParseState {
                     return Err(bad(line, "OUT element count mismatch"));
                 }
                 let out = (fields[1].to_owned(), parse_value(dt, &fields[4..], line)?);
-                self.target().final_outputs.push(out);
+                self.report.final_outputs.push(out);
             }
             Some("DIGEST") => {
                 let digest = u64::from_str_radix(
@@ -289,7 +251,7 @@ impl ParseState {
                     16,
                 )
                 .map_err(|_| bad(line, "bad digest"))?;
-                self.target().output_digest = digest;
+                self.report.output_digest = digest;
             }
             Some("END") => {
                 self.saw_end = true;
@@ -303,17 +265,11 @@ impl ParseState {
     }
 
     fn finish(self) -> Result<SimulationReport, BackendError> {
-        let mut report =
-            self.report.unwrap_or_else(|| SimulationReport::new("", "accmos"));
+        let mut report = self.report;
         if self.saw_cov {
             report.coverage = Some(self.coverage);
+            report.coverage_bitmaps = Some(self.bitmaps);
         }
-        // Diagnostics and custom hits of a lane run arrive per lane; the
-        // top-level report aggregates them across lanes (earliest first
-        // step, summed counts) and mirrors lane 0's final outputs, so
-        // single-report consumers still see what a scalar run over the
-        // union of the stimuli would have reported. No-op for scalar runs.
-        report.attach_lanes(self.lane_reports);
         // Match the interpretive engines' ordering.
         report.diagnostics.sort_by(|a, b| {
             a.first_step.cmp(&b.first_step).then_with(|| a.actor.cmp(&b.actor))
@@ -330,10 +286,10 @@ mod tests {
 ACCMOS:MODEL CSEV
 ACCMOS:STEPS 1000
 ACCMOS:TIME_NS 250000000
-ACCMOS:COV actor 5 10
-ACCMOS:COV cond 1 2
-ACCMOS:COV dec 0 4
-ACCMOS:COV mcdc 2 8
+ACCMOS:COV actor 10 1f
+ACCMOS:COV cond 2 1
+ACCMOS:COV dec 4 0
+ACCMOS:COV mcdc 8 81
 ACCMOS:DIAG overflow CSEV_Add 740 3
 ACCMOS:DIAG divzero CSEV_Div 2 1
 ACCMOS:CUSTOM spike CSEV_Add 10 4
@@ -351,7 +307,10 @@ ACCMOS:END
         assert_eq!(r.wall, Duration::from_millis(250));
         let cov = r.coverage.unwrap();
         assert_eq!(cov.counts(CoverageKind::Actor).covered, 5);
+        assert_eq!(cov.counts(CoverageKind::Actor).total, 10);
         assert_eq!(cov.percent(CoverageKind::Mcdc), 25.0);
+        let bitmaps = r.coverage_bitmaps.unwrap();
+        assert!(bitmaps.bitmap(CoverageKind::Mcdc).get(7));
         // sorted by first step
         assert_eq!(r.diagnostics[0].actor, "CSEV_Div");
         assert_eq!(r.diagnostics[1].count, 3);
@@ -445,24 +404,6 @@ ACCMOS:END
     }
 
     #[test]
-    fn prof_records_in_lane_streams_stay_global() {
-        // PROF counters are shared across lanes; even a record printed
-        // inside a LANE section belongs to the top-level report.
-        let text = "\
-ACCMOS:MODEL M
-ACCMOS:LANES 2
-ACCMOS:PROF actor=M_Add ns=10 calls=4 timed=1
-ACCMOS:LANE 0
-ACCMOS:PROF actor=M_Gain ns=20 calls=4 timed=1
-ACCMOS:LANE 1
-ACCMOS:END
-";
-        let r = parse_report(text).unwrap();
-        assert_eq!(r.profile.len(), 2);
-        assert!(r.lane_reports.iter().all(|l| l.profile.is_empty()));
-    }
-
-    #[test]
     fn garbled_prof_records_rejected() {
         for bad_line in [
             "ACCMOS:PROF actor=X ns=1 calls=2\nACCMOS:END\n",
@@ -487,53 +428,36 @@ ACCMOS:END
     }
 
     #[test]
-    fn lane_stream_routes_and_aggregates() {
-        let text = "\
-ACCMOS:MODEL CSEV
-ACCMOS:STEPS 100
-ACCMOS:TIME_NS 1000
-ACCMOS:LANES 2
-ACCMOS:COV actor 5 10
-ACCMOS:DIGEST 00000000000000aa
-ACCMOS:LANE 0
-ACCMOS:DIAG overflow CSEV_Add 7 2
-ACCMOS:OUT Out i32 1 1
-ACCMOS:DIGEST 0000000000000001
-ACCMOS:LANE 1
-ACCMOS:DIAG overflow CSEV_Add 3 5
-ACCMOS:OUT Out i32 1 2
-ACCMOS:DIGEST 0000000000000002
-ACCMOS:END
-";
+    fn coverage_bitmaps_round_trip() {
+        // 130 points take three words; bits 0, 64 and 129 are set.
+        let text = "ACCMOS:COV cond 130 1 1 2\nACCMOS:COV actor 0\nACCMOS:END\n";
         let r = parse_report(text).unwrap();
-        assert_eq!(r.lane_width(), 2);
-        // The aggregate digest printed before the first LANE marker is
-        // the top-level digest; per-lane digests land in the sub-reports.
-        assert_eq!(r.output_digest, 0xaa);
-        assert_eq!(r.lane_reports[0].output_digest, 1);
-        assert_eq!(r.lane_reports[1].output_digest, 2);
-        // Lane metadata is copied from the shared header records.
-        assert_eq!(r.lane_reports[1].model, "CSEV");
-        assert_eq!(r.lane_reports[1].steps, 100);
-        // Diagnostics aggregate across lanes: earliest first step, summed
-        // counts.
-        assert_eq!(r.diagnostics.len(), 1);
-        assert_eq!(r.diagnostics[0].first_step, 3);
-        assert_eq!(r.diagnostics[0].count, 7);
-        assert_eq!(r.lane_reports[0].diagnostics[0].count, 2);
-        // Top-level outputs mirror lane 0; coverage stays shared.
-        assert_eq!(r.final_outputs[0].1, Value::scalar(Scalar::I32(1)));
-        assert_eq!(r.lane_reports[1].final_outputs[0].1, Value::scalar(Scalar::I32(2)));
-        assert_eq!(r.coverage.unwrap().counts(CoverageKind::Actor).covered, 5);
-        assert!(r.lane_reports[0].coverage.is_none());
+        let counts = r.coverage.unwrap().counts(CoverageKind::Condition);
+        assert_eq!((counts.covered, counts.total), (3, 130));
+        let bitmap = r.coverage_bitmaps.as_ref().unwrap().bitmap(CoverageKind::Condition);
+        assert_eq!((bitmap.len(), bitmap.count_ones()), (130, 3));
+        assert!(bitmap.get(0) && bitmap.get(64) && bitmap.get(129));
+        assert_eq!(r.coverage.unwrap().counts(CoverageKind::Actor).total, 0);
     }
 
     #[test]
-    fn lane_index_out_of_range_rejected() {
-        let text = "ACCMOS:LANES 2\nACCMOS:LANE 2\nACCMOS:END\n";
-        let err = parse_report(text).unwrap_err();
-        assert!(err.to_string().contains("out of range"), "{err}");
-        assert!(parse_report("ACCMOS:LANES 0\nACCMOS:END\n").is_err());
+    fn malformed_coverage_bitmaps_rejected() {
+        for (record, why) in [
+            ("ACCMOS:COV actor 10 zz", "bad hex"),
+            ("ACCMOS:COV actor 10 +1", "bad hex"),
+            ("ACCMOS:COV actor 10 11111111111111111", "bad hex"),
+            ("ACCMOS:COV actor 10", "want 1"),
+            ("ACCMOS:COV actor 10 1 1", "want 1"),
+            ("ACCMOS:COV actor 0 0", "want 0"),
+            ("ACCMOS:COV actor 10 400", "past 10"),
+            ("ACCMOS:COV actor 64 0 1", "want 1"),
+            ("ACCMOS:COV actor x 1", "bad total"),
+        ] {
+            let err = parse_report(&format!("{record}\nACCMOS:END\n")).unwrap_err();
+            assert!(err.to_string().contains(why), "{record}: {err}");
+        }
+        // The last valid bit of the last word is accepted.
+        assert!(parse_report("ACCMOS:COV actor 10 200\nACCMOS:END\n").is_ok());
     }
 
     #[test]

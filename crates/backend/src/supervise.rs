@@ -23,7 +23,7 @@
 use crate::error::BackendError;
 use crate::lease;
 use crate::protocol::parse_report;
-use crate::run::prepare_command;
+use crate::run::{fold_lanes, prepare_command, run_lanes};
 use crate::telemetry;
 use crate::watchdog::{Alarm, Watchdog, SIGKILL};
 use accmos_ir::{SimulationReport, TestVectors};
@@ -238,18 +238,20 @@ impl RetryStats {
     }
 }
 
-/// A successful supervised run.
+/// A successful supervised run: one child per lane.
 #[derive(Debug)]
 pub struct SupervisedRun {
-    /// The parsed simulation report.
+    /// The parsed simulation report, its lanes folded
+    /// ([`SimulationReport::fold_lanes`]).
     pub report: SimulationReport,
-    /// How many retries the run needed (0 = first attempt succeeded).
+    /// How many retries the run needed over all its lanes (0 = every
+    /// first attempt succeeded).
     pub retries: u32,
     /// Backoff sleep this run alone consumed — exact per-job attribution
     /// even when many jobs share one supervisor (whose [`RetryStats`]
     /// only aggregate).
     pub backoff: Duration,
-    /// Peak resident set size of the child in KiB: the kernel's
+    /// Peak resident set size of the largest child in KiB: the kernel's
     /// `ru_maxrss`, delivered with the exit status by the `wait4` that
     /// reaps the child.
     pub peak_rss_kb: u64,
@@ -459,15 +461,20 @@ impl Supervisor {
         n
     }
 
-    /// Run `exe` under the policy: spawn, wait, kill on deadline, classify
-    /// failures, retry retryable ones with backoff.
+    /// Run `exe` under the policy, one child per lane: spawn, wait, kill
+    /// on deadline, classify failures, retry retryable ones with backoff.
+    /// The kill deadline bounds all the lanes together, and the lanes'
+    /// reports fold into one ([`SimulationReport::fold_lanes`]).
     ///
     /// # Errors
     ///
     /// - [`BackendError::Quarantined`] when `exe` is already quarantined;
     /// - [`BackendError::Supervised`] carrying the [`FailureKind`] of the
     ///   last attempt once the retry budget is exhausted (or the failure is
-    ///   not retryable);
+    ///   not retryable), or [`FailureKind::Timeout`] when the deadline
+    ///   passed before a lane started;
+    /// - [`BackendError::Protocol`] when the lanes report different
+    ///   coverage points;
     /// - [`BackendError::Io`] when the test-vector file cannot be written.
     pub fn run(
         &self,
@@ -476,6 +483,29 @@ impl Supervisor {
         steps: u64,
         tests: &TestVectors,
         opts: &crate::RunOptions,
+    ) -> Result<SupervisedRun, BackendError> {
+        let kill = self.policy.kill_timeout;
+        let lanes = run_lanes(exe, steps, tests, opts, kill, |steps, tests, opts, left| {
+            self.run_lane(exe, work_dir, steps, tests, opts, left)
+        })?;
+        Ok(SupervisedRun {
+            retries: lanes.iter().map(|l| l.retries).sum(),
+            backoff: lanes.iter().map(|l| l.backoff).sum(),
+            peak_rss_kb: lanes.iter().map(|l| l.peak_rss_kb).max().unwrap_or(0),
+            report: fold_lanes(lanes.into_iter().map(|l| l.report).collect())?,
+        })
+    }
+
+    /// One lane of [`Supervisor::run`]: every attempt runs under the kill
+    /// deadline `kill`.
+    fn run_lane(
+        &self,
+        exe: &Path,
+        work_dir: &Path,
+        steps: u64,
+        tests: &TestVectors,
+        opts: &crate::RunOptions,
+        kill: Option<Duration>,
     ) -> Result<SupervisedRun, BackendError> {
         if self.is_quarantined(exe) {
             return Err(BackendError::Quarantined {
@@ -487,7 +517,7 @@ impl Supervisor {
         let mut slept = Duration::ZERO;
         loop {
             let attempt_start = self.tracer.as_ref().map(|t| t.now_us());
-            let once = self.run_once(exe, work_dir, steps, tests, opts)?;
+            let once = self.run_once(exe, work_dir, steps, tests, opts, kill)?;
             if let (Some(t), Some(start)) = (self.tracer.as_ref(), attempt_start) {
                 let outcome = match &once {
                     Ok(_) => "ok".to_owned(),
@@ -552,12 +582,12 @@ impl Supervisor {
         }
     }
 
-    /// One attempt: spawn, arm the kill deadline on the [`Watchdog`],
-    /// block until the child exits, disarm, reap. The outer `Result` is
-    /// for unrecoverable setup errors (the test-vector file cannot be
-    /// written); the inner one classifies the attempt itself. The inner
-    /// `Ok` carries the child's peak RSS in KiB alongside the parsed
-    /// report.
+    /// One attempt: spawn, arm the kill deadline `kill` on the
+    /// [`Watchdog`], block until the child exits, disarm, reap. The outer
+    /// `Result` is for unrecoverable setup errors (the test-vector file
+    /// cannot be written); the inner one classifies the attempt itself.
+    /// The inner `Ok` carries the child's peak RSS in KiB alongside the
+    /// parsed report.
     #[allow(clippy::type_complexity)]
     fn run_once(
         &self,
@@ -566,6 +596,7 @@ impl Supervisor {
         steps: u64,
         tests: &TestVectors,
         opts: &crate::RunOptions,
+        kill: Option<Duration>,
     ) -> Result<Result<(SimulationReport, u64), (FailureKind, String)>, BackendError> {
         let (mut cmd, tc_guard) = prepare_command(exe, work_dir, steps, tests, opts)?;
         cmd.stdin(Stdio::null()).stdout(Stdio::piped()).stderr(Stdio::piped());
@@ -584,10 +615,7 @@ impl Supervisor {
 
         let pid = child.id();
         let wait_start = self.tracer.as_ref().map(|t| t.now_us());
-        let alarm = self
-            .policy
-            .kill_timeout
-            .map(|t| Watchdog::global().arm(Instant::now() + t, Alarm::Kill(pid)));
+        let alarm = kill.map(|t| Watchdog::global().arm(Instant::now() + t, Alarm::Kill(pid)));
         // The child stays unreaped until the alarm is disarmed, so the
         // watchdog can never signal a recycled pid.
         let exited = await_exit(pid);
@@ -613,7 +641,7 @@ impl Supervisor {
             if timed_out {
                 // The kill happened on the watchdog thread at the
                 // deadline; the span runs from there to the reap.
-                let at = start + telemetry::micros(self.policy.kill_timeout.unwrap_or_default());
+                let at = start + telemetry::micros(kill.unwrap_or_default());
                 t.span("supervisor", "kill", at, t.now_us().saturating_sub(at), self.trace_tid);
             }
             t.record(telemetry::TraceSpan {
@@ -644,7 +672,7 @@ impl Supervisor {
         drop(tc_guard);
 
         if timed_out {
-            let t = self.policy.kill_timeout.unwrap_or_default();
+            let t = kill.unwrap_or_default();
             return Ok(Err((
                 FailureKind::Timeout,
                 format!(

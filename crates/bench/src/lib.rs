@@ -224,124 +224,6 @@ pub fn coverage_within_budget(
     (accmos_report, sse_report)
 }
 
-/// One lane-vs-scalar throughput measurement ([`measure_lane_speedup`]):
-/// the same `lanes * steps` of simulation work done as `lanes` sequential
-/// scalar runs and as one lane-parallel run.
-#[derive(Debug, Clone)]
-pub struct LaneSpeedup {
-    /// Model name.
-    pub model: String,
-    /// Lane width of the lane-parallel build.
-    pub lanes: usize,
-    /// Steps per test vector.
-    pub steps: u64,
-    /// End-to-end host wall time of the `lanes` sequential scalar runs
-    /// (best of two passes).
-    pub scalar_wall: Duration,
-    /// End-to-end host wall time of the single lane-parallel run over
-    /// the same stimuli (best of two passes).
-    pub lane_wall: Duration,
-    /// Aggregate report of the lane run (per-lane digests, OR-reduced
-    /// coverage) for cross-checking against the scalar runs.
-    pub lane_report: SimulationReport,
-}
-
-impl LaneSpeedup {
-    /// `scalar / lane` wall-clock speedup for the same total work.
-    pub fn speedup(&self) -> f64 {
-        ratio(self.scalar_wall, self.lane_wall)
-    }
-}
-
-/// Measure lane-parallel throughput on one model: evaluate `lanes`
-/// distinct seeded stimuli for `steps` steps each, first as `lanes`
-/// sequential scalar runs, then as one lane-parallel run, and report
-/// both wall-clock totals. The work is identical by construction — the
-/// lane run's per-lane digests equal the scalar runs' digests (asserted
-/// here, so a lane-codegen regression can never masquerade as a
-/// speedup).
-///
-/// Both sides are timed end-to-end on the host (stimulus hand-off,
-/// process launch, simulation, report parse): evaluating N independent
-/// vectors on the scalar simulator takes N launches — each vector needs
-/// fresh model state — while the lane build takes one. That per-launch
-/// fixed cost is precisely what lane mode amortizes (the per-lane
-/// simulation code itself compiles to the scalar shape and runs at
-/// parity), so it belongs in the measurement. Each side runs three
-/// passes, interleaved, and keeps its minimum — the usual guard against
-/// scheduler noise.
-///
-/// The build cache stays enabled: compile time is not part of either
-/// measurement, and the scalar binary is typically already cached by the
-/// coverage experiment that precedes this in the Table 3 harness.
-///
-/// # Panics
-///
-/// Panics if preprocessing, compilation or a run fails, or if a lane
-/// digest diverges from its scalar counterpart.
-pub fn measure_lane_speedup(
-    model: &Model,
-    steps: u64,
-    seed: u64,
-    lanes: usize,
-) -> LaneSpeedup {
-    let lanes = lanes.max(2);
-    let pre = accmos::preprocess(model).expect("benchmark model preprocesses");
-    let stimuli: Vec<TestVectors> = (0..lanes as u64)
-        .map(|lane| random_tests(&pre, 64, seed.wrapping_add(lane)))
-        .collect();
-
-    let scalar_sim = AccMoS::new().prepare(model).expect("scalar compile");
-    let lane_sim = AccMoS::new().with_lanes(lanes).prepare(model).expect("lane compile");
-    let lane_opts = RunOptions {
-        lane_tests: stimuli[1..].to_vec(),
-        ..RunOptions::default()
-    };
-
-    let mut scalar_wall = Duration::MAX;
-    let mut scalar_digests = Vec::new();
-    let mut lane_wall = Duration::MAX;
-    let mut lane_report = None;
-    for _ in 0..3 {
-        let start = std::time::Instant::now();
-        let digests: Vec<u64> = stimuli
-            .iter()
-            .map(|tests| {
-                scalar_sim
-                    .run(steps, tests, &RunOptions::default())
-                    .expect("scalar run")
-                    .output_digest
-            })
-            .collect();
-        scalar_wall = scalar_wall.min(start.elapsed());
-        scalar_digests = digests;
-
-        let start = std::time::Instant::now();
-        let report = lane_sim.run(steps, &stimuli[0], &lane_opts).expect("lane run");
-        lane_wall = lane_wall.min(start.elapsed());
-        lane_report = Some(report);
-    }
-    scalar_sim.clean();
-    lane_sim.clean();
-
-    let lane_report = lane_report.expect("measured at least once");
-    for (lane, scalar_digest) in scalar_digests.iter().enumerate() {
-        assert_eq!(
-            lane_report.lane_reports[lane].output_digest, *scalar_digest,
-            "{}: lane {lane} digest diverged from its scalar run",
-            model.name
-        );
-    }
-    LaneSpeedup {
-        model: model.name.clone(),
-        lanes,
-        steps,
-        scalar_wall,
-        lane_wall,
-        lane_report,
-    }
-}
-
 /// Per-run dispatch overhead of the two execution engines on an
 /// already-compiled simulator ([`measure_dispatch_overhead`]): what it
 /// costs to *start* a run when compilation is cached, which is exactly
@@ -451,24 +333,9 @@ pub fn detection_times(
 /// `ACCMOS_CACHE_DIR`), so benchmark history feeds `accmos trends`.
 /// Best-effort: ledger I/O never fails a benchmark.
 pub fn record_run(source: &str, model: &str, engine: &str, steps: u64, wall: Duration) {
-    record_lane_run(source, model, engine, steps, wall, 1);
-}
-
-/// Like [`record_run`], but stamping the lane width, so `accmos trends`
-/// keys lane configurations separately (`accmos@8` vs plain `accmos`)
-/// instead of mixing their timings into one baseline.
-pub fn record_lane_run(
-    source: &str,
-    model: &str,
-    engine: &str,
-    steps: u64,
-    wall: Duration,
-    lanes: u64,
-) {
     let mut rec = accmos::RunRecord::new(source, model);
     rec.engine = engine.to_string();
     rec.steps = steps;
-    rec.lanes = lanes.max(1);
     rec.outcome = accmos::telemetry::outcome::OK.to_string();
     rec.phases.run_us = accmos::telemetry::micros(wall);
     let ledger = accmos::RunLedger::in_dir(accmos::default_state_dir());

@@ -238,82 +238,6 @@ pub(crate) fn state_decls(actor: &FlatActor) -> Vec<String> {
     }
 }
 
-/// Lane-mode variant of [`state_decls`]: every *mutable* state variable
-/// becomes a structure-of-arrays with one copy per lane plus a `#define`
-/// routing the scalar name through the current-lane index, so the actor
-/// templates (and the diagnostic functions referencing state) compile
-/// unchanged. Read-only tables (lookup breakpoints, polynomial
-/// coefficients, selector indices) stay shared.
-pub(crate) fn state_decls_lanes(ctx: &EmitCtx<'_>, actor: &FlatActor) -> Vec<String> {
-    use ActorKind::*;
-    let key = actor.path.key();
-    let t = actor.dtype.c_name();
-    let w = actor.width;
-    let arr = |n: usize| if n == 1 { String::new() } else { format!("[{n}]") };
-    let lanes = ctx.opts.effective_lanes();
-    let per_lane = |inner: &str| -> String {
-        let items = vec![inner.to_owned(); lanes].join(", ");
-        format!("{{ {items} }}")
-    };
-    let init_list = |s: Scalar, n: usize| -> String {
-        let lit = s.cast(actor.dtype).c_literal();
-        if n == 1 {
-            lit
-        } else {
-            let items = vec![lit; n].join(", ");
-            format!("{{ {items} }}")
-        }
-    };
-    let lane_var = |ty: &str, name: String, elems: String, init: Option<String>| -> Vec<String> {
-        let init_txt = init.map(|i| format!(" = {i}")).unwrap_or_default();
-        vec![
-            format!("static {ty} {name}_L[ACCMOS_LANES]{elems}{init_txt};"),
-            format!("#define {name} {name}_L[accmos_lane]"),
-        ]
-    };
-    match &actor.kind {
-        UnitDelay { init } | Memory { init } => lane_var(
-            t,
-            format!("{key}_state"),
-            arr(w),
-            Some(per_lane(&init_list(*init, w))),
-        ),
-        Delay { steps, init } => {
-            let total = steps * w;
-            let items = vec![init.cast(actor.dtype).c_literal(); total].join(", ");
-            let mut out = lane_var(
-                t,
-                format!("{key}_buf"),
-                format!("[{total}]"),
-                Some(per_lane(&format!("{{ {items} }}"))),
-            );
-            out.extend(lane_var("int", format!("{key}_pos"), String::new(), None));
-            out
-        }
-        DiscreteIntegrator { init, .. } => lane_var(
-            t,
-            format!("{key}_acc"),
-            arr(w),
-            Some(per_lane(&init_list(*init, w))),
-        ),
-        DiscreteDerivative | RateLimiter { .. } => {
-            lane_var(t, format!("{key}_prev"), arr(w), None)
-        }
-        ZeroOrderHold { .. } => lane_var(t, format!("{key}_held"), arr(w), None),
-        Relay { .. } => lane_var("uint8_t", format!("{key}_on"), String::new(), None),
-        EdgeDetector { .. } => lane_var("uint8_t", format!("{key}_prev"), String::new(), None),
-        Counter { .. } => lane_var("uint64_t", format!("{key}_cnt"), String::new(), None),
-        RandomNumber { seed } => lane_var(
-            "uint64_t",
-            format!("{key}_rng"),
-            String::new(),
-            Some(per_lane(&format!("{seed}ULL"))),
-        ),
-        // Read-only tables: shared across lanes.
-        _ => state_decls(actor),
-    }
-}
-
 fn const_f64_array(name: &str, values: &[f64]) -> String {
     let items = values.iter().map(|v| f64_lit(*v)).collect::<Vec<_>>().join(", ");
     format!("static const double {name}[{}] = {{ {items} }};", values.len())
@@ -371,9 +295,7 @@ pub(crate) struct EmittedActor {
 }
 
 /// Algorithm 1, per actor: template code + coverage + collection +
-/// diagnosis instrumentation. In lane mode the body is emitted bare (no
-/// lane loop): the lane-blocked driver fixes `accmos_lane` around the
-/// whole step.
+/// diagnosis instrumentation.
 pub(crate) fn emit_actor(ctx: &mut EmitCtx<'_>, actor: &FlatActor) -> EmittedActor {
     // Checks the interval analysis proves dead are dropped up front.
     let plan = pruned_diagnosis_plan(ctx, actor);
@@ -1515,21 +1437,12 @@ fn emit_diagnosis(
             }
             DiagnosticKind::Downcast => {
                 // Paper Figure 4 line 4: a static width comparison that can
-                // only ever fire; report it once, on first execution. Lane
-                // mode latches per lane so each lane reports its own first
-                // execution, exactly like N independent scalar runs.
+                // only ever fire; report it once, on first execution.
                 w.comment("downcast diagnosis (sizeof(out) < sizeof(in))");
-                if ctx.opts.effective_lanes() > 1 {
-                    w.line(format!("static int down_once_{site}[ACCMOS_LANES];"));
-                    w.line(format!(
-                        "if (!down_once_{site}[accmos_lane]) {{ down_once_{site}[accmos_lane] = 1; accmos_diag_hit({site}); }}"
-                    ));
-                } else {
-                    w.line(format!("static int down_once_{site} = 0;"));
-                    w.line(format!(
-                        "if (!down_once_{site}) {{ down_once_{site} = 1; accmos_diag_hit({site}); }}"
-                    ));
-                }
+                w.line(format!("static int down_once_{site} = 0;"));
+                w.line(format!(
+                    "if (!down_once_{site}) {{ down_once_{site} = 1; accmos_diag_hit({site}); }}"
+                ));
             }
             DiagnosticKind::PrecisionLoss => {
                 w.comment("precision loss diagnosis (round-trip check)");

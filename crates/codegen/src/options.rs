@@ -40,22 +40,9 @@ pub struct CodegenOptions {
     /// output (digest, diagnostics, coverage counts) is identical with the
     /// flag on or off — pruning only removes dead instrumentation work.
     pub prune_proven_safe: bool,
-    /// Number of test-vector lanes one generated simulator runs
-    /// (structure-of-arrays multi-vector mode). `1` is the classic
-    /// single-vector simulator; `N > 1` keeps one copy of every signal
-    /// and state variable per lane, drives each lane from its own test
-    /// file, and runs the lane-blocked driver: each lane in turn advances
-    /// a block of 4,096 steps with the lane index fixed, so one process
-    /// simulates N stimuli back to back, block by block.
-    /// Coverage bitmaps are shared across lanes (the OR-reduction of the
-    /// per-lane bitmaps); diagnostics, outputs and digests are per-lane.
-    /// Ignored (treated as 1) by the Rapid Accelerator host-sync
-    /// configuration.
-    pub lanes: usize,
     /// Self-profiling instrumentation: wrap every emitted actor in
     /// cumulative nanosecond + invocation counters, reported at end of
-    /// run as `ACCMOS:PROF` lines; a lane build counts each site
-    /// once per lane per step. Observation-only by construction: the
+    /// run as `ACCMOS:PROF` lines. Observation-only by construction: the
     /// counters read the monotonic clock and bump two integers — they
     /// never touch signal, state, coverage or digest computation — so a
     /// profiled build is digest-identical to an unprofiled one (enforced
@@ -77,28 +64,11 @@ impl CodegenOptions {
         CodegenOptions::default()
     }
 
-    /// Builder: run `n` test vectors in one simulator (see the
-    /// [`CodegenOptions::lanes`] field). `n` is clamped to at least 1.
-    pub fn lanes(mut self, n: usize) -> CodegenOptions {
-        self.lanes = n.max(1);
-        self
-    }
-
     /// Builder: enable per-actor self-profiling (see the
     /// [`CodegenOptions::profile`] field).
     pub fn with_profile(mut self) -> CodegenOptions {
         self.profile = true;
         self
-    }
-
-    /// The effective lane count: `lanes`, except that host-sync (Rapid
-    /// Accelerator) simulators are always single-lane.
-    pub fn effective_lanes(&self) -> usize {
-        if self.host_sync {
-            1
-        } else {
-            self.lanes.max(1)
-        }
     }
 
     /// The SSE Rapid Accelerator stand-in: no instrumentation, per-step
@@ -124,7 +94,6 @@ impl Default for CodegenOptions {
             host_sync: false,
             signal_log_limit: 4096,
             prune_proven_safe: true,
-            lanes: 1,
             profile: false,
             sabotage_digest: false,
         }
@@ -148,16 +117,5 @@ mod tests {
         assert!(!CodegenOptions::accmos().profile);
         assert!(!CodegenOptions::rapid_accelerator().profile);
         assert!(CodegenOptions::accmos().with_profile().profile);
-    }
-
-    #[test]
-    fn lane_builder_clamps_and_host_sync_forces_scalar() {
-        assert_eq!(CodegenOptions::accmos().lanes, 1);
-        let o = CodegenOptions::accmos().lanes(8);
-        assert_eq!(o.lanes, 8);
-        assert_eq!(o.effective_lanes(), 8);
-        assert_eq!(CodegenOptions::accmos().lanes(0).effective_lanes(), 1);
-        let ra = CodegenOptions::rapid_accelerator().lanes(4);
-        assert_eq!(ra.effective_lanes(), 1);
     }
 }

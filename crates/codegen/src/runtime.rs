@@ -76,23 +76,11 @@ static void accmos_out(const char *fmt, ...) {
 #ifndef ACCMOS_TC_COLS
 #define ACCMOS_TC_COLS 0
 #endif
-#ifndef ACCMOS_LANES
-#define ACCMOS_LANES 1
-#endif
 
 #define ACCMOS_AT_LEAST_1(n) ((n) > 0 ? (n) : 1)
 #define ACCMOS_WORDS(bits) ACCMOS_AT_LEAST_1(((bits) + 63) / 64)
 
 static uint64_t accmos_step = 0;
-
-/* ---- multi-vector lane mode ------------------------------------------ */
-/* In lane mode (ACCMOS_LANES > 1) every signal and state variable is a
- * structure-of-arrays with one element per lane, accessed through the
- * current-lane index below. The lane-blocked driver fixes it around each
- * block of steps, so every access inside a block reads one lane. */
-#if ACCMOS_LANES > 1
-static int accmos_lane = 0;
-#endif
 
 /* ---- saturating float -> integer conversion (Rust `as` semantics) ---- */
 #define ACCMOS_DEF_F2I(name, T, LO, HI) \
@@ -176,18 +164,7 @@ static inline uint64_t accmos_fnv_fold(uint64_t h, uint64_t w) {
     }
     return h;
 }
-#if ACCMOS_LANES > 1
-static uint64_t accmos_digest_L[ACCMOS_LANES];
-#define accmos_digest accmos_digest_L[accmos_lane]
-static inline void accmos_lane_digest_init(void) {
-    int l;
-    for (l = 0; l < ACCMOS_LANES; l++) {
-        accmos_digest_L[l] = 0xcbf29ce484222325ULL;
-    }
-}
-#else
 static uint64_t accmos_digest = 0xcbf29ce484222325ULL;
-#endif
 static inline void accmos_digest_u64(uint64_t w) {
     accmos_digest = accmos_fnv_fold(accmos_digest, w);
 }
@@ -199,52 +176,38 @@ static uint64_t accmos_cov_dec[ACCMOS_WORDS(ACCMOS_DEC_BITS)];
 static uint64_t accmos_cov_mcdc[ACCMOS_WORDS(ACCMOS_MCDC_BITS)];
 #define ACCMOS_COV(arr, id) ((arr)[(id) >> 6] |= 1ULL << ((id) & 63))
 
-static inline int accmos_cov_count(const uint64_t *arr, int bits) {
-    int covered = 0, i;
-    for (i = 0; i < bits; i++) {
-        if (arr[i >> 6] >> (i & 63) & 1) {
-            covered++;
-        }
-    }
-    return covered;
-}
+/* One ACCMOS:COV record: the metric, its point count, then the bitmap's
+ * ceil(bits / 64) words in hex. The host counts the set bits, and folds
+ * the bitmaps of a lane run's lanes into their union. */
 static inline void accmos_print_cov(const char *name, const uint64_t *arr, int bits) {
-    accmos_out("ACCMOS:COV %s %d %d\n", name, accmos_cov_count(arr, bits), bits);
+    int w;
+    accmos_out("ACCMOS:COV %s %d", name, bits);
+    for (w = 0; w < (bits + 63) / 64; w++) {
+        accmos_out(" %llx", (unsigned long long)arr[w]);
+    }
+    accmos_out("\n");
 }
 
 /* ---- diagnosis sites ---------------------------------------------------- */
-/* Lane mode keeps one (first, count) pair per site per lane so diagnosis
- * is reported per lane, exactly as N independent scalar runs would. The
- * slot of site s in lane l is s * ACCMOS_LANES + l. */
-static uint64_t accmos_diag_first[ACCMOS_AT_LEAST_1(ACCMOS_DIAG_SITES) * ACCMOS_LANES];
-static uint64_t accmos_diag_count[ACCMOS_AT_LEAST_1(ACCMOS_DIAG_SITES) * ACCMOS_LANES];
+static uint64_t accmos_diag_first[ACCMOS_AT_LEAST_1(ACCMOS_DIAG_SITES)];
+static uint64_t accmos_diag_count[ACCMOS_AT_LEAST_1(ACCMOS_DIAG_SITES)];
 static uint64_t accmos_diag_total = 0;
 static inline void accmos_diag_hit(int site) {
-#if ACCMOS_LANES > 1
-    int slot = site * ACCMOS_LANES + accmos_lane;
-#else
-    int slot = site;
-#endif
-    if (accmos_diag_count[slot] == 0) {
-        accmos_diag_first[slot] = accmos_step;
+    if (accmos_diag_count[site] == 0) {
+        accmos_diag_first[site] = accmos_step;
     }
-    accmos_diag_count[slot]++;
+    accmos_diag_count[site]++;
     accmos_diag_total++;
 }
 
 /* ---- custom signal diagnosis sites -------------------------------------- */
-static uint64_t accmos_custom_first[ACCMOS_AT_LEAST_1(ACCMOS_CUSTOM_SITES) * ACCMOS_LANES];
-static uint64_t accmos_custom_count[ACCMOS_AT_LEAST_1(ACCMOS_CUSTOM_SITES) * ACCMOS_LANES];
+static uint64_t accmos_custom_first[ACCMOS_AT_LEAST_1(ACCMOS_CUSTOM_SITES)];
+static uint64_t accmos_custom_count[ACCMOS_AT_LEAST_1(ACCMOS_CUSTOM_SITES)];
 static inline void accmos_custom_hit(int site) {
-#if ACCMOS_LANES > 1
-    int slot = site * ACCMOS_LANES + accmos_lane;
-#else
-    int slot = site;
-#endif
-    if (accmos_custom_count[slot] == 0) {
-        accmos_custom_first[slot] = accmos_step;
+    if (accmos_custom_count[site] == 0) {
+        accmos_custom_first[site] = accmos_step;
     }
-    accmos_custom_count[slot]++;
+    accmos_custom_count[site]++;
 }
 
 /* ---- signal monitor (paper Figure 3) ------------------------------------- */
@@ -255,15 +218,8 @@ typedef struct {
     int length;
     uint64_t bits[ACCMOS_MAX_WIDTH];
 } accmos_sample;
-#if ACCMOS_LANES > 1
-static accmos_sample accmos_log_L[ACCMOS_LANES][ACCMOS_AT_LEAST_1(ACCMOS_LOG_LIMIT)];
-static int accmos_log_len_L[ACCMOS_LANES];
-#define accmos_log accmos_log_L[accmos_lane]
-#define accmos_log_len accmos_log_len_L[accmos_lane]
-#else
 static accmos_sample accmos_log[ACCMOS_AT_LEAST_1(ACCMOS_LOG_LIMIT)];
 static int accmos_log_len = 0;
-#endif
 
 static inline int accmos_type_size(const char *type) {
     if (type[0] == 'b') return 1;
@@ -294,18 +250,8 @@ static void outputCollect(const char *path, const void *data, const char *type, 
 }
 
 /* ---- test-case import (paper Figure 5: TestCase_Init / takeTestCase) ---- */
-/* Lane mode loads one test file per lane: main() sets accmos_lane before
- * each TestCase_Init call and the macros below route the parsed columns
- * into that lane's table. */
-#if ACCMOS_LANES > 1
-static uint64_t *accmos_tc_data_L[ACCMOS_LANES][ACCMOS_AT_LEAST_1(ACCMOS_TC_COLS)];
-static size_t accmos_tc_rows_L[ACCMOS_LANES];
-#define accmos_tc_data accmos_tc_data_L[accmos_lane]
-#define accmos_tc_rows accmos_tc_rows_L[accmos_lane]
-#else
 static uint64_t *accmos_tc_data[ACCMOS_AT_LEAST_1(ACCMOS_TC_COLS)];
 static size_t accmos_tc_rows = 0;
-#endif
 
 /* dtype codes: 0=b8 1=i8 2=i16 3=i32 4=i64 5=u8 6=u16 7=u32 8=u64 9=f32 10=f64 */
 static int accmos_dtype_code(const char *m) {
@@ -420,22 +366,11 @@ static inline uint64_t takeTestCase(int col) {
  * columns before returning to keep the daemon's heap flat. */
 static void accmos_tc_free(void) {
     int c;
-#if ACCMOS_LANES > 1
-    int l;
-    for (l = 0; l < ACCMOS_LANES; l++) {
-        for (c = 0; c < ACCMOS_TC_COLS; c++) {
-            free(accmos_tc_data_L[l][c]);
-            accmos_tc_data_L[l][c] = NULL;
-        }
-        accmos_tc_rows_L[l] = 0;
-    }
-#else
     for (c = 0; c < ACCMOS_TC_COLS; c++) {
         free(accmos_tc_data[c]);
         accmos_tc_data[c] = NULL;
     }
     accmos_tc_rows = 0;
-#endif
 }
 
 /* ---- lookup tables (mirrors accmos-interp::semantics) --------------------- */
@@ -523,6 +458,7 @@ mod tests {
             "accmos_lookup1d",
             "accmos_lookup2d",
             "accmos_now_ns",
+            "accmos_print_cov",
         ] {
             assert!(RUNTIME_HEADER.contains(needle), "runtime header misses {needle}");
         }

@@ -9,8 +9,7 @@
 
 use crate::cwriter::CodeBuf;
 use crate::gen::{
-    cast_expr, cast_f64_expr, emit_actor, f64_lit, state_decls, state_decls_lanes, store_var,
-    DiagSite, EmitCtx,
+    cast_expr, cast_f64_expr, emit_actor, f64_lit, state_decls, store_var, DiagSite, EmitCtx,
 };
 use crate::options::CodegenOptions;
 use crate::runtime::RUNTIME_HEADER;
@@ -44,11 +43,6 @@ pub struct GeneratedProgram {
     /// generation (zero when pruning is disabled). Surfaced so telemetry
     /// can report the analyze phase separately from synthesis proper.
     pub analyze_time: std::time::Duration,
-    /// Effective lane width the simulator was generated with: the number
-    /// of test vectors one process simulates (1 = classic scalar
-    /// simulator). A lane-N simulator expects 0 or N `--tests`
-    /// arguments, one per lane.
-    pub lanes: usize,
     /// Always 0. Codegen emits every actor from its template: it folds
     /// no actor into literal stores. Kept only because the layered
     /// benchmark (`perfbench`) sums this field into its `proven_sites`
@@ -82,7 +76,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     let mut ctx = EmitCtx::new(pre, opts);
     let flat = &pre.flat;
     let cov = opts.instrument && opts.coverage;
-    let lanes = opts.effective_lanes();
 
     // ---- per-actor code + diagnostic functions (Algorithm 1) ------------
     let mut actor_code = Vec::new();
@@ -121,10 +114,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     let max_width = flat.signals.iter().map(|s| s.width).max().unwrap_or(1).max(1);
     w.line(format!("#define ACCMOS_MAX_WIDTH {max_width}"));
     w.line(format!("#define ACCMOS_TC_COLS {}", flat.root_inports.len()));
-    if lanes > 1 {
-        w.line(format!("#define ACCMOS_LANES {lanes}"));
-        w.line("#define ACCMOS_BLOCK 4096");
-    }
     w.line("#include \"accmos_rt.h\"");
     w.blank();
 
@@ -133,17 +122,10 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     w.blank();
 
     // ---- signal variables -------------------------------------------------
-    // Lane mode: structure-of-arrays, one copy per lane, with a macro
-    // routing the plain name through the current-lane index so all actor
-    // templates compile unchanged.
     w.comment("signal variables (one per actor output port)");
     for sig in &flat.signals {
         let t = sig.dtype.c_name();
-        if lanes > 1 {
-            let elems = if sig.width == 1 { String::new() } else { format!("[{}]", sig.width) };
-            w.line(format!("static {t} {}_L[ACCMOS_LANES]{elems};", sig.name));
-            w.line(format!("#define {0} {0}_L[accmos_lane]", sig.name));
-        } else if sig.width == 1 {
+        if sig.width == 1 {
             w.line(format!("static {t} {};", sig.name));
         } else {
             w.line(format!("static {t} {}[{}];", sig.name, sig.width));
@@ -156,21 +138,7 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         w.comment("global data stores");
         for store in &flat.stores {
             let init = store.init.cast(store.dtype).c_literal();
-            if lanes > 1 {
-                let var = store_var(&store.name);
-                let items = vec![init; lanes].join(", ");
-                w.line(format!(
-                    "static {} {var}_L[ACCMOS_LANES] = {{ {items} }};",
-                    store.dtype.c_name()
-                ));
-                w.line(format!("#define {var} {var}_L[accmos_lane]"));
-            } else {
-                w.line(format!(
-                    "static {} {} = {init};",
-                    store.dtype.c_name(),
-                    store_var(&store.name)
-                ));
-            }
+            w.line(format!("static {} {} = {init};", store.dtype.c_name(), store_var(&store.name)));
         }
         w.blank();
     }
@@ -178,12 +146,7 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     // ---- actor state ----------------------------------------------------------
     w.comment("actor state");
     for actor in &flat.actors {
-        let decls = if lanes > 1 {
-            state_decls_lanes(&ctx, actor)
-        } else {
-            state_decls(actor)
-        };
-        for decl in decls {
+        for decl in state_decls(actor) {
             w.line(decl);
         }
     }
@@ -193,12 +156,7 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     if !flat.groups.is_empty() {
         w.comment("conditional-execution groups (enabled/triggered subsystems)");
         for g in &flat.groups {
-            if lanes > 1 {
-                w.line(format!("static uint8_t g{}_prev_L[ACCMOS_LANES];", g.id.0));
-                w.line(format!("#define g{0}_prev g{0}_prev_L[accmos_lane]", g.id.0));
-            } else {
-                w.line(format!("static uint8_t g{}_prev = 0;", g.id.0));
-            }
+            w.line(format!("static uint8_t g{}_prev = 0;", g.id.0));
         }
         for g in &flat.groups {
             let ctrl = &flat.signal(g.control).name;
@@ -340,9 +298,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     }
     w.open("static void Model_Exe(void) {");
     if !prof_names.is_empty() {
-        // Recomputed per call: a lane build runs Model_Exe once per lane
-        // per step, and the sample decision only depends on the step, so
-        // every lane of a step agrees.
         w.line("accmos_prof_on = (accmos_step % ACCMOS_PROF_PERIOD) == 0;");
     }
     for k in 0..chunks {
@@ -467,20 +422,11 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     w.comment("final root-output values");
     for (i, id) in flat.root_outports.iter().enumerate() {
         let actor = flat.actor(*id);
-        if lanes > 1 {
-            w.line(format!(
-                "static {} accmos_final_{i}_L[ACCMOS_LANES][{}];",
-                actor.dtype.c_name(),
-                actor.width.max(1)
-            ));
-            w.line(format!("#define accmos_final_{i} accmos_final_{i}_L[accmos_lane]"));
-        } else {
-            w.line(format!(
-                "static {} accmos_final_{i}[{}];",
-                actor.dtype.c_name(),
-                actor.width.max(1)
-            ));
-        }
+        w.line(format!(
+            "static {} accmos_final_{i}[{}];",
+            actor.dtype.c_name(),
+            actor.width.max(1)
+        ));
     }
     w.open("static void recordResult(void) {");
     for (i, id) in flat.root_outports.iter().enumerate() {
@@ -545,12 +491,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     w.line(format!("accmos_out(\"ACCMOS:MODEL {}\\n\");", flat.name));
     w.line("accmos_out(\"ACCMOS:STEPS %llu\\n\", (unsigned long long)steps);");
     w.line("accmos_out(\"ACCMOS:TIME_NS %llu\\n\", (unsigned long long)ns);");
-    if lanes > 1 {
-        w.line(format!("accmos_out(\"ACCMOS:LANES {lanes}\\n\");"));
-    }
-    // Profiling records are global (counters are shared across lanes —
-    // lanes run sequentially in one thread), so they print before any
-    // LANE marker.
     if !prof_names.is_empty() {
         w.open(format!("for (int s = 0; s < {}; s++) {{", prof_names.len()));
         w.line("accmos_out(\"ACCMOS:PROF actor=%s ns=%llu calls=%llu timed=%llu\\n\", accmos_prof_name[s], (unsigned long long)accmos_prof_ns[s], (unsigned long long)accmos_prof_calls[s], (unsigned long long)accmos_prof_timed[s]);");
@@ -577,85 +517,46 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
             }
         }
     }
-    // Per-record emission helpers shared by the scalar layout and the
-    // per-lane sections of the lane layout.
-    let emit_outs = |w: &mut CodeBuf| {
-        for (i, id) in flat.root_outports.iter().enumerate() {
-            let actor = flat.actor(*id);
-            w.line(format!(
-                "accmos_out(\"ACCMOS:OUT {} {} {}\");",
-                actor.path.name(),
-                actor.dtype.mnemonic(),
-                actor.width
-            ));
-            for e in 0..actor.width {
-                w.line(format!(
-                    "accmos_out(\" %llx\", (unsigned long long){});",
-                    bits_expr(&format!("accmos_final_{i}[{e}]"), actor.dtype)
-                ));
-            }
-            w.line("accmos_out(\"\\n\");");
-        }
-    };
-    let emit_signal_log = |w: &mut CodeBuf| {
-        if log_limit > 0 {
-            w.open("for (int s = 0; s < accmos_log_len; s++) {");
-            w.line("accmos_out(\"ACCMOS:SIGNAL %s %llu %s %d\", accmos_log[s].path, (unsigned long long)accmos_log[s].step, accmos_log[s].type, accmos_log[s].length);");
-            w.open("for (int e = 0; e < accmos_log[s].length; e++) {");
-            w.line("accmos_out(\" %llx\", (unsigned long long)accmos_log[s].bits[e]);");
-            w.close("}");
-            w.line("accmos_out(\"\\n\");");
-            w.close("}");
-        }
-    };
-    if lanes > 1 {
-        // Lane layout: an aggregate DIGEST (FNV fold of the lane digests)
-        // before any LANE marker, then one lane-tagged section per lane
-        // carrying that lane's DIAG/CUSTOM/SIGNAL/OUT/DIGEST records.
-        w.line("uint64_t accmos_digest_all = 0xcbf29ce484222325ULL;");
-        w.open("for (accmos_lane = 0; accmos_lane < ACCMOS_LANES; accmos_lane++) {");
-        w.line("accmos_digest_all = accmos_fnv_fold(accmos_digest_all, accmos_digest);");
+    if !ctx.diag_sites.is_empty() {
+        w.open(format!("for (int s = 0; s < {}; s++) {{", ctx.diag_sites.len()));
+        w.open("if (accmos_diag_count[s]) {");
+        w.line("accmos_out(\"ACCMOS:DIAG %s %s %llu %llu\\n\", accmos_diag_kind_name[s], accmos_diag_actor_name[s], (unsigned long long)accmos_diag_first[s], (unsigned long long)accmos_diag_count[s]);");
         w.close("}");
-        w.line("accmos_out(\"ACCMOS:DIGEST %016llx\\n\", (unsigned long long)accmos_digest_all);");
-        w.open("for (accmos_lane = 0; accmos_lane < ACCMOS_LANES; accmos_lane++) {");
-        w.line("accmos_out(\"ACCMOS:LANE %d\\n\", accmos_lane);");
-        if !ctx.diag_sites.is_empty() {
-            w.open(format!("for (int s = 0; s < {}; s++) {{", ctx.diag_sites.len()));
-            w.open("if (accmos_diag_count[s * ACCMOS_LANES + accmos_lane]) {");
-            w.line("accmos_out(\"ACCMOS:DIAG %s %s %llu %llu\\n\", accmos_diag_kind_name[s], accmos_diag_actor_name[s], (unsigned long long)accmos_diag_first[s * ACCMOS_LANES + accmos_lane], (unsigned long long)accmos_diag_count[s * ACCMOS_LANES + accmos_lane]);");
-            w.close("}");
-            w.close("}");
-        }
-        if !opts.custom.is_empty() {
-            w.open(format!("for (int s = 0; s < {}; s++) {{", opts.custom.len()));
-            w.open("if (accmos_custom_count[s * ACCMOS_LANES + accmos_lane]) {");
-            w.line("accmos_out(\"ACCMOS:CUSTOM %s %s %llu %llu\\n\", accmos_custom_name[s], accmos_custom_actor[s], (unsigned long long)accmos_custom_first[s * ACCMOS_LANES + accmos_lane], (unsigned long long)accmos_custom_count[s * ACCMOS_LANES + accmos_lane]);");
-            w.close("}");
-            w.close("}");
-        }
-        emit_signal_log(&mut w);
-        emit_outs(&mut w);
-        w.line("accmos_out(\"ACCMOS:DIGEST %016llx\\n\", (unsigned long long)accmos_digest);");
         w.close("}");
-    } else {
-        if !ctx.diag_sites.is_empty() {
-            w.open(format!("for (int s = 0; s < {}; s++) {{", ctx.diag_sites.len()));
-            w.open("if (accmos_diag_count[s]) {");
-            w.line("accmos_out(\"ACCMOS:DIAG %s %s %llu %llu\\n\", accmos_diag_kind_name[s], accmos_diag_actor_name[s], (unsigned long long)accmos_diag_first[s], (unsigned long long)accmos_diag_count[s]);");
-            w.close("}");
-            w.close("}");
-        }
-        if !opts.custom.is_empty() {
-            w.open(format!("for (int s = 0; s < {}; s++) {{", opts.custom.len()));
-            w.open("if (accmos_custom_count[s]) {");
-            w.line("accmos_out(\"ACCMOS:CUSTOM %s %s %llu %llu\\n\", accmos_custom_name[s], accmos_custom_actor[s], (unsigned long long)accmos_custom_first[s], (unsigned long long)accmos_custom_count[s]);");
-            w.close("}");
-            w.close("}");
-        }
-        emit_signal_log(&mut w);
-        emit_outs(&mut w);
-        w.line("accmos_out(\"ACCMOS:DIGEST %016llx\\n\", (unsigned long long)accmos_digest);");
     }
+    if !opts.custom.is_empty() {
+        w.open(format!("for (int s = 0; s < {}; s++) {{", opts.custom.len()));
+        w.open("if (accmos_custom_count[s]) {");
+        w.line("accmos_out(\"ACCMOS:CUSTOM %s %s %llu %llu\\n\", accmos_custom_name[s], accmos_custom_actor[s], (unsigned long long)accmos_custom_first[s], (unsigned long long)accmos_custom_count[s]);");
+        w.close("}");
+        w.close("}");
+    }
+    if log_limit > 0 {
+        w.open("for (int s = 0; s < accmos_log_len; s++) {");
+        w.line("accmos_out(\"ACCMOS:SIGNAL %s %llu %s %d\", accmos_log[s].path, (unsigned long long)accmos_log[s].step, accmos_log[s].type, accmos_log[s].length);");
+        w.open("for (int e = 0; e < accmos_log[s].length; e++) {");
+        w.line("accmos_out(\" %llx\", (unsigned long long)accmos_log[s].bits[e]);");
+        w.close("}");
+        w.line("accmos_out(\"\\n\");");
+        w.close("}");
+    }
+    for (i, id) in flat.root_outports.iter().enumerate() {
+        let actor = flat.actor(*id);
+        w.line(format!(
+            "accmos_out(\"ACCMOS:OUT {} {} {}\");",
+            actor.path.name(),
+            actor.dtype.mnemonic(),
+            actor.width
+        ));
+        for e in 0..actor.width {
+            w.line(format!(
+                "accmos_out(\" %llx\", (unsigned long long){});",
+                bits_expr(&format!("accmos_final_{i}[{e}]"), actor.dtype)
+            ));
+        }
+        w.line("accmos_out(\"\\n\");");
+    }
+    w.line("accmos_out(\"ACCMOS:DIGEST %016llx\\n\", (unsigned long long)accmos_digest);");
     w.line("accmos_out(\"ACCMOS:END\\n\");");
     w.close("}");
     w.blank();
@@ -675,10 +576,11 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     // The simulation driver is an exported, host-callable entry point and
     // `main` below is a thin argv parser over it: the standalone
     // executable and a dlopen'ing host run the identical driver, so the
-    // two modes are digest-identical by construction. Returns: 0 = ok,
-    // 2 = lane-count error, 3 = stale instance (this load's entry was
-    // already consumed; module-static state is single-shot), 4 = canceled
-    // via the cooperative flag (no records emitted).
+    // two modes are digest-identical by construction. It runs one
+    // stimulus (`tc_path[0]` when `tc_n > 0`); a lane run is one call
+    // per lane. Returns: 0 = ok, 3 = stale instance (this load's entry
+    // was already consumed; module-static state is single-shot), 4 =
+    // canceled via the cooperative flag (no records emitted).
     w.open("int accmos_entry(uint64_t total_step, const char *const *tc_path, int tc_n, int stop_on_diag, uint64_t budget_ms, const volatile int32_t *cancel, accmos_emit_fn emit, void *emit_ctx) {");
     w.line("static int accmos_entry_used = 0;");
     w.line("if (accmos_entry_used) return 3;");
@@ -686,27 +588,7 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     w.line("accmos_emit_cb = emit;");
     w.line("accmos_emit_ctx = emit_ctx;");
     w.line("int canceled = 0;");
-    if lanes > 1 {
-        // One test file per lane, or none at all (zero stimulus in every
-        // lane). Any other count is a caller error.
-        w.open("if (tc_n != 0 && tc_n != ACCMOS_LANES) {");
-        w.line(format!(
-            "fprintf(stderr, \"accmos: lane simulator expects 0 or {lanes} --tests files, got %d\\n\", tc_n);"
-        ));
-        w.line("return 2;");
-        w.close("}");
-        w.line("accmos_lane_digest_init();");
-        if flat.root_inports.is_empty() {
-            w.line("TestCase_Init(NULL, 0, NULL);");
-        } else {
-            w.open("for (accmos_lane = 0; accmos_lane < ACCMOS_LANES; accmos_lane++) {");
-            w.line(format!(
-                "TestCase_Init(tc_n ? tc_path[accmos_lane] : NULL, {}, accmos_tc_want);",
-                flat.root_inports.len()
-            ));
-            w.close("}");
-        }
-    } else if flat.root_inports.is_empty() {
+    if flat.root_inports.is_empty() {
         w.line("TestCase_Init(tc_n > 0 ? tc_path[0] : NULL, 0, NULL);");
     } else {
         w.line(format!(
@@ -720,60 +602,27 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     }
     w.line("uint64_t executed = 0;");
     w.line("uint64_t t0 = accmos_now_ns();");
-    if lanes > 1 {
-        // Lane-blocked driver: each lane advances a block of steps with
-        // `accmos_lane` fixed, so the inner loop compiles exactly like
-        // the scalar simulator and the run costs one process launch
-        // instead of N. Budget, cancellation and stop-on-diagnostic
-        // checks run at block granularity (all lanes always complete the
-        // same number of steps, keeping per-lane digests comparable to
-        // scalar runs).
-        w.comment("Simulation Loop of model (lane-blocked)");
-        w.open("for (uint64_t base = 0; base < total_step; base += ACCMOS_BLOCK) {");
-        w.line("uint64_t n = total_step - base;");
-        w.line("if (n > ACCMOS_BLOCK) n = ACCMOS_BLOCK;");
-        w.line("if (budget_ms && accmos_now_ns() - t0 >= budget_ms * 1000000ULL) break;");
-        w.line("if (cancel && *cancel) { canceled = 1; break; }");
-        w.open("for (accmos_lane = 0; accmos_lane < ACCMOS_LANES; accmos_lane++) {");
-        w.open("for (uint64_t k = 0; k < n; k++) {");
-        w.line("accmos_step = base + k;");
-        w.line("Model_Exe();");
-        if cov && !flat.groups.is_empty() {
-            w.line("Coverage_Groups();");
-        }
-        w.line("recordResult();");
-        w.line("Model_Update();");
-        if opts.host_sync {
-            w.line("accmos_host_exchange();");
-        }
-        w.close("}");
-        w.close("}");
-        w.line("executed = base + n;");
-        w.line("if (stop_on_diag && accmos_diag_total) break;");
-        w.close("}");
-    } else {
-        // Budget and cancellation share one sparse check (every 512
-        // steps) so neither perturbs the hot loop.
-        w.comment("Simulation Loop of model");
-        w.open("for (uint64_t step = 0; step < total_step; step++) {");
-        w.open("if ((step & 511) == 0) {");
-        w.line("if (budget_ms && accmos_now_ns() - t0 >= budget_ms * 1000000ULL) break;");
-        w.line("if (cancel && *cancel) { canceled = 1; break; }");
-        w.close("}");
-        w.line("accmos_step = step;");
-        w.line("Model_Exe();");
-        if cov && !flat.groups.is_empty() {
-            w.line("Coverage_Groups();");
-        }
-        w.line("recordResult();");
-        w.line("Model_Update();");
-        if opts.host_sync {
-            w.line("accmos_host_exchange();");
-        }
-        w.line("executed = step + 1;");
-        w.line("if (stop_on_diag && accmos_diag_total) break;");
-        w.close("}");
+    // Budget and cancellation share one sparse check (every 512 steps)
+    // so neither perturbs the hot loop.
+    w.comment("Simulation Loop of model");
+    w.open("for (uint64_t step = 0; step < total_step; step++) {");
+    w.open("if ((step & 511) == 0) {");
+    w.line("if (budget_ms && accmos_now_ns() - t0 >= budget_ms * 1000000ULL) break;");
+    w.line("if (cancel && *cancel) { canceled = 1; break; }");
+    w.close("}");
+    w.line("accmos_step = step;");
+    w.line("Model_Exe();");
+    if cov && !flat.groups.is_empty() {
+        w.line("Coverage_Groups();");
     }
+    w.line("recordResult();");
+    w.line("Model_Update();");
+    if opts.host_sync {
+        w.line("accmos_host_exchange();");
+    }
+    w.line("executed = step + 1;");
+    w.line("if (stop_on_diag && accmos_diag_total) break;");
+    w.close("}");
     w.line("uint64_t ns = accmos_now_ns() - t0;");
     if opts.host_sync {
         w.line("if (accmos_host_fd >= 0) { close(accmos_host_fd); accmos_host_fd = -1; }");
@@ -790,20 +639,12 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     w.blank();
     w.open("int main(int argc, char* argv[]) {");
     w.line("uint64_t total_step = (argc > 1) ? strtoull(argv[1], NULL, 10) : 1;");
-    if lanes > 1 {
-        w.line("const char* tc_path[ACCMOS_LANES] = { NULL };");
-    } else {
-        w.line("const char* tc_path[1] = { NULL };");
-    }
+    w.line("const char* tc_path[1] = { NULL };");
     w.line("int tc_n = 0;");
     w.line("int stop_on_diag = 0;");
     w.line("uint64_t budget_ms = 0;");
     w.open("for (int a = 2; a < argc; a++) {");
-    if lanes > 1 {
-        w.line("if (strcmp(argv[a], \"--tests\") == 0 && a + 1 < argc) { if (tc_n < ACCMOS_LANES) tc_path[tc_n] = argv[a + 1]; tc_n++; a++; }");
-    } else {
-        w.line("if (strcmp(argv[a], \"--tests\") == 0 && a + 1 < argc) { tc_path[0] = argv[++a]; tc_n = 1; }");
-    }
+    w.line("if (strcmp(argv[a], \"--tests\") == 0 && a + 1 < argc) { tc_path[0] = argv[++a]; tc_n = 1; }");
     w.line("else if (strcmp(argv[a], \"--stop-on-diag\") == 0) stop_on_diag = 1;");
     w.line("else if (strcmp(argv[a], \"--budget-ms\") == 0 && a + 1 < argc) budget_ms = strtoull(argv[++a], NULL, 10);");
     w.close("}");
@@ -826,7 +667,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         pruned_sites: ctx.pruned_sites,
         unsat_points,
         analyze_time: ctx.analyze_time,
-        lanes,
         folded_actors: 0,
         elided_actors: 0,
         specialized_arms: 0,

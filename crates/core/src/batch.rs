@@ -275,7 +275,7 @@ impl BatchRunner {
                     Ok(plan) => {
                         summary.codegen_time += plan.preprocess_time + plan.codegen_time;
                         let key = compiler.source_digest(&plan.program);
-                        let budget = plan.budget(job.steps);
+                        let budget = crate::exec::budget(job.steps, &job.opts);
                         let group = groups.entry(key.clone()).or_insert_with(|| {
                             Group::Model(Box::new(Build { plan, budget: 0, sim: OnceLock::new() }))
                         });
@@ -378,8 +378,7 @@ impl BatchRunner {
                     "batch worker thread panicked while running this job".into(),
                 )),
             };
-            let lanes = 1 + job.opts.lane_tests.len() as u64;
-            records.push(exec.record("batch", &job.label, job.steps, lanes));
+            records.push(exec.record("batch", &job.label, job.steps, job.opts.lanes() as u64));
             let result = JobResult {
                 label: job.label.clone(),
                 fallback_reason: exec.fallback_reason(),

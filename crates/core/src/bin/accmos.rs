@@ -3,7 +3,7 @@
 //! ```text
 //! accmos info     <model.mdlx>
 //! accmos analyze  <model.mdlx> [--format text|json] [--deny SEV] [--tests t.csv]
-//! accmos generate <model.mdlx> [--out DIR] [--rapid] [--lanes N]
+//! accmos generate <model.mdlx> [--out DIR] [--rapid]
 //! accmos simulate <model.mdlx> --steps N [--tests t.csv] [--engine E]
 //!                 [--stop-on-diag] [--budget-ms N] [--seed N] [--rows N]
 //!                 [--exec-timeout MS] [--retries N] [--lanes N]
@@ -47,16 +47,14 @@
 //! stimulus seed per repetition) on a bounded worker pool, compiling each
 //! unique generated program once; `--no-cache` forces cold compiles.
 //!
-//! `--lanes N` (simulate/batch, `accmos` engine only) generates a lane
-//! simulator that runs N test vectors in one process: each lane in turn
-//! advances a block of 4,096 steps, so a lane-N run is N scalar runs back
-//! to back without N process launches. Each lane
-//! gets its own seeded random stimulus (with an explicit `--tests` file,
-//! every lane replays the same stimulus); results come back with an
-//! OR-reduced coverage union, an FNV fold of the per-lane digests, and
-//! per-lane diagnostics. The other engines reject lanes > 1: the
-//! Rapid-Accelerator stand-in's per-step host sync forces scalar
-//! execution, and the interpretive stand-ins are scalar.
+//! `--lanes N` (simulate/profile/batch, `accmos` engine only) runs the
+//! model's one simulator N times, once per lane. Each lane gets its own
+//! seeded random stimulus, lane k on seed + k (with an explicit `--tests`
+//! file, every lane replays the file); results come back with the union
+//! of the lanes' coverage, an FNV fold of the per-lane digests, and
+//! per-lane diagnostics and step counts. Each lane stops on its own
+//! first diagnostic, and `--budget-ms` and `--exec-timeout` bound all
+//! lanes together. The other engines reject lanes > 1.
 //!
 //! `trends` reads the persistent run ledger (`ledger.jsonl` under the
 //! cache directory; `simulate` and `batch` append to it automatically
@@ -93,7 +91,7 @@
 //! (per-actor cumulative nanosecond counters, digest-identical to the
 //! unprofiled build), runs it, and prints a hot-actor report ranked by
 //! cumulative time — with each site's share and call count (once per
-//! step, or once per lane per step with `--lanes N`).
+//! step, summed over the lanes with `--lanes N`).
 //! `--profile` on `simulate` enables the same instrumentation without
 //! changing the normal report output.
 //!
@@ -129,7 +127,7 @@ const USAGE: &str = "\
 usage: (models are .mdlx paths or bench:NAME for a built-in benchmark)
   accmos info     <model.mdlx>
   accmos analyze  <model.mdlx> [--format text|json] [--deny info|warning|error] [--tests t.csv]
-  accmos generate <model.mdlx> [--out DIR] [--rapid] [--lanes N] [--profile]
+  accmos generate <model.mdlx> [--out DIR] [--rapid] [--profile]
   accmos simulate <model.mdlx> --steps N [--tests t.csv] [--engine accmos|rac|sse|sse-ac]
                   [--stop-on-diag] [--budget-ms N] [--seed N] [--rows N]
                   [--exec-timeout MS] [--retries N] [--lanes N]
@@ -188,7 +186,7 @@ impl Spec {
         let (positional, values, switches): (_, &[&str], &[&str]) = match cmd {
             "info" => (1..=1, &[], &[]),
             "analyze" => (1..=1, &["--format", "--deny", "--tests"], &[]),
-            "generate" => (1..=1, &["--out", "--lanes"], &["--rapid", "--profile"]),
+            "generate" => (1..=1, &["--out"], &["--rapid", "--profile"]),
             "simulate" => (
                 1..=1,
                 &[
@@ -352,13 +350,11 @@ fn generate(model: &Model, args: &[String]) -> Result<(), String> {
     let out = opt(args, "--out").unwrap_or(".");
     std::fs::create_dir_all(out).map_err(|e| e.to_string())?;
     let pre = accmos::preprocess(model).map_err(|e| e.to_string())?;
-    let opts = if flag(args, "--rapid") {
+    let mut opts = if flag(args, "--rapid") {
         accmos::CodegenOptions::rapid_accelerator()
     } else {
         accmos::CodegenOptions::accmos()
     };
-    let lanes = opt_u64(args, "--lanes", 1)?.max(1) as usize;
-    let mut opts = opts.lanes(lanes);
     if flag(args, "--profile") {
         opts = opts.with_profile();
     }
@@ -369,6 +365,24 @@ fn generate(model: &Model, args: &[String]) -> Result<(), String> {
         println!("wrote {path}");
     }
     Ok(())
+}
+
+/// The stimulus of a `--lanes N` run: with a `--tests` file, the file on
+/// every lane; without one, seeded random vectors with lane k on seed + k
+/// ([`accmos::fuzz::lane_stimulus`]).
+fn lane_stimulus(
+    pre: &accmos::PreprocessedModel,
+    tests_file: Option<&str>,
+    rows: usize,
+    seed: u64,
+    lanes: usize,
+) -> Result<(TestVectors, Vec<TestVectors>), String> {
+    let Some(path) = tests_file else {
+        return Ok(accmos::fuzz::lane_stimulus(pre, rows, seed, lanes));
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    let tests = TestVectors::from_csv(&text).map_err(|e| e.to_string())?;
+    Ok((tests.clone(), vec![tests; lanes.saturating_sub(1)]))
 }
 
 fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
@@ -382,7 +396,7 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
     let lanes = opt_u64(args, "--lanes", 1)?.max(1) as usize;
     if lanes > 1 && engine != "accmos" {
         return Err(format!(
-            "engine `{engine}` does not support --lanes > 1 (lane mode is C-backend only)"
+            "engine `{engine}` does not support --lanes > 1 (lanes run on the `accmos` engine only)"
         ));
     }
     let profiling = flag(args, "--profile");
@@ -395,22 +409,7 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
     }
 
     let pre = accmos::preprocess(model).map_err(|e| e.to_string())?;
-    let explicit_tests = opt(args, "--tests");
-    let tests = match explicit_tests {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-            TestVectors::from_csv(&text).map_err(|e| e.to_string())?
-        }
-        None => accmos_testgen::random_tests(&pre, rows, seed),
-    };
-    // Lanes 1..N: fresh seeded stimulus per lane, or a replay of the
-    // explicit `--tests` file on every lane.
-    let lane_tests: Vec<TestVectors> = (1..lanes)
-        .map(|lane| match explicit_tests {
-            Some(_) => tests.clone(),
-            None => accmos_testgen::random_tests(&pre, rows, seed.wrapping_add(lane as u64)),
-        })
-        .collect();
+    let (tests, lane_tests) = lane_stimulus(&pre, opt(args, "--tests"), rows, seed, lanes)?;
 
     let report: SimulationReport = match engine {
         "sse" | "sse-ac" => {
@@ -425,11 +424,8 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
                 .map_err(|e| e.to_string())?
         }
         "accmos" | "rac" => {
-            let mut pipeline = if engine == "rac" {
-                AccMoS::rapid_accelerator()
-            } else {
-                AccMoS::new().with_lanes(lanes)
-            };
+            let mut pipeline =
+                if engine == "rac" { AccMoS::rapid_accelerator() } else { AccMoS::new() };
             if profiling {
                 let copts = pipeline.codegen_options().clone().with_profile();
                 pipeline = pipeline.with_codegen(copts);
@@ -497,19 +493,9 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
     }
 
     let pre = accmos::preprocess(model).map_err(|e| e.to_string())?;
-    let tests = match opt(args, "--tests") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-            TestVectors::from_csv(&text).map_err(|e| e.to_string())?
-        }
-        None => accmos_testgen::random_tests(&pre, rows, seed),
-    };
-    let lane_tests: Vec<TestVectors> = (1..lanes)
-        .map(|lane| accmos_testgen::random_tests(&pre, rows, seed.wrapping_add(lane as u64)))
-        .collect();
+    let (tests, lane_tests) = lane_stimulus(&pre, opt(args, "--tests"), rows, seed, lanes)?;
 
-    let mut pipeline =
-        AccMoS::new().with_lanes(lanes).with_exec_policy(exec_policy(args)?);
+    let mut pipeline = AccMoS::new().with_exec_policy(exec_policy(args)?);
     let copts = pipeline.codegen_options().clone().with_profile();
     pipeline = pipeline.with_codegen(copts);
     let trace_out = opt(args, "--trace-out");
@@ -792,7 +778,7 @@ fn fuzz(args: &[String]) -> Result<(), String> {
     }
 
     // Planned feature mix, printed so a CI gate can assert the campaign
-    // actually covered lane-parallel, conditional-group and -O3 builds.
+    // actually covered lane, conditional-group and -O3 trials.
     let (mut lane4, mut conditional, mut nested, mut o3) = (0u64, 0u64, 0u64, 0u64);
     for i in 0..config.trials {
         let plan = accmos::fuzz::plan_trial(&config, i);
@@ -852,8 +838,7 @@ fn batch(paths: &[&str], args: &[String]) -> Result<(), String> {
     let rows = opt_u64(args, "--rows", 64)? as usize;
     let lanes = opt_u64(args, "--lanes", 1)?.max(1);
 
-    let mut pipeline =
-        AccMoS::new().with_lanes(lanes as usize).with_exec_policy(exec_policy(args)?);
+    let mut pipeline = AccMoS::new().with_exec_policy(exec_policy(args)?);
     if flag(args, "--no-cache") {
         pipeline = pipeline.without_cache();
     }
@@ -1177,5 +1162,28 @@ mod tests {
         let err = run(&strings(&["simulate", "bench:SPV", "--steps", "banana"])).unwrap_err();
         assert!(err.contains("`banana`"), "{err}");
         assert!(run(&strings(&["simulate", "bench:SPV", "--engine", "rust"])).is_err());
+    }
+
+    #[test]
+    fn lane_stimulus_replays_the_file_or_seeds_lane_k_with_seed_plus_k() {
+        let pre = accmos::preprocess(&load_spec("bench:SPV").unwrap()).unwrap();
+        let file =
+            std::env::temp_dir().join(format!("accmos-cli-lanes-{}.csv", std::process::id()));
+        let from_file = accmos_testgen::random_tests(&pre, 5, 77);
+        std::fs::write(&file, from_file.to_csv()).unwrap();
+        let (tests, lane_tests) = lane_stimulus(&pre, file.to_str(), 8, 1, 3).unwrap();
+        std::fs::remove_file(&file).unwrap();
+        let want = TestVectors::from_csv(&from_file.to_csv()).unwrap();
+        assert_eq!(lane_tests.len(), 2);
+        for lane in std::iter::once(&tests).chain(&lane_tests) {
+            assert_eq!(lane, &want, "every lane replays the file");
+        }
+
+        let (tests, lane_tests) = lane_stimulus(&pre, None, 8, 40, 3).unwrap();
+        assert_eq!(lane_tests.len(), 2);
+        for (k, lane) in std::iter::once(&tests).chain(&lane_tests).enumerate() {
+            assert_eq!(lane, &accmos_testgen::random_tests(&pre, 8, 40 + k as u64), "lane {k}");
+        }
+        assert!(lane_stimulus(&pre, None, 8, 40, 1).unwrap().1.is_empty());
     }
 }

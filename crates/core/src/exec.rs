@@ -8,7 +8,9 @@
 //! [`Exec::record`] is the one place a run-ledger record is built.
 //!
 //! A job that builds its own executable ([`Subject::Plan`]) builds for a
-//! step budget of its steps × lanes ([`AccMoS::budgeted`]).
+//! step budget of its steps × lanes ([`AccMoS::budgeted`]). Every rung
+//! runs a lane job as one run per lane and folds them
+//! ([`SimulationReport::fold_lanes`]).
 
 use crate::telemetry::{self, outcome};
 use crate::{
@@ -45,12 +47,6 @@ impl Plan {
             codegen_us: telemetry::micros(self.codegen_time.saturating_sub(analyze)),
             ..PhaseMicros::default()
         }
-    }
-
-    /// The step budget of one run of `steps` on this plan's build:
-    /// steps × lanes.
-    pub(crate) fn budget(&self, steps: u64) -> u64 {
-        steps.saturating_mul(self.program.lanes.max(1) as u64)
     }
 }
 
@@ -105,6 +101,11 @@ pub(crate) struct Job<'a> {
     pub(crate) steps: u64,
     pub(crate) tests: &'a TestVectors,
     pub(crate) opts: &'a RunOptions,
+}
+
+/// The step budget of a run of `steps` under `opts`: steps × lanes.
+pub(crate) fn budget(steps: u64, opts: &RunOptions) -> u64 {
+    steps.saturating_mul(opts.lanes() as u64)
 }
 
 /// Why a job moved down the ladder: an untrusted spec skipped the dylib
@@ -281,9 +282,8 @@ impl Executor<'_> {
                 sim.map_err(|e| Stop::Fallback(Fallback::Compile(e.to_owned())))?
             }
             Subject::Plan(plan) => {
-                let budget = plan.budget(job.steps);
                 let sim = self.pipeline.compiler().and_then(|c| {
-                    self.pipeline.budgeted(c, budget).compile(&plan.program)
+                    self.pipeline.budgeted(c, budget(job.steps, job.opts)).compile(&plan.program)
                 });
                 &*built.insert(sim.map_err(|e| Stop::Fallback(Fallback::Compile(e.to_string())))?)
             }
@@ -301,8 +301,8 @@ impl Executor<'_> {
         run
     }
 
-    /// The in-process rung: call the shared object once, with the kill
-    /// timeout as its cooperative deadline.
+    /// The in-process rung: call the shared object once per lane, with
+    /// the kill timeout as the cooperative deadline of all the lanes.
     fn dylib(
         &self,
         so: Result<&CompiledDylib, &BackendError>,
@@ -378,8 +378,8 @@ impl Executor<'_> {
     }
 
     /// The interpreter rung, under `min(job budget, kill timeout)` over
-    /// all lanes together. A run the kill deadline cuts short fails with
-    /// [`FailureKind::Timeout`].
+    /// all lanes together. A run the kill deadline cuts short in any lane
+    /// fails with [`FailureKind::Timeout`].
     fn interpret(
         &self,
         pre: &PreprocessedModel,
@@ -395,16 +395,16 @@ impl Executor<'_> {
         let report = interp_lane_run(pre, job.tests, &opts, job.steps);
         let elapsed = start.elapsed();
         trail.run_time += elapsed;
-        let cut_short =
-            std::iter::once(&report).chain(&report.lane_reports).any(|r| r.steps < job.steps);
+        // The fewest steps any lane ran: a scalar run has no lane reports.
+        let ran = report.lane_reports.iter().map(|r| r.steps).min().unwrap_or(report.steps);
         match kill {
-            Some(kill) if cut_short && elapsed >= kill => Err(BackendError::Supervised {
+            Some(kill) if ran < job.steps && elapsed >= kill => Err(BackendError::Supervised {
                 exe: PathBuf::from(&report.engine),
                 kind: FailureKind::Timeout,
                 attempts: 1,
                 detail: format!(
-                    "interpreter stopped at the {kill:?} kill deadline after {} of {} step(s)",
-                    report.steps, job.steps
+                    "interpreter stopped at the {kill:?} kill deadline after {ran} of {} step(s)",
+                    job.steps
                 ),
             }),
             _ => Ok(report),
@@ -430,17 +430,12 @@ impl Executor<'_> {
     }
 }
 
-/// Run the interpretive [`NormalEngine`] over the full lane stimulus set
-/// (the primary `tests` plus [`RunOptions::lane_tests`]) and aggregate the
-/// per-lane reports the way a lane-parallel compiled simulator does:
-/// coverage bitmaps OR-reduced and re-summarized, the top-level digest an
-/// FNV fold of the lane digests, diagnostics merged across lanes, final
-/// outputs mirroring lane 0, one time budget for all lanes together.
-/// Scalar runs (no `lane_tests`) go straight to [`Engine::run`]. With
-/// [`RunOptions::stop_on_diagnostic`] each interpreted lane stops on *its
-/// own* first diagnostic, whereas the compiled lane-blocked driver stops
-/// every lane at the first 4,096-step block boundary after any lane's
-/// diagnostic.
+/// Run the interpretive [`NormalEngine`] once per lane (the primary
+/// `tests`, then [`RunOptions::lane_tests`]) and fold the lanes as every
+/// compiled rung does ([`SimulationReport::fold_lanes`]). The time budget
+/// bounds all the lanes together: each lane runs with what the lanes
+/// before it left, and stops on its own first diagnostic under
+/// [`RunOptions::stop_on_diagnostic`].
 pub(crate) fn interp_lane_run(
     pre: &PreprocessedModel,
     tests: &TestVectors,
@@ -450,31 +445,13 @@ pub(crate) fn interp_lane_run(
     let engine = NormalEngine::new();
     let mut sim_opts = SimOptions::steps(steps);
     sim_opts.stop_on_diagnostic = opts.stop_on_diagnostic;
-    sim_opts.time_budget = opts.time_budget;
-    if opts.lane_tests.is_empty() {
-        return engine.run(pre, tests, &sim_opts);
-    }
-    let wall_start = Instant::now();
-    let mut lanes = Vec::with_capacity(1 + opts.lane_tests.len());
-    let mut union: Option<accmos_ir::CoverageBitmaps> = None;
-    let mut digest = accmos_ir::OutputDigest::new();
-    for lane_tests in std::iter::once(tests).chain(opts.lane_tests.iter()) {
-        sim_opts.time_budget = opts.time_budget.map(|b| b.saturating_sub(wall_start.elapsed()));
-        let (lane, bitmaps) = engine.run_with_bitmaps(pre, lane_tests, &sim_opts);
-        match &mut union {
-            Some(u) => u.merge(&bitmaps),
-            None => union = Some(bitmaps),
-        }
-        digest.write_u64(lane.output_digest);
-        lanes.push(lane);
-    }
-    let mut report = SimulationReport::new(lanes[0].model.clone(), lanes[0].engine.clone());
-    report.steps = lanes.iter().map(|l| l.steps).max().unwrap_or(0);
-    report.wall = wall_start.elapsed();
-    report.output_digest = digest.finish();
-    if lanes[0].coverage.is_some() {
-        report.coverage = union.map(|u| pre.coverage.map.summarize(&u));
-    }
-    report.attach_lanes(lanes);
-    report
+    let start = Instant::now();
+    let lanes = std::iter::once(tests)
+        .chain(&opts.lane_tests)
+        .map(|lane_tests| {
+            sim_opts.time_budget = opts.time_budget.map(|b| b.saturating_sub(start.elapsed()));
+            engine.run(pre, lane_tests, &sim_opts)
+        })
+        .collect();
+    SimulationReport::fold_lanes(lanes)
 }

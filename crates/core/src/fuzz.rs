@@ -168,8 +168,8 @@ pub struct TrialPlan {
     pub seed: u64,
     /// Model generator configuration.
     pub cfg: ModelGenConfig,
-    /// Lane width (1 or 4): lane-4 trials drive the structure-of-arrays
-    /// simulator against four independently-seeded stimuli.
+    /// Lane width (1 or 4): lane-4 trials run each engine on four
+    /// independently-seeded stimuli and fold the lanes.
     pub lanes: usize,
     /// Simulated steps.
     pub steps: u64,
@@ -779,10 +779,7 @@ impl FuzzCampaign {
         let interp = interp_lane_run(&pre, &tests, &run_opts, plan.steps);
 
         // Generated C, analyzer pruning ON (the production configuration).
-        let pruned_opts = CodegenOptions {
-            sabotage_digest: sabotage,
-            ..CodegenOptions::accmos().lanes(plan.lanes)
-        };
+        let pruned_opts = CodegenOptions { sabotage_digest: sabotage, ..CodegenOptions::accmos() };
         let pruned = match self.run_compiled(&model, &pruned_opts, plan.o3, &job, supervisor, cache)
         {
             Ok(report) => report,
@@ -1097,8 +1094,7 @@ pub fn replay_corpus_entry(mdlx_path: &Path) -> Result<(), String> {
             interp.output_digest
         ));
     }
-    let pipeline = AccMoS::new().with_codegen(CodegenOptions::accmos().lanes(lanes));
-    let sim = pipeline
+    let sim = AccMoS::new()
         .prepare(&model)
         .map_err(|e| format!("{}: compile: {e}", mdlx_path.display()))?;
     let compiled = sim

@@ -217,18 +217,6 @@ impl AccMoS {
         self
     }
 
-    /// Builder-style: generate a lane simulator that runs `n` test
-    /// vectors in one process
-    /// ([`CodegenOptions::lanes`]). Lane runs take the lane-0 stimulus
-    /// as the primary `tests` argument and lanes `1..n` via
-    /// [`RunOptions::lane_tests`]; results come back with per-lane
-    /// sub-reports and OR-reduced coverage
-    /// ([`SimulationReport::lane_reports`]).
-    pub fn with_lanes(mut self, n: usize) -> AccMoS {
-        self.codegen = self.codegen.lanes(n);
-        self
-    }
-
     /// Builder-style: make each build's directory under `dir` (useful for
     /// inspecting the generated code) instead of the system temp
     /// directory. Builds never share a directory, and cleaning one
@@ -398,7 +386,8 @@ impl AccMoS {
     /// End-to-end supervised run with graceful degradation: plan the
     /// model, then walk the job executor's engine ladder from the
     /// supervised subprocess rung under this pipeline's [`ExecPolicy`].
-    /// The executable builds for a budget of `steps` × lanes.
+    /// The executable builds for a budget of `steps` × lanes and runs
+    /// once per lane ([`RunOptions::lane_tests`]).
     /// When the executable does not build (no C compiler, broken
     /// toolchain) or is quarantined, the job falls back to the
     /// interpretive [`NormalEngine`] instead of failing. The fallback is
@@ -424,8 +413,7 @@ impl AccMoS {
         let executor = exec::Executor { pipeline: self, supervisor: None, traced_from };
         let job = exec::Job { steps, tests, opts };
         let exec = executor.run(exec::Subject::Plan(&plan), exec::Entry::Subprocess, &job);
-        let lanes = self.codegen.effective_lanes() as u64;
-        self.record(&exec.record("run", &model.name, steps, lanes));
+        self.record(&exec.record("run", &model.name, steps, opts.lanes() as u64));
         Ok(RunOutcome {
             fallback_reason: exec.fallback_reason(),
             retries: exec.trail.retries,
@@ -744,6 +732,64 @@ mod tests {
         assert_eq!(e.failure_kind(), Some(FailureKind::Timeout), "{err}");
         assert!(err.to_string().contains("kill deadline"), "{err}");
         std::fs::remove_file(&blocker).unwrap();
+    }
+
+    #[test]
+    fn each_lane_stops_on_its_own_first_diagnostic() {
+        // ×2 overflows at step 0 on lane 0's input and never on lane 1's.
+        let model = small_model();
+        let pre = preprocess(&model).unwrap();
+        let max = TestVectors::constant("In", Scalar::I32(i32::MAX), 1);
+        let one = TestVectors::constant("In", Scalar::I32(1), 1);
+        let opts =
+            RunOptions { stop_on_diagnostic: true, lane_tests: vec![one], ..RunOptions::default() };
+        let steps =
+            |r: &SimulationReport| r.lane_reports.iter().map(|l| l.steps).collect::<Vec<_>>();
+        let interp = exec::interp_lane_run(&pre, &max, &opts, 100);
+        assert_eq!(steps(&interp), [1, 100], "interpreter");
+        let sim = AccMoS::new().prepare(&model).unwrap();
+        let sub = sim.run(100, &max, &opts).unwrap();
+        assert_eq!(steps(&sub), [1, 100], "subprocess");
+        let so = Compiler::detect().unwrap().compile_shared(sim.program()).unwrap();
+        let dy = DylibRunner::for_dylib(&so).run(100, &max, &opts, None).unwrap();
+        assert_eq!(steps(&dy.report), [1, 100], "dylib");
+        assert_eq!((sub.steps, sub.output_digest), (interp.steps, interp.output_digest));
+        assert_eq!(dy.report.output_digest, interp.output_digest);
+        sim.clean();
+        so.clean();
+    }
+
+    #[test]
+    fn kill_deadline_bounds_the_interpreter_lanes_together() {
+        // Each lane takes about 0.6 of the deadline: the first finishes
+        // inside it, the second cannot, and the job is killed.
+        let model = small_model();
+        let pre = preprocess(&model).unwrap();
+        let tests = TestVectors::constant("In", Scalar::I32(21), 1);
+        let probe = 50_000u64;
+        let fastest = (0..3)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                NormalEngine::new().run(&pre, &tests, &SimOptions::steps(probe));
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
+        let deadline = Duration::from_secs(1);
+        let per_lane = deadline.as_nanos() * 6 / 10;
+        let steps = (per_lane * u128::from(probe) / fastest.as_nanos().max(1)) as u64;
+        let blocker =
+            std::env::temp_dir().join(format!("accmos-run-lanes-deadline-{}", std::process::id()));
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let pipeline = AccMoS::new()
+            .without_cache()
+            .with_work_dir(&blocker)
+            .with_exec_policy(ExecPolicy::default().with_kill_timeout(deadline));
+        let opts = RunOptions { lane_tests: vec![tests.clone()], ..RunOptions::default() };
+        let err = pipeline.run(&model, steps, &tests, &opts).unwrap_err();
+        std::fs::remove_file(&blocker).unwrap();
+        let AccMoSError::Backend(e) = &err else { panic!("expected a backend error: {err}") };
+        assert_eq!(e.failure_kind(), Some(FailureKind::Timeout), "{err}");
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! ## Warm path
 //!
 //! The daemon memoizes each trusted model's plan and shared object under
-//! its source and lane width. The source is a `bench:` spec's canonical
-//! name, or a model file's text, read on every job (a rewritten file is
-//! a new model); the pipeline's other codegen options are fixed for the
-//! daemon's lifetime. A hit skips resolving and planning the model,
-//! `cc --version`, writing the sources, hashing the cache key and the
-//! build-cache fetch; its ledger record shows a cached build with zero
+//! its source alone, so one entry serves jobs of every lane width (a lane
+//! is one more call of the same shared object). The source is a `bench:`
+//! spec's canonical name, or a model file's text, read on every job (a
+//! rewritten file is a new model); the pipeline's codegen options are
+//! fixed for the daemon's lifetime. A hit skips resolving and planning
+//! the model, `cc --version`, writing the sources, hashing the cache key
+//! and the build-cache fetch; its ledger record shows a cached build with zero
 //! plan and compile time. A miss takes the full path and memoizes its
 //! result after the job. The memo keeps at most 64 entries, evicting the
 //! least recently used; an entry's build directory is removed once it
@@ -68,8 +69,8 @@
 //!
 //! - models from untrusted specs (`rand:SEED`, fuzz-generated) enter at
 //!   the supervised child-process rung; trusted specs enter in process;
-//! - any dylib build, load or run failure (`dlopen` error, stale entry,
-//!   stimulus mismatch) drops to the child-process rung;
+//! - any dylib build, load or run failure (`dlopen` error, stale entry)
+//!   drops to the child-process rung;
 //! - an executable that does not build, or is quarantined, drops to the
 //!   interpreter;
 //! - a timeout is a real failure, not a fallback trigger: the budget is
@@ -97,8 +98,8 @@ use std::thread::JoinHandle;
 const MAX_LANES: u64 = 64;
 const MAX_ROWS: u64 = 65_536;
 
-/// The most models the memo keeps built: the 10 Table 1 models at 4 lane
-/// widths, with room.
+/// The most models the memo keeps built: the built-in models, with room
+/// for model files.
 const MEMO_ENTRIES: usize = 64;
 
 /// Configuration for [`ServeHandle::start`].
@@ -123,8 +124,8 @@ impl ServeConfig {
     }
 
     /// Builder-style: the pipeline executing jobs (cache, exec policy,
-    /// lanes default, tracer). Its state directory hosts `jobs.jsonl`
-    /// and the ledger; a cache-less pipeline serves ephemerally.
+    /// tracer). Its state directory hosts `jobs.jsonl` and the ledger; a
+    /// cache-less pipeline serves ephemerally.
     pub fn with_pipeline(mut self, pipeline: AccMoS) -> ServeConfig {
         self.pipeline = pipeline;
         self
@@ -425,25 +426,22 @@ impl Drop for Warm {
     }
 }
 
-/// What a job's model is memoized under: its source and lane width (the
-/// daemon's other codegen options are fixed for its lifetime).
-type MemoKey = (Source, usize);
-
-/// The daemon's memo of [`Warm`] models, least recently used first, at
-/// most [`MEMO_ENTRIES`] of them.
+/// The daemon's memo of [`Warm`] models by their source (the daemon's
+/// codegen options are fixed for its lifetime), least recently used
+/// first, at most [`MEMO_ENTRIES`] of them.
 #[derive(Default)]
-struct Memo(Mutex<Vec<(MemoKey, Arc<Warm>)>>);
+struct Memo(Mutex<Vec<(Source, Arc<Warm>)>>);
 
 impl Memo {
     /// Every update leaves the list valid, so a job that panicked while
     /// holding the lock left nothing half done.
-    fn entries(&self) -> MutexGuard<'_, Vec<(MemoKey, Arc<Warm>)>> {
+    fn entries(&self) -> MutexGuard<'_, Vec<(Source, Arc<Warm>)>> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The entry for `key`, if it can serve a job that builds at `want`:
     /// any entry when `want` is below `-O3`, else only an `-O3` one.
-    fn get(&self, key: &MemoKey, want: OptLevel) -> Option<Arc<Warm>> {
+    fn get(&self, key: &Source, want: OptLevel) -> Option<Arc<Warm>> {
         let mut entries = self.entries();
         let i = entries.iter().position(|(k, _)| k == key)?;
         if want == OptLevel::O3 && entries[i].1.dylib.opt_level() != OptLevel::O3 {
@@ -459,7 +457,7 @@ impl Memo {
     /// `-O3` build replaces an entry of a lower level. What this drops, an
     /// evicted or replaced entry or the losing build, is cleaned after the
     /// lock is released.
-    fn insert(&self, key: MemoKey, warm: Arc<Warm>) {
+    fn insert(&self, key: Source, warm: Arc<Warm>) {
         let _dropped = {
             let mut entries = self.entries();
             match entries.iter().position(|(k, _)| *k == key) {
@@ -493,9 +491,8 @@ impl Memo {
 }
 
 fn execute_job(pipeline: &AccMoS, memo: &Memo, job: &ServeJob) -> DoneEvent {
-    let pipeline = pipeline.clone().with_lanes(job.lanes);
     let (name, exec) = match Source::read(&job.spec) {
-        Ok(source) => run_source(&pipeline, memo, (source, job.lanes), job),
+        Ok(source) => run_source(pipeline, memo, source, job),
         Err(detail) => (job.spec.clone(), Exec::failed(AccMoSError::Batch(detail))),
     };
     pipeline.record(&exec.record("serve", &name, job.steps, job.lanes as u64));
@@ -511,8 +508,8 @@ fn execute_job(pipeline: &AccMoS, memo: &Memo, job: &ServeJob) -> DoneEvent {
 /// at the child-process rung and are never memoized (nor found in the
 /// memo). A memoized shared object that fails (anything but a timeout) is
 /// dropped from the memo.
-fn run_source(pipeline: &AccMoS, memo: &Memo, key: MemoKey, job: &ServeJob) -> (String, Exec) {
-    let trusted = !matches!(key.0, Source::Rand(_));
+fn run_source(pipeline: &AccMoS, memo: &Memo, key: Source, job: &ServeJob) -> (String, Exec) {
+    let trusted = !matches!(key, Source::Rand(_));
     if let Some(warm) = memo.get(&key, pipeline.level_for(job.budget())) {
         let entry = Entry::Dylib { so: Ok(&warm.dylib), reused: true };
         let exec = run_plan(pipeline, &warm.plan, entry, job);
@@ -521,7 +518,7 @@ fn run_source(pipeline: &AccMoS, memo: &Memo, key: MemoKey, job: &ServeJob) -> (
         }
         return (warm.plan.pre.flat.name.clone(), exec);
     }
-    let model = match key.0.model() {
+    let model = match key.model() {
         Ok(model) => model,
         Err(detail) => return (job.spec.clone(), Exec::failed(AccMoSError::Batch(detail))),
     };
@@ -914,22 +911,21 @@ mod tests {
     }
 
     #[test]
-    fn lane_widths_of_one_spec_are_separate_entries() {
+    fn a_lane_job_after_a_scalar_job_of_its_spec_is_a_memo_hit() {
         let dir = TempDir::new("memo-lanes");
-        let pipeline = AccMoS::new().with_cache(BuildCache::at(dir.0.join("state")));
+        let cache = BuildCache::at(dir.0.join("state"));
+        let pipeline = AccMoS::new().with_cache(cache.clone());
         let memo = Memo::default();
-        for seed in [5, 6] {
-            for lanes in [1, 4] {
-                let job = job("bench:TWC", lanes, seed);
-                assert_warm(&execute_job(&pipeline, &memo, &job), &job);
-            }
-        }
-        let entries = memo.entries();
-        let widths: Vec<_> = entries.iter().map(|((_, l), w)| (*l, w.plan.program.lanes)).collect();
-        assert_eq!(widths, [(1, 1), (4, 4)]);
+        let scalar = job("bench:TWC", 1, 5);
+        assert_warm(&execute_job(&pipeline, &memo, &scalar), &scalar);
+        let before = cache.stats();
+        let lanes = job("bench:TWC", 4, 6);
+        assert_warm(&execute_job(&pipeline, &memo, &lanes), &lanes);
+        assert_eq!(cache.stats(), before, "the lane job makes no build-cache lookup");
+        assert_eq!(memo.entries().len(), 1, "one entry serves every lane width");
         let view = pipeline.ledger().unwrap().read();
-        let lanes: Vec<_> = view.records.iter().map(|r| (r.lanes, r.compile_cached)).collect();
-        assert_eq!(lanes[2..], [(1, true), (4, true)], "the second round hits, per width");
+        let recs: Vec<_> = view.records.iter().map(|r| (r.lanes, r.compile_cached)).collect();
+        assert_eq!(recs, [(1, false), (4, true)]);
     }
 
     #[test]

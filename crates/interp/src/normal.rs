@@ -27,20 +27,6 @@ impl NormalEngine {
     pub fn new() -> NormalEngine {
         NormalEngine
     }
-
-    /// Like [`Engine::run`], but also return the raw coverage bitmaps the
-    /// run set. Lane-parallel consumers use this to OR-reduce coverage
-    /// across per-lane runs ([`accmos_ir::CoverageBitmaps::merge`]) and
-    /// re-summarize the union with the model's coverage map — per-kind
-    /// covered *counts* cannot be unioned, only bitmaps can.
-    pub fn run_with_bitmaps(
-        &self,
-        pre: &PreprocessedModel,
-        tests: &TestVectors,
-        opts: &SimOptions,
-    ) -> (SimulationReport, accmos_ir::CoverageBitmaps) {
-        run_normal(self.name(), pre, tests, opts)
-    }
 }
 
 /// Shared per-run bookkeeping used by both interpretive engines.
@@ -117,17 +103,17 @@ impl Engine for NormalEngine {
         tests: &TestVectors,
         opts: &SimOptions,
     ) -> SimulationReport {
-        run_normal(self.name(), pre, tests, opts).0
+        run_normal(self.name(), pre, tests, opts)
     }
 }
 
-/// The engine body, returning the report together with the raw bitmaps.
+/// The engine body.
 fn run_normal(
     name: &str,
     pre: &PreprocessedModel,
     tests: &TestVectors,
     opts: &SimOptions,
-) -> (SimulationReport, accmos_ir::CoverageBitmaps) {
+) -> SimulationReport {
     let flat = &pre.flat;
     let book = RunBook::new(flat);
     let mut rt = RuntimeState::new(flat);
@@ -215,12 +201,13 @@ fn run_normal(
     report.wall = start.elapsed();
     if opts.coverage {
         report.coverage = Some(pre.coverage.map.summarize(&bitmaps));
+        report.coverage_bitmaps = Some(bitmaps);
     }
     report.diagnostics = diag.into_events(flat);
     report.signal_log = log;
     report.output_digest = digest.finish();
     report.final_outputs = finals;
-    (report, bitmaps)
+    report
 }
 
 /// Coverage updates for one executed actor.

@@ -137,6 +137,25 @@ impl CoverageBitmap {
         CoverageBitmap { len, words: vec![0; len.div_ceil(64)] }
     }
 
+    /// A bitmap of `len` bits from its 64-bit words, bit `i` in word
+    /// `i / 64` at position `i % 64`.
+    ///
+    /// # Errors
+    ///
+    /// A message when `words` is not exactly `ceil(len / 64)` long, or
+    /// sets a bit at or past `len`.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Result<CoverageBitmap, String> {
+        let want = len.div_ceil(64);
+        if words.len() != want {
+            return Err(format!("{} word(s) for {len} bit(s), want {want}", words.len()));
+        }
+        let spare = (want * 64 - len) as u32;
+        if spare > 0 && words[want - 1].leading_zeros() < spare {
+            return Err(format!("a bit at or past {len} is set"));
+        }
+        Ok(CoverageBitmap { len, words })
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -205,9 +224,8 @@ impl CoverageBitmaps {
         self.bitmap_mut(kind).set(id);
     }
 
-    /// OR every metric's bitmap from `other` into this set — the
-    /// OR-reduction used to combine per-lane coverage of a lane-parallel
-    /// run into one aggregate.
+    /// OR every metric's bitmap from `other` into this set: the union
+    /// that folds the coverage of a job's lanes into one.
     pub fn merge(&mut self, other: &CoverageBitmaps) {
         for kind in CoverageKind::ALL {
             self.bitmap_mut(kind).merge(other.bitmap(kind));
@@ -341,6 +359,21 @@ mod tests {
         assert!(!bm.get(1));
         assert!(!bm.get(1000));
         assert_eq!(bm.count_ones(), 3);
+    }
+
+    #[test]
+    fn bitmap_from_words_round_trips_and_rejects_bad_shapes() {
+        let mut bm = CoverageBitmap::with_len(70);
+        bm.set(3);
+        bm.set(69);
+        let back = CoverageBitmap::from_words(70, vec![1 << 3, 1 << 5]).unwrap();
+        assert_eq!(back, bm);
+        assert_eq!(CoverageBitmap::from_words(0, Vec::new()).unwrap().len(), 0);
+        assert_eq!(CoverageBitmap::from_words(64, vec![u64::MAX]).unwrap().count_ones(), 64);
+        assert!(CoverageBitmap::from_words(70, vec![1]).unwrap_err().contains("want 2"));
+        assert!(CoverageBitmap::from_words(0, vec![0]).is_err());
+        let err = CoverageBitmap::from_words(70, vec![0, 1 << 6]).unwrap_err();
+        assert!(err.contains("past 70"), "{err}");
     }
 
     #[test]

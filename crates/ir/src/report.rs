@@ -6,8 +6,9 @@
 //! monitored-signal log (paper Figure 3's `outputData` repository), and an
 //! output digest for differential testing.
 
-use crate::coverage::CoverageSummary;
+use crate::coverage::{CoverageBitmaps, CoverageKind, CoverageSummary};
 use crate::diag::{DiagnosticEvent, DiagnosticKind};
+use crate::digest::OutputDigest;
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -49,8 +50,8 @@ pub struct ActorProfile {
     /// generated code only reads the clock every sampling period — full
     /// rate timing costs more than a small actor's whole body).
     pub ns: u64,
-    /// Number of invocations: once per step, or once per step per lane
-    /// in a lane simulator. Counted at full rate.
+    /// Number of invocations: once per step (summed over the lanes of a
+    /// lane run). Counted at full rate.
     pub calls: u64,
     /// Number of *timed* invocations — the ones that contributed to
     /// `ns`. `ns / timed` is the mean time per call; `timed / calls` is
@@ -73,6 +74,9 @@ pub struct SimulationReport {
     pub wall: Duration,
     /// Coverage summary, if the engine collected coverage.
     pub coverage: Option<CoverageSummary>,
+    /// The coverage bitmaps behind [`SimulationReport::coverage`], when
+    /// the engine reports them: lane runs union these.
+    pub coverage_bitmaps: Option<CoverageBitmaps>,
     /// Aggregated diagnostics, ordered by first occurrence.
     pub diagnostics: Vec<DiagnosticEvent>,
     /// Hits of user-defined signal probes.
@@ -83,17 +87,13 @@ pub struct SimulationReport {
     pub output_digest: u64,
     /// Root output values at the final step, in port order.
     pub final_outputs: Vec<(String, Value)>,
-    /// Per-lane sub-reports of a lane-parallel run (empty for scalar
-    /// runs). Each entry is the report lane `i` would have produced had it
-    /// run alone: per-lane diagnostics, custom hits, signal log, digest
-    /// and final outputs. The top-level fields aggregate across lanes
-    /// (diagnostics merged, digest folded over lane digests, coverage
-    /// OR-reduced); `final_outputs` at the top level are lane 0's.
+    /// The reports of a lane run's lanes, in lane order (empty for a
+    /// scalar run). Lane `i` is the independent run of its own stimulus;
+    /// the top-level fields fold them ([`SimulationReport::fold_lanes`]).
     pub lane_reports: Vec<SimulationReport>,
     /// Per-site self-profiling counters of a profiled build (empty
     /// unless the simulator was generated with
-    /// `CodegenOptions::profile`). Global across lanes — lanes run
-    /// sequentially in one thread, sharing the counters.
+    /// `CodegenOptions::profile`), summed over the lanes of a lane run.
     pub profile: Vec<ActorProfile>,
 }
 
@@ -106,6 +106,7 @@ impl SimulationReport {
             steps: 0,
             wall: Duration::ZERO,
             coverage: None,
+            coverage_bitmaps: None,
             diagnostics: Vec::new(),
             custom: Vec::new(),
             signal_log: Vec::new(),
@@ -133,28 +134,40 @@ impl SimulationReport {
         self.lane_reports.len().max(1) as u64
     }
 
-    /// Attach per-lane sub-reports and aggregate them into the top-level
-    /// fields: diagnostics and custom hits merge across lanes (earliest
-    /// first step, summed counts — what a scalar run over the union of
-    /// the stimuli would have reported), `final_outputs` mirror lane 0,
-    /// and each lane inherits this report's model/engine/steps/wall
-    /// metadata. Coverage and the output digest are *not* touched: the
-    /// caller aggregates those from richer sources (OR-reduced bitmaps,
-    /// FNV fold of the lane digests). No-op for an empty `lanes`.
-    pub fn attach_lanes(&mut self, mut lanes: Vec<SimulationReport>) {
-        if lanes.is_empty() {
-            return;
+    /// Fold the reports of a job's lanes, each the independent run of
+    /// one stimulus, into the job's report. A single lane is the report.
+    /// Otherwise the lanes go to [`SimulationReport::lane_reports`] as
+    /// they are, each with its own steps and wall, and the top level
+    /// aggregates them:
+    /// - the output digest is the FNV fold of the lane digests;
+    /// - diagnostics and custom hits merge: earliest first step, summed
+    ///   counts;
+    /// - coverage is the union of the lane bitmaps;
+    /// - `final_outputs` are lane 0's, and `steps` is the most any lane
+    ///   ran;
+    /// - `wall` and the profile counters are summed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is empty.
+    pub fn fold_lanes(mut lanes: Vec<SimulationReport>) -> SimulationReport {
+        assert!(!lanes.is_empty(), "a run has at least one lane");
+        if lanes.len() == 1 {
+            return lanes.remove(0);
         }
+        let first = &lanes[0];
+        let mut report = SimulationReport::new(first.model.clone(), first.engine.clone());
+        report.final_outputs = first.final_outputs.clone();
+        report.profile = first.profile.clone();
+        report.coverage = first.coverage;
+        report.coverage_bitmaps = first.coverage_bitmaps.clone();
+        let mut digest = OutputDigest::new();
         let mut diag: BTreeMap<(String, DiagnosticKind), DiagnosticEvent> = BTreeMap::new();
         let mut custom: BTreeMap<(String, String), CustomEvent> = BTreeMap::new();
-        for lane in &mut lanes {
-            lane.model = self.model.clone();
-            lane.engine = self.engine.clone();
-            lane.steps = self.steps;
-            lane.wall = self.wall;
-            lane.diagnostics.sort_by(|a, b| {
-                a.first_step.cmp(&b.first_step).then_with(|| a.actor.cmp(&b.actor))
-            });
+        for (i, lane) in lanes.iter().enumerate() {
+            report.steps = report.steps.max(lane.steps);
+            report.wall += lane.wall;
+            digest.write_u64(lane.output_digest);
             for d in &lane.diagnostics {
                 diag.entry((d.actor.clone(), d.kind))
                     .and_modify(|e| {
@@ -172,14 +185,33 @@ impl SimulationReport {
                     })
                     .or_insert_with(|| c.clone());
             }
+            if i == 0 {
+                continue;
+            }
+            for (sum, site) in report.profile.iter_mut().zip(&lane.profile) {
+                sum.ns += site.ns;
+                sum.calls += site.calls;
+                sum.timed += site.timed;
+            }
+            if let (Some(union), Some(bitmaps)) =
+                (&mut report.coverage_bitmaps, &lane.coverage_bitmaps)
+            {
+                union.merge(bitmaps);
+            }
         }
-        self.diagnostics = diag.into_values().collect();
-        self.diagnostics.sort_by(|a, b| {
+        if let (Some(summary), Some(union)) = (&mut report.coverage, &report.coverage_bitmaps) {
+            for kind in CoverageKind::ALL {
+                summary.counts_mut(kind).covered = union.bitmap(kind).count_ones();
+            }
+        }
+        report.output_digest = digest.finish();
+        report.diagnostics = diag.into_values().collect();
+        report.diagnostics.sort_by(|a, b| {
             a.first_step.cmp(&b.first_step).then_with(|| a.actor.cmp(&b.actor))
         });
-        self.custom = custom.into_values().collect();
-        self.final_outputs = lanes[0].final_outputs.clone();
-        self.lane_reports = lanes;
+        report.custom = custom.into_values().collect();
+        report.lane_reports = lanes;
+        report
     }
 
     /// The first diagnostic of the given kind, if any occurred.
@@ -278,44 +310,64 @@ mod tests {
         assert_eq!(empty.steps_per_second(), 0.0);
     }
 
+    fn lane(digest: u64, steps: u64, first_step: u64, count: u64, out: i32) -> SimulationReport {
+        let mut r = SimulationReport::new("CSEV", "accmos");
+        r.steps = steps;
+        r.wall = Duration::from_millis(steps);
+        r.output_digest = digest;
+        r.diagnostics.push(DiagnosticEvent {
+            actor: "CSEV_Add".into(),
+            kind: DiagnosticKind::WrapOnOverflow,
+            first_step,
+            count,
+        });
+        r.final_outputs.push(("Out".into(), Value::scalar(Scalar::I32(out))));
+        r.profile.push(ActorProfile { actor: "CSEV_Add".into(), ns: 10, calls: steps, timed: 1 });
+        r
+    }
+
     #[test]
-    fn attach_lanes_aggregates_and_propagates_metadata() {
-        let mut agg = SimulationReport::new("CSEV", "accmos");
-        agg.steps = 500;
-        agg.wall = Duration::from_millis(10);
-        let mut lane0 = SimulationReport::new("", "");
-        lane0.diagnostics.push(DiagnosticEvent {
-            actor: "CSEV_Add".into(),
-            kind: DiagnosticKind::WrapOnOverflow,
-            first_step: 9,
-            count: 2,
-        });
-        lane0.final_outputs.push(("Out".into(), Value::scalar(Scalar::I32(1))));
-        let mut lane1 = SimulationReport::new("", "");
-        lane1.diagnostics.push(DiagnosticEvent {
-            actor: "CSEV_Add".into(),
-            kind: DiagnosticKind::WrapOnOverflow,
-            first_step: 3,
-            count: 5,
-        });
-        lane1.final_outputs.push(("Out".into(), Value::scalar(Scalar::I32(2))));
-        agg.attach_lanes(vec![lane0, lane1]);
+    fn fold_lanes_aggregates_and_keeps_each_lanes_own_report() {
+        let lanes = vec![lane(1, 1, 0, 1, 7), lane(2, 100, 3, 5, 9)];
+        let folded = SimulationReport::fold_lanes(lanes.clone());
+        let mut fold = OutputDigest::new();
+        fold.write_u64(1);
+        fold.write_u64(2);
+        assert_eq!(folded.output_digest, fold.finish());
         // One merged event: earliest first step, summed count.
-        assert_eq!(agg.diagnostics.len(), 1);
-        assert_eq!(agg.diagnostics[0].first_step, 3);
-        assert_eq!(agg.diagnostics[0].count, 7);
-        // Top-level outputs mirror lane 0; lanes inherit metadata.
-        assert_eq!(agg.final_outputs[0].1.to_string(), "1");
-        assert_eq!(agg.lane_width(), 2);
-        for lane in &agg.lane_reports {
-            assert_eq!(lane.model, "CSEV");
-            assert_eq!(lane.engine, "accmos");
-            assert_eq!(lane.steps, 500);
+        assert_eq!(folded.diagnostics.len(), 1);
+        assert_eq!((folded.diagnostics[0].first_step, folded.diagnostics[0].count), (0, 6));
+        assert_eq!(folded.final_outputs[0].1.to_string(), "7", "lane 0's outputs");
+        assert_eq!(folded.steps, 100, "the longest lane");
+        assert_eq!(folded.wall, Duration::from_millis(101), "walls add up");
+        assert_eq!(folded.profile[0].calls, 101, "profile counters add up");
+        assert_eq!(folded.lane_width(), 2);
+        assert_eq!(folded.lane_reports, lanes, "each lane keeps its own steps and wall");
+        // A single lane is the report itself.
+        assert_eq!(SimulationReport::fold_lanes(vec![sample()]), sample());
+    }
+
+    #[test]
+    fn fold_lanes_unions_coverage_bitmaps() {
+        use crate::coverage::CoverageMap;
+        let mut map = CoverageMap::new();
+        for i in 0..3 {
+            map.add(CoverageKind::Actor, &format!("A{i}"), "executed");
         }
-        // Scalar reports are untouched by an empty attach.
-        let mut scalar = sample();
-        scalar.attach_lanes(Vec::new());
-        assert_eq!(scalar, sample());
+        let with_bits = |bits: &[usize]| {
+            let mut bm = map.new_bitmaps();
+            for &b in bits {
+                bm.set(CoverageKind::Actor, b);
+            }
+            let mut r = SimulationReport::new("M", "sse");
+            r.coverage = Some(map.summarize(&bm));
+            r.coverage_bitmaps = Some(bm);
+            r
+        };
+        let folded = SimulationReport::fold_lanes(vec![with_bits(&[0]), with_bits(&[0, 2])]);
+        let counts = folded.coverage.unwrap().counts(CoverageKind::Actor);
+        assert_eq!((counts.covered, counts.total), (2, 3));
+        assert_eq!(folded.coverage_bitmaps.unwrap().bitmap(CoverageKind::Actor).count_ones(), 2);
     }
 
     #[test]

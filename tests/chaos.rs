@@ -291,11 +291,11 @@ fn chaos_batch_ledger_records_outcomes_faithfully() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Lane-parallel jobs ride the same supervision rails as scalar ones: a
-/// healthy lane job aggregates exactly like serial scalar runs, a
-/// sabotaged lane binary crashes into quarantine, and the interpreter
-/// fallback reproduces the lane simulator's aggregation bit for bit —
-/// with the lane width recorded in the ledger either way.
+/// Lane jobs ride the same supervision rails as scalar ones: a healthy
+/// lane job folds exactly like serial scalar runs, a sabotaged binary
+/// crashes into quarantine on its first lane, and the interpreter
+/// fallback folds its lanes bit for bit the same way — with the lane
+/// width recorded in the ledger either way.
 #[test]
 fn lane_jobs_quarantine_and_degrade_bit_identically() {
     use std::os::unix::fs::PermissionsExt;
@@ -304,7 +304,7 @@ fn lane_jobs_quarantine_and_degrade_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let lanes = 4;
+    let lanes: usize = 4;
     let policy = ExecPolicy::default()
         .with_kill_timeout(Duration::from_millis(500))
         .with_retries(1)
@@ -312,8 +312,7 @@ fn lane_jobs_quarantine_and_degrade_bit_identically() {
         .with_quarantine_after(2);
     let pipeline = AccMoS::new()
         .with_cache(accmos::BuildCache::at(&dir))
-        .with_exec_policy(policy)
-        .with_lanes(lanes);
+        .with_exec_policy(policy);
 
     let healthy_model = gain_model("ChaosLaneH", 2);
     let crashy_model = gain_model("ChaosLaneQ", 5);
@@ -337,7 +336,7 @@ fn lane_jobs_quarantine_and_degrade_bit_identically() {
     let expected_healthy = fold_scalar(&healthy_model);
     let expected_crashy = fold_scalar(&crashy_model);
 
-    // Sabotage the crashy lane build after compilation: it dies on
+    // Sabotage the crashy build after compilation: it dies on
     // SIGSEGV, reaches the quarantine threshold, and both its jobs fall
     // back to the interpreter's lane aggregation.
     let sabotaged = Arc::new(pipeline.prepare(&crashy_model).unwrap());
@@ -367,7 +366,7 @@ fn lane_jobs_quarantine_and_degrade_bit_identically() {
         assert_eq!(r.lane_width(), lanes as u64, "{}", job.label);
         assert_eq!(
             r.output_digest, expected_crashy,
-            "{}: interpreter lane aggregation diverged from the lane simulator",
+            "{}: interpreter lane fold diverged from the compiled runs",
             job.label
         );
     }

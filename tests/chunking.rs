@@ -79,7 +79,6 @@ fn check_build(model: &str, build: &str, opts: &CodegenOptions) {
 fn model_exe_is_balanced_schedule_order_chunks() {
     let builds = [
         ("scalar", CodegenOptions::accmos()),
-        ("lane-4", CodegenOptions::accmos().lanes(4)),
         ("profiled", CodegenOptions::accmos().with_profile()),
         ("rapid", CodegenOptions::rapid_accelerator()),
     ];

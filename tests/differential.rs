@@ -79,10 +79,10 @@ fn long_runs_accumulate_identically() {
     }
 }
 
-/// The interpreter against a lane-`lanes` build (1 = scalar) of one
+/// The interpreter against a lane-`lanes` run (1 = scalar) of one
 /// generated model. Lane `i` runs its own stimulus and must match an
 /// interpreter run of it on digest, final outputs and diagnostics; a
-/// lane build's aggregate digest must be the FNV fold of the lane
+/// lane run's aggregate digest must be the FNV fold of the lane
 /// digests. Coverage counts must be those of the union of the lanes'
 /// bitmaps. Returns the model's actor count.
 fn check_config(cfg: ModelGenConfig, steps: u64, lanes: usize) -> usize {
@@ -93,7 +93,7 @@ fn check_config(cfg: ModelGenConfig, steps: u64, lanes: usize) -> usize {
         .map(|lane| random_tests(&pre, 16, seed.wrapping_mul(31).wrapping_add(lane)))
         .collect();
 
-    let pipeline = AccMoS::new().with_lanes(lanes);
+    let pipeline = AccMoS::new();
     let sim = pipeline.prepare(&model).unwrap_or_else(|e| {
         let program = pipeline.generate(&model).unwrap();
         panic!("seed {seed}: compile failed: {e}\n{}", program.main_c);
@@ -106,8 +106,8 @@ fn check_config(cfg: ModelGenConfig, steps: u64, lanes: usize) -> usize {
     let mut union: Option<CoverageBitmaps> = None;
     for (lane, tests) in stimuli.iter().enumerate() {
         let ctx = format!("seed {seed} lanes {lanes} lane {lane}");
-        let (interp, bitmaps) =
-            NormalEngine::new().run_with_bitmaps(&pre, tests, &SimOptions::steps(steps));
+        let interp = NormalEngine::new().run(&pre, tests, &SimOptions::steps(steps));
+        let bitmaps = interp.coverage_bitmaps.clone().unwrap();
         let got = if lanes == 1 { &compiled } else { &compiled.lane_reports[lane] };
         assert_eq!(
             interp.output_digest, got.output_digest,

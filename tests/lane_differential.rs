@@ -1,91 +1,109 @@
-//! Lane-parallel differential testing: a lane-N simulator evaluating N
-//! test vectors in one process must be bit-identical, lane for lane, to
-//! N independent scalar runs of the same compiled model — per-lane
-//! output digests and diagnostics, the FNV fold that forms the
-//! aggregate digest, and the OR-reduced coverage union.
+//! Lane differential testing: a lane-N run executes the model's one
+//! scalar simulator once per lane and folds the lanes
+//! (`SimulationReport::fold_lanes`). Through both compiled dispatch
+//! paths — the supervised subprocess (`PreparedSimulation::run`) and the
+//! in-process shared object (`DylibRunner`) — it must equal the
+//! interpreter's fold of the same lanes: the aggregate digest, each
+//! lane's digest, diagnostics, output bits and steps, and coverage
+//! counts equal to the exact union of the lanes' bitmaps.
 //!
-//! The scalar simulator is the ground truth here (it is itself checked
-//! against the interpretive engine in `differential.rs` and
-//! `benchmarks_e2e.rs`), so any divergence pins the blame on the lane
-//! codegen path: the structure-of-arrays state layout, the per-lane
-//! stimulus plumbing, or the lane-blocked driver loop.
+//! The expectations are computed independently of the fold under test:
+//! the aggregate digest is the FNV fold of the interpreter's lane
+//! digests, and the coverage union ORs the interpreter's lane bitmaps.
 
 mod common;
 
-use accmos::{AccMoS, NormalEngine, RunOptions, SimOptions};
-use accmos_ir::{CoverageKind, Model, OutputDigest, TestVectors};
-use accmos_testgen::random_tests;
+use accmos::{AccMoS, Compiler, DylibRunner, Engine as _, NormalEngine, OptLevel, RunOptions};
+use accmos::{PreprocessedModel, SimOptions};
+use accmos_ir::{CoverageBitmaps, CoverageKind, Model, OutputDigest, SimulationReport, TestVectors};
 use common::chain_model;
 
-/// Distinct full-range random stimuli, one table per lane.
-fn lane_stimuli(
-    pre: &accmos::PreprocessedModel,
-    lanes: usize,
-    seed: u64,
-) -> Vec<TestVectors> {
-    (0..lanes as u64)
-        .map(|lane| random_tests(pre, 16, seed.wrapping_add(lane)))
-        .collect()
+/// What every engine must report for `steps` steps of a lane run over
+/// `tests` and `opts.lane_tests`: the interpreter's run of each lane, the
+/// FNV fold of their digests and the union of their coverage bitmaps.
+struct Expected {
+    lanes: Vec<SimulationReport>,
+    digest: u64,
+    union: CoverageBitmaps,
 }
 
-/// Run the lane-`lanes` build once per seed and the scalar build `lanes`
-/// times on the same stimuli; assert lane-for-lane equality.
+fn expected(
+    pre: &PreprocessedModel,
+    tests: &TestVectors,
+    opts: &RunOptions,
+    steps: u64,
+) -> Expected {
+    let lanes: Vec<SimulationReport> = std::iter::once(tests)
+        .chain(&opts.lane_tests)
+        .map(|t| NormalEngine::new().run(pre, t, &SimOptions::steps(steps)))
+        .collect();
+    let mut fold = OutputDigest::new();
+    let mut union = pre.coverage.map.new_bitmaps();
+    for lane in &lanes {
+        fold.write_u64(lane.output_digest);
+        union.merge(lane.coverage_bitmaps.as_ref().expect("the interpreter reports bitmaps"));
+    }
+    Expected { lanes, digest: fold.finish(), union }
+}
+
+/// `got`, a lane run, against the interpreter's lanes and their fold.
+fn assert_lane_run(want: &Expected, got: &SimulationReport, ctx: &str) {
+    assert_eq!(got.lane_reports.len(), want.lanes.len(), "{ctx}: lane count");
+    assert_eq!(got.output_digest, want.digest, "{ctx}: aggregate digest");
+    let folded = SimulationReport::fold_lanes(want.lanes.clone());
+    assert_eq!(got.output_digest, folded.output_digest, "{ctx}: the interpreter's fold");
+    assert_eq!(got.diagnostics, folded.diagnostics, "{ctx}: merged diagnostics");
+    assert_eq!(got.steps, folded.steps, "{ctx}: steps");
+    for (i, (w, g)) in want.lanes.iter().zip(&got.lane_reports).enumerate() {
+        assert_eq!(g.output_digest, w.output_digest, "{ctx} lane {i}: digest");
+        assert_eq!(g.diagnostics, w.diagnostics, "{ctx} lane {i}: diagnostics");
+        assert_eq!(g.output_bits(), w.output_bits(), "{ctx} lane {i}: outputs");
+        assert_eq!(g.steps, w.steps, "{ctx} lane {i}: steps");
+    }
+    let cov = got.coverage.expect("coverage collected");
+    for kind in CoverageKind::ALL {
+        assert_eq!(cov.counts(kind).total, want.union.bitmap(kind).len(), "{ctx}: {kind} points");
+        assert_eq!(
+            cov.counts(kind).covered,
+            want.union.bitmap(kind).count_ones(),
+            "{ctx}: {kind} coverage is not the union of the lanes"
+        );
+    }
+    assert_eq!(got.coverage_bitmaps.as_ref(), Some(&want.union), "{ctx}: union bitmaps");
+}
+
+/// Lane runs of `model` at every width in `widths` and every seed, through
+/// the subprocess and the dylib path, against the interpreter's fold.
 fn check_model(model: &Model, seeds: &[u64], widths: &[usize], steps: u64) {
     let name = &model.name;
     let pre = accmos::preprocess(model).unwrap();
-    let scalar = AccMoS::new().prepare(model).unwrap();
-
+    let sim = AccMoS::new().prepare(model).unwrap();
+    let dylib = Compiler::detect()
+        .unwrap()
+        .with_opt(OptLevel::O3)
+        .compile_shared(sim.program())
+        .unwrap_or_else(|e| panic!("{name}: compile_shared: {e}"));
     for &lanes in widths {
-        let lane_sim = AccMoS::new().with_lanes(lanes).prepare(model).unwrap();
         for &seed in seeds {
-            let stimuli = lane_stimuli(&pre, lanes, seed);
-            let opts = RunOptions {
-                lane_tests: stimuli[1..].to_vec(),
-                ..RunOptions::default()
-            };
-            let lane_run = lane_sim.run(steps, &stimuli[0], &opts).unwrap();
-            assert_eq!(lane_run.lane_width(), lanes as u64, "{name}: lane width");
-
-            let mut fold = OutputDigest::new();
-            for (lane, tests) in stimuli.iter().enumerate() {
-                let solo = scalar.run(steps, tests, &RunOptions::default()).unwrap();
-                let ctx = format!("{name} seed {seed} lanes {lanes} lane {lane}");
-                let in_lane = &lane_run.lane_reports[lane];
-                assert_eq!(in_lane.output_digest, solo.output_digest, "{ctx}: digest");
-                assert_eq!(in_lane.diagnostics, solo.diagnostics, "{ctx}: diagnostics");
-                assert_eq!(in_lane.final_outputs, solo.final_outputs, "{ctx}: outputs");
-                fold.write_u64(solo.output_digest);
-
-                // The shared coverage bitmap is an OR across lanes, so it
-                // dominates every individual run without exceeding the
-                // instrumented total.
-                let lcov = lane_run.coverage.as_ref().unwrap();
-                let scov = solo.coverage.as_ref().unwrap();
-                for kind in CoverageKind::ALL {
-                    let (l, s) = (lcov.counts(kind), scov.counts(kind));
-                    assert_eq!(l.total, s.total, "{ctx}: {kind} instrumented points");
-                    assert!(
-                        l.covered >= s.covered,
-                        "{ctx}: {kind} union {} lost points vs scalar {}",
-                        l.covered,
-                        s.covered
-                    );
-                }
-            }
-            assert_eq!(
-                lane_run.output_digest,
-                fold.finish(),
-                "{name} seed {seed} lanes {lanes}: aggregate digest is not the \
-                 FNV fold of the per-lane digests"
-            );
+            let (tests, lane_tests) = accmos::fuzz::lane_stimulus(&pre, 16, seed, lanes);
+            let opts = RunOptions { lane_tests, ..RunOptions::default() };
+            let want = expected(&pre, &tests, &opts, steps);
+            let ctx = format!("{name} seed {seed} lanes {lanes}");
+            let sub = sim.run(steps, &tests, &opts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_lane_run(&want, &sub, &format!("{ctx} subprocess"));
+            let dy = DylibRunner::for_dylib(&dylib)
+                .run(steps, &tests, &opts, None)
+                .unwrap_or_else(|e| panic!("{ctx}: dylib: {e}"));
+            assert_lane_run(&want, &dy.report, &format!("{ctx} dylib"));
         }
-        lane_sim.clean();
     }
-    scalar.clean();
+    sim.clean();
+    dylib.clean();
 }
 
-// The full Table 1 suite, two seeds, every lane width {2, 4, 8} — split
-// into three tests so the per-model compiles spread across test threads.
+// The full Table 1 suite and the chain model, two seeds, lane widths
+// {2, 4, 8}, split into three tests so the per-model compiles spread
+// across test threads.
 
 /// The reference-engine-verified models, plus a straight-line bitwise
 /// chain: a schedule with no branches and no diagnosis checks at all.
@@ -108,8 +126,7 @@ fn mid_models_lane_runs_match_scalar_runs() {
 }
 
 /// The big models (LANS 570 actors, RAC 667 actors) exercise wide state
-/// structs and long schedules; shorter horizons keep the run cost in
-/// bounds, the compile cost is cached after the first CI pass.
+/// and long schedules; shorter horizons keep the run cost in bounds.
 #[test]
 fn large_models_lane_runs_match_scalar_runs() {
     for name in ["LANS", "RAC"] {
@@ -118,65 +135,31 @@ fn large_models_lane_runs_match_scalar_runs() {
     }
 }
 
-/// The OR-reduced coverage of a lane run equals the exact union of the
-/// per-lane bitmaps, computed independently with the interpretive
-/// engine. Counts alone cannot express a union, so this is the check
-/// that the lanes share one bitmap rather than overwriting each other.
+/// The coverage of a lane run is the exact union of its lanes' bitmaps:
+/// the compiled run reports the union bitmaps themselves, bit for bit
+/// what the interpreter's lanes OR to, and every lane's own bitmap lies
+/// inside it.
 #[test]
 fn lane_coverage_is_exact_bitmap_union() {
     for name in ["CSEV", "SPV"] {
         let model = accmos_models::by_name(name);
         let pre = accmos::preprocess(&model).unwrap();
-        let lanes = 4;
-        let stimuli = lane_stimuli(&pre, lanes, 0xACC);
-        let steps = 64;
-
-        let mut union: Option<accmos_ir::CoverageBitmaps> = None;
-        for tests in &stimuli {
-            let (_, bm) =
-                NormalEngine::new().run_with_bitmaps(&pre, tests, &SimOptions::steps(steps));
-            match &mut union {
-                Some(u) => u.merge(&bm),
-                None => union = Some(bm),
+        let (tests, lane_tests) = accmos::fuzz::lane_stimulus(&pre, 16, 0xACC, 4);
+        let opts = RunOptions { lane_tests, ..RunOptions::default() };
+        let want = expected(&pre, &tests, &opts, 64);
+        let sim = AccMoS::new().prepare(&model).unwrap();
+        let got = sim.run(64, &tests, &opts).unwrap();
+        sim.clean();
+        assert_lane_run(&want, &got, name);
+        let union = got.coverage_bitmaps.as_ref().unwrap();
+        for (i, lane) in got.lane_reports.iter().enumerate() {
+            let own = lane.coverage_bitmaps.as_ref().unwrap();
+            for kind in CoverageKind::ALL {
+                let mut merged = own.bitmap(kind).clone();
+                merged.merge(union.bitmap(kind));
+                let ctx = format!("{name} lane {i}: {kind}");
+                assert_eq!(&merged, union.bitmap(kind), "{ctx} outside the union");
             }
         }
-        let union = union.unwrap();
-
-        let lane_sim = AccMoS::new().with_lanes(lanes).prepare(&model).unwrap();
-        let opts = RunOptions {
-            lane_tests: stimuli[1..].to_vec(),
-            ..RunOptions::default()
-        };
-        let lane_run = lane_sim.run(steps, &stimuli[0], &opts).unwrap();
-        lane_sim.clean();
-
-        let lcov = lane_run.coverage.as_ref().unwrap();
-        for kind in CoverageKind::ALL {
-            assert_eq!(
-                lcov.counts(kind).covered,
-                union.bitmap(kind).count_ones(),
-                "{name}: {kind} union"
-            );
-        }
     }
-}
-
-/// A lane run must present exactly `lanes - 1` extra stimulus tables;
-/// anything else is rejected before the simulator is even spawned.
-#[test]
-fn lane_stimulus_count_is_validated() {
-    let model = accmos_models::by_name("SPV");
-    let pre = accmos::preprocess(&model).unwrap();
-    let tests = random_tests(&pre, 8, 1);
-
-    let lane_sim = AccMoS::new().with_lanes(4).prepare(&model).unwrap();
-    // Too few lane tables.
-    let short = RunOptions { lane_tests: vec![tests.clone()], ..RunOptions::default() };
-    assert!(lane_sim.run(16, &tests, &short).is_err(), "1 extra table for 4 lanes");
-    // Scalar build refuses lane stimuli.
-    let scalar = AccMoS::new().prepare(&model).unwrap();
-    let extra = RunOptions { lane_tests: vec![tests.clone()], ..RunOptions::default() };
-    assert!(scalar.run(16, &tests, &extra).is_err(), "lane tables on a scalar build");
-    lane_sim.clean();
-    scalar.clean();
 }

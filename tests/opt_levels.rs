@@ -43,7 +43,7 @@ fn o1_and_o3_builds_simulate_bit_identically_on_every_benchmark() {
         let model = accmos_models::by_name(name);
         let pre = accmos::preprocess(&model).unwrap();
         let [o1, o3] = [OptLevel::O1, OptLevel::O3].map(|opt| {
-            let pipeline = AccMoS::new().with_opt(opt).with_lanes(lanes).with_cache(cache.clone());
+            let pipeline = AccMoS::new().with_opt(opt).with_cache(cache.clone());
             let sim = pipeline.prepare(&model).unwrap_or_else(|e| panic!("{name} {opt:?}: {e}"));
             assert_eq!(sim.simulator().opt_level(), opt, "{name}: the pinned level");
             sim
@@ -67,7 +67,10 @@ fn o1_and_o3_builds_simulate_bit_identically_on_every_benchmark() {
         o1.clean();
         o3.clean();
     }
-    assert_eq!(cache.stats().hits, 0, "each (model, level, lanes) compiled once");
+    // A lane run is runs of the scalar artifact: the lane-4 cases hit
+    // the builds of their models' scalar cases.
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.hits), (20, 6), "each (model, level) compiled once");
 }
 
 /// One gain: cheap enough to run a million steps in a test.
@@ -108,12 +111,29 @@ fn runs_build_at_o1_below_the_budget_and_at_o3_from_it() {
     assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2, evictions: 0 });
 
     // The budget is steps × lanes: a lane-4 run of a quarter of the
-    // budget builds at -O3 too.
-    let lanes = AccMoS::new().with_cache(cache.clone()).with_lanes(4);
+    // budget builds at -O3 too. (A model of its own: these sources'
+    // -O3 artifact is cached now, and any run would take it.)
+    let model = tiny("RuleLanes");
     let lane_opts = RunOptions { lane_tests: vec![tests(); 3], ..RunOptions::default() };
-    lanes.run(&model, O3_BUDGET / 4 - 1, &tests(), &lane_opts).unwrap();
-    lanes.run(&model, O3_BUDGET / 4, &tests(), &lane_opts).unwrap();
-    assert_eq!(levels(&lanes, 2), [level("O1", false), level("O3", false)]);
+    pipeline.run(&model, O3_BUDGET / 4 - 1, &tests(), &lane_opts).unwrap();
+    pipeline.run(&model, O3_BUDGET / 4, &tests(), &lane_opts).unwrap();
+    assert_eq!(levels(&pipeline, 2), [level("O1", false), level("O3", false)]);
+}
+
+#[test]
+fn a_lane_run_takes_the_cached_scalar_artifact_with_one_hit() {
+    let dir = TempDir::new("lanes");
+    let cache = BuildCache::at(&dir.0);
+    let pipeline = AccMoS::new().with_cache(cache.clone());
+    let model = tiny("Lanes");
+    pipeline.run(&model, 50, &tests(), &RunOptions::default()).unwrap();
+    let before = cache.stats();
+    let lane_opts = RunOptions { lane_tests: vec![tests(); 3], ..RunOptions::default() };
+    let out = pipeline.run(&model, 50, &tests(), &lane_opts).unwrap();
+    assert_eq!(out.report.lane_width(), 4);
+    let after = cache.stats();
+    assert_eq!((after.hits - before.hits, after.misses - before.misses), (1, 0));
+    assert_eq!(levels(&pipeline, 1), [level("O1", true)], "no compile: the scalar artifact ran");
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //!
 //! The sweep covers the full Table 1 suite at lane widths 1 and 4, plus
 //! a synthetic straight-line chain at lane width 4 that pins the lane
-//! profile contract: one site per actor, counted once per lane per step.
+//! profile contract: one site per actor, its counters summed over the
+//! lanes, so each is called once per lane per step.
 
 mod common;
 
@@ -26,11 +27,11 @@ fn assert_profile_neutral(model: &Model, lanes: usize, steps: u64, seed: u64) {
         .collect();
     let opts = RunOptions { lane_tests, ..RunOptions::default() };
 
-    let plain_sim = AccMoS::new().with_lanes(lanes).prepare(model).unwrap();
+    let plain_sim = AccMoS::new().prepare(model).unwrap();
     let plain = plain_sim.run(steps, &tests, &opts).unwrap();
     plain_sim.clean();
 
-    let base = AccMoS::new().with_lanes(lanes);
+    let base = AccMoS::new();
     let copts = base.codegen_options().clone().with_profile();
     let prof_sim = base.with_codegen(copts).prepare(model).unwrap();
     let prof = prof_sim.run(steps, &tests, &opts).unwrap();
@@ -90,10 +91,9 @@ fn profiling_is_neutral_for_large_models() {
     }
 }
 
-/// The lane-blocked driver runs `Model_Exe` once per lane per step, so a
-/// lane build profiles exactly like a scalar one: one site per actor,
-/// named by its path key, invoked `steps × lanes` times — and it
-/// stays digest-neutral doing it.
+/// A lane run sums the profile counters of its lanes, so it profiles
+/// exactly like a scalar run: one site per actor, named by its path key,
+/// invoked `steps × lanes` times — and it stays digest-neutral doing it.
 #[test]
 fn lane_builds_profile_every_actor_once_per_lane_step() {
     let (lanes, steps) = (4usize, 256u64);
@@ -104,7 +104,7 @@ fn lane_builds_profile_every_actor_once_per_lane_step() {
     let tests = random_tests(&pre, 8, 11);
     let lane_tests: Vec<TestVectors> =
         (1..lanes as u64).map(|lane| random_tests(&pre, 8, 11 + lane)).collect();
-    let base = AccMoS::new().with_lanes(lanes);
+    let base = AccMoS::new();
     let copts = base.codegen_options().clone().with_profile();
     let sim = base.with_codegen(copts).prepare(&model).unwrap();
     let report = sim

@@ -40,7 +40,7 @@ fn dylib_runs_match_subprocess_runs_on_every_benchmark() {
     for (name, _, _) in accmos_models::TABLE1 {
         for lanes in [1usize, 4] {
             let model = accmos_models::by_name(name);
-            let pipeline = AccMoS::new().with_cache(cache.clone()).with_lanes(lanes);
+            let pipeline = AccMoS::new().with_cache(cache.clone());
             let pre = accmos::preprocess(&model)
                 .unwrap_or_else(|e| panic!("{name}: preprocess: {e}"));
             let (tests, lane_tests) =
