@@ -221,7 +221,8 @@ echo "ci: analyzer gate passed on rand:3 and rand:9"
 # instrumentation may never perturb simulation results; (2) produce a
 # ranked hot-site report naming a real actor; (3) write a well-formed
 # Chrome trace-event JSON containing pipeline, supervisor and per-actor
-# profile spans.
+# profile spans; (4) time the job once: the trace's `run` span and phase
+# spans last exactly what the ledger record of the same run says.
 PROF_DIR=$(mktemp -d)
 trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR"' EXIT
 PLAIN=$(ACCMOS_CACHE_DIR="$PROF_DIR" ./target/release/accmos simulate bench:CSEV --steps 5000 --seed 11 \
@@ -235,7 +236,7 @@ ACCMOS_CACHE_DIR="$PROF_DIR" ./target/release/accmos profile bench:CSEV --steps 
     || { cat "$PROF_DIR/prof_out.txt" >&2; echo "ci: accmos profile failed" >&2; exit 1; }
 grep -q "CSEV_" "$PROF_DIR/prof_out.txt" \
     || { echo "ci: profile report names no CSEV actor site" >&2; exit 1; }
-python3 - "$PROF_DIR/trace.json" <<'EOF' \
+python3 - "$PROF_DIR/trace.json" "$PROF_DIR/ledger.jsonl" <<'EOF' \
     || { echo "ci: trace JSON validation failed" >&2; exit 1; }
 import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
@@ -244,8 +245,15 @@ missing = {"pipeline", "supervisor", "actor"} - cats
 assert not missing, f"trace missing span categories: {missing}"
 assert any(e["name"] == "run" for e in events), "no pipeline run span"
 assert all(e["ph"] == "X" for e in events), "non-complete event in trace"
+# The profile run wrote the ledger's last record.
+record = [json.loads(line) for line in open(sys.argv[2]) if line.strip()][-1]
+pipeline = {e["name"]: e["dur"] for e in events if e["cat"] == "pipeline"}
+assert pipeline["run"] == record["run_us"], (pipeline["run"], record["run_us"])
+for phase in ["parse", "preprocess", "analyze", "codegen", "compile"]:
+    want = record[phase + "_us"]
+    assert pipeline.get(phase, 0) == want, (phase, pipeline.get(phase), want)
 EOF
-echo "ci: observability gate passed (profiled digest identical, trace has pipeline/supervisor/actor spans)"
+echo "ci: observability gate passed (profiled digest identical, trace has pipeline/supervisor/actor spans sized as the ledger record)"
 
 # Serve smoke gate: start the daemon, stream 9 jobs through it — six
 # trusted bench jobs on the in-process dylib engine, a repeat of one of

@@ -55,8 +55,8 @@ pub use dylib::{DylibRun, DylibRunner};
 pub use error::BackendError;
 pub use protocol::parse_report;
 pub use run::{CompiledSimulator, RunOptions};
-pub use supervise::{ExecPolicy, FailureKind, RetryStats, SupervisedRun, Supervisor};
-pub use telemetry::{PhaseMicros, RunLedger, RunRecord, TraceNode, TraceSpan, Tracer};
+pub use supervise::{Attempt, ExecPolicy, FailureKind, SupervisedRun, Supervisor};
+pub use telemetry::{PhaseMicros, RunLedger, RunRecord, TraceSpan, Tracer};
 
 /// The default state directory shared by the build cache, the run ledger
 /// and the persistent quarantine store: `$ACCMOS_CACHE_DIR`, else

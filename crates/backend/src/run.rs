@@ -6,7 +6,7 @@
 
 use crate::compile::{Artifact, OptLevel};
 use crate::error::BackendError;
-use crate::supervise::{ExecPolicy, FailureKind, Supervisor, SupervisedRun};
+use crate::supervise::{ExecPolicy, FailureKind, Supervisor};
 use accmos_codegen::GeneratedProgram;
 use accmos_ir::{CoverageKind, SimulationReport, TestVectors};
 use std::path::{Path, PathBuf};
@@ -90,7 +90,7 @@ impl CompiledSimulator {
     /// simulation loop (excluding process start-up and test loading).
     ///
     /// This is one supervised attempt with no kill deadline and no retry;
-    /// use [`CompiledSimulator::run_supervised`] to bound the run.
+    /// [`Supervisor::run`] on [`CompiledSimulator::exe`] bounds the run.
     ///
     /// # Errors
     ///
@@ -107,27 +107,7 @@ impl CompiledSimulator {
             retries: 0,
             ..ExecPolicy::default()
         });
-        Ok(self.run_supervised(steps, tests, opts, &once)?.report)
-    }
-
-    /// Run the simulator under `supervisor`'s [`crate::ExecPolicy`]:
-    /// hard kill timeout, bounded retries with deterministic backoff, and
-    /// classified failures.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Supervised`] with the classified
-    /// [`crate::FailureKind`], [`BackendError::Quarantined`] for an
-    /// executable the supervisor refuses to run, or I/O errors writing the
-    /// test-vector file.
-    pub fn run_supervised(
-        &self,
-        steps: u64,
-        tests: &TestVectors,
-        opts: &RunOptions,
-        supervisor: &Supervisor,
-    ) -> Result<SupervisedRun, BackendError> {
-        supervisor.run(self.exe(), self.dir(), steps, tests, opts)
+        Ok(once.run(self.exe(), self.dir(), steps, tests, opts, &mut Vec::new())?.report)
     }
 
     /// Remove the build directory.

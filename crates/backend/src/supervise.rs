@@ -7,14 +7,15 @@
 //! treats the generated binary as its own fault domain:
 //!
 //! - [`ExecPolicy`] bounds each run — a hard kill timeout (distinct from
-//!   the simulator's own cooperative `--budget-ms`), a retry budget with
-//!   exponential backoff and deterministic SplitMix64 jitter, and a cap on
-//!   captured output bytes;
+//!   the simulator's own cooperative `--budget-ms`) and a retry budget
+//!   with exponential backoff; the backoff's deterministic SplitMix64
+//!   jitter and the cap on captured output bytes are constants;
 //! - [`Supervisor`] spawns the simulator and blocks until it exits, while
 //!   the process-wide [`Watchdog`] holds its kill deadline and `SIGKILL`s
 //!   it when the deadline passes; every failure is classified into a
 //!   [`FailureKind`] so callers can decide retry-vs-quarantine
-//!   mechanically;
+//!   mechanically, and every attempt is reported to the caller as an
+//!   [`Attempt`];
 //! - after [`ExecPolicy::quarantine_after`] classified crashes, an
 //!   executable is **quarantined**: the supervisor refuses to run it again
 //!   and callers (the batch runner, the pipeline facade) fall back to the
@@ -120,31 +121,33 @@ impl fmt::Display for FailureKind {
     }
 }
 
+/// Ceiling on the exponential retry backoff, jitter included.
+const MAX_BACKOFF: Duration = Duration::from_secs(1);
+/// Seed of the deterministic SplitMix64 backoff jitter. The jitter stream
+/// is a pure function of `(seed, exe path, retry)`, so a rerun of the
+/// same workload sleeps identically.
+const JITTER_SEED: u64 = 0xACC5;
+/// Cap on captured stdout bytes; output beyond the cap is drained and
+/// discarded (the pipe never blocks the child).
+const MAX_OUTPUT_BYTES: usize = 64 * 1024 * 1024;
+
 /// Bounds on one supervised simulator execution.
 ///
-/// The defaults are production-lenient (2-minute kill timeout, 2 retries,
-/// 64 MiB of output); harnesses and tests tighten them.
+/// The defaults are production-lenient (2-minute kill timeout, 2 retries);
+/// harnesses and tests tighten them.
 #[derive(Debug, Clone)]
 pub struct ExecPolicy {
     /// Hard wall-clock deadline after which the process is killed. This is
     /// the supervisor's *kill* timeout — independent of the simulator's own
     /// cooperative `--budget-ms` stop, which a hung or miscompiled binary
-    /// never honors. `None` waits forever (the pre-supervision behavior).
+    /// never honors. It bounds a run's lanes and their attempts and backoff
+    /// together. `None` waits forever (the pre-supervision behavior).
     pub kill_timeout: Option<Duration>,
     /// Number of retries after the first failed attempt (total attempts =
     /// `retries + 1`). Only [`FailureKind::is_retryable`] failures retry.
     pub retries: u32,
     /// Base backoff before the first retry; doubled per retry.
     pub backoff: Duration,
-    /// Ceiling on the exponential backoff.
-    pub max_backoff: Duration,
-    /// Seed for the deterministic SplitMix64 backoff jitter. The jitter
-    /// stream is a pure function of `(jitter_seed, exe path, attempt)`, so
-    /// a rerun of the same workload sleeps identically.
-    pub jitter_seed: u64,
-    /// Cap on captured stdout/stderr bytes; output beyond the cap is
-    /// drained and discarded (the pipe never blocks the child).
-    pub max_output_bytes: usize,
     /// Number of classified crashes after which an executable is
     /// quarantined and refused further runs.
     pub quarantine_after: u32,
@@ -156,9 +159,6 @@ impl Default for ExecPolicy {
             kill_timeout: Some(Duration::from_secs(120)),
             retries: 2,
             backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(1),
-            jitter_seed: 0xACC5,
-            max_output_bytes: 64 * 1024 * 1024,
             quarantine_after: 3,
         }
     }
@@ -192,22 +192,22 @@ impl ExecPolicy {
 
     /// The backoff before retry number `retry` (1-based) of `exe`:
     /// exponential in the retry index, plus up to 25% deterministic
-    /// jitter drawn from a SplitMix64 stream seeded by `(jitter_seed,
-    /// exe, retry)`. The returned duration — jitter included — never
-    /// exceeds [`ExecPolicy::max_backoff`]; since the run loop sleeps for
-    /// and records exactly this value, the cap also bounds
-    /// [`RetryStats::backoff_sleep`] and the ledger backoff totals.
+    /// jitter drawn from a SplitMix64 stream seeded by `(seed, exe,
+    /// retry)`. The returned duration — jitter included — never exceeds
+    /// 1 s; the run loop sleeps at most this value (less only when the
+    /// kill deadline has less left) and reports what it slept in the
+    /// next [`Attempt`].
     pub fn backoff_before(&self, exe: &Path, retry: u32) -> Duration {
         let exp = self
             .backoff
             .saturating_mul(1u32 << retry.saturating_sub(1).min(16))
-            .min(self.max_backoff);
+            .min(MAX_BACKOFF);
         let mut rng = TestRng::seed_from_u64(
-            self.jitter_seed ^ fnv1a(exe.as_os_str().as_encoded_bytes()) ^ u64::from(retry),
+            JITTER_SEED ^ fnv1a(exe.as_os_str().as_encoded_bytes()) ^ u64::from(retry),
         );
         let jitter_ns = exp.as_nanos() as u64 / 4;
         let jitter = if jitter_ns == 0 { 0 } else { rng.gen_range(0..=jitter_ns) };
-        (exp + Duration::from_nanos(jitter)).min(self.max_backoff)
+        (exp + Duration::from_nanos(jitter)).min(MAX_BACKOFF)
     }
 }
 
@@ -219,22 +219,41 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Aggregate retry telemetry across every run a [`Supervisor`] handled.
-///
-/// Clones of a supervisor share one tally, so a worker pool's retries
-/// land in a single struct the batch summary can report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Retries per [`FailureKind::index`] ordinal.
-    pub retry_kinds: [u64; FailureKind::COUNT],
-    /// Total wall-clock time spent sleeping in retry backoff.
-    pub backoff_sleep: Duration,
+/// One attempt the supervisor made at one lane of a run: the backoff it
+/// slept first, how long the attempt took and how it ended.
+/// [`Supervisor::run`] reports every attempt it makes, whether the run
+/// succeeds or fails, so retry counts, backoff totals and trace spans
+/// are all derived from the one list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attempt {
+    /// The attempt's place in its lane: 0 for the first run, `n` for the
+    /// `n`-th retry.
+    pub n: u32,
+    /// Backoff slept just before the attempt (zero for a lane's first).
+    pub backoff: Duration,
+    /// Wall-clock time from writing the attempt's test-vector file to its
+    /// classification.
+    pub duration: Duration,
+    /// The kill deadline the attempt ran under: what its lane's earlier
+    /// attempts and backoff left of the run's (`None` = no deadline).
+    pub deadline: Option<Duration>,
+    /// Why the attempt failed; `None` when it produced a report.
+    pub failure: Option<FailureKind>,
+    /// Peak resident set size of its child in KiB: the kernel's
+    /// `ru_maxrss`, delivered with the exit status by the `wait4` that
+    /// reaps the child (0 when no child was reaped).
+    pub peak_rss_kb: u64,
 }
 
-impl RetryStats {
-    /// Total retries across all failure kinds.
-    pub fn total_retries(self) -> u64 {
-        self.retry_kinds.iter().sum()
+impl Attempt {
+    /// What `attempts` add up to: the retries among them, the backoff
+    /// slept before those, and the peak RSS of the largest successful
+    /// child in KiB.
+    pub fn tally(attempts: &[Attempt]) -> (u32, Duration, u64) {
+        let retries = attempts.iter().filter(|a| a.n > 0).count() as u32;
+        let ok = attempts.iter().filter(|a| a.failure.is_none());
+        let peak_rss_kb = ok.map(|a| a.peak_rss_kb).max().unwrap_or(0);
+        (retries, attempts.iter().map(|a| a.backoff).sum(), peak_rss_kb)
     }
 }
 
@@ -247,13 +266,8 @@ pub struct SupervisedRun {
     /// How many retries the run needed over all its lanes (0 = every
     /// first attempt succeeded).
     pub retries: u32,
-    /// Backoff sleep this run alone consumed — exact per-job attribution
-    /// even when many jobs share one supervisor (whose [`RetryStats`]
-    /// only aggregate).
-    pub backoff: Duration,
-    /// Peak resident set size of the largest child in KiB: the kernel's
-    /// `ru_maxrss`, delivered with the exit status by the `wait4` that
-    /// reaps the child.
+    /// Peak resident set size of the largest lane's successful child in
+    /// KiB ([`Attempt::peak_rss_kb`]).
     pub peak_rss_kb: u64,
 }
 
@@ -283,17 +297,15 @@ type IdentityCache = HashMap<PathBuf, (u64, SystemTime, String)>;
 /// Cloning the supervisor shares the quarantine registry, so one handle
 /// can be distributed across a worker pool. With
 /// [`Supervisor::with_state_dir`], crash events also persist to an
-/// append-only `quarantine.jsonl` in the state directory, so batches
-/// sharing one cache inherit quarantine state across processes.
+/// append-only `quarantine.jsonl` in the state directory, so a second
+/// process sharing it inherits the crash counts of executables at stable
+/// paths (see there for which ones).
 #[derive(Debug, Clone, Default)]
 pub struct Supervisor {
     policy: ExecPolicy,
     crashes: Arc<Mutex<HashMap<String, u32>>>,
     identities: Arc<Mutex<IdentityCache>>,
-    stats: Arc<Mutex<RetryStats>>,
     state_file: Option<PathBuf>,
-    tracer: Option<telemetry::Tracer>,
-    trace_tid: u64,
 }
 
 impl Supervisor {
@@ -303,36 +315,20 @@ impl Supervisor {
             policy,
             crashes: Arc::default(),
             identities: Arc::default(),
-            stats: Arc::default(),
             state_file: None,
-            tracer: None,
-            trace_tid: 1,
         }
-    }
-
-    /// Builder-style: record child-lifecycle spans (attempt, wait, kill,
-    /// backoff) into `tracer`, on trace track 1. Clones share the
-    /// tracer's buffer, so one trace collects every worker's spans.
-    pub fn with_tracer(mut self, tracer: telemetry::Tracer) -> Supervisor {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Builder-style: the trace track (Chrome `tid`) lifecycle spans are
-    /// recorded on. Concurrent workers cloning one supervisor set
-    /// distinct tracks so their spans do not interleave into fake
-    /// hierarchy.
-    pub fn with_trace_tid(mut self, tid: u64) -> Supervisor {
-        self.trace_tid = tid;
-        self
     }
 
     /// Builder-style: persist crash counts to `dir/quarantine.jsonl` and
     /// seed the registry from events already recorded there, so a second
-    /// batch process sharing the state (cache) directory inherits
-    /// quarantine decisions. Stale entries are harmless by construction:
-    /// they are keyed by content digest, so a recompiled artifact at the
-    /// same path never matches them.
+    /// process sharing the state (cache) directory inherits quarantine
+    /// decisions — for executables at stable paths only, such as a
+    /// batch's raw executables and the fuzzer's faultsim copies. A
+    /// compiled simulator runs from a build directory made fresh for its
+    /// process and build (`accmos-build-<pid>-<n>`), so its identity never
+    /// recurs in another process or another `AccMoS::run`. Stale entries
+    /// are harmless by construction: they are keyed by content digest, so
+    /// a recompiled artifact at the same path never matches them.
     ///
     /// Reads are self-repairing, matching the run ledger's semantics:
     /// torn tails and garbled lines are skipped, exact duplicate lines
@@ -381,16 +377,6 @@ impl Supervisor {
         *self.crashes.lock().expect("crash registry") = map;
         self.state_file = Some(file);
         self
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &ExecPolicy {
-        &self.policy
-    }
-
-    /// Aggregate retry telemetry so far (shared across clones).
-    pub fn retry_stats(&self) -> RetryStats {
-        *self.stats.lock().expect("retry stats")
     }
 
     /// The identity key of `exe`: `<content-digest>|<path>`, with `-` for
@@ -463,8 +449,10 @@ impl Supervisor {
 
     /// Run `exe` under the policy, one child per lane: spawn, wait, kill
     /// on deadline, classify failures, retry retryable ones with backoff.
-    /// The kill deadline bounds all the lanes together, and the lanes'
-    /// reports fold into one ([`SimulationReport::fold_lanes`]).
+    /// The kill deadline bounds all the lanes, their attempts and their
+    /// backoff together, and the lanes' reports fold into one
+    /// ([`SimulationReport::fold_lanes`]). Every attempt made is appended
+    /// to `attempts`, whether the run succeeds or fails.
     ///
     /// # Errors
     ///
@@ -472,7 +460,7 @@ impl Supervisor {
     /// - [`BackendError::Supervised`] carrying the [`FailureKind`] of the
     ///   last attempt once the retry budget is exhausted (or the failure is
     ///   not retryable), or [`FailureKind::Timeout`] when the deadline
-    ///   passed before a lane started;
+    ///   passed before a lane or an attempt started;
     /// - [`BackendError::Protocol`] when the lanes report different
     ///   coverage points;
     /// - [`BackendError::Io`] when the test-vector file cannot be written.
@@ -483,21 +471,23 @@ impl Supervisor {
         steps: u64,
         tests: &TestVectors,
         opts: &crate::RunOptions,
+        attempts: &mut Vec<Attempt>,
     ) -> Result<SupervisedRun, BackendError> {
+        let from = attempts.len();
         let kill = self.policy.kill_timeout;
         let lanes = run_lanes(exe, steps, tests, opts, kill, |steps, tests, opts, left| {
-            self.run_lane(exe, work_dir, steps, tests, opts, left)
+            self.run_lane(exe, work_dir, steps, tests, opts, left, attempts)
         })?;
-        Ok(SupervisedRun {
-            retries: lanes.iter().map(|l| l.retries).sum(),
-            backoff: lanes.iter().map(|l| l.backoff).sum(),
-            peak_rss_kb: lanes.iter().map(|l| l.peak_rss_kb).max().unwrap_or(0),
-            report: fold_lanes(lanes.into_iter().map(|l| l.report).collect())?,
-        })
+        let (retries, _, peak_rss_kb) = Attempt::tally(&attempts[from..]);
+        Ok(SupervisedRun { report: fold_lanes(lanes)?, retries, peak_rss_kb })
     }
 
-    /// One lane of [`Supervisor::run`]: every attempt runs under the kill
-    /// deadline `kill`.
+    /// One lane of [`Supervisor::run`], whose kill deadline is `kill`.
+    /// Each attempt runs under what the lane's earlier attempts and
+    /// backoff left of it; one that finds it spent fails with
+    /// [`FailureKind::Timeout`] without starting, and the backoff never
+    /// sleeps past it.
+    #[allow(clippy::too_many_arguments)]
     fn run_lane(
         &self,
         exe: &Path,
@@ -506,88 +496,67 @@ impl Supervisor {
         tests: &TestVectors,
         opts: &crate::RunOptions,
         kill: Option<Duration>,
-    ) -> Result<SupervisedRun, BackendError> {
+        attempts: &mut Vec<Attempt>,
+    ) -> Result<SimulationReport, BackendError> {
         if self.is_quarantined(exe) {
             return Err(BackendError::Quarantined {
                 exe: exe.to_path_buf(),
                 crashes: self.crash_count(exe),
             });
         }
-        let mut attempt = 0u32;
-        let mut slept = Duration::ZERO;
+        let start = Instant::now();
+        let left = || kill.map(|k| k.saturating_sub(start.elapsed()));
+        let mut n = 0u32;
+        let mut backoff = Duration::ZERO;
         loop {
-            let attempt_start = self.tracer.as_ref().map(|t| t.now_us());
-            let once = self.run_once(exe, work_dir, steps, tests, opts, kill)?;
-            if let (Some(t), Some(start)) = (self.tracer.as_ref(), attempt_start) {
-                let outcome = match &once {
-                    Ok(_) => "ok".to_owned(),
-                    Err((kind, _)) => kind.to_string(),
-                };
-                t.record(telemetry::TraceSpan {
-                    name: format!("attempt {attempt}"),
-                    cat: "supervisor".to_owned(),
-                    start_us: start,
-                    dur_us: t.now_us().saturating_sub(start),
-                    tid: self.trace_tid,
-                    args: vec![
-                        ("exe".to_owned(), exe.display().to_string()),
-                        ("outcome".to_owned(), outcome),
-                    ],
+            let attempt_start = Instant::now();
+            let deadline = left();
+            let (outcome, peak_rss_kb) = if deadline == Some(Duration::ZERO) {
+                let spent = format!(
+                    "the {:?} kill deadline passed before attempt {n} started",
+                    kill.unwrap_or_default()
+                );
+                (Err((FailureKind::Timeout, spent)), 0)
+            } else {
+                self.run_once(exe, work_dir, steps, tests, opts, deadline)?
+            };
+            attempts.push(Attempt {
+                n,
+                backoff,
+                duration: attempt_start.elapsed(),
+                deadline,
+                failure: outcome.as_ref().err().map(|(kind, _)| *kind),
+                peak_rss_kb,
+            });
+            let (kind, detail) = match outcome {
+                Ok(report) => return Ok(report),
+                Err(failure) => failure,
+            };
+            if kind.is_crash() {
+                self.record_crash(exe);
+            }
+            if n >= self.policy.retries || !kind.is_retryable() || self.is_quarantined(exe) {
+                return Err(BackendError::Supervised {
+                    exe: exe.to_path_buf(),
+                    kind,
+                    attempts: n + 1,
+                    detail,
                 });
             }
-            match once {
-                Ok((report, peak_rss_kb)) => {
-                    return Ok(SupervisedRun {
-                        report,
-                        retries: attempt,
-                        backoff: slept,
-                        peak_rss_kb,
-                    })
-                }
-                Err((kind, detail)) => {
-                    if kind.is_crash() {
-                        self.record_crash(exe);
-                    }
-                    let exhausted = attempt >= self.policy.retries;
-                    if exhausted || !kind.is_retryable() || self.is_quarantined(exe) {
-                        return Err(BackendError::Supervised {
-                            exe: exe.to_path_buf(),
-                            kind,
-                            attempts: attempt + 1,
-                            detail,
-                        });
-                    }
-                    attempt += 1;
-                    let backoff = self.policy.backoff_before(exe, attempt);
-                    {
-                        let mut stats = self.stats.lock().expect("retry stats");
-                        stats.retry_kinds[kind.index()] += 1;
-                        stats.backoff_sleep += backoff;
-                    }
-                    slept += backoff;
-                    let backoff_start = self.tracer.as_ref().map(|t| t.now_us());
-                    std::thread::sleep(backoff);
-                    if let (Some(t), Some(start)) = (self.tracer.as_ref(), backoff_start) {
-                        t.record(telemetry::TraceSpan {
-                            name: format!("backoff {attempt}"),
-                            cat: "supervisor".to_owned(),
-                            start_us: start,
-                            dur_us: t.now_us().saturating_sub(start),
-                            tid: self.trace_tid,
-                            args: vec![("after".to_owned(), kind.to_string())],
-                        });
-                    }
-                }
+            n += 1;
+            backoff = self.policy.backoff_before(exe, n);
+            if let Some(left) = left() {
+                backoff = backoff.min(left);
             }
+            std::thread::sleep(backoff);
         }
     }
 
     /// One attempt: spawn, arm the kill deadline `kill` on the
-    /// [`Watchdog`], block until the child exits, disarm, reap. The outer
-    /// `Result` is for unrecoverable setup errors (the test-vector file
-    /// cannot be written); the inner one classifies the attempt itself.
-    /// The inner `Ok` carries the child's peak RSS in KiB alongside the
-    /// parsed report.
+    /// [`Watchdog`], block until the child exits, disarm, reap, classify.
+    /// The outer `Result` is for unrecoverable setup errors (the
+    /// test-vector file cannot be written); the inner one is the
+    /// attempt's outcome, paired with the child's peak RSS in KiB.
     #[allow(clippy::type_complexity)]
     fn run_once(
         &self,
@@ -597,24 +566,19 @@ impl Supervisor {
         tests: &TestVectors,
         opts: &crate::RunOptions,
         kill: Option<Duration>,
-    ) -> Result<Result<(SimulationReport, u64), (FailureKind, String)>, BackendError> {
+    ) -> Result<(Result<SimulationReport, (FailureKind, String)>, u64), BackendError> {
         let (mut cmd, tc_guard) = prepare_command(exe, work_dir, steps, tests, opts)?;
         cmd.stdin(Stdio::null()).stdout(Stdio::piped()).stderr(Stdio::piped());
         let mut child = match spawn(&mut cmd) {
             Ok(c) => c,
             Err(e) => {
-                return Ok(Err((
-                    FailureKind::TransientIo,
-                    format!("spawn failed: {e}"),
-                )))
+                return Ok((Err((FailureKind::TransientIo, format!("spawn failed: {e}"))), 0))
             }
         };
-        let cap = self.policy.max_output_bytes;
-        let out_reader = bounded_reader(child.stdout.take(), cap);
-        let err_reader = bounded_reader(child.stderr.take(), cap.min(64 * 1024));
+        let out_reader = bounded_reader(child.stdout.take(), MAX_OUTPUT_BYTES);
+        let err_reader = bounded_reader(child.stderr.take(), 64 * 1024);
 
         let pid = child.id();
-        let wait_start = self.tracer.as_ref().map(|t| t.now_us());
         let alarm = kill.map(|t| Watchdog::global().arm(Instant::now() + t, Alarm::Kill(pid)));
         // The child stays unreaped until the alarm is disarmed, so the
         // watchdog can never signal a recycled pid.
@@ -628,31 +592,12 @@ impl Supervisor {
             Ok(reaped) => reaped,
             Err(e) => {
                 drop(tc_guard);
-                return Ok(Err((
-                    FailureKind::TransientIo,
-                    format!("wait failed: {e}"),
-                )));
+                return Ok((Err((FailureKind::TransientIo, format!("wait failed: {e}"))), 0));
             }
         };
         // A child that exited on its own just as the deadline passed was
         // not killed by the alarm: classify it by its real status.
         let timed_out = fired && status.signal() == Some(SIGKILL);
-        if let (Some(t), Some(start)) = (self.tracer.as_ref(), wait_start) {
-            if timed_out {
-                // The kill happened on the watchdog thread at the
-                // deadline; the span runs from there to the reap.
-                let at = start + telemetry::micros(kill.unwrap_or_default());
-                t.span("supervisor", "kill", at, t.now_us().saturating_sub(at), self.trace_tid);
-            }
-            t.record(telemetry::TraceSpan {
-                name: "wait".to_owned(),
-                cat: "supervisor".to_owned(),
-                start_us: start,
-                dur_us: t.now_us().saturating_sub(start),
-                tid: self.trace_tid,
-                args: vec![("peak_rss_kb".to_owned(), peak_rss.to_string())],
-            });
-        }
         // The child is reaped, so its ends of the pipes are closed and the
         // readers normally see EOF immediately. But a simulator that
         // forked (a shell wrapper, a daemonizing bug) can leave an orphan
@@ -671,51 +616,48 @@ impl Supervisor {
             err_reader.map(|h| join_reader(h, grace)).unwrap_or_default();
         drop(tc_guard);
 
-        if timed_out {
+        let outcome = if timed_out {
             let t = kill.unwrap_or_default();
-            return Ok(Err((
+            Err((
                 FailureKind::Timeout,
                 format!(
                     "killed after exceeding the {t:?} supervisor deadline; stdout tail: {}",
                     tail_str(&stdout, 512)
                 ),
-            )));
-        }
-        if !status.success() {
+            ))
+        } else if !status.success() {
             let kind = match status.signal() {
                 Some(signal) => FailureKind::Crashed { signal },
                 None => FailureKind::NonZeroExit { code: status.code().unwrap_or(-1) },
             };
-            return Ok(Err((
+            Err((
                 kind,
                 format!(
                     "{kind}; stderr tail: {}; stdout tail: {}",
                     tail_str(&stderr, 1024),
                     tail_str(&stdout, 1024)
                 ),
-            )));
-        }
-        if out_stalled {
-            return Ok(Err((
+            ))
+        } else if out_stalled {
+            Err((
                 FailureKind::ProtocolCorrupt,
                 "stdout pipe still open after the process exited (orphaned \
                  child process holding it?); output abandoned"
                     .into(),
-            )));
-        }
-        if out_truncated {
-            return Ok(Err((
+            ))
+        } else if out_truncated {
+            Err((
                 FailureKind::ProtocolCorrupt,
                 format!(
-                    "stdout exceeded the {cap}-byte output cap; tail: {}",
+                    "stdout exceeded the {MAX_OUTPUT_BYTES}-byte output cap; tail: {}",
                     tail_str(&stdout, 512)
                 ),
-            )));
-        }
-        match parse_report(&String::from_utf8_lossy(&stdout)) {
-            Ok(report) => Ok(Ok((report, peak_rss))),
-            Err(e) => Ok(Err((FailureKind::ProtocolCorrupt, e.to_string()))),
-        }
+            ))
+        } else {
+            parse_report(&String::from_utf8_lossy(&stdout))
+                .map_err(|e| (FailureKind::ProtocolCorrupt, e.to_string()))
+        };
+        Ok((outcome, peak_rss))
     }
 }
 
@@ -887,41 +829,30 @@ mod tests {
         assert_eq!(a, b, "same (seed, exe, retry) must sleep identically");
         let later = policy.backoff_before(exe, 3);
         assert!(later > a, "backoff grows with the retry index");
-        assert!(later <= policy.max_backoff, "jitter stays inside the cap");
-        let other = ExecPolicy { jitter_seed: 1, ..ExecPolicy::default() };
-        assert_ne!(a, other.backoff_before(exe, 1), "seed changes the jitter");
+        assert!(later <= MAX_BACKOFF, "jitter stays inside the cap");
     }
 
     #[test]
     fn backoff_never_exceeds_max_backoff_at_the_boundary() {
         // Regression: with the exponential term already at the cap, the
         // 25% jitter used to be added on top, so the real sleep could
-        // reach 1.25× max_backoff. The final duration must be clamped.
-        let policy = ExecPolicy {
-            backoff: Duration::from_secs(1),
-            max_backoff: Duration::from_secs(1),
-            ..ExecPolicy::default()
-        };
+        // reach 1.25× the cap. The final duration must be clamped.
+        let policy = ExecPolicy { backoff: Duration::from_secs(1), ..ExecPolicy::default() };
         for retry in 1..=10 {
             for exe in ["/tmp/a", "/tmp/b", "/tmp/c", "/tmp/sim-long-name"] {
                 let d = policy.backoff_before(Path::new(exe), retry);
                 assert!(
-                    d <= policy.max_backoff,
-                    "retry {retry} of {exe}: {d:?} exceeds the {:?} cap",
-                    policy.max_backoff
+                    d <= MAX_BACKOFF,
+                    "retry {retry} of {exe}: {d:?} exceeds the {MAX_BACKOFF:?} cap"
                 );
             }
         }
         // At the boundary the clamp pins the sleep to exactly the cap
         // (the exponential term alone already reaches it).
-        assert_eq!(policy.backoff_before(Path::new("/tmp/a"), 4), policy.max_backoff);
+        assert_eq!(policy.backoff_before(Path::new("/tmp/a"), 4), MAX_BACKOFF);
         // Below the cap, jitter still spreads sleeps between distinct
         // executables.
-        let roomy = ExecPolicy {
-            backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_secs(60),
-            ..ExecPolicy::default()
-        };
+        let roomy = ExecPolicy { backoff: Duration::from_millis(10), ..ExecPolicy::default() };
         let a = roomy.backoff_before(Path::new("/tmp/a"), 2);
         let b = roomy.backoff_before(Path::new("/tmp/b"), 2);
         assert_ne!(a, b, "jitter survives the clamp when there is headroom");
@@ -1127,23 +1058,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_stats_shared_across_clones() {
-        let sup = Supervisor::new(ExecPolicy::default());
-        assert_eq!(sup.retry_stats(), RetryStats::default());
-        let kind = FailureKind::Crashed { signal: 11 };
-        {
-            let mut stats = sup.stats.lock().unwrap();
-            stats.retry_kinds[kind.index()] += 1;
-            stats.backoff_sleep += Duration::from_millis(40);
-        }
-        let seen = sup.clone().retry_stats();
-        assert_eq!(seen.retry_kinds[FailureKind::Crashed { signal: 11 }.index()], 1);
-        assert_eq!(seen.total_retries(), 1);
-        assert_eq!(seen.backoff_sleep, Duration::from_millis(40));
-        assert_eq!(FailureKind::label(kind.index()), "crash");
-    }
-
-    #[test]
     fn failure_kind_ordinals_are_dense_and_labeled() {
         let kinds = [
             FailureKind::Timeout,
@@ -1159,6 +1073,7 @@ mod tests {
             assert!(!FailureKind::label(k.index()).is_empty());
         }
         assert!(seen.iter().all(|s| *s), "every ordinal covered");
+        assert_eq!(FailureKind::label(FailureKind::Crashed { signal: 11 }.index()), "crash");
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl PhaseMicros {
         ];
         *slot[i] = us;
     }
-
-    /// Sum of all phase spans (saturating).
-    pub fn total_us(&self) -> u64 {
-        (0..Self::NAMES.len()).fold(0u64, |acc, i| acc.saturating_add(self.get(i)))
-    }
 }
 
 /// A [`Duration`] as saturating `u64` microseconds — the only conversion
@@ -146,10 +141,10 @@ pub struct RunRecord {
     pub compile_cached: bool,
     /// Retries the supervised run needed (0 = first attempt succeeded).
     pub retries: u64,
-    /// Lane width of the run (1 = classic scalar simulator; N > 1 = the
-    /// structure-of-arrays multi-vector simulator running N test vectors
-    /// in one process). Trends group by lane width so lane and
-    /// scalar configurations never share a baseline.
+    /// Lane width of the run: 1 for a scalar run, N for a lane run of N
+    /// test vectors (N runs of the one simulator, their reports folded).
+    /// Trends group by lane width so lane and scalar configurations never
+    /// share a baseline.
     pub lanes: u64,
     /// Optimization level of the compiled artifact that served the run
     /// (`O1`, `O3`, ...; [`crate::OptLevel::label`]). Empty = no compiled
@@ -166,10 +161,10 @@ pub struct RunRecord {
     /// the encoded record when 0.
     pub peak_rss_kb: u64,
     /// Per-actor profile aggregates of a profiled build, encoded as one
-    /// flat string (`name=ns:calls` entries joined by commas — the
+    /// flat string (`name=ns:calls:timed` entries joined by commas — the
     /// ledger's JSON is flat by design, so no arrays). Empty = the run
     /// was not profiled; omitted from the encoded record. See
-    /// [`encode_profile`] / [`decode_profile`].
+    /// [`encode_profile`].
     pub prof: String,
     /// Per-phase wall-clock spans.
     pub phases: PhaseMicros,
@@ -710,10 +705,9 @@ pub fn check_regressions(trends: &[ModelTrend], max_regress_pct: f64) -> Vec<Str
 /// One completed span of the hierarchical trace: a named wall-clock
 /// interval on a logical track, with a category and optional string
 /// arguments. Spans are recorded flat (post-hoc, from already-measured
-/// durations — recording never sits on the timed path); hierarchy is
-/// recovered by interval containment within a track ([`Tracer::tree`])
-/// and by the Chrome trace-event viewer, which nests `ph:"X"` events the
-/// same way.
+/// durations — recording never sits on the timed path); the Chrome
+/// trace-event viewer recovers the hierarchy by interval containment
+/// within a track.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpan {
     /// Span name (e.g. `compile`, `attempt 0`, `M_Add`).
@@ -724,28 +718,18 @@ pub struct TraceSpan {
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
-    /// Logical track (Chrome `tid`). Concurrent batch workers use
-    /// distinct tracks so their spans do not interleave into fake
-    /// hierarchy.
+    /// Logical track (Chrome `tid`). Concurrent jobs use distinct tracks
+    /// so their spans do not interleave into fake hierarchy.
     pub tid: u64,
     /// Extra `key=value` context rendered into the event's `args`.
     pub args: Vec<(String, String)>,
 }
 
-/// A span with its containment children (see [`Tracer::tree`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceNode {
-    /// The span itself.
-    pub span: TraceSpan,
-    /// Spans on the same track strictly contained in this one.
-    pub children: Vec<TraceNode>,
-}
-
 /// Shared collector for [`TraceSpan`]s with one wall-clock epoch.
 ///
 /// Cloning shares the buffer (`Arc<Mutex<..>>`), so one tracer can be
-/// threaded through the pipeline, the supervisor and batch workers and
-/// drained once at the end into a Chrome trace-event JSON file
+/// threaded through the pipeline and batch or serve workers and drained
+/// once at the end into a Chrome trace-event JSON file
 /// (`--trace-out`, loadable in Perfetto / `chrome://tracing`).
 #[derive(Debug, Clone)]
 pub struct Tracer {
@@ -831,28 +815,6 @@ impl Tracer {
         self.inner.lock().expect("tracer lock").spans.clone()
     }
 
-    /// The recorded spans as a forest, hierarchy recovered by interval
-    /// containment within each track: a span is the child of the
-    /// innermost same-track span that contains it. Ties (identical
-    /// intervals) nest by recording order.
-    pub fn tree(&self) -> Vec<TraceNode> {
-        let mut spans = self.spans();
-        // Sort outermost-first within each track: by track, then start
-        // ascending, then duration descending (a containing span starts
-        // no later and lasts no shorter than its children).
-        spans.sort_by(|a, b| {
-            a.tid
-                .cmp(&b.tid)
-                .then(a.start_us.cmp(&b.start_us))
-                .then(b.dur_us.cmp(&a.dur_us))
-        });
-        let mut roots: Vec<TraceNode> = Vec::new();
-        for span in spans {
-            insert_node(&mut roots, TraceNode { span, children: Vec::new() });
-        }
-        roots
-    }
-
     /// Encode every recorded span as Chrome trace-event JSON (the
     /// `traceEvents` array format, complete `ph:"X"` duration events,
     /// timestamps in microseconds) — loadable in Perfetto and
@@ -903,30 +865,12 @@ impl Tracer {
     }
 }
 
-/// Insert `node` into the forest: descend into the last sibling while it
-/// contains the node (spans arrive outermost-first, so the containing
-/// candidate is always the most recent one at each level).
-fn insert_node(siblings: &mut Vec<TraceNode>, node: TraceNode) {
-    if let Some(last) = siblings.last_mut() {
-        let l = &last.span;
-        let n = &node.span;
-        if l.tid == n.tid
-            && l.start_us <= n.start_us
-            && n.start_us + n.dur_us <= l.start_us + l.dur_us
-        {
-            insert_node(&mut last.children, node);
-            return;
-        }
-    }
-    siblings.push(node);
-}
-
 // ---------------------------------------------------------------------------
 // Profile aggregates in the ledger
 // ---------------------------------------------------------------------------
 
 /// Encode per-site profile aggregates as the ledger's flat `prof` string
-/// field: `name=ns:calls` entries joined by commas. Site names are
+/// field: `name=ns:calls:timed` entries joined by commas. Site names are
 /// sanitized actor path keys, which contain neither `=` nor `,`, so the
 /// encoding is unambiguous.
 pub fn encode_profile(profile: &[accmos_ir::ActorProfile]) -> String {
@@ -935,29 +879,6 @@ pub fn encode_profile(profile: &[accmos_ir::ActorProfile]) -> String {
         .map(|p| format!("{}={}:{}:{}", p.actor, p.ns, p.calls, p.timed))
         .collect::<Vec<_>>()
         .join(",")
-}
-
-/// Decode a [`RunRecord::prof`] string back into per-site aggregates.
-/// Malformed entries are skipped (the skip-don't-error posture of every
-/// ledger reader).
-pub fn decode_profile(s: &str) -> Vec<accmos_ir::ActorProfile> {
-    s.split(',')
-        .filter_map(|entry| {
-            let (actor, counters) = entry.split_once('=')?;
-            let mut parts = counters.split(':');
-            let ns = parts.next()?.parse().ok()?;
-            let calls = parts.next()?.parse().ok()?;
-            // Records from before sampled timing carry no third counter;
-            // every call was timed then.
-            let timed = match parts.next() {
-                Some(t) => t.parse().ok()?,
-                None => calls,
-            };
-            (!actor.is_empty() && parts.next().is_none()).then_some(
-                accmos_ir::ActorProfile { actor: actor.to_owned(), ns, calls, timed },
-            )
-        })
-        .collect()
 }
 
 /// Median of a non-empty slice (0 for empty); even-length medians average
@@ -1309,36 +1230,13 @@ mod tests {
     }
 
     #[test]
-    fn profile_string_round_trips_and_skips_garbage() {
+    fn profile_string_joins_sites_as_name_ns_calls_timed() {
         let profile = vec![
             accmos_ir::ActorProfile { actor: "M_Add".into(), ns: 500, calls: 100, timed: 2 },
             accmos_ir::ActorProfile { actor: "M_Gain".into(), ns: 90, calls: 100, timed: 2 },
-            accmos_ir::ActorProfile { actor: "M_Out".into(), ns: 0, calls: 0, timed: 0 },
         ];
-        let s = encode_profile(&profile);
-        assert_eq!(decode_profile(&s), profile);
-        assert!(decode_profile("").is_empty());
-        assert_eq!(decode_profile("junk,M_A=1:2,=3:4,M_B=x:1,M_C=1:2:3:4").len(), 1);
-        // Two-counter entries predate sampled timing: every call was timed.
-        assert_eq!(decode_profile("M_A=1:2")[0].timed, 2);
-    }
-
-    #[test]
-    fn tracer_records_spans_and_builds_containment_tree() {
-        let tracer = Tracer::new();
-        tracer.span("pipeline", "run", 0, 1_000, 0);
-        tracer.span("supervisor", "attempt 0", 100, 500, 0);
-        tracer.span("supervisor", "wait", 150, 100, 0);
-        tracer.span("pipeline", "other-track", 0, 2_000, 1);
-        let tree = tracer.tree();
-        // Track 0: run ⊃ attempt 0 ⊃ wait; track 1: a separate root.
-        assert_eq!(tree.len(), 2);
-        let run = tree.iter().find(|n| n.span.name == "run").unwrap();
-        assert_eq!(run.children.len(), 1);
-        assert_eq!(run.children[0].span.name, "attempt 0");
-        assert_eq!(run.children[0].children[0].span.name, "wait");
-        let other = tree.iter().find(|n| n.span.name == "other-track").unwrap();
-        assert!(other.children.is_empty(), "containment never crosses tracks");
+        assert_eq!(encode_profile(&profile), "M_Add=500:100:2,M_Gain=90:100:2");
+        assert_eq!(encode_profile(&[]), "");
     }
 
     #[test]
@@ -1395,6 +1293,5 @@ mod tests {
             assert_eq!(p.get(i), (i as u64 + 1) * 10);
             assert!(!PhaseMicros::NAMES[i].is_empty());
         }
-        assert_eq!(p.total_us(), (1..=7).map(|i| i * 10).sum::<u64>());
     }
 }

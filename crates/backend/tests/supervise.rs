@@ -58,7 +58,7 @@ echo 'ACCMOS:DIGEST 00000000deadbeef'
 echo 'ACCMOS:END'";
 
 fn run(sup: &Supervisor, s: &Scripted) -> Result<accmos_backend::SupervisedRun, BackendError> {
-    sup.run(&s.exe, &s.dir, 5, &TestVectors::new(), &RunOptions::default())
+    sup.run(&s.exe, &s.dir, 5, &TestVectors::new(), &RunOptions::default(), &mut Vec::new())
 }
 
 fn kind_of(err: &BackendError) -> FailureKind {
@@ -185,6 +185,35 @@ fn nonzero_exit_is_retried_with_exit_code_and_stderr() {
 }
 
 #[test]
+fn retries_share_the_kill_deadline() {
+    // Each attempt crashes after 0.4 s, so three would take 1.2 s: the
+    // 1 s deadline bounds them together, and the third is killed when it
+    // runs out. (Each retry used to get the whole deadline again, and the
+    // lane ended `Crashed` after about 1.2 s.) The sleep's own output goes
+    // elsewhere, so a killed shell leaves no orphan holding the pipes.
+    let s = Scripted::new("late-crash", "sleep 0.4 > /dev/null 2>&1\nkill -SEGV $$");
+    let deadline = Duration::from_secs(1);
+    let policy = ExecPolicy::default()
+        .with_kill_timeout(deadline)
+        .with_retries(2)
+        .with_quarantine_after(4);
+    let sup = Supervisor::new(policy);
+    let mut attempts = Vec::new();
+    let start = Instant::now();
+    let err = sup
+        .run(&s.exe, &s.dir, 5, &TestVectors::new(), &RunOptions::default(), &mut attempts)
+        .unwrap_err();
+    let elapsed = start.elapsed();
+    assert_eq!(kind_of(&err), FailureKind::Timeout, "{err}");
+    assert!(elapsed < deadline + Duration::from_millis(300), "held for {elapsed:?}");
+    // Every attempt was reported, and together they fit the deadline.
+    let failures: Vec<_> = attempts.iter().map(|a| a.failure).collect();
+    assert_eq!(failures.last(), Some(&Some(FailureKind::Timeout)), "{failures:?}");
+    let spent: Duration = attempts.iter().map(|a| a.backoff + a.duration).sum();
+    assert!(spent <= elapsed, "{attempts:?}");
+}
+
+#[test]
 fn garbled_protocol_is_not_retried() {
     let s = Scripted::new("garbled", "echo 'ACCMOS:BOGUS 1 2 3'\necho 'ACCMOS:END'");
     let sup = Supervisor::new(fast_policy());
@@ -229,8 +258,9 @@ fn missing_executable_is_transient_io() {
     let dir = std::env::temp_dir().join(format!("accmos-supervise-{}-gone", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let sup = Supervisor::new(fast_policy().with_retries(1));
+    let no_sim = dir.join("no-such-sim");
     let err = sup
-        .run(&dir.join("no-such-sim"), &dir, 5, &TestVectors::new(), &RunOptions::default())
+        .run(&no_sim, &dir, 5, &TestVectors::new(), &RunOptions::default(), &mut Vec::new())
         .unwrap_err();
     assert_eq!(kind_of(&err), FailureKind::TransientIo);
     let _ = std::fs::remove_dir_all(&dir);
@@ -243,7 +273,8 @@ fn scratch_test_vector_files_are_cleaned_up_even_on_kill() {
     let sup = Supervisor::new(fast_policy().with_retries(0));
     let mut tests = TestVectors::new();
     tests.push_column("In", DataType::I32, vec![Scalar::I32(1)]);
-    let err = sup.run(&s.exe, &s.dir, 5, &tests, &RunOptions::default()).unwrap_err();
+    let err =
+        sup.run(&s.exe, &s.dir, 5, &tests, &RunOptions::default(), &mut Vec::new()).unwrap_err();
     assert_eq!(kind_of(&err), FailureKind::Timeout);
     let leftovers = leftover_csvs(&s.dir);
     assert!(leftovers.is_empty(), "tests-*.csv left behind: {leftovers:?}");

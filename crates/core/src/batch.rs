@@ -117,8 +117,8 @@ pub struct JobResult {
     /// Supervised-run retries of the rung the job ended on (successful or
     /// not; 0 after falling back to the interpreter).
     pub retries: u32,
-    /// Backoff sleep those retries consumed (exact per-job attribution;
-    /// the summary's `backoff_sleep` is the aggregate).
+    /// Backoff sleep those retries consumed (0 after falling back to the
+    /// interpreter; the summary's `backoff_sleep` counts every rung).
     pub backoff: Duration,
     /// Why this job degraded to the interpretive engine (`None` = it ran
     /// the compiled simulator). Degradation is never silent.
@@ -165,10 +165,12 @@ pub struct BatchSummary {
     pub failures: usize,
     /// Total supervised-run retries across all jobs.
     pub retries: u64,
-    /// Supervised-run retries broken down by
-    /// [`accmos_backend::FailureKind::index`] ordinal.
+    /// Supervised-run retries of every job on every rung, broken down by
+    /// the [`accmos_backend::FailureKind::index`] ordinal of the failure
+    /// each retried.
     pub retry_kinds: [u64; accmos_backend::FailureKind::COUNT],
-    /// Total wall-clock time the supervisor slept in retry backoff.
+    /// Total wall-clock time the supervisor slept in retry backoff, over
+    /// every job on every rung.
     pub backoff_sleep: Duration,
     /// Jobs that fell back to the interpretive engine.
     pub degraded: usize,
@@ -326,36 +328,18 @@ impl BatchRunner {
         let run_work: Vec<(usize, &BatchJob)> = jobs.iter().enumerate().collect();
         let slots: Vec<Mutex<Option<Exec>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         run_on_pool(self.workers, &run_work, |(idx, job)| {
-            // Each job gets its own trace track (Chrome tid) so concurrent
-            // workers' lifecycle spans never interleave into fake
-            // hierarchy. Track 1 stays reserved for single-run pipelines.
-            let tracer = self.pipeline.tracer();
-            let tid = *idx as u64 + 2;
-            let supervisor = match tracer {
-                Some(_) => supervisor.clone().with_trace_tid(tid),
-                None => supervisor.clone(),
-            };
-            let job_start = tracer.map(|t| t.now_us());
+            let traced = self.pipeline.tracer().map(|t| (t, t.now_us()));
             // A job whose planning failed has nothing to run.
             let exec = keys[*idx].as_ref().ok().map(|key| {
-                let executor = Executor {
-                    pipeline: &self.pipeline,
-                    supervisor: Some(&supervisor),
-                    traced_from: None,
-                };
+                let executor = Executor { pipeline: &self.pipeline, supervisor: Some(&supervisor) };
                 let run = Job { steps: job.steps, tests: &job.tests, opts: &job.opts };
                 executor.run(groups[key].subject(), Entry::Subprocess, &run)
             });
-            // One job-level span per track, with the profile leaves of a
-            // profiled build laid under it — the supervisor's attempt/wait
-            // spans land inside by containment.
-            if let (Some(tracer), Some(start)) = (tracer, job_start) {
-                tracer.span("pipeline", &job.label, start, tracer.now_us() - start, tid);
-                if let Some(Ok(report)) = exec.as_ref().map(|e| &e.report) {
-                    if !report.profile.is_empty() {
-                        tracer.record_profile(start, tid, &report.profile);
-                    }
-                }
+            // Each job gets its own trace track (Chrome tid) so concurrent
+            // workers' spans never interleave into fake hierarchy. Track 1
+            // stays reserved for single-run pipelines.
+            if let (Some((tracer, start_us)), Some(exec)) = (traced, &exec) {
+                exec.trail.trace(tracer, *idx as u64 + 2, &job.label, start_us, exec.profile());
             }
             *slots[*idx].lock().unwrap_or_else(PoisonError::into_inner) = exec;
         });
@@ -379,14 +363,21 @@ impl BatchRunner {
                 )),
             };
             records.push(exec.record("batch", &job.label, job.steps, job.opts.lanes() as u64));
+            let attempts = &exec.trail.attempts;
+            let retried = attempts.windows(2).filter(|w| w[1].n > 0).filter_map(|w| w[0].failure);
+            for kind in retried {
+                summary.retry_kinds[kind.index()] += 1;
+            }
+            summary.backoff_sleep += attempts.iter().map(|a| a.backoff).sum::<Duration>();
+            let (retries, backoff, peak_rss_kb) = exec.trail.last_rung();
             let result = JobResult {
                 label: job.label.clone(),
                 fallback_reason: exec.fallback_reason(),
                 report: exec.report,
                 run_time: exec.trail.run_time,
-                retries: exec.trail.retries,
-                backoff: exec.trail.backoff,
-                peak_rss_kb: exec.trail.peak_rss_kb,
+                retries,
+                backoff,
+                peak_rss_kb,
             };
             summary.run_time += result.run_time;
             summary.retries += u64::from(result.retries);
@@ -396,9 +387,6 @@ impl BatchRunner {
             results.push(result);
         }
         summary.quarantined = supervisor.quarantined().len();
-        let retry_stats = supervisor.retry_stats();
-        summary.retry_kinds = retry_stats.retry_kinds;
-        summary.backoff_sleep = retry_stats.backoff_sleep;
         summary.total_wall = wall_start.elapsed();
 
         // Ledger: one schema-versioned record per job, appended after the
@@ -836,6 +824,46 @@ mod tests {
         let view = pipeline.ledger().unwrap().read();
         assert_eq!(view.records.len(), 1);
         assert_eq!(view.records[0].phases.backoff_us, slept.as_micros() as u64);
+        sim.clean();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn summary_counts_the_retries_of_a_job_that_degraded() {
+        use std::os::unix::fs::PermissionsExt;
+        let root =
+            std::env::temp_dir().join(format!("accmos-batch-degraded-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let policy = crate::ExecPolicy::default()
+            .with_retries(1)
+            .with_quarantine_after(2)
+            .with_kill_timeout(Duration::from_millis(500));
+        let pipeline =
+            AccMoS::new().with_cache(crate::BuildCache::at(&root)).with_exec_policy(policy.clone());
+        let sim = Arc::new(pipeline.prepare(&gain_model("Degraded", 3)).unwrap());
+        // Every invocation dies on SIGSEGV: the retry's crash reaches the
+        // quarantine threshold, so the job degrades to the interpreter.
+        let exe = sim.simulator().exe().to_path_buf();
+        std::fs::write(&exe, "#!/bin/sh\nkill -SEGV $$\n").unwrap();
+        std::fs::set_permissions(&exe, std::fs::Permissions::from_mode(0o755)).unwrap();
+
+        let report = BatchRunner::new(pipeline.clone())
+            .run(vec![BatchJob::prepared("degraded", Arc::clone(&sim), tests_for(1), 5)])
+            .unwrap();
+        let job = &report.jobs[0];
+        assert!(job.degraded(), "{:?}", job.report);
+        assert_eq!((job.retries, job.backoff), (0, Duration::ZERO), "the interpreter's");
+        // The summary counts the subprocess rung's retry all the same.
+        let s = &report.summary;
+        let slept = policy.backoff_before(&exe, 1);
+        let mut kinds = [0; crate::FailureKind::COUNT];
+        kinds[crate::FailureKind::Crashed { signal: 11 }.index()] = 1;
+        assert_eq!((s.retry_kinds, s.backoff_sleep), (kinds, slept));
+        let view = pipeline.ledger().unwrap().read();
+        let record = &view.records[0];
+        assert_eq!(record.retries, 0, "retries are the last rung's");
+        assert_eq!(record.phases.backoff_us, slept.as_micros() as u64, "backoff sums rungs");
         sim.clean();
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -5,7 +5,9 @@
 //! timeout, a crash below the quarantine threshold, corrupt protocol
 //! output, an I/O error, any failure of a raw executable) ends it. The
 //! kill deadline bounds every rung, the interpreter's included.
-//! [`Exec::record`] is the one place a run-ledger record is built.
+//! A job's [`Trail`] is its one account: [`Exec::record`] is the one place
+//! a run-ledger record is built from it, and [`Trail::trace`] the one
+//! place its trace spans are.
 //!
 //! A job that builds its own executable ([`Subject::Plan`]) builds for a
 //! step budget of its steps × lanes ([`AccMoS::budgeted`]). Every rung
@@ -16,9 +18,10 @@ use crate::telemetry::{self, outcome};
 use crate::{
     AccMoS, AccMoSError, BackendError, CompiledDylib, CompiledSimulator, DylibRunner, Engine,
     FailureKind, GeneratedProgram, NormalEngine, OptLevel, PhaseMicros, PreprocessedModel,
-    RunOptions, RunRecord, SimOptions, SupervisedRun, Supervisor,
+    RunOptions, RunRecord, SimOptions, Supervisor, TraceSpan, Tracer,
 };
-use accmos_ir::{Model, SimulationReport, TestVectors};
+use accmos_backend::Attempt;
+use accmos_ir::{ActorProfile, Model, SimulationReport, TestVectors};
 use std::borrow::Cow;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -38,7 +41,7 @@ pub(crate) struct Plan {
 
 impl Plan {
     /// The plan's phase spans in ledger form (compile and run unset).
-    fn phases(&self) -> PhaseMicros {
+    pub(crate) fn phases(&self) -> PhaseMicros {
         let analyze = self.program.analyze_time;
         PhaseMicros {
             parse_us: telemetry::micros(self.parse_time),
@@ -138,23 +141,109 @@ pub(crate) enum Stop {
     Failed(BackendError),
 }
 
-/// The path one job took down the ladder and what it cost. Retries,
-/// backoff and child peak RSS are the last rung's (zero on the
-/// interpreter); run time and phase spans add up over every rung.
+/// The path one job took down the ladder and what it cost: every attempt
+/// the supervisor made, the run time summed over every rung and the
+/// spans of planning and building. Retries, backoff and child peak RSS
+/// are derived from the attempts of the last rung (none when the job
+/// ended on the interpreter); the ledger phases ([`Trail::phases`]) and
+/// the trace spans ([`Trail::trace`]) are derived from the same account.
 #[derive(Debug, Default)]
 pub(crate) struct Trail {
     /// Why the job left each rung it left, in rung order.
     pub(crate) causes: Vec<Fallback>,
-    pub(crate) retries: u32,
-    pub(crate) backoff: Duration,
-    pub(crate) peak_rss_kb: u64,
+    /// Every attempt the supervisor made for the job, in order.
+    pub(crate) attempts: Vec<Attempt>,
+    /// Whether the job ended on the interpreter.
+    pub(crate) interpreted: bool,
     /// Whether the last artifact built came out of the build cache.
     pub(crate) compile_cached: bool,
     /// The level of the artifact that ran the job (`None` on the
     /// interpreter).
     pub(crate) opt: Option<OptLevel>,
     pub(crate) run_time: Duration,
-    pub(crate) phases: PhaseMicros,
+    /// The spans of planning and building, parse through compile.
+    pub(crate) prepare: PhaseMicros,
+}
+
+impl Trail {
+    /// The [`Attempt::tally`] of the rung the job ended on: its retries,
+    /// their backoff and its peak RSS (all zero on the interpreter).
+    pub(crate) fn last_rung(&self) -> (u32, Duration, u64) {
+        Attempt::tally(if self.interpreted { &[] } else { &self.attempts })
+    }
+
+    /// The job's phase spans in ledger form: planning and building, the
+    /// run time summed over every rung, and the backoff every attempt
+    /// slept.
+    pub(crate) fn phases(&self) -> PhaseMicros {
+        PhaseMicros {
+            run_us: telemetry::micros(self.run_time),
+            backoff_us: telemetry::micros(self.attempts.iter().map(|a| a.backoff).sum()),
+            ..self.prepare
+        }
+    }
+
+    /// Render the finished job's spans on track `tid`, laid end to end
+    /// from `start_us` and sized by [`Trail::phases`], so each span lasts
+    /// exactly what the job's ledger record says: the job span `name`
+    /// over `prepare` (one child per phase, parse through compile) and
+    /// `run`. Inside `run`, each attempt's `backoff n` and `attempt n`
+    /// (with its outcome and peak RSS, ending in `kill` when the deadline
+    /// killed it) follow in the order the supervisor made them, and the
+    /// `profile` lays its `actor` leaves ([`Tracer::record_profile`]).
+    pub(crate) fn trace(
+        &self,
+        tracer: &Tracer,
+        tid: u64,
+        name: &str,
+        start_us: u64,
+        profile: &[ActorProfile],
+    ) {
+        let phases = self.phases();
+        let names = &PhaseMicros::NAMES[..5];
+        let prepare: u64 = (0..names.len()).map(|i| phases.get(i)).sum();
+        let run_at = start_us + prepare;
+        tracer.span("pipeline", name, start_us, prepare + phases.run_us, tid);
+        if prepare > 0 {
+            tracer.span("pipeline", "prepare", start_us, prepare, tid);
+            let mut at = start_us;
+            for (i, phase) in names.iter().enumerate().filter(|&(i, _)| phases.get(i) > 0) {
+                tracer.span("pipeline", phase, at, phases.get(i), tid);
+                at += phases.get(i);
+            }
+        }
+        if phases.run_us > 0 {
+            tracer.span("pipeline", "run", run_at, phases.run_us, tid);
+        }
+        let mut at = run_at;
+        for a in &self.attempts {
+            let backoff = telemetry::micros(a.backoff);
+            if a.n > 0 {
+                tracer.span("supervisor", &format!("backoff {}", a.n), at, backoff, tid);
+            }
+            at += backoff;
+            let dur = telemetry::micros(a.duration);
+            let outcome = a.failure.map_or_else(|| "ok".to_owned(), |kind| kind.to_string());
+            tracer.record(TraceSpan {
+                name: format!("attempt {}", a.n),
+                cat: "supervisor".to_owned(),
+                start_us: at,
+                dur_us: dur,
+                tid,
+                args: vec![
+                    ("outcome".to_owned(), outcome),
+                    ("peak_rss_kb".to_owned(), a.peak_rss_kb.to_string()),
+                ],
+            });
+            let deadline = a.deadline.filter(|d| !d.is_zero());
+            if let (Some(FailureKind::Timeout), Some(deadline)) = (a.failure, deadline) {
+                let kill = telemetry::micros(deadline).min(dur);
+                tracer.span("supervisor", "kill", at + kill, dur - kill, tid);
+            }
+            at += dur;
+        }
+        tracer.record_profile(run_at, tid, profile);
+    }
 }
 
 /// What one job came to: its report or the error that ended it, and the
@@ -169,6 +258,11 @@ impl Exec {
     /// A job that ended before reaching the ladder (say, an unplannable model).
     pub(crate) fn failed(err: AccMoSError) -> Exec {
         Exec { report: Err(err), trail: Trail::default() }
+    }
+
+    /// The report's per-actor profile (empty without a report).
+    pub(crate) fn profile(&self) -> &[ActorProfile] {
+        self.report.as_ref().map_or(&[], |report| &report.profile)
     }
 
     /// Why a job that produced a report left the rung it entered: the
@@ -207,9 +301,10 @@ impl Exec {
         rec.note = self.note();
         rec.compile_cached = self.trail.compile_cached;
         rec.opt = self.trail.opt.map_or_else(String::new, |opt| opt.label().to_owned());
-        rec.retries = u64::from(self.trail.retries);
-        rec.peak_rss_kb = self.trail.peak_rss_kb;
-        rec.phases = self.trail.phases;
+        let (retries, _, peak_rss_kb) = self.trail.last_rung();
+        rec.retries = u64::from(retries);
+        rec.peak_rss_kb = peak_rss_kb;
+        rec.phases = self.trail.phases();
         if let Ok(report) = &self.report {
             rec.model = report.model.clone();
             rec.engine = report.engine.clone();
@@ -226,9 +321,6 @@ pub(crate) struct Executor<'a> {
     /// The subprocess rung's supervisor; `None` makes the pipeline's own
     /// only if the ladder reaches that rung.
     pub(crate) supervisor: Option<&'a Supervisor>,
-    /// When the job began planning: [`AccMoS::run`] sets it, and its
-    /// trace gets `prepare` and `run` spans on track 1.
-    pub(crate) traced_from: Option<u64>,
 }
 
 impl Executor<'_> {
@@ -239,8 +331,8 @@ impl Executor<'_> {
             Subject::Executable(..) => None,
         };
         let planned = !matches!(entry, Entry::Dylib { reused: true, .. });
-        let phases = plan.filter(|_| planned).map(Plan::phases).unwrap_or_default();
-        let mut trail = Trail { phases, ..Trail::default() };
+        let prepare = plan.filter(|_| planned).map(Plan::phases).unwrap_or_default();
+        let mut trail = Trail { prepare, ..Trail::default() };
         let report = match self.compiled(subject, entry, job, &mut trail) {
             Ok(report) => Ok(report),
             Err(Stop::Failed(e)) => Err(e),
@@ -250,7 +342,6 @@ impl Executor<'_> {
                 self.interpret(&plan.pre, job, &mut trail)
             }
         };
-        trail.phases.run_us = telemetry::micros(trail.run_time);
         Exec { report: report.map_err(AccMoSError::Backend), trail }
     }
 
@@ -273,11 +364,7 @@ impl Executor<'_> {
         }
         let mut built = None; // an executable this walk builds, and cleans
         let sim = match subject {
-            Subject::Executable(exe, dir) => {
-                return self.subprocess(exe, false, trail, |s| {
-                    s.run(exe, dir, job.steps, job.tests, job.opts)
-                });
-            }
+            Subject::Executable(exe, dir) => return self.subprocess(exe, dir, false, job, trail),
             Subject::Built(_, sim) => {
                 sim.map_err(|e| Stop::Fallback(Fallback::Compile(e.to_owned())))?
             }
@@ -288,13 +375,10 @@ impl Executor<'_> {
                 &*built.insert(sim.map_err(|e| Stop::Fallback(Fallback::Compile(e.to_string())))?)
             }
         };
-        trail.phases.compile_us += telemetry::micros(sim.compile_time());
+        trail.prepare.compile_us += telemetry::micros(sim.compile_time());
         trail.compile_cached = sim.cache_hit();
         trail.opt = Some(sim.opt_level());
-        self.trace_prepare(&trail.phases);
-        let run = self.subprocess(sim.exe(), true, trail, |s| {
-            sim.run_supervised(job.steps, job.tests, job.opts, s)
-        });
+        let run = self.subprocess(sim.exe(), sim.dir(), true, job, trail);
         if let Some(sim) = &built {
             sim.clean();
         }
@@ -312,7 +396,7 @@ impl Executor<'_> {
     ) -> Result<SimulationReport, Stop> {
         let so = so.map_err(|e| Stop::Fallback(Fallback::Dylib(e.to_string())))?;
         if !reused {
-            trail.phases.compile_us += telemetry::micros(so.compile_time());
+            trail.prepare.compile_us += telemetry::micros(so.compile_time());
         }
         trail.compile_cached = reused || so.cache_hit();
         trail.opt = Some(so.opt_level());
@@ -329,52 +413,30 @@ impl Executor<'_> {
         }
     }
 
-    /// The supervised subprocess rung: `run` executes `exe` under the
-    /// supervisor. A failure falls back only when the job has a model
-    /// and `exe` is quarantined (checked while the file still exists).
+    /// The supervised subprocess rung: run `exe` (scratch dir `dir`) under
+    /// the supervisor, which reports every attempt into the trail. A
+    /// failure falls back only when the job has a model and `exe` is
+    /// quarantined (checked while the file still exists).
     fn subprocess(
         &self,
         exe: &Path,
+        dir: &Path,
         has_model: bool,
+        job: &Job<'_>,
         trail: &mut Trail,
-        run: impl FnOnce(&Supervisor) -> Result<SupervisedRun, BackendError>,
     ) -> Result<SimulationReport, Stop> {
         let supervisor =
             self.supervisor.map_or_else(|| Cow::Owned(self.pipeline.supervisor()), Cow::Borrowed);
-        let tracer = self.traced_from.and(self.pipeline.tracer());
-        let span_start = tracer.map(|t| t.now_us());
         let start = Instant::now();
-        let result = run(&supervisor);
+        let run = supervisor.run(exe, dir, job.steps, job.tests, job.opts, &mut trail.attempts);
         trail.run_time += start.elapsed();
-        if let (Some(t), Some(at)) = (tracer, span_start) {
-            t.span("pipeline", "run", at, t.now_us().saturating_sub(at), 1);
-        }
-        match result {
-            Ok(run) => {
-                if let (Some(t), Some(at)) = (tracer, span_start) {
-                    t.record_profile(at, 1, &run.report.profile);
-                }
-                trail.retries = run.retries;
-                trail.backoff = run.backoff;
-                trail.peak_rss_kb = run.peak_rss_kb;
-                trail.phases.backoff_us += telemetry::micros(run.backoff);
-                Ok(run.report)
+        run.map(|run| run.report).map_err(|e| {
+            if has_model && supervisor.is_quarantined(exe) {
+                Stop::Fallback(Fallback::Quarantine(e.to_string()))
+            } else {
+                Stop::Failed(e)
             }
-            Err(e) => {
-                if let BackendError::Supervised { exe, attempts, .. } = &e {
-                    // The supervisor slept exactly this before retries
-                    // 1..attempts; a failed run does not report it.
-                    trail.retries = attempts.saturating_sub(1);
-                    trail.backoff =
-                        (1..*attempts).map(|r| supervisor.policy().backoff_before(exe, r)).sum();
-                    trail.phases.backoff_us += telemetry::micros(trail.backoff);
-                }
-                if has_model && supervisor.is_quarantined(exe) {
-                    return Err(Stop::Fallback(Fallback::Quarantine(e.to_string())));
-                }
-                Err(Stop::Failed(e))
-            }
-        }
+        })
     }
 
     /// The interpreter rung, under `min(job budget, kill timeout)` over
@@ -386,7 +448,7 @@ impl Executor<'_> {
         job: &Job<'_>,
         trail: &mut Trail,
     ) -> Result<SimulationReport, BackendError> {
-        (trail.retries, trail.backoff, trail.peak_rss_kb) = (0, Duration::ZERO, 0);
+        trail.interpreted = true;
         trail.opt = None;
         let kill = self.pipeline.exec_policy.kill_timeout;
         let mut opts = job.opts.clone();
@@ -408,24 +470,6 @@ impl Executor<'_> {
                 ),
             }),
             _ => Ok(report),
-        }
-    }
-
-    /// [`AccMoS::run`]'s `prepare` span, from planning to the executable
-    /// in hand, with the phase breakdown (measured as durations) laid
-    /// end to end inside it.
-    fn trace_prepare(&self, phases: &PhaseMicros) {
-        let (Some(t), Some(start)) = (self.pipeline.tracer(), self.traced_from) else {
-            return;
-        };
-        t.span("pipeline", "prepare", start, t.now_us().saturating_sub(start), 1);
-        let mut at = start;
-        for (i, name) in PhaseMicros::NAMES.iter().enumerate().take(5) {
-            let us = phases.get(i);
-            if us > 0 {
-                t.span("pipeline", name, at, us, 1);
-                at += us;
-            }
         }
     }
 }
@@ -454,4 +498,86 @@ pub(crate) fn interp_lane_run(
         })
         .collect();
     SimulationReport::fold_lanes(lanes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_jobs_spans_are_sized_by_its_trail_and_nest_inside_run() {
+        let us = Duration::from_micros;
+        let attempt = |n, backoff, duration, failure, peak_rss_kb| Attempt {
+            n,
+            backoff: us(backoff),
+            duration: us(duration),
+            deadline: Some(Duration::from_secs(1)),
+            failure,
+            peak_rss_kb,
+        };
+        let trail = Trail {
+            attempts: vec![
+                attempt(0, 0, 300, Some(FailureKind::Crashed { signal: 11 }), 90),
+                attempt(1, 50, 200, None, 120),
+            ],
+            run_time: us(600),
+            prepare: PhaseMicros {
+                parse_us: 10,
+                preprocess_us: 20,
+                codegen_us: 30,
+                compile_us: 40,
+                ..PhaseMicros::default()
+            },
+            ..Trail::default()
+        };
+        let profile = [ActorProfile { actor: "M_A".into(), ns: 100_000, calls: 10, timed: 1 }];
+        let tracer = Tracer::new();
+        trail.trace(&tracer, 7, "job", 1_000, &profile);
+        let spans = tracer.spans();
+        let names: Vec<(&str, &str)> =
+            spans.iter().map(|s| (s.cat.as_str(), s.name.as_str())).collect();
+        assert_eq!(
+            names,
+            [
+                ("pipeline", "job"),
+                ("pipeline", "prepare"),
+                ("pipeline", "parse"),
+                ("pipeline", "preprocess"),
+                ("pipeline", "codegen"),
+                ("pipeline", "compile"),
+                ("pipeline", "run"),
+                ("supervisor", "attempt 0"),
+                ("supervisor", "backoff 1"),
+                ("supervisor", "attempt 1"),
+                ("actor", "M_A"),
+            ]
+        );
+        assert!(spans.iter().all(|s| s.tid == 7));
+        let span = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+        let (prepare, run) = (span("prepare"), span("run"));
+        let phases = trail.phases();
+        for (i, name) in PhaseMicros::NAMES.iter().enumerate().take(5) {
+            if let Some(s) = spans.iter().find(|s| s.name == *name) {
+                assert_eq!(s.dur_us, phases.get(i), "{name}");
+            }
+        }
+        assert_eq!(run.dur_us, phases.run_us);
+        assert!(run.start_us >= prepare.start_us + prepare.dur_us, "run starts after prepare");
+        let end = run.start_us + run.dur_us;
+        assert_eq!(span("job").start_us + span("job").dur_us, end, "the job ends with run");
+        for s in spans.iter().filter(|s| s.cat == "supervisor") {
+            assert!(
+                s.start_us >= run.start_us && s.start_us + s.dur_us <= end,
+                "{} lies outside run",
+                s.name
+            );
+        }
+        let arg = |name: &str, key: &str| {
+            span(name).args.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap()
+        };
+        assert_eq!(arg("attempt 0", "outcome"), "crashed on signal 11");
+        assert_eq!(arg("attempt 1", "outcome"), "ok");
+        assert_eq!(arg("attempt 1", "peak_rss_kb"), "120");
+        assert_eq!(span("backoff 1").dur_us, 50);
+    }
 }

@@ -107,9 +107,10 @@ pub struct FuzzConfig {
     /// resumability tests.
     pub abort_after_trials: Option<u64>,
     /// Trace collector: when set, the campaign records one `fuzz` span
-    /// per executed trial (with its verdict) and threads the tracer
-    /// through the supervisor and every compiled-variant pipeline, so
-    /// `--trace-out` covers the whole campaign.
+    /// per executed trial (with its verdict) and the spans of every
+    /// compiled or injected run (inside its trial's span, or after it for
+    /// a divergence's minimization runs), so `--trace-out` covers the
+    /// whole campaign.
     pub tracer: Option<Tracer>,
 }
 
@@ -589,10 +590,7 @@ impl FuzzCampaign {
             .map_err(|e| AccMoSError::Batch(format!("fuzz state dir: {e}")))?;
         let store = FuzzStore::in_dir(&state_dir);
         let policy = cfg.exec_policy.clone().with_kill_timeout(cfg.trial_budget);
-        let mut supervisor = Supervisor::new(policy.clone()).with_state_dir(&state_dir);
-        if let Some(tracer) = &cfg.tracer {
-            supervisor = supervisor.with_tracer(tracer.clone());
-        }
+        let supervisor = Supervisor::new(policy).with_state_dir(&state_dir);
         let cache = BuildCache::at(&state_dir);
         let fault_dir = state_dir.join("fuzz-bin");
 
@@ -732,13 +730,21 @@ impl FuzzCampaign {
                 };
             }
         }
+        let traced = self.config.tracer.as_ref().map(|t| (t, t.now_us()));
+        let mut trail = Trail::default();
+        let start = Instant::now();
         let run = supervisor.run(
             &exe,
             fault_dir,
             plan.steps.min(8),
             &TestVectors::new(),
             &RunOptions::default(),
+            &mut trail.attempts,
         );
+        trail.run_time = start.elapsed();
+        if let Some((tracer, start_us)) = traced {
+            trail.trace(tracer, 1, mode.exe_name(), start_us, &[]);
+        }
         match run {
             Ok(_) => Verdict::InjectedUnclassified {
                 detail: format!("{} ran to completion", mode.exe_name()),
@@ -804,8 +810,9 @@ impl FuzzCampaign {
 
     /// Compile and supervise one generated-C variant on the job
     /// executor's compiled rungs (no interpreter fallback), mapping where
-    /// they stopped into a verdict. The build is pinned at `-O3` when `o3`
-    /// is set and follows the job's step budget otherwise.
+    /// they stopped into a verdict, and trace it as a job named for its
+    /// variant. The build is pinned at `-O3` when `o3` is set and follows
+    /// the job's step budget otherwise.
     fn run_compiled(
         &self,
         model: &Model,
@@ -815,29 +822,31 @@ impl FuzzCampaign {
         supervisor: &Supervisor,
         cache: &BuildCache,
     ) -> Result<SimulationReport, Verdict> {
-        // The campaign supervisor carries the tracer: the pipeline only
-        // plans and builds.
+        let traced = self.config.tracer.as_ref().map(|t| (t, t.now_us()));
         let mut pipeline = AccMoS::new().with_codegen(opts.clone()).with_cache(cache.clone());
         if o3 {
             pipeline = pipeline.with_opt(OptLevel::O3);
         }
         let planned =
             pipeline.plan(model).map_err(|e| Verdict::GenFailed { detail: e.to_string() })?;
-        let executor =
-            Executor { pipeline: &pipeline, supervisor: Some(supervisor), traced_from: None };
-        executor
-            .compiled(Subject::Plan(&planned), Entry::Subprocess, job, &mut Trail::default())
-            .map_err(|stop| match stop {
-                Stop::Fallback(Fallback::Compile(detail)) => Verdict::CompileFailed { detail },
-                Stop::Fallback(_) => Verdict::Quarantined,
-                Stop::Failed(e) => Verdict::Failed {
-                    kind: e
-                        .failure_kind()
-                        .map_or("backend", |kind| crate::FailureKind::label(kind.index()))
-                        .to_string(),
-                    detail: truncate(&e.to_string(), 600),
-                },
-            })
+        let mut trail = Trail { prepare: planned.phases(), ..Trail::default() };
+        let executor = Executor { pipeline: &pipeline, supervisor: Some(supervisor) };
+        let run = executor.compiled(Subject::Plan(&planned), Entry::Subprocess, job, &mut trail);
+        if let Some((tracer, start_us)) = traced {
+            let name = if opts.prune_proven_safe { "accmos" } else { "accmos-noprune" };
+            trail.trace(tracer, 1, name, start_us, &[]);
+        }
+        run.map_err(|stop| match stop {
+            Stop::Fallback(Fallback::Compile(detail)) => Verdict::CompileFailed { detail },
+            Stop::Fallback(_) => Verdict::Quarantined,
+            Stop::Failed(e) => Verdict::Failed {
+                kind: e
+                    .failure_kind()
+                    .map_or("backend", |kind| crate::FailureKind::label(kind.index()))
+                    .to_string(),
+                detail: truncate(&e.to_string(), 600),
+            },
+        })
     }
 
     /// Whether `plan` still produces a divergence verdict (the

@@ -71,8 +71,8 @@ pub use accmos_analyze::{
 };
 pub use accmos_backend::{
     default_state_dir, telemetry, BackendError, BuildCache, CacheStats, CompiledSimulator,
-    Compiler, ExecPolicy, FailureKind, OptLevel, PhaseMicros, RetryStats, RunLedger,
-    RunOptions, RunRecord, SupervisedRun, Supervisor, TraceNode, TraceSpan, Tracer, O3_BUDGET,
+    Compiler, ExecPolicy, FailureKind, OptLevel, PhaseMicros, RunLedger, RunOptions, RunRecord,
+    SupervisedRun, Supervisor, TraceSpan, Tracer, O3_BUDGET,
 };
 #[cfg(unix)]
 pub use accmos_backend::{CompiledDylib, DylibRun, DylibRunner};
@@ -243,16 +243,17 @@ impl AccMoS {
     }
 
     /// Builder-style: set the supervised-execution policy (kill timeout,
-    /// retries, backoff, output cap, quarantine threshold) used by
+    /// retries, backoff, quarantine threshold) used by
     /// [`AccMoS::run`] and [`BatchRunner`].
     pub fn with_exec_policy(mut self, policy: ExecPolicy) -> AccMoS {
         self.exec_policy = policy;
         self
     }
 
-    /// Builder-style: record hierarchical trace spans — pipeline phases,
-    /// supervisor child lifecycle, per-actor profile leaves — into
-    /// `tracer`. The tracer is shared (clones share one buffer), so the
+    /// Builder-style: record each job's trace spans — the job, its
+    /// pipeline phases, the supervisor's attempts, per-actor profile
+    /// leaves — into `tracer`, rendered from the job's account once it
+    /// finishes. The tracer is shared (clones share one buffer), so the
     /// caller drains it once at the end into a Chrome trace-event JSON
     /// file ([`Tracer::write_chrome_json`], the `--trace-out` flag).
     pub fn with_tracer(mut self, tracer: Tracer) -> AccMoS {
@@ -297,10 +298,7 @@ impl AccMoS {
     /// extending) the persistent quarantine state of the state directory
     /// when one exists.
     pub(crate) fn supervisor(&self) -> Supervisor {
-        let mut supervisor = Supervisor::new(self.exec_policy.clone());
-        if let Some(tracer) = &self.tracer {
-            supervisor = supervisor.with_tracer(tracer.clone());
-        }
+        let supervisor = Supervisor::new(self.exec_policy.clone());
         match self.state_dir() {
             Some(dir) => supervisor.with_state_dir(dir),
             None => supervisor,
@@ -394,7 +392,7 @@ impl AccMoS {
     /// never silent: [`RunOutcome::degraded`] is set and
     /// [`RunOutcome::fallback_reason`] carries the cause. The kill
     /// timeout bounds the interpreter too. Every run appends one record to
-    /// the run ledger.
+    /// the run ledger and, with a tracer, renders its spans on track 1.
     ///
     /// # Errors
     ///
@@ -408,16 +406,20 @@ impl AccMoS {
         tests: &TestVectors,
         opts: &RunOptions,
     ) -> Result<RunOutcome, AccMoSError> {
-        let traced_from = self.tracer.as_ref().map(|t| t.now_us());
+        let traced = self.tracer.as_ref().map(|t| (t, t.now_us()));
         let plan = self.plan(model)?;
-        let executor = exec::Executor { pipeline: self, supervisor: None, traced_from };
+        let executor = exec::Executor { pipeline: self, supervisor: None };
         let job = exec::Job { steps, tests, opts };
         let exec = executor.run(exec::Subject::Plan(&plan), exec::Entry::Subprocess, &job);
+        if let Some((tracer, start_us)) = traced {
+            exec.trail.trace(tracer, 1, &model.name, start_us, exec.profile());
+        }
         self.record(&exec.record("run", &model.name, steps, opts.lanes() as u64));
+        let (retries, _, peak_rss_kb) = exec.trail.last_rung();
         Ok(RunOutcome {
             fallback_reason: exec.fallback_reason(),
-            retries: exec.trail.retries,
-            peak_rss_kb: exec.trail.peak_rss_kb,
+            retries,
+            peak_rss_kb,
             report: exec.report?,
         })
     }

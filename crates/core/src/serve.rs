@@ -215,7 +215,7 @@ impl ServeHandle {
                 let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("accmos-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &queue))
+                    .spawn(move || worker_loop(&shared, &queue, i as u64 + 2))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
 
@@ -343,13 +343,15 @@ fn handle_connection(
     }
 }
 
-fn worker_loop(shared: &ServeShared, queue: &WorkQueue<ServeJob>) {
+/// A worker: run queued jobs one at a time until the queue closes,
+/// tracing them on its own track `tid`, so concurrent jobs never share
+/// one.
+fn worker_loop(shared: &ServeShared, queue: &WorkQueue<ServeJob>, tid: u64) {
     while let Some(job) = queue.pop() {
-        let start = shared.pipeline.tracer().map(|t| (t.clone(), t.now_us()));
         // A panicking job (a bug, not a policy outcome) must not take
         // the worker down with it — the daemon keeps serving.
         let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_job(&shared.pipeline, &shared.memo, &job)
+            execute_job(&shared.pipeline, &shared.memo, &job, tid)
         }))
         .unwrap_or_else(|payload| {
             DoneEvent::of(&Exec::failed(AccMoSError::Batch(format!(
@@ -357,10 +359,6 @@ fn worker_loop(shared: &ServeShared, queue: &WorkQueue<ServeJob>) {
                 panic_text(payload)
             ))))
         });
-        if let Some((tracer, start_us)) = start {
-            let dur = tracer.now_us().saturating_sub(start_us);
-            tracer.span("serve", &format!("job {} {}", job.id, job.spec), start_us, dur, 1);
-        }
         append_job_event(shared, &done.jobs_record(&job));
         if let Some(sink) = &job.reply {
             send_line(sink, &done.event_line(&job));
@@ -490,11 +488,18 @@ impl Memo {
     }
 }
 
-fn execute_job(pipeline: &AccMoS, memo: &Memo, job: &ServeJob) -> DoneEvent {
+/// Run one job, then account for it: its spans on track `tid` when the
+/// pipeline has a tracer, and its ledger record.
+fn execute_job(pipeline: &AccMoS, memo: &Memo, job: &ServeJob, tid: u64) -> DoneEvent {
+    let traced = pipeline.tracer().map(|t| (t, t.now_us()));
     let (name, exec) = match Source::read(&job.spec) {
         Ok(source) => run_source(pipeline, memo, source, job),
         Err(detail) => (job.spec.clone(), Exec::failed(AccMoSError::Batch(detail))),
     };
+    if let Some((tracer, start_us)) = traced {
+        let label = format!("job {} {}", job.id, job.spec);
+        exec.trail.trace(tracer, tid, &label, start_us, exec.profile());
+    }
     pipeline.record(&exec.record("serve", &name, job.steps, job.lanes as u64));
     DoneEvent::of(&exec)
 }
@@ -546,7 +551,7 @@ fn run_source(pipeline: &AccMoS, memo: &Memo, key: Source, job: &ServeJob) -> (S
 fn run_plan(pipeline: &AccMoS, plan: &Plan, entry: Entry<'_>, job: &ServeJob) -> Exec {
     let (tests, lane_tests) = crate::fuzz::lane_stimulus(&plan.pre, job.rows, job.seed, job.lanes);
     let opts = RunOptions { lane_tests, ..RunOptions::default() };
-    let executor = Executor { pipeline, supervisor: None, traced_from: None };
+    let executor = Executor { pipeline, supervisor: None };
     executor.run(Subject::Plan(plan), entry, &Job { steps: job.steps, tests: &tests, opts: &opts })
 }
 
@@ -813,7 +818,7 @@ mod tests {
             seed: 9,
             reply: None,
         };
-        let done = execute_job(&pipeline, &Memo::default(), &job);
+        let done = execute_job(&pipeline, &Memo::default(), &job, 1);
         assert_eq!(done.outcome, telemetry::outcome::DEGRADED);
         assert!(done.note.contains("isolation: subprocess"));
         assert_ne!(done.engine, "accmos-dylib");
@@ -841,7 +846,7 @@ mod tests {
             seed: 9,
             reply: None,
         };
-        let done = execute_job(&pipeline, &Memo::default(), &job);
+        let done = execute_job(&pipeline, &Memo::default(), &job, 1);
         assert_eq!(done.outcome, telemetry::outcome::DEGRADED, "{}", done.note);
         assert_eq!(done.engine, "sse");
         assert!(done.note.contains("dylib fallback"), "{}", done.note);
@@ -873,17 +878,37 @@ mod tests {
     }
 
     #[test]
+    fn a_traced_job_is_drawn_on_its_workers_track_as_its_record_says() {
+        let dir = TempDir::new("traced");
+        let tracer = crate::Tracer::new();
+        let pipeline = AccMoS::new()
+            .with_cache(BuildCache::at(dir.0.join("state")))
+            .with_tracer(tracer.clone());
+        // An untrusted spec runs on the supervised subprocess rung.
+        let untrusted = job("rand:5", 1, 3);
+        execute_job(&pipeline, &Memo::default(), &untrusted, 3);
+        let spans = tracer.spans();
+        assert!(spans.iter().all(|s| s.tid == 3), "every span on the worker's track");
+        let span = |name: &str| spans.iter().find(|s| s.name == name).map(|s| s.dur_us);
+        let record = &pipeline.ledger().unwrap().read().records[0];
+        assert!(span("job m3 rand:5").is_some());
+        assert_eq!(span("run"), Some(record.phases.run_us));
+        assert_eq!(span("codegen"), Some(record.phases.codegen_us));
+        assert!(span("attempt 0").is_some(), "the supervisor's attempt");
+    }
+
+    #[test]
     fn repeated_jobs_run_from_the_memo_without_planning_or_cache_lookups() {
         let dir = TempDir::new("memo-hit");
         let cache = BuildCache::at(dir.0.join("state"));
         let pipeline = AccMoS::new().with_cache(cache.clone());
         let memo = Memo::default();
         let first = job("bench:SPV", 1, 3);
-        assert_warm(&execute_job(&pipeline, &memo, &first), &first);
+        assert_warm(&execute_job(&pipeline, &memo, &first, 1), &first);
         let before = cache.stats();
         // The benchmark name matches case-insensitively, so this is a hit.
         let again = job("bench:spv", 1, 4);
-        assert_warm(&execute_job(&pipeline, &memo, &again), &again);
+        assert_warm(&execute_job(&pipeline, &memo, &again, 1), &again);
         assert_eq!(cache.stats(), before, "a memo hit makes no build-cache lookup");
         let view = pipeline.ledger().unwrap().read();
         let rec = view.records.last().unwrap();
@@ -903,10 +928,10 @@ mod tests {
         let spec = path.to_str().unwrap();
         std::fs::write(&path, include_str!("../../../assets/figure1.mdlx")).unwrap();
         let figure1 = job(spec, 1, 6);
-        assert_warm(&execute_job(&pipeline, &memo, &figure1), &figure1);
+        assert_warm(&execute_job(&pipeline, &memo, &figure1, 1), &figure1);
         std::fs::write(&path, include_str!("../../../assets/twc.mdlx")).unwrap();
         let twc = job(spec, 1, 6);
-        assert_warm(&execute_job(&pipeline, &memo, &twc), &twc);
+        assert_warm(&execute_job(&pipeline, &memo, &twc, 1), &twc);
         assert_eq!(pipeline.ledger().unwrap().read().records[1].model, "TWC");
     }
 
@@ -917,10 +942,10 @@ mod tests {
         let pipeline = AccMoS::new().with_cache(cache.clone());
         let memo = Memo::default();
         let scalar = job("bench:TWC", 1, 5);
-        assert_warm(&execute_job(&pipeline, &memo, &scalar), &scalar);
+        assert_warm(&execute_job(&pipeline, &memo, &scalar, 1), &scalar);
         let before = cache.stats();
         let lanes = job("bench:TWC", 4, 6);
-        assert_warm(&execute_job(&pipeline, &memo, &lanes), &lanes);
+        assert_warm(&execute_job(&pipeline, &memo, &lanes, 1), &lanes);
         assert_eq!(cache.stats(), before, "the lane job makes no build-cache lookup");
         assert_eq!(memo.entries().len(), 1, "one entry serves every lane width");
         let view = pipeline.ledger().unwrap().read();
@@ -936,15 +961,15 @@ mod tests {
         let memo = Memo::default();
         let level = |memo: &Memo| memo.entries()[0].1.dylib.opt_level();
         let short = job("bench:figure1", 1, 1);
-        assert_warm(&execute_job(&pipeline, &memo, &short), &short);
+        assert_warm(&execute_job(&pipeline, &memo, &short, 1), &short);
         assert_eq!(level(&memo), OptLevel::O1);
         let long = ServeJob { steps: crate::O3_BUDGET, ..job("bench:figure1", 1, 2) };
-        assert_warm(&execute_job(&pipeline, &memo, &long), &long);
+        assert_warm(&execute_job(&pipeline, &memo, &long, 1), &long);
         assert_eq!(memo.entries().len(), 1);
         assert_eq!(level(&memo), OptLevel::O3, "the -O3 build replaced the -O1 entry");
         let before = cache.stats();
         let again = job("bench:figure1", 1, 3);
-        assert_warm(&execute_job(&pipeline, &memo, &again), &again);
+        assert_warm(&execute_job(&pipeline, &memo, &again, 1), &again);
         assert_eq!(cache.stats(), before, "the -O3 entry serves a short job from the memo");
         let view = pipeline.ledger().unwrap().read();
         let opts: Vec<_> = view.records.iter().map(|r| (r.opt.as_str(), r.compile_cached)).collect();
@@ -957,17 +982,17 @@ mod tests {
         let pipeline = AccMoS::new().with_cache(BuildCache::at(dir.0.join("state")));
         let memo = Memo::default();
         let first = job("bench:CSEV", 1, 1);
-        assert_warm(&execute_job(&pipeline, &memo, &first), &first);
+        assert_warm(&execute_job(&pipeline, &memo, &first, 1), &first);
         let so = memo.entries()[0].1.dylib.so().to_path_buf();
         std::fs::remove_file(&so).unwrap();
         let broken = job("bench:CSEV", 1, 2);
-        let done = execute_job(&pipeline, &memo, &broken);
+        let done = execute_job(&pipeline, &memo, &broken, 1);
         assert_eq!(done.outcome, telemetry::outcome::DEGRADED, "{}", done.note);
         assert!(done.note.contains("dylib fallback"), "{}", done.note);
         assert_eq!(done.digest, interp_digest(&broken));
         assert!(memo.entries().is_empty(), "the failed entry is dropped");
         let next = job("bench:CSEV", 1, 3);
-        assert_warm(&execute_job(&pipeline, &memo, &next), &next);
+        assert_warm(&execute_job(&pipeline, &memo, &next, 1), &next);
     }
 
     #[test]
