@@ -133,6 +133,21 @@ assert got == [(5000, "O1", False), (1000000, "O3", False), (5000, "O3", True)],
 EOF
 echo "ci: level gate passed (5000 steps at O1, 1000000 at O3, then 5000 from the cached O3 build)"
 
+# Subprocess deadline leg: a run far longer than its 300 ms kill deadline
+# (SPV's -O3 build is cached by the level gate above) must fail promptly
+# with the supervisor's timeout, not run to completion.
+START_NS=$(date +%s%N)
+if ACCMOS_CACHE_DIR="$LEVEL_DIR" ./target/release/accmos simulate bench:SPV --steps 100000000 \
+    --exec-timeout 300 > /dev/null 2> "$LEVEL_DIR/deadline_err.txt"; then
+    echo "ci: a 100M-step run under a 300 ms kill deadline exited 0" >&2; exit 1
+fi
+ELAPSED_MS=$(( ($(date +%s%N) - START_NS) / 1000000 ))
+grep -q "failed (timeout).*supervisor deadline" "$LEVEL_DIR/deadline_err.txt" \
+    || { cat "$LEVEL_DIR/deadline_err.txt" >&2; echo "ci: deadline run did not report the supervisor's timeout" >&2; exit 1; }
+[ "$ELAPSED_MS" -lt 5000 ] \
+    || { echo "ci: a 300 ms kill deadline took ${ELAPSED_MS} ms to end the run" >&2; exit 1; }
+echo "ci: subprocess deadline leg passed (300 ms kill deadline, run ended after ${ELAPSED_MS} ms)"
+
 # Lane gates: (1) the per-lane digests of one lane-4 run must equal four
 # scalar runs over the same seeded stimuli — folding the lanes may never
 # change a lane's result; (2) a ledger mixing scalar and lane runs must
@@ -255,11 +270,12 @@ for phase in ["parse", "preprocess", "analyze", "codegen", "compile"]:
 EOF
 echo "ci: observability gate passed (profiled digest identical, trace has pipeline/supervisor/actor spans sized as the ledger record)"
 
-# Serve smoke gate: start the daemon, stream 9 jobs through it — six
+# Serve smoke gate: start the daemon, stream 10 jobs through it — six
 # trusted bench jobs on the in-process dylib engine, a repeat of one of
 # them that must run from the daemon's memo (no planning, no build), one
-# untrusted rand: job on the flagged subprocess path, and one
-# fault-injected job (the rand: job's cached executable swapped for a
+# in-process job far longer than the daemon's 2 s kill deadline that must
+# stop at it, one untrusted rand: job on the flagged subprocess path, and
+# one fault-injected job (the rand: job's cached executable swapped for a
 # crashing faultsim copy) that must classify as failed without taking the
 # daemon down — then assert ledger growth, the persistent job journal,
 # and a clean shutdown that removes the socket.
@@ -296,6 +312,17 @@ records = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
 spv = [r for r in records if r["source"] == "serve" and r["model"] == "SPV"][-1]
 assert spv["compile_cached"] is True and spv["codegen_us"] == 0, spv
 EOF
+# In-process deadline leg: the entry call checks the daemon's 2 s kill
+# deadline itself, so a 100M-step job fails as a timeout and the daemon
+# stays up.
+if ./target/release/accmos submit bench:SPV 100000000 --socket "$SOCK" > "$SERVE_DIR/deadline_out.txt" 2>&1; then
+    cat "$SERVE_DIR/deadline_out.txt" >&2; echo "ci: a 100M-step serve job outlived its kill deadline" >&2; exit 1
+fi
+grep -q "outcome=failed" "$SERVE_DIR/deadline_out.txt" \
+    && grep -q "in-process run canceled after exceeding the 2s deadline" "$SERVE_DIR/deadline_out.txt" \
+    || { cat "$SERVE_DIR/deadline_out.txt" >&2; echo "ci: serve job did not stop at the in-process deadline" >&2; exit 1; }
+./target/release/accmos submit --ping --socket "$SOCK" > /dev/null \
+    || { cat "$SERVE_DIR/serve_log.txt" >&2; echo "ci: daemon did not survive the deadline job" >&2; exit 1; }
 ./target/release/accmos submit rand:5 300 --socket "$SOCK" >> "$SERVE_DIR/submit_out.txt" \
     || { cat "$SERVE_DIR/submit_out.txt" >&2; echo "ci: untrusted rand: job failed" >&2; exit 1; }
 grep -q "outcome=degraded" "$SERVE_DIR/submit_out.txt" \
@@ -321,9 +348,9 @@ fi
 ./target/release/accmos submit --ping --socket "$SOCK" > /dev/null \
     || { cat "$SERVE_DIR/serve_log.txt" >&2; echo "ci: daemon did not survive the oversized submit" >&2; exit 1; }
 COUNT=$(wc -l < "$SERVE_DIR/ledger.jsonl")
-[ "$COUNT" -ge 9 ] || { echo "ci: serve ledger has $COUNT record(s), expected >= 9" >&2; exit 1; }
+[ "$COUNT" -ge 10 ] || { echo "ci: serve ledger has $COUNT record(s), expected >= 10" >&2; exit 1; }
 JOBS=$(wc -l < "$SERVE_DIR/jobs.jsonl")
-[ "$JOBS" -ge 18 ] || { echo "ci: jobs journal has $JOBS record(s), expected >= 18 (9 queued + 9 done)" >&2; exit 1; }
+[ "$JOBS" -ge 20 ] || { echo "ci: jobs journal has $JOBS record(s), expected >= 20 (10 queued + 10 done)" >&2; exit 1; }
 ./target/release/accmos submit --shutdown --socket "$SOCK" | grep -q "shutting down" \
     || { echo "ci: shutdown handshake failed" >&2; exit 1; }
 i=0
@@ -333,7 +360,7 @@ while kill -0 "$SERVE_PID" 2>/dev/null; do
     sleep 0.2
 done
 [ ! -e "$SOCK" ] || { echo "ci: daemon left its socket behind" >&2; exit 1; }
-echo "ci: serve gate passed (6 dylib jobs, 1 warm memo hit, 1 subprocess-isolated, 1 fault-injected failure, 1 oversized submit refused; ledger $COUNT, journal $JOBS, clean shutdown)"
+echo "ci: serve gate passed (6 dylib jobs, 1 warm memo hit, 1 in-process deadline timeout, 1 subprocess-isolated, 1 fault-injected failure, 1 oversized submit refused; ledger $COUNT, journal $JOBS, clean shutdown)"
 
 # Benchmark package gate: perfbench/ is its own workspace, so a public-API
 # change in crates/ could break it without the legs above noticing.

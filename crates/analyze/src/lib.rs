@@ -35,7 +35,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use accmos_graph::{ActorId, PreprocessedModel, SignalId};
-use accmos_ir::{CoverageKind, DiagnosticKind, Interval, TestVectors};
+use accmos_ir::{json_str, CoverageKind, DiagnosticKind, Interval, TestVectors};
 
 use fixpoint::Engine;
 
@@ -353,25 +353,6 @@ impl ModelAnalysis {
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! [`crate::Compiler::compile_shared`] with `dlopen` and calls its
 //! `accmos_entry` symbol directly: the `ACCMOS:` records arrive through
 //! an emit callback instead of a pipe, and the supervisor's deadline is
-//! enforced through the entry point's cooperative cancel flag (checked at
-//! block granularity by the generated loop) rather than `SIGKILL`. The
-//! same [`Watchdog`] that kills supervised children raises that flag.
+//! passed to the entry point, whose generated loop checks it against its
+//! own clock every 512 steps and returns early, rather than enforced by
+//! `SIGKILL`. No thread watches the call.
 //!
 //! The trade is isolation: a simulator that crashes in-process takes the
 //! host down. Callers therefore route only trusted, deterministic models
@@ -32,12 +32,10 @@ use crate::error::BackendError;
 use crate::protocol::parse_report;
 use crate::run::{budget_ms_value, fold_lanes, run_lanes, write_test_file, RunOptions, TempPath};
 use crate::supervise::FailureKind;
-use crate::watchdog::{Alarm, Watchdog};
 use accmos_ir::{SimulationReport, TestVectors};
 use std::ffi::{c_char, c_int, c_void, CStr, CString};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 // `dlopen` and friends live in libc proper on every glibc >= 2.34 and on
@@ -61,8 +59,7 @@ type EmitFn = unsafe extern "C" fn(ctx: *mut c_void, text: *const c_char);
 /// ```c
 /// int accmos_entry(uint64_t total_step, const char *const *tc_path,
 ///                  int tc_n, int stop_on_diag, uint64_t budget_ms,
-///                  const volatile int32_t *cancel,
-///                  accmos_emit_fn emit, void *emit_ctx);
+///                  uint64_t kill_ns, accmos_emit_fn emit, void *emit_ctx);
 /// ```
 type EntryFn = unsafe extern "C" fn(
     u64,
@@ -70,7 +67,7 @@ type EntryFn = unsafe extern "C" fn(
     c_int,
     c_int,
     u64,
-    *const i32,
+    u64,
     Option<EmitFn>,
     *mut c_void,
 ) -> c_int;
@@ -120,8 +117,8 @@ enum EntryOutcome {
 ///
 /// Each [`DylibRunner::run`] lane is fully independent: the cached
 /// artifact is copied to a scratch path, loaded, invoked once, unloaded,
-/// and the copy removed. The supervisor's kill deadline maps to the
-/// cooperative cancel flag; a run that stops on it reports
+/// and the copy removed. The entry call checks the supervisor's kill
+/// deadline itself; a run that stops on it reports
 /// [`FailureKind::Timeout`] through [`BackendError::Supervised`], exactly
 /// like a killed subprocess. Any failure to *load* — as opposed to run —
 /// surfaces as [`BackendError::RunFailed`], the caller's signal to fall
@@ -150,14 +147,14 @@ impl DylibRunner {
     }
 
     /// Run the simulator in-process for `steps` steps against `tests`,
-    /// one load per lane, with `deadline` (over all the lanes) mapped
-    /// onto the cooperative cancel flag.
+    /// one load per lane, with `deadline` (over all the lanes) passed to
+    /// each entry call as what is left of it.
     ///
     /// # Errors
     ///
     /// - [`BackendError::Supervised`] with [`FailureKind::Timeout`] when
-    ///   the deadline fired and the simulator honored the cancel flag, or
-    ///   passed before a lane started;
+    ///   the entry stopped at the deadline, or it passed before a lane
+    ///   started;
     /// - [`BackendError::Protocol`] when the entry succeeded but its
     ///   emitted records did not parse, or the lanes report different
     ///   coverage points;
@@ -213,21 +210,14 @@ impl DylibRunner {
         let budget_ms = opts.time_budget.map(budget_ms_value).unwrap_or(0);
         let stop_on_diag = c_int::from(opts.stop_on_diagnostic);
 
-        // The entry runs on this thread; a deadline arms the shared
-        // watchdog, which raises the cooperative flag at its due time —
-        // the generated loop checks it at block granularity, so return
-        // after the deadline is bounded by one block of work.
-        let cancel = Arc::new(AtomicI32::new(0));
-        let token = deadline.map(|limit| {
-            Watchdog::global().arm(Instant::now() + limit, Alarm::Cancel(Arc::clone(&cancel)))
-        });
+        // The lane's deadline runs from here. The entry runs on this
+        // thread and checks it itself every 512 steps, so it returns at
+        // most one block of work after the deadline.
+        let kill_at = deadline.map(|limit| Instant::now() + limit);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let tc_path = tc_path.as_deref();
-            load_and_run(scratch.path(), steps, tc_path, stop_on_diag, budget_ms, &cancel)
+            load_and_run(scratch.path(), steps, tc_path, stop_on_diag, budget_ms, kill_at)
         }));
-        if let Some(token) = token {
-            Watchdog::global().disarm(token);
-        }
         drop(tc_guard);
         drop(scratch);
 
@@ -287,7 +277,7 @@ fn load_and_run(
     tc_path: Option<&CStr>,
     stop_on_diag: c_int,
     budget_ms: u64,
-    cancel: &AtomicI32,
+    kill_at: Option<Instant>,
 ) -> EntryOutcome {
     let Ok(c_path) = CString::new(so.to_string_lossy().into_owned()) else {
         return EntryOutcome::LoadFailed("shared object path contains a NUL byte".into());
@@ -326,10 +316,15 @@ fn load_and_run(
     let mut captured: Vec<u8> = Vec::with_capacity(4096);
     let argv: Vec<*const c_char> = tc_path.iter().map(|p| p.as_ptr()).collect();
     let start = Instant::now();
+    // What is left of the deadline, in ns. 0 means no deadline, so a spent
+    // one passes 1 ns and the entry stops at its first check.
+    let kill_ns = kill_at.map_or(0, |at| {
+        let left = at.saturating_duration_since(start).as_nanos();
+        u64::try_from(left).unwrap_or(u64::MAX).max(1)
+    });
     // SAFETY: `argv` outlives the call and holds `tc_n` valid pointers;
     // `captured` outlives the call and is only touched through the emit
-    // callback on this thread; the cancel pointer stays valid because the
-    // caller holds the other Arc reference until after join.
+    // callback on this thread.
     let rc = unsafe {
         entry(
             steps,
@@ -337,7 +332,7 @@ fn load_and_run(
             argv.len() as c_int,
             stop_on_diag,
             budget_ms,
-            cancel.as_ptr(),
+            kill_ns,
             Some(capture_emit),
             (&mut captured) as *mut Vec<u8> as *mut c_void,
         )

@@ -30,10 +30,10 @@
 //! ```
 
 #![warn(missing_docs)]
-// Unsafe is confined to three FFI sites: `dylib.rs` (dlopen for
-// in-process simulator execution), `supervise.rs` (`waitid`/`wait4` to
-// wait for and reap a child) and `watchdog.rs` (`kill` at a deadline).
-// Every other module stays deny-checked.
+// Unsafe is confined to two FFI sites: `dylib.rs` (dlopen for
+// in-process simulator execution) and `supervise.rs` (`pidfd_open` and
+// `poll` to wait for a child and its pipes, `wait4` to reap it). Every
+// other module stays deny-checked.
 #![deny(unsafe_code)]
 
 mod cache;
@@ -46,7 +46,6 @@ mod protocol;
 mod run;
 mod supervise;
 pub mod telemetry;
-mod watchdog;
 
 pub use cache::{BuildCache, CacheStats};
 pub use compile::{budget_level, clean_build_dir, CompiledDylib, Compiler, OptLevel, O3_BUDGET};
@@ -362,8 +361,9 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn dylib_deadline_maps_to_cooperative_cancel_timeout() {
-        // A 5M-step integrator run with a ~zero deadline must stop on the
-        // cancel flag and classify as a supervised timeout.
+        // A 200M-step integrator run with a 30 ms deadline must stop at
+        // the entry's own deadline check and classify as a supervised
+        // timeout.
         let mut b = ModelBuilder::new("CancelProbe");
         b.inport("In", DataType::F64);
         b.actor("Acc", ActorKind::DiscreteIntegrator { gain: 1.0, init: Scalar::F64(0.0) });

@@ -10,12 +10,13 @@
 //!   the simulator's own cooperative `--budget-ms`) and a retry budget
 //!   with exponential backoff; the backoff's deterministic SplitMix64
 //!   jitter and the cap on captured output bytes are constants;
-//! - [`Supervisor`] spawns the simulator and blocks until it exits, while
-//!   the process-wide [`Watchdog`] holds its kill deadline and `SIGKILL`s
-//!   it when the deadline passes; every failure is classified into a
-//!   [`FailureKind`] so callers can decide retry-vs-quarantine
-//!   mechanically, and every attempt is reported to the caller as an
-//!   [`Attempt`];
+//! - [`Supervisor`] spawns the simulator and, on the thread that runs the
+//!   attempt, polls its stdout, its stderr and a pidfd of the child with
+//!   the rest of the kill deadline as the timeout, killing the child when
+//!   the deadline passes; an attempt starts no thread. Every failure is
+//!   classified into a [`FailureKind`] so callers can decide
+//!   retry-vs-quarantine mechanically, and every attempt is reported to
+//!   the caller as an [`Attempt`];
 //! - after [`ExecPolicy::quarantine_after`] classified crashes, an
 //!   executable is **quarantined**: the supervisor refuses to run it again
 //!   and callers (the batch runner, the pipeline facade) fall back to the
@@ -26,18 +27,17 @@ use crate::lease;
 use crate::protocol::parse_report;
 use crate::run::{fold_lanes, prepare_command, run_lanes};
 use crate::telemetry;
-use crate::watchdog::{Alarm, Watchdog, SIGKILL};
 use accmos_ir::{SimulationReport, TestVectors};
 use accmos_testgen::TestRng;
 use std::collections::{HashMap, HashSet};
-use std::ffi::{c_int, c_void};
+use std::ffi::{c_int, c_long, c_short, c_ulong};
 use std::fmt;
+use std::fs::File;
 use std::io::{ErrorKind, Read};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -130,6 +130,8 @@ const JITTER_SEED: u64 = 0xACC5;
 /// Cap on captured stdout bytes; output beyond the cap is drained and
 /// discarded (the pipe never blocks the child).
 const MAX_OUTPUT_BYTES: usize = 64 * 1024 * 1024;
+/// Cap on captured stderr bytes, drained past the cap like stdout.
+const MAX_STDERR_BYTES: usize = 64 * 1024;
 
 /// Bounds on one supervised simulator execution.
 ///
@@ -552,11 +554,11 @@ impl Supervisor {
         }
     }
 
-    /// One attempt: spawn, arm the kill deadline `kill` on the
-    /// [`Watchdog`], block until the child exits, disarm, reap, classify.
-    /// The outer `Result` is for unrecoverable setup errors (the
-    /// test-vector file cannot be written); the inner one is the
-    /// attempt's outcome, paired with the child's peak RSS in KiB.
+    /// One attempt: spawn, [`capture`] the child's output while holding
+    /// the kill deadline `kill`, reap, classify. The outer `Result` is
+    /// for unrecoverable setup errors (the test-vector file cannot be
+    /// written); the inner one is the attempt's outcome, paired with the
+    /// child's peak RSS in KiB.
     #[allow(clippy::type_complexity)]
     fn run_once(
         &self,
@@ -575,46 +577,22 @@ impl Supervisor {
                 return Ok((Err((FailureKind::TransientIo, format!("spawn failed: {e}"))), 0))
             }
         };
-        let out_reader = bounded_reader(child.stdout.take(), MAX_OUTPUT_BYTES);
-        let err_reader = bounded_reader(child.stderr.take(), 64 * 1024);
-
-        let pid = child.id();
-        let alarm = kill.map(|t| Watchdog::global().arm(Instant::now() + t, Alarm::Kill(pid)));
-        // The child stays unreaped until the alarm is disarmed, so the
-        // watchdog can never signal a recycled pid.
-        let exited = await_exit(pid);
-        let fired = alarm.is_some_and(|token| Watchdog::global().disarm(token));
-        if exited.is_err() {
+        let captured = capture(&mut child, kill);
+        if captured.is_err() {
             let _ = child.kill();
         }
-        let reaped = reap(pid);
-        let (status, peak_rss) = match exited.and(reaped) {
-            Ok(reaped) => reaped,
+        let reaped = reap(child.id());
+        drop(tc_guard);
+        let (out, (status, peak_rss)) = match captured.and_then(|out| Ok((out, reaped?))) {
+            Ok(done) => done,
             Err(e) => {
-                drop(tc_guard);
                 return Ok((Err((FailureKind::TransientIo, format!("wait failed: {e}"))), 0));
             }
         };
         // A child that exited on its own just as the deadline passed was
-        // not killed by the alarm: classify it by its real status.
-        let timed_out = fired && status.signal() == Some(SIGKILL);
-        // The child is reaped, so its ends of the pipes are closed and the
-        // readers normally see EOF immediately. But a simulator that
-        // forked (a shell wrapper, a daemonizing bug) can leave an orphan
-        // holding the write end — never let that stall the supervisor:
-        // join with a grace period and abandon a stuck reader. A killed
-        // child's orphans get almost no grace; a clean exit gets a couple
-        // of seconds to flush.
-        let grace = if timed_out {
-            Duration::from_millis(100)
-        } else {
-            Duration::from_secs(2)
-        };
-        let (stdout, out_truncated, out_stalled) =
-            out_reader.map(|h| join_reader(h, grace)).unwrap_or_default();
-        let (stderr, _, _) =
-            err_reader.map(|h| join_reader(h, grace)).unwrap_or_default();
-        drop(tc_guard);
+        // not killed by the supervisor: classify it by its real status.
+        let timed_out = out.killed && status.signal() == Some(SIGKILL);
+        let [stdout, stderr] = &out.bytes;
 
         let outcome = if timed_out {
             let t = kill.unwrap_or_default();
@@ -622,7 +600,7 @@ impl Supervisor {
                 FailureKind::Timeout,
                 format!(
                     "killed after exceeding the {t:?} supervisor deadline; stdout tail: {}",
-                    tail_str(&stdout, 512)
+                    tail_str(stdout, 512)
                 ),
             ))
         } else if !status.success() {
@@ -634,27 +612,27 @@ impl Supervisor {
                 kind,
                 format!(
                     "{kind}; stderr tail: {}; stdout tail: {}",
-                    tail_str(&stderr, 1024),
-                    tail_str(&stdout, 1024)
+                    tail_str(stderr, 1024),
+                    tail_str(stdout, 1024)
                 ),
             ))
-        } else if out_stalled {
+        } else if out.stalled {
             Err((
                 FailureKind::ProtocolCorrupt,
                 "stdout pipe still open after the process exited (orphaned \
                  child process holding it?); output abandoned"
                     .into(),
             ))
-        } else if out_truncated {
+        } else if out.truncated {
             Err((
                 FailureKind::ProtocolCorrupt,
                 format!(
                     "stdout exceeded the {MAX_OUTPUT_BYTES}-byte output cap; tail: {}",
-                    tail_str(&stdout, 512)
+                    tail_str(stdout, 512)
                 ),
             ))
         } else {
-            parse_report(&String::from_utf8_lossy(&stdout))
+            parse_report(&String::from_utf8_lossy(stdout))
                 .map_err(|e| (FailureKind::ProtocolCorrupt, e.to_string()))
         };
         Ok((outcome, peak_rss))
@@ -679,12 +657,23 @@ fn spawn(cmd: &mut Command) -> std::io::Result<Child> {
     }
 }
 
+const SIGKILL: i32 = 9;
+
+/// `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
 extern "C" {
-    fn waitid(idtype: c_int, id: u32, info: *mut c_void, options: c_int) -> c_int;
+    fn syscall(number: c_long, ...) -> c_long;
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: c_int) -> c_int;
     fn wait4(pid: c_int, status: *mut c_int, options: c_int, rusage: *mut [i64; 18]) -> c_int;
 }
 
-/// Repeat a wait call (`-1` on error) while a signal interrupts it.
+/// Repeat a call (`-1` on error) while a signal interrupts it.
 fn retry_eintr(mut call: impl FnMut() -> c_int) -> std::io::Result<()> {
     while call() == -1 {
         let err = std::io::Error::last_os_error();
@@ -695,26 +684,27 @@ fn retry_eintr(mut call: impl FnMut() -> c_int) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Block until child `pid` has exited, without reaping it
-/// (`waitid(P_PID, pid, WEXITED | WNOWAIT)`): the zombie keeps the pid
-/// reserved until [`reap`].
+/// A pidfd of child `pid` (`pidfd_open(2)`, Linux ≥ 5.3): it polls
+/// readable once the child has exited.
 #[allow(unsafe_code)]
-pub(crate) fn await_exit(pid: u32) -> std::io::Result<()> {
-    const P_PID: c_int = 1;
-    const WEXITED: c_int = 4;
-    const WNOWAIT: c_int = 0x0100_0000;
-    // Room for the kernel's 128-byte `siginfo_t`; nothing reads it.
-    let mut info = [0u64; 16];
-    // SAFETY: `info` is a writable, 8-byte-aligned buffer the size of
-    // `siginfo_t`, valid for the whole call.
-    retry_eintr(|| unsafe { waitid(P_PID, pid, info.as_mut_ptr().cast(), WEXITED | WNOWAIT) })
+fn pidfd_open(pid: u32) -> std::io::Result<OwnedFd> {
+    const SYS_PIDFD_OPEN: c_long = 434;
+    // SAFETY: `pidfd_open` takes a pid and a flags word and touches no
+    // memory of this process.
+    let fd = unsafe { syscall(SYS_PIDFD_OPEN, c_long::from(pid as c_int), 0 as c_long) };
+    if fd < 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    // SAFETY: the kernel just opened `fd` for this call; nothing else owns
+    // it.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd as c_int) })
 }
 
 /// Reap child `pid` with one blocking `wait4`: its exit status plus its
 /// peak RSS in KiB (`ru_maxrss`, which `Child::wait` would discard). The
 /// kernel's high-water mark covers the child's whole life, however short.
 #[allow(unsafe_code)]
-pub(crate) fn reap(pid: u32) -> std::io::Result<(ExitStatus, u64)> {
+fn reap(pid: u32) -> std::io::Result<(ExitStatus, u64)> {
     let mut status: c_int = 0;
     // `struct rusage` on 64-bit Linux: two `timeval`s, then `ru_maxrss`.
     let mut ru = [0i64; 18];
@@ -724,82 +714,97 @@ pub(crate) fn reap(pid: u32) -> std::io::Result<(ExitStatus, u64)> {
     Ok((ExitStatus::from_raw(status), ru[4].max(0) as u64))
 }
 
-/// Shared capture state for one attempt's pipe reader.
-///
-/// `live` is the attempt's epoch tag: [`join_reader`] clears it when it
-/// abandons a stalled reader, after which the (now stale) thread keeps
-/// draining the pipe — a writer must never block — but stops appending.
-/// Without the seal, a reader abandoned on the kill-deadline path could
-/// outlive its attempt and flush late bytes into a buffer the run loop
-/// has already classified.
-struct Capture {
-    /// `(captured bytes, truncated?)` under one lock.
-    buf: Mutex<(Vec<u8>, bool)>,
-    live: AtomicBool,
+/// What one attempt's child wrote, and how [`capture`] ended.
+#[derive(Default)]
+struct Output {
+    /// Captured stdout and stderr, at most [`MAX_OUTPUT_BYTES`] and
+    /// [`MAX_STDERR_BYTES`].
+    bytes: [Vec<u8>; 2],
+    /// Stdout passed its cap; the rest was drained and discarded.
+    truncated: bool,
+    /// Stdout was still open when the grace after the exit ran out.
+    stalled: bool,
+    /// The kill deadline passed and the child was killed.
+    killed: bool,
 }
 
-/// A running pipe reader: the shared capture, its thread handle, and the
-/// channel the thread signals EOF on.
-struct CaptureHandle {
-    capture: Arc<Capture>,
-    thread: std::thread::JoinHandle<()>,
-    eof: mpsc::Receiver<()>,
-}
-
-/// Read a child pipe to EOF on a helper thread, keeping at most `cap`
-/// bytes and draining (but discarding) the rest so the child never blocks
-/// on a full pipe.
-fn bounded_reader<R: Read + Send + 'static>(pipe: Option<R>, cap: usize) -> Option<CaptureHandle> {
-    let mut pipe = pipe?;
-    let capture = Arc::new(Capture {
-        buf: Mutex::new((Vec::new(), false)),
-        live: AtomicBool::new(true),
-    });
-    let shared = Arc::clone(&capture);
-    let (eof_tx, eof) = mpsc::channel();
-    let thread = std::thread::spawn(move || {
-        let mut chunk = [0u8; 8192];
-        loop {
-            match pipe.read(&mut chunk) {
-                Ok(0) | Err(_) => break,
+/// Read `child`'s stdout and stderr as they fill while holding its kill
+/// deadline `kill`: one `poll(2)` over both pipes and a pidfd of the
+/// child, whose timeout is what is left of the deadline. When it passes,
+/// the child is killed. Once the pidfd reports the exit, the pipes get a
+/// grace to drain — 100 ms after a kill, 2 s after an exit of the child's
+/// own, since a simulator that forked can leave an orphan holding them —
+/// and are then dropped, so no byte arrives after the capture ends. The
+/// child stays unreaped, so the kill can never reach a recycled pid.
+#[allow(unsafe_code)]
+fn capture(child: &mut Child, kill: Option<Duration>) -> std::io::Result<Output> {
+    const POLLIN: c_short = 1;
+    let deadline = kill.map(|k| Instant::now() + k);
+    let pidfd = pidfd_open(child.id())?;
+    let mut pipes = [
+        child.stdout.take().map(|p| File::from(OwnedFd::from(p))),
+        child.stderr.take().map(|p| File::from(OwnedFd::from(p))),
+    ];
+    let caps = [MAX_OUTPUT_BYTES, MAX_STDERR_BYTES];
+    let mut out = Output::default();
+    let mut drained_by: Option<Instant> = None;
+    let mut chunk = [0u8; 64 * 1024];
+    loop {
+        let now = Instant::now();
+        let wake = match drained_by {
+            Some(_) if pipes.iter().all(Option::is_none) => break,
+            Some(end) if end <= now => break,
+            Some(end) => Some(end),
+            None if out.killed => None,
+            None => deadline,
+        };
+        if wake.is_some_and(|at| at <= now) {
+            child.kill()?;
+            out.killed = true;
+            continue;
+        }
+        let timeout_ms = wake.map_or(-1, |at| {
+            let ms = (at - now).as_nanos().div_ceil(1_000_000);
+            c_int::try_from(ms).unwrap_or(c_int::MAX)
+        });
+        let fd = |f: Option<&File>| f.map_or(-1, File::as_raw_fd);
+        let exit_fd = if drained_by.is_some() { -1 } else { pidfd.as_raw_fd() };
+        let mut fds = [exit_fd, fd(pipes[0].as_ref()), fd(pipes[1].as_ref())].map(|fd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        });
+        // SAFETY: `fds` is a valid array of three `pollfd`s for the whole
+        // call; negative descriptors are skipped by the kernel.
+        if unsafe { poll(fds.as_mut_ptr(), 3, timeout_ms) } < 0 {
+            let err = std::io::Error::last_os_error();
+            if err.kind() == ErrorKind::Interrupted {
+                continue;
+            }
+            return Err(err);
+        }
+        if fds[0].revents != 0 {
+            let grace = if out.killed { 100 } else { 2000 };
+            drained_by = Some(Instant::now() + Duration::from_millis(grace));
+        }
+        for (i, pipe) in pipes.iter_mut().enumerate() {
+            let Some(file) = pipe.as_mut().filter(|_| fds[i + 1].revents != 0) else {
+                continue;
+            };
+            match file.read(&mut chunk) {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Ok(0) | Err(_) => *pipe = None,
                 Ok(n) => {
-                    if !shared.live.load(Ordering::Acquire) {
-                        continue; // stale: drain, never capture
-                    }
-                    let mut buf = shared.buf.lock().expect("capture buffer");
-                    let room = cap.saturating_sub(buf.0.len());
-                    let take = n.min(room);
-                    buf.0.extend_from_slice(&chunk[..take]);
-                    if take < n {
-                        buf.1 = true;
-                    }
+                    let buf = &mut out.bytes[i];
+                    let take = n.min(caps[i].saturating_sub(buf.len()));
+                    buf.extend_from_slice(&chunk[..take]);
+                    out.truncated |= i == 0 && take < n;
                 }
             }
         }
-        let _ = eof_tx.send(());
-    });
-    Some(CaptureHandle { capture, thread, eof })
-}
-
-/// Join a reader thread, abandoning it if it has not reached EOF within
-/// `grace` (an orphaned grandchild can hold the pipe open indefinitely).
-/// Returns `(captured, truncated, stalled)`.
-///
-/// Abandoning **seals** the capture (stale appends are dropped) and then
-/// snapshots whatever arrived in time, so a partially-flushed protocol
-/// stream still reaches the failure detail — previously the whole
-/// capture was discarded and triage saw `<empty>`.
-fn join_reader(handle: CaptureHandle, grace: Duration) -> (Vec<u8>, bool, bool) {
-    // A reader that died without sending dropped its sender, which also
-    // ends the wait.
-    let stalled = matches!(handle.eof.recv_timeout(grace), Err(RecvTimeoutError::Timeout));
-    if stalled {
-        handle.capture.live.store(false, Ordering::Release);
-    } else {
-        let _ = handle.thread.join();
     }
-    let buf = handle.capture.buf.lock().expect("capture buffer");
-    (buf.0.clone(), buf.1, stalled)
+    out.stalled = pipes[0].is_some();
+    Ok(out)
 }
 
 /// The last `max` bytes of `bytes` as lossy UTF-8 (for error details; keeps
@@ -1084,53 +1089,6 @@ mod tests {
         let (status, rss_kb) = reap(pid).unwrap();
         assert!(status.success());
         assert!(rss_kb > 0, "reap-time ru_maxrss must be non-zero, got {rss_kb}");
-    }
-
-    #[test]
-    fn abandoned_reader_keeps_early_bytes_and_drops_late_ones() {
-        // A pipe that yields "early", stalls past any reasonable grace,
-        // then flushes "LATE" — the shape of a killed child whose orphan
-        // flushes after the supervisor moved on.
-        struct HangThenFlush {
-            stage: usize,
-        }
-        impl Read for HangThenFlush {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                self.stage += 1;
-                match self.stage {
-                    1 => {
-                        buf[..5].copy_from_slice(b"early");
-                        Ok(5)
-                    }
-                    2 => {
-                        std::thread::sleep(Duration::from_millis(80));
-                        buf[..4].copy_from_slice(b"LATE");
-                        Ok(4)
-                    }
-                    _ => Ok(0),
-                }
-            }
-        }
-        let handle = bounded_reader(Some(HangThenFlush { stage: 0 }), 1 << 20).unwrap();
-        let capture = Arc::clone(&handle.capture);
-        // Wait until "early" has landed so the snapshot is deterministic.
-        let t0 = Instant::now();
-        while capture.buf.lock().unwrap().0.len() < 5 {
-            assert!(t0.elapsed() < Duration::from_secs(5), "early bytes never arrived");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let (bytes, truncated, stalled) = join_reader(handle, Duration::from_millis(5));
-        assert!(stalled, "the reader is mid-stall and must be abandoned");
-        assert!(!truncated);
-        assert_eq!(bytes, b"early", "partial output survives abandonment");
-        // Let the stale thread wake up, see the late flush, and finish:
-        // the sealed capture must not grow.
-        std::thread::sleep(Duration::from_millis(150));
-        assert_eq!(
-            capture.buf.lock().unwrap().0,
-            b"early",
-            "stale reader appended after its attempt was classified"
-        );
     }
 
     #[test]

@@ -37,6 +37,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Re-exported so other JSONL stores built on [`append_jsonl`] /
+/// [`parse_flat_object`] (e.g. the fuzz campaign state) encode strings
+/// identically to the ledger.
+pub use accmos_ir::json_str;
+
 /// Wall-clock spans of one job, per pipeline phase, in microseconds.
 ///
 /// Everything is `u64` microseconds end-to-end; only display code
@@ -284,28 +289,6 @@ fn push_bool(out: &mut String, key: &str, val: bool) {
     out.push_str("\":");
     out.push_str(if val { "true" } else { "false" });
     out.push(',');
-}
-
-/// JSON string literal with escaping (same contract as the analyzer's
-/// report emitter). Public so other JSONL stores built on
-/// [`append_jsonl`] / [`parse_flat_object`] (e.g. the fuzz campaign
-/// state) encode strings identically to the ledger.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A scalar value in a flat ledger object.

@@ -129,9 +129,10 @@ fn kill_fires_at_the_deadline_not_a_poll_period_late() {
 #[test]
 fn timeout_detail_keeps_partial_output_from_a_stalled_reader() {
     // A killed child whose orphaned grandchild holds stdout open: the
-    // reader is abandoned after the timeout grace, but the bytes that
-    // arrived in time must still reach the failure detail (they used to
-    // be discarded wholesale), and the orphan's late flush must not.
+    // capture stops reading after the 100 ms grace that follows the kill,
+    // but the bytes that arrived in time must still reach the failure
+    // detail (they used to be discarded wholesale), and the orphan's late
+    // flush must not.
     let s = Scripted::new(
         "hangflush",
         "printf 'ACCMOS:MODEL fake\\nACCMOS:TIME_'\n\
@@ -151,6 +152,35 @@ fn timeout_detail_keeps_partial_output_from_a_stalled_reader() {
         !detail.contains("ACCMOS:END"),
         "late flush from the orphan leaked into the classification: {detail}"
     );
+}
+
+#[test]
+fn stdout_held_open_after_a_clean_exit_is_abandoned_after_the_grace() {
+    // The script writes a valid report and exits 0, but its background
+    // subshell keeps stdout open for 3 s: the capture waits out the 2 s
+    // grace after the exit, then abandons the pipe instead of waiting
+    // for the orphan or taking the report as whole.
+    let s = Scripted::new("orphan", &format!("{OK_PROTOCOL}\n( sleep 3 ) &"));
+    let sup = Supervisor::new(fast_policy().with_kill_timeout(Duration::from_secs(10)));
+    let start = Instant::now();
+    let err = run(&sup, &s).unwrap_err();
+    let elapsed = start.elapsed();
+    assert_eq!(kind_of(&err), FailureKind::ProtocolCorrupt, "{err}");
+    assert!(err.to_string().contains("still open after the process exited"), "{err}");
+    assert!(elapsed >= Duration::from_secs(2), "abandoned before the grace: {elapsed:?}");
+    assert!(elapsed < Duration::from_secs(4), "held past the grace: {elapsed:?}");
+}
+
+#[test]
+fn stdout_past_the_output_cap_is_drained_and_protocol_corrupt() {
+    // 70,000,000 bytes overrun the 64 MiB cap: the excess is read and
+    // discarded so the writer never blocks, and the run fails on the cap
+    // well inside its kill deadline.
+    let s = Scripted::new("flood", "head -c 70000000 /dev/zero");
+    let sup = Supervisor::new(fast_policy().with_kill_timeout(Duration::from_secs(10)));
+    let err = run(&sup, &s).unwrap_err();
+    assert_eq!(kind_of(&err), FailureKind::ProtocolCorrupt, "{err}");
+    assert!(err.to_string().contains("output cap"), "{err}");
 }
 
 #[test]

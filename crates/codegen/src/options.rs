@@ -31,8 +31,6 @@ pub struct CodegenOptions {
     /// Per-step synchronization of every signal with a host-side mirror
     /// (models Rapid Accelerator's data-transfer constraint).
     pub host_sync: bool,
-    /// Maximum number of collected signal samples.
-    pub signal_log_limit: usize,
     /// Consult the static interval analysis (`accmos-analyze`) and drop
     /// diagnosis checks it proves can never fire, and report coverage
     /// points it proves unsatisfiable. Sound by construction: only checks
@@ -92,7 +90,6 @@ impl Default for CodegenOptions {
             policy: DiagnosticPolicy::all(),
             custom: Vec::new(),
             host_sync: false,
-            signal_log_limit: 4096,
             prune_proven_safe: true,
             profile: false,
             sabotage_digest: false,

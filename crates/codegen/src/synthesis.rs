@@ -14,7 +14,7 @@ use crate::gen::{
 use crate::options::CodegenOptions;
 use crate::runtime::RUNTIME_HEADER;
 use accmos_graph::PreprocessedModel;
-use accmos_ir::{ActorKind, CoverageKind, DataType, SystemKind};
+use accmos_ir::{ActorKind, CoverageKind, DataType, SystemKind, SIGNAL_LOG_LIMIT};
 
 /// A generated simulator: source files plus the site tables needed to
 /// interpret its output.
@@ -109,7 +109,7 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     w.line(format!("#define ACCMOS_MCDC_BITS {}", pre.coverage.map.total(CoverageKind::Mcdc)));
     w.line(format!("#define ACCMOS_DIAG_SITES {}", ctx.diag_sites.len()));
     w.line(format!("#define ACCMOS_CUSTOM_SITES {}", opts.custom.len()));
-    let log_limit = if opts.instrument { opts.signal_log_limit } else { 0 };
+    let log_limit = if opts.instrument { SIGNAL_LOG_LIMIT } else { 0 };
     w.line(format!("#define ACCMOS_LOG_LIMIT {log_limit}"));
     let max_width = flat.signals.iter().map(|s| s.width).max().unwrap_or(1).max(1);
     w.line(format!("#define ACCMOS_MAX_WIDTH {max_width}"));
@@ -578,10 +578,13 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     // executable and a dlopen'ing host run the identical driver, so the
     // two modes are digest-identical by construction. It runs one
     // stimulus (`tc_path[0]` when `tc_n > 0`); a lane run is one call
-    // per lane. Returns: 0 = ok, 3 = stale instance (this load's entry
-    // was already consumed; module-static state is single-shot), 4 =
-    // canceled via the cooperative flag (no records emitted).
-    w.open("int accmos_entry(uint64_t total_step, const char *const *tc_path, int tc_n, int stop_on_diag, uint64_t budget_ms, const volatile int32_t *cancel, accmos_emit_fn emit, void *emit_ctx) {");
+    // per lane. A nonzero `kill_ns` is the caller's kill deadline,
+    // counted from the call. Returns: 0 = ok, 3 = stale instance (this
+    // load's entry was already consumed; module-static state is
+    // single-shot), 4 = canceled at the kill deadline (no records
+    // emitted).
+    w.open("int accmos_entry(uint64_t total_step, const char *const *tc_path, int tc_n, int stop_on_diag, uint64_t budget_ms, uint64_t kill_ns, accmos_emit_fn emit, void *emit_ctx) {");
+    w.line("uint64_t t_in = accmos_now_ns();");
     w.line("static int accmos_entry_used = 0;");
     w.line("if (accmos_entry_used) return 3;");
     w.line("accmos_entry_used = 1;");
@@ -602,13 +605,13 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     }
     w.line("uint64_t executed = 0;");
     w.line("uint64_t t0 = accmos_now_ns();");
-    // Budget and cancellation share one sparse check (every 512 steps)
+    // Budget and kill deadline share one sparse check (every 512 steps)
     // so neither perturbs the hot loop.
     w.comment("Simulation Loop of model");
     w.open("for (uint64_t step = 0; step < total_step; step++) {");
     w.open("if ((step & 511) == 0) {");
     w.line("if (budget_ms && accmos_now_ns() - t0 >= budget_ms * 1000000ULL) break;");
-    w.line("if (cancel && *cancel) { canceled = 1; break; }");
+    w.line("if (kill_ns && accmos_now_ns() - t_in >= kill_ns) { canceled = 1; break; }");
     w.close("}");
     w.line("accmos_step = step;");
     w.line("Model_Exe();");
@@ -648,7 +651,7 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     w.line("else if (strcmp(argv[a], \"--stop-on-diag\") == 0) stop_on_diag = 1;");
     w.line("else if (strcmp(argv[a], \"--budget-ms\") == 0 && a + 1 < argc) budget_ms = strtoull(argv[++a], NULL, 10);");
     w.close("}");
-    w.line("return accmos_entry(total_step, tc_path, tc_n, stop_on_diag, budget_ms, NULL, NULL, NULL);");
+    w.line("return accmos_entry(total_step, tc_path, tc_n, stop_on_diag, budget_ms, 0, NULL, NULL);");
     w.close("}");
 
     let mut unsat_points = [0usize; 4];

@@ -98,7 +98,7 @@
 //! `--trace-out PATH` (simulate/profile/batch/fuzz) writes a Chrome
 //! trace-event JSON file (loadable in Perfetto or `chrome://tracing`)
 //! with hierarchical spans per job: pipeline phases, the supervisor's
-//! attempts (with watchdog kills and retry backoff) and per-actor profile
+//! attempts (with deadline kills and retry backoff) and per-actor profile
 //! leaves when profiling is on, sized as in the job's ledger record.
 //!
 //! Every subcommand accepts exactly the flags its usage line lists: an

@@ -622,12 +622,13 @@ impl FuzzCampaign {
             }))
             .unwrap_or_else(|payload| Verdict::Panic { detail: panic_text(payload) });
             let duration = start.elapsed();
+            let duration_us = u64::try_from(duration.as_micros()).unwrap_or(u64::MAX);
             if let (Some(t), Some(span_start)) = (&cfg.tracer, trial_start) {
                 t.record(crate::TraceSpan {
                     name: format!("trial {index}"),
                     cat: "fuzz".to_owned(),
                     start_us: span_start,
-                    dur_us: t.now_us().saturating_sub(span_start),
+                    dur_us: duration_us,
                     tid: 1,
                     args: vec![
                         ("verdict".to_owned(), verdict.label().to_string()),
@@ -650,7 +651,7 @@ impl FuzzCampaign {
                 detail: truncate(verdict.detail(), 600),
                 injected: plan.inject.is_some(),
                 classified: verdict.classified(),
-                duration_us: u64::try_from(duration.as_micros()).unwrap_or(u64::MAX),
+                duration_us,
             };
             store
                 .append(&record)
@@ -1365,6 +1366,29 @@ mod tests {
         let detail = compare_reports("a", &nan, "b", &with_out(-f64::NAN)).unwrap();
         assert!(detail.contains("final outputs"), "{detail}");
         assert!(compare_reports("a", &with_out(0.0), "b", &with_out(-0.0)).is_some());
+    }
+
+    #[test]
+    fn a_trials_span_lasts_what_its_record_says() {
+        let dir = scratch_dir("trial-span");
+        let tracer = Tracer::new();
+        let config = FuzzConfig {
+            seed: 3,
+            trials: 2,
+            state_dir: Some(dir.clone()),
+            tracer: Some(tracer.clone()),
+            ..FuzzConfig::default()
+        };
+        FuzzCampaign::new(config).run().unwrap();
+        let records = FuzzStore::in_dir(&dir).read().records;
+        let spans: Vec<_> = tracer.spans().into_iter().filter(|s| s.cat == "fuzz").collect();
+        assert_eq!((records.len(), spans.len()), (2, 2));
+        for r in &records {
+            let name = format!("trial {}", r.index);
+            let span = spans.iter().find(|s| s.name == name).expect("a span per trial");
+            assert_eq!(span.dur_us, r.duration_us, "{name}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -763,8 +763,10 @@ mod tests {
 
     #[test]
     fn kill_deadline_bounds_the_interpreter_lanes_together() {
-        // Each lane takes about 0.6 of the deadline: the first finishes
-        // inside it, the second cannot, and the job is killed.
+        // Each of 4 lanes takes about 0.45 of the deadline, 1.8 times the
+        // deadline together: a machine that runs them up to 1.8 times
+        // faster than calibrated still cannot finish them all, and the
+        // job is killed.
         let model = small_model();
         let pre = preprocess(&model).unwrap();
         let tests = TestVectors::constant("In", Scalar::I32(21), 1);
@@ -778,7 +780,7 @@ mod tests {
             .min()
             .unwrap();
         let deadline = Duration::from_secs(1);
-        let per_lane = deadline.as_nanos() * 6 / 10;
+        let per_lane = deadline.as_nanos() * 45 / 100;
         let steps = (per_lane * u128::from(probe) / fastest.as_nanos().max(1)) as u64;
         let blocker =
             std::env::temp_dir().join(format!("accmos-run-lanes-deadline-{}", std::process::id()));
@@ -787,9 +789,10 @@ mod tests {
             .without_cache()
             .with_work_dir(&blocker)
             .with_exec_policy(ExecPolicy::default().with_kill_timeout(deadline));
-        let opts = RunOptions { lane_tests: vec![tests.clone()], ..RunOptions::default() };
-        let err = pipeline.run(&model, steps, &tests, &opts).unwrap_err();
+        let opts = RunOptions { lane_tests: vec![tests.clone(); 3], ..RunOptions::default() };
+        let run = pipeline.run(&model, steps, &tests, &opts);
         std::fs::remove_file(&blocker).unwrap();
+        let err = run.unwrap_err();
         let AccMoSError::Backend(e) = &err else { panic!("expected a backend error: {err}") };
         assert_eq!(e.failure_kind(), Some(FailureKind::Timeout), "{err}");
     }

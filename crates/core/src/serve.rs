@@ -75,7 +75,8 @@
 //!   interpreter;
 //! - a timeout is a real failure, not a fallback trigger: the budget is
 //!   already spent. The kill timeout bounds every rung, the in-process
-//!   run as a cooperative cancel and the interpreter as its time budget.
+//!   run as the entry's own deadline check and the interpreter as its
+//!   time budget.
 //!
 //! Successful in-process runs are recorded with engine `accmos-dylib`
 //! (source `serve`), so ledger trends keep the two dispatch engines in

@@ -13,7 +13,7 @@ use crate::semantics::{
 use accmos_graph::{FlatActor, FlatModel, PreprocessedModel};
 use accmos_ir::{
     applicable_diagnoses, ActorKind, DiagnosticEvent, DiagnosticKind, LogicOp, OutputDigest,
-    SignalSample, SimulationReport, SystemKind, TestVectors, Value,
+    SignalSample, SimulationReport, SystemKind, TestVectors, Value, SIGNAL_LOG_LIMIT,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -141,39 +141,23 @@ fn run_normal(
             let raw_inputs: Vec<Value> =
                 actor.inputs.iter().map(|s| rt.signals[s.0].clone()).collect();
             let outcome = eval_actor(flat, actor, &mut rt, tests, &book.inport_col);
-            if opts.coverage {
-                record_coverage(pre, actor, &outcome, &mut bitmaps);
-            }
-            if opts.policy.any() {
-                record_diagnostics(
-                    flat,
-                    actor,
-                    &book.diag_lists[id.0],
-                    &outcome,
-                    &raw_inputs,
-                    opts,
-                    step,
-                    &mut diag,
-                );
-            }
-            if log.len() < opts.signal_log_limit {
-                monitor(flat, actor, &rt, &raw_inputs, step, &mut log, opts.signal_log_limit);
+            record_coverage(pre, actor, &outcome, &mut bitmaps);
+            let applicable = &book.diag_lists[id.0];
+            record_diagnostics(actor, applicable, &outcome, &raw_inputs, step, &mut diag);
+            if log.len() < SIGNAL_LOG_LIMIT {
+                monitor(flat, actor, &rt, &raw_inputs, step, &mut log);
             }
         }
-        if opts.coverage {
-            record_group_coverage(pre, &mut rt, &mut bitmaps);
-        }
+        record_group_coverage(pre, &mut rt, &mut bitmaps);
         // Integrator accumulators can wrap during the end-of-step
         // update; diagnose before applying it.
-        if opts.policy.enabled(DiagnosticKind::WrapOnOverflow) {
-            for id in &flat.order {
-                let actor = flat.actor(*id);
-                if matches!(actor.kind, ActorKind::DiscreteIntegrator { .. })
-                    && rt.actor_active(flat, actor)
-                    && integrator_update_wraps(actor, &rt)
-                {
-                    diag.hit(id.0, DiagnosticKind::WrapOnOverflow, step);
-                }
+        for id in &flat.order {
+            let actor = flat.actor(*id);
+            if matches!(actor.kind, ActorKind::DiscreteIntegrator { .. })
+                && rt.actor_active(flat, actor)
+                && integrator_update_wraps(actor, &rt)
+            {
+                diag.hit(id.0, DiagnosticKind::WrapOnOverflow, step);
             }
         }
         // Root outputs: digest + final values.
@@ -199,10 +183,8 @@ fn run_normal(
     let mut report = SimulationReport::new(&flat.name, name);
     report.steps = executed;
     report.wall = start.elapsed();
-    if opts.coverage {
-        report.coverage = Some(pre.coverage.map.summarize(&bitmaps));
-        report.coverage_bitmaps = Some(bitmaps);
-    }
+    report.coverage = Some(pre.coverage.map.summarize(&bitmaps));
+    report.coverage_bitmaps = Some(bitmaps);
     report.diagnostics = diag.into_events(flat);
     report.signal_log = log;
     report.output_digest = digest.finish();
@@ -287,20 +269,17 @@ pub(crate) fn record_group_coverage(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn record_diagnostics(
-    flat: &FlatModel,
     actor: &FlatActor,
     applicable: &[DiagnosticKind],
     outcome: &EvalOutcome,
     raw_inputs: &[Value],
-    opts: &SimOptions,
     step: u64,
     diag: &mut DiagAgg,
 ) {
     use DiagnosticKind::*;
     let id = actor.id.0;
-    let has = |k: DiagnosticKind| applicable.contains(&k) && opts.policy.enabled(k);
+    let has = |k: DiagnosticKind| applicable.contains(&k);
 
     if outcome.overflow && has(WrapOnOverflow) {
         diag.hit(id, WrapOnOverflow, step);
@@ -331,7 +310,6 @@ fn record_diagnostics(
             diag.hit(id, PrecisionLoss, step);
         }
     }
-    let _ = flat;
 }
 
 fn monitor(
@@ -341,11 +319,10 @@ fn monitor(
     raw_inputs: &[Value],
     step: u64,
     log: &mut Vec<SignalSample>,
-    limit: usize,
 ) {
     if actor.monitor {
         for sig in &actor.outputs {
-            if log.len() >= limit {
+            if log.len() >= SIGNAL_LOG_LIMIT {
                 return;
             }
             log.push(SignalSample {
@@ -355,7 +332,7 @@ fn monitor(
             });
         }
     }
-    if actor.kind.is_monitor_sink() && !raw_inputs.is_empty() && log.len() < limit {
+    if actor.kind.is_monitor_sink() && !raw_inputs.is_empty() && log.len() < SIGNAL_LOG_LIMIT {
         log.push(SignalSample {
             path: format!("{}_in", actor.path.key()),
             step,

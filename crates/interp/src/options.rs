@@ -1,7 +1,7 @@
 //! Simulation options and the engine abstraction.
 
 use accmos_graph::PreprocessedModel;
-use accmos_ir::{DiagnosticPolicy, SimulationReport, TestVectors};
+use accmos_ir::{SimulationReport, TestVectors};
 use std::time::Duration;
 
 /// Options controlling one simulation run.
@@ -12,12 +12,6 @@ pub struct SimOptions {
     /// Optional wall-clock budget; the run stops early when exceeded
     /// (used by the Table 3 equal-time coverage experiment).
     pub time_budget: Option<Duration>,
-    /// Which runtime diagnostics to perform.
-    pub policy: DiagnosticPolicy,
-    /// Whether to collect the four coverage metrics.
-    pub coverage: bool,
-    /// Maximum number of monitored-signal samples to retain.
-    pub signal_log_limit: usize,
     /// Stop at the end of the first step that produced any diagnostic
     /// (time-to-first-error experiments).
     pub stop_on_diagnostic: bool,
@@ -41,12 +35,6 @@ impl SimOptions {
         self.stop_on_diagnostic = true;
         self
     }
-
-    /// Builder-style: set the diagnostic policy.
-    pub fn with_policy(mut self, policy: DiagnosticPolicy) -> SimOptions {
-        self.policy = policy;
-        self
-    }
 }
 
 impl Default for SimOptions {
@@ -54,9 +42,6 @@ impl Default for SimOptions {
         SimOptions {
             steps: 1,
             time_budget: None,
-            policy: DiagnosticPolicy::all(),
-            coverage: true,
-            signal_log_limit: 4096,
             stop_on_diagnostic: false,
         }
     }

@@ -14,6 +14,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
+/// Most monitored-signal samples a run keeps. The interpreter and the
+/// generated C stop logging at the same count, so the two engines'
+/// `signal_log`s compare equal.
+pub const SIGNAL_LOG_LIMIT: usize = 4096;
+
 /// One recorded sample of a monitored signal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignalSample {
@@ -81,7 +86,7 @@ pub struct SimulationReport {
     pub diagnostics: Vec<DiagnosticEvent>,
     /// Hits of user-defined signal probes.
     pub custom: Vec<CustomEvent>,
-    /// Monitored-signal samples (bounded by the engine's log limit).
+    /// Monitored-signal samples, at most [`SIGNAL_LOG_LIMIT`].
     pub signal_log: Vec<SignalSample>,
     /// FNV-1a digest of all root-output values of all steps.
     pub output_digest: u64,

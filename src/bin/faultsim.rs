@@ -22,7 +22,7 @@
 //! | `truncate` | emit two records, then stop mid-record (no newline) |
 //! | `midexit`  | emit a valid prefix but exit 0 without `ACCMOS:END` |
 //! | `flaky`    | exit 3 on the first run (`<exe>.state` sentinel), then ok |
-//! | `hangflush`| emit a partial record, detach a child that flushes protocol-completing bytes ~1.5 s later through the inherited stdout, then hang — exercises the supervisor's abandoned-reader path |
+//! | `hangflush`| emit a partial record, detach a child that flushes protocol-completing bytes ~1.5 s later through the inherited stdout, then hang — exercises the supervisor's drain grace after a kill |
 
 use std::io::Write;
 
@@ -31,8 +31,9 @@ fn main() {
     let mode = mode_from(&args[0]);
     if args.iter().any(|a| a == "--lateflush") {
         // The detached `hangflush` straggler: by now the supervisor has
-        // killed our parent and abandoned its stdout reader; these bytes
-        // must never reach the attempt's classification.
+        // killed our parent and, after its drain grace, stopped reading
+        // its stdout; these bytes must never reach the attempt's
+        // classification.
         std::thread::sleep(std::time::Duration::from_millis(1500));
         println!("9");
         println!("ACCMOS:END");

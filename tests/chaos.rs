@@ -165,9 +165,9 @@ fn chaos_batch_survives_misbehaving_simulators() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The supervisor's abandoned-reader seal: a killed simulator whose
-/// detached straggler completes the `ACCMOS:` protocol *after* the
-/// reader was abandoned must classify as a plain Timeout whose detail
+/// The supervisor's drain grace: a killed simulator whose detached
+/// straggler completes the `ACCMOS:` protocol *after* the capture
+/// stopped reading must classify as a plain Timeout whose detail
 /// keeps the bytes that arrived in time — and never the late flush,
 /// which could otherwise turn a hang into a spuriously "complete" or
 /// differently-classified attempt.
