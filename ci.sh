@@ -44,7 +44,15 @@ for m in CPUT CSEV FMTM LANS LEDLC RAC SPV TCP TWC UTPC; do
 done
 [ "$SITES" -ge 170 ] \
     || { echo "ci: suite-wide proven sites dropped to $SITES (baseline >= 170)" >&2; exit 1; }
-echo "ci: analyzer gate passed on all 10 benchmarks ($SITES proven prunable sites)"
+# The analyzer reports the coverage points it proves unsatisfiable; the
+# generated simulators do not print them (their coverage is the bitmaps).
+./target/release/accmos analyze bench:CSEV --format json | python3 -c "
+import json, sys
+got = json.load(sys.stdin)['unsatisfiable']
+want = {'Actor': 0, 'Condition': 9, 'Decision': 17, 'MC/DC': 12}
+assert got == want, got" \
+    || { echo "ci: CSEV's unsatisfiable coverage points moved" >&2; exit 1; }
+echo "ci: analyzer gate passed on all 10 benchmarks ($SITES proven prunable sites; CSEV unsatisfiable 9/17/12)"
 
 # Removed-flag gate: generated C is the only compiled engine, every actor
 # compiles from its template (the analyzer only prunes diagnosis checks),
@@ -52,7 +60,7 @@ echo "ci: analyzer gate passed on all 10 benchmarks ($SITES proven prunable site
 # generate), and the CLI rejects any flag its usage line does not list, so
 # the flags of the removed generated-Rust backend, of the removed
 # analyzer-driven rewrite of calculation code and of the removed lane
-# build must fail loudly rather than be ignored.
+# build must fail loudly, with the usage block, rather than be ignored.
 for removed in "simulate assets/figure1.mdlx --steps 10 --engine rust" \
                "generate assets/figure1.mdlx --rust" \
                "generate bench:SPV --no-optimize" \
@@ -60,9 +68,11 @@ for removed in "simulate assets/figure1.mdlx --steps 10 --engine rust" \
                "analyze bench:SPV --explain" \
                "generate bench:SPV --lanes 4"; do
     # shellcheck disable=SC2086 # word-split the argument list on purpose
-    if ./target/release/accmos $removed > /dev/null 2>&1; then
+    if USAGE_ERR=$(./target/release/accmos $removed 2>&1 > /dev/null); then
         echo "ci: 'accmos $removed' exited 0; expected a usage error" >&2; exit 1
     fi
+    printf '%s\n' "$USAGE_ERR" | grep -q "^usage:" \
+        || { printf '%s\n' "$USAGE_ERR" >&2; echo "ci: 'accmos $removed' printed no usage" >&2; exit 1; }
 done
 echo "ci: removed Rust-backend, calculation-rewrite and lane-build flags are rejected"
 # The bench harnesses reject unknown flags too, so `table3`'s removed
@@ -93,8 +103,13 @@ for m in SPV CSEV; do
         || { echo "ci: sanitizer run failed on $m" >&2; exit 1; }
     grep -q "ACCMOS:END" "$SAN_DIR/$m/san_out.txt" \
         || { echo "ci: sanitized $m simulator produced no protocol output" >&2; exit 1; }
+    # Coverage is the COV bitmaps alone: no other coverage record is
+    # printed, not even for CSEV's analyzer-proven unsatisfiable points.
+    if grep -q "^ACCMOS:UNSAT" "$SAN_DIR/$m/san_out.txt"; then
+        echo "ci: the $m simulator printed ACCMOS:UNSAT records" >&2; exit 1
+    fi
 done
-echo "ci: sanitizer smoke test passed (SPV and CSEV, 5000 steps, UBSan+ASan clean)"
+echo "ci: sanitizer smoke test passed (SPV and CSEV, 5000 steps, UBSan+ASan clean, no UNSAT records)"
 
 # Run-ledger + trend gate: two batches into one fresh cache dir must both
 # append schema-versioned ledger records, and the trend check must pass
@@ -144,6 +159,10 @@ fi
 ELAPSED_MS=$(( ($(date +%s%N) - START_NS) / 1000000 ))
 grep -q "failed (timeout).*supervisor deadline" "$LEVEL_DIR/deadline_err.txt" \
     || { cat "$LEVEL_DIR/deadline_err.txt" >&2; echo "ci: deadline run did not report the supervisor's timeout" >&2; exit 1; }
+# A timeout is a runtime failure, not a usage error: no usage block.
+if grep -q "^usage:" "$LEVEL_DIR/deadline_err.txt"; then
+    cat "$LEVEL_DIR/deadline_err.txt" >&2; echo "ci: the deadline run printed the usage block" >&2; exit 1
+fi
 [ "$ELAPSED_MS" -lt 5000 ] \
     || { echo "ci: a 300 ms kill deadline took ${ELAPSED_MS} ms to end the run" >&2; exit 1; }
 echo "ci: subprocess deadline leg passed (300 ms kill deadline, run ended after ${ELAPSED_MS} ms)"

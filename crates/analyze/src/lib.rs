@@ -14,7 +14,7 @@
 //!    drop runtime diagnosis checks which can *never* fire on any input;
 //! 3. **unsatisfiable coverage points** — bitmap bits (e.g. the false
 //!    outcome of a constantly-true decision) no stimulus can ever cover,
-//!    so coverage reports can show honest reachable denominators.
+//!    listed in the `accmos analyze` report.
 //!
 //! The soundness contract is one-directional: the analysis may *fail* to
 //! prove a safe site safe (the check stays, costing only time), but it
@@ -198,10 +198,6 @@ fn build(pre: &PreprocessedModel, tests: Option<&TestVectors>) -> ModelAnalysis 
     }
 }
 
-fn kind_slot(kind: CoverageKind) -> usize {
-    CoverageKind::ALL.iter().position(|k| *k == kind).unwrap_or(0)
-}
-
 impl ModelAnalysis {
     /// The analyzed model's name.
     pub fn model(&self) -> &str {
@@ -259,12 +255,12 @@ impl ModelAnalysis {
 
     /// Bitmap bits of `kind` no stimulus can cover.
     pub fn unsatisfiable_points(&self, kind: CoverageKind) -> &BTreeSet<usize> {
-        &self.unsat[kind_slot(kind)]
+        &self.unsat[kind.index()]
     }
 
     /// Number of unsatisfiable points of `kind`.
     pub fn unsatisfiable_count(&self, kind: CoverageKind) -> usize {
-        self.unsat[kind_slot(kind)].len()
+        self.unsat[kind.index()].len()
     }
 
     /// Plain-text report (CLI `--format text`).

@@ -19,10 +19,6 @@ use accmos_ir::{
 use crate::fixpoint::{wrap_fold, Act, Engine};
 use crate::{AnalysisFinding, LintRule};
 
-fn kind_slot(kind: CoverageKind) -> usize {
-    CoverageKind::ALL.iter().position(|k| *k == kind).unwrap_or(0)
-}
-
 /// Compute pruning facts and unsatisfiable coverage points.
 pub fn facts(
     engine: &Engine<'_>,
@@ -32,7 +28,7 @@ pub fn facts(
     let mut never = HashSet::new();
     let mut unsat: [BTreeSet<usize>; 4] = Default::default();
     let mark = |kind: CoverageKind, bit: usize, set: &mut [BTreeSet<usize>; 4]| {
-        set[kind_slot(kind)].insert(bit);
+        set[kind.index()].insert(bit);
     };
 
     for actor in &flat.actors {

@@ -30,8 +30,6 @@ pub enum OptLevel {
     O0,
     /// `-O1`
     O1,
-    /// `-O2`
-    O2,
     /// `-O3` — the AccMoS configuration (paper §4).
     #[default]
     O3,
@@ -42,7 +40,6 @@ impl OptLevel {
         match self {
             OptLevel::O0 => "-O0",
             OptLevel::O1 => "-O1",
-            OptLevel::O2 => "-O2",
             OptLevel::O3 => "-O3",
         }
     }

@@ -54,7 +54,7 @@ pub use dylib::{DylibRun, DylibRunner};
 pub use error::BackendError;
 pub use protocol::parse_report;
 pub use run::{CompiledSimulator, RunOptions};
-pub use supervise::{Attempt, ExecPolicy, FailureKind, SupervisedRun, Supervisor};
+pub use supervise::{Attempt, ExecPolicy, FailureKind, Supervisor};
 pub use telemetry::{PhaseMicros, RunLedger, RunRecord, TraceSpan, Tracer};
 
 /// The default state directory shared by the build cache, the run ledger

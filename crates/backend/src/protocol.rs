@@ -3,11 +3,23 @@
 //! Generated simulators print their results as line-oriented records; this
 //! module parses them back into an [`accmos_ir::SimulationReport`] so the
 //! compiled path is directly comparable with the interpretive engines.
+//! Each record is one `ACCMOS:<RECORD> <field>...` line:
+//!
+//! - `MODEL <name>`, `STEPS <n>`, `TIME_NS <ns>`;
+//! - `COV <metric> <total> <word>...`: one metric's bitmap;
+//! - `PROF actor=<key> ns=<ns> calls=<n> timed=<n>`: one profiled site;
+//! - `DIAG <kind> <actor> <first step> <count>`;
+//! - `CUSTOM <probe> <actor> <first step> <count>`;
+//! - `SIGNAL <path> <step> <dtype> <len> <word>...`: one logged sample;
+//! - `OUT <port> <dtype> <width> <word>...`: one final root output;
+//! - `DIGEST <hex>`, then `END`.
+//!
+//! Any other record is rejected, and lines without the prefix are skipped.
 
 use crate::error::BackendError;
 use accmos_ir::{
-    ActorProfile, CoverageBitmap, CoverageBitmaps, CoverageKind, CoverageSummary, CustomEvent,
-    DataType, DiagnosticEvent, DiagnosticKind, Scalar, SignalSample, SimulationReport, Value,
+    ActorProfile, CoverageBitmap, CoverageBitmaps, CoverageKind, CustomEvent, DataType,
+    DiagnosticEvent, DiagnosticKind, Scalar, SignalSample, SimulationReport, Value,
 };
 use std::time::Duration;
 
@@ -46,7 +58,6 @@ fn parse_value(dt: DataType, hexes: &[&str], line: &str) -> Result<Value, Backen
 pub fn parse_report(stdout: &str) -> Result<SimulationReport, BackendError> {
     let mut state = ParseState {
         report: SimulationReport::new("", "accmos"),
-        coverage: CoverageSummary::default(),
         bitmaps: CoverageBitmaps::default(),
         saw_cov: false,
         saw_end: false,
@@ -104,7 +115,6 @@ fn protocol_detail(e: &BackendError) -> String {
 /// Accumulator for one protocol stream.
 struct ParseState {
     report: SimulationReport,
-    coverage: CoverageSummary,
     bitmaps: CoverageBitmaps,
     saw_cov: bool,
     saw_end: bool,
@@ -149,24 +159,9 @@ impl ParseState {
                     .iter()
                     .map(|h| hex_word(h, line))
                     .collect::<Result<Vec<u64>, _>>()?;
-                let bitmap = CoverageBitmap::from_words(total, words).map_err(|e| bad(line, e))?;
-                let counts = self.coverage.counts_mut(kind);
-                counts.covered = bitmap.count_ones();
-                counts.total = total;
-                *self.bitmaps.bitmap_mut(kind) = bitmap;
+                *self.bitmaps.bitmap_mut(kind) =
+                    CoverageBitmap::from_words(total, words).map_err(|e| bad(line, e))?;
                 self.saw_cov = true;
-            }
-            Some("UNSAT") => {
-                let metric = fields.get(1).copied().unwrap_or("");
-                let kind = CoverageKind::ALL
-                    .into_iter()
-                    .find(|k| k.ident() == metric)
-                    .ok_or_else(|| bad(line, format!("unknown metric `{metric}`")))?;
-                let n: usize = fields
-                    .get(2)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad(line, "bad unsatisfiable count"))?;
-                self.coverage.set_unsatisfiable(kind, n);
             }
             Some("PROF") => {
                 if fields.len() != 5 {
@@ -267,8 +262,7 @@ impl ParseState {
     fn finish(self) -> Result<SimulationReport, BackendError> {
         let mut report = self.report;
         if self.saw_cov {
-            report.coverage = Some(self.coverage);
-            report.coverage_bitmaps = Some(self.bitmaps);
+            report.coverage = Some(self.bitmaps);
         }
         // Match the interpretive engines' ordering.
         report.diagnostics.sort_by(|a, b| {
@@ -309,8 +303,7 @@ ACCMOS:END
         assert_eq!(cov.counts(CoverageKind::Actor).covered, 5);
         assert_eq!(cov.counts(CoverageKind::Actor).total, 10);
         assert_eq!(cov.percent(CoverageKind::Mcdc), 25.0);
-        let bitmaps = r.coverage_bitmaps.unwrap();
-        assert!(bitmaps.bitmap(CoverageKind::Mcdc).get(7));
+        assert!(cov.bitmap(CoverageKind::Mcdc).get(7));
         // sorted by first step
         assert_eq!(r.diagnostics[0].actor, "CSEV_Div");
         assert_eq!(r.diagnostics[1].count, 3);
@@ -377,6 +370,7 @@ ACCMOS:END
             "ACCMOS:DIAG overflow X 1\nACCMOS:END\n",
             "ACCMOS:OUT Out i32 2 2a\nACCMOS:END\n",
             "ACCMOS:WHAT 1\nACCMOS:END\n",
+            "ACCMOS:UNSAT dec 17\nACCMOS:END\n",
             "ACCMOS:DIGEST zz\nACCMOS:END\n",
         ] {
             assert!(parse_report(bad_line).is_err(), "should reject {bad_line}");
@@ -431,13 +425,12 @@ ACCMOS:END
     fn coverage_bitmaps_round_trip() {
         // 130 points take three words; bits 0, 64 and 129 are set.
         let text = "ACCMOS:COV cond 130 1 1 2\nACCMOS:COV actor 0\nACCMOS:END\n";
-        let r = parse_report(text).unwrap();
-        let counts = r.coverage.unwrap().counts(CoverageKind::Condition);
+        let cov = parse_report(text).unwrap().coverage.unwrap();
+        let counts = cov.counts(CoverageKind::Condition);
         assert_eq!((counts.covered, counts.total), (3, 130));
-        let bitmap = r.coverage_bitmaps.as_ref().unwrap().bitmap(CoverageKind::Condition);
-        assert_eq!((bitmap.len(), bitmap.count_ones()), (130, 3));
+        let bitmap = cov.bitmap(CoverageKind::Condition);
         assert!(bitmap.get(0) && bitmap.get(64) && bitmap.get(129));
-        assert_eq!(r.coverage.unwrap().counts(CoverageKind::Actor).total, 0);
+        assert_eq!(cov.counts(CoverageKind::Actor).total, 0);
     }
 
     #[test]

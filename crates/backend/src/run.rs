@@ -107,7 +107,7 @@ impl CompiledSimulator {
             retries: 0,
             ..ExecPolicy::default()
         });
-        Ok(once.run(self.exe(), self.dir(), steps, tests, opts, &mut Vec::new())?.report)
+        once.run(self.exe(), self.dir(), steps, tests, opts, &mut Vec::new())
     }
 
     /// Remove the build directory.
@@ -221,7 +221,7 @@ pub(crate) fn run_lanes<R>(
 /// than lane 0.
 pub(crate) fn fold_lanes(lanes: Vec<SimulationReport>) -> Result<SimulationReport, BackendError> {
     let shape = |r: &SimulationReport| {
-        r.coverage_bitmaps.as_ref().map(|b| CoverageKind::ALL.map(|k| b.bitmap(k).len()))
+        r.coverage.as_ref().map(|b| CoverageKind::ALL.map(|k| b.bitmap(k).len()))
     };
     if let Some(i) = lanes.iter().position(|l| shape(l) != shape(&lanes[0])) {
         return Err(BackendError::Protocol {
@@ -312,10 +312,10 @@ mod tests {
     #[test]
     fn lanes_with_other_coverage_points_do_not_fold() {
         let mut map = accmos_ir::CoverageMap::new();
-        map.add(CoverageKind::Actor, "M_A", "executed");
+        map.add(CoverageKind::Actor);
         let with_points = |bitmaps| {
             let mut r = SimulationReport::new("M", "accmos");
-            r.coverage_bitmaps = bitmaps;
+            r.coverage = bitmaps;
             r
         };
         let lane = || with_points(Some(map.new_bitmaps()));

@@ -259,20 +259,6 @@ impl Attempt {
     }
 }
 
-/// A successful supervised run: one child per lane.
-#[derive(Debug)]
-pub struct SupervisedRun {
-    /// The parsed simulation report, its lanes folded
-    /// ([`SimulationReport::fold_lanes`]).
-    pub report: SimulationReport,
-    /// How many retries the run needed over all its lanes (0 = every
-    /// first attempt succeeded).
-    pub retries: u32,
-    /// Peak resident set size of the largest lane's successful child in
-    /// KiB ([`Attempt::peak_rss_kb`]).
-    pub peak_rss_kb: u64,
-}
-
 /// File name of the persistent quarantine store inside a state dir.
 const QUARANTINE_FILE: &str = "quarantine.jsonl";
 /// Schema version of quarantine store lines.
@@ -454,7 +440,8 @@ impl Supervisor {
     /// The kill deadline bounds all the lanes, their attempts and their
     /// backoff together, and the lanes' reports fold into one
     /// ([`SimulationReport::fold_lanes`]). Every attempt made is appended
-    /// to `attempts`, whether the run succeeds or fails.
+    /// to `attempts`, whether the run succeeds or fails: the run's retries
+    /// and peak RSS are their [`Attempt::tally`].
     ///
     /// # Errors
     ///
@@ -474,14 +461,12 @@ impl Supervisor {
         tests: &TestVectors,
         opts: &crate::RunOptions,
         attempts: &mut Vec<Attempt>,
-    ) -> Result<SupervisedRun, BackendError> {
-        let from = attempts.len();
+    ) -> Result<SimulationReport, BackendError> {
         let kill = self.policy.kill_timeout;
         let lanes = run_lanes(exe, steps, tests, opts, kill, |steps, tests, opts, left| {
             self.run_lane(exe, work_dir, steps, tests, opts, left, attempts)
         })?;
-        let (retries, _, peak_rss_kb) = Attempt::tally(&attempts[from..]);
-        Ok(SupervisedRun { report: fold_lanes(lanes)?, retries, peak_rss_kb })
+        fold_lanes(lanes)
     }
 
     /// One lane of [`Supervisor::run`], whose kill deadline is `kill`.

@@ -9,8 +9,8 @@
 
 #![cfg(unix)]
 
-use accmos_backend::{BackendError, ExecPolicy, FailureKind, RunOptions, Supervisor};
-use accmos_ir::TestVectors;
+use accmos_backend::{Attempt, BackendError, ExecPolicy, FailureKind, RunOptions, Supervisor};
+use accmos_ir::{SimulationReport, TestVectors};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -57,8 +57,19 @@ echo 'ACCMOS:TIME_NS 1000'
 echo 'ACCMOS:DIGEST 00000000deadbeef'
 echo 'ACCMOS:END'";
 
-fn run(sup: &Supervisor, s: &Scripted) -> Result<accmos_backend::SupervisedRun, BackendError> {
+fn run(sup: &Supervisor, s: &Scripted) -> Result<SimulationReport, BackendError> {
     sup.run(&s.exe, &s.dir, 5, &TestVectors::new(), &RunOptions::default(), &mut Vec::new())
+}
+
+/// Run `s` to success: its report, with the retries and the peak RSS in
+/// KiB that its attempts add up to ([`Attempt::tally`]).
+fn run_ok(sup: &Supervisor, s: &Scripted, why: &str) -> (SimulationReport, u32, u64) {
+    let mut attempts = Vec::new();
+    let report = sup
+        .run(&s.exe, &s.dir, 5, &TestVectors::new(), &RunOptions::default(), &mut attempts)
+        .expect(why);
+    let (retries, _, peak_rss_kb) = Attempt::tally(&attempts);
+    (report, retries, peak_rss_kb)
 }
 
 fn kind_of(err: &BackendError) -> FailureKind {
@@ -69,10 +80,10 @@ fn kind_of(err: &BackendError) -> FailureKind {
 fn healthy_script_passes_through() {
     let s = Scripted::new("ok", OK_PROTOCOL);
     let sup = Supervisor::new(fast_policy());
-    let out = run(&sup, &s).expect("healthy run succeeds");
-    assert_eq!(out.retries, 0);
-    assert_eq!(out.report.steps, 5);
-    assert_eq!(out.report.output_digest, 0xdead_beef);
+    let (report, retries, _) = run_ok(&sup, &s, "healthy run succeeds");
+    assert_eq!(retries, 0);
+    assert_eq!(report.steps, 5);
+    assert_eq!(report.output_digest, 0xdead_beef);
 }
 
 #[test]
@@ -99,9 +110,9 @@ fn near_instant_child_still_reports_peak_rss() {
     // peak_rss = 0. The reap itself now carries the kernel's ru_maxrss.
     let s = Scripted::new("instant", OK_PROTOCOL);
     let sup = Supervisor::new(fast_policy());
-    let out = run(&sup, &s).expect("healthy run succeeds");
+    let (_, _, peak_rss_kb) = run_ok(&sup, &s, "healthy run succeeds");
     assert!(
-        out.peak_rss_kb > 0,
+        peak_rss_kb > 0,
         "a real process always has a non-zero high-water RSS at reap"
     );
 }
@@ -278,9 +289,9 @@ fn fail_once_then_succeed_costs_one_retry() {
         ),
     );
     let sup = Supervisor::new(fast_policy());
-    let out = run(&sup, &s).expect("second attempt succeeds");
-    assert_eq!(out.retries, 1, "exactly one retry consumed");
-    assert_eq!(out.report.output_digest, 0xdead_beef);
+    let (report, retries, _) = run_ok(&sup, &s, "second attempt succeeds");
+    assert_eq!(retries, 1, "exactly one retry consumed");
+    assert_eq!(report.output_digest, 0xdead_beef);
 }
 
 #[test]

@@ -66,11 +66,7 @@ fn main() {
                     .unwrap();
                 let r = sim.run(steps, &tests, &RunOptions::default()).unwrap();
                 sim.clean();
-                let opt_tag = match opt {
-                    OptLevel::O0 => "O0",
-                    _ => "O3",
-                };
-                record_run("ablation", name, &format!("{label}-{opt_tag}"), steps, r.wall);
+                record_run("ablation", name, &format!("{label}-{}", opt.label()), steps, r.wall);
                 times.push(r.wall);
             }
             println!(

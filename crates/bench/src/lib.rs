@@ -187,7 +187,7 @@ pub fn batch_table(models: &[Model], steps: u64, seed: u64, workers: usize) -> B
 /// Coverage percentages of one run, in Table 3 column order
 /// (actor, condition, decision, MC/DC).
 pub fn coverage_row(report: &SimulationReport) -> [f64; 4] {
-    let cov = report.coverage.expect("coverage collected");
+    let cov = report.coverage.as_ref().expect("coverage collected");
     accmos_ir::CoverageKind::ALL.map(|k| cov.percent(k))
 }
 

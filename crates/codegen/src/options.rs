@@ -32,11 +32,11 @@ pub struct CodegenOptions {
     /// (models Rapid Accelerator's data-transfer constraint).
     pub host_sync: bool,
     /// Consult the static interval analysis (`accmos-analyze`) and drop
-    /// diagnosis checks it proves can never fire, and report coverage
-    /// points it proves unsatisfiable. Sound by construction: only checks
-    /// with a *proof* of impossibility are pruned, so the simulation
-    /// output (digest, diagnostics, coverage counts) is identical with the
-    /// flag on or off — pruning only removes dead instrumentation work.
+    /// diagnosis checks it proves can never fire. Sound by construction:
+    /// only checks with a *proof* of impossibility are pruned, so the
+    /// simulation output (digest, diagnostics, coverage bitmaps) is
+    /// identical with the flag on or off — pruning only removes dead
+    /// instrumentation work.
     pub prune_proven_safe: bool,
     /// Self-profiling instrumentation: wrap every emitted actor in
     /// cumulative nanosecond + invocation counters, reported at end of

@@ -35,10 +35,6 @@ pub struct GeneratedProgram {
     /// Diagnosis checks dropped because the interval analysis proved they
     /// can never fire (`CodegenOptions::prune_proven_safe`).
     pub pruned_sites: usize,
-    /// Per-metric coverage points the analysis proved unsatisfiable, in
-    /// [`CoverageKind::ALL`] order; reported as `ACCMOS:UNSAT` lines so
-    /// coverage summaries can show reachable denominators.
-    pub unsat_points: [usize; 4],
     /// Wall-clock time the proven-safe interval analysis took during
     /// generation (zero when pruning is disabled). Surfaced so telemetry
     /// can report the analyze phase separately from synthesis proper.
@@ -505,17 +501,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
                 pre.coverage.map.total(kind)
             ));
         }
-        // Statically-unsatisfiable points: totals above stay untouched
-        // (the interpreter must agree bit-for-bit); these side-channel
-        // lines let reports subtract provably-unreachable objectives.
-        if let Some(analysis) = ctx.analysis.as_ref() {
-            for kind in CoverageKind::ALL {
-                let n = analysis.unsatisfiable_count(kind);
-                if n > 0 {
-                    w.line(format!("accmos_out(\"ACCMOS:UNSAT {} {n}\\n\");", kind.ident()));
-                }
-            }
-        }
     }
     if !ctx.diag_sites.is_empty() {
         w.open(format!("for (int s = 0; s < {}; s++) {{", ctx.diag_sites.len()));
@@ -654,12 +639,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
     w.line("return accmos_entry(total_step, tc_path, tc_n, stop_on_diag, budget_ms, 0, NULL, NULL);");
     w.close("}");
 
-    let mut unsat_points = [0usize; 4];
-    if let Some(analysis) = ctx.analysis.as_ref() {
-        for (i, kind) in CoverageKind::ALL.iter().enumerate() {
-            unsat_points[i] = analysis.unsatisfiable_count(*kind);
-        }
-    }
     GeneratedProgram {
         model: flat.name.clone(),
         main_c: w.finish(),
@@ -668,7 +647,6 @@ pub fn generate(pre: &PreprocessedModel, opts: &CodegenOptions) -> GeneratedProg
         custom_sites: opts.custom.iter().map(|p| (p.name.clone(), p.actor.clone())).collect(),
         inport_dtypes: flat.root_inports.iter().map(|id| flat.actor(*id).dtype).collect(),
         pruned_sites: ctx.pruned_sites,
-        unsat_points,
         analyze_time: ctx.analyze_time,
         folded_actors: 0,
         elided_actors: 0,

@@ -103,7 +103,9 @@
 //!
 //! Every subcommand accepts exactly the flags its usage line lists: an
 //! unknown flag, a flag missing its value or a non-numeric value for a
-//! numeric flag exits non-zero with usage instead of being ignored.
+//! numeric flag exits non-zero with usage instead of being ignored. A
+//! failure that is not a usage error (a timed-out run, a failed job, an
+//! unreadable model file) exits non-zero with its one `accmos:` line.
 
 use accmos::{load_spec, AccMoS, BatchJob, BatchRunner, ExecPolicy, RunOptions, SimOptions};
 use accmos_ir::{Model, SimulationReport, TestVectors};
@@ -114,13 +116,37 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("accmos: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+        Err(Failure::Run(msg)) => {
+            eprintln!("accmos: {msg}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Why a command failed. A usage error — an unknown command or flag, a
+/// flag missing its value, an unparsable value, a wrong count of
+/// positional arguments — is answered with [`USAGE`]; any other failure
+/// with its one line.
+#[derive(Debug, PartialEq)]
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Run(msg)
+    }
+}
+
+fn usage(msg: impl Into<String>) -> Failure {
+    Failure::Usage(msg.into())
 }
 
 const USAGE: &str = "\
@@ -148,9 +174,9 @@ usage: (models are .mdlx paths or bench:NAME for a built-in benchmark)
                   [--exec-timeout MS] [--retries N] [--pin INDEX] [--trace-out trace.json]
 (rand:SEED is the fuzzer's deterministic random model for that seed)";
 
-fn run(args: &[String]) -> Result<(), String> {
-    let cmd = args.first().ok_or("missing command")?;
-    let spec = Spec::of(cmd).ok_or_else(|| format!("unknown command `{cmd}`"))?;
+fn run(args: &[String]) -> Result<(), Failure> {
+    let cmd = args.first().ok_or_else(|| usage("missing command"))?;
+    let spec = Spec::of(cmd).ok_or_else(|| usage(format!("unknown command `{cmd}`")))?;
     let args = &args[1..];
     let positional = spec.check(args)?;
     match cmd.as_str() {
@@ -166,7 +192,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "serve" => serve(args),
         #[cfg(unix)]
         "submit" => submit(&positional, args),
-        _ => Err(format!("`{cmd}` requires a Unix platform")),
+        _ => Err(format!("`{cmd}` requires a Unix platform").into()),
     }
 }
 
@@ -238,23 +264,23 @@ impl Spec {
 
     /// Reject unknown flags, value flags without a value and a wrong
     /// count of positional arguments; return the positional arguments.
-    fn check<'a>(&self, args: &'a [String]) -> Result<Vec<&'a str>, String> {
+    fn check<'a>(&self, args: &'a [String]) -> Result<Vec<&'a str>, Failure> {
         let mut positional = Vec::new();
         let mut it = args.iter().map(String::as_str);
         while let Some(arg) = it.next() {
             if self.values.contains(&arg) {
-                it.next().ok_or_else(|| format!("`{arg}` needs a value"))?;
+                it.next().ok_or_else(|| usage(format!("`{arg}` needs a value")))?;
             } else if !arg.starts_with("--") {
                 positional.push(arg);
             } else if !self.switches.contains(&arg) {
-                return Err(format!("unknown flag `{arg}`"));
+                return Err(usage(format!("unknown flag `{arg}`")));
             }
         }
         if positional.len() < *self.positional.start() {
-            return Err("missing model file".into());
+            return Err(usage("missing model file"));
         }
         match positional.get(*self.positional.end()) {
-            Some(extra) => Err(format!("unexpected argument `{extra}`")),
+            Some(extra) => Err(usage(format!("unexpected argument `{extra}`"))),
             None => Ok(positional),
         }
     }
@@ -270,19 +296,19 @@ fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 
 /// The value of flag `name` parsed as `T`: `None` when the flag is
 /// absent, an error naming the flag and the value when it does not parse.
-fn opt_parse<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+fn opt_parse<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, Failure> {
     opt(args, name)
-        .map(|v| v.parse().map_err(|_| format!("bad value `{v}` for {name}")))
+        .map(|v| v.parse().map_err(|_| usage(format!("bad value `{v}` for {name}"))))
         .transpose()
 }
 
-fn opt_u64(args: &[String], name: &str, default: u64) -> Result<u64, String> {
+fn opt_u64(args: &[String], name: &str, default: u64) -> Result<u64, Failure> {
     Ok(opt_parse(args, name)?.unwrap_or(default))
 }
 
 /// The supervised-execution policy from `--exec-timeout` / `--retries`
 /// (defaults untouched when the flags are absent).
-fn exec_policy(args: &[String]) -> Result<ExecPolicy, String> {
+fn exec_policy(args: &[String]) -> Result<ExecPolicy, Failure> {
     let mut policy = ExecPolicy::default();
     if let Some(ms) = opt_parse(args, "--exec-timeout")? {
         policy = policy.with_kill_timeout(Duration::from_millis(ms));
@@ -293,7 +319,7 @@ fn exec_policy(args: &[String]) -> Result<ExecPolicy, String> {
     Ok(policy)
 }
 
-fn info(model: &Model) -> Result<(), String> {
+fn info(model: &Model) -> Result<(), Failure> {
     let pre = accmos::preprocess(model).map_err(|e| e.to_string())?;
     let flat = &pre.flat;
     println!("model `{}`", model.name);
@@ -318,10 +344,10 @@ fn info(model: &Model) -> Result<(), String> {
     Ok(())
 }
 
-fn analyze(model: &Model, args: &[String]) -> Result<(), String> {
+fn analyze(model: &Model, args: &[String]) -> Result<(), Failure> {
     let format = opt(args, "--format").unwrap_or("text");
     let deny: Option<accmos::Severity> = match opt(args, "--deny") {
-        Some(s) => Some(s.parse()?),
+        Some(s) => Some(s.parse().map_err(usage)?),
         None => None,
     };
     let pre = accmos::preprocess(model).map_err(|e| e.to_string())?;
@@ -336,17 +362,17 @@ fn analyze(model: &Model, args: &[String]) -> Result<(), String> {
     match format {
         "text" => print!("{}", analysis.render_text()),
         "json" => println!("{}", analysis.render_json()),
-        other => return Err(format!("unknown format `{other}` (text|json)")),
+        other => return Err(usage(format!("unknown format `{other}` (text|json)"))),
     }
     if let Some(deny) = deny {
         if analysis.max_severity().is_some_and(|worst| worst >= deny) {
-            return Err(format!("analysis found findings at or above `{deny}` severity"));
+            return Err(format!("analysis found findings at or above `{deny}` severity").into());
         }
     }
     Ok(())
 }
 
-fn generate(model: &Model, args: &[String]) -> Result<(), String> {
+fn generate(model: &Model, args: &[String]) -> Result<(), Failure> {
     let out = opt(args, "--out").unwrap_or(".");
     std::fs::create_dir_all(out).map_err(|e| e.to_string())?;
     let pre = accmos::preprocess(model).map_err(|e| e.to_string())?;
@@ -385,7 +411,7 @@ fn lane_stimulus(
     Ok((tests.clone(), vec![tests; lanes.saturating_sub(1)]))
 }
 
-fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
+fn simulate(model: &Model, args: &[String]) -> Result<(), Failure> {
     let steps = opt_u64(args, "--steps", 1000)?;
     let engine = opt(args, "--engine").unwrap_or("accmos");
     let seed = opt_u64(args, "--seed", 2024)?;
@@ -397,7 +423,8 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
     if lanes > 1 && engine != "accmos" {
         return Err(format!(
             "engine `{engine}` does not support --lanes > 1 (lanes run on the `accmos` engine only)"
-        ));
+        )
+        .into());
     }
     let profiling = flag(args, "--profile");
     let trace_out = opt(args, "--trace-out");
@@ -405,7 +432,8 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
     if (profiling || tracer.is_some()) && matches!(engine, "sse" | "sse-ac") {
         return Err(format!(
             "engine `{engine}` is interpretive; --profile/--trace-out need a compiled engine"
-        ));
+        )
+        .into());
     }
 
     let pre = accmos::preprocess(model).map_err(|e| e.to_string())?;
@@ -450,7 +478,7 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
             }
             out.report
         }
-        other => return Err(format!("unknown engine `{other}`")),
+        other => return Err(usage(format!("unknown engine `{other}`"))),
     };
     println!("{report}");
     // The Display above shows the lane aggregate; surface each lane's own
@@ -482,14 +510,14 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn profile(model: &Model, args: &[String]) -> Result<(), String> {
+fn profile(model: &Model, args: &[String]) -> Result<(), Failure> {
     let steps = opt_u64(args, "--steps", 100_000)?;
     let seed = opt_u64(args, "--seed", 2024)?;
     let rows = opt_u64(args, "--rows", 64)? as usize;
     let lanes = opt_u64(args, "--lanes", 1)?.max(1) as usize;
     let format = opt(args, "--format").unwrap_or("text");
     if !matches!(format, "text" | "json") {
-        return Err(format!("unknown format `{format}` (text|json)"));
+        return Err(usage(format!("unknown format `{format}` (text|json)")));
     }
 
     let pre = accmos::preprocess(model).map_err(|e| e.to_string())?;
@@ -514,11 +542,12 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
     if let Some(reason) = &out.fallback_reason {
         return Err(format!(
             "cannot profile: the run degraded to the interpreter ({reason})"
-        ));
+        )
+        .into());
     }
     let report = &out.report;
     if report.profile.is_empty() {
-        return Err("the simulator emitted no ACCMOS:PROF records".into());
+        return Err(Failure::Run("the simulator emitted no ACCMOS:PROF records".into()));
     }
     if let (Some(t), Some(path)) = (&tracer, trace_out) {
         t.write_chrome_json(std::path::Path::new(path))
@@ -596,7 +625,7 @@ fn profile(model: &Model, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn trends(args: &[String]) -> Result<(), String> {
+fn trends(args: &[String]) -> Result<(), Failure> {
     use accmos::telemetry::{compute_trends, fmt_us, PhaseMicros};
 
     let dir = match opt(args, "--cache-dir") {
@@ -605,7 +634,7 @@ fn trends(args: &[String]) -> Result<(), String> {
     };
     let format = opt(args, "--format").unwrap_or("text");
     if !matches!(format, "text" | "json") {
-        return Err(format!("unknown format `{format}` (text|json)"));
+        return Err(usage(format!("unknown format `{format}` (text|json)")));
     }
     let max_pct = opt_parse(args, "--max-regress")?.unwrap_or(25.0);
     let ledger = accmos::RunLedger::in_dir(&dir);
@@ -724,7 +753,7 @@ fn check_trends(
     }
 }
 
-fn fuzz(args: &[String]) -> Result<(), String> {
+fn fuzz(args: &[String]) -> Result<(), Failure> {
     let seed = opt_u64(args, "--seed", 1)?;
     let mut config = accmos::FuzzConfig {
         seed,
@@ -767,7 +796,7 @@ fn fuzz(args: &[String]) -> Result<(), String> {
         let dir = config
             .corpus_dir
             .clone()
-            .ok_or("--pin needs --corpus DIR to write the entry into")?;
+            .ok_or_else(|| "--pin needs --corpus DIR to write the entry into".to_string())?;
         let repro = accmos::fuzz::pin_corpus_entry(&config, index, &dir)?;
         println!(
             "pinned {}: {} actor(s), lanes {}, {} step(s), {} row(s), digest {:016x}",
@@ -823,15 +852,17 @@ fn fuzz(args: &[String]) -> Result<(), String> {
         return Err(format!(
             "{} divergence(s) between backends (minimized repros above)",
             summary.divergences
-        ));
+        )
+        .into());
     }
     if summary.unclassified > 0 {
-        return Err(format!("{} trial(s) escaped failure classification", summary.unclassified));
+        let n = summary.unclassified;
+        return Err(format!("{n} trial(s) escaped failure classification").into());
     }
     Ok(())
 }
 
-fn batch(paths: &[&str], args: &[String]) -> Result<(), String> {
+fn batch(paths: &[&str], args: &[String]) -> Result<(), Failure> {
     let steps = opt_u64(args, "--steps", 1000)?;
     let repeat = opt_u64(args, "--repeat", 1)?.max(1);
     let seed = opt_u64(args, "--seed", 2024)?;
@@ -944,7 +975,7 @@ fn batch(paths: &[&str], args: &[String]) -> Result<(), String> {
         eprintln!("wrote trace {path}");
     }
     if s.failures > 0 {
-        return Err(format!("{} job(s) failed", s.failures));
+        return Err(format!("{} job(s) failed", s.failures).into());
     }
     Ok(())
 }
@@ -952,7 +983,7 @@ fn batch(paths: &[&str], args: &[String]) -> Result<(), String> {
 /// `accmos serve`: run the in-process simulation daemon until a client
 /// sends `shutdown`.
 #[cfg(unix)]
-fn serve(args: &[String]) -> Result<(), String> {
+fn serve(args: &[String]) -> Result<(), Failure> {
     let mut pipeline = AccMoS::new().with_exec_policy(exec_policy(args)?);
     if let Some(dir) = opt(args, "--cache-dir") {
         pipeline = pipeline.with_cache(accmos::BuildCache::at(dir));
@@ -990,7 +1021,7 @@ fn serve_socket(args: &[String], pipeline: &AccMoS) -> Result<std::path::PathBuf
 /// `accmos submit`: send a job (and/or `--ping` / `--shutdown`) to a
 /// running daemon and stream its result.
 #[cfg(unix)]
-fn submit(positional: &[&str], args: &[String]) -> Result<(), String> {
+fn submit(positional: &[&str], args: &[String]) -> Result<(), Failure> {
     use std::io::{BufRead, BufReader, Write};
     let pipeline = match opt(args, "--cache-dir") {
         Some(dir) => AccMoS::new().with_cache(accmos::BuildCache::at(dir)),
@@ -998,8 +1029,26 @@ fn submit(positional: &[&str], args: &[String]) -> Result<(), String> {
     };
     let socket = serve_socket(args, &pipeline)?;
     if positional.is_empty() && !flag(args, "--ping") && !flag(args, "--shutdown") {
-        return Err("nothing to do: pass a model spec, --ping, or --shutdown".into());
+        return Err(usage("nothing to do: pass a model spec, --ping, or --shutdown"));
     }
+    // The job's request, parsed before connecting: a usage error does not
+    // depend on whether a daemon is listening.
+    let job = match positional.first() {
+        Some(spec) => {
+            let steps = match positional.get(1) {
+                Some(s) => s.parse().map_err(|_| usage(format!("bad step count `{s}`")))?,
+                None => opt_u64(args, "--steps", 1000)?,
+            };
+            Some(format!(
+                "{{\"op\":\"submit\",\"model\":{},\"steps\":{steps},\"lanes\":{},\"rows\":{},\"seed\":{}}}\n",
+                accmos::telemetry::json_str(spec),
+                opt_u64(args, "--lanes", 1)?,
+                opt_u64(args, "--rows", 8)?,
+                opt_u64(args, "--seed", 0xACC5)?,
+            ))
+        }
+        None => None,
+    };
 
     let stream = std::os::unix::net::UnixStream::connect(&socket)
         .map_err(|e| format!("cannot reach daemon on {}: {e}", socket.display()))?;
@@ -1017,18 +1066,7 @@ fn submit(positional: &[&str], args: &[String]) -> Result<(), String> {
     };
 
     let mut job_failed = None;
-    if let Some(spec) = positional.first() {
-        let steps = match positional.get(1) {
-            Some(s) => s.parse().map_err(|_| format!("bad step count `{s}`"))?,
-            None => opt_u64(args, "--steps", 1000)?,
-        };
-        let line = format!(
-            "{{\"op\":\"submit\",\"model\":{},\"steps\":{steps},\"lanes\":{},\"rows\":{},\"seed\":{}}}\n",
-            accmos::telemetry::json_str(spec),
-            opt_u64(args, "--lanes", 1)?,
-            opt_u64(args, "--rows", 8)?,
-            opt_u64(args, "--seed", 0xACC5)?,
-        );
+    if let Some(line) = job {
         writer.write_all(line.as_bytes()).map_err(|e| format!("send: {e}"))?;
         loop {
             let ev = read_event()?;
@@ -1056,9 +1094,9 @@ fn submit(positional: &[&str], args: &[String]) -> Result<(), String> {
                     break;
                 }
                 Some("error") => {
-                    return Err(ev.str("detail").unwrap_or_default());
+                    return Err(ev.str("detail").unwrap_or_default().into());
                 }
-                other => return Err(format!("unexpected daemon event {other:?}")),
+                other => return Err(format!("unexpected daemon event {other:?}").into()),
             }
         }
     }
@@ -1077,7 +1115,7 @@ fn submit(positional: &[&str], args: &[String]) -> Result<(), String> {
         }
     }
     match job_failed {
-        Some(note) => Err(format!("job failed: {note}")),
+        Some(note) => Err(format!("job failed: {note}").into()),
         None => Ok(()),
     }
 }
@@ -1094,6 +1132,14 @@ mod tests {
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// The message of a usage error; panics on anything else.
+    fn usage_msg<T: std::fmt::Debug>(result: Result<T, Failure>) -> String {
+        match result {
+            Err(Failure::Usage(msg)) => msg,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     /// Every `--flag` on `cmd`'s usage line (and its continuation lines).
@@ -1131,9 +1177,9 @@ mod tests {
         let simulate = Spec::of("simulate").unwrap();
         let ok = strings(&["m.mdlx", "--steps", "10", "--profile", "--engine", "rac"]);
         assert_eq!(simulate.check(&ok).unwrap(), ["m.mdlx"]);
-        let err = simulate.check(&strings(&["m.mdlx", "--no-cache"])).unwrap_err();
+        let err = usage_msg(simulate.check(&strings(&["m.mdlx", "--no-cache"])));
         assert!(err.contains("`--no-cache`"), "{err}");
-        let err = simulate.check(&strings(&["m.mdlx", "--steps"])).unwrap_err();
+        let err = usage_msg(simulate.check(&strings(&["m.mdlx", "--steps"])));
         assert!(err.contains("`--steps` needs a value"), "{err}");
         assert!(simulate.check(&strings(&[])).is_err(), "model is required");
         assert!(simulate.check(&strings(&["a.mdlx", "b.mdlx"])).is_err(), "one model only");
@@ -1153,15 +1199,44 @@ mod tests {
     #[test]
     fn unparsable_values_name_the_flag_and_value() {
         let args = strings(&["--steps", "banana", "--retries", "x", "--seed", "7"]);
-        let err = opt_u64(&args, "--steps", 1000).unwrap_err();
+        let err = usage_msg(opt_u64(&args, "--steps", 1000));
         assert!(err.contains("--steps") && err.contains("`banana`"), "{err}");
         assert_eq!(opt_u64(&args, "--seed", 1), Ok(7));
         assert_eq!(opt_u64(&args, "--rows", 64), Ok(64), "absent flag keeps its default");
-        let err = exec_policy(&args).unwrap_err();
+        let err = usage_msg(exec_policy(&args));
         assert!(err.contains("--retries") && err.contains("`x`"), "{err}");
-        let err = run(&strings(&["simulate", "bench:SPV", "--steps", "banana"])).unwrap_err();
+        let err = usage_msg(run(&strings(&["simulate", "bench:SPV", "--steps", "banana"])));
         assert!(err.contains("`banana`"), "{err}");
-        assert!(run(&strings(&["simulate", "bench:SPV", "--engine", "rust"])).is_err());
+    }
+
+    #[test]
+    fn usage_errors_are_told_from_runtime_failures() {
+        for args in [
+            &["launch"][..],
+            &[],
+            &["simulate", "bench:SPV", "--steps", "10", "--rust"],
+            &["simulate", "bench:SPV", "--steps"],
+            &["simulate", "bench:SPV", "--engine", "rust"],
+            &["analyze", "bench:SPV", "--format", "yaml"],
+            &["analyze", "bench:SPV", "--deny", "fatal"],
+            &["info"],
+            &["info", "bench:SPV", "bench:TWC"],
+            &["submit", "bench:SPV", "many"],
+            &["submit"],
+        ] {
+            usage_msg(run(&strings(args)));
+        }
+        // Runtime failures: an unreadable model file, and a model whose
+        // analysis has findings at the denied severity.
+        for args in [
+            &["info", "no-such-model.mdlx"][..],
+            &["analyze", "bench:CSEV", "--deny", "info"],
+        ] {
+            match run(&strings(args)) {
+                Err(Failure::Run(msg)) => assert!(!msg.is_empty()),
+                other => panic!("{args:?}: expected a runtime failure, got {other:?}"),
+            }
+        }
     }
 
     #[test]

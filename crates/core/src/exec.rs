@@ -430,7 +430,7 @@ impl Executor<'_> {
         let start = Instant::now();
         let run = supervisor.run(exe, dir, job.steps, job.tests, job.opts, &mut trail.attempts);
         trail.run_time += start.elapsed();
-        run.map(|run| run.report).map_err(|e| {
+        run.map_err(|e| {
             if has_model && supervisor.is_quarantined(exe) {
                 Stop::Fallback(Fallback::Quarantine(e.to_string()))
             } else {

@@ -72,7 +72,7 @@ pub use accmos_analyze::{
 pub use accmos_backend::{
     default_state_dir, telemetry, BackendError, BuildCache, CacheStats, CompiledSimulator,
     Compiler, ExecPolicy, FailureKind, OptLevel, PhaseMicros, RunLedger, RunOptions, RunRecord,
-    SupervisedRun, Supervisor, TraceSpan, Tracer, O3_BUDGET,
+    Supervisor, TraceSpan, Tracer, O3_BUDGET,
 };
 #[cfg(unix)]
 pub use accmos_backend::{CompiledDylib, DylibRun, DylibRunner};

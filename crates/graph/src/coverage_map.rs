@@ -19,7 +19,7 @@ use accmos_ir::{CoverageKind, CoverageMap};
 /// Dense bitmap indices for every coverage point of one model.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageIndex {
-    /// The registered points (totals and descriptions).
+    /// The number of points per metric.
     pub map: CoverageMap,
     /// Per actor: its actor-coverage bit.
     pub actor_point: Vec<usize>,
@@ -48,41 +48,28 @@ impl CoverageIndex {
         };
 
         for actor in flat.ordered_actors() {
-            let key = actor.path.key();
-            index.actor_point[actor.id.0] = index.map.add(CoverageKind::Actor, &key, "executed");
+            index.actor_point[actor.id.0] = index.map.add(CoverageKind::Actor);
 
             if let Some(outcomes) = actor.kind.branch_outcomes() {
-                let base = index.map.add(
-                    CoverageKind::Condition,
-                    &key,
-                    format!("branch 0 of {outcomes}"),
-                );
-                for i in 1..outcomes {
-                    index.map.add(CoverageKind::Condition, &key, format!("branch {i} of {outcomes}"));
+                let base = index.map.add(CoverageKind::Condition);
+                for _ in 1..outcomes {
+                    index.map.add(CoverageKind::Condition);
                 }
                 index.condition[actor.id.0] = Some((base, outcomes));
             }
 
             if actor.kind.contains_boolean_logic() {
-                let base = index.map.add(CoverageKind::Decision, &key, "outcome true");
-                index.map.add(CoverageKind::Decision, &key, "outcome false");
+                let base = index.map.add(CoverageKind::Decision);
+                index.map.add(CoverageKind::Decision);
                 index.decision[actor.id.0] = Some(base);
             }
 
             if actor.kind.is_combination_condition() {
                 let inputs = actor.inputs.len();
                 let mut first = None;
-                for i in 0..inputs {
-                    let t = index.map.add(
-                        CoverageKind::Mcdc,
-                        &key,
-                        format!("condition {i} independently true"),
-                    );
-                    index.map.add(
-                        CoverageKind::Mcdc,
-                        &key,
-                        format!("condition {i} independently false"),
-                    );
+                for _ in 0..inputs {
+                    let t = index.map.add(CoverageKind::Mcdc);
+                    index.map.add(CoverageKind::Mcdc);
                     first.get_or_insert(t);
                 }
                 index.mcdc[actor.id.0] = first.map(|f| (f, inputs));
@@ -90,9 +77,8 @@ impl CoverageIndex {
         }
 
         for group in &flat.groups {
-            let key = group.path.key();
-            let base = index.map.add(CoverageKind::Condition, &key, "group active");
-            index.map.add(CoverageKind::Condition, &key, "group inactive");
+            let base = index.map.add(CoverageKind::Condition);
+            index.map.add(CoverageKind::Condition);
             index.group_condition[group.id.0] = base;
         }
 
@@ -173,8 +159,6 @@ mod tests {
         assert_eq!(idx.map.total(CoverageKind::Condition), 2);
         let (t, f) = idx.group_bits(GroupId(0));
         assert_eq!(f, t + 1);
-        let pts = idx.map.points(CoverageKind::Condition);
-        assert!(pts[t].detail.contains("active"));
     }
 
     #[test]

@@ -553,7 +553,7 @@ mod tests {
             vec![Scalar::F64(-5.0), Scalar::F64(0.5), Scalar::F64(5.0)],
         );
         let r = run(&model, &tv, 3);
-        assert_eq!(r.coverage.unwrap().percent(CoverageKind::Condition), 100.0);
+        assert_eq!(r.coverage.as_ref().unwrap().percent(CoverageKind::Condition), 100.0);
         assert_eq!(out0(&r), &Value::scalar(Scalar::F64(1.0)));
     }
 

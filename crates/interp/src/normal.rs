@@ -183,8 +183,7 @@ fn run_normal(
     let mut report = SimulationReport::new(&flat.name, name);
     report.steps = executed;
     report.wall = start.elapsed();
-    report.coverage = Some(pre.coverage.map.summarize(&bitmaps));
-    report.coverage_bitmaps = Some(bitmaps);
+    report.coverage = Some(bitmaps);
     report.diagnostics = diag.into_events(flat);
     report.signal_log = log;
     report.output_digest = digest.finish();

@@ -2,9 +2,10 @@
 //!
 //! AccMoS records the four Simulink coverage metrics (§3.2A of the paper):
 //! *actor*, *condition*, *decision* and *MC/DC* coverage, each backed by a
-//! bitmap updated from instrumented code. [`CoverageMap`] enumerates the
-//! coverage points of a model once, so that the interpreter and the
-//! generated C simulator index the very same bitmap slots.
+//! bitmap updated from instrumented code; a run's coverage is its
+//! [`CoverageBitmaps`]. [`CoverageMap`] enumerates the coverage points of
+//! a model once, so that the interpreter and the generated C simulator
+//! index the very same bitmap slots.
 
 use std::fmt;
 
@@ -36,6 +37,17 @@ impl CoverageKind {
         }
     }
 
+    /// A stable ordinal (`0..4`, in [`CoverageKind::ALL`] order) for
+    /// per-metric arrays.
+    pub fn index(self) -> usize {
+        match self {
+            CoverageKind::Actor => 0,
+            CoverageKind::Condition => 1,
+            CoverageKind::Decision => 2,
+            CoverageKind::Mcdc => 3,
+        }
+    }
+
     /// Identifier-safe short name (bitmap prefix in generated code).
     pub fn ident(self) -> &'static str {
         match self {
@@ -53,24 +65,13 @@ impl fmt::Display for CoverageKind {
     }
 }
 
-/// One instrumentable coverage point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoveragePoint {
-    /// The metric this point belongs to.
-    pub kind: CoverageKind,
-    /// Path key of the owning actor (or conditional group).
-    pub actor: String,
-    /// Human-readable description, e.g. `branch 2 of 3` or `output true`.
-    pub detail: String,
-}
-
-/// The per-model enumeration of all coverage points.
+/// The per-model count of coverage points, per metric.
 ///
 /// Point ids are dense per metric (each metric gets its own bitmap, as the
 /// paper describes: *"AccMoS utilizes a bitmap for each metric"*).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageMap {
-    points: [Vec<CoveragePoint>; 4],
+    totals: [usize; 4],
 }
 
 impl CoverageMap {
@@ -79,30 +80,16 @@ impl CoverageMap {
         CoverageMap::default()
     }
 
-    fn slot(kind: CoverageKind) -> usize {
-        match kind {
-            CoverageKind::Actor => 0,
-            CoverageKind::Condition => 1,
-            CoverageKind::Decision => 2,
-            CoverageKind::Mcdc => 3,
-        }
-    }
-
     /// Register a point, returning its id within the metric's bitmap.
-    pub fn add(&mut self, kind: CoverageKind, actor: &str, detail: impl Into<String>) -> usize {
-        let list = &mut self.points[Self::slot(kind)];
-        list.push(CoveragePoint { kind, actor: actor.to_owned(), detail: detail.into() });
-        list.len() - 1
-    }
-
-    /// The points of one metric, in id order.
-    pub fn points(&self, kind: CoverageKind) -> &[CoveragePoint] {
-        &self.points[Self::slot(kind)]
+    pub fn add(&mut self, kind: CoverageKind) -> usize {
+        let total = &mut self.totals[kind.index()];
+        *total += 1;
+        *total - 1
     }
 
     /// Number of points registered for one metric.
     pub fn total(&self, kind: CoverageKind) -> usize {
-        self.points[Self::slot(kind)].len()
+        self.totals[kind.index()]
     }
 
     /// A zeroed set of bitmaps sized for this map.
@@ -110,17 +97,6 @@ impl CoverageMap {
         CoverageBitmaps {
             maps: CoverageKind::ALL.map(|k| CoverageBitmap::with_len(self.total(k))),
         }
-    }
-
-    /// Summarize a set of bitmaps against this map.
-    pub fn summarize(&self, bitmaps: &CoverageBitmaps) -> CoverageSummary {
-        let mut summary = CoverageSummary::default();
-        for kind in CoverageKind::ALL {
-            let counts = summary.counts_mut(kind);
-            counts.total = self.total(kind);
-            counts.covered = bitmaps.bitmap(kind).count_ones().min(counts.total);
-        }
-        summary
     }
 }
 
@@ -202,7 +178,7 @@ impl CoverageBitmap {
     }
 }
 
-/// The four bitmaps of one simulation run.
+/// The four bitmaps of one simulation run: its coverage results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageBitmaps {
     maps: [CoverageBitmap; 4],
@@ -211,12 +187,23 @@ pub struct CoverageBitmaps {
 impl CoverageBitmaps {
     /// The bitmap of one metric.
     pub fn bitmap(&self, kind: CoverageKind) -> &CoverageBitmap {
-        &self.maps[CoverageMap::slot(kind)]
+        &self.maps[kind.index()]
     }
 
     /// Mutable access to the bitmap of one metric.
     pub fn bitmap_mut(&mut self, kind: CoverageKind) -> &mut CoverageBitmap {
-        &mut self.maps[CoverageMap::slot(kind)]
+        &mut self.maps[kind.index()]
+    }
+
+    /// The counters of one metric: its set bits over its length.
+    pub fn counts(&self, kind: CoverageKind) -> CoverageCounts {
+        let bitmap = self.bitmap(kind);
+        CoverageCounts { covered: bitmap.count_ones(), total: bitmap.len() }
+    }
+
+    /// Percentage of one metric.
+    pub fn percent(&self, kind: CoverageKind) -> f64 {
+        self.counts(kind).percent()
     }
 
     /// Set one point.
@@ -254,72 +241,7 @@ impl CoverageCounts {
     }
 }
 
-/// Coverage results across all four metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoverageSummary {
-    counts: [CoverageCounts; 4],
-    /// Objectives the static analyzer proved unsatisfiable, per metric.
-    /// Kept separate from [`CoverageCounts`] so the raw covered/total
-    /// counters stay engine-comparable; these only refine the
-    /// *denominator* used by [`CoverageSummary::reachable_percent`].
-    unsat: [usize; 4],
-}
-
-impl CoverageSummary {
-    /// The counters of one metric.
-    pub fn counts(&self, kind: CoverageKind) -> CoverageCounts {
-        self.counts[CoverageMap::slot(kind)]
-    }
-
-    /// Mutable counters of one metric.
-    pub fn counts_mut(&mut self, kind: CoverageKind) -> &mut CoverageCounts {
-        &mut self.counts[CoverageMap::slot(kind)]
-    }
-
-    /// Percentage of one metric.
-    pub fn percent(&self, kind: CoverageKind) -> f64 {
-        self.counts(kind).percent()
-    }
-
-    /// Objectives of one metric proven unsatisfiable by static analysis
-    /// (0 unless the report came from an analyzer-pruned simulator),
-    /// clamped so the reachable denominator never goes below `covered`.
-    ///
-    /// The clamp happens here, at *read* time, against the live counters.
-    /// Clamping at write time made the result depend on whether the
-    /// `ACCMOS:UNSAT` protocol line arrived before or after the
-    /// `ACCMOS:COV` counters for the same metric — an `UNSAT` line parsed
-    /// first saw `total == 0` and was silently clamped to nothing.
-    pub fn unsatisfiable(&self, kind: CoverageKind) -> usize {
-        let c = self.counts(kind);
-        self.unsat[CoverageMap::slot(kind)].min(c.total.saturating_sub(c.covered))
-    }
-
-    /// Record `n` statically unsatisfiable objectives for one metric.
-    /// The raw value is stored; [`CoverageSummary::unsatisfiable`] clamps
-    /// on read so call order against the counters does not matter.
-    pub fn set_unsatisfiable(&mut self, kind: CoverageKind, n: usize) {
-        self.unsat[CoverageMap::slot(kind)] = n;
-    }
-
-    /// Percentage of one metric over the *reachable* denominator
-    /// (total minus statically unsatisfiable objectives).
-    ///
-    /// A metric whose every point is proven unsatisfiable has an empty
-    /// denominator; that is defined as 100 % — nothing reachable is left
-    /// to cover — never NaN, which would corrupt batch aggregates and
-    /// ledger-derived medians.
-    pub fn reachable_percent(&self, kind: CoverageKind) -> f64 {
-        let c = self.counts(kind);
-        let denom = c.total.saturating_sub(self.unsatisfiable(kind));
-        if denom == 0 {
-            return 100.0;
-        }
-        100.0 * c.covered as f64 / denom as f64
-    }
-}
-
-impl fmt::Display for CoverageSummary {
+impl fmt::Display for CoverageBitmaps {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, kind) in CoverageKind::ALL.into_iter().enumerate() {
             if i > 0 {
@@ -339,13 +261,20 @@ mod tests {
     #[test]
     fn map_assigns_dense_ids_per_metric() {
         let mut map = CoverageMap::new();
-        let a0 = map.add(CoverageKind::Actor, "M_A", "executed");
-        let c0 = map.add(CoverageKind::Condition, "M_Sw", "branch 0");
-        let a1 = map.add(CoverageKind::Actor, "M_B", "executed");
+        let a0 = map.add(CoverageKind::Actor);
+        let c0 = map.add(CoverageKind::Condition);
+        let a1 = map.add(CoverageKind::Actor);
         assert_eq!((a0, c0, a1), (0, 0, 1));
         assert_eq!(map.total(CoverageKind::Actor), 2);
         assert_eq!(map.total(CoverageKind::Condition), 1);
-        assert_eq!(map.points(CoverageKind::Actor)[1].actor, "M_B");
+        assert_eq!(map.total(CoverageKind::Mcdc), 0);
+    }
+
+    #[test]
+    fn kind_index_follows_report_order() {
+        for (i, kind) in CoverageKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind}");
+        }
     }
 
     #[test]
@@ -394,66 +323,32 @@ mod tests {
     }
 
     #[test]
-    fn summarize_counts_hits() {
+    fn counts_are_set_bits_over_bitmap_length() {
         let mut map = CoverageMap::new();
-        for i in 0..4 {
-            map.add(CoverageKind::Actor, &format!("A{i}"), "executed");
+        for _ in 0..4 {
+            map.add(CoverageKind::Actor);
         }
-        map.add(CoverageKind::Decision, "D", "true");
+        map.add(CoverageKind::Decision);
         let mut bm = map.new_bitmaps();
         bm.set(CoverageKind::Actor, 0);
         bm.set(CoverageKind::Actor, 2);
-        let s = map.summarize(&bm);
-        assert_eq!(s.counts(CoverageKind::Actor).covered, 2);
-        assert_eq!(s.percent(CoverageKind::Actor), 50.0);
-        assert_eq!(s.percent(CoverageKind::Decision), 0.0);
+        assert_eq!(bm.counts(CoverageKind::Actor), CoverageCounts { covered: 2, total: 4 });
+        assert_eq!(bm.percent(CoverageKind::Actor), 50.0);
+        assert_eq!(bm.percent(CoverageKind::Decision), 0.0);
         // No condition points -> trivially fully covered.
-        assert_eq!(s.percent(CoverageKind::Condition), 100.0);
+        assert_eq!(bm.percent(CoverageKind::Condition), 100.0);
     }
 
     #[test]
-    fn reachable_percent_with_empty_denominator_is_100_never_nan() {
-        // Regression: every point of a kind proven unsatisfiable empties
-        // the reachable denominator. That must read as "nothing left to
-        // cover" (100 %), not NaN — NaN poisons batch aggregates and
-        // ledger-derived medians (NaN != NaN, min/max/median all break).
-        let mut s = CoverageSummary::default();
-        *s.counts_mut(CoverageKind::Decision) = CoverageCounts { covered: 0, total: 3 };
-        s.set_unsatisfiable(CoverageKind::Decision, 3);
-        let pct = s.reachable_percent(CoverageKind::Decision);
-        assert!(!pct.is_nan(), "empty denominator must not produce NaN");
-        assert_eq!(pct, 100.0);
-        // Over-reported unsatisfiable counts clamp the same way.
-        s.set_unsatisfiable(CoverageKind::Decision, 99);
-        assert_eq!(s.unsatisfiable(CoverageKind::Decision), 3);
-        assert_eq!(s.reachable_percent(CoverageKind::Decision), 100.0);
-    }
-
-    #[test]
-    fn unsatisfiable_is_order_independent_against_the_counters() {
-        // Regression: the clamp used to happen at write time, so an
-        // ACCMOS:UNSAT protocol line parsed before the ACCMOS:COV
-        // counters was clamped against total == 0 and silently dropped.
-        let mut early = CoverageSummary::default();
-        early.set_unsatisfiable(CoverageKind::Condition, 2); // UNSAT first
-        *early.counts_mut(CoverageKind::Condition) = CoverageCounts { covered: 1, total: 4 };
-
-        let mut late = CoverageSummary::default();
-        *late.counts_mut(CoverageKind::Condition) = CoverageCounts { covered: 1, total: 4 };
-        late.set_unsatisfiable(CoverageKind::Condition, 2); // COV first
-
-        for s in [&early, &late] {
-            assert_eq!(s.unsatisfiable(CoverageKind::Condition), 2);
-            assert_eq!(s.reachable_percent(CoverageKind::Condition), 50.0);
-        }
-    }
-
-    #[test]
-    fn summary_display_mentions_all_metrics() {
-        let s = CoverageSummary::default();
-        let text = s.to_string();
-        for kind in CoverageKind::ALL {
-            assert!(text.contains(kind.name()), "missing {kind} in `{text}`");
-        }
+    fn display_shows_every_metric() {
+        let mut map = CoverageMap::new();
+        map.add(CoverageKind::Actor);
+        map.add(CoverageKind::Actor);
+        let mut bm = map.new_bitmaps();
+        bm.set(CoverageKind::Actor, 1);
+        assert_eq!(
+            bm.to_string(),
+            "Actor: 50.0% (1/2)  Condition: 100.0% (0/0)  Decision: 100.0% (0/0)  MC/DC: 100.0% (0/0)"
+        );
     }
 }

@@ -58,10 +58,7 @@ pub use actor::{
     Actor, ActorKind, BitOp, LogicOp, LookupMethod, MathOp, MinMaxOp, RoundOp, ShiftDir,
     SwitchCriteria, TrigOp,
 };
-pub use coverage::{
-    CoverageBitmap, CoverageBitmaps, CoverageCounts, CoverageKind, CoverageMap, CoveragePoint,
-    CoverageSummary,
-};
+pub use coverage::{CoverageBitmap, CoverageBitmaps, CoverageCounts, CoverageKind, CoverageMap};
 pub use diag::{applicable_diagnoses, DiagnosticEvent, DiagnosticKind, DiagnosticPolicy};
 pub use digest::{source_digest_hex, OutputDigest};
 pub use dtype::{DataType, ParseDataTypeError};

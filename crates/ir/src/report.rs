@@ -2,11 +2,11 @@
 //!
 //! Every engine — the interpretive SSE stand-ins and the generated AccMoS
 //! simulators — produces the same [`SimulationReport`], so results can be
-//! compared directly: coverage summaries, aggregated diagnostics, the
+//! compared directly: coverage bitmaps, aggregated diagnostics, the
 //! monitored-signal log (paper Figure 3's `outputData` repository), and an
 //! output digest for differential testing.
 
-use crate::coverage::{CoverageBitmaps, CoverageKind, CoverageSummary};
+use crate::coverage::CoverageBitmaps;
 use crate::diag::{DiagnosticEvent, DiagnosticKind};
 use crate::digest::OutputDigest;
 use crate::value::Value;
@@ -77,11 +77,8 @@ pub struct SimulationReport {
     /// Wall-clock time of the simulation loop (excluding code generation
     /// and compilation, which are reported separately by the pipeline).
     pub wall: Duration,
-    /// Coverage summary, if the engine collected coverage.
-    pub coverage: Option<CoverageSummary>,
-    /// The coverage bitmaps behind [`SimulationReport::coverage`], when
-    /// the engine reports them: lane runs union these.
-    pub coverage_bitmaps: Option<CoverageBitmaps>,
+    /// Coverage, one bitmap per metric, if the engine collected it.
+    pub coverage: Option<CoverageBitmaps>,
     /// Aggregated diagnostics, ordered by first occurrence.
     pub diagnostics: Vec<DiagnosticEvent>,
     /// Hits of user-defined signal probes.
@@ -111,7 +108,6 @@ impl SimulationReport {
             steps: 0,
             wall: Duration::ZERO,
             coverage: None,
-            coverage_bitmaps: None,
             diagnostics: Vec::new(),
             custom: Vec::new(),
             signal_log: Vec::new(),
@@ -164,8 +160,7 @@ impl SimulationReport {
         let mut report = SimulationReport::new(first.model.clone(), first.engine.clone());
         report.final_outputs = first.final_outputs.clone();
         report.profile = first.profile.clone();
-        report.coverage = first.coverage;
-        report.coverage_bitmaps = first.coverage_bitmaps.clone();
+        report.coverage = first.coverage.clone();
         let mut digest = OutputDigest::new();
         let mut diag: BTreeMap<(String, DiagnosticKind), DiagnosticEvent> = BTreeMap::new();
         let mut custom: BTreeMap<(String, String), CustomEvent> = BTreeMap::new();
@@ -198,15 +193,8 @@ impl SimulationReport {
                 sum.calls += site.calls;
                 sum.timed += site.timed;
             }
-            if let (Some(union), Some(bitmaps)) =
-                (&mut report.coverage_bitmaps, &lane.coverage_bitmaps)
-            {
+            if let (Some(union), Some(bitmaps)) = (&mut report.coverage, &lane.coverage) {
                 union.merge(bitmaps);
-            }
-        }
-        if let (Some(summary), Some(union)) = (&mut report.coverage, &report.coverage_bitmaps) {
-            for kind in CoverageKind::ALL {
-                summary.counts_mut(kind).covered = union.bitmap(kind).count_ones();
             }
         }
         report.output_digest = digest.finish();
@@ -354,10 +342,10 @@ mod tests {
 
     #[test]
     fn fold_lanes_unions_coverage_bitmaps() {
-        use crate::coverage::CoverageMap;
+        use crate::coverage::{CoverageKind, CoverageMap};
         let mut map = CoverageMap::new();
-        for i in 0..3 {
-            map.add(CoverageKind::Actor, &format!("A{i}"), "executed");
+        for _ in 0..3 {
+            map.add(CoverageKind::Actor);
         }
         let with_bits = |bits: &[usize]| {
             let mut bm = map.new_bitmaps();
@@ -365,14 +353,13 @@ mod tests {
                 bm.set(CoverageKind::Actor, b);
             }
             let mut r = SimulationReport::new("M", "sse");
-            r.coverage = Some(map.summarize(&bm));
-            r.coverage_bitmaps = Some(bm);
+            r.coverage = Some(bm);
             r
         };
         let folded = SimulationReport::fold_lanes(vec![with_bits(&[0]), with_bits(&[0, 2])]);
+        assert_eq!(folded.coverage, with_bits(&[0, 2]).coverage);
         let counts = folded.coverage.unwrap().counts(CoverageKind::Actor);
         assert_eq!((counts.covered, counts.total), (2, 3));
-        assert_eq!(folded.coverage_bitmaps.unwrap().bitmap(CoverageKind::Actor).count_ones(), 2);
     }
 
     #[test]

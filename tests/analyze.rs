@@ -1,12 +1,11 @@
 //! Static-analysis integration: the interval fixpoint converges on every
 //! Table 1 benchmark, and instrumentation pruning is *observationally
 //! free* — a pruned build and an unpruned build of the same model agree
-//! bit-for-bit on digests, outputs, diagnostics and coverage counts for
+//! bit-for-bit on digests, outputs, diagnostics and coverage bitmaps for
 //! any stimulus, because only checks with a proof of impossibility are
 //! dropped.
 
 use accmos::{AccMoS, CodegenOptions, RunOptions};
-use accmos_ir::CoverageKind;
 use accmos_testgen::random_tests;
 
 #[test]
@@ -57,20 +56,8 @@ fn pruned_and_unpruned_builds_agree_bit_for_bit() {
             assert_eq!(a.output_digest, b.output_digest, "{name} seed {seed}: digest");
             assert_eq!(a.final_outputs, b.final_outputs, "{name} seed {seed}: outputs");
             assert_eq!(a.diagnostics, b.diagnostics, "{name} seed {seed}: diagnostics");
-            let (ca, cb) = (a.coverage.unwrap(), b.coverage.unwrap());
-            for kind in CoverageKind::ALL {
-                assert_eq!(ca.counts(kind), cb.counts(kind), "{name} seed {seed}: {kind}");
-                // Unsatisfiable points are a pruned-build side channel;
-                // they must never exceed the uncovered remainder.
-                assert!(
-                    ca.unsatisfiable(kind) <= ca.counts(kind).total - ca.counts(kind).covered,
-                    "{name} seed {seed}: {kind} unsat over-claims"
-                );
-                assert!(
-                    ca.reachable_percent(kind) >= ca.percent(kind) - 1e-9,
-                    "{name} seed {seed}: {kind} reachable percent regressed"
-                );
-            }
+            assert!(a.coverage.is_some(), "{name} seed {seed}: coverage");
+            assert_eq!(a.coverage, b.coverage, "{name} seed {seed}: coverage bitmaps");
         }
         pruned_sim.clean();
         unpruned_sim.clean();

@@ -10,7 +10,7 @@
 
 use accmos::{AccMoS, NormalEngine, RunOptions, SimOptions};
 use accmos::Engine as _;
-use accmos_ir::{CoverageBitmaps, CoverageKind, OutputDigest, TestVectors};
+use accmos_ir::{CoverageBitmaps, OutputDigest, TestVectors};
 use accmos_testgen::{random_tests, ModelGenConfig, RandomModelGen};
 
 fn check_seed(seed: u64, actors: usize, steps: u64) {
@@ -40,15 +40,8 @@ fn check_seed(seed: u64, actors: usize, steps: u64) {
     assert_eq!(interp.output_bits(), compiled.output_bits(), "seed {seed}: final outputs");
     assert_eq!(interp.steps, compiled.steps, "seed {seed}: step counts");
 
-    let icov = interp.coverage.expect("interp coverage");
-    let ccov = compiled.coverage.expect("compiled coverage");
-    for kind in CoverageKind::ALL {
-        assert_eq!(
-            icov.counts(kind),
-            ccov.counts(kind),
-            "seed {seed}: {kind} coverage mismatch"
-        );
-    }
+    assert!(interp.coverage.is_some(), "seed {seed}: interp coverage");
+    assert_eq!(interp.coverage, compiled.coverage, "seed {seed}: coverage bitmaps");
 
     assert_eq!(
         interp.diagnostics, compiled.diagnostics,
@@ -83,8 +76,8 @@ fn long_runs_accumulate_identically() {
 /// generated model. Lane `i` runs its own stimulus and must match an
 /// interpreter run of it on digest, final outputs and diagnostics; a
 /// lane run's aggregate digest must be the FNV fold of the lane
-/// digests. Coverage counts must be those of the union of the lanes'
-/// bitmaps. Returns the model's actor count.
+/// digests. The run's coverage must be the union of the lanes' bitmaps.
+/// Returns the model's actor count.
 fn check_config(cfg: ModelGenConfig, steps: u64, lanes: usize) -> usize {
     let seed = cfg.seed;
     let model = RandomModelGen::new(cfg).generate();
@@ -107,7 +100,7 @@ fn check_config(cfg: ModelGenConfig, steps: u64, lanes: usize) -> usize {
     for (lane, tests) in stimuli.iter().enumerate() {
         let ctx = format!("seed {seed} lanes {lanes} lane {lane}");
         let interp = NormalEngine::new().run(&pre, tests, &SimOptions::steps(steps));
-        let bitmaps = interp.coverage_bitmaps.clone().unwrap();
+        let bitmaps = interp.coverage.clone().unwrap();
         let got = if lanes == 1 { &compiled } else { &compiled.lane_reports[lane] };
         assert_eq!(
             interp.output_digest, got.output_digest,
@@ -125,11 +118,7 @@ fn check_config(cfg: ModelGenConfig, steps: u64, lanes: usize) -> usize {
     if lanes > 1 {
         assert_eq!(compiled.output_digest, digest.finish(), "seed {seed}: aggregate digest");
     }
-    let want = pre.coverage.map.summarize(&union.unwrap());
-    let got = compiled.coverage.unwrap();
-    for kind in CoverageKind::ALL {
-        assert_eq!(want.counts(kind), got.counts(kind), "seed {seed} lanes {lanes}: {kind}");
-    }
+    assert_eq!(compiled.coverage, union, "seed {seed} lanes {lanes}: coverage bitmaps");
     pre.flat.ordered_actors().count()
 }
 
