@@ -61,12 +61,17 @@ echo "ci: analyzer gate passed on all 10 benchmarks ($SITES proven prunable site
 # the flags of the removed generated-Rust backend, of the removed
 # analyzer-driven rewrite of calculation code and of the removed lane
 # build must fail loudly, with the usage block, rather than be ignored.
+# Flag values are checked before the model is resolved, so a bad value
+# is a usage error even when the model file is missing, and a bad
+# `--format` is refused before the analysis runs.
 for removed in "simulate assets/figure1.mdlx --steps 10 --engine rust" \
                "generate assets/figure1.mdlx --rust" \
                "generate bench:SPV --no-optimize" \
                "simulate bench:SPV --steps 10 --no-optimize" \
                "analyze bench:SPV --explain" \
-               "generate bench:SPV --lanes 4"; do
+               "generate bench:SPV --lanes 4" \
+               "simulate missing.mdlx --steps banana" \
+               "analyze bench:SPV --format xml"; do
     # shellcheck disable=SC2086 # word-split the argument list on purpose
     if USAGE_ERR=$(./target/release/accmos $removed 2>&1 > /dev/null); then
         echo "ci: 'accmos $removed' exited 0; expected a usage error" >&2; exit 1
@@ -74,7 +79,7 @@ for removed in "simulate assets/figure1.mdlx --steps 10 --engine rust" \
     printf '%s\n' "$USAGE_ERR" | grep -q "^usage:" \
         || { printf '%s\n' "$USAGE_ERR" >&2; echo "ci: 'accmos $removed' printed no usage" >&2; exit 1; }
 done
-echo "ci: removed Rust-backend, calculation-rewrite and lane-build flags are rejected"
+echo "ci: removed Rust-backend, calculation-rewrite and lane-build flags and bad flag values are rejected"
 # The bench harnesses reject unknown flags too, so `table3`'s removed
 # fused-segment coverage section and lane-speedup experiment cannot be
 # asked for silently.
@@ -219,6 +224,32 @@ esac
 grep -q "50 planned, 0 executed, 50 resumed-skip" "$FUZZ_DIR/resume_out.txt" \
     || { cat "$FUZZ_DIR/resume_out.txt" >&2; echo "ci: resume did not skip completed trials" >&2; exit 1; }
 echo "ci: fuzz gate passed (50 trials clean, mix: $MIX, resume skipped all 50)"
+
+# Quarantine across processes, through the CLI: in one fresh cache dir, a
+# fault-injection campaign's crash binary crashes at trial 7 (retried
+# once, so two crash records and quarantine); a second process resuming
+# the campaign reads `quarantine.jsonl` and refuses the later crash
+# trials, 17 and 27, without running them.
+QUAR_DIR="$FUZZ_DIR/quarantine"
+mkdir -p "$QUAR_DIR"
+./target/release/accmos fuzz --trials 10 --seed 1 --inject target/release/faultsim --budget-ms 500 \
+    --cache-dir "$QUAR_DIR" > "$QUAR_DIR/first.txt" \
+    || { cat "$QUAR_DIR/first.txt" >&2; echo "ci: first injection campaign failed" >&2; exit 1; }
+grep -q "injected 2, unclassified 0" "$QUAR_DIR/first.txt" \
+    || { cat "$QUAR_DIR/first.txt" >&2; echo "ci: first injection campaign did not classify 2 injected trials" >&2; exit 1; }
+./target/release/accmos fuzz --trials 30 --seed 1 --inject target/release/faultsim --budget-ms 500 \
+    --cache-dir "$QUAR_DIR" --resume > "$QUAR_DIR/second.txt" \
+    || { cat "$QUAR_DIR/second.txt" >&2; echo "ci: resumed injection campaign failed" >&2; exit 1; }
+grep -q "injected 4, unclassified 0" "$QUAR_DIR/second.txt" \
+    || { cat "$QUAR_DIR/second.txt" >&2; echo "ci: resumed injection campaign did not classify 4 injected trials" >&2; exit 1; }
+python3 - "$QUAR_DIR/fuzz.jsonl" <<'EOF' \
+    || { echo "ci: the resumed campaign did not inherit the quarantine" >&2; exit 1; }
+import json, sys
+records = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
+got = sorted(r["index"] for r in records if r["verdict"] == "injected:quarantined")
+assert got == [17, 27], got
+EOF
+echo "ci: quarantine leg passed (the resumed campaign refused crash trials 17 and 27)"
 
 # Sanitize a sample of fuzz-generated models: the same random models the
 # campaign exercises, compiled with UBSan+ASan and run for a short

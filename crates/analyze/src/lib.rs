@@ -35,7 +35,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use accmos_graph::{ActorId, PreprocessedModel, SignalId};
-use accmos_ir::{json_str, CoverageKind, DiagnosticKind, Interval, TestVectors};
+use accmos_ir::{CoverageKind, DiagnosticKind, Interval, JsonObject, TestVectors};
 
 use fixpoint::Engine;
 
@@ -301,53 +301,37 @@ impl ModelAnalysis {
         out
     }
 
-    /// JSON report (CLI `--format json`). Hand-rolled, stable key order.
+    /// JSON report (CLI `--format json`), stable key order.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        out.push_str(&format!("\"model\":{},", json_str(&self.model)));
-        out.push_str(&format!("\"iterations\":{},", self.iterations));
-        out.push_str(&format!("\"narrow_passes\":{},", self.narrow_passes));
-        out.push_str(&format!("\"converged\":{},", self.converged));
-        out.push_str(&format!(
-            "\"dead_actors\":{},",
-            self.live.iter().filter(|l| !**l).count()
-        ));
-        out.push_str(&format!("\"prunable_checks\":{},", self.prunable_checks()));
-        out.push_str("\"unsatisfiable\":{");
-        for (i, kind) in CoverageKind::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{}",
-                json_str(&kind.to_string()),
-                self.unsatisfiable_count(*kind)
-            ));
+        let mut unsatisfiable = JsonObject::default();
+        for kind in CoverageKind::ALL {
+            unsatisfiable.num(&kind.to_string(), self.unsatisfiable_count(kind));
         }
-        out.push_str("},");
-        out.push_str(&format!(
-            "\"max_severity\":{},",
-            match self.max_severity() {
-                Some(s) => json_str(&s.to_string()),
-                None => "null".to_string(),
-            }
-        ));
-        out.push_str("\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":{},\"severity\":{},\"actor\":{},\"message\":{}}}",
-                json_str(f.rule.name()),
-                json_str(&f.severity.to_string()),
-                json_str(&f.actor),
-                json_str(&f.message)
-            ));
-        }
-        out.push_str("]}");
-        out
+        let findings: Vec<String> = self
+            .findings
+            .iter()
+            .map(|f| {
+                JsonObject::default()
+                    .str("rule", f.rule.name())
+                    .str("severity", &f.severity.to_string())
+                    .str("actor", &f.actor)
+                    .str("message", &f.message)
+                    .finish()
+            })
+            .collect();
+        let mut out = JsonObject::default();
+        out.str("model", &self.model)
+            .num("iterations", self.iterations)
+            .num("narrow_passes", self.narrow_passes)
+            .bool("converged", self.converged)
+            .num("dead_actors", self.live.iter().filter(|l| !**l).count())
+            .num("prunable_checks", self.prunable_checks())
+            .raw("unsatisfiable", &unsatisfiable.finish());
+        match self.max_severity() {
+            Some(worst) => out.str("max_severity", &worst.to_string()),
+            None => out.raw("max_severity", "null"),
+        };
+        out.raw("findings", &format!("[{}]", findings.join(","))).finish()
     }
 }
 

@@ -368,7 +368,7 @@ mod tests {
         let root = scratch_root("stale-lease");
         std::fs::create_dir_all(&root).unwrap();
         // A lease left behind by a crashed process 60 s ago.
-        let old_ts = lease::now_millis() - 60_000;
+        let old_ts = crate::telemetry::now_ms() - 60_000;
         std::fs::write(root.join(LOCK_NAME), format!("99999 {old_ts}")).unwrap();
         let cache = BuildCache::at(&root);
         let exe = fake_exe(&root.join("src"), "bin", b"x");
@@ -392,7 +392,7 @@ mod tests {
         // A fresh, well-formed lease is respected.
         std::fs::write(
             root.join(LOCK_NAME),
-            format!("{} {}", std::process::id(), lease::now_millis()),
+            format!("{} {}", std::process::id(), crate::telemetry::now_ms()),
         )
         .unwrap();
         assert!(!lease::lease_is_stale(&root.join(LOCK_NAME)));

@@ -1,11 +1,11 @@
 //! Cross-process file leases.
 //!
-//! One lease implementation shared by everything in this crate that
-//! appends to state under a common directory: the [`crate::BuildCache`]
-//! (serializing store + evict), the run ledger
-//! ([`crate::telemetry::RunLedger`]) and the persistent quarantine store
-//! ([`crate::Supervisor::with_state_dir`]). The protocol is the one the
-//! build cache has always used:
+//! One lease implementation shared by everything that writes state under
+//! a common directory: the [`crate::BuildCache`] (serializing store +
+//! evict) and every JSONL store appended through
+//! [`crate::telemetry::Store`] — the run ledger, the fuzz campaign state,
+//! the persistent quarantine store and the serve daemon's job journal.
+//! The protocol is the one the build cache has always used:
 //!
 //! - the lease is a file taken with `create_new` (atomic on every
 //!   filesystem we care about);
@@ -19,7 +19,8 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use crate::telemetry::now_ms;
+use std::time::{Duration, Instant};
 
 /// A lease older than this is considered abandoned (holder crashed) and
 /// taken over.
@@ -48,7 +49,7 @@ pub(crate) fn acquire(path: &Path) -> Option<LeaseGuard> {
             Ok(mut f) => {
                 // pid + wall-clock millis: content-based staleness, so
                 // takeover needs no mtime games.
-                let _ = write!(f, "{} {}", std::process::id(), now_millis());
+                let _ = write!(f, "{} {}", std::process::id(), now_ms());
                 return Some(LeaseGuard { path: path.to_path_buf() });
             }
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
@@ -68,12 +69,6 @@ pub(crate) fn acquire(path: &Path) -> Option<LeaseGuard> {
     }
 }
 
-/// Milliseconds since the Unix epoch, for lease timestamps and ledger
-/// records.
-pub(crate) fn now_millis() -> u128 {
-    SystemTime::now().duration_since(UNIX_EPOCH).unwrap_or_default().as_millis()
-}
-
 /// A lease is stale when its recorded timestamp is older than
 /// [`LOCK_STALE`] — or unreadable/garbled, which only happens when the
 /// writer died mid-write.
@@ -83,9 +78,8 @@ pub(crate) fn lease_is_stale(path: &Path) -> bool {
         // just released — the retry loop will take it.
         return false;
     };
-    let Some(ts) = contents.split_whitespace().nth(1).and_then(|t| t.parse::<u128>().ok())
-    else {
+    let Some(ts) = contents.split_whitespace().nth(1).and_then(|t| t.parse::<u64>().ok()) else {
         return true; // garbled lease: writer died mid-write
     };
-    now_millis().saturating_sub(ts) > LOCK_STALE.as_millis()
+    u128::from(now_ms().saturating_sub(ts)) > LOCK_STALE.as_millis()
 }

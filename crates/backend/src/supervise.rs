@@ -23,13 +23,12 @@
 //!   interpretive engine instead.
 
 use crate::error::BackendError;
-use crate::lease;
 use crate::protocol::parse_report;
 use crate::run::{fold_lanes, prepare_command, run_lanes};
-use crate::telemetry;
+use crate::telemetry::{self, Fields, JsonObject, Record, Store};
 use accmos_ir::{SimulationReport, TestVectors};
 use accmos_testgen::TestRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ffi::{c_int, c_long, c_short, c_ulong};
 use std::fmt;
 use std::fs::File;
@@ -259,10 +258,28 @@ impl Attempt {
     }
 }
 
-/// File name of the persistent quarantine store inside a state dir.
-const QUARANTINE_FILE: &str = "quarantine.jsonl";
-/// Schema version of quarantine store lines.
-const QUARANTINE_SCHEMA: u64 = 1;
+/// One line of the persistent quarantine store, `quarantine.jsonl`: the
+/// `n`th classified crash of the executable whose identity is `key`. The
+/// ordinal makes the line idempotent: replaying it can only confirm that
+/// crash `n` happened, never raise the count past `n`.
+#[derive(Debug, Clone)]
+struct Crash {
+    n: u32,
+    key: String,
+}
+
+impl Record for Crash {
+    const FILE_NAME: &'static str = "quarantine.jsonl";
+
+    fn write(&self, out: &mut JsonObject) {
+        out.num("ts_ms", telemetry::now_ms()).num("n", self.n).str("key", &self.key);
+    }
+
+    fn read(fields: &Fields) -> Option<Crash> {
+        let n = u32::try_from(fields.num("n")?).unwrap_or(u32::MAX);
+        Some(Crash { n, key: fields.str("key")? })
+    }
+}
 
 /// Memoized identity of one executable file: `(len, mtime)` validate the
 /// cached key, recomputing the content digest only when the file changed.
@@ -293,7 +310,7 @@ pub struct Supervisor {
     policy: ExecPolicy,
     crashes: Arc<Mutex<HashMap<String, u32>>>,
     identities: Arc<Mutex<IdentityCache>>,
-    state_file: Option<PathBuf>,
+    store: Option<Store<Crash>>,
 }
 
 impl Supervisor {
@@ -303,7 +320,7 @@ impl Supervisor {
             policy,
             crashes: Arc::default(),
             identities: Arc::default(),
-            state_file: None,
+            store: None,
         }
     }
 
@@ -318,52 +335,19 @@ impl Supervisor {
     /// are harmless by construction: they are keyed by content digest, so
     /// a recompiled artifact at the same path never matches them.
     ///
-    /// Reads are self-repairing, matching the run ledger's semantics:
-    /// torn tails and garbled lines are skipped, exact duplicate lines
-    /// (a replayed append after a crash, or a copied store) count once,
-    /// and records carrying the crash ordinal `n` contribute
-    /// `max(n)`-per-key rather than one-per-line — so duplicated events
-    /// can never inflate a crash count into a spurious quarantine.
+    /// The store reads like every other: torn tails, garbled lines and
+    /// lines of another schema are skipped. Each key's count is the
+    /// highest crash ordinal recorded for it, so a replayed or duplicated
+    /// line can never inflate a crash count into a spurious quarantine.
     pub fn with_state_dir(mut self, dir: impl Into<PathBuf>) -> Supervisor {
-        let file = dir.into().join(QUARANTINE_FILE);
+        let store = Store::<Crash>::in_dir(dir);
         let mut map: HashMap<String, u32> = HashMap::new();
-        if let Ok(contents) = std::fs::read_to_string(&file) {
-            let mut seen: HashSet<&str> = HashSet::new();
-            let mut legacy: HashMap<String, u32> = HashMap::new();
-            for line in contents.lines() {
-                let Some(fields) = telemetry::parse_flat_object(line) else {
-                    continue; // torn tail or garbled line: skip
-                };
-                if fields.num("schema") != Some(QUARANTINE_SCHEMA) {
-                    continue;
-                }
-                let Some(key) = fields.str("key") else {
-                    continue;
-                };
-                if !seen.insert(line.trim()) {
-                    continue; // byte-identical duplicate: one observation
-                }
-                match fields.num("n") {
-                    Some(n) => {
-                        // Ordinal records are idempotent: "this was crash
-                        // #n of this key". The count is the max ordinal.
-                        let n = u32::try_from(n).unwrap_or(u32::MAX);
-                        let slot = map.entry(key).or_insert(0);
-                        *slot = (*slot).max(n);
-                    }
-                    // Pre-ordinal records can only be counted per line.
-                    None => *legacy.entry(key).or_insert(0) += 1,
-                }
-            }
-            // A store mixing legacy and ordinal records (written across an
-            // upgrade) seeds each key with whichever evidence says more.
-            for (key, count) in legacy {
-                let slot = map.entry(key).or_insert(0);
-                *slot = (*slot).max(count);
-            }
+        for crash in store.read().records {
+            let slot = map.entry(crash.key).or_insert(0);
+            *slot = (*slot).max(crash.n);
         }
         *self.crashes.lock().expect("crash registry") = map;
-        self.state_file = Some(file);
+        self.store = Some(store);
         self
     }
 
@@ -420,17 +404,10 @@ impl Supervisor {
             *n += 1;
             *n
         };
-        if let Some(file) = &self.state_file {
+        if let Some(store) = &self.store {
             // Best-effort: a lost persistence line only costs another
-            // crash observation in the next process. The ordinal `n`
-            // makes the record idempotent: replaying it can only confirm
-            // "crash #n happened", never inflate the count past n.
-            let line = format!(
-                "{{\"schema\":{QUARANTINE_SCHEMA},\"ts_ms\":{},\"n\":{n},\"key\":{}}}",
-                lease::now_millis(),
-                telemetry::json_str(&key)
-            );
-            let _ = telemetry::append_jsonl(file, &line);
+            // crash observation in the next process.
+            let _ = store.append(&Crash { n, key });
         }
         n
     }
@@ -934,7 +911,7 @@ mod tests {
         sup1.record_crash(&exe);
         sup1.record_crash(&exe);
         assert!(sup1.is_quarantined(&exe));
-        assert!(dir.join(QUARANTINE_FILE).exists(), "crash events persisted");
+        assert!(dir.join(Crash::FILE_NAME).exists(), "crash events persisted");
 
         // "Process 2" (a fresh supervisor) inherits the quarantine.
         let sup2 = Supervisor::new(policy.clone()).with_state_dir(&dir);
@@ -963,7 +940,7 @@ mod tests {
         let sup = Supervisor::new(policy.clone()).with_state_dir(&dir);
         sup.record_crash(&exe);
         // A writer died mid-append: torn tail with no newline.
-        let store = dir.join(QUARANTINE_FILE);
+        let store = dir.join(Crash::FILE_NAME);
         let mut contents = std::fs::read(&store).unwrap();
         contents.extend_from_slice(b"{\"schema\":1,\"ts_ms\":12,\"ke");
         std::fs::write(&store, &contents).unwrap();
@@ -984,7 +961,7 @@ mod tests {
         let policy = ExecPolicy::default().with_quarantine_after(2);
         let sup = Supervisor::new(policy.clone()).with_state_dir(&dir);
         sup.record_crash(&exe);
-        let store = dir.join(QUARANTINE_FILE);
+        let store = dir.join(Crash::FILE_NAME);
         let contents = std::fs::read_to_string(&store).unwrap();
         // Replay the whole store three times over.
         std::fs::write(&store, contents.repeat(3)).unwrap();
@@ -1007,7 +984,7 @@ mod tests {
         let sup = Supervisor::new(policy.clone()).with_state_dir(&dir);
         sup.record_crash(&exe);
         sup.record_crash(&exe);
-        let store = dir.join(QUARANTINE_FILE);
+        let store = dir.join(Crash::FILE_NAME);
         let contents = std::fs::read_to_string(&store).unwrap();
         // Re-stamp the replayed copy so the lines are not byte-identical.
         let restamped: String = contents
@@ -1022,28 +999,38 @@ mod tests {
     }
 
     #[test]
-    fn legacy_quarantine_records_without_ordinals_still_count() {
-        // Stores written before the ordinal field carry one event per
-        // line; they must keep seeding the registry.
-        let dir = scratch_dir("legacy");
-        let exe = dir.join("sim");
-        std::fs::write(&exe, b"crashy").unwrap();
-        let policy = ExecPolicy::default().with_quarantine_after(2);
-        let sup = Supervisor::new(policy.clone());
-        let key = sup.identity(&exe);
-        let store = dir.join(QUARANTINE_FILE);
-        let lines: String = (0..2)
-            .map(|i| {
-                format!(
-                    "{{\"schema\":{QUARANTINE_SCHEMA},\"ts_ms\":{i},\"key\":{}}}\n",
-                    telemetry::json_str(&key)
-                )
-            })
-            .collect();
-        std::fs::write(&store, lines).unwrap();
-        let sup2 = Supervisor::new(policy).with_state_dir(&dir);
-        assert_eq!(sup2.crash_count(&exe), 2, "legacy lines counted per line");
-        assert!(sup2.is_quarantined(&exe));
+    fn golden_quarantine_lines_of_the_previous_format_read_back() {
+        // Lines as an earlier build wrote them, then a foreign-schema
+        // line, a line from before crash ordinals, a garbled line and a
+        // torn tail: only the first three count, and a key's count is its
+        // highest ordinal.
+        let faultsim = "9ce87a26cbf2ee77|/var/cache/accmos/fuzz-bin/faultsim-crash";
+        let sim = "0123456789abcdef|/var/cache/accmos/batch/sim";
+        let first = format!(r#"{{"schema":1,"ts_ms":1792427961305,"n":1,"key":"{faultsim}"}}"#);
+        let lines = [
+            first.clone(),
+            format!(r#"{{"schema":1,"ts_ms":1792427961368,"n":2,"key":"{faultsim}"}}"#),
+            format!(r#"{{"schema":1,"ts_ms":1792427961371,"n":1,"key":"{sim}"}}"#),
+            format!(r#"{{"schema":2,"ts_ms":1792427961372,"n":7,"key":"{sim}"}}"#),
+            format!(r#"{{"schema":1,"ts_ms":1792427961373,"key":"{sim}"}}"#),
+            r#"{"schema":1,"ts_ms":17924279613"#.to_owned(),
+        ];
+        let dir = scratch_dir("golden");
+        let file = dir.join(Crash::FILE_NAME);
+        std::fs::write(&file, format!("{}\n{{\"schema\":1,\"n\":3,\"ke", lines.join("\n"))).unwrap();
+        let view = Store::<Crash>::in_dir(&dir).read();
+        assert_eq!((view.records.len(), view.skipped, view.truncated_tail), (3, 3, true));
+        let sup = Supervisor::new(ExecPolicy::default()).with_state_dir(&dir);
+        let counts = sup.crashes.lock().unwrap().clone();
+        assert_eq!(counts, HashMap::from([(faultsim.to_owned(), 2), (sim.to_owned(), 1)]));
+
+        // A crash is written in the same format.
+        std::fs::remove_file(&file).unwrap();
+        Store::<Crash>::in_dir(&dir).append(&Crash { n: 1, key: faultsim.into() }).unwrap();
+        let written = std::fs::read_to_string(&file).unwrap();
+        let ts = |l: &str| l.split(r#""ts_ms":"#).nth(1).and_then(|r| r.split(',').next()).map(str::to_owned);
+        let written = written.replacen(&ts(&written).unwrap(), &ts(&first).unwrap(), 1);
+        assert_eq!(written, format!("{first}\n"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,4 +1,4 @@
-//! Per-phase run telemetry and the persistent run ledger.
+//! Per-phase run telemetry, the persistent state stores and trend gating.
 //!
 //! The paper's headline claims are wall-clock numbers (Table 2: up to
 //! 215.3× average speedup at 50M steps), but a harness that measures each
@@ -11,36 +11,38 @@
 //!   Milliseconds truncate sub-millisecond phases (a cached compile is
 //!   tens of µs) to 0 and poison trend medians; formatting happens at the
 //!   display edge only ([`fmt_us`]).
-//! - [`RunRecord`] is one schema-versioned ledger entry: who ran what
-//!   (source, model, engine, steps), how it went (outcome, retries,
-//!   compile cache hit) and the phase spans.
-//! - [`RunLedger`] is an append-only JSONL file under the cache/state
-//!   directory, lease-locked like [`crate::BuildCache`] so concurrent
-//!   batch processes sharing one cache dir interleave whole lines only.
-//!   Reads are truncation-tolerant, mirroring the `ACCMOS:` protocol
-//!   parser: a partial last line (writer died mid-append) is reported,
-//!   not fatal, and lines from other schema versions are skipped, not
-//!   errors.
+//! - [`RunRecord`] is one run ledger entry: who ran what (source, model,
+//!   engine, steps), how it went (outcome, retries, compile cache hit)
+//!   and the phase spans.
+//! - [`Store`] is the one append-only JSONL store under the cache/state
+//!   directory. Each [`Record`] type names its file and writes and reads
+//!   its own fields; the store writes and checks `schema`, appends under
+//!   the lease [`crate::BuildCache`] uses, so concurrent processes sharing
+//!   one cache dir interleave whole lines only, and reads tolerantly,
+//!   mirroring the `ACCMOS:` protocol parser: a partial last line (writer
+//!   died mid-append) is reported, not fatal, and lines from other schema
+//!   versions are skipped, not errors. The run ledger ([`RunLedger`],
+//!   `ledger.jsonl`), the fuzz campaign state (`fuzz.jsonl`), the
+//!   supervisor's quarantine store (`quarantine.jsonl`) and the serve
+//!   daemon's job journal (`jobs.jsonl`) are its four record types.
 //! - [`compute_trends`] / [`check_regressions`] turn the ledger into
 //!   per-model/per-engine phase medians and a CI regression gate
 //!   (`accmos trends --check --max-regress PCT`).
 //!
-//! Records are encoded by hand as flat one-line JSON objects (the
-//! workspace has no serialization dependency, by design) and parsed by a
-//! small scanner that tolerates unknown keys, so future schema revisions
-//! can add fields without breaking old readers.
+//! Records are flat one-line JSON objects ([`JsonObject`],
+//! [`parse_flat_object`]); the reader ignores unknown keys, so future
+//! schema revisions can add fields without breaking old readers.
 
 use crate::lease;
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// Re-exported so other JSONL stores built on [`append_jsonl`] /
-/// [`parse_flat_object`] (e.g. the fuzz campaign state) encode strings
-/// identically to the ledger.
-pub use accmos_ir::json_str;
+/// The JSON format every store, wire message and report shares.
+pub use accmos_ir::{parse_flat_object, Fields, JsonObject};
 
 /// Wall-clock spans of one job, per pipeline phase, in microseconds.
 ///
@@ -100,12 +102,27 @@ impl PhaseMicros {
         ];
         *slot[i] = us;
     }
+
+    /// Write every span as a `<phase>_us` field, in [`PhaseMicros::NAMES`]
+    /// order.
+    pub fn write(&self, out: &mut JsonObject) {
+        for (i, name) in Self::NAMES.iter().enumerate() {
+            out.num(&format!("{name}_us"), self.get(i));
+        }
+    }
 }
 
 /// A [`Duration`] as saturating `u64` microseconds — the only conversion
 /// the ledger stores.
 pub fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Milliseconds since the Unix epoch (0 before it): the clock of every
+/// record's `ts_ms` and of the lease.
+pub fn now_ms() -> u64 {
+    let since = SystemTime::now().duration_since(UNIX_EPOCH).unwrap_or_default();
+    u64::try_from(since.as_millis()).unwrap_or(u64::MAX)
 }
 
 /// Format microseconds for humans at the display edge: `417µs`, `4.52ms`,
@@ -120,13 +137,10 @@ pub fn fmt_us(us: u64) -> String {
     }
 }
 
-/// One schema-versioned entry of the run ledger.
+/// One entry of the run ledger.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunRecord {
-    /// Ledger schema version ([`RunLedger::SCHEMA`] for records written
-    /// by this build). Readers skip records from other versions.
-    pub schema: u64,
-    /// Milliseconds since the Unix epoch when the record was appended.
+    /// Milliseconds since the Unix epoch when the record was made.
     pub ts_ms: u64,
     /// What produced the record: `run`, `batch`, `table2`, `table3`,
     /// `ablation`, ...
@@ -165,12 +179,6 @@ pub struct RunRecord {
     /// not measured (interpreter fallback, in-process runs); omitted from
     /// the encoded record when 0.
     pub peak_rss_kb: u64,
-    /// Per-actor profile aggregates of a profiled build, encoded as one
-    /// flat string (`name=ns:calls:timed` entries joined by commas — the
-    /// ledger's JSON is flat by design, so no arrays). Empty = the run
-    /// was not profiled; omitted from the encoded record. See
-    /// [`encode_profile`].
-    pub prof: String,
     /// Per-phase wall-clock spans.
     pub phases: PhaseMicros,
 }
@@ -189,60 +197,45 @@ pub mod outcome {
 }
 
 impl RunRecord {
-    /// A record stamped with the current schema version and wall clock,
-    /// ready for the caller to fill in.
+    /// A record stamped with the wall clock, for the caller to fill in.
     pub fn new(source: &str, model: &str) -> RunRecord {
         RunRecord {
-            schema: RunLedger::SCHEMA,
-            ts_ms: u64::try_from(lease::now_millis()).unwrap_or(u64::MAX),
+            ts_ms: now_ms(),
             source: source.into(),
             model: model.into(),
             lanes: 1,
             ..RunRecord::default()
         }
     }
+}
 
-    /// Encode as one flat JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push('{');
-        push_num(&mut s, "schema", self.schema);
-        push_num(&mut s, "ts_ms", self.ts_ms);
-        push_str(&mut s, "source", &self.source);
-        push_str(&mut s, "model", &self.model);
-        push_str(&mut s, "engine", &self.engine);
-        push_num(&mut s, "steps", self.steps);
-        push_str(&mut s, "outcome", &self.outcome);
-        push_bool(&mut s, "compile_cached", self.compile_cached);
-        push_num(&mut s, "retries", self.retries);
-        push_num(&mut s, "lanes", self.lanes.max(1));
+impl Record for RunRecord {
+    const FILE_NAME: &'static str = "ledger.jsonl";
+
+    fn write(&self, out: &mut JsonObject) {
+        out.num("ts_ms", self.ts_ms)
+            .str("source", &self.source)
+            .str("model", &self.model)
+            .str("engine", &self.engine)
+            .num("steps", self.steps)
+            .str("outcome", &self.outcome)
+            .bool("compile_cached", self.compile_cached)
+            .num("retries", self.retries)
+            .num("lanes", self.lanes.max(1));
         if !self.opt.is_empty() {
-            push_str(&mut s, "opt", &self.opt);
+            out.str("opt", &self.opt);
         }
         if !self.note.is_empty() {
-            push_str(&mut s, "note", &self.note);
+            out.str("note", &self.note);
         }
         if self.peak_rss_kb > 0 {
-            push_num(&mut s, "peak_rss_kb", self.peak_rss_kb);
+            out.num("peak_rss_kb", self.peak_rss_kb);
         }
-        if !self.prof.is_empty() {
-            push_str(&mut s, "prof", &self.prof);
-        }
-        for i in 0..PhaseMicros::NAMES.len() {
-            push_num(&mut s, &format!("{}_us", PhaseMicros::NAMES[i]), self.phases.get(i));
-        }
-        s.pop(); // trailing comma
-        s.push('}');
-        s
+        self.phases.write(out);
     }
 
-    /// Decode one ledger line. `None` when the line is not a well-formed
-    /// flat JSON object with the expected field types; unknown keys are
-    /// ignored so newer schemas still parse as far as they overlap.
-    pub fn from_json(line: &str) -> Option<RunRecord> {
-        let fields = parse_flat_object(line)?;
-        let mut r = RunRecord {
-            schema: fields.num("schema")?,
+    fn read(fields: &Fields) -> Option<RunRecord> {
+        let mut record = RunRecord {
             ts_ms: fields.num("ts_ms").unwrap_or(0),
             source: fields.str("source").unwrap_or_default(),
             model: fields.str("model").unwrap_or_default(),
@@ -256,223 +249,110 @@ impl RunRecord {
             opt: fields.str("opt").unwrap_or_default(),
             note: fields.str("note").unwrap_or_default(),
             peak_rss_kb: fields.num("peak_rss_kb").unwrap_or(0),
-            prof: fields.str("prof").unwrap_or_default(),
             phases: PhaseMicros::default(),
         };
-        for i in 0..PhaseMicros::NAMES.len() {
-            let key = format!("{}_us", PhaseMicros::NAMES[i]);
-            r.phases.set(i, fields.num(&key).unwrap_or(0));
+        for (i, name) in PhaseMicros::NAMES.iter().enumerate() {
+            record.phases.set(i, fields.num(&format!("{name}_us")).unwrap_or(0));
         }
-        Some(r)
+        Some(record)
     }
 }
 
-fn push_str(out: &mut String, key: &str, val: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&json_str(val));
-    out.push(',');
+/// One record type of a [`Store`]: its file and its fields.
+pub trait Record: Sized {
+    /// The store's file name under the state directory.
+    const FILE_NAME: &'static str;
+
+    /// Write the record's fields, every key after `schema`.
+    fn write(&self, out: &mut JsonObject);
+
+    /// Read a current-schema line's fields back; `None` skips the line as
+    /// garbled.
+    fn read(fields: &Fields) -> Option<Self>;
 }
 
-fn push_num(out: &mut String, key: &str, val: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&val.to_string());
-    out.push(',');
-}
-
-fn push_bool(out: &mut String, key: &str, val: bool) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(if val { "true" } else { "false" });
-    out.push(',');
-}
-
-/// A scalar value in a flat ledger object.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Str(String),
-    Num(u64),
-    Bool(bool),
-}
-
-/// Parsed flat object with typed accessors. Each accessor returns `None`
-/// when the key is absent *or* holds a value of a different type — a
-/// schema mismatch reads the same as a missing field, which is the
-/// skip-don't-error posture every JSONL reader here takes.
-pub struct Fields(BTreeMap<String, Scalar>);
-
-impl Fields {
-    /// The non-negative integer at `key`, if present with that type.
-    pub fn num(&self, key: &str) -> Option<u64> {
-        match self.0.get(key) {
-            Some(Scalar::Num(n)) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string at `key`, if present with that type.
-    pub fn str(&self, key: &str) -> Option<String> {
-        match self.0.get(key) {
-            Some(Scalar::Str(s)) => Some(s.clone()),
-            _ => None,
-        }
-    }
-
-    /// The boolean at `key`, if present with that type.
-    pub fn bool(&self, key: &str) -> Option<bool> {
-        match self.0.get(key) {
-            Some(Scalar::Bool(b)) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one flat JSON object — string keys, scalar values (string /
-/// non-negative integer / bool). No nesting, no arrays, no floats: the
-/// ledger never writes them, and rejecting them keeps the parser small
-/// and the failure mode crisp (`None`, line skipped). Trailing bytes
-/// after the closing brace — two records fused by a torn write — also
-/// yield `None`.
-pub fn parse_flat_object(line: &str) -> Option<Fields> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut map = BTreeMap::new();
-    loop {
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
-            }
-            ',' => {
-                chars.next();
-            }
-            _ => {}
-        }
-        skip_ws(&mut chars);
-        if chars.peek() == Some(&'}') {
-            chars.next();
-            break;
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let val = match chars.peek()? {
-            '"' => Scalar::Str(parse_string(&mut chars)?),
-            't' | 'f' => {
-                let word: String =
-                    std::iter::from_fn(|| chars.next_if(|c| c.is_ascii_alphabetic())).collect();
-                match word.as_str() {
-                    "true" => Scalar::Bool(true),
-                    "false" => Scalar::Bool(false),
-                    _ => return None,
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let digits: String =
-                    std::iter::from_fn(|| chars.next_if(char::is_ascii_digit)).collect();
-                Scalar::Num(digits.parse().ok()?)
-            }
-            _ => return None,
-        };
-        map.insert(key, val);
-        skip_ws(&mut chars);
-    }
-    // Anything after the closing brace (other than whitespace, already
-    // trimmed) means the line is garbled — e.g. two records fused by a
-    // torn write.
-    if chars.next().is_some() {
-        return None;
-    }
-    Some(Fields(map))
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.next_if(|c| c.is_whitespace()).is_some() {}
-}
-
-/// Parse a JSON string literal (cursor on the opening quote).
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (0..4).map_while(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// The append-only JSONL run ledger under a cache/state directory.
+/// An append-only JSONL store of `R` records under a state directory.
 ///
 /// Appends take the same cross-process lease the [`crate::BuildCache`]
 /// uses (bounded wait, stale takeover), then issue one `O_APPEND` write
-/// of the whole line, so concurrent batch processes sharing a cache dir
+/// of the whole line, so concurrent processes sharing a cache dir
 /// interleave whole records only.
 #[derive(Debug, Clone)]
-pub struct RunLedger {
+pub struct Store<R> {
     path: PathBuf,
+    record: PhantomData<fn() -> R>,
 }
 
-impl RunLedger {
+/// The run ledger, `ledger.jsonl`.
+pub type RunLedger = Store<RunRecord>;
+
+impl<R: Record> Store<R> {
     /// Schema version written by this build; readers skip other versions.
     pub const SCHEMA: u64 = 1;
-    /// Ledger file name under the state directory.
-    pub const FILE_NAME: &'static str = "ledger.jsonl";
 
-    /// The ledger inside state directory `dir` (created on first append).
-    pub fn in_dir(dir: impl Into<PathBuf>) -> RunLedger {
-        RunLedger { path: dir.into().join(Self::FILE_NAME) }
+    /// The store inside state directory `dir` (created on first append).
+    pub fn in_dir(dir: impl Into<PathBuf>) -> Store<R> {
+        Store { path: dir.into().join(R::FILE_NAME), record: PhantomData }
     }
 
-    /// The ledger file path.
+    /// The store's file path.
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// Append one record under the cross-process lease.
+    /// Append one record under the cross-process lease (lock file
+    /// `.<name>.lock` alongside the store). A torn tail (previous writer
+    /// died mid-append) is repaired by starting a fresh line, so the tear
+    /// costs exactly the torn record.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; callers on the simulation path treat
-    /// them as best-effort (a lost telemetry line never fails a run).
-    pub fn append(&self, record: &RunRecord) -> std::io::Result<()> {
-        append_jsonl(&self.path, &record.to_json())
+    /// Propagates filesystem errors (directory creation, open, write).
+    pub fn append(&self, record: &R) -> std::io::Result<()> {
+        let mut out = JsonObject::default();
+        out.num("schema", Self::SCHEMA);
+        record.write(&mut out);
+        let mut line = out.finish();
+        let dir = self.path.parent().unwrap_or(Path::new("."));
+        std::fs::create_dir_all(dir)?;
+        let _lease = lease::acquire(&dir.join(format!(".{}.lock", R::FILE_NAME)));
+        if tail_is_torn(&self.path) {
+            line.insert(0, '\n');
+        }
+        line.push('\n');
+        let mut f = std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
+        f.write_all(line.as_bytes())
     }
 
-    /// Read every [`RunLedger::SCHEMA`] record, tolerating a truncated
-    /// tail and foreign lines. A missing file is an empty ledger, not an
-    /// error.
-    pub fn read(&self) -> JsonlView<RunRecord> {
-        read_jsonl(&self.path, RunRecord::from_json, |r| r.schema == Self::SCHEMA)
+    /// Read every [`Store::SCHEMA`] record, in file order. A missing file
+    /// is an empty store.
+    pub fn read(&self) -> JsonlView<R> {
+        let mut view = JsonlView { records: Vec::new(), skipped: 0, truncated_tail: false };
+        let contents = std::fs::read_to_string(&self.path).unwrap_or_default();
+        let complete_tail = contents.ends_with('\n');
+        let lines: Vec<&str> = contents.lines().filter(|l| !l.trim().is_empty()).collect();
+        for (i, line) in lines.iter().enumerate() {
+            // `Some(None)`: a line of another schema version.
+            let parsed = parse_flat_object(line).and_then(|f| {
+                if f.num("schema")? == Self::SCHEMA { R::read(&f).map(Some) } else { Some(None) }
+            });
+            match parsed {
+                Some(Some(r)) => view.records.push(r),
+                Some(None) => view.skipped += 1, // foreign schema: skip, don't error
+                None if i + 1 == lines.len() && !complete_tail => {
+                    // Mid-record tail: the writer died between the lease
+                    // and the newline. Recoverable by construction.
+                    view.truncated_tail = true;
+                }
+                None => view.skipped += 1,
+            }
+        }
+        view
     }
 }
 
-/// Result of reading a JSONL store: the records that parsed, plus what
-/// did not (mirroring the `ACCMOS:` protocol's truncation taxonomy).
+/// Result of reading a [`Store`]: the records that parsed, plus what did
+/// not (mirroring the `ACCMOS:` protocol's truncation taxonomy).
 #[derive(Debug)]
 pub struct JsonlView<R> {
     /// Records of the schema version this build reads, in file order.
@@ -483,64 +363,6 @@ pub struct JsonlView<R> {
     /// does not parse) — a writer died mid-append; everything before the
     /// tail is still usable.
     pub truncated_tail: bool,
-}
-
-/// Read the JSONL store at `path`: `parse` decodes one line (`None` for
-/// a garbled one) and `current` accepts the records of the schema
-/// version this build reads. A missing file is an empty store. Shared by
-/// the run ledger and the fuzz campaign state.
-pub fn read_jsonl<R>(
-    path: &Path,
-    parse: impl Fn(&str) -> Option<R>,
-    current: impl Fn(&R) -> bool,
-) -> JsonlView<R> {
-    let mut view = JsonlView { records: Vec::new(), skipped: 0, truncated_tail: false };
-    let Ok(contents) = std::fs::read_to_string(path) else {
-        return view;
-    };
-    let complete_tail = contents.ends_with('\n');
-    let lines: Vec<&str> = contents.lines().filter(|l| !l.trim().is_empty()).collect();
-    for (i, line) in lines.iter().enumerate() {
-        match parse(line) {
-            Some(r) if current(&r) => view.records.push(r),
-            Some(_) => view.skipped += 1, // foreign schema: skip, don't error
-            None if i + 1 == lines.len() && !complete_tail => {
-                // Mid-record tail: the writer died between the lease
-                // and the newline. Recoverable by construction.
-                view.truncated_tail = true;
-            }
-            None => view.skipped += 1,
-        }
-    }
-    view
-}
-
-/// Append one JSON line to the JSONL store at `path` under the
-/// cross-process lease (lock file `.<name>.lock` alongside the store).
-/// A torn tail (previous writer died mid-append) is repaired by starting
-/// a fresh line, so the tear costs exactly the torn record. Shared by the
-/// run ledger, the persistent quarantine store and the fuzz campaign
-/// state.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (directory creation, open, write).
-pub fn append_jsonl(path: &Path, json_line: &str) -> std::io::Result<()> {
-    let dir = path.parent().unwrap_or(Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    let name = path.file_name().and_then(|s| s.to_str()).unwrap_or("store");
-    let _lease = lease::acquire(&dir.join(format!(".{name}.lock")));
-    // A file not ending in '\n' has a torn tail (a writer died
-    // mid-append). Start a fresh line so the tear costs exactly the
-    // torn record, never the one being appended now.
-    let mut line = String::with_capacity(json_line.len() + 2);
-    if tail_is_torn(path) {
-        line.push('\n');
-    }
-    line.push_str(json_line);
-    line.push('\n');
-    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    f.write_all(line.as_bytes())
 }
 
 /// Whether the file at `path` exists, is non-empty and does not end with
@@ -803,39 +625,25 @@ impl Tracer {
     /// timestamps in microseconds) — loadable in Perfetto and
     /// `chrome://tracing`.
     pub fn to_chrome_json(&self) -> String {
-        let spans = self.spans();
-        let mut out = String::with_capacity(spans.len() * 96 + 64);
-        out.push_str("{\"traceEvents\":[");
-        for (i, s) in spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            out.push_str(&json_str(&s.name));
-            out.push_str(",\"cat\":");
-            out.push_str(&json_str(&s.cat));
-            out.push_str(",\"ph\":\"X\",\"ts\":");
-            out.push_str(&s.start_us.to_string());
-            out.push_str(",\"dur\":");
-            out.push_str(&s.dur_us.to_string());
-            out.push_str(",\"pid\":1,\"tid\":");
-            out.push_str(&s.tid.to_string());
-            if !s.args.is_empty() {
-                out.push_str(",\"args\":{");
-                for (j, (k, v)) in s.args.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
+        let events: Vec<String> = self
+            .spans()
+            .iter()
+            .map(|s| {
+                let mut event = JsonObject::default();
+                event.str("name", &s.name).str("cat", &s.cat).str("ph", "X");
+                event.num("ts", s.start_us).num("dur", s.dur_us).num("pid", 1).num("tid", s.tid);
+                if !s.args.is_empty() {
+                    let mut args = JsonObject::default();
+                    for (k, v) in &s.args {
+                        args.str(k, v);
                     }
-                    out.push_str(&json_str(k));
-                    out.push(':');
-                    out.push_str(&json_str(v));
+                    event.raw("args", &args.finish());
                 }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+                event.finish()
+            })
+            .collect();
+        let events = format!("[{}]", events.join(","));
+        JsonObject::default().raw("traceEvents", &events).str("displayTimeUnit", "ms").finish()
     }
 
     /// Write the Chrome trace-event JSON to `path`.
@@ -846,22 +654,6 @@ impl Tracer {
     pub fn write_chrome_json(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_chrome_json())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Profile aggregates in the ledger
-// ---------------------------------------------------------------------------
-
-/// Encode per-site profile aggregates as the ledger's flat `prof` string
-/// field: `name=ns:calls:timed` entries joined by commas. Site names are
-/// sanitized actor path keys, which contain neither `=` nor `,`, so the
-/// encoding is unambiguous.
-pub fn encode_profile(profile: &[accmos_ir::ActorProfile]) -> String {
-    profile
-        .iter()
-        .map(|p| format!("{}={}:{}:{}", p.actor, p.ns, p.calls, p.timed))
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 /// Median of a non-empty slice (0 for empty); even-length medians average
@@ -891,9 +683,21 @@ mod tests {
         dir
     }
 
+    /// `record` encoded as the ledger line it appends, without the newline.
+    fn line(record: &RunRecord) -> String {
+        let mut out = JsonObject::default();
+        out.num("schema", RunLedger::SCHEMA);
+        record.write(&mut out);
+        out.finish()
+    }
+
+    /// A ledger line decoded, `None` when garbled.
+    fn decode(line: &str) -> Option<RunRecord> {
+        RunRecord::read(&parse_flat_object(line)?)
+    }
+
     fn sample(model: &str, run_us: u64, ts_ms: u64) -> RunRecord {
         RunRecord {
-            schema: RunLedger::SCHEMA,
             ts_ms,
             source: "test".into(),
             model: model.into(),
@@ -906,7 +710,6 @@ mod tests {
             opt: String::new(),
             note: String::new(),
             peak_rss_kb: 0,
-            prof: String::new(),
             phases: PhaseMicros { run_us, compile_us: 85, ..PhaseMicros::default() },
         }
     }
@@ -929,9 +732,9 @@ mod tests {
             run_us: 1_234_567,
             backoff_us: 37,
         };
-        let line = r.to_json();
+        let line = line(&r);
         assert!(!line.contains('\n'), "encoded record is one line");
-        let back = RunRecord::from_json(&line).expect("round trip parses");
+        let back = decode(&line).expect("round trip parses");
         assert_eq!(back, r);
         assert_eq!(back.phases.preprocess_us, 437, "microseconds, not truncated ms");
     }
@@ -968,9 +771,63 @@ mod tests {
         assert_eq!(view.skipped, 0);
         assert!(!view.truncated_tail);
         assert!(
-            !dir.join(format!(".{}.lock", RunLedger::FILE_NAME)).exists(),
+            !dir.join(format!(".{}.lock", RunRecord::FILE_NAME)).exists(),
             "lease released after append"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn golden_ledger_lines_of_the_previous_format_read_back() {
+        // Lines as an earlier build wrote them, including a profiled run's
+        // `prof` key (no longer written; unknown keys are ignored), then a
+        // foreign-schema line, a torn record repaired by a later append
+        // and a torn tail.
+        let batch = r#"{"schema":1,"ts_ms":1792427959218,"source":"batch","model":"SPV","engine":"accmos","steps":500,"outcome":"ok","compile_cached":false,"retries":0,"lanes":1,"opt":"O1","peak_rss_kb":5856,"parse_us":0,"preprocess_us":212,"analyze_us":81,"codegen_us":467,"compile_us":164020,"run_us":1602,"backoff_us":0}"#;
+        let profiled = r#"{"schema":1,"ts_ms":1792428041399,"source":"run","model":"Sample","engine":"accmos","steps":300,"outcome":"ok","compile_cached":false,"retries":0,"lanes":1,"opt":"O1","peak_rss_kb":3800,"prof":"Sample_A=144:300:5,Sample_B=140:300:5,Sample_AccA=111:300:5,Sample_AccB=112:300:5,Sample_Sum=159:300:5,Sample_Out=112:300:5","parse_us":0,"preprocess_us":9,"analyze_us":18,"codegen_us":73,"compile_us":98424,"run_us":535,"backoff_us":0}"#;
+        let failed = r#"{"schema":1,"ts_ms":1792427967209,"source":"serve","model":"bench:NOPE","engine":"","steps":5,"outcome":"failed","compile_cached":false,"retries":0,"lanes":1,"note":"unknown benchmark `NOPE` (valid: figure1, CPUT, CSEV, FMTM, LANS, LEDLC, RAC, SPV, TCP, TWC, UTPC)","parse_us":0,"preprocess_us":0,"analyze_us":0,"codegen_us":0,"compile_us":0,"run_us":0,"backoff_us":0}"#;
+        let foreign = batch.replacen(r#""schema":1"#, r#""schema":2"#, 1);
+        let dir = scratch_dir("golden");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ledger = RunLedger::in_dir(&dir);
+        let torn = r#"{"schema":1,"ts_ms":1792427959587,"source":"run","model":"CS"#;
+        let contents = format!("{batch}\n{profiled}\n{foreign}\n{torn}\n{failed}\n{torn}");
+        std::fs::write(ledger.path(), contents).unwrap();
+        let view = ledger.read();
+        assert_eq!((view.records.len(), view.skipped, view.truncated_tail), (3, 2, true));
+        let want = RunRecord {
+            ts_ms: 1792427959218,
+            source: "batch".into(),
+            model: "SPV".into(),
+            engine: "accmos".into(),
+            steps: 500,
+            outcome: outcome::OK.into(),
+            compile_cached: false,
+            retries: 0,
+            lanes: 1,
+            opt: "O1".into(),
+            note: String::new(),
+            peak_rss_kb: 5856,
+            phases: PhaseMicros {
+                preprocess_us: 212,
+                analyze_us: 81,
+                codegen_us: 467,
+                compile_us: 164020,
+                run_us: 1602,
+                ..PhaseMicros::default()
+            },
+        };
+        assert_eq!(view.records[0], want);
+        assert_eq!((view.records[1].model.as_str(), view.records[1].peak_rss_kb), ("Sample", 3800));
+        assert_eq!(view.records[1].phases.compile_us, 98424);
+        assert_eq!(view.records[2].outcome, outcome::FAILED);
+        assert!(view.records[2].engine.is_empty() && view.records[2].note.contains("NOPE"));
+        // Writing a record back gives the line it was read from, minus `prof`.
+        assert_eq!(line(&view.records[0]), batch);
+        let prof = r#","prof":"Sample_A=144:300:5,Sample_B=140:300:5,Sample_AccA=111:300:5,Sample_AccB=112:300:5,Sample_Sum=159:300:5,Sample_Out=112:300:5""#;
+        assert!(profiled.contains(prof));
+        assert_eq!(line(&view.records[1]), profiled.replace(prof, ""));
+        assert_eq!(line(&view.records[2]), failed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -983,7 +840,7 @@ mod tests {
         // A writer died mid-append: the tail is a partial record with no
         // trailing newline (mirrors the ACCMOS: protocol truncation case).
         let mut contents = std::fs::read(ledger.path()).unwrap();
-        let half = sample("C", 300, 3).to_json();
+        let half = line(&sample("C", 300, 3));
         contents.extend_from_slice(&half.as_bytes()[..half.len() / 2]);
         std::fs::write(ledger.path(), &contents).unwrap();
         let view = ledger.read();
@@ -1006,11 +863,9 @@ mod tests {
         let dir = scratch_dir("schema");
         let ledger = RunLedger::in_dir(&dir);
         ledger.append(&sample("A", 100, 1)).unwrap();
-        let mut future = sample("B", 200, 2);
-        future.schema = RunLedger::SCHEMA + 1;
-        ledger.append(&future).unwrap();
+        let future = line(&sample("B", 200, 2)).replacen("\"schema\":1", "\"schema\":2", 1);
         let mut contents = std::fs::read_to_string(ledger.path()).unwrap();
-        contents.push_str("not json at all\n");
+        contents.push_str(&format!("{future}\nnot json at all\n"));
         std::fs::write(ledger.path(), &contents).unwrap();
         ledger.append(&sample("C", 300, 3)).unwrap();
         let view = ledger.read();
@@ -1023,15 +878,15 @@ mod tests {
     #[test]
     fn unknown_keys_are_tolerated() {
         let line = r#"{"schema":1,"model":"M","outcome":"ok","run_us":42,"future_field":"x","another":7}"#;
-        let r = RunRecord::from_json(line).expect("unknown keys ignored");
+        let r = decode(line).expect("unknown keys ignored");
         assert_eq!(r.model, "M");
         assert_eq!(r.phases.run_us, 42);
     }
 
     #[test]
     fn trailing_garbage_after_object_is_rejected() {
-        let fused = format!("{}{}", sample("A", 1, 1).to_json(), sample("B", 2, 2).to_json());
-        assert!(RunRecord::from_json(&fused).is_none(), "fused records are garbled");
+        let fused = format!("{}{}", line(&sample("A", 1, 1)), line(&sample("B", 2, 2)));
+        assert!(decode(&fused).is_none(), "fused records are garbled");
     }
 
     #[test]
@@ -1167,21 +1022,20 @@ mod tests {
         assert!(check_regressions(&trends, 5.0).is_empty(), "no cross-level baseline");
         // The level round-trips; a record without one omits the key and
         // an older line without the key parses with none.
-        let line = records[0].to_json();
-        assert!(line.contains("\"opt\":\"O3\""), "{line}");
-        assert_eq!(RunRecord::from_json(&line).unwrap().opt, "O3");
-        assert!(!sample("RAC", 1, 1).to_json().contains("\"opt\""));
+        let encoded = line(&records[0]);
+        assert!(encoded.contains("\"opt\":\"O3\""), "{encoded}");
+        assert_eq!(decode(&encoded).unwrap().opt, "O3");
+        assert!(!line(&sample("RAC", 1, 1)).contains("\"opt\""));
     }
 
     #[test]
     fn lanes_round_trip_and_default_to_scalar_for_old_records() {
         let mut r = RunRecord::new("run", "SPV");
         r.lanes = 8;
-        let back = RunRecord::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.lanes, 8);
+        assert_eq!(decode(&line(&r)).unwrap().lanes, 8);
         // A pre-lane-schema line (no "lanes" key) parses as scalar.
         let old = r#"{"schema":1,"model":"M","outcome":"ok","run_us":42}"#;
-        assert_eq!(RunRecord::from_json(old).unwrap().lanes, 1);
+        assert_eq!(decode(old).unwrap().lanes, 1);
     }
 
     #[test]
@@ -1194,32 +1048,16 @@ mod tests {
     }
 
     #[test]
-    fn rss_and_prof_round_trip_and_are_omitted_when_empty() {
+    fn rss_round_trips_and_is_omitted_when_zero() {
         let mut r = RunRecord::new("run", "SPV");
         r.outcome = outcome::OK.into();
-        let line = r.to_json();
-        assert!(!line.contains("peak_rss_kb"), "zero RSS omitted: {line}");
-        assert!(!line.contains("\"prof\""), "empty prof omitted: {line}");
+        let encoded = line(&r);
+        assert!(!encoded.contains("peak_rss_kb"), "zero RSS omitted: {encoded}");
         r.peak_rss_kb = 10_240;
-        r.prof = "M_Add=500:100,M_Gain=90:100".into();
-        let back = RunRecord::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.peak_rss_kb, 10_240);
-        assert_eq!(back.prof, r.prof);
+        assert_eq!(decode(&line(&r)).unwrap().peak_rss_kb, 10_240);
         // Pre-schema lines parse with the defaults.
         let old = r#"{"schema":1,"model":"M","outcome":"ok","run_us":42}"#;
-        let old = RunRecord::from_json(old).unwrap();
-        assert_eq!(old.peak_rss_kb, 0);
-        assert!(old.prof.is_empty());
-    }
-
-    #[test]
-    fn profile_string_joins_sites_as_name_ns_calls_timed() {
-        let profile = vec![
-            accmos_ir::ActorProfile { actor: "M_Add".into(), ns: 500, calls: 100, timed: 2 },
-            accmos_ir::ActorProfile { actor: "M_Gain".into(), ns: 90, calls: 100, timed: 2 },
-        ];
-        assert_eq!(encode_profile(&profile), "M_Add=500:100:2,M_Gain=90:100:2");
-        assert_eq!(encode_profile(&[]), "");
+        assert_eq!(decode(old).unwrap().peak_rss_kb, 0);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! faster build for that run length. The last line is one JSON record:
 //! the plan, its hash, provenance in a fixed field order, and every cell.
 
+use accmos::telemetry::JsonObject;
 use accmos::{AccMoS, CodegenOptions, OptLevel, PreparedSimulation, RunOptions, O3_BUDGET};
 use accmos_bench::{arg_str, arg_u64, check_flags, record_run};
 use accmos_ir::{DiagnosticPolicy, TestVectors};
@@ -243,29 +244,29 @@ fn provenance(seed: u64) -> Vec<(&'static str, String)> {
 }
 
 fn grid_json(plan: &str, hash: &str, provenance: &[(&str, String)], grids: &[ModelGrid]) -> String {
-    let quote = |s: &str| accmos::telemetry::json_str(s);
-    let prov: Vec<String> =
-        provenance.iter().map(|(k, v)| format!("{}:{}", quote(k), quote(v))).collect();
+    let mut prov = JsonObject::default();
+    for (k, v) in provenance {
+        prov.str(k, v);
+    }
     let mut cells = Vec::new();
     for g in grids {
         for (k, steps) in GRID_STEPS.iter().enumerate() {
             for (l, opt) in GRID_LEVELS.iter().enumerate() {
                 let even = g.break_even(k).map_or("null".into(), |n| format!("{n:.0}"));
-                cells.push(format!(
-                    "{{\"model\":{},\"opt\":{},\"steps\":{steps},\"cc_s\":{:.4},\"loop_ns_per_step\":{:.1},\"break_even_steps\":{even}}}",
-                    quote(g.name),
-                    quote(opt.label()),
-                    g.cc_s[l],
-                    g.ns[k][l],
-                ));
+                let mut cell = JsonObject::default();
+                cell.str("model", g.name).str("opt", opt.label()).num("steps", steps);
+                cell.num("cc_s", format_args!("{:.4}", g.cc_s[l]));
+                cell.num("loop_ns_per_step", format_args!("{:.1}", g.ns[k][l]));
+                cells.push(cell.raw("break_even_steps", &even).finish());
             }
         }
     }
-    format!(
-        "{{\"plan_name\":\"opt-level-by-budget\",\"plan\":{},\"plan_hash\":{},\"o3_budget\":{O3_BUDGET},\"provenance\":{{{}}},\"cells\":[{}]}}",
-        quote(plan),
-        quote(hash),
-        prov.join(","),
-        cells.join(",")
-    )
+    JsonObject::default()
+        .str("plan_name", "opt-level-by-budget")
+        .str("plan", plan)
+        .str("plan_hash", hash)
+        .num("o3_budget", O3_BUDGET)
+        .raw("provenance", &prov.finish())
+        .raw("cells", &format!("[{}]", cells.join(",")))
+        .finish()
 }

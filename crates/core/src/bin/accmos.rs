@@ -67,8 +67,8 @@
 //! random model (conditional groups, nested subsystems, vectors, floats,
 //! lane widths in {1,4}) and compares the interpretive reference and the
 //! generated-C simulator (analyzer-pruned and unpruned builds),
-//! exactly — digests, final outputs, steps, all four coverage metrics,
-//! every diagnostic. Compiled
+//! exactly — digests, final outputs, signal logs, steps, coverage
+//! bitmaps, diagnostics, probe events and each lane's report. Compiled
 //! trials run under the supervisor, so crashes and hangs become
 //! classified verdicts, not dead campaigns. State is an append-only
 //! `fuzz.jsonl` under the cache directory; `--resume` skips trial
@@ -107,6 +107,7 @@
 //! failure that is not a usage error (a timed-out run, a failed job, an
 //! unreadable model file) exits non-zero with its one `accmos:` line.
 
+use accmos::telemetry::JsonObject;
 use accmos::{load_spec, AccMoS, BatchJob, BatchRunner, ExecPolicy, RunOptions, SimOptions};
 use accmos_ir::{Model, SimulationReport, TestVectors};
 use std::process::ExitCode;
@@ -262,14 +263,16 @@ impl Spec {
         Some(Spec { positional, values, switches })
     }
 
-    /// Reject unknown flags, value flags without a value and a wrong
-    /// count of positional arguments; return the positional arguments.
+    /// Reject unknown flags, value flags without a usable value and a
+    /// wrong count of positional arguments; return the positional
+    /// arguments.
     fn check<'a>(&self, args: &'a [String]) -> Result<Vec<&'a str>, Failure> {
         let mut positional = Vec::new();
         let mut it = args.iter().map(String::as_str);
         while let Some(arg) = it.next() {
             if self.values.contains(&arg) {
-                it.next().ok_or_else(|| usage(format!("`{arg}` needs a value")))?;
+                let value = it.next().ok_or_else(|| usage(format!("`{arg}` needs a value")))?;
+                check_value(arg, value)?;
             } else if !arg.starts_with("--") {
                 positional.push(arg);
             } else if !self.switches.contains(&arg) {
@@ -286,6 +289,27 @@ impl Spec {
     }
 }
 
+/// Check the value of flag `name` before any model is resolved, so a
+/// usage error is never masked by a runtime one: `--engine`, `--format`
+/// and `--deny` take one of their names, path flags take any value, and
+/// every other value flag takes a number.
+fn check_value(name: &str, v: &str) -> Result<(), Failure> {
+    match name {
+        "--engine" if !matches!(v, "accmos" | "rac" | "sse" | "sse-ac") => {
+            Err(usage(format!("unknown engine `{v}`")))
+        }
+        "--format" if !matches!(v, "text" | "json") => {
+            Err(usage(format!("unknown format `{v}` (text|json)")))
+        }
+        "--deny" => v.parse::<accmos::Severity>().map(drop).map_err(usage),
+        "--max-regress" => parse_value::<f64>(name, v).map(drop),
+        "--retries" => parse_value::<u32>(name, v).map(drop),
+        "--engine" | "--format" | "--tests" | "--out" | "--trace-out" | "--cache-dir"
+        | "--corpus" | "--inject" | "--socket" => Ok(()),
+        _ => parse_value::<u64>(name, v).map(drop),
+    }
+}
+
 fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
@@ -294,12 +318,16 @@ fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
+/// `v`, the value of flag `name`, parsed as `T`: an error naming the flag
+/// and the value when it does not parse.
+fn parse_value<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, Failure> {
+    v.parse().map_err(|_| usage(format!("bad value `{v}` for {name}")))
+}
+
 /// The value of flag `name` parsed as `T`: `None` when the flag is
-/// absent, an error naming the flag and the value when it does not parse.
+/// absent.
 fn opt_parse<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, Failure> {
-    opt(args, name)
-        .map(|v| v.parse().map_err(|_| usage(format!("bad value `{v}` for {name}"))))
-        .transpose()
+    opt(args, name).map(|v| parse_value(name, v)).transpose()
 }
 
 fn opt_u64(args: &[String], name: &str, default: u64) -> Result<u64, Failure> {
@@ -345,11 +373,7 @@ fn info(model: &Model) -> Result<(), Failure> {
 }
 
 fn analyze(model: &Model, args: &[String]) -> Result<(), Failure> {
-    let format = opt(args, "--format").unwrap_or("text");
-    let deny: Option<accmos::Severity> = match opt(args, "--deny") {
-        Some(s) => Some(s.parse().map_err(usage)?),
-        None => None,
-    };
+    let deny: Option<accmos::Severity> = opt_parse(args, "--deny")?;
     let pre = accmos::preprocess(model).map_err(|e| e.to_string())?;
     let tests = match opt(args, "--tests") {
         Some(path) => {
@@ -359,10 +383,10 @@ fn analyze(model: &Model, args: &[String]) -> Result<(), Failure> {
         None => None,
     };
     let analysis = accmos::analyze_with_tests(&pre, tests.as_ref());
-    match format {
-        "text" => print!("{}", analysis.render_text()),
-        "json" => println!("{}", analysis.render_json()),
-        other => return Err(usage(format!("unknown format `{other}` (text|json)"))),
+    if opt(args, "--format") == Some("json") {
+        println!("{}", analysis.render_json());
+    } else {
+        print!("{}", analysis.render_text());
     }
     if let Some(deny) = deny {
         if analysis.max_severity().is_some_and(|worst| worst >= deny) {
@@ -451,7 +475,7 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), Failure> {
             accmos::run_reference_engine(engine, model, &tests, &opts)
                 .map_err(|e| e.to_string())?
         }
-        "accmos" | "rac" => {
+        _ => {
             let mut pipeline =
                 if engine == "rac" { AccMoS::rapid_accelerator() } else { AccMoS::new() };
             if profiling {
@@ -478,7 +502,6 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), Failure> {
             }
             out.report
         }
-        other => return Err(usage(format!("unknown engine `{other}`"))),
     };
     println!("{report}");
     // The Display above shows the lane aggregate; surface each lane's own
@@ -515,10 +538,6 @@ fn profile(model: &Model, args: &[String]) -> Result<(), Failure> {
     let seed = opt_u64(args, "--seed", 2024)?;
     let rows = opt_u64(args, "--rows", 64)? as usize;
     let lanes = opt_u64(args, "--lanes", 1)?.max(1) as usize;
-    let format = opt(args, "--format").unwrap_or("text");
-    if !matches!(format, "text" | "json") {
-        return Err(usage(format!("unknown format `{format}` (text|json)")));
-    }
 
     let pre = accmos::preprocess(model).map_err(|e| e.to_string())?;
     let (tests, lane_tests) = lane_stimulus(&pre, opt(args, "--tests"), rows, seed, lanes)?;
@@ -564,32 +583,20 @@ fn profile(model: &Model, args: &[String]) -> Result<(), Failure> {
         t => 100.0 * ns as f64 / t as f64,
     };
 
-    if format == "json" {
-        use accmos::telemetry::json_str;
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"model\":{},\"engine\":{},\"steps\":{},\"lanes\":{},\"total_ns\":{total_ns}",
-            json_str(&report.model),
-            json_str(&report.engine),
-            report.steps,
-            lanes,
-        ));
-        out.push_str(",\"sites\":[");
-        for (i, s) in sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"site\":{},\"ns\":{},\"calls\":{},\"timed\":{},\"share_pct\":{:.2}}}",
-                json_str(&s.actor),
-                s.ns,
-                s.calls,
-                s.timed,
-                share(s.ns),
-            ));
-        }
-        out.push_str("]}");
-        println!("{out}");
+    if opt(args, "--format") == Some("json") {
+        let sites: Vec<String> = sites
+            .iter()
+            .map(|s| {
+                let mut site = JsonObject::default();
+                site.str("site", &s.actor).num("ns", s.ns).num("calls", s.calls);
+                site.num("timed", s.timed).num("share_pct", format_args!("{:.2}", share(s.ns)));
+                site.finish()
+            })
+            .collect();
+        let mut out = JsonObject::default();
+        out.str("model", &report.model).str("engine", &report.engine);
+        out.num("steps", report.steps).num("lanes", lanes).num("total_ns", total_ns);
+        println!("{}", out.raw("sites", &format!("[{}]", sites.join(","))).finish());
         return Ok(());
     }
 
@@ -632,50 +639,35 @@ fn trends(args: &[String]) -> Result<(), Failure> {
         Some(d) => std::path::PathBuf::from(d),
         None => accmos::default_state_dir(),
     };
-    let format = opt(args, "--format").unwrap_or("text");
-    if !matches!(format, "text" | "json") {
-        return Err(usage(format!("unknown format `{format}` (text|json)")));
-    }
     let max_pct = opt_parse(args, "--max-regress")?.unwrap_or(25.0);
     let ledger = accmos::RunLedger::in_dir(&dir);
     let view = ledger.read();
     let trends = compute_trends(&view.records);
 
-    if format == "json" {
-        use accmos::telemetry::json_str;
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"ledger\":{},\"records\":{},\"skipped\":{},\"truncated_tail\":{},\"trends\":[",
-            json_str(&ledger.path().display().to_string()),
-            view.records.len(),
-            view.skipped,
-            view.truncated_tail,
-        ));
-        for (i, t) in trends.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let m: &PhaseMicros = &t.median;
-            let regress = match t.regress_pct {
-                Some(pct) => format!("{pct:.2}"),
-                None => "null".into(),
-            };
-            out.push_str(&format!(
-                "{{\"model\":{},\"engine\":{},\"runs\":{},\"median\":{{\"parse_us\":{},\"preprocess_us\":{},\"analyze_us\":{},\"codegen_us\":{},\"compile_us\":{},\"run_us\":{},\"backoff_us\":{}}},\"latest_run_us\":{},\"regress_pct\":{regress}}}",
-                json_str(&t.model),
-                json_str(&t.engine_key()),
-                t.runs,
-                m.parse_us,
-                m.preprocess_us,
-                m.analyze_us,
-                m.codegen_us,
-                m.compile_us,
-                m.run_us,
-                m.backoff_us,
-                t.latest_run_us,
-            ));
-        }
-        out.push_str("]}");
+    if opt(args, "--format") == Some("json") {
+        let trends_json: Vec<String> = trends
+            .iter()
+            .map(|t| {
+                let mut median = JsonObject::default();
+                t.median.write(&mut median);
+                let regress = t.regress_pct.map_or("null".into(), |pct| format!("{pct:.2}"));
+                JsonObject::default()
+                    .str("model", &t.model)
+                    .str("engine", &t.engine_key())
+                    .num("runs", t.runs)
+                    .raw("median", &median.finish())
+                    .num("latest_run_us", t.latest_run_us)
+                    .raw("regress_pct", &regress)
+                    .finish()
+            })
+            .collect();
+        let out = JsonObject::default()
+            .str("ledger", &ledger.path().display().to_string())
+            .num("records", view.records.len())
+            .num("skipped", view.skipped)
+            .bool("truncated_tail", view.truncated_tail)
+            .raw("trends", &format!("[{}]", trends_json.join(",")))
+            .finish();
         println!("{out}");
         if flag(args, "--check") {
             check_trends(&trends, max_pct, ledger.path())?;
@@ -1039,13 +1031,12 @@ fn submit(positional: &[&str], args: &[String]) -> Result<(), Failure> {
                 Some(s) => s.parse().map_err(|_| usage(format!("bad step count `{s}`")))?,
                 None => opt_u64(args, "--steps", 1000)?,
             };
-            Some(format!(
-                "{{\"op\":\"submit\",\"model\":{},\"steps\":{steps},\"lanes\":{},\"rows\":{},\"seed\":{}}}\n",
-                accmos::telemetry::json_str(spec),
-                opt_u64(args, "--lanes", 1)?,
-                opt_u64(args, "--rows", 8)?,
-                opt_u64(args, "--seed", 0xACC5)?,
-            ))
+            let mut request = JsonObject::default();
+            request.str("op", "submit").str("model", spec).num("steps", steps);
+            request.num("lanes", opt_u64(args, "--lanes", 1)?);
+            request.num("rows", opt_u64(args, "--rows", 8)?);
+            request.num("seed", opt_u64(args, "--seed", 0xACC5)?);
+            Some(request.finish() + "\n")
         }
         None => None,
     };
@@ -1219,6 +1210,12 @@ mod tests {
             &["simulate", "bench:SPV", "--engine", "rust"],
             &["analyze", "bench:SPV", "--format", "yaml"],
             &["analyze", "bench:SPV", "--deny", "fatal"],
+            // Flag values are checked before the model is resolved or
+            // analyzed, so a missing file cannot mask a usage error.
+            &["simulate", "missing.mdlx", "--steps", "banana"],
+            &["analyze", "bench:SPV", "--format", "xml"],
+            &["profile", "missing.mdlx", "--format", "xml"],
+            &["trends", "--max-regress", "lots"],
             &["info"],
             &["info", "bench:SPV", "bench:TWC"],
             &["submit", "bench:SPV", "many"],

@@ -309,7 +309,6 @@ impl Exec {
             rec.model = report.model.clone();
             rec.engine = report.engine.clone();
             rec.lanes = report.lane_width();
-            rec.prof = telemetry::encode_profile(&report.profile);
         }
         rec
     }

@@ -15,15 +15,16 @@
 //!   C optimization level;
 //! - the model runs on the interpretive reference and on the generated-C
 //!   simulator (analyzer-pruned *and* unpruned builds), all compared
-//!   exactly on output digest, final outputs (as bit patterns), step
-//!   counts, all four coverage metrics and every diagnostic event. A
+//!   exactly on output digest, final outputs and signal-log samples (as
+//!   bit patterns), step counts, all four coverage bitmaps, every
+//!   diagnostic and custom-probe event, and each lane's report. A
 //!   trial's few steps build at `-O1` by the step-budget rule; one trial
 //!   in four pins `-O3`, so every level stays under the oracle;
 //! - compiled binaries execute under the existing [`Supervisor`] /
 //!   [`ExecPolicy`], so a hung or crashing simulator is killed,
 //!   classified and quarantined — a [`Verdict`], never a dead campaign;
-//! - campaign state is an append-only, torn-tail-tolerant `fuzz.jsonl`
-//!   ([`FuzzStore`]) under the cache directory's cross-process lease;
+//! - campaign state is `fuzz.jsonl`, one of the state directory's
+//!   append-only, torn-tail-tolerant JSONL stores ([`FuzzStore`]);
 //!   [`FuzzConfig::resume`] skips already-completed trial indices, so a
 //!   killed nightly run continues where it died;
 //! - a divergence triggers the delta-debugging [`minimize`] pass: the
@@ -44,8 +45,8 @@ use crate::{
     preprocess, AccMoS, AccMoSError, BuildCache, CodegenOptions, ExecPolicy, OptLevel,
     RunOptions, Supervisor, Tracer,
 };
-use accmos_backend::telemetry::{append_jsonl, json_str, parse_flat_object, read_jsonl, JsonlView};
-use accmos_ir::{CoverageKind, Model, SimulationReport, TestVectors};
+use accmos_backend::telemetry::{self, parse_flat_object, Fields, JsonObject, Record, Store};
+use accmos_ir::{CoverageKind, Model, SignalSample, SimulationReport, TestVectors};
 use accmos_parse::{parse_mdlx, write_mdlx};
 use accmos_testgen::{random_tests, ModelGenConfig, RandomModelGen, TestRng};
 use std::collections::HashSet;
@@ -360,11 +361,9 @@ impl Verdict {
     }
 }
 
-/// One schema-versioned line of the campaign state file.
+/// One line of the campaign state file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzRecord {
-    /// Store schema version ([`FuzzStore::SCHEMA`]).
-    pub schema: u64,
     /// Milliseconds since the Unix epoch at append time.
     pub ts_ms: u64,
     /// Campaign seed the trial belongs to.
@@ -391,45 +390,28 @@ pub struct FuzzRecord {
     pub duration_us: u64,
 }
 
-fn push_field(out: &mut String, key: &str, val: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(val);
-    out.push(',');
-}
+impl Record for FuzzRecord {
+    const FILE_NAME: &'static str = "fuzz.jsonl";
 
-impl FuzzRecord {
-    /// Encode as one flat JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(192);
-        s.push('{');
-        push_field(&mut s, "schema", &self.schema.to_string());
-        push_field(&mut s, "ts_ms", &self.ts_ms.to_string());
-        push_field(&mut s, "campaign", &self.campaign.to_string());
-        push_field(&mut s, "index", &self.index.to_string());
-        push_field(&mut s, "seed", &self.seed.to_string());
-        push_field(&mut s, "lanes", &self.lanes.to_string());
-        push_field(&mut s, "actors", &self.actors.to_string());
-        push_field(&mut s, "steps", &self.steps.to_string());
-        push_field(&mut s, "verdict", &json_str(&self.verdict));
+    fn write(&self, out: &mut JsonObject) {
+        out.num("ts_ms", self.ts_ms)
+            .num("campaign", self.campaign)
+            .num("index", self.index)
+            .num("seed", self.seed)
+            .num("lanes", self.lanes)
+            .num("actors", self.actors)
+            .num("steps", self.steps)
+            .str("verdict", &self.verdict);
         if !self.detail.is_empty() {
-            push_field(&mut s, "detail", &json_str(&self.detail));
+            out.str("detail", &self.detail);
         }
-        push_field(&mut s, "injected", if self.injected { "true" } else { "false" });
-        push_field(&mut s, "classified", if self.classified { "true" } else { "false" });
-        push_field(&mut s, "duration_us", &self.duration_us.to_string());
-        s.pop();
-        s.push('}');
-        s
+        out.bool("injected", self.injected)
+            .bool("classified", self.classified)
+            .num("duration_us", self.duration_us);
     }
 
-    /// Decode one store line; `None` when garbled or missing required
-    /// fields (the reader skips it).
-    pub fn from_json(line: &str) -> Option<FuzzRecord> {
-        let f = parse_flat_object(line)?;
+    fn read(f: &Fields) -> Option<FuzzRecord> {
         Some(FuzzRecord {
-            schema: f.num("schema")?,
             ts_ms: f.num("ts_ms").unwrap_or(0),
             campaign: f.num("campaign")?,
             index: f.num("index")?,
@@ -446,54 +428,14 @@ impl FuzzRecord {
     }
 }
 
-/// The append-only `fuzz.jsonl` campaign state under a state directory,
-/// lease-locked and torn-tail-tolerant like the run ledger.
-#[derive(Debug, Clone)]
-pub struct FuzzStore {
-    path: PathBuf,
-}
+/// The append-only `fuzz.jsonl` campaign state under a state directory.
+/// A failed append fails the campaign loudly: the state is the product of
+/// a fuzz run.
+pub type FuzzStore = Store<FuzzRecord>;
 
-impl FuzzStore {
-    /// Schema version written by this build.
-    pub const SCHEMA: u64 = 1;
-    /// Store file name under the state directory.
-    pub const FILE_NAME: &'static str = "fuzz.jsonl";
-
-    /// The store inside state directory `dir` (created on first append).
-    pub fn in_dir(dir: impl Into<PathBuf>) -> FuzzStore {
-        FuzzStore { path: dir.into().join(Self::FILE_NAME) }
-    }
-
-    /// The store file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Append one record under the cross-process lease.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors — campaign state is the product of a
-    /// fuzz run, so a failed append fails the campaign loudly.
-    pub fn append(&self, record: &FuzzRecord) -> std::io::Result<()> {
-        append_jsonl(&self.path, &record.to_json())
-    }
-
-    /// Read every [`FuzzStore::SCHEMA`] record, tolerating a truncated
-    /// tail and foreign lines. A missing file is an empty store.
-    pub fn read(&self) -> JsonlView<FuzzRecord> {
-        read_jsonl(&self.path, FuzzRecord::from_json, |r| r.schema == Self::SCHEMA)
-    }
-
-    /// Completed trial indices of campaign `seed` (for `--resume`).
-    pub fn completed_indices(&self, seed: u64) -> HashSet<u64> {
-        self.read()
-            .records
-            .iter()
-            .filter(|r| r.campaign == seed)
-            .map(|r| r.index)
-            .collect()
-    }
+/// Completed trial indices of campaign `seed` in `store` (for `--resume`).
+pub fn completed_indices(store: &FuzzStore, seed: u64) -> HashSet<u64> {
+    store.read().records.iter().filter(|r| r.campaign == seed).map(|r| r.index).collect()
 }
 
 /// A minimized divergence repro written to the corpus.
@@ -595,7 +537,7 @@ impl FuzzCampaign {
         let fault_dir = state_dir.join("fuzz-bin");
 
         let done = if cfg.resume {
-            store.completed_indices(cfg.seed)
+            completed_indices(&store, cfg.seed)
         } else {
             HashSet::new()
         };
@@ -622,7 +564,7 @@ impl FuzzCampaign {
             }))
             .unwrap_or_else(|payload| Verdict::Panic { detail: panic_text(payload) });
             let duration = start.elapsed();
-            let duration_us = u64::try_from(duration.as_micros()).unwrap_or(u64::MAX);
+            let duration_us = telemetry::micros(duration);
             if let (Some(t), Some(span_start)) = (&cfg.tracer, trial_start) {
                 t.record(crate::TraceSpan {
                     name: format!("trial {index}"),
@@ -639,8 +581,7 @@ impl FuzzCampaign {
 
             self.tally(&mut summary, &verdict);
             let record = FuzzRecord {
-                schema: FuzzStore::SCHEMA,
-                ts_ms: now_ms(),
+                ts_ms: telemetry::now_ms(),
                 campaign: cfg.seed,
                 index,
                 seed: plan.seed,
@@ -999,15 +940,15 @@ impl FuzzCampaign {
         };
         let mdlx_path = dir.join(format!("{name}.mdlx"));
         let expected_path = dir.join(format!("{name}.expected"));
-        let expected = format!(
-            "{{\"schema\":1,\"name\":{},\"stim_seed\":{},\"rows\":{},\"steps\":{},\"lanes\":{},\"digest\":{}}}",
-            json_str(&name),
-            plan.stim_seed(),
-            plan.rows,
-            plan.steps,
-            plan.lanes,
-            digest
-        );
+        let expected = JsonObject::default()
+            .num("schema", 1)
+            .str("name", &name)
+            .num("stim_seed", plan.stim_seed())
+            .num("rows", plan.rows)
+            .num("steps", plan.steps)
+            .num("lanes", plan.lanes)
+            .num("digest", digest)
+            .finish();
         let written = std::fs::create_dir_all(dir)
             .and_then(|()| std::fs::write(&mdlx_path, write_mdlx(&model)))
             .and_then(|()| std::fs::write(&expected_path, expected));
@@ -1019,50 +960,57 @@ impl FuzzCampaign {
 }
 
 /// Compare two simulation reports exactly: output digest, final outputs
-/// as bit patterns ([`SimulationReport::output_bits`], so a NaN output
-/// equals itself, as it does in the digest), step counts, all four
-/// coverage metrics, every diagnostic event. `None` = identical;
-/// `Some(detail)` names the first mismatch.
+/// and signal-log samples as bit patterns ([`SimulationReport::output_bits`],
+/// so a NaN equals itself, as it does in the digest), step counts, the
+/// four coverage bitmaps, every diagnostic and custom-probe event, then
+/// each lane's report the same way. `None` = identical; `Some(detail)`
+/// names the first mismatch.
 pub fn compare_reports(
     label_a: &str,
     a: &SimulationReport,
     label_b: &str,
     b: &SimulationReport,
 ) -> Option<String> {
+    let differ = |what: String| Some(format!("{label_a} vs {label_b}: {what}"));
     if a.output_digest != b.output_digest {
-        return Some(format!(
-            "{label_a} vs {label_b}: output digest {:016x} != {:016x}",
+        return differ(format!(
+            "output digest {:016x} != {:016x}",
             a.output_digest, b.output_digest
         ));
     }
     if a.output_bits() != b.output_bits() {
-        return Some(format!(
-            "{label_a} vs {label_b}: final outputs {:?} != {:?}",
-            a.final_outputs, b.final_outputs
-        ));
+        return differ(format!("final outputs {:?} != {:?}", a.final_outputs, b.final_outputs));
     }
     if a.steps != b.steps {
-        return Some(format!("{label_a} vs {label_b}: steps {} != {}", a.steps, b.steps));
+        return differ(format!("steps {} != {}", a.steps, b.steps));
     }
     if let (Some(ca), Some(cb)) = (&a.coverage, &b.coverage) {
-        for kind in CoverageKind::ALL {
-            if ca.counts(kind) != cb.counts(kind) {
-                return Some(format!(
-                    "{label_a} vs {label_b}: {kind} coverage {:?} != {:?}",
-                    ca.counts(kind),
-                    cb.counts(kind)
-                ));
-            }
+        if let Some(kind) = CoverageKind::ALL.into_iter().find(|k| ca.bitmap(*k) != cb.bitmap(*k)) {
+            let (na, nb) = (ca.counts(kind), cb.counts(kind));
+            return differ(format!("{kind} coverage bitmaps differ ({na:?} vs {nb:?})"));
         }
     }
     if a.diagnostics != b.diagnostics {
-        return Some(format!(
-            "{label_a} vs {label_b}: diagnostics differ ({} vs {} events)",
-            a.diagnostics.len(),
-            b.diagnostics.len()
-        ));
+        let (na, nb) = (a.diagnostics.len(), b.diagnostics.len());
+        return differ(format!("diagnostics differ ({na} vs {nb} events)"));
     }
-    None
+    let samples = |r: &SimulationReport| -> Vec<(String, u64, Vec<u64>)> {
+        let bits = |s: &SignalSample| s.value.elems().iter().map(|e| e.to_bits_u64()).collect();
+        r.signal_log.iter().map(|s| (s.path.clone(), s.step, bits(s))).collect()
+    };
+    if samples(a) != samples(b) {
+        let (na, nb) = (a.signal_log.len(), b.signal_log.len());
+        return differ(format!("signal logs differ ({na} vs {nb} samples)"));
+    }
+    if a.custom != b.custom {
+        return differ(format!("custom probe events {:?} != {:?}", a.custom, b.custom));
+    }
+    if a.lane_reports.len() != b.lane_reports.len() {
+        return differ(format!("lanes {} != {}", a.lane_reports.len(), b.lane_reports.len()));
+    }
+    a.lane_reports.iter().zip(&b.lane_reports).enumerate().find_map(|(i, (la, lb))| {
+        compare_reports(&format!("{label_a} lane {i}"), la, &format!("{label_b} lane {i}"), lb)
+    })
 }
 
 /// Replay one corpus entry (an `.mdlx` path with an `.expected` sidecar
@@ -1185,14 +1133,6 @@ fn fn_strip_float(cfg: &mut ModelGenConfig) {
     cfg.float_math = false;
 }
 
-/// Milliseconds since the Unix epoch (0 before it).
-pub(crate) fn now_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-        .unwrap_or(0)
-}
-
 fn truncate(s: &str, max: usize) -> String {
     if s.len() <= max {
         return s.to_string();
@@ -1229,7 +1169,6 @@ mod tests {
 
     fn sample_record(index: u64) -> FuzzRecord {
         FuzzRecord {
-            schema: FuzzStore::SCHEMA,
             ts_ms: 100 + index,
             campaign: 1,
             index,
@@ -1246,39 +1185,77 @@ mod tests {
     }
 
     #[test]
-    fn record_round_trips_through_json() {
-        let mut r = sample_record(7);
-        r.verdict = "divergence".into();
-        r.detail = "interp vs accmos: output digest \"quoted\"\n".into();
-        r.injected = true;
-        r.classified = false;
-        let line = r.to_json();
-        assert!(!line.contains('\n'));
-        assert_eq!(FuzzRecord::from_json(&line).unwrap(), r);
-    }
-
-    #[test]
     fn store_appends_reads_and_reports_torn_tail() {
         let dir = scratch_dir("store");
         let store = FuzzStore::in_dir(&dir);
         assert!(store.read().records.is_empty());
         store.append(&sample_record(0)).unwrap();
-        store.append(&sample_record(1)).unwrap();
+        let mut diverged = sample_record(1);
+        diverged.verdict = "divergence".into();
+        diverged.detail = "interp vs accmos: output digest \"quoted\"\n".into();
+        diverged.injected = true;
+        diverged.classified = false;
+        store.append(&diverged).unwrap();
         // Torn tail: a writer died mid-append.
         let mut contents = std::fs::read(store.path()).unwrap();
-        let half = sample_record(2).to_json();
-        contents.extend_from_slice(&half.as_bytes()[..half.len() / 2]);
+        contents.extend_from_slice(br#"{"schema":1,"ts_ms":102,"campaign":1,"ind"#);
         std::fs::write(store.path(), &contents).unwrap();
         let view = store.read();
-        assert_eq!(view.records.len(), 2);
+        assert_eq!(view.records, [sample_record(0), diverged]);
         assert!(view.truncated_tail);
         // The next append repairs the tear.
         store.append(&sample_record(3)).unwrap();
         let view = store.read();
         assert_eq!(view.records.len(), 3);
         assert_eq!(view.skipped, 1, "the torn record, now newline-terminated");
-        assert_eq!(store.completed_indices(1), HashSet::from([0, 1, 3]));
-        assert!(store.completed_indices(2).is_empty(), "per-campaign indices");
+        assert_eq!(completed_indices(&store, 1), HashSet::from([0, 1, 3]));
+        assert!(completed_indices(&store, 2).is_empty(), "per-campaign indices");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn golden_fuzz_lines_of_the_previous_format_read_back() {
+        // Lines as an earlier build wrote them (an injected trial, a
+        // divergence with its detail, a quarantined trial), then a
+        // foreign-schema line, a garbled line and a torn tail.
+        let lines = [
+            r#"{"schema":1,"ts_ms":1792427960656,"campaign":1,"index":3,"seed":8196980753821780235,"lanes":4,"actors":22,"steps":58,"verdict":"injected:timeout","injected":true,"classified":true,"duration_us":502551}"#,
+            r#"{"schema":1,"ts_ms":1792428153329,"campaign":5,"index":0,"seed":7134611160154358618,"lanes":1,"actors":34,"steps":30,"verdict":"divergence","detail":"interp vs accmos: output digest 6a474b91e0080a4a != 7f0a3e4cabee5d0a","injected":false,"classified":true,"duration_us":103262}"#,
+            r#"{"schema":1,"ts_ms":1792427963635,"campaign":1,"index":17,"seed":15040563541741120241,"lanes":1,"actors":36,"steps":11,"verdict":"injected:quarantined","injected":true,"classified":true,"duration_us":690}"#,
+            r#"{"schema":2,"ts_ms":1792427963640,"campaign":1,"index":18,"seed":1,"lanes":1,"actors":3,"steps":11,"verdict":"ok","injected":false,"classified":true,"duration_us":9}"#,
+            r#"{"schema":1,"ts_ms":1792427963641,"campaign":1,"index":19,"verdict":ok}"#,
+        ];
+        let dir = scratch_dir("golden");
+        let store = FuzzStore::in_dir(&dir);
+        let torn = r#"{"schema":1,"ts_ms":1792427963642,"campaign":1,"index":20,"se"#;
+        std::fs::write(store.path(), format!("{}\n{torn}", lines.join("\n"))).unwrap();
+        let view = store.read();
+        assert_eq!((view.records.len(), view.skipped, view.truncated_tail), (3, 2, true));
+        let want = FuzzRecord {
+            ts_ms: 1792428153329,
+            campaign: 5,
+            index: 0,
+            seed: 7134611160154358618,
+            lanes: 1,
+            actors: 34,
+            steps: 30,
+            verdict: "divergence".into(),
+            detail: "interp vs accmos: output digest 6a474b91e0080a4a != 7f0a3e4cabee5d0a".into(),
+            injected: false,
+            classified: true,
+            duration_us: 103262,
+        };
+        assert_eq!(view.records[1], want);
+        let verdicts: Vec<_> = view.records.iter().map(|r| (r.index, r.verdict.as_str())).collect();
+        assert_eq!(verdicts, [(3, "injected:timeout"), (0, "divergence"), (17, "injected:quarantined")]);
+        assert_eq!(completed_indices(&store, 1), HashSet::from([3, 17]));
+        // Appending a record writes the line it was read from.
+        std::fs::remove_file(store.path()).unwrap();
+        for r in &view.records {
+            store.append(r).unwrap();
+        }
+        let written = std::fs::read_to_string(store.path()).unwrap();
+        assert_eq!(written, format!("{}\n", lines[..3].join("\n")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1342,6 +1319,7 @@ mod tests {
 
     #[test]
     fn compare_reports_finds_each_field() {
+        use accmos_ir::{CoverageBitmap, CustomEvent, DiagnosticEvent, DiagnosticKind, Scalar, Value};
         let a = SimulationReport::new("M", "interp");
         let mut b = a.clone();
         assert!(compare_reports("a", &a, "b", &b).is_none());
@@ -1351,6 +1329,48 @@ mod tests {
         let mut c = a.clone();
         c.steps = 9;
         assert!(compare_reports("a", &a, "c", &c).unwrap().contains("steps"));
+
+        // Equal counts, different bits.
+        let covered = |bit: usize| {
+            let mut r = a.clone();
+            let mut bitmaps = accmos_ir::CoverageBitmaps::default();
+            *bitmaps.bitmap_mut(CoverageKind::Decision) = CoverageBitmap::with_len(4);
+            bitmaps.set(CoverageKind::Decision, bit);
+            r.coverage = Some(bitmaps);
+            r
+        };
+        let detail = compare_reports("a", &covered(0), "b", &covered(1)).unwrap();
+        assert!(detail.contains("Decision coverage bitmaps differ"), "{detail}");
+
+        // One differing signal-log sample; a NaN sample equals itself.
+        let logged = |x: f64| {
+            let mut r = a.clone();
+            let value = Value::scalar(Scalar::F64(x));
+            r.signal_log = vec![SignalSample { path: "M_Out".into(), step: 3, value }];
+            r
+        };
+        assert!(compare_reports("a", &logged(f64::NAN), "b", &logged(f64::NAN)).is_none());
+        let detail = compare_reports("a", &logged(1.0), "b", &logged(2.0)).unwrap();
+        assert!(detail.contains("signal logs differ"), "{detail}");
+
+        let mut probed = a.clone();
+        probed.custom =
+            vec![CustomEvent { name: "p".into(), actor: "M_A".into(), first_step: 1, count: 2 }];
+        assert!(compare_reports("a", &a, "b", &probed).unwrap().contains("custom probe"));
+
+        // Lane 1's diagnostics differ while the aggregates agree.
+        let lanes = |count: u64| {
+            let kind = DiagnosticKind::DivisionByZero;
+            let event = DiagnosticEvent { actor: "M_Div".into(), kind, first_step: 2, count };
+            let mut lane1 = a.clone();
+            lane1.diagnostics = vec![event.clone()];
+            let mut r = a.clone();
+            r.diagnostics = vec![DiagnosticEvent { count: 9, ..event }];
+            r.lane_reports = vec![a.clone(), lane1];
+            r
+        };
+        let detail = compare_reports("a", &lanes(4), "b", &lanes(5)).unwrap();
+        assert!(detail.starts_with("a lane 1 vs b lane 1: diagnostics differ"), "{detail}");
     }
 
     #[test]

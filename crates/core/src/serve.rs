@@ -53,11 +53,12 @@
 //! ## Persistence and recovery
 //!
 //! Every accepted job appends a `queued` record to `jobs.jsonl` in the
-//! pipeline's state directory (under the same cross-process lease as the
-//! run ledger), and a `done` record on completion. On start the daemon
-//! re-enqueues every `queued` job without a matching `done` — so jobs
-//! survive a daemon crash, a torn final line (the killed daemon's
-//! half-written append) is skipped, and completed jobs are never re-run.
+//! pipeline's state directory, and a `done` record on completion: the job
+//! journal is one of the state directory's JSONL stores, written and read
+//! like the run ledger. On start the daemon re-enqueues every `queued` job
+//! without a matching `done` — so jobs survive a daemon crash, a torn
+//! final line (the killed daemon's half-written append) and lines of
+//! another schema are skipped, and completed jobs are never re-run.
 //! Recovered jobs have no client connection; their results go to the
 //! ledger and `jobs.jsonl` only.
 //!
@@ -84,8 +85,8 @@
 
 use crate::batch::WorkQueue;
 use crate::exec::{Entry, Exec, Executor, Fallback, Job, Plan, Subject};
-use crate::fuzz::{now_ms, panic_text};
-use crate::telemetry::{self, json_str as json};
+use crate::fuzz::panic_text;
+use crate::telemetry::{self, Fields, JsonObject, Record, Store};
 use crate::{AccMoS, AccMoSError, CompiledDylib, OptLevel, RunOptions, Source};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -134,6 +135,7 @@ impl ServeConfig {
 }
 
 /// One queued simulation request.
+#[derive(Clone)]
 struct ServeJob {
     id: String,
     spec: String,
@@ -160,7 +162,7 @@ type Sink = Arc<Mutex<UnixStream>>;
 struct ServeShared {
     pipeline: AccMoS,
     memo: Memo,
-    jobs_file: Option<PathBuf>,
+    journal: Option<Store<Journal>>,
     pending: AtomicUsize,
     shutting_down: AtomicBool,
     seq: AtomicU64,
@@ -185,23 +187,23 @@ impl ServeHandle {
     ///
     /// Socket bind failures and state-directory I/O errors.
     pub fn start(config: ServeConfig) -> std::io::Result<ServeHandle> {
-        let jobs_file = match config.pipeline.state_dir() {
+        let journal = match config.pipeline.state_dir() {
             Some(dir) => {
                 std::fs::create_dir_all(&dir)?;
-                Some(dir.join("jobs.jsonl"))
+                Some(Store::in_dir(dir))
             }
             None => None,
         };
         let shared = Arc::new(ServeShared {
             pipeline: config.pipeline,
             memo: Memo::default(),
-            jobs_file,
+            journal,
             pending: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
             seq: AtomicU64::new(0),
         });
         let queue = Arc::new(WorkQueue::new());
-        for job in recover_jobs(shared.jobs_file.as_deref()) {
+        for job in recover_jobs(shared.journal.as_ref()) {
             shared.pending.fetch_add(1, Ordering::Relaxed);
             queue.push(job);
         }
@@ -308,7 +310,7 @@ fn handle_connection(
             continue;
         }
         let Some(req) = telemetry::parse_flat_object(&line) else {
-            send_line(&sink, &event_error("request is not a flat JSON object"));
+            send_line(&sink, &event("error").str("detail", "request is not a flat JSON object").finish());
             continue;
         };
         match req.str("op").as_deref() {
@@ -318,27 +320,27 @@ fn handle_connection(
                 let job = match parse_job(&req, id, Some(Arc::clone(&sink))) {
                     Ok(job) => job,
                     Err(detail) => {
-                        send_line(&sink, &event_error(&detail));
+                        send_line(&sink, &event("error").str("detail", &detail).finish());
                         continue;
                     }
                 };
-                append_job_event(shared, &queued_record(&job));
-                send_line(&sink, &format!("{{\"event\":\"queued\",\"job\":{}}}", json(&job.id)));
+                append_job_event(shared, &Journal::Queued(job.clone()));
+                send_line(&sink, &event("queued").str("job", &job.id).finish());
                 shared.pending.fetch_add(1, Ordering::Relaxed);
                 queue.push(job);
             }
             Some("ping") => {
                 let pending = shared.pending.load(Ordering::Relaxed);
-                send_line(&sink, &format!("{{\"event\":\"pong\",\"pending\":{pending}}}"));
+                send_line(&sink, &event("pong").num("pending", pending).finish());
             }
             Some("shutdown") => {
-                send_line(&sink, "{\"event\":\"bye\"}");
+                send_line(&sink, &event("bye").finish());
                 initiate_shutdown(shared, queue, socket);
                 return;
             }
             other => {
                 let detail = format!("unknown op `{}`", other.unwrap_or_default());
-                send_line(&sink, &event_error(&detail));
+                send_line(&sink, &event("error").str("detail", &detail).finish());
             }
         }
     }
@@ -360,7 +362,7 @@ fn worker_loop(shared: &ServeShared, queue: &WorkQueue<ServeJob>, tid: u64) {
                 panic_text(payload)
             ))))
         });
-        append_job_event(shared, &done.jobs_record(&job));
+        append_job_event(shared, &Journal::Done { job: job.id.clone(), outcome: done.outcome.into() });
         if let Some(sink) = &job.reply {
             send_line(sink, &done.event_line(&job));
         }
@@ -387,26 +389,15 @@ impl DoneEvent {
     }
 
     fn event_line(&self, job: &ServeJob) -> String {
-        format!(
-            "{{\"event\":\"done\",\"job\":{},\"model\":{},\"outcome\":{},\"engine\":{},\
-             \"digest\":{},\"steps\":{},\"note\":{}}}",
-            json(&job.id),
-            json(&job.spec),
-            json(self.outcome),
-            json(&self.engine),
-            json(&format!("{:016x}", self.digest)),
-            self.steps,
-            json(&self.note),
-        )
-    }
-
-    fn jobs_record(&self, job: &ServeJob) -> String {
-        format!(
-            "{{\"schema\":1,\"ts_ms\":{},\"event\":\"done\",\"job\":{},\"outcome\":{}}}",
-            now_ms(),
-            json(&job.id),
-            json(self.outcome),
-        )
+        event("done")
+            .str("job", &job.id)
+            .str("model", &job.spec)
+            .str("outcome", self.outcome)
+            .str("engine", &self.engine)
+            .str("digest", &format!("{:016x}", self.digest))
+            .num("steps", self.steps)
+            .str("note", &self.note)
+            .finish()
     }
 }
 
@@ -568,7 +559,7 @@ fn dylib_failed(exec: &Exec) -> bool {
 /// A missing `model` spec, or `lanes` / `rows` beyond `MAX_LANES` /
 /// `MAX_ROWS`.
 fn parse_job(
-    fields: &telemetry::Fields,
+    fields: &Fields,
     id: String,
     reply: Option<Sink>,
 ) -> Result<ServeJob, String> {
@@ -593,47 +584,61 @@ fn parse_job(
     })
 }
 
-/// Re-read `jobs.jsonl` and rebuild the queue a crashed daemon left
-/// behind: every `queued` record without a matching `done`. Torn lines
-/// (the final half-written append of a killed process) parse to `None`
-/// and are skipped.
-fn recover_jobs(jobs_file: Option<&Path>) -> Vec<ServeJob> {
-    let Some(path) = jobs_file else { return Vec::new() };
-    let Ok(text) = std::fs::read_to_string(path) else { return Vec::new() };
+/// One line of the job journal, `jobs.jsonl`.
+enum Journal {
+    /// A job was accepted: its request, to run again after a crash.
+    Queued(ServeJob),
+    /// The job with id `job` finished with `outcome`.
+    Done { job: String, outcome: String },
+}
+
+impl Record for Journal {
+    const FILE_NAME: &'static str = "jobs.jsonl";
+
+    fn write(&self, out: &mut JsonObject) {
+        out.num("ts_ms", telemetry::now_ms());
+        match self {
+            Journal::Queued(job) => {
+                out.str("event", "queued").str("job", &job.id).str("model", &job.spec);
+                out.num("steps", job.steps).num("lanes", job.lanes).num("rows", job.rows);
+                out.num("seed", job.seed);
+            }
+            Journal::Done { job, outcome } => {
+                out.str("event", "done").str("job", job).str("outcome", outcome);
+            }
+        }
+    }
+
+    /// A `queued` record with no spec or out-of-range sizes reads as
+    /// garbled, so a bad submit from an older daemon cannot abort this one.
+    fn read(fields: &Fields) -> Option<Journal> {
+        let job = fields.str("job")?;
+        match fields.str("event")?.as_str() {
+            "queued" => parse_job(fields, job, None).ok().map(Journal::Queued),
+            "done" => Some(Journal::Done { job, outcome: fields.str("outcome").unwrap_or_default() }),
+            _ => None,
+        }
+    }
+}
+
+/// Rebuild the queue a crashed daemon left behind from its journal: every
+/// `queued` job without a matching `done`.
+fn recover_jobs(journal: Option<&Store<Journal>>) -> Vec<ServeJob> {
     let mut queued: Vec<ServeJob> = Vec::new();
-    for line in text.lines() {
-        let Some(fields) = telemetry::parse_flat_object(line) else { continue };
-        let Some(id) = fields.str("job") else { continue };
-        match fields.str("event").as_deref() {
-            // A record with no spec or out-of-range sizes is skipped, so a
-            // bad submit from an older daemon cannot abort this one.
-            Some("queued") => queued.extend(parse_job(&fields, id, None).ok()),
-            Some("done") => queued.retain(|j| j.id != id),
-            _ => {}
+    for entry in journal.map(|j| j.read().records).unwrap_or_default() {
+        match entry {
+            Journal::Queued(job) => queued.push(job),
+            Journal::Done { job, .. } => queued.retain(|j| j.id != job),
         }
     }
     queued
 }
 
-fn queued_record(job: &ServeJob) -> String {
-    format!(
-        "{{\"schema\":1,\"ts_ms\":{},\"event\":\"queued\",\"job\":{},\"model\":{},\
-         \"steps\":{},\"lanes\":{},\"rows\":{},\"seed\":{}}}",
-        now_ms(),
-        json(&job.id),
-        json(&job.spec),
-        job.steps,
-        job.lanes,
-        job.rows,
-        job.seed,
-    )
-}
-
 /// Best-effort append under the state-dir lease; a full disk must not
 /// fail a simulation that already ran.
-fn append_job_event(shared: &ServeShared, line: &str) {
-    if let Some(path) = &shared.jobs_file {
-        let _ = telemetry::append_jsonl(path, line);
+fn append_job_event(shared: &ServeShared, entry: &Journal) {
+    if let Some(journal) = &shared.journal {
+        let _ = journal.append(entry);
     }
 }
 
@@ -645,8 +650,11 @@ fn send_line(sink: &Sink, line: &str) {
     }
 }
 
-fn event_error(detail: &str) -> String {
-    format!("{{\"event\":\"error\",\"detail\":{}}}", json(detail))
+/// A reply to a client, starting with its `event` name.
+fn event(name: &str) -> JsonObject {
+    let mut out = JsonObject::default();
+    out.str("event", name);
+    out
 }
 
 #[cfg(test)]
@@ -680,7 +688,7 @@ mod tests {
     }
 
     fn submit_line(spec: &str, steps: u64) -> String {
-        format!("{{\"op\":\"submit\",\"model\":{},\"steps\":{steps}}}\n", json(spec))
+        JsonObject::default().str("op", "submit").str("model", spec).num("steps", steps).finish() + "\n"
     }
 
     #[test]
@@ -1012,13 +1020,14 @@ mod tests {
         let mut client = client;
         let jobs: Vec<ServeJob> = (0..8).map(|seed| job("bench:LEDLC", 1, seed)).collect();
         for job in &jobs {
-            let line = format!(
-                "{{\"op\":\"submit\",\"model\":{},\"steps\":{},\"rows\":{},\"seed\":{}}}\n",
-                json(&job.spec),
-                job.steps,
-                job.rows,
-                job.seed
-            );
+            let line = JsonObject::default()
+                .str("op", "submit")
+                .str("model", &job.spec)
+                .num("steps", job.steps)
+                .num("rows", job.rows)
+                .num("seed", job.seed)
+                .finish()
+                + "\n";
             client.write_all(line.as_bytes()).unwrap();
         }
         // Acknowledgements arrive in submit order; results in completion order.
@@ -1046,22 +1055,65 @@ mod tests {
     #[test]
     fn recovery_parses_only_well_formed_queued_records() {
         let dir = TempDir::new("parse");
-        let path = dir.0.join("jobs.jsonl");
         std::fs::write(
-            &path,
+            dir.0.join(Journal::FILE_NAME),
             "{\"schema\":1,\"event\":\"queued\",\"job\":\"x\",\"model\":\"bench:SPV\"}\n\
              {\"schema\":1,\"event\":\"queued\",\"job\":\"nospec\"}\n\
              {\"schema\":1,\"event\":\"queued\",\"job\":\"huge\",\"model\":\"bench:SPV\",\"rows\":1000000000000}\n\
+             {\"schema\":2,\"event\":\"queued\",\"job\":\"future\",\"model\":\"bench:SPV\"}\n\
              not json at all\n\
              {\"schema\":1,\"event\":\"done\",\"job\":\"gone\"}\n",
         )
         .unwrap();
-        let jobs = recover_jobs(Some(&path));
-        assert_eq!(jobs.len(), 1);
+        let jobs = recover_jobs(Some(&Store::in_dir(&dir.0)));
+        assert_eq!(jobs.len(), 1, "a foreign-schema queued record is not re-run");
         assert_eq!(jobs[0].id, "x");
         assert_eq!(jobs[0].spec, "bench:SPV");
         assert_eq!(jobs[0].steps, 1000, "missing steps falls back to the default");
         assert!(recover_jobs(None).is_empty());
-        assert!(recover_jobs(Some(Path::new("/no/such/file"))).is_empty());
+        assert!(recover_jobs(Some(&Store::in_dir("/no/such/dir"))).is_empty());
+    }
+
+    #[test]
+    fn golden_journal_lines_of_the_previous_format_read_back() {
+        // Lines as an earlier build wrote them, then a foreign-schema
+        // line, a garbled line and a torn tail.
+        let lines = [
+            r#"{"schema":1,"ts_ms":1792427967037,"event":"queued","job":"j22685-0","model":"bench:SPV","steps":500,"lanes":1,"rows":8,"seed":44357}"#,
+            r#"{"schema":1,"ts_ms":1792427967208,"event":"done","job":"j22685-0","outcome":"ok"}"#,
+            r#"{"schema":1,"ts_ms":1792427967209,"event":"queued","job":"j22685-1","model":"bench:NOPE","steps":5,"lanes":1,"rows":8,"seed":44229}"#,
+            r#"{"schema":2,"ts_ms":1792427967209,"event":"done","job":"j22685-1","outcome":"failed"}"#,
+            r#"{"schema":1,"ts_ms":1792427967210,"event":"done","job":"j22685-1","outcome":failed}"#,
+        ];
+        let dir = TempDir::new("golden");
+        let journal = Store::<Journal>::in_dir(&dir.0);
+        let torn = r#"{"schema":1,"ts_ms":1792427967211,"event":"do"#;
+        std::fs::write(journal.path(), format!("{}\n{torn}", lines.join("\n"))).unwrap();
+        let view = journal.read();
+        assert_eq!((view.records.len(), view.skipped, view.truncated_tail), (3, 2, true));
+        let jobs = recover_jobs(Some(&journal));
+        assert_eq!(jobs.len(), 1, "only j22685-1 is unfinished");
+        let j = &jobs[0];
+        assert_eq!((j.id.as_str(), j.spec.as_str()), ("j22685-1", "bench:NOPE"));
+        assert_eq!((j.steps, j.lanes, j.rows, j.seed), (5, 1, 8, 44229));
+        // Appending the records writes the lines they were read from.
+        std::fs::remove_file(journal.path()).unwrap();
+        for entry in &view.records {
+            journal.append(entry).unwrap();
+        }
+        let written = std::fs::read_to_string(journal.path()).unwrap();
+        assert_eq!(blank_ts(&written), blank_ts(&format!("{}\n", lines[..3].join("\n"))));
+    }
+
+    /// `text` with every `"ts_ms":<digits>` value blanked.
+    fn blank_ts(text: &str) -> String {
+        let mut out = String::new();
+        for (i, part) in text.split("\"ts_ms\":").enumerate() {
+            if i > 0 {
+                out.push_str("\"ts_ms\":_");
+            }
+            out.push_str(if i > 0 { part.trim_start_matches(|c: char| c.is_ascii_digit()) } else { part });
+        }
+        out
     }
 }

@@ -48,6 +48,7 @@ mod digest;
 mod dtype;
 mod error;
 mod interval;
+mod json;
 mod model;
 mod path;
 mod report;
@@ -64,6 +65,7 @@ pub use digest::{source_digest_hex, OutputDigest};
 pub use dtype::{DataType, ParseDataTypeError};
 pub use error::ModelError;
 pub use interval::{Interval, F64_EXACT_INT};
+pub use json::{parse_flat_object, Fields, JsonObject};
 pub use model::{
     Block, BlockBody, Line, Model, ModelBuilder, PortRef, System, SystemBuilder, SystemKind,
 };
@@ -71,24 +73,3 @@ pub use path::ActorPath;
 pub use report::{ActorProfile, CustomEvent, SignalSample, SimulationReport, SIGNAL_LOG_LIMIT};
 pub use testcase::{ParseTestVectorsError, TestColumn, TestVectors};
 pub use value::{BinOp, RelOp, Scalar, Value};
-
-/// `s` as a JSON string literal, quoted and escaped. Shared by the
-/// analyzer's JSON report and the backend's JSONL stores and traces, so
-/// they all encode strings identically.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}

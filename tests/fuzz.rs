@@ -3,7 +3,7 @@
 //! minimized / corpus-ized / replayed, and a killed campaign resumes
 //! from its torn `fuzz.jsonl` without re-running or duplicating trials.
 
-use accmos::fuzz::{plan_trial, replay_corpus_entry, FuzzStore};
+use accmos::fuzz::{completed_indices, plan_trial, replay_corpus_entry, FuzzStore};
 use accmos::{FuzzCampaign, FuzzConfig};
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -164,7 +164,7 @@ fn killed_campaign_resumes_from_torn_store_and_converges() {
     }
     assert_eq!(total_executed + after_crash as u64, 10, "converged to the planned total");
 
-    let indices: Vec<u64> = store.completed_indices(31).into_iter().collect();
+    let indices: Vec<u64> = completed_indices(&store, 31).into_iter().collect();
     let distinct: HashSet<u64> = indices.iter().copied().collect();
     assert_eq!(distinct, (0..10).collect::<HashSet<u64>>(), "every trial ran");
     assert_eq!(store.read().records.iter().filter(|r| r.campaign == 31).count(), 10,
