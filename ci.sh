@@ -6,13 +6,26 @@ set -eu
 
 cargo build --release
 cargo build --release --bin faultsim
-cargo test -q --workspace
+# Every workspace test invocation runs with an empty state directory and
+# must leave it empty: tests build with private caches (or none), so they
+# neither fill the user's build cache and run ledger nor replay builds a
+# warm cache already holds.
+TEST_STATE=$(mktemp -d)
+trap 'rm -rf "$TEST_STATE"' EXIT
+run_tests() {
+    ACCMOS_CACHE_DIR="$TEST_STATE" cargo test -q "$@"
+    if [ -n "$(ls -A "$TEST_STATE")" ]; then
+        ls -A "$TEST_STATE" >&2
+        echo "ci: 'cargo test $*' wrote into the default state directory" >&2; exit 1
+    fi
+}
+run_tests --workspace
 # Fault-injection suites, run explicitly so a regression in supervision is
 # named in the CI log (both also run as part of `cargo test --workspace`
 # above). Every injected hang dies at a ~200 ms kill deadline, so this
 # stays fast.
-cargo test -q -p accmos-backend --test supervise
-cargo test -q --test chaos
+run_tests -p accmos-backend --test supervise
+run_tests --test chaos
 # Dylib equality sweep, named so a divergence between the in-process and
 # subprocess engines is called out in the CI log (also part of `cargo
 # test`). It runs as a native cargo test rather than under the sanitizer
@@ -20,12 +33,12 @@ cargo test -q --test chaos
 # uninstrumented host binary; the sanitizer leg still covers the
 # entry-point code, since the generated main() routes through
 # accmos_entry and the same emit path the dylib engine calls.
-cargo test -q --test serve
+run_tests --test serve
 # Chunking structure check, named so a build whose `Model_Exe` chunks
 # lose, repeat or reorder an actor block, or exceed 64 blocks, is called
 # out in the CI log (also part of `cargo test`). With the equality sweeps
 # it shows that the cut moved only function boundaries.
-cargo test -q --test chunking
+run_tests --test chunking
 
 # Static-analyzer gate: every Table 1 benchmark must produce well-formed
 # JSON and zero error-severity findings (the lint catalogue's `error`
@@ -57,10 +70,12 @@ echo "ci: analyzer gate passed on all 10 benchmarks ($SITES proven prunable site
 # Removed-flag gate: generated C is the only compiled engine, every actor
 # compiles from its template (the analyzer only prunes diagnosis checks),
 # a lane is a run of the one scalar simulator (there is no lane build to
-# generate), and the CLI rejects any flag its usage line does not list, so
-# the flags of the removed generated-Rust backend, of the removed
-# analyzer-driven rewrite of calculation code and of the removed lane
-# build must fail loudly, with the usage block, rather than be ignored.
+# generate), a fuzz campaign's deadline is its `--exec-timeout`, and the
+# CLI rejects any flag its usage line does not list, so the flags of the
+# removed generated-Rust backend, of the removed analyzer-driven rewrite
+# of calculation code, of the removed lane build and of the removed fuzz
+# trial budget must fail loudly, with the usage block, rather than be
+# ignored.
 # Flag values are checked before the model is resolved, so a bad value
 # is a usage error even when the model file is missing, and a bad
 # `--format` is refused before the analysis runs.
@@ -71,7 +86,8 @@ for removed in "simulate assets/figure1.mdlx --steps 10 --engine rust" \
                "analyze bench:SPV --explain" \
                "generate bench:SPV --lanes 4" \
                "simulate missing.mdlx --steps banana" \
-               "analyze bench:SPV --format xml"; do
+               "analyze bench:SPV --format xml" \
+               "fuzz --budget-ms 500"; do
     # shellcheck disable=SC2086 # word-split the argument list on purpose
     if USAGE_ERR=$(./target/release/accmos $removed 2>&1 > /dev/null); then
         echo "ci: 'accmos $removed' exited 0; expected a usage error" >&2; exit 1
@@ -79,7 +95,7 @@ for removed in "simulate assets/figure1.mdlx --steps 10 --engine rust" \
     printf '%s\n' "$USAGE_ERR" | grep -q "^usage:" \
         || { printf '%s\n' "$USAGE_ERR" >&2; echo "ci: 'accmos $removed' printed no usage" >&2; exit 1; }
 done
-echo "ci: removed Rust-backend, calculation-rewrite and lane-build flags and bad flag values are rejected"
+echo "ci: removed Rust-backend, calculation-rewrite, lane-build and fuzz-budget flags and bad flag values are rejected"
 # The bench harnesses reject unknown flags too, so `table3`'s removed
 # fused-segment coverage section and lane-speedup experiment cannot be
 # asked for silently.
@@ -98,7 +114,7 @@ echo "ci: removed table3 flags are rejected"
 # tolerate. SPV has no conditional groups; CSEV has 11, and two of its
 # three `Model_Exe` chunk boundaries fall inside a group.
 SAN_DIR=$(mktemp -d)
-trap 'rm -rf "$SAN_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$SAN_DIR"' EXIT
 for m in SPV CSEV; do
     ./target/release/accmos generate "bench:$m" --out "$SAN_DIR/$m"
     ${CC:-cc} -O1 -g -fwrapv -std=gnu11 \
@@ -121,7 +137,7 @@ echo "ci: sanitizer smoke test passed (SPV and CSEV, 5000 steps, UBSan+ASan clea
 # over that history (the huge threshold keeps timing noise out of CI; the
 # gate exercises the ledger/trends plumbing, not machine speed).
 LEDGER_DIR=$(mktemp -d)
-trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR"' EXIT
 ACCMOS_CACHE_DIR="$LEDGER_DIR" ./target/release/accmos batch bench:SPV bench:TWC --steps 500 --repeat 2 > /dev/null \
     || { echo "ci: first ledger batch failed" >&2; exit 1; }
 COUNT1=$(wc -l < "$LEDGER_DIR/ledger.jsonl")
@@ -139,7 +155,7 @@ echo "ci: run ledger grew $COUNT1 -> $COUNT2 record(s) across two batches; trend
 # run takes that -O3 build from the cache instead of its own -O1 one. The
 # ledger records the level that served each run.
 LEVEL_DIR=$(mktemp -d)
-trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR"' EXIT
 for steps in 5000 1000000 5000; do
     ACCMOS_CACHE_DIR="$LEVEL_DIR" ./target/release/accmos simulate bench:SPV --steps $steps > /dev/null \
         || { echo "ci: level-gate run of $steps steps failed" >&2; exit 1; }
@@ -178,7 +194,7 @@ echo "ci: subprocess deadline leg passed (300 ms kill deadline, run ended after 
 # pass the trend gate with the two engine keys (`accmos` / `accmos@4`)
 # baselined apart.
 LANE_DIR=$(mktemp -d)
-trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR"' EXIT
 ACCMOS_CACHE_DIR="$LANE_DIR" ./target/release/accmos simulate bench:TWC --steps 2000 --seed 77 --lanes 4 > "$LANE_DIR/lane_out.txt" \
     || { echo "ci: lane-4 simulate failed" >&2; exit 1; }
 for i in 0 1 2 3; do
@@ -204,9 +220,9 @@ echo "ci: mixed scalar+lane ledger passed the trend gate"
 # must skip every completed trial. The corpus replay suite pins every
 # previously-minimized divergence (it also runs under `cargo test`; named
 # here so a re-fired repro is called out in the CI log).
-cargo test -q --test corpus
+run_tests --test corpus
 FUZZ_DIR=$(mktemp -d)
-trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR"' EXIT
 ./target/release/accmos fuzz --trials 50 --seed 1 --cache-dir "$FUZZ_DIR" \
     > "$FUZZ_DIR/fuzz_out.txt" \
     || { cat "$FUZZ_DIR/fuzz_out.txt" >&2; echo "ci: fuzz campaign failed" >&2; exit 1; }
@@ -232,12 +248,12 @@ echo "ci: fuzz gate passed (50 trials clean, mix: $MIX, resume skipped all 50)"
 # trials, 17 and 27, without running them.
 QUAR_DIR="$FUZZ_DIR/quarantine"
 mkdir -p "$QUAR_DIR"
-./target/release/accmos fuzz --trials 10 --seed 1 --inject target/release/faultsim --budget-ms 500 \
+./target/release/accmos fuzz --trials 10 --seed 1 --inject target/release/faultsim --exec-timeout 500 \
     --cache-dir "$QUAR_DIR" > "$QUAR_DIR/first.txt" \
     || { cat "$QUAR_DIR/first.txt" >&2; echo "ci: first injection campaign failed" >&2; exit 1; }
 grep -q "injected 2, unclassified 0" "$QUAR_DIR/first.txt" \
     || { cat "$QUAR_DIR/first.txt" >&2; echo "ci: first injection campaign did not classify 2 injected trials" >&2; exit 1; }
-./target/release/accmos fuzz --trials 30 --seed 1 --inject target/release/faultsim --budget-ms 500 \
+./target/release/accmos fuzz --trials 30 --seed 1 --inject target/release/faultsim --exec-timeout 500 \
     --cache-dir "$QUAR_DIR" --resume > "$QUAR_DIR/second.txt" \
     || { cat "$QUAR_DIR/second.txt" >&2; echo "ci: resumed injection campaign failed" >&2; exit 1; }
 grep -q "injected 4, unclassified 0" "$QUAR_DIR/second.txt" \
@@ -289,7 +305,7 @@ echo "ci: analyzer gate passed on rand:3 and rand:9"
 # profile spans; (4) time the job once: the trace's `run` span and phase
 # spans last exactly what the ledger record of the same run says.
 PROF_DIR=$(mktemp -d)
-trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR"' EXIT
 PLAIN=$(ACCMOS_CACHE_DIR="$PROF_DIR" ./target/release/accmos simulate bench:CSEV --steps 5000 --seed 11 \
     | sed -n 's/^  digest: \([0-9a-f]*\)$/\1/p')
 PROFILED=$(ACCMOS_CACHE_DIR="$PROF_DIR" ./target/release/accmos simulate bench:CSEV --steps 5000 --seed 11 --profile \
@@ -330,7 +346,7 @@ echo "ci: observability gate passed (profiled digest identical, trace has pipeli
 # daemon down — then assert ledger growth, the persistent job journal,
 # and a clean shutdown that removes the socket.
 SERVE_DIR=$(mktemp -d)
-trap 'rm -rf "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
+trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
 SOCK="$SERVE_DIR/accmos.sock"
 FAULTSIM_MODE=crash ./target/release/accmos serve --socket "$SOCK" --cache-dir "$SERVE_DIR" \
     --workers 2 --exec-timeout 2000 --retries 1 > "$SERVE_DIR/serve_log.txt" 2>&1 &

@@ -98,12 +98,8 @@ const SHARED_CFLAGS: [&str; 2] = ["-shared", "-fPIC"];
 pub struct CompiledDylib(Artifact);
 
 impl CompiledDylib {
-    /// The build directory holding the generated sources and the `.so`.
-    pub fn dir(&self) -> &Path {
-        &self.0.dir
-    }
-
-    /// The shared-object path.
+    /// The shared-object path, in the build directory that holds the
+    /// generated sources.
     pub fn so(&self) -> &Path {
         &self.0.path
     }

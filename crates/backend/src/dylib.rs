@@ -6,7 +6,7 @@
 //! protocol I/O per job. This module loads the simulator built by
 //! [`crate::Compiler::compile_shared`] with `dlopen` and calls its
 //! `accmos_entry` symbol directly: the `ACCMOS:` records arrive through
-//! an emit callback instead of a pipe, and the supervisor's deadline is
+//! an emit callback instead of a pipe, and the caller's kill deadline is
 //! passed to the entry point, whose generated loop checks it against its
 //! own clock every 512 steps and returns early, rather than enforced by
 //! `SIGKILL`. No thread watches the call.
@@ -117,7 +117,7 @@ enum EntryOutcome {
 ///
 /// Each [`DylibRunner::run`] lane is fully independent: the cached
 /// artifact is copied to a scratch path, loaded, invoked once, unloaded,
-/// and the copy removed. The entry call checks the supervisor's kill
+/// and the copy removed. The entry call checks the caller's kill
 /// deadline itself; a run that stops on it reports
 /// [`FailureKind::Timeout`] through [`BackendError::Supervised`], exactly
 /// like a killed subprocess. Any failure to *load* — as opposed to run —
@@ -126,19 +126,18 @@ enum EntryOutcome {
 #[derive(Debug, Clone)]
 pub struct DylibRunner {
     so: PathBuf,
-    work_dir: PathBuf,
 }
 
 impl DylibRunner {
-    /// A runner for `so`, staging scratch copies and test-vector files in
-    /// `work_dir`.
-    pub fn new(so: impl Into<PathBuf>, work_dir: impl Into<PathBuf>) -> DylibRunner {
-        DylibRunner { so: so.into(), work_dir: work_dir.into() }
+    /// A runner for `so`, staging scratch copies and test-vector files
+    /// beside it.
+    pub fn new(so: impl Into<PathBuf>) -> DylibRunner {
+        DylibRunner { so: so.into() }
     }
 
-    /// A runner for a compiled dylib artifact, staging in its build dir.
+    /// A runner for a compiled dylib artifact.
     pub fn for_dylib(dylib: &crate::CompiledDylib) -> DylibRunner {
-        DylibRunner::new(dylib.so(), dylib.dir())
+        DylibRunner::new(dylib.so())
     }
 
     /// The shared object this runner loads.
@@ -191,14 +190,12 @@ impl DylibRunner {
         // Unique scratch copy: see the module docs for why this is
         // mandatory, not an optimization.
         let seq = DYLIB_SEQ.fetch_add(1, Ordering::Relaxed);
-        let scratch = self
-            .work_dir
-            .join(format!("sim-dy-{}-{seq}.so", std::process::id()));
+        let scratch = self.so.with_file_name(format!("sim-dy-{}-{seq}.so", std::process::id()));
         std::fs::copy(&self.so, &scratch)
             .map_err(|source| BackendError::Io { path: self.so.clone(), source })?;
         let scratch = TempPath(scratch);
 
-        let tc_guard = write_test_file(&self.work_dir, tests)?;
+        let tc_guard = write_test_file(&self.so, tests)?;
         let tc_path = tc_guard
             .as_ref()
             .map(|t| CString::new(t.path().to_string_lossy().into_owned()))
@@ -362,7 +359,7 @@ mod tests {
     #[test]
     fn dlopen_of_a_missing_file_is_a_load_failure_not_a_panic() {
         let dir = std::env::temp_dir();
-        let runner = DylibRunner::new(dir.join("no-such-sim.so"), &dir);
+        let runner = DylibRunner::new(dir.join("no-such-sim.so"));
         let err = runner
             .run(8, &TestVectors::default(), &RunOptions::default(), None)
             .unwrap_err();
@@ -377,7 +374,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let so = dir.join(format!("accmos-not-an-so-{}.so", std::process::id()));
         std::fs::write(&so, b"definitely not ELF").unwrap();
-        let runner = DylibRunner::new(&so, &dir);
+        let runner = DylibRunner::new(&so);
         let err = runner
             .run(8, &TestVectors::default(), &RunOptions::default(), None)
             .unwrap_err();

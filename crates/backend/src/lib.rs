@@ -53,7 +53,7 @@ pub use compile::{budget_level, clean_build_dir, CompiledDylib, Compiler, OptLev
 pub use dylib::{DylibRun, DylibRunner};
 pub use error::BackendError;
 pub use protocol::parse_report;
-pub use run::{CompiledSimulator, RunOptions};
+pub use run::{run_lanes, CompiledSimulator, RunOptions};
 pub use supervise::{Attempt, ExecPolicy, FailureKind, Supervisor};
 pub use telemetry::{PhaseMicros, RunLedger, RunRecord, TraceSpan, Tracer};
 
@@ -83,7 +83,8 @@ mod tests {
         build(&mut b);
         let pre = preprocess(&b.build().unwrap()).unwrap();
         let program = generate(&pre, opts);
-        let sim = Compiler::detect().unwrap().compile(&program).unwrap_or_else(|e| {
+        let cc = Compiler::detect().unwrap().without_cache();
+        let sim = cc.compile(&program).unwrap_or_else(|e| {
             panic!("compile failed: {e}\n----\n{}", program.main_c);
         });
         let report = sim.run(steps, tests, run_opts).unwrap();

@@ -84,7 +84,7 @@ impl CompiledSimulator {
 
     /// Run the simulator for `steps` steps against `tests`.
     ///
-    /// The test vectors are written to a CSV file in the build directory
+    /// The test vectors are written to a CSV file beside the executable
     /// and imported by the generated `TestCase_Init` (paper Figure 5).
     /// The reported `wall` time is the simulator's own measurement of its
     /// simulation loop (excluding process start-up and test loading).
@@ -102,12 +102,8 @@ impl CompiledSimulator {
         tests: &TestVectors,
         opts: &RunOptions,
     ) -> Result<SimulationReport, BackendError> {
-        let once = Supervisor::new(ExecPolicy {
-            kill_timeout: None,
-            retries: 0,
-            ..ExecPolicy::default()
-        });
-        once.run(self.exe(), self.dir(), steps, tests, opts, &mut Vec::new())
+        let once = Supervisor::new(ExecPolicy::default().with_retries(0));
+        once.run(self.exe(), None, steps, tests, opts, &mut Vec::new())
     }
 
     /// Remove the build directory.
@@ -149,19 +145,19 @@ fn budget_ms_arg(budget: Duration) -> String {
     budget_ms_value(budget).to_string()
 }
 
-/// Write the test-vector file of one run, named uniquely per run (PID +
-/// sequence) so concurrent runs of one simulator never race on a shared
-/// file. An input-less run gets no file. The returned guard removes the
-/// file when dropped.
+/// Write the test-vector file of one run beside its artifact, named
+/// uniquely per run (PID + sequence) so concurrent runs of one simulator
+/// never race on a shared file. An input-less run gets no file. The
+/// returned guard removes the file when dropped.
 pub(crate) fn write_test_file(
-    work_dir: &Path,
+    beside: &Path,
     tests: &TestVectors,
 ) -> Result<Option<TempPath>, BackendError> {
     if tests.width() == 0 {
         return Ok(None);
     }
     let seq = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
-    let tc_path = work_dir.join(format!("tests-{}-{seq}.csv", std::process::id()));
+    let tc_path = beside.with_file_name(format!("tests-{}-{seq}.csv", std::process::id()));
     std::fs::write(&tc_path, tests.to_csv())
         .map_err(|source| BackendError::Io { path: tc_path.clone(), source })?;
     Ok(Some(TempPath(tc_path)))
@@ -169,12 +165,17 @@ pub(crate) fn write_test_file(
 
 /// Run a job's lanes one after another through `run`, each the
 /// independent run of one stimulus: the primary `tests`, then
-/// [`RunOptions::lane_tests`]. The time budget and the kill `deadline`
-/// bound all the lanes together, so each lane gets what the lanes before
-/// it left. A lane that finds the budget spent runs no steps; one that
-/// finds the deadline spent fails the job with [`FailureKind::Timeout`],
-/// as a killed child would.
-pub(crate) fn run_lanes<R>(
+/// [`RunOptions::lane_tests`]; every engine runs its lanes here. The
+/// time budget and the kill `deadline` bound all the lanes together, so
+/// each lane gets what the lanes before it left. A lane that finds the
+/// budget spent runs no steps; one that finds the deadline spent fails
+/// the job with [`FailureKind::Timeout`] naming `exe`, as a killed child
+/// would.
+///
+/// # Errors
+///
+/// That timeout, or the first error of `run`.
+pub fn run_lanes<R>(
     exe: &Path,
     steps: u64,
     tests: &TestVectors,
@@ -238,14 +239,13 @@ pub(crate) fn fold_lanes(lanes: Vec<SimulationReport>) -> Result<SimulationRepor
 /// kill) cleans up.
 pub(crate) fn prepare_command(
     exe: &Path,
-    work_dir: &Path,
     steps: u64,
     tests: &TestVectors,
     opts: &RunOptions,
 ) -> Result<(Command, Option<TempPath>), BackendError> {
     let mut cmd = Command::new(exe);
     cmd.arg(steps.to_string());
-    let tc_guard = write_test_file(work_dir, tests)?;
+    let tc_guard = write_test_file(exe, tests)?;
     if let Some(tc) = &tc_guard {
         cmd.arg("--tests").arg(tc.path());
     }

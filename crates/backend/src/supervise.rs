@@ -6,14 +6,14 @@
 //! output, and reduces every failure to "non-zero exit". This module
 //! treats the generated binary as its own fault domain:
 //!
-//! - [`ExecPolicy`] bounds each run — a hard kill timeout (distinct from
+//! - [`ExecPolicy`] bounds each job — a hard kill timeout (distinct from
 //!   the simulator's own cooperative `--budget-ms`) and a retry budget
 //!   with exponential backoff; the backoff's deterministic SplitMix64
 //!   jitter and the cap on captured output bytes are constants;
 //! - [`Supervisor`] spawns the simulator and, on the thread that runs the
 //!   attempt, polls its stdout, its stderr and a pidfd of the child with
-//!   the rest of the kill deadline as the timeout, killing the child when
-//!   the deadline passes; an attempt starts no thread. Every failure is
+//!   the rest of the caller's kill deadline as the timeout, killing the
+//!   child when it passes; an attempt starts no thread. Every failure is
 //!   classified into a [`FailureKind`] so callers can decide
 //!   retry-vs-quarantine mechanically, and every attempt is reported to
 //!   the caller as an [`Attempt`];
@@ -47,8 +47,8 @@ use std::time::{Duration, Instant, SystemTime};
 /// never has to parse error strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// The process outlived [`ExecPolicy::kill_timeout`] and was killed.
-    /// Not retried: the wall-clock budget is already spent.
+    /// The process outlived its kill deadline and was killed. Not
+    /// retried: the wall-clock budget is already spent.
     Timeout,
     /// The process died on a signal (SIGSEGV, SIGABRT, ...). Retried, and
     /// counted toward quarantine.
@@ -132,17 +132,18 @@ const MAX_OUTPUT_BYTES: usize = 64 * 1024 * 1024;
 /// Cap on captured stderr bytes, drained past the cap like stdout.
 const MAX_STDERR_BYTES: usize = 64 * 1024;
 
-/// Bounds on one supervised simulator execution.
+/// Bounds on one job's simulator execution.
 ///
 /// The defaults are production-lenient (2-minute kill timeout, 2 retries);
 /// harnesses and tests tighten them.
 #[derive(Debug, Clone)]
 pub struct ExecPolicy {
-    /// Hard wall-clock deadline after which the process is killed. This is
-    /// the supervisor's *kill* timeout — independent of the simulator's own
-    /// cooperative `--budget-ms` stop, which a hung or miscompiled binary
-    /// never honors. It bounds a run's lanes and their attempts and backoff
-    /// together. `None` waits forever (the pre-supervision behavior).
+    /// Hard wall-clock deadline of one job — independent of the
+    /// simulator's own cooperative `--budget-ms` stop, which a hung or
+    /// miscompiled binary never honors. The job executor spends it across
+    /// the job's rungs, lanes, attempts and backoff: each runs under what
+    /// came before it left. `None` waits forever (the pre-supervision
+    /// behavior).
     pub kill_timeout: Option<Duration>,
     /// Number of retries after the first failed attempt (total attempts =
     /// `retries + 1`). Only [`FailureKind::is_retryable`] failures retry.
@@ -414,9 +415,10 @@ impl Supervisor {
 
     /// Run `exe` under the policy, one child per lane: spawn, wait, kill
     /// on deadline, classify failures, retry retryable ones with backoff.
-    /// The kill deadline bounds all the lanes, their attempts and their
-    /// backoff together, and the lanes' reports fold into one
-    /// ([`SimulationReport::fold_lanes`]). Every attempt made is appended
+    /// The caller's kill `deadline` (`None` waits forever) bounds all the
+    /// lanes, their attempts and their backoff together, and the lanes'
+    /// reports fold into one ([`SimulationReport::fold_lanes`]). Test
+    /// vectors are written beside `exe`. Every attempt made is appended
     /// to `attempts`, whether the run succeeds or fails: the run's retries
     /// and peak RSS are their [`Attempt::tally`].
     ///
@@ -433,15 +435,14 @@ impl Supervisor {
     pub fn run(
         &self,
         exe: &Path,
-        work_dir: &Path,
+        deadline: Option<Duration>,
         steps: u64,
         tests: &TestVectors,
         opts: &crate::RunOptions,
         attempts: &mut Vec<Attempt>,
     ) -> Result<SimulationReport, BackendError> {
-        let kill = self.policy.kill_timeout;
-        let lanes = run_lanes(exe, steps, tests, opts, kill, |steps, tests, opts, left| {
-            self.run_lane(exe, work_dir, steps, tests, opts, left, attempts)
+        let lanes = run_lanes(exe, steps, tests, opts, deadline, |steps, tests, opts, left| {
+            self.run_lane(exe, steps, tests, opts, left, attempts)
         })?;
         fold_lanes(lanes)
     }
@@ -451,11 +452,9 @@ impl Supervisor {
     /// backoff left of it; one that finds it spent fails with
     /// [`FailureKind::Timeout`] without starting, and the backoff never
     /// sleeps past it.
-    #[allow(clippy::too_many_arguments)]
     fn run_lane(
         &self,
         exe: &Path,
-        work_dir: &Path,
         steps: u64,
         tests: &TestVectors,
         opts: &crate::RunOptions,
@@ -482,7 +481,7 @@ impl Supervisor {
                 );
                 (Err((FailureKind::Timeout, spent)), 0)
             } else {
-                self.run_once(exe, work_dir, steps, tests, opts, deadline)?
+                self.run_once(exe, steps, tests, opts, deadline)?
             };
             attempts.push(Attempt {
                 n,
@@ -525,13 +524,12 @@ impl Supervisor {
     fn run_once(
         &self,
         exe: &Path,
-        work_dir: &Path,
         steps: u64,
         tests: &TestVectors,
         opts: &crate::RunOptions,
         kill: Option<Duration>,
     ) -> Result<(Result<SimulationReport, (FailureKind, String)>, u64), BackendError> {
-        let (mut cmd, tc_guard) = prepare_command(exe, work_dir, steps, tests, opts)?;
+        let (mut cmd, tc_guard) = prepare_command(exe, steps, tests, opts)?;
         cmd.stdin(Stdio::null()).stdout(Stdio::piped()).stderr(Stdio::piped());
         let mut child = match spawn(&mut cmd) {
             Ok(c) => c,

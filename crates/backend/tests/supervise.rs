@@ -42,13 +42,14 @@ impl Drop for Scripted {
     }
 }
 
-/// A policy fast enough for CI: 200 ms kill deadline, millisecond backoff.
+/// A policy fast enough for CI: millisecond backoff.
 fn fast_policy() -> ExecPolicy {
-    ExecPolicy::default()
-        .with_kill_timeout(Duration::from_millis(200))
-        .with_retries(2)
-        .with_backoff(Duration::from_millis(2))
+    ExecPolicy::default().with_retries(2).with_backoff(Duration::from_millis(2))
 }
+
+/// The kill deadline the tests hand the supervisor unless they say
+/// otherwise.
+const DEADLINE: Duration = Duration::from_millis(200);
 
 const OK_PROTOCOL: &str = "\
 echo 'ACCMOS:MODEL fake'
@@ -58,7 +59,16 @@ echo 'ACCMOS:DIGEST 00000000deadbeef'
 echo 'ACCMOS:END'";
 
 fn run(sup: &Supervisor, s: &Scripted) -> Result<SimulationReport, BackendError> {
-    sup.run(&s.exe, &s.dir, 5, &TestVectors::new(), &RunOptions::default(), &mut Vec::new())
+    run_within(sup, s, DEADLINE)
+}
+
+fn run_within(
+    sup: &Supervisor,
+    s: &Scripted,
+    deadline: Duration,
+) -> Result<SimulationReport, BackendError> {
+    let (tests, opts) = (TestVectors::new(), RunOptions::default());
+    sup.run(&s.exe, Some(deadline), 5, &tests, &opts, &mut Vec::new())
 }
 
 /// Run `s` to success: its report, with the retries and the peak RSS in
@@ -66,7 +76,7 @@ fn run(sup: &Supervisor, s: &Scripted) -> Result<SimulationReport, BackendError>
 fn run_ok(sup: &Supervisor, s: &Scripted, why: &str) -> (SimulationReport, u32, u64) {
     let mut attempts = Vec::new();
     let report = sup
-        .run(&s.exe, &s.dir, 5, &TestVectors::new(), &RunOptions::default(), &mut attempts)
+        .run(&s.exe, Some(DEADLINE), 5, &TestVectors::new(), &RunOptions::default(), &mut attempts)
         .expect(why);
     let (retries, _, peak_rss_kb) = Attempt::tally(&attempts);
     (report, retries, peak_rss_kb)
@@ -172,9 +182,9 @@ fn stdout_held_open_after_a_clean_exit_is_abandoned_after_the_grace() {
     // grace after the exit, then abandons the pipe instead of waiting
     // for the orphan or taking the report as whole.
     let s = Scripted::new("orphan", &format!("{OK_PROTOCOL}\n( sleep 3 ) &"));
-    let sup = Supervisor::new(fast_policy().with_kill_timeout(Duration::from_secs(10)));
+    let sup = Supervisor::new(fast_policy());
     let start = Instant::now();
-    let err = run(&sup, &s).unwrap_err();
+    let err = run_within(&sup, &s, Duration::from_secs(10)).unwrap_err();
     let elapsed = start.elapsed();
     assert_eq!(kind_of(&err), FailureKind::ProtocolCorrupt, "{err}");
     assert!(err.to_string().contains("still open after the process exited"), "{err}");
@@ -188,8 +198,8 @@ fn stdout_past_the_output_cap_is_drained_and_protocol_corrupt() {
     // discarded so the writer never blocks, and the run fails on the cap
     // well inside its kill deadline.
     let s = Scripted::new("flood", "head -c 70000000 /dev/zero");
-    let sup = Supervisor::new(fast_policy().with_kill_timeout(Duration::from_secs(10)));
-    let err = run(&sup, &s).unwrap_err();
+    let sup = Supervisor::new(fast_policy());
+    let err = run_within(&sup, &s, Duration::from_secs(10)).unwrap_err();
     assert_eq!(kind_of(&err), FailureKind::ProtocolCorrupt, "{err}");
     assert!(err.to_string().contains("output cap"), "{err}");
 }
@@ -234,15 +244,11 @@ fn retries_share_the_kill_deadline() {
     // elsewhere, so a killed shell leaves no orphan holding the pipes.
     let s = Scripted::new("late-crash", "sleep 0.4 > /dev/null 2>&1\nkill -SEGV $$");
     let deadline = Duration::from_secs(1);
-    let policy = ExecPolicy::default()
-        .with_kill_timeout(deadline)
-        .with_retries(2)
-        .with_quarantine_after(4);
-    let sup = Supervisor::new(policy);
+    let sup = Supervisor::new(ExecPolicy::default().with_retries(2).with_quarantine_after(4));
     let mut attempts = Vec::new();
     let start = Instant::now();
     let err = sup
-        .run(&s.exe, &s.dir, 5, &TestVectors::new(), &RunOptions::default(), &mut attempts)
+        .run(&s.exe, Some(deadline), 5, &TestVectors::new(), &RunOptions::default(), &mut attempts)
         .unwrap_err();
     let elapsed = start.elapsed();
     assert_eq!(kind_of(&err), FailureKind::Timeout, "{err}");
@@ -300,9 +306,8 @@ fn missing_executable_is_transient_io() {
     std::fs::create_dir_all(&dir).unwrap();
     let sup = Supervisor::new(fast_policy().with_retries(1));
     let no_sim = dir.join("no-such-sim");
-    let err = sup
-        .run(&no_sim, &dir, 5, &TestVectors::new(), &RunOptions::default(), &mut Vec::new())
-        .unwrap_err();
+    let (tests, opts) = (TestVectors::new(), RunOptions::default());
+    let err = sup.run(&no_sim, Some(DEADLINE), 5, &tests, &opts, &mut Vec::new()).unwrap_err();
     assert_eq!(kind_of(&err), FailureKind::TransientIo);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -314,8 +319,9 @@ fn scratch_test_vector_files_are_cleaned_up_even_on_kill() {
     let sup = Supervisor::new(fast_policy().with_retries(0));
     let mut tests = TestVectors::new();
     tests.push_column("In", DataType::I32, vec![Scalar::I32(1)]);
-    let err =
-        sup.run(&s.exe, &s.dir, 5, &tests, &RunOptions::default(), &mut Vec::new()).unwrap_err();
+    let err = sup
+        .run(&s.exe, Some(DEADLINE), 5, &tests, &RunOptions::default(), &mut Vec::new())
+        .unwrap_err();
     assert_eq!(kind_of(&err), FailureKind::Timeout);
     let leftovers = leftover_csvs(&s.dir);
     assert!(leftovers.is_empty(), "tests-*.csv left behind: {leftovers:?}");

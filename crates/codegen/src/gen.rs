@@ -330,8 +330,7 @@ pub(crate) fn emit_actor(ctx: &mut EmitCtx<'_>, actor: &FlatActor) -> EmittedAct
 
     // Diagnosis call + dynamically generated implementation (Figure 4).
     let mut diag_code = String::new();
-    if !plan.is_empty() {
-        let (call, def) = emit_diagnosis(ctx, actor, &plan);
+    if let Some((call, def)) = emit_diagnosis(ctx, actor, &plan) {
         w.line(call);
         diag_code = def;
     }
@@ -1321,15 +1320,23 @@ fn emit_math(ctx: &EmitCtx<'_>, actor: &FlatActor, op: MathOp, w: &mut CodeBuf) 
 // ---------------------------------------------------------------------------
 
 /// Emit the diagnosis call statement and the function definition for one
-/// actor, registering diagnostic sites on the way.
+/// actor, registering diagnostic sites on the way; `None` when there is no
+/// check or every check runs at the end of the step (an integrator's
+/// wrap-on-overflow).
 fn emit_diagnosis(
     ctx: &mut EmitCtx<'_>,
     actor: &FlatActor,
     plan: &[DiagnosticKind],
-) -> (String, String) {
+) -> Option<(String, String)> {
+    if plan.is_empty() {
+        return None;
+    }
     let flat = &ctx.pre.flat;
     let key = actor.path.key();
     let dt = actor.dtype;
+    let integrator = matches!(actor.kind, ActorKind::DiscreteIntegrator { .. });
+    let per_step =
+        plan.iter().any(|kind| !(integrator && matches!(kind, DiagnosticKind::WrapOnOverflow)));
 
     // Parameters: the output (by value or pointer) then every raw input.
     let mut params: Vec<String> = Vec::new();
@@ -1384,7 +1391,7 @@ fn emit_diagnosis(
         let site = ctx.add_site(&key, *kind);
         match kind {
             DiagnosticKind::WrapOnOverflow => {
-                if matches!(actor.kind, ActorKind::DiscreteIntegrator { .. }) {
+                if integrator {
                     ctx.update_sites.push((actor.id.0, site));
                     w.comment("overflow checked by the end-of-step update diagnosis");
                 } else {
@@ -1466,7 +1473,7 @@ fn emit_diagnosis(
     }
 
     w.close("}");
-    (call, w.finish())
+    per_step.then(|| (call, w.finish()))
 }
 
 fn div_zero_ports(kind: &ActorKind) -> Vec<usize> {

@@ -36,16 +36,12 @@ pub enum JobSource {
     /// An already-prepared simulation, shared by reference; the runner
     /// never compiles or cleans it.
     Prepared(Arc<PreparedSimulation>),
-    /// A pre-built executable speaking the `ACCMOS:` protocol; the runner
-    /// never compiles or cleans it. With no model behind it, a failing
-    /// executable job cannot degrade to the interpreter — it reports its
-    /// classified failure.
-    Executable {
-        /// The executable path.
-        exe: PathBuf,
-        /// Directory for per-run scratch (test-vector files).
-        work_dir: PathBuf,
-    },
+    /// The path of a pre-built executable speaking the `ACCMOS:`
+    /// protocol; the runner never compiles or cleans it, and writes each
+    /// run's test-vector file beside it. With no model behind it, a
+    /// failing executable job cannot degrade to the interpreter — it
+    /// reports its classified failure.
+    Executable(PathBuf),
 }
 
 /// One unit of work for the [`BatchRunner`]: a simulator source, the
@@ -89,12 +85,10 @@ impl BatchJob {
     pub fn executable(
         label: impl Into<String>,
         exe: impl Into<PathBuf>,
-        work_dir: impl Into<PathBuf>,
         tests: TestVectors,
         steps: u64,
     ) -> BatchJob {
-        let source = JobSource::Executable { exe: exe.into(), work_dir: work_dir.into() };
-        BatchJob::new(label, source, tests, steps)
+        BatchJob::new(label, JobSource::Executable(exe.into()), tests, steps)
     }
 
     /// Builder-style: set the per-run options.
@@ -269,15 +263,14 @@ impl BatchRunner {
                 JobSource::Prepared(sim) => {
                     (format!("prepared:{:p}", Arc::as_ptr(sim)), Group::Prepared(Arc::clone(sim)))
                 }
-                JobSource::Executable { exe, work_dir } => (
-                    format!("exe:{}:{}", exe.display(), work_dir.display()),
-                    Group::Executable(exe.clone(), work_dir.clone()),
-                ),
+                JobSource::Executable(exe) => {
+                    (format!("exe:{}", exe.display()), Group::Executable(exe.clone()))
+                }
                 JobSource::Model(model) => match self.pipeline.plan(model) {
                     Ok(plan) => {
                         summary.codegen_time += plan.preprocess_time + plan.codegen_time;
                         let key = compiler.source_digest(&plan.program);
-                        let budget = crate::exec::budget(job.steps, &job.opts);
+                        let budget = crate::exec::budget(job.steps, job.opts.lanes());
                         let group = groups.entry(key.clone()).or_insert_with(|| {
                             Group::Model(Box::new(Build { plan, budget: 0, sim: OnceLock::new() }))
                         });
@@ -406,9 +399,8 @@ enum Group {
     Model(Box<Build>),
     /// A caller-prepared simulation: never compiled, never cleaned.
     Prepared(Arc<PreparedSimulation>),
-    /// A caller-supplied executable and its scratch dir, with no model
-    /// behind it.
-    Executable(PathBuf, PathBuf),
+    /// A caller-supplied executable, with no model behind it.
+    Executable(PathBuf),
 }
 
 /// A model group's plan, the step budget of all its jobs together and,
@@ -437,7 +429,7 @@ impl Group {
                 }),
             ),
             Group::Prepared(sim) => Subject::Built(&sim.plan, Ok(&sim.sim)),
-            Group::Executable(exe, work_dir) => Subject::Executable(exe, work_dir),
+            Group::Executable(exe) => Subject::Executable(exe),
         }
     }
 }
@@ -604,7 +596,7 @@ mod tests {
 
     #[test]
     fn prepared_jobs_share_the_submitted_binary() {
-        let pipeline = AccMoS::new();
+        let pipeline = AccMoS::new().without_cache();
         let sim = Arc::new(pipeline.prepare(&gain_model("Shared", 7)).unwrap());
         let jobs: Vec<BatchJob> = (0..8)
             .map(|i| {
@@ -625,22 +617,11 @@ mod tests {
 
     #[test]
     fn failures_are_per_job_not_global() {
-        // Two gains in a feedback cycle with no delay: structurally valid,
-        // but scheduling rejects it as an algebraic loop at plan time.
-        let mut b = ModelBuilder::new("Loopy");
-        b.actor("G1", ActorKind::Gain { gain: Scalar::I32(2) });
-        b.actor("G2", ActorKind::Gain { gain: Scalar::I32(3) });
-        b.outport("Out", DataType::I32);
-        b.connect(("G1", 0), ("G2", 0));
-        b.connect(("G2", 0), ("G1", 0));
-        b.connect(("G2", 0), ("Out", 0));
-        let looped = b.build().expect("cycle passes structural validation");
-
         let jobs = vec![
             BatchJob::model("good", gain_model("Good", 2), tests_for(1), 10),
-            BatchJob::model("bad", looped, TestVectors::new(), 10),
+            BatchJob::model("bad", crate::tests::looped_model(), TestVectors::new(), 10),
         ];
-        let report = BatchRunner::new(AccMoS::new()).run(jobs).unwrap();
+        let report = BatchRunner::new(AccMoS::new().without_cache()).run(jobs).unwrap();
         assert!(report.jobs[0].report.is_ok(), "healthy job unaffected");
         let err = report.jobs[1].report.as_ref().unwrap_err();
         assert!(
@@ -866,6 +847,34 @@ mod tests {
         assert_eq!(record.phases.backoff_us, slept.as_micros() as u64, "backoff sums rungs");
         sim.clean();
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_job_that_degrades_interprets_under_what_its_deadline_has_left() {
+        use std::os::unix::fs::PermissionsExt;
+        let policy = crate::ExecPolicy::default()
+            .with_retries(0)
+            .with_quarantine_after(1)
+            .with_kill_timeout(Duration::from_secs(1));
+        let pipeline = AccMoS::new().without_cache().with_exec_policy(policy);
+        let sim = Arc::new(pipeline.prepare(&gain_model("Spent", 3)).unwrap());
+        // The subprocess rung spends 0.6 s of the 1 s deadline and crashes
+        // into quarantine: the interpreter gets the 0.4 s left, not a
+        // fresh second.
+        let exe = sim.simulator().exe().to_path_buf();
+        std::fs::write(&exe, "#!/bin/sh\nsleep 0.6; kill -SEGV $$\n").unwrap();
+        std::fs::set_permissions(&exe, std::fs::Permissions::from_mode(0o755)).unwrap();
+
+        let job = BatchJob::prepared("spent", Arc::clone(&sim), tests_for(1), 10_000_000_000);
+        let report = BatchRunner::new(pipeline).with_workers(1).run(vec![job]).unwrap();
+        let job = &report.jobs[0];
+        let err = job.report.as_ref().unwrap_err();
+        let AccMoSError::Backend(e) = err else { panic!("expected a backend error: {err}") };
+        assert_eq!(e.failure_kind(), Some(crate::FailureKind::Timeout), "{err}");
+        assert!(err.to_string().contains("interpreter stopped"), "{err}");
+        assert!(job.run_time < Duration::from_millis(1300), "ran for {:?}", job.run_time);
+        sim.clean();
     }
 
     #[test]

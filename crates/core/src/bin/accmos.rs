@@ -17,10 +17,9 @@
 //! accmos trends   [--cache-dir DIR] [--check] [--max-regress PCT]
 //!                 [--format text|json]
 //! accmos fuzz     [--trials N] [--seed N] [--steps N] [--rows N] [--resume]
-//!                 [--cache-dir DIR] [--corpus DIR] [--no-minimize]
-//!                 [--budget-ms N] [--max-trials N]
+//!                 [--cache-dir DIR] [--corpus DIR] [--no-minimize] [--max-trials N]
 //!                 [--inject PATH] [--sabotage] [--exec-timeout MS] [--retries N]
-//!                 [--trace-out trace.json]
+//!                 [--pin INDEX] [--trace-out trace.json]
 //! ```
 //!
 //! Model arguments are `.mdlx` file paths, `bench:NAME` for a built-in
@@ -80,12 +79,13 @@
 //! generated C to prove the detector end-to-end. Exits non-zero when
 //! any trial diverged or escaped classification.
 //!
-//! `--exec-timeout` is the supervisor's hard kill deadline for one
-//! simulator process (distinct from `--budget-ms`, the simulator's own
-//! cooperative budget); `--retries` bounds re-runs after crashes or
-//! transient failures. Jobs that cannot use their compiled simulator
-//! (compile failure, quarantined binary) degrade to the interpretive
-//! engine and are reported as degraded.
+//! `--exec-timeout` is one job's hard kill deadline (distinct from
+//! `simulate --budget-ms`, the simulator's own cooperative budget); on
+//! `fuzz` it bounds each trial run. `--retries` bounds re-runs after
+//! crashes or transient failures. Jobs that cannot use their compiled
+//! simulator (compile failure, quarantined binary) degrade to the
+//! interpretive engine and are reported as degraded; the interpreter runs
+//! under what the compiled rungs left of the deadline.
 //!
 //! `profile` compiles the model with self-profiling instrumentation
 //! (per-actor cumulative nanosecond counters, digest-identical to the
@@ -170,8 +170,8 @@ usage: (models are .mdlx paths or bench:NAME for a built-in benchmark)
   accmos submit   [<model> [STEPS]] [--socket PATH] [--cache-dir DIR] [--steps N]
                   [--lanes N] [--rows N] [--seed N] [--ping] [--shutdown]
   accmos fuzz     [--trials N] [--seed N] [--steps N] [--rows N] [--resume]
-                  [--cache-dir DIR] [--corpus DIR] [--no-minimize] [--budget-ms N]
-                  [--max-trials N] [--inject PATH] [--sabotage]
+                  [--cache-dir DIR] [--corpus DIR] [--no-minimize] [--max-trials N]
+                  [--inject PATH] [--sabotage]
                   [--exec-timeout MS] [--retries N] [--pin INDEX] [--trace-out trace.json]
 (rand:SEED is the fuzzer's deterministic random model for that seed)";
 
@@ -253,8 +253,8 @@ impl Spec {
                 0..=0,
                 &[
                     "--trials", "--seed", "--steps", "--rows", "--cache-dir", "--corpus",
-                    "--budget-ms", "--max-trials", "--inject", "--exec-timeout", "--retries",
-                    "--pin", "--trace-out",
+                    "--max-trials", "--inject", "--exec-timeout", "--retries", "--pin",
+                    "--trace-out",
                 ],
                 &["--resume", "--no-minimize", "--sabotage"],
             ),
@@ -334,10 +334,9 @@ fn opt_u64(args: &[String], name: &str, default: u64) -> Result<u64, Failure> {
     Ok(opt_parse(args, name)?.unwrap_or(default))
 }
 
-/// The supervised-execution policy from `--exec-timeout` / `--retries`
-/// (defaults untouched when the flags are absent).
-fn exec_policy(args: &[String]) -> Result<ExecPolicy, Failure> {
-    let mut policy = ExecPolicy::default();
+/// `policy` with `--exec-timeout` / `--retries` applied (untouched when
+/// the flags are absent).
+fn exec_policy(args: &[String], mut policy: ExecPolicy) -> Result<ExecPolicy, Failure> {
     if let Some(ms) = opt_parse(args, "--exec-timeout")? {
         policy = policy.with_kill_timeout(Duration::from_millis(ms));
     }
@@ -482,7 +481,7 @@ fn simulate(model: &Model, args: &[String]) -> Result<(), Failure> {
                 let copts = pipeline.codegen_options().clone().with_profile();
                 pipeline = pipeline.with_codegen(copts);
             }
-            let mut pipeline = pipeline.with_exec_policy(exec_policy(args)?);
+            let mut pipeline = pipeline.with_exec_policy(exec_policy(args, ExecPolicy::default())?);
             if let Some(t) = &tracer {
                 pipeline = pipeline.with_tracer(t.clone());
             }
@@ -542,7 +541,7 @@ fn profile(model: &Model, args: &[String]) -> Result<(), Failure> {
     let pre = accmos::preprocess(model).map_err(|e| e.to_string())?;
     let (tests, lane_tests) = lane_stimulus(&pre, opt(args, "--tests"), rows, seed, lanes)?;
 
-    let mut pipeline = AccMoS::new().with_exec_policy(exec_policy(args)?);
+    let mut pipeline = AccMoS::new().with_exec_policy(exec_policy(args, ExecPolicy::default())?);
     let copts = pipeline.codegen_options().clone().with_profile();
     pipeline = pipeline.with_codegen(copts);
     let trace_out = opt(args, "--trace-out");
@@ -762,13 +761,7 @@ fn fuzz(args: &[String]) -> Result<(), Failure> {
     if let Some(dir) = opt(args, "--corpus") {
         config.corpus_dir = Some(std::path::PathBuf::from(dir));
     }
-    let exec_timeout = opt_parse(args, "--exec-timeout")?;
-    if let Some(ms) = opt_parse(args, "--budget-ms")?.or(exec_timeout) {
-        config.trial_budget = Duration::from_millis(ms);
-    }
-    if let Some(n) = opt_parse(args, "--retries")? {
-        config.exec_policy = config.exec_policy.with_retries(n);
-    }
+    config.exec_policy = exec_policy(args, config.exec_policy.clone())?;
     config.max_trials_per_run = opt_parse(args, "--max-trials")?;
     if let Some(path) = opt(args, "--inject") {
         config.inject_fault_exe = Some(std::path::PathBuf::from(path));
@@ -861,7 +854,7 @@ fn batch(paths: &[&str], args: &[String]) -> Result<(), Failure> {
     let rows = opt_u64(args, "--rows", 64)? as usize;
     let lanes = opt_u64(args, "--lanes", 1)?.max(1);
 
-    let mut pipeline = AccMoS::new().with_exec_policy(exec_policy(args)?);
+    let mut pipeline = AccMoS::new().with_exec_policy(exec_policy(args, ExecPolicy::default())?);
     if flag(args, "--no-cache") {
         pipeline = pipeline.without_cache();
     }
@@ -976,7 +969,7 @@ fn batch(paths: &[&str], args: &[String]) -> Result<(), Failure> {
 /// sends `shutdown`.
 #[cfg(unix)]
 fn serve(args: &[String]) -> Result<(), Failure> {
-    let mut pipeline = AccMoS::new().with_exec_policy(exec_policy(args)?);
+    let mut pipeline = AccMoS::new().with_exec_policy(exec_policy(args, ExecPolicy::default())?);
     if let Some(dir) = opt(args, "--cache-dir") {
         pipeline = pipeline.with_cache(accmos::BuildCache::at(dir));
     }
@@ -1194,7 +1187,7 @@ mod tests {
         assert!(err.contains("--steps") && err.contains("`banana`"), "{err}");
         assert_eq!(opt_u64(&args, "--seed", 1), Ok(7));
         assert_eq!(opt_u64(&args, "--rows", 64), Ok(64), "absent flag keeps its default");
-        let err = usage_msg(exec_policy(&args));
+        let err = usage_msg(exec_policy(&args, ExecPolicy::default()));
         assert!(err.contains("--retries") && err.contains("`x`"), "{err}");
         let err = usage_msg(run(&strings(&["simulate", "bench:SPV", "--steps", "banana"])));
         assert!(err.contains("`banana`"), "{err}");
@@ -1220,6 +1213,8 @@ mod tests {
             &["info", "bench:SPV", "bench:TWC"],
             &["submit", "bench:SPV", "many"],
             &["submit"],
+            // A campaign's deadline is `--exec-timeout`.
+            &["fuzz", "--budget-ms", "500"],
         ] {
             usage_msg(run(&strings(args)));
         }

@@ -4,15 +4,16 @@
 //! A job moves down only for a [`Fallback`] cause; anything else (a
 //! timeout, a crash below the quarantine threshold, corrupt protocol
 //! output, an I/O error, any failure of a raw executable) ends it. The
-//! kill deadline bounds every rung, the interpreter's included.
+//! kill timeout is one deadline per job, read only here: each rung runs
+//! under what the rungs before it left ([`Executor::spend`]).
 //! A job's [`Trail`] is its one account: [`Exec::record`] is the one place
 //! a run-ledger record is built from it, and [`Trail::trace`] the one
 //! place its trace spans are.
 //!
 //! A job that builds its own executable ([`Subject::Plan`]) builds for a
 //! step budget of its steps × lanes ([`AccMoS::budgeted`]). Every rung
-//! runs a lane job as one run per lane and folds them
-//! ([`SimulationReport::fold_lanes`]).
+//! runs a lane job as one run per lane through [`run_lanes`] and folds
+//! them ([`SimulationReport::fold_lanes`]).
 
 use crate::telemetry::{self, outcome};
 use crate::{
@@ -20,11 +21,11 @@ use crate::{
     FailureKind, GeneratedProgram, NormalEngine, OptLevel, PhaseMicros, PreprocessedModel,
     RunOptions, RunRecord, SimOptions, Supervisor, TraceSpan, Tracer,
 };
-use accmos_backend::Attempt;
+use accmos_backend::{run_lanes, Attempt};
 use accmos_ir::{ActorProfile, Model, SimulationReport, TestVectors};
 use std::borrow::Cow;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// A model ready to build: preprocessed and generated, with the time
@@ -81,8 +82,8 @@ pub(crate) enum Subject<'a> {
     /// A planned model built ahead of the run (batch compile pool,
     /// [`AccMoS::prepare`]), or its build error; the builder cleans it.
     Built(&'a Plan, Result<&'a CompiledSimulator, &'a str>),
-    /// A pre-built executable and its scratch directory: no model.
-    Executable(&'a Path, &'a Path),
+    /// A pre-built executable: no model.
+    Executable(&'a Path),
 }
 
 /// The rung a job enters the ladder at.
@@ -106,9 +107,9 @@ pub(crate) struct Job<'a> {
     pub(crate) opts: &'a RunOptions,
 }
 
-/// The step budget of a run of `steps` under `opts`: steps × lanes.
-pub(crate) fn budget(steps: u64, opts: &RunOptions) -> u64 {
-    steps.saturating_mul(opts.lanes() as u64)
+/// The step budget of a run of `steps` on `lanes` lanes: steps × lanes.
+pub(crate) fn budget(steps: u64, lanes: usize) -> u64 {
+    steps.saturating_mul(lanes as u64)
 }
 
 /// Why a job moved down the ladder: an untrusted spec skipped the dylib
@@ -323,11 +324,28 @@ pub(crate) struct Executor<'a> {
 }
 
 impl Executor<'_> {
+    /// Run one rung under what is left of the job's kill deadline — the
+    /// kill timeout minus the run time of the job's earlier rungs, all of
+    /// it for the rung a job enters — and add its run time to the trail.
+    /// A rung handed nothing fails with [`FailureKind::Timeout`] before
+    /// it runs, as a lane does ([`run_lanes`]).
+    fn spend<R>(
+        &self,
+        trail: &mut Trail,
+        rung: impl FnOnce(Option<Duration>, &mut Vec<Attempt>) -> R,
+    ) -> R {
+        let kill = self.pipeline.exec_policy.kill_timeout;
+        let start = Instant::now();
+        let out = rung(kill.map(|kill| kill.saturating_sub(trail.run_time)), &mut trail.attempts);
+        trail.run_time += start.elapsed();
+        out
+    }
+
     /// Walk the whole ladder from `entry`.
     pub(crate) fn run(&self, subject: Subject<'_>, entry: Entry<'_>, job: &Job<'_>) -> Exec {
         let plan = match subject {
             Subject::Plan(plan) | Subject::Built(plan, _) => Some(plan),
-            Subject::Executable(..) => None,
+            Subject::Executable(_) => None,
         };
         let planned = !matches!(entry, Entry::Dylib { reused: true, .. });
         let prepare = plan.filter(|_| planned).map(Plan::phases).unwrap_or_default();
@@ -363,29 +381,29 @@ impl Executor<'_> {
         }
         let mut built = None; // an executable this walk builds, and cleans
         let sim = match subject {
-            Subject::Executable(exe, dir) => return self.subprocess(exe, dir, false, job, trail),
+            Subject::Executable(exe) => return self.subprocess(exe, false, job, trail),
             Subject::Built(_, sim) => {
                 sim.map_err(|e| Stop::Fallback(Fallback::Compile(e.to_owned())))?
             }
             Subject::Plan(plan) => {
-                let sim = self.pipeline.compiler().and_then(|c| {
-                    self.pipeline.budgeted(c, budget(job.steps, job.opts)).compile(&plan.program)
-                });
+                let budget = budget(job.steps, job.opts.lanes());
+                let compiler = self.pipeline.compiler().map(|c| self.pipeline.budgeted(c, budget));
+                let sim = compiler.and_then(|c| c.compile(&plan.program));
                 &*built.insert(sim.map_err(|e| Stop::Fallback(Fallback::Compile(e.to_string())))?)
             }
         };
         trail.prepare.compile_us += telemetry::micros(sim.compile_time());
         trail.compile_cached = sim.cache_hit();
         trail.opt = Some(sim.opt_level());
-        let run = self.subprocess(sim.exe(), sim.dir(), true, job, trail);
+        let run = self.subprocess(sim.exe(), true, job, trail);
         if let Some(sim) = &built {
             sim.clean();
         }
         run
     }
 
-    /// The in-process rung: call the shared object once per lane, with
-    /// the kill timeout as the cooperative deadline of all the lanes.
+    /// The in-process rung: call the shared object once per lane, with the
+    /// job's deadline as the cooperative deadline of all the lanes.
     fn dylib(
         &self,
         so: Result<&CompiledDylib, &BackendError>,
@@ -399,10 +417,9 @@ impl Executor<'_> {
         }
         trail.compile_cached = reused || so.cache_hit();
         trail.opt = Some(so.opt_level());
-        let start = Instant::now();
-        let deadline = self.pipeline.exec_policy.kill_timeout;
-        let run = DylibRunner::for_dylib(so).run(job.steps, job.tests, job.opts, deadline);
-        trail.run_time += start.elapsed();
+        let run = self.spend(trail, |deadline, _| {
+            DylibRunner::for_dylib(so).run(job.steps, job.tests, job.opts, deadline)
+        });
         match run {
             Ok(run) => Ok(SimulationReport { engine: "accmos-dylib".into(), ..run.report }),
             // A cooperative timeout spent the deadline; the subprocess
@@ -412,23 +429,22 @@ impl Executor<'_> {
         }
     }
 
-    /// The supervised subprocess rung: run `exe` (scratch dir `dir`) under
-    /// the supervisor, which reports every attempt into the trail. A
-    /// failure falls back only when the job has a model and `exe` is
-    /// quarantined (checked while the file still exists).
+    /// The supervised subprocess rung: run `exe` under the supervisor,
+    /// which reports every attempt into the trail. A failure falls back
+    /// only when the job has a model and `exe` is quarantined (checked
+    /// while the file still exists).
     fn subprocess(
         &self,
         exe: &Path,
-        dir: &Path,
         has_model: bool,
         job: &Job<'_>,
         trail: &mut Trail,
     ) -> Result<SimulationReport, Stop> {
         let supervisor =
             self.supervisor.map_or_else(|| Cow::Owned(self.pipeline.supervisor()), Cow::Borrowed);
-        let start = Instant::now();
-        let run = supervisor.run(exe, dir, job.steps, job.tests, job.opts, &mut trail.attempts);
-        trail.run_time += start.elapsed();
+        let run = self.spend(trail, |deadline, attempts| {
+            supervisor.run(exe, deadline, job.steps, job.tests, job.opts, attempts)
+        });
         run.map_err(|e| {
             if has_model && supervisor.is_quarantined(exe) {
                 Stop::Fallback(Fallback::Quarantine(e.to_string()))
@@ -438,9 +454,7 @@ impl Executor<'_> {
         })
     }
 
-    /// The interpreter rung, under `min(job budget, kill timeout)` over
-    /// all lanes together. A run the kill deadline cuts short in any lane
-    /// fails with [`FailureKind::Timeout`].
+    /// The interpreter rung.
     fn interpret(
         &self,
         pre: &PreprocessedModel,
@@ -449,54 +463,48 @@ impl Executor<'_> {
     ) -> Result<SimulationReport, BackendError> {
         trail.interpreted = true;
         trail.opt = None;
-        let kill = self.pipeline.exec_policy.kill_timeout;
-        let mut opts = job.opts.clone();
-        opts.time_budget = [opts.time_budget, kill].into_iter().flatten().min();
-        let start = Instant::now();
-        let report = interp_lane_run(pre, job.tests, &opts, job.steps);
-        let elapsed = start.elapsed();
-        trail.run_time += elapsed;
-        // The fewest steps any lane ran: a scalar run has no lane reports.
-        let ran = report.lane_reports.iter().map(|r| r.steps).min().unwrap_or(report.steps);
-        match kill {
-            Some(kill) if ran < job.steps && elapsed >= kill => Err(BackendError::Supervised {
-                exe: PathBuf::from(&report.engine),
-                kind: FailureKind::Timeout,
-                attempts: 1,
-                detail: format!(
-                    "interpreter stopped at the {kill:?} kill deadline after {ran} of {} step(s)",
-                    job.steps
-                ),
-            }),
-            _ => Ok(report),
-        }
+        self.spend(trail, |deadline, _| {
+            interp_lane_run(pre, job.tests, job.opts, job.steps, deadline)
+        })
     }
 }
 
-/// Run the interpretive [`NormalEngine`] once per lane (the primary
-/// `tests`, then [`RunOptions::lane_tests`]) and fold the lanes as every
-/// compiled rung does ([`SimulationReport::fold_lanes`]). The time budget
-/// bounds all the lanes together: each lane runs with what the lanes
-/// before it left, and stops on its own first diagnostic under
-/// [`RunOptions::stop_on_diagnostic`].
+/// Why [`interp_lane_run`] without a deadline cannot fail.
+pub(crate) const NO_DEADLINE: &str = "an interpreter run without a kill deadline cannot time out";
+
+/// Run the interpretive [`NormalEngine`] once per lane through
+/// [`run_lanes`], as the compiled rungs do, and fold the lanes
+/// ([`SimulationReport::fold_lanes`]). Each lane runs under the lesser of
+/// what is left of the time budget and of the kill `deadline`; one the
+/// deadline cuts short fails the run with [`FailureKind::Timeout`].
 pub(crate) fn interp_lane_run(
     pre: &PreprocessedModel,
     tests: &TestVectors,
     opts: &RunOptions,
     steps: u64,
-) -> SimulationReport {
+    deadline: Option<Duration>,
+) -> Result<SimulationReport, BackendError> {
     let engine = NormalEngine::new();
-    let mut sim_opts = SimOptions::steps(steps);
-    sim_opts.stop_on_diagnostic = opts.stop_on_diagnostic;
-    let start = Instant::now();
-    let lanes = std::iter::once(tests)
-        .chain(&opts.lane_tests)
-        .map(|lane_tests| {
-            sim_opts.time_budget = opts.time_budget.map(|b| b.saturating_sub(start.elapsed()));
-            engine.run(pre, lane_tests, &sim_opts)
-        })
-        .collect();
-    SimulationReport::fold_lanes(lanes)
+    let exe = Path::new(engine.name());
+    let lanes = run_lanes(exe, steps, tests, opts, deadline, |steps, tests, lane_opts, left| {
+        let time_budget = [lane_opts.time_budget, left].into_iter().flatten().min();
+        let stop_on_diagnostic = lane_opts.stop_on_diagnostic;
+        let sim_opts = SimOptions { steps, time_budget, stop_on_diagnostic };
+        let start = Instant::now();
+        let report = engine.run(pre, tests, &sim_opts);
+        match left {
+            Some(left) if report.steps < steps && start.elapsed() >= left => {
+                let detail = format!(
+                    "interpreter stopped at the {left:?} kill deadline after {} of {steps} step(s)",
+                    report.steps
+                );
+                let (exe, kind) = (exe.to_path_buf(), FailureKind::Timeout);
+                Err(BackendError::Supervised { exe, kind, attempts: 1, detail })
+            }
+            _ => Ok(report),
+        }
+    })?;
+    Ok(SimulationReport::fold_lanes(lanes))
 }
 
 #[cfg(test)]

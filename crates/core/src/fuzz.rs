@@ -40,7 +40,9 @@
 //! with sabotage enabled must detect, minimize and corpus-ize the
 //! planted divergence.
 
-use crate::exec::{interp_lane_run, Entry, Executor, Fallback, Job, Stop, Subject, Trail};
+use crate::exec::{
+    interp_lane_run, Entry, Executor, Fallback, Job, Stop, Subject, Trail, NO_DEADLINE,
+};
 use crate::{
     preprocess, AccMoS, AccMoSError, BuildCache, CodegenOptions, ExecPolicy, OptLevel,
     RunOptions, Supervisor, Tracer,
@@ -75,13 +77,10 @@ pub struct FuzzConfig {
     /// for this campaign seed (crash-resume). Without this flag,
     /// existing records are ignored and every trial runs again.
     pub resume: bool,
-    /// Per-trial wall-clock budget: the supervisor's hard kill timeout
-    /// for each compiled-simulator execution, so no seed can wedge the
+    /// Supervised-execution policy of every trial run (kill timeout,
+    /// retries, backoff, quarantine threshold). Its kill timeout is each
+    /// compiled or injected run's deadline, so no seed can wedge the
     /// campaign.
-    pub trial_budget: Duration,
-    /// Supervised-execution policy for compiled trials (retries,
-    /// backoff, quarantine threshold). The kill timeout is overridden
-    /// by [`FuzzConfig::trial_budget`].
     pub exec_policy: ExecPolicy,
     /// Directory minimized divergence repros are written to (an `.mdlx`
     /// plus `.expected` sidecar per divergence). `None` disables corpus
@@ -124,8 +123,8 @@ impl Default for FuzzConfig {
             rows: 12,
             state_dir: None,
             resume: false,
-            trial_budget: Duration::from_secs(10),
             exec_policy: ExecPolicy::default()
+                .with_kill_timeout(Duration::from_secs(10))
                 .with_retries(1)
                 .with_backoff(Duration::from_millis(50))
                 .with_quarantine_after(2),
@@ -531,8 +530,7 @@ impl FuzzCampaign {
         std::fs::create_dir_all(&state_dir)
             .map_err(|e| AccMoSError::Batch(format!("fuzz state dir: {e}")))?;
         let store = FuzzStore::in_dir(&state_dir);
-        let policy = cfg.exec_policy.clone().with_kill_timeout(cfg.trial_budget);
-        let supervisor = Supervisor::new(policy).with_state_dir(&state_dir);
+        let supervisor = Supervisor::new(cfg.exec_policy.clone()).with_state_dir(&state_dir);
         let cache = BuildCache::at(&state_dir);
         let fault_dir = state_dir.join("fuzz-bin");
 
@@ -647,9 +645,9 @@ impl FuzzCampaign {
         self.run_differential(plan, supervisor, cache, self.config.sabotage)
     }
 
-    /// Run a fault-injection trial: a copy of the injection binary,
-    /// supervised like any compiled simulator. The verdict must come
-    /// back classified.
+    /// Run a fault-injection trial: a copy of the injection binary, run on
+    /// the job executor's subprocess rung like any raw executable. The
+    /// verdict must come back classified.
     fn run_injected(
         &self,
         plan: &TrialPlan,
@@ -673,17 +671,13 @@ impl FuzzCampaign {
             }
         }
         let traced = self.config.tracer.as_ref().map(|t| (t, t.now_us()));
+        let policy = self.config.exec_policy.clone();
+        let pipeline = AccMoS::new().without_cache().with_exec_policy(policy);
+        let executor = Executor { pipeline: &pipeline, supervisor: Some(supervisor) };
+        let (tests, opts) = (TestVectors::new(), RunOptions::default());
+        let job = Job { steps: plan.steps.min(8), tests: &tests, opts: &opts };
         let mut trail = Trail::default();
-        let start = Instant::now();
-        let run = supervisor.run(
-            &exe,
-            fault_dir,
-            plan.steps.min(8),
-            &TestVectors::new(),
-            &RunOptions::default(),
-            &mut trail.attempts,
-        );
-        trail.run_time = start.elapsed();
+        let run = executor.compiled(Subject::Executable(&exe), Entry::Subprocess, &job, &mut trail);
         if let Some((tracer, start_us)) = traced {
             trail.trace(tracer, 1, mode.exe_name(), start_us, &[]);
         }
@@ -691,15 +685,18 @@ impl FuzzCampaign {
             Ok(_) => Verdict::InjectedUnclassified {
                 detail: format!("{} ran to completion", mode.exe_name()),
             },
-            Err(e) => match e.failure_kind() {
+            Err(Stop::Failed(accmos_backend::BackendError::Quarantined { .. })) => {
+                Verdict::Injected { kind: "quarantined".into() }
+            }
+            Err(Stop::Failed(e)) => match e.failure_kind() {
                 Some(kind) => Verdict::Injected {
                     kind: crate::FailureKind::label(kind.index()).to_string(),
                 },
-                None if matches!(e, accmos_backend::BackendError::Quarantined { .. }) => {
-                    Verdict::Injected { kind: "quarantined".into() }
-                }
                 None => Verdict::InjectedUnclassified { detail: e.to_string() },
             },
+            Err(Stop::Fallback(cause)) => {
+                Verdict::InjectedUnclassified { detail: cause.to_string() }
+            }
         }
     }
 
@@ -724,7 +721,7 @@ impl FuzzCampaign {
         let run_opts = RunOptions { lane_tests, ..RunOptions::default() };
         let job = Job { steps: plan.steps, tests: &tests, opts: &run_opts };
 
-        let interp = interp_lane_run(&pre, &tests, &run_opts, plan.steps);
+        let interp = interp_lane_run(&pre, &tests, &run_opts, plan.steps, None).expect(NO_DEADLINE);
 
         // Generated C, analyzer pruning ON (the production configuration).
         let pruned_opts = CodegenOptions { sabotage_digest: sabotage, ..CodegenOptions::accmos() };
@@ -765,7 +762,10 @@ impl FuzzCampaign {
         cache: &BuildCache,
     ) -> Result<SimulationReport, Verdict> {
         let traced = self.config.tracer.as_ref().map(|t| (t, t.now_us()));
-        let mut pipeline = AccMoS::new().with_codegen(opts.clone()).with_cache(cache.clone());
+        let mut pipeline = AccMoS::new()
+            .with_codegen(opts.clone())
+            .with_cache(cache.clone())
+            .with_exec_policy(self.config.exec_policy.clone());
         if o3 {
             pipeline = pipeline.with_opt(OptLevel::O3);
         }
@@ -919,7 +919,8 @@ impl FuzzCampaign {
                 let (tests, lane_tests) =
                     lane_stimulus(&pre, plan.rows, plan.stim_seed(), plan.lanes);
                 let run_opts = RunOptions { lane_tests, ..RunOptions::default() };
-                interp_lane_run(&pre, &tests, &run_opts, plan.steps).output_digest
+                let interp = interp_lane_run(&pre, &tests, &run_opts, plan.steps, None);
+                interp.expect(NO_DEADLINE).output_digest
             })
             .unwrap_or(0);
         let mut repro = MinimizedRepro {
@@ -1044,7 +1045,7 @@ pub fn replay_corpus_entry(mdlx_path: &Path) -> Result<(), String> {
     let (tests, lane_tests) = lane_stimulus(&pre, rows, stim_seed, lanes);
     let run_opts = RunOptions { lane_tests, ..RunOptions::default() };
 
-    let interp = interp_lane_run(&pre, &tests, &run_opts, steps);
+    let interp = interp_lane_run(&pre, &tests, &run_opts, steps, None).expect(NO_DEADLINE);
     if interp.output_digest != digest {
         return Err(format!(
             "{}: interpreter digest {:016x} != pinned {digest:016x} (reference drift)",
@@ -1053,6 +1054,7 @@ pub fn replay_corpus_entry(mdlx_path: &Path) -> Result<(), String> {
         ));
     }
     let sim = AccMoS::new()
+        .without_cache()
         .prepare(&model)
         .map_err(|e| format!("{}: compile: {e}", mdlx_path.display()))?;
     let compiled = sim

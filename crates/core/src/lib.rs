@@ -391,8 +391,9 @@ impl AccMoS {
     /// interpretive [`NormalEngine`] instead of failing. The fallback is
     /// never silent: [`RunOutcome::degraded`] is set and
     /// [`RunOutcome::fallback_reason`] carries the cause. The kill
-    /// timeout bounds the interpreter too. Every run appends one record to
-    /// the run ledger and, with a tracer, renders its spans on track 1.
+    /// timeout bounds the interpreter too. Every run, one whose model fails
+    /// to plan included, appends one record to the run ledger and, with a
+    /// tracer, renders its spans on track 1.
     ///
     /// # Errors
     ///
@@ -407,10 +408,14 @@ impl AccMoS {
         opts: &RunOptions,
     ) -> Result<RunOutcome, AccMoSError> {
         let traced = self.tracer.as_ref().map(|t| (t, t.now_us()));
-        let plan = self.plan(model)?;
-        let executor = exec::Executor { pipeline: self, supervisor: None };
-        let job = exec::Job { steps, tests, opts };
-        let exec = executor.run(exec::Subject::Plan(&plan), exec::Entry::Subprocess, &job);
+        let exec = match self.plan(model) {
+            Ok(plan) => {
+                let executor = exec::Executor { pipeline: self, supervisor: None };
+                let job = exec::Job { steps, tests, opts };
+                executor.run(exec::Subject::Plan(&plan), exec::Entry::Subprocess, &job)
+            }
+            Err(e) => exec::Exec::failed(e),
+        };
         if let Some((tracer, start_us)) = traced {
             exec.trail.trace(tracer, 1, &model.name, start_us, exec.profile());
         }
@@ -617,6 +622,19 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Two gains in a feedback cycle with no delay: structurally valid,
+    /// but scheduling rejects it as an algebraic loop at plan time.
+    pub(crate) fn looped_model() -> Model {
+        let mut b = ModelBuilder::new("Loopy");
+        b.actor("G1", ActorKind::Gain { gain: Scalar::I32(2) });
+        b.actor("G2", ActorKind::Gain { gain: Scalar::I32(3) });
+        b.outport("Out", DataType::I32);
+        b.connect(("G1", 0), ("G2", 0));
+        b.connect(("G2", 0), ("G1", 0));
+        b.connect(("G2", 0), ("Out", 0));
+        b.build().expect("cycle passes structural validation")
+    }
+
     #[test]
     fn load_spec_resolves_every_spec_kind_and_lists_valid_names() {
         let figure1 = accmos_models::figure1().name;
@@ -642,7 +660,7 @@ mod tests {
 
     #[test]
     fn pipeline_end_to_end() {
-        let sim = AccMoS::new().prepare(&small_model()).unwrap();
+        let sim = AccMoS::new().without_cache().prepare(&small_model()).unwrap();
         let tests = TestVectors::constant("In", Scalar::I32(21), 1);
         let report = sim.run(5, &tests, &RunOptions::default()).unwrap();
         assert_eq!(report.final_outputs[0].1.to_string(), "42");
@@ -657,7 +675,7 @@ mod tests {
             <Block name="Out" type="Outport" index="0" dtype="int32"/>
             <Line src="In:0" dst="Out:0"/>
         </System></Model>"#;
-        let sim = AccMoS::new().prepare_mdlx(doc).unwrap();
+        let sim = AccMoS::new().without_cache().prepare_mdlx(doc).unwrap();
         let tests = TestVectors::constant("In", Scalar::I32(9), 1);
         let r = sim.run(3, &tests, &RunOptions::default()).unwrap();
         assert_eq!(r.final_outputs[0].1.to_string(), "9");
@@ -674,10 +692,26 @@ mod tests {
     #[test]
     fn run_healthy_path_is_not_degraded() {
         let tests = TestVectors::constant("In", Scalar::I32(21), 1);
-        let out = AccMoS::new().run(&small_model(), 5, &tests, &RunOptions::default()).unwrap();
+        let pipeline = AccMoS::new().without_cache();
+        let out = pipeline.run(&small_model(), 5, &tests, &RunOptions::default()).unwrap();
         assert!(!out.degraded());
         assert_eq!(out.retries, 0);
         assert_eq!(out.report.final_outputs[0].1.to_string(), "42");
+    }
+
+    #[test]
+    fn a_run_whose_model_fails_to_plan_leaves_a_failed_record() {
+        let root =
+            std::env::temp_dir().join(format!("accmos-run-unplanned-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let pipeline = AccMoS::new().with_cache(BuildCache::at(&root));
+        let err = pipeline.run(&looped_model(), 10, &TestVectors::new(), &RunOptions::default());
+        assert!(err.unwrap_err().to_string().contains("algebraic loop"));
+        let records = pipeline.ledger().unwrap().read().records;
+        assert_eq!(records.len(), 1, "{records:?}");
+        assert_eq!(records[0].outcome, telemetry::outcome::FAILED);
+        assert!(records[0].note.contains("algebraic loop"), "{}", records[0].note);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -747,12 +781,13 @@ mod tests {
             RunOptions { stop_on_diagnostic: true, lane_tests: vec![one], ..RunOptions::default() };
         let steps =
             |r: &SimulationReport| r.lane_reports.iter().map(|l| l.steps).collect::<Vec<_>>();
-        let interp = exec::interp_lane_run(&pre, &max, &opts, 100);
+        let interp = exec::interp_lane_run(&pre, &max, &opts, 100, None).unwrap();
         assert_eq!(steps(&interp), [1, 100], "interpreter");
-        let sim = AccMoS::new().prepare(&model).unwrap();
+        let sim = AccMoS::new().without_cache().prepare(&model).unwrap();
         let sub = sim.run(100, &max, &opts).unwrap();
         assert_eq!(steps(&sub), [1, 100], "subprocess");
-        let so = Compiler::detect().unwrap().compile_shared(sim.program()).unwrap();
+        let cc = Compiler::detect().unwrap().without_cache();
+        let so = cc.compile_shared(sim.program()).unwrap();
         let dy = DylibRunner::for_dylib(&so).run(100, &max, &opts, None).unwrap();
         assert_eq!(steps(&dy.report), [1, 100], "dylib");
         assert_eq!((sub.steps, sub.output_digest), (interp.steps, interp.output_digest));

@@ -75,9 +75,10 @@
 //! - an executable that does not build, or is quarantined, drops to the
 //!   interpreter;
 //! - a timeout is a real failure, not a fallback trigger: the budget is
-//!   already spent. The kill timeout bounds every rung, the in-process
+//!   already spent. The kill timeout is one deadline for the whole job:
+//!   each rung runs under what the rungs before it left, the in-process
 //!   run as the entry's own deadline check and the interpreter as its
-//!   time budget.
+//!   lanes' time budget.
 //!
 //! Successful in-process runs are recorded with engine `accmos-dylib`
 //! (source `serve`), so ledger trends keep the two dispatch engines in
@@ -146,13 +147,6 @@ struct ServeJob {
     /// Where to stream the `done` event; `None` for jobs recovered from
     /// `jobs.jsonl` (their submitter is gone).
     reply: Option<Sink>,
-}
-
-impl ServeJob {
-    /// The job's step budget: steps × lanes.
-    fn budget(&self) -> u64 {
-        self.steps.saturating_mul(self.lanes as u64)
-    }
 }
 
 /// A shared write end of a client connection. Workers finishing jobs and
@@ -507,7 +501,8 @@ fn execute_job(pipeline: &AccMoS, memo: &Memo, job: &ServeJob, tid: u64) -> Done
 /// dropped from the memo.
 fn run_source(pipeline: &AccMoS, memo: &Memo, key: Source, job: &ServeJob) -> (String, Exec) {
     let trusted = !matches!(key, Source::Rand(_));
-    if let Some(warm) = memo.get(&key, pipeline.level_for(job.budget())) {
+    let budget = crate::exec::budget(job.steps, job.lanes);
+    if let Some(warm) = memo.get(&key, pipeline.level_for(budget)) {
         let entry = Entry::Dylib { so: Ok(&warm.dylib), reused: true };
         let exec = run_plan(pipeline, &warm.plan, entry, job);
         if dylib_failed(&exec) {
@@ -528,7 +523,7 @@ fn run_source(pipeline: &AccMoS, memo: &Memo, key: Source, job: &ServeJob) -> (S
     }
     let dylib = pipeline
         .compiler()
-        .and_then(|c| pipeline.budgeted(c, job.budget()).compile_shared(&plan.program));
+        .and_then(|c| pipeline.budgeted(c, budget).compile_shared(&plan.program));
     let exec = run_plan(pipeline, &plan, Entry::Dylib { so: dylib.as_ref(), reused: false }, job);
     if let Ok(dylib) = dylib {
         let warm = Warm { plan, dylib };
@@ -862,8 +857,8 @@ mod tests {
         assert!(done.note.contains("compile failed"), "{}", done.note);
         let pre = crate::preprocess(&crate::load_spec("bench:SPV").unwrap()).unwrap();
         let (tests, _) = crate::fuzz::lane_stimulus(&pre, 4, 9, 1);
-        let want = crate::exec::interp_lane_run(&pre, &tests, &RunOptions::default(), 50);
-        assert_eq!(done.digest, want.output_digest);
+        let want = crate::exec::interp_lane_run(&pre, &tests, &RunOptions::default(), 50, None);
+        assert_eq!(done.digest, want.unwrap().output_digest);
         assert_eq!(done.steps, 50);
     }
 
@@ -877,7 +872,7 @@ mod tests {
         let pre = crate::preprocess(&crate::load_spec(&job.spec).unwrap()).unwrap();
         let (tests, lane_tests) = crate::fuzz::lane_stimulus(&pre, job.rows, job.seed, job.lanes);
         let opts = RunOptions { lane_tests, ..RunOptions::default() };
-        crate::exec::interp_lane_run(&pre, &tests, &opts, job.steps).output_digest
+        crate::exec::interp_lane_run(&pre, &tests, &opts, job.steps, None).unwrap().output_digest
     }
 
     fn assert_warm(done: &DoneEvent, job: &ServeJob) {

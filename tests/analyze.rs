@@ -32,10 +32,11 @@ fn pruned_and_unpruned_builds_agree_bit_for_bit() {
     for (name, _, _) in accmos_models::TABLE1 {
         let model = accmos_models::by_name(name);
         let pre = accmos::preprocess(&model).unwrap();
-        let pruned_sim = AccMoS::new().prepare(&model).unwrap();
+        let pruned_sim = AccMoS::new().without_cache().prepare(&model).unwrap();
         let unpruned_opts =
             CodegenOptions { prune_proven_safe: false, ..CodegenOptions::accmos() };
-        let unpruned_sim = AccMoS::new().with_codegen(unpruned_opts).prepare(&model).unwrap();
+        let unpruned_sim =
+            AccMoS::new().without_cache().with_codegen(unpruned_opts).prepare(&model).unwrap();
         assert_eq!(
             unpruned_sim.program().pruned_sites,
             0,

@@ -16,7 +16,8 @@ fn assert_matches_reference(name: &str, steps: u64, seed: u64) -> SimulationRepo
     let tests = random_tests(&pre, 32, seed);
 
     let interp = NormalEngine::new().run(&pre, &tests, &SimOptions::steps(steps));
-    let sim = AccMoS::new().prepare(&model).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let pipeline = AccMoS::new().without_cache();
+    let sim = pipeline.prepare(&model).unwrap_or_else(|e| panic!("{name}: {e}"));
     let compiled = sim.run(steps, &tests, &RunOptions::default()).unwrap();
     sim.clean();
 
@@ -66,7 +67,7 @@ fn csev_case_study_faults_detected() {
     let model = csev_variant(CsevFault::Quantity);
     let pre = accmos::preprocess(&model).unwrap();
     let tests = accmos_testgen::random_tests(&pre, 64, 1);
-    let sim = AccMoS::new().prepare(&model).unwrap();
+    let sim = AccMoS::new().without_cache().prepare(&model).unwrap();
     let r = sim
         .run(3_000_000, &tests, &RunOptions { stop_on_diagnostic: true, ..Default::default() })
         .unwrap();
@@ -78,7 +79,7 @@ fn csev_case_study_faults_detected() {
     let model = csev_variant(CsevFault::Power);
     let pre = accmos::preprocess(&model).unwrap();
     let tests = accmos_testgen::random_tests(&pre, 64, 1);
-    let sim = AccMoS::new().prepare(&model).unwrap();
+    let sim = AccMoS::new().without_cache().prepare(&model).unwrap();
     let r = sim
         .run(100_000, &tests, &RunOptions { stop_on_diagnostic: true, ..Default::default() })
         .unwrap();

@@ -86,7 +86,7 @@ fn chaos_batch_survives_misbehaving_simulators() {
     let fault_tests = TestVectors::constant("In", Scalar::I32(1), 2);
     for mode in ["hang", "crash", "garbled", "flaky"] {
         let exe = fault_exe(&dir, mode);
-        jobs.push(BatchJob::executable(mode, exe, &dir, fault_tests.clone(), 40));
+        jobs.push(BatchJob::executable(mode, exe, fault_tests.clone(), 40));
     }
     assert_eq!(jobs.len(), 12);
 
@@ -184,7 +184,7 @@ fn hang_then_flush_keeps_partial_capture_and_drops_the_late_flush() {
     let pipeline = AccMoS::new().without_cache().with_exec_policy(policy);
     let exe = fault_exe(&dir, "hangflush");
     let jobs =
-        vec![BatchJob::executable("hangflush", exe, &dir, TestVectors::new(), 5)];
+        vec![BatchJob::executable("hangflush", exe, TestVectors::new(), 5)];
     let report = BatchRunner::new(pipeline).run(jobs).unwrap();
 
     let err = report.jobs[0].report.as_ref().unwrap_err();
@@ -239,8 +239,8 @@ fn chaos_batch_ledger_records_outcomes_faithfully() {
         BatchJob::prepared("q0", std::sync::Arc::clone(&sabotaged), tests_for(3), 5),
         BatchJob::prepared("q1", std::sync::Arc::clone(&sabotaged), tests_for(4), 5),
         BatchJob::prepared("q2", std::sync::Arc::clone(&sabotaged), tests_for(5), 5),
-        BatchJob::executable("flaky", fault_exe(&dir, "flaky"), &dir, fault_tests.clone(), 40),
-        BatchJob::executable("garbled", fault_exe(&dir, "garbled"), &dir, fault_tests, 40),
+        BatchJob::executable("flaky", fault_exe(&dir, "flaky"), fault_tests.clone(), 40),
+        BatchJob::executable("garbled", fault_exe(&dir, "garbled"), fault_tests, 40),
     ];
     // One worker => deterministic order: q0's crash + retry reach the
     // quarantine threshold, so q0 itself degrades (post-failure check)
@@ -407,7 +407,7 @@ fn quarantine_persists_across_batches_sharing_a_cache_dir() {
         .with_cache(accmos::BuildCache::at(&dir))
         .with_exec_policy(policy.clone());
     let first = BatchRunner::new(pipeline1)
-        .run(vec![BatchJob::executable("crash", &exe, &dir, fault_tests.clone(), 40)])
+        .run(vec![BatchJob::executable("crash", &exe, fault_tests.clone(), 40)])
         .unwrap();
     assert_eq!(first.summary.quarantined, 1);
     assert!(
@@ -424,7 +424,7 @@ fn quarantine_persists_across_batches_sharing_a_cache_dir() {
         .with_cache(accmos::BuildCache::at(&dir))
         .with_exec_policy(policy);
     let second = BatchRunner::new(pipeline2.clone())
-        .run(vec![BatchJob::executable("crash", &exe, &dir, fault_tests, 40)])
+        .run(vec![BatchJob::executable("crash", &exe, fault_tests, 40)])
         .unwrap();
     let err = second.jobs[0].report.as_ref().unwrap_err();
     assert!(

@@ -25,7 +25,7 @@ fn check_seed(seed: u64, actors: usize, steps: u64) {
 
     let interp = NormalEngine::new().run(&pre, &tests, &SimOptions::steps(steps));
 
-    let sim = AccMoS::new().prepare(&model).unwrap_or_else(|e| {
+    let sim = AccMoS::new().without_cache().prepare(&model).unwrap_or_else(|e| {
         let program = AccMoS::new().generate(&model).unwrap();
         panic!("seed {seed}: compile failed: {e}\n{}", program.main_c);
     });
@@ -86,7 +86,7 @@ fn check_config(cfg: ModelGenConfig, steps: u64, lanes: usize) -> usize {
         .map(|lane| random_tests(&pre, 16, seed.wrapping_mul(31).wrapping_add(lane)))
         .collect();
 
-    let pipeline = AccMoS::new();
+    let pipeline = AccMoS::new().without_cache();
     let sim = pipeline.prepare(&model).unwrap_or_else(|e| {
         let program = pipeline.generate(&model).unwrap();
         panic!("seed {seed}: compile failed: {e}\n{}", program.main_c);

@@ -39,10 +39,11 @@ fn base_config(seed: u64, trials: u64, state_dir: PathBuf) -> FuzzConfig {
 #[test]
 fn campaign_with_injected_faults_stays_classified() {
     let dir = scratch("inject");
+    let base = base_config(11, 30, dir.clone());
     let config = FuzzConfig {
         inject_fault_exe: Some(PathBuf::from(env!("CARGO_BIN_EXE_faultsim"))),
-        trial_budget: Duration::from_millis(400),
-        ..base_config(11, 30, dir.clone())
+        exec_policy: base.exec_policy.clone().with_kill_timeout(Duration::from_millis(400)),
+        ..base
     };
     // Injection schedule: indices 3,13,23 hang; 7,17,27 crash.
     let injected_planned =

@@ -68,10 +68,11 @@ fn assert_lane_run(want: &Expected, got: &SimulationReport, ctx: &str) {
 fn check_model(model: &Model, seeds: &[u64], widths: &[usize], steps: u64) {
     let name = &model.name;
     let pre = accmos::preprocess(model).unwrap();
-    let sim = AccMoS::new().prepare(model).unwrap();
+    let sim = AccMoS::new().without_cache().prepare(model).unwrap();
     let dylib = Compiler::detect()
         .unwrap()
         .with_opt(OptLevel::O3)
+        .without_cache()
         .compile_shared(sim.program())
         .unwrap_or_else(|e| panic!("{name}: compile_shared: {e}"));
     for &lanes in widths {
@@ -138,7 +139,7 @@ fn lane_coverage_is_exact_bitmap_union() {
         let (tests, lane_tests) = accmos::fuzz::lane_stimulus(&pre, 16, 0xACC, 4);
         let opts = RunOptions { lane_tests, ..RunOptions::default() };
         let want = expected(&pre, &tests, &opts, 64);
-        let sim = AccMoS::new().prepare(&model).unwrap();
+        let sim = AccMoS::new().without_cache().prepare(&model).unwrap();
         let got = sim.run(64, &tests, &opts).unwrap();
         sim.clean();
         assert_lane_run(&want, &got, name);

@@ -27,11 +27,11 @@ fn assert_profile_neutral(model: &Model, lanes: usize, steps: u64, seed: u64) {
         .collect();
     let opts = RunOptions { lane_tests, ..RunOptions::default() };
 
-    let plain_sim = AccMoS::new().prepare(model).unwrap();
+    let plain_sim = AccMoS::new().without_cache().prepare(model).unwrap();
     let plain = plain_sim.run(steps, &tests, &opts).unwrap();
     plain_sim.clean();
 
-    let base = AccMoS::new();
+    let base = AccMoS::new().without_cache();
     let copts = base.codegen_options().clone().with_profile();
     let prof_sim = base.with_codegen(copts).prepare(model).unwrap();
     let prof = prof_sim.run(steps, &tests, &opts).unwrap();
@@ -102,7 +102,7 @@ fn lane_builds_profile_every_actor_once_per_lane_step() {
     let tests = random_tests(&pre, 8, 11);
     let lane_tests: Vec<TestVectors> =
         (1..lanes as u64).map(|lane| random_tests(&pre, 8, 11 + lane)).collect();
-    let base = AccMoS::new();
+    let base = AccMoS::new().without_cache();
     let copts = base.codegen_options().clone().with_profile();
     let sim = base.with_codegen(copts).prepare(&model).unwrap();
     let report = sim
