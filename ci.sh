@@ -9,15 +9,27 @@ cargo build --release --bin faultsim
 # Every workspace test invocation runs with an empty state directory and
 # must leave it empty: tests build with private caches (or none), so they
 # neither fill the user's build cache and run ledger nor replay builds a
-# warm cache already holds.
+# warm cache already holds. It also runs with a TMPDIR of its own and
+# must leave no build directory there: a build goes when its artifact
+# drops, and the tests call no `clean()`.
 TEST_STATE=$(mktemp -d)
-trap 'rm -rf "$TEST_STATE"' EXIT
+TEST_TMP=$(mktemp -d)
+trap 'rm -rf "$TEST_STATE" "$TEST_TMP"' EXIT
+# Fail unless the TMPDIR $1 holds no `accmos-build-*` directory after $2.
+no_builds_left() {
+    LEFT=$(find "$1" -maxdepth 1 -name 'accmos-build-*')
+    if [ -n "$LEFT" ]; then
+        printf '%s\n' "$LEFT" >&2
+        echo "ci: $2 left build directories in TMPDIR" >&2; exit 1
+    fi
+}
 run_tests() {
-    ACCMOS_CACHE_DIR="$TEST_STATE" cargo test -q "$@"
+    ACCMOS_CACHE_DIR="$TEST_STATE" TMPDIR="$TEST_TMP" cargo test -q "$@"
     if [ -n "$(ls -A "$TEST_STATE")" ]; then
         ls -A "$TEST_STATE" >&2
         echo "ci: 'cargo test $*' wrote into the default state directory" >&2; exit 1
     fi
+    no_builds_left "$TEST_TMP" "'cargo test $*'"
 }
 run_tests --workspace
 # Fault-injection suites, run explicitly so a regression in supervision is
@@ -114,7 +126,7 @@ echo "ci: removed table3 flags are rejected"
 # tolerate. SPV has no conditional groups; CSEV has 11, and two of its
 # three `Model_Exe` chunk boundaries fall inside a group.
 SAN_DIR=$(mktemp -d)
-trap 'rm -rf "$TEST_STATE" "$SAN_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$TEST_TMP" "$SAN_DIR"' EXIT
 for m in SPV CSEV; do
     ./target/release/accmos generate "bench:$m" --out "$SAN_DIR/$m"
     ${CC:-cc} -O1 -g -fwrapv -std=gnu11 \
@@ -137,7 +149,7 @@ echo "ci: sanitizer smoke test passed (SPV and CSEV, 5000 steps, UBSan+ASan clea
 # over that history (the huge threshold keeps timing noise out of CI; the
 # gate exercises the ledger/trends plumbing, not machine speed).
 LEDGER_DIR=$(mktemp -d)
-trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$TEST_TMP" "$SAN_DIR" "$LEDGER_DIR"' EXIT
 ACCMOS_CACHE_DIR="$LEDGER_DIR" ./target/release/accmos batch bench:SPV bench:TWC --steps 500 --repeat 2 > /dev/null \
     || { echo "ci: first ledger batch failed" >&2; exit 1; }
 COUNT1=$(wc -l < "$LEDGER_DIR/ledger.jsonl")
@@ -155,7 +167,7 @@ echo "ci: run ledger grew $COUNT1 -> $COUNT2 record(s) across two batches; trend
 # run takes that -O3 build from the cache instead of its own -O1 one. The
 # ledger records the level that served each run.
 LEVEL_DIR=$(mktemp -d)
-trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$TEST_TMP" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR"' EXIT
 for steps in 5000 1000000 5000; do
     ACCMOS_CACHE_DIR="$LEVEL_DIR" ./target/release/accmos simulate bench:SPV --steps $steps > /dev/null \
         || { echo "ci: level-gate run of $steps steps failed" >&2; exit 1; }
@@ -188,13 +200,50 @@ fi
     || { echo "ci: a 300 ms kill deadline took ${ELAPSED_MS} ms to end the run" >&2; exit 1; }
 echo "ci: subprocess deadline leg passed (300 ms kill deadline, run ended after ${ELAPSED_MS} ms)"
 
+# Build-lifetime legs: a build's directory goes with its artifact, so no
+# CLI run leaves an `accmos-build-*` directory in TMPDIR, neither a
+# healthy one nor one whose compile fails. The failing runs put a fake
+# `cc` first on PATH that answers `--version` from the real compiler and
+# fails every compile. They use a cache of their own, since the fake's
+# banner gives the real compiler's cache keys and a cached build would
+# skip the compile. `simulate` and `batch` must exit 0 on the
+# interpreter and report the fallback.
+BUILD_DIR=$(mktemp -d)
+trap 'rm -rf "$TEST_STATE" "$TEST_TMP" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$BUILD_DIR"' EXIT
+mkdir "$BUILD_DIR/bin" "$BUILD_DIR/tmp" "$BUILD_DIR/ok-state" "$BUILD_DIR/failed-state"
+TMPDIR="$BUILD_DIR/tmp" ACCMOS_CACHE_DIR="$BUILD_DIR/ok-state" \
+    ./target/release/accmos simulate bench:SPV --steps 100 > /dev/null \
+    || { echo "ci: a healthy simulate failed" >&2; exit 1; }
+no_builds_left "$BUILD_DIR/tmp" "a healthy 'accmos simulate'"
+REAL_CC=$(command -v "${CC:-cc}")
+cat > "$BUILD_DIR/bin/cc" <<EOF
+#!/bin/sh
+if [ "\$1" = "--version" ]; then exec "$REAL_CC" --version; fi
+echo "cc: this compiler refuses to compile" >&2
+exit 1
+EOF
+chmod +x "$BUILD_DIR/bin/cc"
+PATH="$BUILD_DIR/bin:$PATH" TMPDIR="$BUILD_DIR/tmp" ACCMOS_CACHE_DIR="$BUILD_DIR/failed-state" \
+    ./target/release/accmos simulate bench:SPV --steps 100 > "$BUILD_DIR/simulate.txt" 2>&1 \
+    || { cat "$BUILD_DIR/simulate.txt" >&2; echo "ci: simulate with a failing cc did not degrade" >&2; exit 1; }
+grep -q "degraded to interpreter: compile failed" "$BUILD_DIR/simulate.txt" \
+    || { cat "$BUILD_DIR/simulate.txt" >&2; echo "ci: simulate did not report the compile fallback" >&2; exit 1; }
+no_builds_left "$BUILD_DIR/tmp" "'accmos simulate' with a failing cc"
+PATH="$BUILD_DIR/bin:$PATH" TMPDIR="$BUILD_DIR/tmp" ACCMOS_CACHE_DIR="$BUILD_DIR/failed-state" \
+    ./target/release/accmos batch bench:SPV bench:TWC --steps 100 > "$BUILD_DIR/batch.txt" 2>&1 \
+    || { cat "$BUILD_DIR/batch.txt" >&2; echo "ci: batch with a failing cc did not degrade" >&2; exit 1; }
+[ "$(grep -c "DEGRADED (compile failed" "$BUILD_DIR/batch.txt")" -eq 2 ] \
+    || { cat "$BUILD_DIR/batch.txt" >&2; echo "ci: batch did not report both compile fallbacks" >&2; exit 1; }
+no_builds_left "$BUILD_DIR/tmp" "'accmos batch' with a failing cc"
+echo "ci: build-lifetime legs passed (no build directory left by a healthy simulate, or by simulate and batch with a failing cc)"
+
 # Lane gates: (1) the per-lane digests of one lane-4 run must equal four
 # scalar runs over the same seeded stimuli — folding the lanes may never
 # change a lane's result; (2) a ledger mixing scalar and lane runs must
 # pass the trend gate with the two engine keys (`accmos` / `accmos@4`)
 # baselined apart.
 LANE_DIR=$(mktemp -d)
-trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$TEST_TMP" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$BUILD_DIR" "$LANE_DIR"' EXIT
 ACCMOS_CACHE_DIR="$LANE_DIR" ./target/release/accmos simulate bench:TWC --steps 2000 --seed 77 --lanes 4 > "$LANE_DIR/lane_out.txt" \
     || { echo "ci: lane-4 simulate failed" >&2; exit 1; }
 for i in 0 1 2 3; do
@@ -222,7 +271,7 @@ echo "ci: mixed scalar+lane ledger passed the trend gate"
 # here so a re-fired repro is called out in the CI log).
 run_tests --test corpus
 FUZZ_DIR=$(mktemp -d)
-trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$TEST_TMP" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$BUILD_DIR" "$LANE_DIR" "$FUZZ_DIR"' EXIT
 ./target/release/accmos fuzz --trials 50 --seed 1 --cache-dir "$FUZZ_DIR" \
     > "$FUZZ_DIR/fuzz_out.txt" \
     || { cat "$FUZZ_DIR/fuzz_out.txt" >&2; echo "ci: fuzz campaign failed" >&2; exit 1; }
@@ -305,7 +354,7 @@ echo "ci: analyzer gate passed on rand:3 and rand:9"
 # profile spans; (4) time the job once: the trace's `run` span and phase
 # spans last exactly what the ledger record of the same run says.
 PROF_DIR=$(mktemp -d)
-trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR"' EXIT
+trap 'rm -rf "$TEST_STATE" "$TEST_TMP" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$BUILD_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR"' EXIT
 PLAIN=$(ACCMOS_CACHE_DIR="$PROF_DIR" ./target/release/accmos simulate bench:CSEV --steps 5000 --seed 11 \
     | sed -n 's/^  digest: \([0-9a-f]*\)$/\1/p')
 PROFILED=$(ACCMOS_CACHE_DIR="$PROF_DIR" ./target/release/accmos simulate bench:CSEV --steps 5000 --seed 11 --profile \
@@ -346,7 +395,7 @@ echo "ci: observability gate passed (profiled digest identical, trace has pipeli
 # daemon down — then assert ledger growth, the persistent job journal,
 # and a clean shutdown that removes the socket.
 SERVE_DIR=$(mktemp -d)
-trap 'rm -rf "$TEST_STATE" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
+trap 'rm -rf "$TEST_STATE" "$TEST_TMP" "$SAN_DIR" "$LEDGER_DIR" "$LEVEL_DIR" "$BUILD_DIR" "$LANE_DIR" "$FUZZ_DIR" "$PROF_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
 SOCK="$SERVE_DIR/accmos.sock"
 FAULTSIM_MODE=crash ./target/release/accmos serve --socket "$SOCK" --cache-dir "$SERVE_DIR" \
     --workers 2 --exec-timeout 2000 --retries 1 > "$SERVE_DIR/serve_log.txt" 2>&1 &

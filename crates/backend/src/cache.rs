@@ -20,6 +20,7 @@
 //! scan with each other's insertions.
 
 use crate::lease::{self, LeaseGuard};
+use crate::run::TempPath;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -165,9 +166,10 @@ impl BuildCache {
         // Hold the cross-process lease over insert + evict so a concurrent
         // process's eviction scan never interleaves with this store.
         let _lease = self.acquire_lease();
-        let tmp = entry.join(format!("sim.tmp.{}", std::process::id()));
-        std::fs::copy(exe, &tmp)?; // preserves the executable bit
-        std::fs::rename(&tmp, entry.join(EXE_NAME))?;
+        // A failed copy or rename leaves no staging file behind.
+        let tmp = TempPath(entry.join(format!("sim.tmp.{}", std::process::id())));
+        std::fs::copy(exe, tmp.path())?; // preserves the executable bit
+        std::fs::rename(tmp.path(), entry.join(EXE_NAME))?;
         self.touch(&entry);
         self.evict_lru();
         Ok(())

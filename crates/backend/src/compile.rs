@@ -15,7 +15,7 @@
 
 use crate::cache::BuildCache;
 use crate::error::BackendError;
-use crate::run::CompiledSimulator;
+use crate::run::{CompiledSimulator, TempPath};
 use accmos_codegen::GeneratedProgram;
 use accmos_ir::source_digest_hex;
 use std::path::{Path, PathBuf};
@@ -77,7 +77,6 @@ pub struct Compiler {
     /// Set by [`Compiler::for_budget`]: a build takes a cached `-O3`
     /// artifact of the same sources before building at `opt`.
     prefer_o3: bool,
-    work_dir: Option<PathBuf>,
     cache: Option<BuildCache>,
 }
 
@@ -93,8 +92,9 @@ const FIXED_CFLAGS: [&str; 2] = ["-fwrapv", "-std=gnu11"];
 const SHARED_CFLAGS: [&str; 2] = ["-shared", "-fPIC"];
 
 /// A generated simulator compiled as a shared object, ready for
-/// [`crate::DylibRunner`] to load in-process.
-#[derive(Debug, Clone)]
+/// [`crate::DylibRunner`] to load in-process. Its build directory lives
+/// as long as it does.
+#[derive(Debug)]
 pub struct CompiledDylib(Artifact);
 
 impl CompiledDylib {
@@ -121,18 +121,19 @@ impl CompiledDylib {
         self.0.opt
     }
 
-    /// Remove the build directory.
+    /// Remove the build directory now, before the shared object drops
+    /// (the drop removes it otherwise).
     pub fn clean(&self) {
-        clean_build_dir(&self.0.dir);
+        self.0.dir.remove();
     }
 }
 
-/// One built artifact: its build directory, the file itself, the time
-/// spent compiling or fetching it, whether the cache supplied it, and
-/// the level it was built at.
-#[derive(Debug, Clone)]
+/// One built artifact: its build directory, removed when the artifact
+/// drops, the file itself, the time spent compiling or fetching it,
+/// whether the cache supplied it, and the level it was built at.
+#[derive(Debug)]
 pub(crate) struct Artifact {
-    pub(crate) dir: PathBuf,
+    pub(crate) dir: TempPath,
     pub(crate) path: PathBuf,
     pub(crate) time: Duration,
     pub(crate) cache_hit: bool,
@@ -166,7 +167,6 @@ impl Compiler {
                     cc_version: version,
                     opt: OptLevel::default(),
                     prefer_o3: false,
-                    work_dir: None,
                     cache: Some(BuildCache::new()),
                 });
             }
@@ -191,14 +191,6 @@ impl Compiler {
     pub fn for_budget(mut self, budget: u64) -> Compiler {
         self.opt = budget_level(budget);
         self.prefer_o3 = true;
-        self
-    }
-
-    /// Builder-style: make each build's directory under `dir` instead of
-    /// the system temp directory. Every build still gets a directory of
-    /// its own, and cleaning a build removes only that one.
-    pub fn with_work_dir(mut self, dir: impl Into<PathBuf>) -> Compiler {
-        self.work_dir = Some(dir.into());
         self
     }
 
@@ -256,11 +248,13 @@ impl Compiler {
         source_digest_hex(parts)
     }
 
-    /// Write the program's files into a build directory and compile them —
-    /// or, when the configured [`BuildCache`] already holds an executable
-    /// built from byte-identical sources with this exact compiler
-    /// configuration, copy that executable into the build directory
-    /// without invoking the C compiler at all.
+    /// Write the program's files into a build directory under the system
+    /// temp directory (`TMPDIR`) and compile them — or, when the
+    /// configured [`BuildCache`] already holds an executable built from
+    /// byte-identical sources with this exact compiler configuration, copy
+    /// that executable into the build directory without invoking the C
+    /// compiler at all. The directory lives as long as the returned
+    /// simulator; a build that fails removes it before returning.
     ///
     /// Returns the compiled simulator together with the wall-clock time
     /// spent inside the compiler (the paper reports AccMoS times that
@@ -274,7 +268,7 @@ impl Compiler {
     /// Cache *store* failures are swallowed — they only cost a future
     /// recompile.
     pub fn compile(&self, program: &GeneratedProgram) -> Result<CompiledSimulator, BackendError> {
-        Ok(CompiledSimulator::new(program.clone(), self.build(program, &[], "sim")?))
+        Ok(CompiledSimulator(self.build(program, &[], "sim")?))
     }
 
     /// Compile the program as a position-independent shared object (same
@@ -305,17 +299,20 @@ impl Compiler {
         out_name: &str,
     ) -> Result<Artifact, BackendError> {
         let start = Instant::now();
-        let dir = self.work_dir.clone().unwrap_or_else(std::env::temp_dir).join(format!(
+        let dir = std::env::temp_dir().join(format!(
             "accmos-build-{}-{}",
             std::process::id(),
             BUILD_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir)
             .map_err(|source| BackendError::Io { path: dir.clone(), source })?;
+        // From here on every return without an artifact removes the
+        // directory.
+        let dir = TempPath(dir);
 
         let mut c_file = None;
         for (name, contents) in program.files() {
-            let path = dir.join(&name);
+            let path = dir.path().join(&name);
             std::fs::write(&path, contents)
                 .map_err(|source| BackendError::Io { path: path.clone(), source })?;
             if name.ends_with(".c") {
@@ -323,7 +320,7 @@ impl Compiler {
             }
         }
         let c_file = c_file.expect("generated program has a .c file");
-        let out = dir.join(out_name);
+        let out = dir.path().join(out_name);
 
         // The levels a lookup accepts, preferred first, and their keys,
         // all derived from one digest of the sources.
@@ -360,7 +357,7 @@ impl Compiler {
             .arg(&out)
             .arg(&c_file)
             .arg("-lm")
-            .current_dir(&dir)
+            .current_dir(dir.path())
             .output()
             .map_err(|source| BackendError::Io { path: PathBuf::from(&self.cc), source })?;
         let compile_time = cc_start.elapsed();
@@ -391,9 +388,4 @@ impl Compiler {
 /// share an entry, nor do a `.so` and an executable of the same sources.
 fn level_key(digest: &str, opt: OptLevel, extra: &[&str]) -> String {
     source_digest_hex([digest, opt.flag()].iter().chain(extra))
-}
-
-/// Remove a build directory created by [`Compiler::compile`].
-pub fn clean_build_dir(dir: &Path) {
-    let _ = std::fs::remove_dir_all(dir);
 }

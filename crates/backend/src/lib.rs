@@ -8,6 +8,13 @@
 //! executable against a test-vector file, and parse its `ACCMOS:` result
 //! protocol back into an [`accmos_ir::SimulationReport`].
 //!
+//! Every scratch path the backend makes is owned and removed when its
+//! owner drops: a build's directory under the system temp directory
+//! (`TMPDIR`) by the [`CompiledSimulator`] or [`CompiledDylib`] built in
+//! it (a failed build removes it before returning), each run's
+//! test-vector file and each in-process load's copy of the shared object
+//! by the run. `clean()` on an artifact is an optional early release.
+//!
 //! ## Example
 //!
 //! ```no_run
@@ -48,7 +55,7 @@ mod supervise;
 pub mod telemetry;
 
 pub use cache::{BuildCache, CacheStats};
-pub use compile::{budget_level, clean_build_dir, CompiledDylib, Compiler, OptLevel, O3_BUDGET};
+pub use compile::{budget_level, CompiledDylib, Compiler, OptLevel, O3_BUDGET};
 #[cfg(unix)]
 pub use dylib::{DylibRun, DylibRunner};
 pub use error::BackendError;
@@ -87,9 +94,7 @@ mod tests {
         let sim = cc.compile(&program).unwrap_or_else(|e| {
             panic!("compile failed: {e}\n----\n{}", program.main_c);
         });
-        let report = sim.run(steps, tests, run_opts).unwrap();
-        sim.clean();
-        report
+        sim.run(steps, tests, run_opts).unwrap()
     }
 
     #[test]
@@ -218,9 +223,6 @@ mod tests {
         let b = warm.run(50, &tests, &opts).unwrap();
         assert_eq!(a.output_digest, b.output_digest);
         assert_eq!(a.final_outputs, b.final_outputs);
-
-        cold.clean();
-        warm.clean();
         cache.clear().unwrap();
     }
 
@@ -244,8 +246,6 @@ mod tests {
         let b = cc.compile(&gain_program(3.0)).unwrap();
         assert!(!a.cache_hit() && !b.cache_hit());
         assert_eq!(cache.stats().misses, 2);
-        a.clean();
-        b.clean();
         cache.clear().unwrap();
     }
 
@@ -260,7 +260,6 @@ mod tests {
         let short = cc.clone().for_budget(O3_BUDGET - 1);
         let built = |c: &Compiler| {
             let so = c.compile_shared(&program).unwrap();
-            so.clean();
             (so.opt_level(), so.cache_hit())
         };
         assert_eq!(built(&short), (OptLevel::O1, false));
@@ -281,17 +280,13 @@ mod tests {
         let cc = Compiler::detect().unwrap().with_cache(cache.clone());
         let program = gain_program(6.0);
 
-        let exe = cc.compile(&program).unwrap();
+        let _exe = cc.compile(&program).unwrap();
         let cold = cc.compile_shared(&program).unwrap();
         assert!(!cold.cache_hit(), "the executable's entry must not serve the .so");
         assert_eq!(cache.stats().misses, 2);
         let warm = cc.compile_shared(&program).unwrap();
         assert!(warm.cache_hit(), "the .so caches under its own key");
         assert_eq!(cache.stats().hits, 1);
-
-        exe.clean();
-        cold.clean();
-        warm.clean();
         cache.clear().unwrap();
     }
 
@@ -313,7 +308,6 @@ mod tests {
             ),
             "expected one classified crash, got {err}"
         );
-        sim.clean();
     }
 
     #[cfg(unix)]
@@ -354,9 +348,6 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(digests.iter().all(|d| *d == sub.output_digest), "{digests:?}");
-
-        exe.clean();
-        dy.clean();
     }
 
     #[cfg(unix)]
@@ -389,7 +380,6 @@ mod tests {
             BackendError::Supervised { kind: FailureKind::Timeout, attempts: 1, .. } => {}
             other => panic!("expected a cooperative timeout, got {other:?}"),
         }
-        dy.clean();
     }
 
     #[test]
@@ -400,7 +390,34 @@ mod tests {
         let a = cc.compile(&program).unwrap();
         let b = cc.compile(&program).unwrap();
         assert!(!a.cache_hit() && !b.cache_hit());
-        a.clean();
-        b.clean();
+    }
+
+    #[test]
+    fn a_failed_compile_leaves_no_build_directory() {
+        // A custom probe whose condition is not C fails in `cc`.
+        let mut b = ModelBuilder::new("Broken");
+        b.inport("In", DataType::F64);
+        b.actor("G", ActorKind::Gain { gain: Scalar::F64(2.0) });
+        b.outport("Out", DataType::F64);
+        b.wire("In", "G");
+        b.wire("G", "Out");
+        let pre = preprocess(&b.build().unwrap()).unwrap();
+        let mut opts = CodegenOptions::accmos();
+        opts.custom.push(accmos_codegen::CustomProbe {
+            name: "broken".into(),
+            actor: "Broken_G".into(),
+            condition_c: "this is not C".into(),
+        });
+        let program = generate(&pre, &opts);
+        let cc = Compiler::detect().unwrap().without_cache();
+        for built in [cc.compile(&program).map(drop), cc.compile_shared(&program).map(drop)] {
+            let Err(BackendError::CompileFailed { command, .. }) = &built else {
+                panic!("expected a compile failure, got {built:?}");
+            };
+            let out = command.split(" -o ").nth(1).and_then(|rest| rest.split(' ').next());
+            let dir = std::path::Path::new(out.unwrap()).parent().unwrap();
+            assert!(dir.starts_with(std::env::temp_dir()), "{command}");
+            assert!(!dir.exists(), "{} left behind", dir.display());
+        }
     }
 }

@@ -7,7 +7,6 @@
 use crate::compile::{Artifact, OptLevel};
 use crate::error::BackendError;
 use crate::supervise::{ExecPolicy, FailureKind, Supervisor};
-use accmos_codegen::GeneratedProgram;
 use accmos_ir::{CoverageKind, SimulationReport, TestVectors};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -38,48 +37,37 @@ impl RunOptions {
     }
 }
 
-/// A compiled simulation executable.
-#[derive(Debug, Clone)]
-pub struct CompiledSimulator {
-    program: GeneratedProgram,
-    build: Artifact,
-}
+/// A compiled simulation executable. Its build directory lives as long
+/// as it does.
+#[derive(Debug)]
+pub struct CompiledSimulator(pub(crate) Artifact);
 
 impl CompiledSimulator {
-    pub(crate) fn new(program: GeneratedProgram, build: Artifact) -> CompiledSimulator {
-        CompiledSimulator { program, build }
-    }
-
     /// The build directory holding the generated sources and executable.
     pub fn dir(&self) -> &Path {
-        &self.build.dir
+        self.0.dir.path()
     }
 
     /// The executable path.
     pub fn exe(&self) -> &Path {
-        &self.build.path
+        &self.0.path
     }
 
     /// Wall-clock time spent compiling — or, on a build-cache hit, time
     /// spent fetching the cached executable.
     pub fn compile_time(&self) -> Duration {
-        self.build.time
+        self.0.time
     }
 
     /// Whether this simulator came out of the [`crate::BuildCache`]
     /// without invoking the C compiler.
     pub fn cache_hit(&self) -> bool {
-        self.build.cache_hit
+        self.0.cache_hit
     }
 
     /// The optimization level the executable was built at.
     pub fn opt_level(&self) -> OptLevel {
-        self.build.opt
-    }
-
-    /// The generated program this simulator was built from.
-    pub fn program(&self) -> &GeneratedProgram {
-        &self.program
+        self.0.opt
     }
 
     /// Run the simulator for `steps` steps against `tests`.
@@ -106,16 +94,19 @@ impl CompiledSimulator {
         once.run(self.exe(), None, steps, tests, opts, &mut Vec::new())
     }
 
-    /// Remove the build directory.
+    /// Remove the build directory now, before the simulator drops (the
+    /// drop removes it otherwise).
     pub fn clean(&self) {
-        crate::compile::clean_build_dir(self.dir());
+        self.0.dir.remove();
     }
 }
 
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Removes the wrapped file on drop (the test-vector file is per-run
-/// scratch, even when the run errors out or the process is killed).
+/// A scratch path the backend made, a file or a directory tree, removed
+/// when the guard drops, on every exit path: a build directory, a run's
+/// test-vector file, a dylib's scratch copy, a cache entry's staging file.
+#[derive(Debug)]
 pub(crate) struct TempPath(pub(crate) PathBuf);
 
 impl TempPath {
@@ -123,11 +114,16 @@ impl TempPath {
     pub(crate) fn path(&self) -> &Path {
         &self.0
     }
+
+    /// Remove the path now; the drop then finds nothing left.
+    pub(crate) fn remove(&self) {
+        let _ = std::fs::remove_file(&self.0).or_else(|_| std::fs::remove_dir_all(&self.0));
+    }
 }
 
 impl Drop for TempPath {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
+        self.remove();
     }
 }
 

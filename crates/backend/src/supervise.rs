@@ -386,17 +386,6 @@ impl Supervisor {
         self.crash_count(exe) >= self.policy.quarantine_after
     }
 
-    /// Paths currently quarantined.
-    pub fn quarantined(&self) -> Vec<PathBuf> {
-        self.crashes
-            .lock()
-            .expect("crash registry")
-            .iter()
-            .filter(|(_, &n)| n >= self.policy.quarantine_after)
-            .filter_map(|(key, _)| key.split_once('|').map(|(_, p)| PathBuf::from(p)))
-            .collect()
-    }
-
     fn record_crash(&self, exe: &Path) -> u32 {
         let key = self.identity(exe);
         let n = {
@@ -845,7 +834,6 @@ mod tests {
         sup.record_crash(a);
         assert!(sup.is_quarantined(a));
         assert!(!sup.is_quarantined(b), "quarantine is per-executable");
-        assert_eq!(sup.quarantined(), vec![a.to_path_buf()]);
         // Clones share the registry.
         assert!(sup.clone().is_quarantined(a));
     }
@@ -893,7 +881,6 @@ mod tests {
         sup.record_crash(&a);
         assert!(sup.is_quarantined(&a));
         assert!(!sup.is_quarantined(&b), "same content, different path, own count");
-        assert_eq!(sup.quarantined(), vec![a.clone()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -142,8 +142,8 @@ pub fn fmt_us(us: u64) -> String {
 pub struct RunRecord {
     /// Milliseconds since the Unix epoch when the record was made.
     pub ts_ms: u64,
-    /// What produced the record: `run`, `batch`, `table2`, `table3`,
-    /// `ablation`, ...
+    /// What produced the record: `run` (one `AccMoS::run`), `batch` (a
+    /// batch runner job) or `serve` (a serve daemon job).
     pub source: String,
     /// Model name (the job label when the run failed before reporting).
     pub model: String,
@@ -376,8 +376,8 @@ fn tail_is_torn(path: &Path) -> bool {
     f.seek(SeekFrom::End(-1)).is_ok() && f.read_exact(&mut last).is_ok() && last[0] != b'\n'
 }
 
-/// Per-(model, engine, lane-width, level) phase medians over ledger
-/// records, plus the latest cohort for regression checking.
+/// Per-(model, engine, lane-width, level, steps) phase medians over
+/// ledger records, plus the latest cohort for regression checking.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelTrend {
     /// Model name.
@@ -391,6 +391,9 @@ pub struct ModelTrend {
     /// an `-O1` loop is slower than an `-O3` one, so levels never share a
     /// baseline either.
     pub opt: String,
+    /// Simulated steps of the samples: a run of 100 times the steps takes
+    /// about 100 times as long, so step counts never share a baseline.
+    pub steps: u64,
     /// Number of samples (outcome `ok` or `degraded`).
     pub runs: usize,
     /// Per-phase medians across all samples.
@@ -425,10 +428,10 @@ impl ModelTrend {
     }
 }
 
-/// Compute per-(model, engine, lane-width, level) trends over ledger
-/// records, sorted by model, engine, lane width, then level. Only records
-/// that produced a report (outcome `ok` or `degraded`) are samples;
-/// refused and failed runs carry no timing signal.
+/// Compute per-(model, engine, lane-width, level, steps) trends over
+/// ledger records, sorted in that order. Only records that produced a
+/// report (outcome `ok` or `degraded`) are samples; refused and failed
+/// runs carry no timing signal.
 ///
 /// The "latest run" used for regression checking is the latest *cohort*:
 /// all samples sharing the newest `ts_ms`. Batch runs append whole groups
@@ -436,19 +439,17 @@ impl ModelTrend {
 /// baseline polluted by its own siblings would dilute `regress_pct` and
 /// weaken the `trends --check` gate.
 pub fn compute_trends(records: &[RunRecord]) -> Vec<ModelTrend> {
-    type Key = (String, String, u64, String);
+    type Key = (String, String, u64, String, u64);
     let mut groups: BTreeMap<Key, Vec<&RunRecord>> = BTreeMap::new();
     for r in records {
         if r.outcome == outcome::OK || r.outcome == outcome::DEGRADED {
-            groups
-                .entry((r.model.clone(), r.engine.clone(), r.lanes.max(1), r.opt.clone()))
-                .or_default()
-                .push(r);
+            let key = (r.model.clone(), r.engine.clone(), r.lanes.max(1), r.opt.clone(), r.steps);
+            groups.entry(key).or_default().push(r);
         }
     }
     groups
         .into_iter()
-        .map(|((model, engine, lanes, opt), samples)| {
+        .map(|((model, engine, lanes, opt, steps), samples)| {
             let newest_ts = samples.iter().map(|r| r.ts_ms).max().unwrap_or(0);
             let mut median = PhaseMicros::default();
             for phase in 0..PhaseMicros::NAMES.len() {
@@ -470,6 +471,7 @@ pub fn compute_trends(records: &[RunRecord]) -> Vec<ModelTrend> {
                 engine,
                 lanes,
                 opt,
+                steps,
                 runs: samples.len(),
                 median,
                 latest_run_us,
@@ -490,9 +492,11 @@ pub fn check_regressions(trends: &[ModelTrend], max_regress_pct: f64) -> Vec<Str
             let pct = t.regress_pct?;
             (pct > max_regress_pct).then(|| {
                 format!(
-                    "{} [{}]: latest run {} is {:+.1}% vs baseline median {} (limit {:.1}%)",
+                    "{} [{}, {} steps]: latest run {} is {:+.1}% vs baseline median {} \
+                     (limit {:.1}%)",
                     t.model,
                     t.engine_key(),
+                    t.steps,
                     fmt_us(t.latest_run_us),
                     pct,
                     fmt_us(t.baseline_run_us.unwrap_or(0)),
@@ -936,6 +940,25 @@ mod tests {
         let violations = check_regressions(&trends, 10.0);
         assert_eq!(violations.len(), 1, "slowed TWC run flagged: {violations:?}");
         assert!(violations[0].contains("TWC"));
+        assert!(violations[0].contains("1000 steps"), "{}", violations[0]);
+    }
+
+    #[test]
+    fn runs_of_different_lengths_form_separate_trends() {
+        // Two 5,000-step runs, then a 500,000-step run: 100 times the
+        // steps is no regression of the shorter runs.
+        let mut records = Vec::new();
+        for (ts, (steps, run_us)) in
+            [(5_000, 4_780), (5_000, 4_790), (500_000, 96_060)].into_iter().enumerate()
+        {
+            let mut r = sample("SPV", run_us, ts as u64 + 1);
+            r.steps = steps;
+            records.push(r);
+        }
+        let trends = compute_trends(&records);
+        let groups: Vec<(u64, usize)> = trends.iter().map(|t| (t.steps, t.runs)).collect();
+        assert_eq!(groups, [(5_000, 2), (500_000, 1)]);
+        assert!(check_regressions(&trends, 25.0).is_empty());
     }
 
     #[test]

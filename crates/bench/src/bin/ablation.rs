@@ -15,7 +15,7 @@
 
 use accmos::telemetry::JsonObject;
 use accmos::{AccMoS, CodegenOptions, OptLevel, PreparedSimulation, RunOptions, O3_BUDGET};
-use accmos_bench::{arg_str, arg_u64, check_flags, record_run};
+use accmos_bench::{arg_str, arg_u64, check_flags};
 use accmos_ir::{DiagnosticPolicy, TestVectors};
 use accmos_testgen::random_tests;
 use std::process::Command;
@@ -66,8 +66,6 @@ fn main() {
                     .prepare(&model)
                     .unwrap();
                 let r = sim.run(steps, &tests, &RunOptions::default()).unwrap();
-                sim.clean();
-                record_run("ablation", name, &format!("{label}-{}", opt.label()), steps, r.wall);
                 times.push(r.wall);
             }
             println!(
@@ -180,9 +178,7 @@ fn measure_model(name: &'static str, seed: u64) -> ModelGrid {
             let pipeline = AccMoS::new().with_opt(*opt).without_cache();
             let sim = pipeline.prepare(&model).expect("grid compile");
             cc_s[l] = cc_s[l].min(sim.compile_time().as_secs_f64());
-            if let Some(old) = sims[l].replace(sim) {
-                old.clean();
-            }
+            sims[l] = Some(sim);
         }
     }
     let sims = sims.map(|s| s.expect("compiled at least once"));
@@ -193,13 +189,8 @@ fn measure_model(name: &'static str, seed: u64) -> ModelGrid {
             for (l, sim) in sims.iter().enumerate() {
                 let wall = run_loop(sim, *steps, &tests);
                 ns[k][l] = ns[k][l].min(wall.as_nanos() as f64 / *steps as f64);
-                let tag = GRID_LEVELS[l].label();
-                record_run("ablation", name, &format!("full-{tag}"), *steps, wall);
             }
         }
-    }
-    for sim in &sims {
-        sim.clean();
     }
     ModelGrid { name, cc_s, ns }
 }

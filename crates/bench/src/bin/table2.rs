@@ -7,8 +7,7 @@
 //! separately, as the harness measures the simulation loop alone.
 
 use accmos_bench::{
-    arg_tracer, arg_u64, batch_table, check_flags, geo_mean, measure_model, record_engine_times,
-    write_trace,
+    arg_tracer, arg_u64, batch_table, check_flags, geo_mean, measure_model, write_trace,
 };
 
 fn main() {
@@ -35,7 +34,6 @@ fn main() {
         if let (Some(tr), Some(start)) = (&tracer, start) {
             tr.span("bench", &format!("table2 {name}"), start, tr.now_us() - start, 1);
         }
-        record_engine_times("table2", &t);
         println!(
             "{:<7} {:>8.3}s {:>8.3}s {:>8.3}s {:>8.3}s {:>8.3}s | {:>7.1}x {:>7.1}x {:>7.1}x | {:>7.2} {:>7.2} {:>6}",
             t.model,
@@ -120,14 +118,6 @@ fn main() {
         if let (Some(tr), Some(start)) = (&tracer, dispatch_start) {
             tr.span("bench", "table2 dispatch overhead", start, tr.now_us() - start, 1);
         }
-        accmos_bench::record_run("table2-dispatch", &d.model, "accmos", 1, d.subprocess_per_run());
-        accmos_bench::record_run(
-            "table2-dispatch",
-            &d.model,
-            "accmos-dylib",
-            1,
-            d.dylib_per_run(),
-        );
         println!();
         println!(
             "In-process dispatch (serve engine, cached {} simulator, {} runs of 1 step):",

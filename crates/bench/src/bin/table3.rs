@@ -7,8 +7,7 @@
 //! saturating) is the target.
 
 use accmos_bench::{
-    arg_tracer, arg_u64, check_flags, coverage_row, coverage_within_budget, record_run,
-    write_trace,
+    arg_tracer, arg_u64, check_flags, coverage_row, coverage_within_budget, write_trace,
 };
 use std::time::Duration;
 
@@ -34,8 +33,6 @@ fn main() {
             if let (Some(tr), Some(start)) = (&tracer, start) {
                 tr.span("bench", &format!("table3 {name} {ms}ms"), start, tr.now_us() - start, 1);
             }
-            record_run("table3", name, &acc.engine, acc.steps, acc.wall);
-            record_run("table3", name, &sse.engine, sse.steps, sse.wall);
             let a = coverage_row(&acc);
             let s = coverage_row(&sse);
             println!(

@@ -116,7 +116,6 @@ pub fn measure_model(model: &Model, steps: u64, seed: u64) -> EngineTimes {
     let codegen = accmos_sim.codegen_time();
     let compile = accmos_sim.compile_time();
     let pruned_sites = accmos_sim.program().pruned_sites;
-    accmos_sim.clean();
 
     // Same configuration with instrumentation pruning disabled, to put a
     // number on what dropping proven-dead checks buys.
@@ -131,13 +130,11 @@ pub fn measure_model(model: &Model, steps: u64, seed: u64) -> EngineTimes {
         .expect("unpruned compile");
     let unpruned_report =
         unpruned_sim.run(steps, &tests, &RunOptions::default()).expect("unpruned run");
-    unpruned_sim.clean();
 
     // SSE_rac: uninstrumented generated C at -O0 + host exchange.
     let rac_sim =
         AccMoS::rapid_accelerator().without_cache().prepare(model).expect("rac compile");
     let rac_report = rac_sim.run(steps, &tests, &RunOptions::default()).expect("rac run");
-    rac_sim.clean();
 
     // Interpretive stand-ins.
     let sse = NormalEngine::new().run(&pre, &tests, &SimOptions::steps(steps));
@@ -214,7 +211,6 @@ pub fn coverage_within_budget(
             &RunOptions { time_budget: Some(budget), ..RunOptions::default() },
         )
         .expect("accmos run");
-    sim.clean();
 
     let sse_report = NormalEngine::new().run(
         &pre,
@@ -296,8 +292,6 @@ pub fn measure_dispatch_overhead(model: &Model, runs: u32) -> DispatchOverhead {
     }
     let dylib_total = start.elapsed();
 
-    dylib.clean();
-    sim.clean();
     DispatchOverhead { model: model.name.clone(), runs, subprocess, dylib: dylib_total }
 }
 
@@ -315,7 +309,6 @@ pub fn detection_times(
     let accmos_report = sim
         .run(max_steps, tests, &RunOptions { stop_on_diagnostic: true, ..Default::default() })
         .expect("accmos run");
-    sim.clean();
     let accmos_step =
         accmos_report.diagnostics.iter().map(|d| d.first_step).min();
 
@@ -327,45 +320,6 @@ pub fn detection_times(
     let sse_step = sse_report.diagnostics.iter().map(|d| d.first_step).min();
 
     (accmos_report.wall, accmos_step, sse_report.wall, sse_step)
-}
-
-/// Append one run-ledger record to the default state directory (honours
-/// `ACCMOS_CACHE_DIR`), so benchmark history feeds `accmos trends`.
-/// Best-effort: ledger I/O never fails a benchmark.
-pub fn record_run(source: &str, model: &str, engine: &str, steps: u64, wall: Duration) {
-    let mut rec = accmos::RunRecord::new(source, model);
-    rec.engine = engine.to_string();
-    rec.steps = steps;
-    rec.outcome = accmos::telemetry::outcome::OK.to_string();
-    rec.phases.run_us = accmos::telemetry::micros(wall);
-    let ledger = accmos::RunLedger::in_dir(accmos::default_state_dir());
-    let _ = ledger.append(&rec);
-}
-
-/// Append one ledger record per engine measured by [`measure_model`],
-/// under `source` (e.g. `"table2"`). The AccMoS entry also carries the
-/// cold codegen/compile costs; interpretive stand-ins have none.
-pub fn record_engine_times(source: &str, times: &EngineTimes) {
-    let ledger = accmos::RunLedger::in_dir(accmos::default_state_dir());
-    let engines = [
-        ("accmos", times.accmos),
-        ("accmos-noprune", times.accmos_unpruned),
-        ("sse", times.sse),
-        ("sse-ac", times.sse_ac),
-        ("sse-rac", times.sse_rac),
-    ];
-    for (engine, wall) in engines {
-        let mut rec = accmos::RunRecord::new(source, &times.model);
-        rec.engine = engine.to_string();
-        rec.steps = times.steps;
-        rec.outcome = accmos::telemetry::outcome::OK.to_string();
-        rec.phases.run_us = accmos::telemetry::micros(wall);
-        if engine == "accmos" {
-            rec.phases.codegen_us = accmos::telemetry::micros(times.codegen);
-            rec.phases.compile_us = accmos::telemetry::micros(times.compile);
-        }
-        let _ = ledger.append(&rec);
-    }
 }
 
 /// Exit the harness with status 2 unless every argument after the

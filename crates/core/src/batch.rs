@@ -23,7 +23,7 @@ use crate::exec::{Entry, Exec, Executor, Job, Plan, Subject};
 use crate::{AccMoS, AccMoSError, CompiledSimulator, PreparedSimulation, RunOptions};
 use accmos_ir::{Model, SimulationReport, TestVectors};
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -34,10 +34,10 @@ pub enum JobSource {
     /// whose generated programs are byte-identical share one compile).
     Model(Box<Model>),
     /// An already-prepared simulation, shared by reference; the runner
-    /// never compiles or cleans it.
+    /// never compiles it, and its build goes when the last `Arc` drops.
     Prepared(Arc<PreparedSimulation>),
     /// The path of a pre-built executable speaking the `ACCMOS:`
-    /// protocol; the runner never compiles or cleans it, and writes each
+    /// protocol; the runner never compiles or removes it, and writes each
     /// run's test-vector file beside it. With no model behind it, a
     /// failing executable job cannot degrade to the interpreter — it
     /// reports its classified failure.
@@ -168,7 +168,10 @@ pub struct BatchSummary {
     pub backoff_sleep: Duration,
     /// Jobs that fell back to the interpretive engine.
     pub degraded: usize,
-    /// Executables quarantined during this batch (crash threshold hit).
+    /// The batch's own executables (one per dedup group: the build, the
+    /// prepared simulation or the raw executable its jobs ran) that were
+    /// quarantined once the jobs had run, by this batch or by an earlier
+    /// one sharing the state directory.
     pub quarantined: usize,
     /// Largest per-job child peak RSS observed, in KiB (`ru_maxrss`; 0
     /// when no job reported a measurement).
@@ -258,8 +261,8 @@ impl BatchRunner {
         for job in &jobs {
             let (key, group) = match &job.source {
                 // Prepared sims are keyed by pointer identity and raw
-                // executables by path: never compiled, never cleaned.
-                // Distinct executable paths quarantine independently.
+                // executables by path: never compiled here. Distinct
+                // executable paths quarantine independently.
                 JobSource::Prepared(sim) => {
                     (format!("prepared:{:p}", Arc::as_ptr(sim)), Group::Prepared(Arc::clone(sim)))
                 }
@@ -337,12 +340,6 @@ impl BatchRunner {
             *slots[*idx].lock().unwrap_or_else(PoisonError::into_inner) = exec;
         });
 
-        // Build dirs the runner created are scratch; prepared sims are
-        // the caller's to clean.
-        for sim in groups.values().filter_map(Group::built) {
-            sim.clean();
-        }
-
         let mut results = Vec::with_capacity(jobs.len());
         let mut records = Vec::with_capacity(jobs.len());
         for ((job, key), slot) in jobs.iter().zip(keys).zip(slots) {
@@ -379,12 +376,14 @@ impl BatchRunner {
             summary.failures += usize::from(result.report.is_err());
             results.push(result);
         }
-        summary.quarantined = supervisor.quarantined().len();
+        summary.quarantined =
+            groups.values().filter_map(Group::exe).filter(|e| supervisor.is_quarantined(e)).count();
         summary.total_wall = wall_start.elapsed();
 
         // Ledger: one schema-versioned record per job, appended after the
         // batch settles so the trend gate sees exactly what the caller
         // saw. Best-effort — a read-only state dir never fails a batch.
+        // The runner's builds go when `groups` drops, after this.
         for record in &records {
             self.pipeline.record(record);
         }
@@ -394,10 +393,10 @@ impl BatchRunner {
 
 /// A dedup group: at most one compile feeding any number of jobs.
 enum Group {
-    /// A planned model the runner compiles once, and cleans after the
-    /// run phase.
+    /// A planned model the runner compiles once; its build goes when the
+    /// batch returns.
     Model(Box<Build>),
-    /// A caller-prepared simulation: never compiled, never cleaned.
+    /// A caller-prepared simulation: never compiled here.
     Prepared(Arc<PreparedSimulation>),
     /// A caller-supplied executable, with no model behind it.
     Executable(PathBuf),
@@ -417,6 +416,15 @@ impl Group {
         match self {
             Group::Model(build) => build.sim.get()?.as_ref().ok(),
             _ => None,
+        }
+    }
+
+    /// The executable this group's jobs ran, if it had one.
+    fn exe(&self) -> Option<&Path> {
+        match self {
+            Group::Model(_) => self.built().map(CompiledSimulator::exe),
+            Group::Prepared(sim) => Some(sim.sim.exe()),
+            Group::Executable(exe) => Some(exe),
         }
     }
 
@@ -577,7 +585,6 @@ mod tests {
                 let r = sim
                     .run(50, &tests_for(i as i32 + 1), &RunOptions::default())
                     .unwrap();
-                sim.clean();
                 r.output_digest
             })
             .collect();
@@ -692,12 +699,9 @@ mod tests {
 
     #[test]
     fn compile_failure_degrades_jobs_to_interpreter() {
-        // A *file* where the build dir should be makes the shared compile
-        // fail; the jobs still complete on the interpreter, flagged.
-        let blocker = std::env::temp_dir()
-            .join(format!("accmos-batch-blocker-{}", std::process::id()));
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let pipeline = AccMoS::new().without_cache().with_work_dir(&blocker);
+        // The shared compile fails in `cc`; the jobs still complete on the
+        // interpreter, flagged.
+        let pipeline = crate::tests::failing_builds("Degr_G");
         let report = BatchRunner::new(pipeline)
             .run(vec![
                 BatchJob::model("d0", gain_model("Degr", 2), tests_for(5), 4),
@@ -715,13 +719,11 @@ mod tests {
             let r = job.report.as_ref().unwrap();
             assert_eq!(r.final_outputs[0].1.to_string(), want);
         }
-        std::fs::remove_file(&blocker).unwrap();
     }
 
     #[test]
-    fn builds_under_one_work_dir_stay_apart() {
-        let dir = std::env::temp_dir().join(format!("accmos-batch-work-{}", std::process::id()));
-        let pipeline = AccMoS::new().without_cache().with_work_dir(&dir);
+    fn builds_of_one_batch_stay_apart() {
+        let pipeline = AccMoS::new().without_cache();
         let names = ["WorkA", "WorkB", "WorkC", "WorkD"];
         let jobs = names
             .iter()
@@ -733,7 +735,6 @@ mod tests {
             assert!(!job.degraded(), "{name}: {:?}", job.fallback_reason);
             assert_eq!(job.report.as_ref().unwrap().model, name, "each job runs its own model");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[cfg(unix)]
@@ -770,7 +771,6 @@ mod tests {
             let r = job.report.as_ref().unwrap();
             assert_eq!(r.final_outputs[0].1.to_string(), (3 * i as i32).to_string());
         }
-        sim.clean();
     }
 
     #[cfg(unix)]
@@ -805,7 +805,6 @@ mod tests {
         let view = pipeline.ledger().unwrap().read();
         assert_eq!(view.records.len(), 1);
         assert_eq!(view.records[0].phases.backoff_us, slept.as_micros() as u64);
-        sim.clean();
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -845,7 +844,6 @@ mod tests {
         let record = &view.records[0];
         assert_eq!(record.retries, 0, "retries are the last rung's");
         assert_eq!(record.phases.backoff_us, slept.as_micros() as u64, "backoff sums rungs");
-        sim.clean();
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -874,7 +872,38 @@ mod tests {
         assert_eq!(e.failure_kind(), Some(crate::FailureKind::Timeout), "{err}");
         assert!(err.to_string().contains("interpreter stopped"), "{err}");
         assert!(job.run_time < Duration::from_millis(1300), "ran for {:?}", job.run_time);
-        sim.clean();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn quarantined_counts_only_the_executables_the_batch_ran() {
+        use std::os::unix::fs::PermissionsExt;
+        let root =
+            std::env::temp_dir().join(format!("accmos-batch-inherited-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let policy = crate::ExecPolicy::default()
+            .with_retries(1)
+            .with_quarantine_after(2)
+            .with_kill_timeout(Duration::from_millis(500));
+        let pipeline =
+            AccMoS::new().with_cache(crate::BuildCache::at(&root)).with_exec_policy(policy);
+        // A first batch quarantines a raw executable that always crashes.
+        let exe = root.join("faultsim-crash");
+        std::fs::write(&exe, "#!/bin/sh\nkill -SEGV $$\n").unwrap();
+        std::fs::set_permissions(&exe, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let first = BatchRunner::new(pipeline.clone())
+            .run(vec![BatchJob::executable("crash", &exe, tests_for(1), 5)])
+            .unwrap();
+        assert_eq!(first.summary.quarantined, 1);
+        // A second batch in the same state directory runs one healthy
+        // model: the inherited quarantine entry is not its own.
+        let second = BatchRunner::new(pipeline)
+            .run(vec![BatchJob::model("healthy", gain_model("Healthy", 2), tests_for(1), 5)])
+            .unwrap();
+        let s = &second.summary;
+        assert_eq!((s.quarantined, s.degraded, s.failures), (0, 0, 0));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

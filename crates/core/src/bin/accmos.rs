@@ -56,11 +56,12 @@
 //! lanes together. The other engines reject lanes > 1.
 //!
 //! `trends` reads the persistent run ledger (`ledger.jsonl` under the
-//! cache directory; `simulate` and `batch` append to it automatically
-//! unless caching is disabled) and prints per-model, per-engine phase
-//! medians. With `--check`, it exits non-zero when any model's latest
-//! run is more than `--max-regress` percent (default 25) slower than the
-//! median of its earlier runs — a CI performance gate.
+//! cache directory; `simulate`, `profile`, `batch` and `serve` append to
+//! it automatically unless caching is disabled) and prints phase medians
+//! per model, engine, lane width, level and step count. With `--check`,
+//! it exits non-zero when any model's latest run is more than
+//! `--max-regress` percent (default 25) slower than the median of its
+//! earlier runs of the same configuration — a CI performance gate.
 //!
 //! `fuzz` runs a seeded differential campaign: each trial generates a
 //! random model (conditional groups, nested subsystems, vectors, floats,
@@ -653,6 +654,7 @@ fn trends(args: &[String]) -> Result<(), Failure> {
                 JsonObject::default()
                     .str("model", &t.model)
                     .str("engine", &t.engine_key())
+                    .num("steps", t.steps)
                     .num("runs", t.runs)
                     .raw("median", &median.finish())
                     .num("latest_run_us", t.latest_run_us)
@@ -695,8 +697,9 @@ fn trends(args: &[String]) -> Result<(), Failure> {
         return Ok(());
     }
     println!(
-        "{:<24} {:<8} {:>5}  {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}  {:>8}",
-        "model", "engine", "runs", "parse", "prep", "analyze", "codegen", "compile", "run", "latest"
+        "{:<24} {:<8} {:>9} {:>5}  {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}  {:>8}",
+        "model", "engine", "steps", "runs", "parse", "prep", "analyze", "codegen", "compile", "run",
+        "latest"
     );
     for t in &trends {
         let m: &PhaseMicros = &t.median;
@@ -705,10 +708,11 @@ fn trends(args: &[String]) -> Result<(), Failure> {
             None => String::new(),
         };
         println!(
-            "{:<24} {:<8} {:>5}  {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}  {:>8}{delta}",
+            "{:<24} {:<8} {:>9} {:>5}  {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}  {:>8}{delta}",
             t.model,
             // Lane configs trend separately: `accmos@8` vs plain `accmos`.
             t.engine_key(),
+            t.steps,
             t.runs,
             fmt_us(m.parse_us),
             fmt_us(m.preprocess_us),

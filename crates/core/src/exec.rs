@@ -76,11 +76,11 @@ impl AccMoS {
 /// What a job runs.
 #[derive(Clone, Copy)]
 pub(crate) enum Subject<'a> {
-    /// A planned model: the subprocess rung builds (and cleans) its
-    /// executable when the ladder reaches it.
+    /// A planned model: the subprocess rung builds its executable when
+    /// the ladder reaches it, and the build goes when the rung returns.
     Plan(&'a Plan),
     /// A planned model built ahead of the run (batch compile pool,
-    /// [`AccMoS::prepare`]), or its build error; the builder cleans it.
+    /// [`AccMoS::prepare`]), or its build error; the builder owns it.
     Built(&'a Plan, Result<&'a CompiledSimulator, &'a str>),
     /// A pre-built executable: no model.
     Executable(&'a Path),
@@ -91,7 +91,7 @@ pub(crate) enum Subject<'a> {
 pub(crate) enum Entry<'a> {
     /// The in-process dylib rung, serve's trusted specs: the shared object
     /// built for the job, or why it did not build. The rung runs it but
-    /// neither builds nor cleans it. A `reused` one was planned and built
+    /// neither builds nor owns it. A `reused` one was planned and built
     /// by an earlier job, so this job's record charges neither.
     Dylib { so: Result<&'a CompiledDylib, &'a BackendError>, reused: bool },
     /// The supervised subprocess rung: every other job.
@@ -379,7 +379,7 @@ impl Executor<'_> {
             Entry::Untrusted => trail.causes.push(Fallback::Untrusted),
             Entry::Subprocess => {}
         }
-        let mut built = None; // an executable this walk builds, and cleans
+        let mut built = None; // an executable this walk builds, dropped on return
         let sim = match subject {
             Subject::Executable(exe) => return self.subprocess(exe, false, job, trail),
             Subject::Built(_, sim) => {
@@ -395,11 +395,7 @@ impl Executor<'_> {
         trail.prepare.compile_us += telemetry::micros(sim.compile_time());
         trail.compile_cached = sim.cache_hit();
         trail.opt = Some(sim.opt_level());
-        let run = self.subprocess(sim.exe(), true, job, trail);
-        if let Some(sim) = &built {
-            sim.clean();
-        }
-        run
+        self.subprocess(sim.exe(), true, job, trail)
     }
 
     /// The in-process rung: call the shared object once per lane, with the

@@ -102,10 +102,6 @@ pub struct FuzzConfig {
     /// on every model so the detection → minimization → corpus path is
     /// exercised end-to-end.
     pub sabotage: bool,
-    /// **Test-only.** Panic (simulating a campaign process crash) after
-    /// this many executed trials, leaving `fuzz.jsonl` mid-campaign for
-    /// resumability tests.
-    pub abort_after_trials: Option<u64>,
     /// Trace collector: when set, the campaign records one `fuzz` span
     /// per executed trial (with its verdict) and the spans of every
     /// compiled or injected run (inside its trial's span, or after it for
@@ -133,7 +129,6 @@ impl Default for FuzzConfig {
             max_trials_per_run: None,
             inject_fault_exe: None,
             sabotage: false,
-            abort_after_trials: None,
             tracer: None,
         }
     }
@@ -518,11 +513,6 @@ impl FuzzCampaign {
     /// append failure. Trial-level trouble (crashes, hangs, compile
     /// failures, even panics) is classified into verdicts and never
     /// fails the campaign.
-    ///
-    /// # Panics
-    ///
-    /// Panics only when [`FuzzConfig::abort_after_trials`] injects a
-    /// simulated campaign crash (test-only).
     pub fn run(&self) -> Result<CampaignSummary, AccMoSError> {
         let cfg = &self.config;
         let state_dir =
@@ -603,13 +593,6 @@ impl FuzzCampaign {
                         self.minimize(&plan, detail, &supervisor, &cache);
                     summary.minimized.push(repro);
                 }
-            }
-
-            if let Some(abort_after) = cfg.abort_after_trials {
-                assert!(
-                    summary.executed < abort_after,
-                    "fuzz campaign abort injection after {abort_after} trials (test-only)"
-                );
             }
         }
         Ok(summary)
@@ -1059,9 +1042,7 @@ pub fn replay_corpus_entry(mdlx_path: &Path) -> Result<(), String> {
         .map_err(|e| format!("{}: compile: {e}", mdlx_path.display()))?;
     let compiled = sim
         .run(steps, &tests, &run_opts)
-        .map_err(|e| format!("{}: run: {e}", mdlx_path.display()));
-    sim.clean();
-    let compiled = compiled?;
+        .map_err(|e| format!("{}: run: {e}", mdlx_path.display()))?;
     if compiled.output_digest != digest {
         return Err(format!(
             "{}: compiled digest {:016x} != pinned {digest:016x} (the regression this entry guards)",

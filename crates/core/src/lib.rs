@@ -170,7 +170,6 @@ pub struct AccMoS {
     codegen: CodegenOptions,
     /// The pinned level; `None` follows the step budget.
     opt: Option<OptLevel>,
-    work_dir: Option<PathBuf>,
     cache: CachePolicy,
     exec_policy: ExecPolicy,
     tracer: Option<Tracer>,
@@ -184,7 +183,6 @@ impl AccMoS {
         AccMoS {
             codegen: CodegenOptions::accmos(),
             opt: None,
-            work_dir: None,
             cache: CachePolicy::Default,
             exec_policy: ExecPolicy::default(),
             tracer: None,
@@ -197,7 +195,6 @@ impl AccMoS {
         AccMoS {
             codegen: CodegenOptions::rapid_accelerator(),
             opt: Some(OptLevel::O0),
-            work_dir: None,
             cache: CachePolicy::Default,
             exec_policy: ExecPolicy::default(),
             tracer: None,
@@ -214,15 +211,6 @@ impl AccMoS {
     /// build, whatever its step budget.
     pub fn with_opt(mut self, opt: OptLevel) -> AccMoS {
         self.opt = Some(opt);
-        self
-    }
-
-    /// Builder-style: make each build's directory under `dir` (useful for
-    /// inspecting the generated code) instead of the system temp
-    /// directory. Builds never share a directory, and cleaning one
-    /// removes only its own.
-    pub fn with_work_dir(mut self, dir: impl Into<PathBuf>) -> AccMoS {
-        self.work_dir = Some(dir.into());
         self
     }
 
@@ -316,16 +304,12 @@ impl AccMoS {
     /// with no step budget ([`AccMoS::prepare`]): the pinned level, else
     /// `-O3`. [`AccMoS::budgeted`] adapts it to a budget.
     pub(crate) fn compiler(&self) -> Result<Compiler, BackendError> {
-        let mut compiler = Compiler::detect()?.with_opt(self.opt.unwrap_or(OptLevel::O3));
-        if let Some(dir) = &self.work_dir {
-            compiler = compiler.with_work_dir(dir.clone());
-        }
-        compiler = match &self.cache {
+        let compiler = Compiler::detect()?.with_opt(self.opt.unwrap_or(OptLevel::O3));
+        Ok(match &self.cache {
             CachePolicy::Default => compiler,
             CachePolicy::Disabled => compiler.without_cache(),
             CachePolicy::Custom(cache) => compiler.with_cache(cache.clone()),
-        };
-        Ok(compiler)
+        })
     }
 
     /// `compiler` (from [`AccMoS::compiler`]) for a build whose runs total
@@ -461,7 +445,8 @@ impl Default for AccMoS {
     }
 }
 
-/// A compiled, ready-to-run AccMoS simulation.
+/// A compiled, ready-to-run AccMoS simulation. Its build directory lives
+/// as long as it does.
 #[derive(Debug)]
 pub struct PreparedSimulation {
     plan: exec::Plan,
@@ -491,7 +476,7 @@ impl PreparedSimulation {
 
     /// The generated program (for inspection of the emitted C).
     pub fn program(&self) -> &GeneratedProgram {
-        self.sim.program()
+        &self.plan.program
     }
 
     /// The underlying compiled simulator.
@@ -521,7 +506,8 @@ impl PreparedSimulation {
         self.sim.compile_time()
     }
 
-    /// Remove the build directory.
+    /// Remove the build directory now, before the simulation drops (the
+    /// drop removes it otherwise).
     pub fn clean(&self) {
         self.sim.clean();
     }
@@ -622,6 +608,20 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A cache-less pipeline whose every build of a model with the actor
+    /// `actor` (a path key) fails in `cc`: a custom probe on it whose
+    /// condition is not C. The interpreter does not evaluate custom
+    /// probes, so a job that degrades reports what it would without one.
+    pub(crate) fn failing_builds(actor: &str) -> AccMoS {
+        let mut codegen = CodegenOptions::accmos();
+        codegen.custom.push(CustomProbe {
+            name: "not-c".into(),
+            actor: actor.into(),
+            condition_c: "this is not C".into(),
+        });
+        AccMoS::new().without_cache().with_codegen(codegen)
+    }
+
     /// Two gains in a feedback cycle with no delay: structurally valid,
     /// but scheduling rejects it as an algebraic loop at plan time.
     pub(crate) fn looped_model() -> Model {
@@ -665,7 +665,21 @@ mod tests {
         let report = sim.run(5, &tests, &RunOptions::default()).unwrap();
         assert_eq!(report.final_outputs[0].1.to_string(), "42");
         assert!(sim.compile_time() > Duration::ZERO);
+    }
+
+    #[test]
+    fn dropping_a_prepared_simulation_removes_its_build_directory() {
+        let pipeline = AccMoS::new().without_cache();
+        let sim = pipeline.prepare(&small_model()).unwrap();
+        let dir = sim.simulator().dir().to_path_buf();
+        assert!(dir.join("Tiny.c").exists(), "{} holds the sources", dir.display());
+        drop(sim);
+        assert!(!dir.exists(), "{} left behind", dir.display());
+        // An early clean() releases the directory; the drop after it is
+        // harmless.
+        let sim = pipeline.prepare(&small_model()).unwrap();
         sim.clean();
+        assert!(!sim.simulator().dir().exists());
     }
 
     #[test]
@@ -679,7 +693,6 @@ mod tests {
         let tests = TestVectors::constant("In", Scalar::I32(9), 1);
         let r = sim.run(3, &tests, &RunOptions::default()).unwrap();
         assert_eq!(r.final_outputs[0].1.to_string(), "9");
-        sim.clean();
     }
 
     #[test]
@@ -716,48 +729,23 @@ mod tests {
 
     #[test]
     fn run_degrades_to_interpreter_when_compile_fails() {
-        // A *file* where the build dir should be makes every compile fail
-        // with a backend error — the degradable path, not a model error.
-        let blocker =
-            std::env::temp_dir().join(format!("accmos-run-blocker-{}", std::process::id()));
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let pipeline = AccMoS::new().without_cache().with_work_dir(&blocker);
+        // A build that fails in `cc` is a backend error — the degradable
+        // path, not a model error.
+        let pipeline = failing_builds("Tiny_Twice");
         let tests = TestVectors::constant("In", Scalar::I32(21), 1);
         let out = pipeline.run(&small_model(), 5, &tests, &RunOptions::default()).unwrap();
         assert!(out.degraded(), "compile failure must degrade, not error");
-        assert!(out.fallback_reason.is_some());
+        assert!(out.fallback_reason.unwrap().contains("compile failed"));
         assert_eq!(out.report.final_outputs[0].1.to_string(), "42");
-        std::fs::remove_file(&blocker).unwrap();
-    }
-
-    #[test]
-    fn cleaning_a_build_keeps_the_rest_of_the_work_dir() {
-        let dir = std::env::temp_dir().join(format!("accmos-run-work-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("keep.txt"), b"mine").unwrap();
-        let tests = TestVectors::constant("In", Scalar::I32(21), 1);
-        let pipeline = AccMoS::new().without_cache().with_work_dir(&dir);
-        let out = pipeline.run(&small_model(), 5, &tests, &RunOptions::default()).unwrap();
-        assert!(!out.degraded(), "{:?}", out.fallback_reason);
-        let left: Vec<_> =
-            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
-        assert_eq!(left, ["keep.txt"], "the run removed only its own build directory");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn kill_deadline_bounds_the_interpreter_fallback() {
-        // The same blocked build as above, but a run far too long for the
+        // The same failed build as above, but a run far too long for the
         // kill timeout: the interpreter stops at the deadline and the job
         // fails as a killed child would, instead of holding its caller.
-        let blocker =
-            std::env::temp_dir().join(format!("accmos-run-deadline-{}", std::process::id()));
-        std::fs::write(&blocker, b"not a directory").unwrap();
         let policy = ExecPolicy::default().with_kill_timeout(Duration::from_millis(300));
-        let pipeline = AccMoS::new()
-            .without_cache()
-            .with_work_dir(&blocker)
-            .with_exec_policy(policy);
+        let pipeline = failing_builds("Tiny_Twice").with_exec_policy(policy);
         let tests = TestVectors::constant("In", Scalar::I32(21), 1);
         let start = std::time::Instant::now();
         let err = pipeline
@@ -767,7 +755,6 @@ mod tests {
         let AccMoSError::Backend(e) = &err else { panic!("expected a backend error: {err}") };
         assert_eq!(e.failure_kind(), Some(FailureKind::Timeout), "{err}");
         assert!(err.to_string().contains("kill deadline"), "{err}");
-        std::fs::remove_file(&blocker).unwrap();
     }
 
     #[test]
@@ -792,8 +779,6 @@ mod tests {
         assert_eq!(steps(&dy.report), [1, 100], "dylib");
         assert_eq!((sub.steps, sub.output_digest), (interp.steps, interp.output_digest));
         assert_eq!(dy.report.output_digest, interp.output_digest);
-        sim.clean();
-        so.clean();
     }
 
     #[test]
@@ -817,17 +802,10 @@ mod tests {
         let deadline = Duration::from_secs(1);
         let per_lane = deadline.as_nanos() * 45 / 100;
         let steps = (per_lane * u128::from(probe) / fastest.as_nanos().max(1)) as u64;
-        let blocker =
-            std::env::temp_dir().join(format!("accmos-run-lanes-deadline-{}", std::process::id()));
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let pipeline = AccMoS::new()
-            .without_cache()
-            .with_work_dir(&blocker)
+        let pipeline = failing_builds("Tiny_Twice")
             .with_exec_policy(ExecPolicy::default().with_kill_timeout(deadline));
         let opts = RunOptions { lane_tests: vec![tests.clone(); 3], ..RunOptions::default() };
-        let run = pipeline.run(&model, steps, &tests, &opts);
-        std::fs::remove_file(&blocker).unwrap();
-        let err = run.unwrap_err();
+        let err = pipeline.run(&model, steps, &tests, &opts).unwrap_err();
         let AccMoSError::Backend(e) = &err else { panic!("expected a backend error: {err}") };
         assert_eq!(e.failure_kind(), Some(FailureKind::Timeout), "{err}");
     }

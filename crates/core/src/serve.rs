@@ -22,10 +22,11 @@
 //! and the build-cache fetch; its ledger record shows a cached build with zero
 //! plan and compile time. A miss takes the full path and memoizes its
 //! result after the job. The memo keeps at most 64 entries, evicting the
-//! least recently used; an entry's build directory is removed once it
-//! is evicted and no running job holds it, and when the daemon stops. A
-//! memoized shared object that fails (a timeout aside) is dropped, and
-//! the job goes on down the ladder. `rand:` specs are never memoized.
+//! least recently used; an entry's shared object owns its build
+//! directory and removes it once the entry is evicted and no running job
+//! holds it, and when the daemon stops. A memoized shared object that
+//! fails (a timeout aside) is dropped, and the job goes on down the
+//! ladder. `rand:` specs are never memoized.
 //!
 //! A job builds for its own step budget, steps × lanes: at `-O1` below
 //! [`crate::O3_BUDGET`], at `-O3` from it on, unless the pipeline pins a
@@ -397,17 +398,11 @@ impl DoneEvent {
 
 /// A trusted model's plan and shared object, built by the first job that
 /// names it and reused by every later one. The last holder to drop it (the
-/// memo on eviction or shutdown, or a job still running it) removes its
-/// build directory.
+/// memo on eviction or shutdown, or a job still running it) drops the
+/// shared object, which removes its build directory.
 struct Warm {
     plan: Plan,
     dylib: CompiledDylib,
-}
-
-impl Drop for Warm {
-    fn drop(&mut self) {
-        self.dylib.clean();
-    }
 }
 
 /// The daemon's memo of [`Warm`] models by their source (the daemon's
@@ -439,7 +434,7 @@ impl Memo {
 
     /// Keep `warm` unless another job's build of `key` got in first; an
     /// `-O3` build replaces an entry of a lower level. What this drops, an
-    /// evicted or replaced entry or the losing build, is cleaned after the
+    /// evicted or replaced entry or the losing build, is removed after the
     /// lock is released.
     fn insert(&self, key: Source, warm: Arc<Warm>) {
         let _dropped = {
@@ -834,13 +829,10 @@ mod tests {
 
     #[test]
     fn blocked_builds_degrade_trusted_jobs_to_the_interpreter() {
-        // A *file* where the build dir should be fails both builds: the
-        // dylib rung drops to the subprocess rung, whose failed compile
-        // drops the job to the interpreter, flagged with both causes.
-        let dir = TempDir::new("blocked");
-        let blocker = dir.0.join("blocker");
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let pipeline = AccMoS::new().without_cache().with_work_dir(&blocker);
+        // Both builds fail in `cc`: the dylib rung drops to the subprocess
+        // rung, whose failed compile drops the job to the interpreter,
+        // flagged with both causes.
+        let pipeline = crate::tests::failing_builds("SPV_Panel0_Eff");
         let job = ServeJob {
             id: "b0".into(),
             spec: "bench:SPV".into(),
@@ -1002,10 +994,7 @@ mod tests {
     #[test]
     fn two_workers_share_the_memo_and_stop_removes_its_build_dirs() {
         let dir = TempDir::new("memo-daemon");
-        let builds = dir.0.join("builds");
-        let pipeline = AccMoS::new()
-            .with_cache(BuildCache::at(dir.0.join("state")))
-            .with_work_dir(&builds);
+        let pipeline = AccMoS::new().with_cache(BuildCache::at(dir.0.join("state")));
         let socket = dir.0.join("accmos.sock");
         let handle =
             ServeHandle::start(ServeConfig::new(&socket).with_workers(2).with_pipeline(pipeline))
@@ -1042,9 +1031,17 @@ mod tests {
             assert_eq!(ev.str("engine").as_deref(), Some("accmos-dylib"));
             assert_eq!(ev.str("digest"), Some(want), "seed {}", jobs[i].seed);
         }
-        assert!(std::fs::read_dir(&builds).unwrap().next().is_some(), "the memo holds a build");
+        let builds: Vec<PathBuf> = handle
+            .shared
+            .memo
+            .entries()
+            .iter()
+            .map(|(_, warm)| warm.dylib.so().parent().unwrap().to_path_buf())
+            .collect();
+        assert_eq!(builds.len(), 1, "the memo holds a build");
+        assert!(builds[0].exists());
         handle.stop();
-        assert_eq!(std::fs::read_dir(&builds).unwrap().count(), 0, "stop removes memo builds");
+        assert!(!builds[0].exists(), "stop removes memo builds");
     }
 
     #[test]

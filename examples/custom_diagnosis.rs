@@ -49,7 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
     );
     let report = sim.run(50, &tests, &RunOptions::default())?;
-    sim.clean();
 
     println!("{report}");
     for probe in &report.custom {

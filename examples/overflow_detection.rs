@@ -26,7 +26,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &tests,
             &RunOptions { stop_on_diagnostic: true, ..RunOptions::default() },
         )?;
-        sim.clean();
 
         let interpreted = NormalEngine::new().run(
             &pre,

@@ -44,6 +44,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &RunOptions { stop_on_diagnostic: true, ..RunOptions::default() },
     )?;
     println!("{report}");
-    sim.clean();
     Ok(())
 }

@@ -60,8 +60,6 @@ fn pruned_and_unpruned_builds_agree_bit_for_bit() {
             assert!(a.coverage.is_some(), "{name} seed {seed}: coverage");
             assert_eq!(a.coverage, b.coverage, "{name} seed {seed}: coverage bitmaps");
         }
-        pruned_sim.clean();
-        unpruned_sim.clean();
     }
     assert!(
         pruned_total >= 1,

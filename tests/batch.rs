@@ -34,7 +34,6 @@ fn batch_over_table1_matches_serial_digests() {
         let sim = pipeline.prepare(&model).expect("serial compile");
         assert!(!sim.cache_hit(), "{name}: first build must be cold");
         let report = sim.run(STEPS, &tests, &RunOptions::default()).expect("serial run");
-        sim.clean();
         serial.push((name, report.output_digest));
     }
 

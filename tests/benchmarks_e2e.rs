@@ -19,7 +19,6 @@ fn assert_matches_reference(name: &str, steps: u64, seed: u64) -> SimulationRepo
     let pipeline = AccMoS::new().without_cache();
     let sim = pipeline.prepare(&model).unwrap_or_else(|e| panic!("{name}: {e}"));
     let compiled = sim.run(steps, &tests, &RunOptions::default()).unwrap();
-    sim.clean();
 
     assert_eq!(interp.output_digest, compiled.output_digest, "{name}: digest");
     assert_eq!(interp.final_outputs, compiled.final_outputs, "{name}: outputs");
@@ -71,7 +70,6 @@ fn csev_case_study_faults_detected() {
     let r = sim
         .run(3_000_000, &tests, &RunOptions { stop_on_diagnostic: true, ..Default::default() })
         .unwrap();
-    sim.clean();
     assert!(r.has_diagnostic(DiagnosticKind::WrapOnOverflow), "{r}");
 
     // Fault 2: downcast on the int16 power path, detected at the first
@@ -83,7 +81,6 @@ fn csev_case_study_faults_detected() {
     let r = sim
         .run(100_000, &tests, &RunOptions { stop_on_diagnostic: true, ..Default::default() })
         .unwrap();
-    sim.clean();
     let down = r.first_diagnostic(DiagnosticKind::Downcast).expect("downcast detected");
     assert!(down.first_step < 100, "downcast should fire near step 0, got {}", down.first_step);
 }

@@ -68,7 +68,6 @@ fn chaos_batch_survives_misbehaving_simulators() {
             let r = sim.run(40, &tests_for(seed + 1), &RunOptions::default()).unwrap();
             serial.push(r.output_digest);
         }
-        sim.clean();
     }
 
     // 12 jobs: 8 healthy (2 models x 4 stimuli) + 4 faults.
@@ -286,7 +285,6 @@ fn chaos_batch_ledger_records_outcomes_faithfully() {
         "compiled jobs carry the shared compile span"
     );
 
-    sabotaged.clean();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -329,7 +327,6 @@ fn lane_jobs_quarantine_and_degrade_bit_identically() {
             let r = sim.run(40, &tests_for(v), &RunOptions::default()).unwrap();
             fold.write_u64(r.output_digest);
         }
-        sim.clean();
         fold.finish()
     };
     let expected_healthy = fold_scalar(&healthy_model);
@@ -381,7 +378,6 @@ fn lane_jobs_quarantine_and_degrade_bit_identically() {
         assert_eq!(rec.lanes, lanes as u64, "{}: ledger lane width", rec.model);
     }
 
-    sabotaged.clean();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -30,7 +30,6 @@ fn check_seed(seed: u64, actors: usize, steps: u64) {
         panic!("seed {seed}: compile failed: {e}\n{}", program.main_c);
     });
     let compiled = sim.run(steps, &tests, &RunOptions::default()).unwrap();
-    sim.clean();
 
     assert_eq!(
         interp.output_digest, compiled.output_digest,
@@ -93,7 +92,6 @@ fn check_config(cfg: ModelGenConfig, steps: u64, lanes: usize) -> usize {
     });
     let opts = RunOptions { lane_tests: stimuli[1..].to_vec(), ..RunOptions::default() };
     let compiled = sim.run(steps, &stimuli[0], &opts).unwrap();
-    sim.clean();
 
     let mut digest = OutputDigest::new();
     let mut union: Option<CoverageBitmaps> = None;

@@ -89,8 +89,6 @@ fn check_model(model: &Model, seeds: &[u64], widths: &[usize], steps: u64) {
             assert_lane_run(&want, &dy.report, &format!("{ctx} dylib"));
         }
     }
-    sim.clean();
-    dylib.clean();
 }
 
 // The full Table 1 suite and the chain model, two seeds, lane widths
@@ -141,7 +139,6 @@ fn lane_coverage_is_exact_bitmap_union() {
         let want = expected(&pre, &tests, &opts, 64);
         let sim = AccMoS::new().without_cache().prepare(&model).unwrap();
         let got = sim.run(64, &tests, &opts).unwrap();
-        sim.clean();
         assert_lane_run(&want, &got, name);
         let union = got.coverage.as_ref().unwrap();
         for (i, lane) in got.lane_reports.iter().enumerate() {

@@ -64,8 +64,6 @@ fn o1_and_o3_builds_simulate_bit_identically_on_every_benchmark() {
                 }
             }
         }
-        o1.clean();
-        o3.clean();
     }
     // A lane run is runs of the scalar artifact: the lane-4 cases hit
     // the builds of their models' scalar cases.
@@ -144,7 +142,6 @@ fn a_short_run_takes_a_cached_o3_build_counting_one_hit() {
     let model = tiny("Prefer");
     let sim = pipeline.prepare(&model).unwrap();
     assert_eq!(sim.simulator().opt_level(), OptLevel::O3, "prepare has no budget: -O3");
-    sim.clean();
     let before = cache.stats();
     let out = pipeline.run(&model, 50, &tests(), &RunOptions::default()).unwrap();
     assert_eq!(out.report.final_outputs[0].1.to_string(), "15");
@@ -161,11 +158,10 @@ fn a_rapid_accelerator_pipeline_never_takes_an_o3_build() {
     // An -O3 artifact of exactly the sources the Rapid Accelerator
     // stand-in generates.
     let o3 = AccMoS::rapid_accelerator().with_opt(OptLevel::O3).with_cache(cache.clone());
-    o3.prepare(&model).unwrap().clean();
+    o3.prepare(&model).unwrap();
     let rac = AccMoS::rapid_accelerator().with_cache(cache.clone());
     let sim = rac.prepare(&model).unwrap();
     assert_eq!((sim.simulator().opt_level(), sim.cache_hit()), (OptLevel::O0, false));
-    sim.clean();
     rac.run(&model, 50, &tests(), &RunOptions::default()).unwrap();
     assert_eq!(levels(&rac, 0), [level("O0", true)], "the -O0 build, not the -O3 one");
 }

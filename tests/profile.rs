@@ -29,13 +29,11 @@ fn assert_profile_neutral(model: &Model, lanes: usize, steps: u64, seed: u64) {
 
     let plain_sim = AccMoS::new().without_cache().prepare(model).unwrap();
     let plain = plain_sim.run(steps, &tests, &opts).unwrap();
-    plain_sim.clean();
 
     let base = AccMoS::new().without_cache();
     let copts = base.codegen_options().clone().with_profile();
     let prof_sim = base.with_codegen(copts).prepare(model).unwrap();
     let prof = prof_sim.run(steps, &tests, &opts).unwrap();
-    prof_sim.clean();
 
     let ctx = format!("{} lanes {lanes}", model.name);
     assert_eq!(plain.output_digest, prof.output_digest, "{ctx}: aggregate digest");
@@ -108,7 +106,6 @@ fn lane_builds_profile_every_actor_once_per_lane_step() {
     let report = sim
         .run(steps, &tests, &RunOptions { lane_tests, ..RunOptions::default() })
         .unwrap();
-    sim.clean();
 
     let keys: Vec<String> = pre.flat.ordered_actors().map(|a| a.path.key()).collect();
     let sites: Vec<&str> = report.profile.iter().map(|s| s.actor.as_str()).collect();

@@ -87,8 +87,6 @@ fn dylib_runs_match_subprocess_runs_on_every_benchmark() {
                 assert_eq!(dl.signal_log, sl.signal_log, "{tag}: lane {i} signal log");
             }
 
-            dylib.clean();
-            sim.clean();
         }
     }
 }
